@@ -135,6 +135,17 @@ def check_op_gradients(seed: int = 0) -> dict[str, float]:
         mask = T.constant(np.ones((3, 4)))
     results["smooth_l1_masked"] = _check(lambda: T.smooth_l1(pred, target, beta=0.7, mask=mask), {"pred": pred})
 
+    lin_x, lin_w, lin_b = leaf(4, 5), leaf(5, 3), leaf(3)
+    w_lin = fixed(4, 3)
+    results["linear"] = _check(
+        lambda: T.tsum(T.mul(T.linear(lin_x, lin_w, lin_b), T.constant(w_lin))),
+        {"x": lin_x, "w": lin_w, "b": lin_b},
+    )
+
+    qkv = leaf(5, 12)  # 2 heads of dimension 2
+    w_attn = fixed(5, 4)
+    results["attention"] = _check(lambda: T.tsum(T.mul(T.attention(qkv, 2), T.constant(w_attn))), {"qkv": qkv})
+
     return results
 
 

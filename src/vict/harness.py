@@ -247,7 +247,11 @@ def _aggregate(config: BenchConfig, params: model.Params, cells: list[tuple[str,
                 dump_dir,
                 trace_dir,
             )
-        except Exception as err:  # excluded from the mean, counted as a failure
+        except (FloatingPointError, RuntimeError) as err:
+            # only a numerical divergence is excluded from the mean and counted
+            # as a failure; any other error is a bug and propagates
+            if isinstance(err, RuntimeError) and not isinstance(err.__cause__, FloatingPointError):
+                raise
             return err
 
     workers = _worker_count(config.workers, len(jobs))

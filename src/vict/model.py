@@ -241,28 +241,13 @@ def param_group(params: Params, selector: str) -> dict[str, T.Tensor]:
 
 
 def _attention(h: T.Tensor, p: dict[str, T.Tensor], prefix: str, num_heads: int) -> T.Tensor:
-    tokens, d = h.shape
-    head_dim = d // num_heads
-    qkv = T.add_row(T.matmul(h, p[f"{prefix}.attn.qkv.weight"]), p[f"{prefix}.attn.qkv.bias"])
-    q = T.narrow(qkv, 1, 0, d)
-    k = T.narrow(qkv, 1, d, d)
-    v = T.narrow(qkv, 1, 2 * d, d)
-    scale = 1.0 / np.sqrt(head_dim)
-    outputs = []
-    for i in range(num_heads):
-        qi = T.narrow(q, 1, i * head_dim, head_dim)
-        ki = T.narrow(k, 1, i * head_dim, head_dim)
-        vi = T.narrow(v, 1, i * head_dim, head_dim)
-        scores = T.mul_scalar(T.matmul(qi, T.transpose(ki)), scale)
-        outputs.append(T.matmul(T.softmax(scores), vi))
-    merged = T.concat(outputs, axis=1)
-    return T.add_row(T.matmul(merged, p[f"{prefix}.attn.proj.weight"]), p[f"{prefix}.attn.proj.bias"])
+    qkv = T.linear(h, p[f"{prefix}.attn.qkv.weight"], p[f"{prefix}.attn.qkv.bias"])
+    return T.linear(T.attention(qkv, num_heads), p[f"{prefix}.attn.proj.weight"], p[f"{prefix}.attn.proj.bias"])
 
 
 def _mlp(h: T.Tensor, p: dict[str, T.Tensor], prefix: str) -> T.Tensor:
-    h = T.add_row(T.matmul(h, p[f"{prefix}.mlp.fc1.weight"]), p[f"{prefix}.mlp.fc1.bias"])
-    h = T.gelu(h)
-    return T.add_row(T.matmul(h, p[f"{prefix}.mlp.fc2.weight"]), p[f"{prefix}.mlp.fc2.bias"])
+    h = T.gelu(T.linear(h, p[f"{prefix}.mlp.fc1.weight"], p[f"{prefix}.mlp.fc1.bias"]))
+    return T.linear(h, p[f"{prefix}.mlp.fc2.weight"], p[f"{prefix}.mlp.fc2.bias"])
 
 
 def _block(h: T.Tensor, p: dict[str, T.Tensor], prefix: str, num_heads: int) -> T.Tensor:
@@ -293,7 +278,7 @@ def forward(params: Params, canvas: Canvas, mask: MaskSpec) -> T.Tensor:
     x = T.transpose(x, (1, 3, 2, 4, 0))  # row-grid, col-grid, row-pixel, col-pixel, channel
     x = T.reshape(x, (n, cfg.patch_dim))
 
-    h = T.add_row(T.matmul(x, p["patch_embed.weight"]), p["patch_embed.bias"])
+    h = T.linear(x, p["patch_embed.weight"], p["patch_embed.bias"])
 
     m = mask.patch_mask(ps).astype(dtype)
     keep = T.constant(np.repeat((1.0 - m)[:, None], d, axis=1))
@@ -308,7 +293,7 @@ def forward(params: Params, canvas: Canvas, mask: MaskSpec) -> T.Tensor:
         h = _block(h, p, f"dec{i}", cfg.num_heads)
 
     h = T.layernorm(h, p["final_norm.gain"], p["final_norm.bias"])
-    out = T.add_row(T.matmul(h, p["head.weight"]), p["head.bias"])
+    out = T.linear(h, p["head.weight"], p["head.bias"])
     out = T.sigmoid(out)
     out = T.reshape(out, (g, g, ps, ps, 3))
     out = T.transpose(out, (4, 0, 2, 1, 3))

@@ -4,9 +4,16 @@ Ops are broadcasting-free: elementwise operands must match shapes exactly,
 matmul follows the usual inner-dimension rule. An op whose inputs require
 gradients records parent links and a backward rule on its output; calling
 ``backward`` on a scalar replays the recorded rules in reverse topological
-order and accumulates into leaf ``grad`` buffers. Repeated backward calls
-accumulate on leaves until ``zero_grads`` is called. Any non-finite op
-output raises immediately.
+order and accumulates into leaf ``grad`` buffers. A backward rule computes
+no product for an input that does not require gradients. Repeated backward
+calls accumulate on leaves until ``zero_grads`` is called. Any non-finite
+op output raises immediately.
+
+The transformer's two hot patterns are one node each: ``linear`` (matmul
+plus bias row) and ``attention`` (multi-head scaled dot-product attention
+over packed query/key/value columns). Both evaluate the same numpy
+expressions, in the same order, as the chains of primitive ops they
+replace, so their outputs and gradients are bit-identical to those chains.
 
 Also home to the smooth-L1 regression loss and the decoupled-weight-decay
 Adam (AdamW) update used by pre-training and test-time tuning.
@@ -129,11 +136,15 @@ def _check_finite(op: str, arr: np.ndarray) -> None:
 
 
 def _node(data: np.ndarray, parents: tuple[Tensor, ...], op: str) -> Tensor:
+    """Op output. ``data`` is floating point already; a numpy scalar (from
+    reducing, or from elementwise ops on 0-d operands) becomes a 0-d array."""
     _check_finite(op, data)
-    out = Tensor(data)
+    out = Tensor.__new__(Tensor)
+    out.data = data if type(data) is np.ndarray else np.asarray(data)
+    out.grad = None
     out.requires_grad = any(p.requires_grad for p in parents)
-    if out.requires_grad:
-        out._parents = parents
+    out._parents = parents if out.requires_grad else ()
+    out._backward = None
     out._op = op
     return out
 
@@ -229,7 +240,8 @@ def sub(a: Tensor, b: Tensor) -> Tensor:
     if out.requires_grad:
         def _bwd(g):
             _accumulate(a, g)
-            _accumulate(b, -g)
+            if b.requires_grad:
+                _accumulate(b, -g)
         out._backward = _bwd
     return out
 
@@ -241,8 +253,10 @@ def mul(a: Tensor, b: Tensor) -> Tensor:
     out = _node(a.data * b.data, (a, b), "mul")
     if out.requires_grad:
         def _bwd(g):
-            _accumulate(a, g * b.data)
-            _accumulate(b, g * a.data)
+            if a.requires_grad:
+                _accumulate(a, g * b.data)
+            if b.requires_grad:
+                _accumulate(b, g * a.data)
         out._backward = _bwd
     return out
 
@@ -275,8 +289,10 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
     out = _node(a.data @ b.data, (a, b), "matmul")
     if out.requires_grad:
         def _bwd(g):
-            _accumulate(a, g @ b.data.T)
-            _accumulate(b, a.data.T @ g)
+            if a.requires_grad:
+                _accumulate(a, g @ b.data.T)
+            if b.requires_grad:
+                _accumulate(b, a.data.T @ g)
         out._backward = _bwd
     return out
 
@@ -321,9 +337,9 @@ def narrow(a: Tensor, axis: int, start: int, length: int) -> Tensor:
     out = _node(a.data[index], (a,), "narrow")
     if out.requires_grad:
         def _bwd(g):
-            full = np.zeros_like(a.data)
-            full[index] = g
-            _accumulate(a, full)
+            if a.grad is None:
+                a.grad = np.zeros_like(a.data)
+            a.grad[index] += g
         out._backward = _bwd
     return out
 
@@ -360,7 +376,76 @@ def add_row(x: Tensor, b: Tensor) -> Tensor:
     if out.requires_grad:
         def _bwd(g):
             _accumulate(x, g)
-            _accumulate(b, g.sum(axis=0))
+            if b.requires_grad:
+                _accumulate(b, g.sum(axis=0))
+        out._backward = _bwd
+    return out
+
+
+def linear(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
+    """Affine map ``x @ w + b`` of an [R, K] matrix, one node for
+    ``add_row(matmul(x, w), b)``."""
+    x, w, b = as_tensor(x), as_tensor(w), as_tensor(b)
+    if x.data.ndim != 2 or w.data.ndim != 2 or b.data.ndim != 1:
+        raise ValueError(f"linear: expects [R, K], [K, D] and [D], got {x.shape}, {w.shape} and {b.shape}")
+    if x.shape[1] != w.shape[0] or w.shape[1] != b.shape[0]:
+        raise ValueError(f"linear: shapes {x.shape}, {w.shape} and {b.shape} do not align")
+    _same_dtype("linear", x, w)
+    _same_dtype("linear", x, b)
+    out = _node(x.data @ w.data + b.data[None, :], (x, w, b), "linear")
+    if out.requires_grad:
+        def _bwd(g):
+            if b.requires_grad:
+                _accumulate(b, g.sum(axis=0))
+            if x.requires_grad:
+                _accumulate(x, g @ w.data.T)
+            if w.requires_grad:
+                _accumulate(w, x.data.T @ g)
+        out._backward = _bwd
+    return out
+
+
+def attention(qkv: Tensor, num_heads: int) -> Tensor:
+    """Multi-head scaled dot-product self-attention, one node.
+
+    ``qkv`` is [N, 3D]: queries, keys and values side by side, each split
+    into ``num_heads`` column blocks of D / num_heads. Returns the heads'
+    outputs side by side, [N, D]. Each head runs the same 2-d products and
+    softmax expressions as the primitive per-head chain of narrow,
+    transpose, matmul, mul_scalar, softmax, matmul and concat. The heads
+    are not batched into 3-d products: that measured no faster, and its
+    products would not be the chain's.
+    """
+    qkv = as_tensor(qkv)
+    if qkv.data.ndim != 2 or num_heads <= 0 or qkv.shape[1] % (3 * num_heads) != 0:
+        raise ValueError(f"attention: cannot split {qkv.shape} into q, k, v of {num_heads} heads")
+    data = qkv.data
+    d = data.shape[1] // 3
+    head_dim = d // num_heads
+    scale = float(1.0 / np.sqrt(head_dim))
+    heads = [
+        (data[:, lo : lo + head_dim], data[:, d + lo : d + lo + head_dim], data[:, 2 * d + lo : 2 * d + lo + head_dim])
+        for lo in range(0, d, head_dim)
+    ]
+    probs, outputs = [], []
+    for q, k, v in heads:
+        scores = (q @ k.T) * scale
+        _check_finite("attention", scores)  # before the softmax, which would hide an infinity
+        p = _softmax_rows(scores)
+        probs.append(p)
+        outputs.append(p @ v)
+    out = _node(np.concatenate(outputs, axis=1), (qkv,), "attention")
+    if out.requires_grad:
+        def _bwd(g):
+            dqkv = np.empty_like(data)
+            for i, ((q, k, v), p) in enumerate(zip(heads, probs)):
+                lo = i * head_dim
+                g_out = np.array(g[:, lo : lo + head_dim])  # contiguous, as the unfused chain's concat backward
+                g_s = _softmax_rows_grad(p, g_out @ v.T) * scale
+                dqkv[:, lo : lo + head_dim] = g_s @ k
+                dqkv[:, d + lo : d + lo + head_dim] = (q.T @ g_s).T
+                dqkv[:, 2 * d + lo : 2 * d + lo + head_dim] = p.T @ g_out
+            _accumulate(qkv, dqkv)
         out._backward = _bwd
     return out
 
@@ -381,18 +466,23 @@ def repeat_rows(x: Tensor, n: int) -> Tensor:
 # ---------------------------------------------------------------------------
 
 
+def _softmax_rows(x: np.ndarray) -> np.ndarray:
+    e = np.exp(x - x.max(axis=-1, keepdims=True))
+    return e / e.sum(axis=-1, keepdims=True)
+
+
+def _softmax_rows_grad(y: np.ndarray, g: np.ndarray) -> np.ndarray:
+    """Gradient at the input of a softmax with output ``y`` and output gradient ``g``."""
+    return y * (g - (g * y).sum(axis=-1, keepdims=True))
+
+
 def softmax(a: Tensor) -> Tensor:
     """Softmax over the last axis."""
     a = as_tensor(a)
-    shifted = a.data - a.data.max(axis=-1, keepdims=True)
-    e = np.exp(shifted)
-    y = e / e.sum(axis=-1, keepdims=True)
+    y = _softmax_rows(a.data)
     out = _node(y, (a,), "softmax")
     if out.requires_grad:
-        def _bwd(g):
-            inner = (g * y).sum(axis=-1, keepdims=True)
-            _accumulate(a, y * (g - inner))
-        out._backward = _bwd
+        out._backward = lambda g: _accumulate(a, _softmax_rows_grad(y, g))
     return out
 
 
@@ -411,8 +501,12 @@ def layernorm(x: Tensor, gain: Tensor, bias: Tensor, eps: float = 1e-5) -> Tenso
     if out.requires_grad:
         def _bwd(g):
             lead = tuple(range(g.ndim - 1))
-            _accumulate(bias, g.sum(axis=lead))
-            _accumulate(gain, (g * xhat).sum(axis=lead))
+            if bias.requires_grad:
+                _accumulate(bias, g.sum(axis=lead))
+            if gain.requires_grad:
+                _accumulate(gain, (g * xhat).sum(axis=lead))
+            if not x.requires_grad:
+                return
             dxhat = g * gain.data
             # d/dx of (x - mu) / sqrt(var + eps), all statistics over the last axis
             dx = inv * (
@@ -440,11 +534,8 @@ def gelu(x: Tensor) -> Tensor:
 
 def sigmoid(x: Tensor) -> Tensor:
     x = as_tensor(x)
-    pos = x.data >= 0
-    y = np.empty_like(x.data)
-    y[pos] = 1.0 / (1.0 + np.exp(-x.data[pos]))
-    ex = np.exp(x.data[~pos])
-    y[~pos] = ex / (1.0 + ex)
+    e = np.exp(-np.abs(x.data))  # never overflows
+    y = np.where(x.data >= 0, 1.0 / (1.0 + e), e / (1.0 + e))
     out = _node(y, (x,), "sigmoid")
     if out.requires_grad:
         out._backward = lambda g: _accumulate(x, g * y * (1.0 - y))
@@ -518,7 +609,8 @@ def smooth_l1(pred: Tensor, target: Tensor, beta: float = 1.0, mask: Tensor | No
                 coef = coef * mvals
             coef = coef / count
             _accumulate(pred, g * coef)
-            _accumulate(target, -(g * coef))
+            if target.requires_grad:
+                _accumulate(target, -(g * coef))
         out._backward = _bwd
     return out
 

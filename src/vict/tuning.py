@@ -153,10 +153,14 @@ def adapt_and_predict(
     steps, then predict the test output with the adapted weights.
 
     ``params0`` is never mutated; the optimizer state is fresh, and only
-    the selected parameter group is stepped.
+    the selected parameter group is stepped. Tensors outside the group
+    stop requiring gradients in the clone, so backward computes none for
+    them; activation gradients still flow through them.
     """
     work = params0.clone()
     group = model.param_group(work, config.selector)
+    for name, t in work.tensors.items():
+        t.requires_grad = name in group
     state = AdamWState(lr=config.lr, eps=config.eps)
     pair = prompt.pair
     trace: list[float] = []

@@ -76,6 +76,29 @@ def test_one_shot_prompts_depend_on_corruption(small_checkpoint):
     assert zero["mean"] != one["mean"]
 
 
+@pytest.mark.parametrize(
+    "error, counted",
+    [
+        (FloatingPointError("smooth_l1: non-finite values in output"), True),
+        (TypeError("unsupported operand"), False),
+        (RuntimeError("not a divergence"), False),
+    ],
+)
+def test_only_divergence_counts_as_failure(small_checkpoint, monkeypatch, error, counted):
+    def broken_cycle_loss(*args, **kwargs):
+        raise error
+
+    monkeypatch.setattr(tuning, "cycle_loss", broken_cycle_loss)
+    config = bench_config(small_checkpoint, methods=(harness.FROZEN, harness.VICT))
+    if not counted:
+        with pytest.raises(type(error), match=str(error)):
+            harness.run_bench(config)
+        return
+    report = harness.run_bench(config)
+    assert report.total_failures == 6
+    assert [(e["n"], e["failures"]) for e in report.rows] == [(0, 3)] * 4
+
+
 def test_bench_rejects_severity_zero(small_checkpoint):
     with pytest.raises(ValueError, match="clean"):
         harness.run_bench(bench_config(small_checkpoint, severities=(0,)))

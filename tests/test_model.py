@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from vict import model, tasks
+from vict import model, tasks, tuning
 from vict import tensor as T
 from vict.canvas import CellPosition, assemble_inference, extract_cell
 from vict.gradcheck import TINY_CONFIG, finite_diff_grad, rel_error
@@ -157,3 +157,44 @@ def test_param_count_is_config_function():
     shapes_a = {n: t.shape for n, t in a.tensors.items()}
     shapes_b = {n: t.shape for n, t in b.tensors.items()}
     assert shapes_a == shapes_b
+
+
+def _unfused_linear(x, w, b):
+    return T.add_row(T.matmul(x, w), b)
+
+
+def _unfused_attention(h, p, prefix, num_heads):
+    """The per-head chain of primitive ops that ``T.attention`` replaces."""
+    d = h.shape[1]
+    head_dim = d // num_heads
+    qkv = _unfused_linear(h, p[f"{prefix}.attn.qkv.weight"], p[f"{prefix}.attn.qkv.bias"])
+    q, k, v = (T.narrow(qkv, 1, j * d, d) for j in range(3))
+    scale = 1.0 / np.sqrt(head_dim)
+    outputs = []
+    for i in range(num_heads):
+        qi, ki, vi = (T.narrow(t, 1, i * head_dim, head_dim) for t in (q, k, v))
+        scores = T.mul_scalar(T.matmul(qi, T.transpose(ki)), scale)
+        outputs.append(T.matmul(T.softmax(scores), vi))
+    merged = T.concat(outputs, axis=1)
+    return _unfused_linear(merged, p[f"{prefix}.attn.proj.weight"], p[f"{prefix}.attn.proj.bias"])
+
+
+def test_fused_ops_match_primitive_chain_bit_for_bit(default_params, monkeypatch):
+    prompt = tasks.generate(tasks.TaskKind.DENOISE, 1)
+    query = tasks.generate(tasks.TaskKind.DENOISE, 2)
+    pair = (prompt.input, prompt.target)
+
+    def loss_and_grads():
+        params = default_params.clone()
+        loss = tuning.cycle_loss(params, pair, query.input)
+        loss.backward()
+        return loss.data.tobytes(), {name: t.grad.tobytes() for name, t in params.tensors.items()}
+
+    fused = loss_and_grads()
+    # every linear map (embedding, attention, MLP, head) and every attention unfused
+    monkeypatch.setattr(T, "linear", _unfused_linear)
+    monkeypatch.setattr(model, "_attention", _unfused_attention)
+    unfused = loss_and_grads()
+    assert fused[0] == unfused[0]
+    assert fused[1].keys() == unfused[1].keys() == set(default_params.tensors)
+    assert [name for name in fused[1] if fused[1][name] != unfused[1][name]] == []

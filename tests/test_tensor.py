@@ -4,7 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from vict import tensor as T
-from vict.gradcheck import FD_STEP, finite_diff_grad, rel_error
+from vict.gradcheck import FD_STEP, TOLERANCE, check_op_gradients, finite_diff_grad, rel_error
 
 
 def arr(*values):
@@ -47,6 +47,15 @@ def test_non_finite_output_is_an_error():
     big = T.Tensor(np.full((4,), 1e300))
     with np.errstate(over="ignore"), pytest.raises(FloatingPointError):
         T.mul(big, big)
+
+
+def test_attention_rejects_non_finite_scores():
+    # scores [[0, -inf], [0, -inf]]: the softmax alone would map them to a finite [1, 0]
+    q = np.array([[1e20], [1e20]], dtype=np.float32)
+    k = np.array([[0.0], [-1e20]], dtype=np.float32)
+    qkv = T.Tensor(np.concatenate([q, k, np.ones((2, 1), dtype=np.float32)], axis=1))
+    with np.errstate(over="ignore"), pytest.raises(FloatingPointError, match="attention"):
+        T.attention(qkv, 1)
 
 
 def test_forward_determinism_bit_identical():
@@ -111,6 +120,12 @@ def test_repeated_backward_accumulates_until_zero_grads():
     assert np.allclose(p.grad, 2 * first)
     T.zero_grads([p])
     assert p.grad is None
+
+
+def test_op_gradients_match_finite_differences():
+    results = check_op_gradients()
+    assert {"linear", "attention"} <= set(results)
+    assert {name: err for name, err in results.items() if not err < TOLERANCE} == {}
 
 
 # ---------------------------------------------------------------------------

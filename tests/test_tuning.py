@@ -121,10 +121,8 @@ def test_adaptation_leaves_theta0_untouched(params, sample_pair):
     assert params.digest() == digest
 
 
-def test_encoder_selector_freezes_decoder_group(params, sample_pair):
-    pair, x_t = sample_pair
-    prompt = tuning.PromptSet(pairs=(pair,), provenance="clean")
-
+def _adapted_clone(params, pair, x_t, config, monkeypatch):
+    """The private weights ``adapt_and_predict`` ends with, caught at its final ``infer``."""
     captured = {}
     original_infer = tuning.infer
 
@@ -132,12 +130,14 @@ def test_encoder_selector_freezes_decoder_group(params, sample_pair):
         captured["params"] = work_params
         return original_infer(work_params, *args, **kwargs)
 
-    tuning.infer, saved = capturing_infer, tuning.infer
-    try:
-        tuning.adapt_and_predict(params, prompt, x_t, tuning.VictConfig(steps=2, selector="encoder"))
-    finally:
-        tuning.infer = saved
-    adapted = captured["params"]
+    monkeypatch.setattr(tuning, "infer", capturing_infer)
+    tuning.adapt_and_predict(params, tuning.PromptSet(pairs=(pair,), provenance="clean"), x_t, config)
+    return captured["params"]
+
+
+def test_encoder_selector_freezes_decoder_group(params, sample_pair, monkeypatch):
+    pair, x_t = sample_pair
+    adapted = _adapted_clone(params, pair, x_t, tuning.VictConfig(steps=2, selector="encoder"), monkeypatch)
     changed, frozen_names = [], []
     for name, t in adapted.tensors.items():
         same = t.data.tobytes() == params.tensors[name].data.tobytes()
@@ -149,22 +149,22 @@ def test_encoder_selector_freezes_decoder_group(params, sample_pair):
     assert changed and frozen_names
 
 
-def test_all_selector_changes_some_decoder_tensor(params, sample_pair):
+def test_encoder_selector_computes_no_decoder_gradients(params, sample_pair, monkeypatch):
     pair, x_t = sample_pair
-    prompt = tuning.PromptSet(pairs=(pair,), provenance="clean")
-    captured = {}
-    saved = tuning.infer
+    digest = params.digest()
+    adapted = _adapted_clone(params, pair, x_t, tuning.VictConfig(steps=1, selector="encoder"), monkeypatch)
+    for name, t in adapted.tensors.items():
+        if params.groups[name] == model.DECODER:
+            assert t.grad is None and not t.requires_grad, name
+        else:
+            assert t.grad is not None and t.requires_grad, name
+    assert all(t.requires_grad for t in params.tensors.values())
+    assert params.digest() == digest
 
-    def capturing_infer(work_params, *args, **kwargs):
-        captured["params"] = work_params
-        return saved(work_params, *args, **kwargs)
 
-    tuning.infer = capturing_infer
-    try:
-        tuning.adapt_and_predict(params, prompt, x_t, tuning.VictConfig(steps=2, selector="all"))
-    finally:
-        tuning.infer = saved
-    adapted = captured["params"]
+def test_all_selector_changes_some_decoder_tensor(params, sample_pair, monkeypatch):
+    pair, x_t = sample_pair
+    adapted = _adapted_clone(params, pair, x_t, tuning.VictConfig(steps=2, selector="all"), monkeypatch)
     decoder_changed = [
         name
         for name, t in adapted.tensors.items()
