@@ -36,7 +36,6 @@ config = harness.BenchConfig(
     num_samples=8,
     vict=tuning.VictConfig(steps=20),
     seed=0,
-    workers=2,
 )
 report = harness.run_bench(config)
 print(report.to_text())

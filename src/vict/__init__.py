@@ -15,6 +15,6 @@ from .model import ModelConfig, Params, forward, init, param_group
 from .tasks import ALL_TASKS, Metric, TaskKind, TaskSample, a_rel, generate, miou, psnr
 from .tensor import AdamWState, Tensor, adamw_step, backward, smooth_l1, zero_grads
 from .training import FewShotConfig, PretrainConfig, fewshot_finetune, pretrain
-from .tuning import AdaptationResult, PromptSet, TestSample, VictConfig, adapt_and_predict, cycle_loss, select_prompt
+from .tuning import AdaptationResult, PromptSet, VictConfig, adapt_and_predict, cycle_loss, select_prompt
 
 __version__ = "0.1.0"

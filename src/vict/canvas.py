@@ -29,14 +29,6 @@ class CellPosition(Enum):
     BOTTOM_RIGHT = "bottom_right"
 
 
-_ORDER = (
-    CellPosition.TOP_LEFT,
-    CellPosition.TOP_RIGHT,
-    CellPosition.BOTTOM_LEFT,
-    CellPosition.BOTTOM_RIGHT,
-)
-
-
 def _validate_image(name: str, t: Tensor, cell_size: int | None = None) -> int:
     if t.data.ndim != 3 or t.shape[0] != 3 or t.shape[1] != t.shape[2]:
         raise ValueError(f"{name}: expected image of shape [3, C, C], got {t.shape}")

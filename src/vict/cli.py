@@ -45,19 +45,19 @@ def _parse_methods(text: str) -> tuple[str, ...]:
 
 
 def _add_bench_flags(p: argparse.ArgumentParser) -> None:
+    vict = tuning.VictConfig()
     p.add_argument("--checkpoint", required=True)
     p.add_argument("--task", default="denoise")
     p.add_argument("--severity", default="5", help="comma list of levels in [1,5]")
     p.add_argument("--setting", default="both", choices=["zero", "one", "both"])
     p.add_argument("--method", default="both", choices=["frozen", "vict", "both"])
-    p.add_argument("--steps", type=int, default=tuning.DEFAULT_STEPS, help="test-time tuning steps")
-    p.add_argument("--lr", type=float, default=3e-2, help="test-time tuning learning rate")
-    p.add_argument("--eps", type=float, default=1e-1, help="test-time AdamW damping")
-    p.add_argument("--tune", default="encoder", choices=["encoder", "all"])
-    p.add_argument("--beta", type=float, default=1.0)
+    p.add_argument("--steps", type=int, default=vict.steps, help="test-time tuning steps")
+    p.add_argument("--lr", type=float, default=vict.lr, help="test-time tuning learning rate")
+    p.add_argument("--eps", type=float, default=vict.eps, help="test-time AdamW damping")
+    p.add_argument("--tune", default=vict.selector, choices=["encoder", "all"])
+    p.add_argument("--beta", type=float, default=vict.beta)
     p.add_argument("--num-samples", type=int, default=50)
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--workers", type=int, default=1)
     p.add_argument("--out", default=None, help="write the JSON report here")
     p.add_argument("--csv", default=None, help="also write a CSV report here")
     p.add_argument("--dump-canvases", default=None, metavar="DIR")
@@ -75,7 +75,6 @@ def _bench_config(args, corruption_kinds, severities) -> harness.BenchConfig:
         num_samples=args.num_samples,
         vict=tuning.VictConfig(steps=args.steps, lr=args.lr, eps=args.eps, selector=args.tune, beta=args.beta),
         seed=args.seed,
-        workers=args.workers,
         dump_canvases=args.dump_canvases,
         trace_loss_dir=args.trace_loss,
     )

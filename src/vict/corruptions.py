@@ -11,7 +11,6 @@ here depends on external assets. ``apply`` is a pure function of
 
 from __future__ import annotations
 
-import io
 from dataclasses import dataclass
 from enum import Enum
 from importlib import resources

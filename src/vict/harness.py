@@ -3,7 +3,7 @@
 Every report cell is keyed by (method, setting, corruption, severity) and
 aggregates a fixed set of per-sample metrics whose seeds derive from the
 master seed and the cell coordinates alone, so the same config always
-yields byte-identical reports no matter how many workers run the samples.
+yields byte-identical reports.
 An "avg" row per (method, setting, severity) carries the arithmetic mean
 of the per-corruption means and is recomputable from the report itself.
 """
@@ -11,15 +11,13 @@ of the per-corruption means and is recomputable from the report itself.
 from __future__ import annotations
 
 import json
-import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, replace
 from pathlib import Path
 
 import numpy as np
 
 from . import corruptions, model, tasks, training, tuning
-from .canvas import Canvas, CellPosition, MaskSpec, assemble_inference, write_ppm
+from .canvas import write_ppm
 from .checkpoint import load_checkpoint
 from .seeding import mix
 from .training import FewShotConfig, fewshot_finetune
@@ -62,7 +60,6 @@ class BenchConfig:
     num_samples: int = 50
     vict: VictConfig = field(default_factory=VictConfig)
     seed: int = 0
-    workers: int = 1
     dump_canvases: str | Path | None = None
     trace_loss_dir: str | Path | None = None
 
@@ -79,8 +76,6 @@ class BenchConfig:
             bad = [v for v in group if v not in allowed]
             if bad:
                 raise ValueError(f"BenchConfig: invalid selection {bad}")
-        if self.workers < 1:
-            raise ValueError(f"BenchConfig: workers must be >= 1, got {self.workers}")
 
 
 @dataclass
@@ -117,13 +112,9 @@ class MetricReport:
         Path(path).write_bytes(self.to_json_bytes())
 
     def row(self, method: str, setting: str, corruption: str, severity: int) -> dict:
+        key = (method, setting, corruption, severity)
         for entry in self.rows:
-            if (
-                entry["method"] == method
-                and entry["setting"] == setting
-                and entry["corruption"] == corruption
-                and entry["severity"] == severity
-            ):
+            if (entry["method"], entry["setting"], entry["corruption"], entry["severity"]) == key:
                 return entry
         raise KeyError(f"no row ({method}, {setting}, {corruption}, {severity})")
 
@@ -148,133 +139,78 @@ class MetricReport:
                 if entry["severity"] != severity:
                     continue
                 method, setting = entry["method"], entry["setting"]
-                cells = []
-                for kind in kinds:
-                    try:
-                        cells.append(f"{self.row(method, setting, kind, severity)['mean']:>7.2f}")
-                    except KeyError:
-                        cells.append(f"{'-':>7}")
+                cells = [f"{self.row(method, setting, kind, severity)['mean']:>7.2f}" for kind in kinds]
                 lines.append(f"{method:<8}{setting:<11}" + "".join(cells) + f"{entry['mean']:>9.3f}")
         return "\n".join(lines) + "\n"
 
 
-def _worker_count(requested: int, jobs: int) -> int:
-    cap = os.environ.get("VICT_THREADS")
-    limit = int(cap) if cap else requested
-    return max(1, min(requested, limit, jobs))
-
-
 def _evaluate_sample(
-    params: model.Params,
-    task: tasks.TaskKind,
-    corruption_name: str,
-    kind: corruptions.CorruptionKind | None,
-    severity: int,
-    index: int,
-    settings: tuple[str, ...],
-    methods: tuple[str, ...],
-    vict_config: VictConfig,
-    master_seed: int,
-    dump_dir: Path | None,
-    trace_dir: Path | None,
+    config: BenchConfig, params: model.Params, corruption_name: str, severity: int, index: int
 ) -> dict[tuple[str, str], float]:
-    """Metrics for one test sample across the requested settings and methods."""
+    """Metrics for one test sample across the configured settings and methods."""
     c = params.config.cell_size
-    sample = tasks.generate(task, mix("bench-test", master_seed, corruption_name, severity, index), c)
-    if kind is None:
+    sample = tasks.generate(config.task, mix("bench-test", config.seed, corruption_name, severity, index), c)
+    if corruption_name == CLEAN_KEY:
         x_t = sample.input
         test_spec = None
     else:
-        test_spec = corruptions.CorruptionSpec(
-            kind, severity, mix("bench-test-corruption", master_seed, corruption_name, severity, index)
-        )
+        spec_seed = mix("bench-test-corruption", config.seed, corruption_name, severity, index)
+        test_spec = corruptions.CorruptionSpec(corruptions.CorruptionKind(corruption_name), severity, spec_seed)
         x_t = corruptions.apply(sample.input, test_spec)
-    held_out = tuning.TestSample(x_t=x_t, y_t=sample.target)
 
     results: dict[tuple[str, str], float] = {}
-    for setting in settings:
-        prompt_seed = mix("bench-prompt", master_seed, corruption_name, severity, index, setting)
+    for setting in config.settings:
+        prompt_seed = mix("bench-prompt", config.seed, corruption_name, severity, index, setting)
         effective = setting if test_spec is not None else tuning.ZERO_SHOT  # clean eval has no corruption to mirror
-        prompt = select_prompt(task, effective, test_spec, prompt_seed, c)
-        for method in methods:
+        prompt = select_prompt(config.task, effective, test_spec, prompt_seed, c)
+        for method in config.methods:
             if method == FROZEN:
-                prediction = infer(params, prompt.pair, held_out.x_t)
+                prediction = infer(params, prompt.pair, x_t)
             else:
-                outcome = adapt_and_predict(params, prompt, held_out.x_t, vict_config)
+                outcome = adapt_and_predict(params, prompt, x_t, config.vict)
                 prediction = outcome.y_t_hat
-                if trace_dir is not None and index == 0:
+                if config.trace_loss_dir and index == 0:
                     training.save_loss_trace(
-                        trace_dir / f"{corruption_name}_s{severity}_{setting}_loss.csv", outcome.loss_trace
+                        Path(config.trace_loss_dir) / f"{corruption_name}_s{severity}_{setting}_loss.csv",
+                        outcome.loss_trace,
                     )
-            if dump_dir is not None and index == 0:
+            if config.dump_canvases and index == 0:
                 x, y = prompt.pair
                 grid = np.concatenate(
-                    [np.concatenate([x, y], axis=2), np.concatenate([held_out.x_t, prediction], axis=2)], axis=1
+                    [np.concatenate([x, y], axis=2), np.concatenate([x_t, prediction], axis=2)], axis=1
                 )
-                write_ppm(dump_dir / f"{corruption_name}_s{severity}_{setting}_{method}.ppm", grid)
-            results[(setting, method)] = tasks.evaluate(task, prediction, held_out.y_t).value
+                write_ppm(Path(config.dump_canvases) / f"{corruption_name}_s{severity}_{setting}_{method}.ppm", grid)
+            results[(setting, method)] = tasks.evaluate(config.task, prediction, sample.target).value
     return results
 
 
 def _aggregate(config: BenchConfig, params: model.Params, cells: list[tuple[str, int]]) -> MetricReport:
-    dump_dir = Path(config.dump_canvases) if config.dump_canvases else None
-    trace_dir = Path(config.trace_loss_dir) if config.trace_loss_dir else None
-    for directory in (dump_dir, trace_dir):
-        if directory is not None:
-            directory.mkdir(parents=True, exist_ok=True)
-
-    kind_by_name = {k.value: k for k in corruptions.ALL_KINDS}
-    jobs = [
-        (name, severity, index)
-        for name, severity in cells
-        for index in range(config.num_samples)
-    ]
-
-    def run(job):
-        name, severity, index = job
-        try:
-            return _evaluate_sample(
-                params,
-                config.task,
-                name,
-                kind_by_name.get(name),
-                severity,
-                index,
-                config.settings,
-                config.methods,
-                config.vict,
-                config.seed,
-                dump_dir,
-                trace_dir,
-            )
-        except (FloatingPointError, RuntimeError) as err:
-            # only a numerical divergence is excluded from the mean and counted
-            # as a failure; any other error is a bug and propagates
-            if isinstance(err, RuntimeError) and not isinstance(err.__cause__, FloatingPointError):
-                raise
-            return err
-
-    workers = _worker_count(config.workers, len(jobs))
-    if workers == 1:
-        outcomes = [run(job) for job in jobs]
-    else:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            outcomes = list(pool.map(run, jobs))
+    for directory in (config.dump_canvases, config.trace_loss_dir):
+        if directory:
+            Path(directory).mkdir(parents=True, exist_ok=True)
 
     values: dict[tuple[str, str, str, int], list[float]] = {}
     failures: dict[tuple[str, str, str, int], int] = {}
     total_failures = 0
-    for (name, severity, _), outcome in zip(jobs, outcomes):
-        for setting in config.settings:
-            for method in config.methods:
-                key = (method, setting, name, severity)
-                values.setdefault(key, [])
-                failures.setdefault(key, 0)
-                if isinstance(outcome, Exception):
+    for name, severity in cells:
+        keys = [(method, setting, name, severity) for setting in config.settings for method in config.methods]
+        for key in keys:
+            values.setdefault(key, [])
+            failures.setdefault(key, 0)
+        for index in range(config.num_samples):
+            try:
+                outcome = _evaluate_sample(config, params, name, severity, index)
+            except (FloatingPointError, RuntimeError) as err:
+                # only a numerical divergence is excluded from the mean and counted
+                # as a failure; any other error is a bug and propagates
+                if isinstance(err, RuntimeError) and not isinstance(err.__cause__, FloatingPointError):
+                    raise
+                total_failures += 1
+                for key in keys:
                     failures[key] += 1
-                else:
-                    values[key].append(outcome[(setting, method)])
-    total_failures = sum(1 for o in outcomes if isinstance(o, Exception))
+                continue
+            for method, setting, _, _ in keys:
+                values[(method, setting, name, severity)].append(outcome[(setting, method)])
 
     rows = []
     for (method, setting, name, severity), vals in sorted(values.items()):

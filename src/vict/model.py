@@ -16,7 +16,7 @@ encoder blocks are "encoder"; the decoder blocks and output head are
 from __future__ import annotations
 
 import hashlib
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass
 
 import numpy as np
 from scipy.special import ndtr, ndtri
@@ -93,13 +93,6 @@ class Params:
         return Params(
             config=self.config,
             tensors={name: T.Tensor(t.data.copy(), requires_grad=True) for name, t in self.tensors.items()},
-            groups=dict(self.groups),
-        )
-
-    def astype(self, dtype) -> "Params":
-        return Params(
-            config=self.config,
-            tensors={name: T.Tensor(t.data.astype(dtype), requires_grad=True) for name, t in self.tensors.items()},
             groups=dict(self.groups),
         )
 

@@ -13,10 +13,8 @@ same objective, for later frozen evaluation.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
-
-import numpy as np
 
 from . import corruptions, model, tasks
 from .canvas import CellPosition, assemble_flipped, assemble_inference, extract_cell

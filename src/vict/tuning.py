@@ -21,10 +21,7 @@ from .corruptions import CorruptionSpec, apply
 from .seeding import mix
 from .tensor import AdamWState, Tensor, adamw_step, collect_grads, constant, smooth_l1, zero_grads
 
-PAPER_FIDELITY_LR = 1e-6  # tuned to a large converged backbone; far too small for the toy stack
-PAPER_FIDELITY_EPS = 1e-8
 DEFAULT_STEPS = 60
-SWEEP_STEPS = 20
 
 ZERO_SHOT = "zero_shot"
 ONE_SHOT = "one_shot"
@@ -32,29 +29,15 @@ ONE_SHOT = "one_shot"
 
 @dataclass(frozen=True)
 class PromptSet:
-    """Support input/output pairs; only the first pair is consumed."""
+    """One support input/output pair and where its input came from."""
 
-    pairs: tuple[tuple[np.ndarray, np.ndarray], ...]
+    pair: tuple[np.ndarray, np.ndarray]
     provenance: str  # "clean" or "corrupted"
     corruption: CorruptionSpec | None = None
 
     def __post_init__(self):
-        if len(self.pairs) < 1:
-            raise ValueError("PromptSet: needs at least one pair")
         if self.provenance not in ("clean", "corrupted"):
             raise ValueError(f"PromptSet: bad provenance {self.provenance!r}")
-
-    @property
-    def pair(self) -> tuple[np.ndarray, np.ndarray]:
-        return self.pairs[0]
-
-
-@dataclass(frozen=True)
-class TestSample:
-    """Held-out pair: x_t feeds adaptation, y_t is for evaluation only."""
-
-    x_t: np.ndarray
-    y_t: np.ndarray
 
 
 @dataclass(frozen=True)
@@ -65,7 +48,8 @@ class VictConfig:
     stack: ``eps`` well above the squared-gradient scale makes the AdamW
     update proportional to the gradient average instead of its sign,
     which keeps one-sample adaptation from memorizing the prompt. The
-    large-model fidelity values (lr 1e-6, eps 1e-8) remain selectable.
+    large-model fidelity values (lr 1e-6, eps 1e-8) remain selectable
+    through ``lr``/``eps`` (``--lr``/``--eps`` on the command line).
     """
 
     steps: int = DEFAULT_STEPS
@@ -73,8 +57,6 @@ class VictConfig:
     eps: float = 1e-1
     selector: str = "encoder"
     beta: float = 1.0
-    setting: str = ZERO_SHOT
-    detach_first_pass: bool = False
 
     def __post_init__(self):
         if self.steps < 0:
@@ -83,8 +65,6 @@ class VictConfig:
             raise ValueError(f"VictConfig: eps must be positive, got {self.eps}")
         if self.selector not in ("encoder", "all"):
             raise ValueError(f"VictConfig: selector must be 'encoder' or 'all', got {self.selector!r}")
-        if self.setting not in (ZERO_SHOT, ONE_SHOT):
-            raise ValueError(f"VictConfig: setting must be zero_shot or one_shot, got {self.setting!r}")
 
 
 @dataclass
@@ -106,12 +86,12 @@ def select_prompt(
     seed. Prompt targets are never corrupted."""
     sample = tasks.generate(task, seed, cell_size)
     if setting == ZERO_SHOT:
-        return PromptSet(pairs=((sample.input, sample.target),), provenance="clean")
+        return PromptSet(pair=(sample.input, sample.target), provenance="clean")
     if setting == ONE_SHOT:
         if corruption is None:
             raise ValueError("select_prompt: one-shot setting requires a corruption spec")
         spec = CorruptionSpec(corruption.kind, corruption.severity, mix("prompt-corruption", corruption.seed, seed))
-        return PromptSet(pairs=((apply(sample.input, spec), sample.target),), provenance="corrupted", corruption=spec)
+        return PromptSet(pair=(apply(sample.input, spec), sample.target), provenance="corrupted", corruption=spec)
     raise ValueError(f"select_prompt: unknown setting {setting!r}")
 
 
@@ -128,18 +108,13 @@ def cycle_loss(
     pair: tuple[np.ndarray, np.ndarray],
     x_t: np.ndarray,
     beta: float = 1.0,
-    detach_first_pass: bool = False,
-    forward_fn=None,
 ) -> Tensor:
     """Scalar cycle-consistency loss for one prompt pair and test input."""
-    fwd = forward_fn if forward_fn is not None else model.forward
     x, y = pair
     canvas, mask = assemble_inference(x, y, x_t)
-    y_t_hat = extract_cell(fwd(params, canvas, mask), CellPosition.BOTTOM_RIGHT)
-    if detach_first_pass:
-        y_t_hat = constant(y_t_hat.data.copy())
+    y_t_hat = extract_cell(model.forward(params, canvas, mask), CellPosition.BOTTOM_RIGHT)
     flipped, flipped_mask = assemble_flipped(x, x_t, y_t_hat)
-    y_hat = extract_cell(fwd(params, flipped, flipped_mask), CellPosition.TOP_RIGHT)
+    y_hat = extract_cell(model.forward(params, flipped, flipped_mask), CellPosition.TOP_RIGHT)
     return smooth_l1(y_hat, constant(np.asarray(y)), beta)
 
 
@@ -167,7 +142,7 @@ def adapt_and_predict(
     for step in range(config.steps):
         zero_grads(work.tensors.values())
         try:
-            loss = cycle_loss(work, pair, x_t, config.beta, config.detach_first_pass)
+            loss = cycle_loss(work, pair, x_t, config.beta)
             loss.backward()
             adamw_step(group, collect_grads(group), state)
         except FloatingPointError as err:

@@ -2,7 +2,8 @@ import json
 
 import pytest
 
-from vict.cli import cli_main
+from vict import tuning
+from vict.cli import _bench_config, build_parser, cli_main
 
 
 def test_unknown_subcommand_fails(capsys):
@@ -95,3 +96,8 @@ def test_bench_rejects_bad_corruption_name(small_checkpoint, capsys):
     code = cli_main(["bench", "--checkpoint", str(small_checkpoint), "--corruption", "sepia"])
     assert code != 0
     assert "error:" in capsys.readouterr().err
+
+
+def test_bench_defaults_are_victconfig_defaults():
+    args = build_parser().parse_args(["bench", "--checkpoint", "x"])
+    assert _bench_config(args, (), (5,)).vict == tuning.VictConfig()

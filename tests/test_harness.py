@@ -35,13 +35,6 @@ def test_report_bytes_are_deterministic(small_checkpoint):
     assert a == b
 
 
-def test_worker_pool_size_does_not_change_report(small_checkpoint):
-    config = bench_config(small_checkpoint, methods=(harness.FROZEN, harness.VICT), num_samples=4)
-    serial = harness.run_bench(config).to_json_bytes()
-    parallel = harness.run_bench(bench_config(small_checkpoint, methods=(harness.FROZEN, harness.VICT), num_samples=4, workers=8)).to_json_bytes()
-    assert serial == parallel
-
-
 def test_vict_k0_matches_frozen_rows(small_checkpoint):
     config = bench_config(small_checkpoint, methods=(harness.FROZEN, harness.VICT), vict=tuning.VictConfig(steps=0))
     report = harness.run_bench(config)
@@ -174,12 +167,3 @@ def test_fewshot_sweep_runs(small_checkpoint):
     assert all(len(e["values"]) == 2 for e in result["per_shot"])
     again = harness.run_fewshot(config)
     assert json.dumps(result, sort_keys=True) == json.dumps(again, sort_keys=True)
-
-
-def test_env_var_caps_workers(small_checkpoint, monkeypatch):
-    monkeypatch.setenv("VICT_THREADS", "1")
-    config = bench_config(small_checkpoint, workers=8)
-    report = harness.run_bench(config)
-    monkeypatch.delenv("VICT_THREADS")
-    baseline = harness.run_bench(bench_config(small_checkpoint, workers=1))
-    assert report.to_json_bytes() == baseline.to_json_bytes()
