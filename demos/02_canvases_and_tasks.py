@@ -22,16 +22,16 @@ for task in tasks.ALL_TASKS:
 # The inference canvas: prompt pair on top, query input bottom-left, masked cell bottom-right.
 prompt = tasks.generate(tasks.TaskKind.DERAIN, seed=1)
 query = tasks.generate(tasks.TaskKind.DERAIN, seed=2)
-canvas, mask = assemble_inference(prompt.input, prompt.target, query.input)
+canvas = assemble_inference(prompt.input, prompt.target, query.input)
 write_ppm(out / "canvas_inference.ppm", canvas.pixels().data)
-print(f"inference canvas masks {mask.masked_position.value}; "
-      f"{int(mask.patch_mask(8).sum())} of {len(mask.patch_mask(8))} patches masked")
+print(f"inference canvas masks {canvas.empty_position.value}; "
+      f"{int(canvas.patch_mask(8).sum())} of {len(canvas.patch_mask(8))} patches masked")
 
 # The role-flipped canvas: the (here: true) query output moves to the bottom right,
 # and the prompt output cell becomes the reconstruction target.
-flipped, flipped_mask = assemble_flipped(prompt.input, query.input, query.target)
+flipped = assemble_flipped(prompt.input, query.input, query.target)
 write_ppm(out / "canvas_flipped.ppm", flipped.pixels().data)
-print(f"flipped canvas masks {flipped_mask.masked_position.value}")
+print(f"flipped canvas masks {flipped.empty_position.value}")
 
 # Cells extract losslessly.
 back = extract_cell(canvas.pixels(), CellPosition.TOP_RIGHT).data

@@ -2,7 +2,7 @@
 
 Run:  python demos/04_pretrain_small.py
 About two minutes on a laptop CPU. For a checkpoint worth benchmarking,
-raise the step count (the acceptance suite uses 12000).
+raise the step count (the README's `vict pretrain` example uses 12000).
 """
 
 from pathlib import Path

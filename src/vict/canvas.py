@@ -45,7 +45,11 @@ def _validate_image(name: str, t: Tensor, cell_size: int | None = None) -> int:
 
 @dataclass(frozen=True)
 class Canvas:
-    """Four cells, one of which is empty; ``pixels`` assembles [3, 2C, 2C]."""
+    """Four cells, one of which is empty; ``pixels`` assembles [3, 2C, 2C].
+
+    ``empty_position`` is the cell the model masks and the cell whose
+    prediction the caller reads back.
+    """
 
     cells: dict[CellPosition, Tensor | None]
     cell_size: int
@@ -60,16 +64,9 @@ class Canvas:
         bottom = concat([grid[CellPosition.BOTTOM_LEFT], grid[CellPosition.BOTTOM_RIGHT]], axis=2)
         return concat([top, bottom], axis=1)
 
-
-@dataclass(frozen=True)
-class MaskSpec:
-    """Which cell is masked, and how that maps onto model patches."""
-
-    masked_position: CellPosition
-    cell_size: int
-
     def patch_mask(self, patch_size: int) -> np.ndarray:
-        """0/1 vector over the (2C/P)^2 patch grid in row-major order."""
+        """0/1 vector over the (2C/P)^2 patch grid in row-major order, 1 on
+        the empty cell's patches."""
         if self.cell_size % patch_size != 0:
             raise ValueError(f"patch_mask: cell size {self.cell_size} not a multiple of patch size {patch_size}")
         g = 2 * self.cell_size // patch_size
@@ -83,17 +80,17 @@ class MaskSpec:
             CellPosition.TOP_RIGHT: ~in_bottom & in_right,
             CellPosition.BOTTOM_LEFT: in_bottom & ~in_right,
             CellPosition.BOTTOM_RIGHT: in_bottom & in_right,
-        }[self.masked_position]
+        }[self.empty_position]
         return selector.astype(np.float64).reshape(-1)
 
 
-def assemble_inference(x, y, x_t) -> tuple[Canvas, MaskSpec]:
+def assemble_inference(x, y, x_t) -> Canvas:
     """Canvas for predicting the query output: (x, y, x_t, empty)."""
     x, y, x_t = as_tensor(x), as_tensor(y), as_tensor(x_t)
     c = _validate_image("assemble_inference(x)", x)
     _validate_image("assemble_inference(y)", y, c)
     _validate_image("assemble_inference(x_t)", x_t, c)
-    canvas = Canvas(
+    return Canvas(
         cells={
             CellPosition.TOP_LEFT: x,
             CellPosition.TOP_RIGHT: y,
@@ -103,10 +100,9 @@ def assemble_inference(x, y, x_t) -> tuple[Canvas, MaskSpec]:
         cell_size=c,
         empty_position=CellPosition.BOTTOM_RIGHT,
     )
-    return canvas, MaskSpec(CellPosition.BOTTOM_RIGHT, c)
 
 
-def assemble_flipped(x, x_t, y_t_hat) -> tuple[Canvas, MaskSpec]:
+def assemble_flipped(x, x_t, y_t_hat) -> Canvas:
     """Role-flipped canvas for reconstructing the prompt output: (x, empty, x_t, y_t_hat).
 
     ``y_t_hat`` is clamped to [0, 1] first; the clamp passes gradients
@@ -117,7 +113,7 @@ def assemble_flipped(x, x_t, y_t_hat) -> tuple[Canvas, MaskSpec]:
     c = _validate_image("assemble_flipped(x)", x)
     _validate_image("assemble_flipped(x_t)", x_t, c)
     _validate_image("assemble_flipped(y_t_hat)", y_t_hat, c)
-    canvas = Canvas(
+    return Canvas(
         cells={
             CellPosition.TOP_LEFT: x,
             CellPosition.TOP_RIGHT: None,
@@ -127,7 +123,6 @@ def assemble_flipped(x, x_t, y_t_hat) -> tuple[Canvas, MaskSpec]:
         cell_size=c,
         empty_position=CellPosition.TOP_RIGHT,
     )
-    return canvas, MaskSpec(CellPosition.TOP_RIGHT, c)
 
 
 def extract_cell(canvas_pixels: Tensor, position: CellPosition) -> Tensor:

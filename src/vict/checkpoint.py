@@ -44,18 +44,21 @@ def _config_block(config: ModelConfig) -> bytes:
     return ("\n".join(lines) + "\n").encode("ascii")
 
 
-def _parse_config_block(text: str) -> ModelConfig:
+def _parse_config_block(text: str, path: str | Path) -> ModelConfig:
     fields: dict[str, int] = {}
     for line in text.splitlines():
         line = line.strip()
         if not line:
             continue
         key, _, value = line.partition("=")
-        fields[key.strip()] = int(value)
+        try:
+            fields[key.strip()] = int(value)  # no "=" leaves value empty
+        except ValueError:
+            raise CheckpointError(f"{path}: bad config line {line!r}, expected key=integer") from None
     try:
         return ModelConfig(**fields)
     except (TypeError, ValueError) as err:
-        raise CheckpointError(f"bad config block: {err}") from err
+        raise CheckpointError(f"{path}: bad config block: {err}") from err
 
 
 def save_checkpoint(params: Params, path: str | Path) -> None:
@@ -100,7 +103,7 @@ def load_checkpoint(path: str | Path) -> Params:
     version = reader.u32()
     if version != FORMAT_VERSION:
         raise CheckpointError(f"{path}: unsupported format version {version}")
-    config = _parse_config_block(reader.take(reader.u32()).decode("ascii"))
+    config = _parse_config_block(reader.take(reader.u32()).decode("ascii"), path)
     count = reader.u32()
     tensors: dict[str, Tensor] = {}
     groups: dict[str, str] = {}

@@ -90,12 +90,10 @@ def _emit_report(report: harness.MetricReport, args) -> None:
 
 def _cmd_pretrain(args) -> int:
     task_mix = _parse_tasks(args.task_mix)
-    held_out = tasks.TaskKind(args.exclude_task) if args.exclude_task else None
-    if held_out is not None:
+    if args.exclude_task:
+        held_out = tasks.TaskKind(args.exclude_task)
         task_mix = tuple(t for t in task_mix if t is not held_out)
-    cfg = training.PretrainConfig(
-        steps=args.steps, lr=args.lr, task_mix=task_mix, held_out=held_out, seed=args.seed
-    )
+    cfg = training.PretrainConfig(steps=args.steps, lr=args.lr, task_mix=task_mix, seed=args.seed)
     result = training.pretrain(ModelConfig(), cfg)
     save_checkpoint(result.params, args.out)
     if args.loss_trace:

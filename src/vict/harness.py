@@ -76,6 +76,16 @@ class BenchConfig:
             bad = [v for v in group if v not in allowed]
             if bad:
                 raise ValueError(f"BenchConfig: invalid selection {bad}")
+        for label, group in (
+            ("corruption kind", self.corruption_kinds),
+            ("severity", self.severities),
+            ("setting", self.settings),
+            ("method", self.methods),
+        ):
+            repeats = list(dict.fromkeys(v for i, v in enumerate(group) if v in group[:i]))
+            if repeats:
+                names = ", ".join(str(getattr(v, "value", v)) for v in repeats)
+                raise ValueError(f"BenchConfig: {label} {names} selected more than once")
 
 
 @dataclass

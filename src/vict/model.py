@@ -22,7 +22,7 @@ import numpy as np
 from scipy.special import ndtr, ndtri
 
 from . import tensor as T
-from .canvas import Canvas, MaskSpec
+from .canvas import Canvas
 from .seeding import rng_for
 
 ENCODER = "encoder"
@@ -250,15 +250,12 @@ def _block(h: T.Tensor, p: dict[str, T.Tensor], prefix: str, num_heads: int) -> 
     return T.add(h, _mlp(normed, p, prefix))
 
 
-def forward(params: Params, canvas: Canvas, mask: MaskSpec) -> T.Tensor:
-    """Reconstruct the full canvas, [3, 2C, 2C] with values in (0, 1)."""
+def forward(params: Params, canvas: Canvas) -> T.Tensor:
+    """Reconstruct the full canvas, [3, 2C, 2C] with values in (0, 1); the
+    canvas's empty cell is the masked one."""
     cfg = params.config
     if canvas.cell_size != cfg.cell_size:
         raise ValueError(f"forward: canvas cell size {canvas.cell_size} != model cell size {cfg.cell_size}")
-    if mask.masked_position != canvas.empty_position:
-        raise ValueError(
-            f"forward: mask position {mask.masked_position} inconsistent with empty cell {canvas.empty_position}"
-        )
     p = params.tensors
     g, ps, d = cfg.grid, cfg.patch_size, cfg.embed_dim
     n = cfg.num_patches
@@ -273,7 +270,7 @@ def forward(params: Params, canvas: Canvas, mask: MaskSpec) -> T.Tensor:
 
     h = T.linear(x, p["patch_embed.weight"], p["patch_embed.bias"])
 
-    m = mask.patch_mask(ps).astype(dtype)
+    m = canvas.patch_mask(ps).astype(dtype)
     keep = T.constant(np.repeat((1.0 - m)[:, None], d, axis=1))
     drop = T.constant(np.repeat(m[:, None], d, axis=1))
     token_rows = T.repeat_rows(T.reshape(p["mask_token"], (1, d)), n)

@@ -1,8 +1,7 @@
 """Deterministic seed derivation and counter-based random streams.
 
 Every stochastic component derives its own Philox stream from a master
-seed plus role tags, so draws are independent of call order and safe to
-evaluate from worker threads.
+seed plus role tags, so draws are independent of call order.
 """
 
 from __future__ import annotations

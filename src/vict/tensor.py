@@ -61,9 +61,6 @@ class Tensor:
     def dtype(self):
         return self.data.dtype
 
-    def is_leaf(self) -> bool:
-        return not self._parents
-
     def item(self) -> float:
         if self.data.size != 1:
             raise ValueError(f"item: tensor has {self.data.size} elements")
@@ -76,40 +73,9 @@ class Tensor:
     def backward(self) -> None:
         backward(self)
 
-    # -- operator sugar ------------------------------------------------
-    def __add__(self, other):
-        return add_scalar(self, other) if _is_number(other) else add(self, other)
-
-    __radd__ = __add__
-
-    def __sub__(self, other):
-        if _is_number(other):
-            return add_scalar(self, -float(other))
-        return sub(self, other)
-
-    def __mul__(self, other):
-        return mul_scalar(self, other) if _is_number(other) else mul(self, other)
-
-    __rmul__ = __mul__
-
-    def __truediv__(self, other):
-        if not _is_number(other):
-            raise TypeError("tensor/tensor division is not supported; divide by a scalar")
-        return mul_scalar(self, 1.0 / float(other))
-
-    def __neg__(self):
-        return mul_scalar(self, -1.0)
-
-    def __matmul__(self, other):
-        return matmul(self, other)
-
     def __repr__(self) -> str:
         flag = ", requires_grad=True" if self.requires_grad else ""
         return f"Tensor(shape={self.shape}, op={self._op!r}{flag})"
-
-
-def _is_number(x) -> bool:
-    return isinstance(x, (int, float, np.integer, np.floating))
 
 
 def as_tensor(x) -> Tensor:
@@ -575,10 +541,9 @@ def tsum(a: Tensor) -> Tensor:
 # ---------------------------------------------------------------------------
 
 
-def smooth_l1(pred: Tensor, target: Tensor, beta: float = 1.0, mask: Tensor | None = None) -> Tensor:
+def smooth_l1(pred: Tensor, target: Tensor, beta: float = 1.0) -> Tensor:
     """Mean smooth-L1: 0.5 d^2 / beta for |d| < beta, else |d| - 0.5 beta.
 
-    The mean runs over unmasked elements when a 0/1 ``mask`` is given.
     C1 at |d| = beta: both branches have value beta/2 and slope sign(d).
     """
     pred, target = as_tensor(pred), as_tensor(target)
@@ -589,25 +554,10 @@ def smooth_l1(pred: Tensor, target: Tensor, beta: float = 1.0, mask: Tensor | No
     absd = np.abs(d)
     quad = absd < beta
     per = np.where(quad, 0.5 * d * d / beta, absd - 0.5 * beta)
-    if mask is not None:
-        mask = as_tensor(mask)
-        _same_shape("smooth_l1(mask)", pred, mask)
-        mvals = mask.data
-        count = float(mvals.sum())
-        if count == 0:
-            raise ValueError("smooth_l1: mask selects no elements")
-        value = (per * mvals).sum() / count
-    else:
-        mvals = None
-        count = float(d.size)
-        value = per.mean()
-    out = _node(np.asarray(value, dtype=pred.dtype), (pred, target), "smooth_l1")
+    out = _node(np.asarray(per.mean(), dtype=pred.dtype), (pred, target), "smooth_l1")
     if out.requires_grad:
         def _bwd(g):
-            coef = np.where(quad, d / beta, np.sign(d))
-            if mvals is not None:
-                coef = coef * mvals
-            coef = coef / count
+            coef = np.where(quad, d / beta, np.sign(d)) / float(d.size)
             _accumulate(pred, g * coef)
             if target.requires_grad:
                 _accumulate(target, -(g * coef))

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import model, tasks
-from .canvas import CellPosition, assemble_flipped, assemble_inference, extract_cell
+from .canvas import assemble_flipped, assemble_inference, extract_cell
 from .corruptions import CorruptionSpec, apply
 from .seeding import mix
 from .tensor import AdamWState, Tensor, adamw_step, collect_grads, constant, smooth_l1, zero_grads
@@ -98,9 +98,8 @@ def select_prompt(
 def infer(params: model.Params, pair: tuple[np.ndarray, np.ndarray], x_t: np.ndarray) -> np.ndarray:
     """Frozen in-context inference: inpaint the test output cell."""
     x, y = pair
-    canvas, mask = assemble_inference(x, y, x_t)
-    recon = model.forward(params, canvas, mask)
-    return extract_cell(recon, CellPosition.BOTTOM_RIGHT).data
+    canvas = assemble_inference(x, y, x_t)
+    return extract_cell(model.forward(params, canvas), canvas.empty_position).data
 
 
 def cycle_loss(
@@ -111,10 +110,10 @@ def cycle_loss(
 ) -> Tensor:
     """Scalar cycle-consistency loss for one prompt pair and test input."""
     x, y = pair
-    canvas, mask = assemble_inference(x, y, x_t)
-    y_t_hat = extract_cell(model.forward(params, canvas, mask), CellPosition.BOTTOM_RIGHT)
-    flipped, flipped_mask = assemble_flipped(x, x_t, y_t_hat)
-    y_hat = extract_cell(model.forward(params, flipped, flipped_mask), CellPosition.TOP_RIGHT)
+    canvas = assemble_inference(x, y, x_t)
+    y_t_hat = extract_cell(model.forward(params, canvas), canvas.empty_position)
+    flipped = assemble_flipped(x, x_t, y_t_hat)
+    y_hat = extract_cell(model.forward(params, flipped), flipped.empty_position)
     return smooth_l1(y_hat, constant(np.asarray(y)), beta)
 
 

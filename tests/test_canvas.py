@@ -17,27 +17,27 @@ def random_image(rng, c=32):
 
 def test_assemble_inference_places_cells():
     a, b, c = const_image(0.1), const_image(0.2), const_image(0.3)
-    grid, mask = cv.assemble_inference(a, b, c)
+    grid = cv.assemble_inference(a, b, c)
     pixels = grid.pixels().data
     assert pixels.shape == (3, 64, 64)
     assert np.all(pixels[:, :32, :32] == np.float32(0.1))
     assert np.all(pixels[:, :32, 32:] == np.float32(0.2))
     assert np.all(pixels[:, 32:, :32] == np.float32(0.3))
     assert np.all(pixels[:, 32:, 32:] == np.float32(cv.EMPTY_FILL))
-    assert mask.masked_position is cv.CellPosition.BOTTOM_RIGHT
+    assert grid.empty_position is cv.CellPosition.BOTTOM_RIGHT
 
 
 def test_extract_round_trip_is_bit_exact():
     rng = np.random.default_rng(0)
     x, y, x_t = random_image(rng), random_image(rng), random_image(rng)
-    grid, _ = cv.assemble_inference(x, y, x_t)
+    grid = cv.assemble_inference(x, y, x_t)
     back = cv.extract_cell(grid.pixels(), cv.CellPosition.TOP_RIGHT).data
     assert back.tobytes() == y.tobytes()
 
 
 def test_mask_spec_counts_patches():
-    _, mask = cv.assemble_inference(const_image(0.1), const_image(0.2), const_image(0.3))
-    patch_mask = mask.patch_mask(8)
+    canvas = cv.assemble_inference(const_image(0.1), const_image(0.2), const_image(0.3))
+    patch_mask = canvas.patch_mask(8)
     assert patch_mask.shape == (64,)
     assert patch_mask.sum() == 16
     # masked entries all sit in the bottom-right quadrant of the 8x8 patch grid
@@ -49,12 +49,12 @@ def test_mask_spec_counts_patches():
 def test_assemble_flipped_round_trip_and_shared_cells():
     rng = np.random.default_rng(1)
     x, x_t, y_hat = random_image(rng), random_image(rng), random_image(rng)
-    flipped, mask = cv.assemble_flipped(x, x_t, y_hat)
-    assert mask.masked_position is cv.CellPosition.TOP_RIGHT
+    flipped = cv.assemble_flipped(x, x_t, y_hat)
+    assert flipped.empty_position is cv.CellPosition.TOP_RIGHT
     back = cv.extract_cell(flipped.pixels(), cv.CellPosition.BOTTOM_RIGHT).data
     assert back.tobytes() == y_hat.tobytes()
 
-    inference, _ = cv.assemble_inference(x, rng.random((3, 32, 32)).astype(np.float32), x_t)
+    inference = cv.assemble_inference(x, rng.random((3, 32, 32)).astype(np.float32), x_t)
     for pos in (cv.CellPosition.TOP_LEFT, cv.CellPosition.BOTTOM_LEFT):
         a = cv.extract_cell(inference.pixels(), pos).data
         b = cv.extract_cell(flipped.pixels(), pos).data
@@ -63,15 +63,15 @@ def test_assemble_flipped_round_trip_and_shared_cells():
 
 def test_flipped_and_inference_masks_are_disjoint():
     a, b, c = const_image(0.1), const_image(0.2), const_image(0.3)
-    _, inference_mask = cv.assemble_inference(a, b, c)
-    _, flipped_mask = cv.assemble_flipped(a, b, c)
-    overlap = inference_mask.patch_mask(8) * flipped_mask.patch_mask(8)
+    inference = cv.assemble_inference(a, b, c)
+    flipped = cv.assemble_flipped(a, b, c)
+    overlap = inference.patch_mask(8) * flipped.patch_mask(8)
     assert overlap.sum() == 0
 
 
 def test_flipped_clamps_prediction():
     wild = T.Tensor(np.full((3, 32, 32), 2.5, dtype=np.float32))
-    flipped, _ = cv.assemble_flipped(const_image(0.1), const_image(0.2), wild)
+    flipped = cv.assemble_flipped(const_image(0.1), const_image(0.2), wild)
     br = cv.extract_cell(flipped.pixels(), cv.CellPosition.BOTTOM_RIGHT).data
     assert np.all(br == 1.0)
 
@@ -110,7 +110,7 @@ def test_extract_checkerboard_constants():
 def test_round_trip_property(seed):
     rng = np.random.default_rng(seed)
     cells = [random_image(rng, c=16) for _ in range(3)]
-    grid, _ = cv.assemble_inference(*cells)
+    grid = cv.assemble_inference(*cells)
     for img, pos in zip(cells, (cv.CellPosition.TOP_LEFT, cv.CellPosition.TOP_RIGHT, cv.CellPosition.BOTTOM_LEFT)):
         assert cv.extract_cell(grid.pixels(), pos).data.tobytes() == img.tobytes()
 

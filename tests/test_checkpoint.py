@@ -90,6 +90,20 @@ def test_trailing_garbage_rejected(checkpoint_path, tmp_path):
         load_checkpoint(bad)
 
 
+@pytest.mark.parametrize("line", [b"patch_size", b"patch_size=eight"])
+def test_malformed_config_line_rejected(checkpoint_path, tmp_path, line):
+    _, path = checkpoint_path
+    raw = path.read_bytes()
+    start = len(MAGIC) + 4
+    (length,) = struct.unpack_from("<I", raw, start)
+    block = raw[start + 4 : start + 4 + length].replace(b"patch_size=8", line)
+    bad = tmp_path / "bad.bin"
+    bad.write_bytes(raw[:start] + struct.pack("<I", len(block)) + block + raw[start + 4 + length :])
+    with pytest.raises(CheckpointError, match="bad config line") as err:
+        load_checkpoint(bad)
+    assert str(bad) in str(err.value) and repr(line.decode()) in str(err.value)
+
+
 def test_describe_mentions_config_and_tensors(checkpoint_path):
     params, path = checkpoint_path
     text = describe_checkpoint(path)

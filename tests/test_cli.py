@@ -98,6 +98,12 @@ def test_bench_rejects_bad_corruption_name(small_checkpoint, capsys):
     assert "error:" in capsys.readouterr().err
 
 
+def test_bench_rejects_repeated_corruption(small_checkpoint, capsys):
+    code = cli_main(["bench", "--checkpoint", str(small_checkpoint), "--corruption", "fog,fog"])
+    assert code == 1
+    assert "corruption kind fog selected more than once" in capsys.readouterr().err
+
+
 def test_bench_defaults_are_victconfig_defaults():
     args = build_parser().parse_args(["bench", "--checkpoint", "x"])
     assert _bench_config(args, (), (5,)).vict == tuning.VictConfig()

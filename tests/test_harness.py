@@ -97,6 +97,20 @@ def test_bench_rejects_severity_zero(small_checkpoint):
         harness.run_bench(bench_config(small_checkpoint, severities=(0,)))
 
 
+@pytest.mark.parametrize(
+    "overrides, named",
+    [
+        (dict(corruption_kinds=(corruptions.CorruptionKind.FOG, corruptions.CorruptionKind.FOG)), "corruption kind fog"),
+        (dict(severities=(3, 2, 3)), "severity 3"),
+        (dict(settings=(tuning.ZERO_SHOT, tuning.ZERO_SHOT)), "setting zero_shot"),
+        (dict(methods=(harness.FROZEN, harness.FROZEN)), "method frozen"),
+    ],
+)
+def test_bench_config_rejects_repeats(small_checkpoint, overrides, named):
+    with pytest.raises(ValueError, match=f"{named} selected more than once"):
+        bench_config(small_checkpoint, **overrides)
+
+
 def test_clean_eval_rows_and_gaps(small_checkpoint):
     config = bench_config(small_checkpoint, methods=(harness.FROZEN, harness.VICT))
     report = harness.run_clean_eval(config)

@@ -3,7 +3,7 @@ import pytest
 
 from vict import model, tasks, tuning
 from vict import tensor as T
-from vict.canvas import CellPosition, assemble_inference, extract_cell
+from vict.canvas import assemble_inference, extract_cell
 from vict.gradcheck import TINY_CONFIG, finite_diff_grad, rel_error
 
 
@@ -13,7 +13,7 @@ def default_params():
 
 
 @pytest.fixture(scope="module")
-def canvas_and_mask():
+def inference_canvas():
     prompt = tasks.generate(tasks.TaskKind.DENOISE, 1)
     query = tasks.generate(tasks.TaskKind.DENOISE, 2)
     return assemble_inference(prompt.input, prompt.target, query.input)
@@ -61,45 +61,32 @@ def test_param_groups_partition(default_params):
         model.param_group(default_params, "decoder")
 
 
-def test_forward_output_shape_and_range(default_params, canvas_and_mask):
-    canvas, mask = canvas_and_mask
-    out = model.forward(default_params, canvas, mask)
+def test_forward_output_shape_and_range(default_params, inference_canvas):
+    out = model.forward(default_params, inference_canvas)
     assert out.shape == (3, 64, 64)
     assert out.data.min() > 0.0 and out.data.max() < 1.0
 
 
-def test_forward_deterministic(default_params, canvas_and_mask):
-    canvas, mask = canvas_and_mask
-    a = model.forward(default_params, canvas, mask).data
-    b = model.forward(default_params, canvas, mask).data
+def test_forward_deterministic(default_params, inference_canvas):
+    a = model.forward(default_params, inference_canvas).data
+    b = model.forward(default_params, inference_canvas).data
     assert a.tobytes() == b.tobytes()
-
-
-def test_forward_rejects_mismatched_mask(default_params, canvas_and_mask):
-    from vict.canvas import MaskSpec
-
-    canvas, _ = canvas_and_mask
-    wrong = MaskSpec(CellPosition.TOP_RIGHT, canvas.cell_size)
-    with pytest.raises(ValueError, match="inconsistent"):
-        model.forward(default_params, canvas, wrong)
 
 
 def test_forward_rejects_wrong_cell_size(default_params):
     prompt = tasks.generate(tasks.TaskKind.DENOISE, 1, cell_size=16)
     query = tasks.generate(tasks.TaskKind.DENOISE, 2, cell_size=16)
-    canvas, mask = assemble_inference(prompt.input, prompt.target, query.input)
+    canvas = assemble_inference(prompt.input, prompt.target, query.input)
     with pytest.raises(ValueError, match="cell size"):
-        model.forward(default_params, canvas, mask)
+        model.forward(default_params, canvas)
 
 
 def test_permutation_sensitivity(default_params):
     a = tasks.generate(tasks.TaskKind.DENOISE, 3)
     b = tasks.generate(tasks.TaskKind.DENOISE, 4)
     c = tasks.generate(tasks.TaskKind.DENOISE, 5)
-    c1, m1 = assemble_inference(a.input, b.input, c.input)
-    c2, m2 = assemble_inference(a.input, c.input, b.input)
-    o1 = model.forward(default_params, c1, m1).data
-    o2 = model.forward(default_params, c2, m2).data
+    o1 = model.forward(default_params, assemble_inference(a.input, b.input, c.input)).data
+    o2 = model.forward(default_params, assemble_inference(a.input, c.input, b.input)).data
     assert np.abs(o1 - o2).max() > 1e-6
 
 
@@ -109,13 +96,13 @@ def test_masked_cell_output_independent_of_fill(default_params):
 
     prompt = tasks.generate(tasks.TaskKind.DENOISE, 6)
     query = tasks.generate(tasks.TaskKind.DENOISE, 7)
-    canvas, mask = assemble_inference(prompt.input, prompt.target, query.input)
-    out_a = model.forward(default_params, canvas, mask).data
+    canvas = assemble_inference(prompt.input, prompt.target, query.input)
+    out_a = model.forward(default_params, canvas).data
 
     original = cv.EMPTY_FILL
     try:
         cv.EMPTY_FILL = 0.123
-        out_b = model.forward(default_params, canvas, mask).data
+        out_b = model.forward(default_params, canvas).data
     finally:
         cv.EMPTY_FILL = original
     assert out_a.tobytes() == out_b.tobytes()
@@ -129,9 +116,9 @@ def test_tiny_config_gradients_match_finite_differences():
     target = T.constant(query.target.astype(np.float64))
 
     def loss_fn():
-        canvas, mask = assemble_inference(pair[0], pair[1], query.input.astype(np.float64))
-        out = model.forward(params, canvas, mask)
-        return T.smooth_l1(extract_cell(out, CellPosition.BOTTOM_RIGHT), target, 1.0)
+        canvas = assemble_inference(pair[0], pair[1], query.input.astype(np.float64))
+        out = model.forward(params, canvas)
+        return T.smooth_l1(extract_cell(out, canvas.empty_position), target, 1.0)
 
     T.zero_grads(params.tensors.values())
     loss_fn().backward()

@@ -157,19 +157,10 @@ def test_smooth_l1_c1_at_branch_point():
     assert abs(grad_at(1.0 - 1e-9) - grad_at(1.0 + 1e-9)) < 1e-8
 
 
-def test_smooth_l1_rejects_bad_beta_and_empty_mask():
+def test_smooth_l1_rejects_bad_beta():
     a, b = T.Tensor(arr(1.0)), T.Tensor(arr(0.0))
     with pytest.raises(ValueError, match="beta"):
         T.smooth_l1(a, b, 0.0)
-    with pytest.raises(ValueError, match="mask"):
-        T.smooth_l1(a, b, 1.0, mask=T.Tensor(arr(0.0)))
-
-
-def test_smooth_l1_mask_selects_elements():
-    pred = T.Tensor(arr(0.5, 9.0))
-    target = T.Tensor(arr(0.0, 0.0))
-    out = T.smooth_l1(pred, target, 1.0, mask=T.Tensor(arr(1.0, 0.0)))
-    assert out.item() == pytest.approx(0.125, abs=1e-12)
 
 
 @settings(max_examples=50, deadline=None)

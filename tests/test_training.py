@@ -2,6 +2,8 @@ import numpy as np
 import pytest
 
 from vict import corruptions, model, tasks, training
+from vict import tensor as T
+from vict.canvas import Canvas, CellPosition
 
 SMALL_MODEL = model.ModelConfig(cell_size=16, patch_size=8, embed_dim=32, encoder_depth=1, decoder_depth=1, num_heads=2)
 
@@ -31,15 +33,36 @@ def test_pretrain_loss_decreases_roughly():
 
 def test_held_out_task_never_drawn():
     mix = tuple(t for t in tasks.ALL_TASKS if t is not tasks.TaskKind.DEPTH)
-    cfg = training.PretrainConfig(steps=40, seed=1, task_mix=mix, held_out=tasks.TaskKind.DEPTH)
+    cfg = training.PretrainConfig(steps=40, seed=1, task_mix=mix)
     result = training.pretrain(SMALL_MODEL, cfg)
     assert result.task_counts.get(tasks.TaskKind.DEPTH, 0) == 0
     assert sum(result.task_counts.values()) == 40
 
 
-def test_held_out_in_mix_rejected():
-    with pytest.raises(ValueError, match="held-out"):
-        training.PretrainConfig(task_mix=tasks.ALL_TASKS, held_out=tasks.TaskKind.DEPTH)
+def test_masked_cell_loss_scores_the_empty_cell(monkeypatch):
+    """With a model that paints each cell a distinct constant, the loss
+    identifies which cell was read and which target it was scored against."""
+    c = 8
+    painted = {
+        CellPosition.TOP_LEFT: 0.1,
+        CellPosition.TOP_RIGHT: 0.2,
+        CellPosition.BOTTOM_LEFT: 0.3,
+        CellPosition.BOTTOM_RIGHT: 0.4,
+    }
+
+    def image(value):
+        return np.full((3, c, c), value, dtype=np.float32)
+
+    def stub_forward(params, canvas):
+        cells = {pos: T.constant(image(value)) for pos, value in painted.items()}
+        return Canvas(cells=cells, cell_size=c, empty_position=canvas.empty_position).pixels()
+
+    monkeypatch.setattr(model, "forward", stub_forward)
+    prompt, query = (image(0.5), image(0.9)), (image(0.5), image(0.65))
+    # the 8 (cell, target) pairings give 8 distinct losses
+    for flip, cell, target in ((False, CellPosition.BOTTOM_RIGHT, 0.65), (True, CellPosition.TOP_RIGHT, 0.9)):
+        loss = training.masked_cell_loss(None, prompt, query, flip).item()
+        assert loss == pytest.approx(0.5 * (painted[cell] - target) ** 2, rel=1e-6)
 
 
 def test_loss_trace_csv(tmp_path):

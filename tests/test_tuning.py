@@ -3,7 +3,6 @@ import pytest
 
 from vict import model, tasks, tuning
 from vict import tensor as T
-from vict.canvas import CellPosition, assemble_inference, extract_cell
 from vict.corruptions import CorruptionKind, CorruptionSpec
 
 SMALL_MODEL = model.ModelConfig(cell_size=16, patch_size=8, embed_dim=32, encoder_depth=1, decoder_depth=1, num_heads=2)
@@ -75,7 +74,7 @@ def test_cycle_loss_zero_for_identity_copier(params, sample_pair, monkeypatch):
     pair, x_t = sample_pair
     y = pair[1]
 
-    def stub_forward(p, canvas, mask):
+    def stub_forward(p, canvas):
         cells = {
             pos: (T.constant(y) if t is None else t)
             for pos, t in canvas.cells.items()
