@@ -2,7 +2,7 @@
 
 Run:  python demos/05_test_time_tuning.py [checkpoint]
 Without an argument this first pre-trains briefly (a well-trained
-checkpoint, e.g. from the acceptance suite or the CLI, shows larger
+checkpoint, e.g. from `vict pretrain --steps 12000`, shows larger
 effects). Dumps before/after canvases to demos/out/.
 """
 

@@ -11,7 +11,7 @@ from .canvas import CellPosition, assemble_flipped, assemble_inference, extract_
 from .checkpoint import load_checkpoint, save_checkpoint
 from .corruptions import ALL_KINDS, CorruptionKind, CorruptionSpec, apply
 from .harness import BenchConfig, MetricReport, run_bench, run_clean_eval, run_fewshot
-from .model import ModelConfig, Params, forward, init, param_group
+from .model import ModelConfig, Params, forward, init, trainable
 from .tasks import ALL_TASKS, Metric, TaskKind, TaskSample, a_rel, generate, miou, psnr
 from .tensor import AdamWState, Tensor, adamw_step, backward, smooth_l1, zero_grads
 from .training import FewShotConfig, PretrainConfig, fewshot_finetune, pretrain

@@ -17,7 +17,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .tensor import Tensor, as_tensor, clamp, concat, constant, narrow
+from .tensor import Tensor, as_tensor, concat, constant, narrow
 
 EMPTY_FILL = 0.5
 
@@ -105,11 +105,12 @@ def assemble_inference(x, y, x_t) -> Canvas:
 def assemble_flipped(x, x_t, y_t_hat) -> Canvas:
     """Role-flipped canvas for reconstructing the prompt output: (x, empty, x_t, y_t_hat).
 
-    ``y_t_hat`` is clamped to [0, 1] first; the clamp passes gradients
-    through unchanged inside the range.
+    ``y_t_hat`` goes in as given, so gradients reach the prediction that
+    produced it. It is a model output (a logistic, already in [0, 1]) or,
+    in training, a true cell; values outside [0, 1] are rejected like any
+    other cell's.
     """
-    x, x_t = as_tensor(x), as_tensor(x_t)
-    y_t_hat = clamp(as_tensor(y_t_hat), 0.0, 1.0)
+    x, x_t, y_t_hat = as_tensor(x), as_tensor(x_t), as_tensor(y_t_hat)
     c = _validate_image("assemble_flipped(x)", x)
     _validate_image("assemble_flipped(x_t)", x_t, c)
     _validate_image("assemble_flipped(y_t_hat)", y_t_hat, c)

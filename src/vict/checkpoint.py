@@ -118,7 +118,7 @@ def load_checkpoint(path: str | Path) -> Params:
         if elements <= 0 or elements > _MAX_ELEMENTS:
             raise CheckpointError(f"{path}: tensor {name!r} dimension overflow {dims}")
         values = np.frombuffer(reader.take(4 * elements), dtype="<f4").reshape(dims)
-        tensors[name] = Tensor(values.astype(np.float32), requires_grad=True)
+        tensors[name] = Tensor(values.astype(np.float32))
         groups[name] = _GROUP_NAMES[group_byte]
     if reader.pos != len(raw):
         raise CheckpointError(f"{path}: {len(raw) - reader.pos} trailing bytes after tensor table")

@@ -24,8 +24,14 @@ def _parse_corruptions(text: str) -> tuple[corruptions.CorruptionKind, ...]:
     return tuple(corruptions.CorruptionKind(name.strip()) for name in text.split(","))
 
 
-def _parse_int_list(text: str) -> tuple[int, ...]:
-    return tuple(int(v) for v in text.split(","))
+def _parse_int_list(flag: str, text: str) -> tuple[int, ...]:
+    values = []
+    for item in text.split(","):
+        try:
+            values.append(int(item))
+        except ValueError:
+            raise ValueError(f"{flag}: {item!r} in {text!r} is not an integer") from None
+    return tuple(values)
 
 
 def _parse_settings(text: str) -> tuple[str, ...]:
@@ -106,7 +112,7 @@ def _cmd_pretrain(args) -> int:
 
 
 def _cmd_bench(args) -> int:
-    config = _bench_config(args, _parse_corruptions(args.corruption), _parse_int_list(args.severity))
+    config = _bench_config(args, _parse_corruptions(args.corruption), _parse_int_list("--severity", args.severity))
     _emit_report(harness.run_bench(config), args)
     return 0
 
@@ -128,10 +134,10 @@ def _cmd_clean_eval(args) -> int:
 def _cmd_fewshot(args) -> int:
     config = harness.FewShotSweepConfig(
         checkpoint=args.checkpoint,
-        shots=_parse_int_list(args.shots),
+        shots=_parse_int_list("--shots", args.shots),
         task=tasks.TaskKind(args.task),
         corruption_kind=corruptions.CorruptionKind(args.corruption),
-        severity=int(args.severity),
+        severity=args.severity,
         finetune_steps=args.finetune_steps,
         finetune_lr=args.finetune_lr,
         num_samples=args.num_samples,
@@ -185,7 +191,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--shots", default="1,2,4,8,16,32,64")
     p.add_argument("--task", default="denoise")
     p.add_argument("--corruption", default="gaussian_noise")
-    p.add_argument("--severity", default="3")
+    p.add_argument("--severity", type=int, default=3)
     p.add_argument("--finetune-steps", type=int, default=300)
     p.add_argument("--finetune-lr", type=float, default=3e-4)
     p.add_argument("--num-samples", type=int, default=16)

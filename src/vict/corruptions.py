@@ -148,7 +148,9 @@ def _disk_kernel(radius: float) -> np.ndarray:
     return kernel / kernel.sum()
 
 
-def _line_kernel(length: float, angle: float) -> np.ndarray:
+def line_kernel(length: float, angle: float) -> np.ndarray:
+    """Normalized straight-streak kernel: a centred line of ``length``
+    pixels at ``angle`` radians, splatted bilinearly."""
     size = int(np.ceil(length)) | 1
     kernel = np.zeros((size, size))
     center = size // 2
@@ -287,7 +289,7 @@ def _glass_blur(img, rng, params):
 def _motion_blur(img, rng, params):
     (length,) = params
     angle = rng.uniform(0.0, np.pi)
-    return _conv_rgb(img, _line_kernel(length, angle))
+    return _conv_rgb(img, line_kernel(length, angle))
 
 
 def _zoom_blur(img, rng, params):
@@ -323,7 +325,7 @@ def _snow(img, rng, params):
     density, length, lift = params
     points = (rng.random(img.shape[1:]) < density).astype(np.float64)
     angle = np.pi / 2 + rng.uniform(-0.35, 0.35)
-    flakes = convolve(points, _line_kernel(length, angle), mode="constant", cval=0.0)
+    flakes = convolve(points, line_kernel(length, angle), mode="constant", cval=0.0)
     peak = flakes.max()
     if peak > 0:
         flakes = flakes / peak

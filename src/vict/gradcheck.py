@@ -77,9 +77,8 @@ def check_op_gradients(seed: int = 0) -> dict[str, float]:
     a, b = leaf(3, 4), leaf(3, 4)
     w = fixed(3, 4)
     results["add"] = _check(lambda: T.tsum(T.mul(T.add(a, b), T.constant(w))), {"a": a, "b": b})
-    results["sub"] = _check(lambda: T.tsum(T.mul(T.sub(a, b), T.constant(w))), {"a": a, "b": b})
     results["mul"] = _check(lambda: T.tsum(T.mul(T.mul(a, b), T.constant(w))), {"a": a, "b": b})
-    results["scalar"] = _check(lambda: T.tsum(T.add_scalar(T.mul_scalar(a, 1.7), -0.3)), {"a": a})
+    results["mul_scalar"] = _check(lambda: T.tsum(T.mul_scalar(a, 1.7)), {"a": a})
 
     m1, m2 = leaf(3, 5), leaf(5, 2)
     wm = fixed(3, 2)
@@ -113,8 +112,6 @@ def check_op_gradients(seed: int = 0) -> dict[str, float]:
     results["softmax"] = _check(lambda: T.tsum(T.mul(T.softmax(s), T.constant(ws))), {"s": s})
     results["gelu"] = _check(lambda: T.tsum(T.mul(T.gelu(s), T.constant(ws))), {"s": s})
     results["sigmoid"] = _check(lambda: T.tsum(T.mul(T.sigmoid(s), T.constant(ws))), {"s": s})
-    # keep clamp inputs away from the clip boundaries: not differentiable there
-    results["clamp"] = _check(lambda: T.tsum(T.mul(T.clamp(s, -2.0, 2.0), T.constant(ws))), {"s": s})
     results["mean"] = _check(lambda: T.mean(T.mul(s, T.constant(ws))), {"s": s})
 
     ln_x, ln_g, ln_b = leaf(4, 6), leaf(6), leaf(6)
@@ -152,18 +149,7 @@ def check_cycle_loss(config: model.ModelConfig = TINY_CONFIG, seed: int = 0) -> 
     query = tasks.generate(tasks.TaskKind.DENOISE, seed + 2, c)
     pair = (prompt.input.astype(np.float64), prompt.target.astype(np.float64))
     x_t = query.input.astype(np.float64)
-
-    def loss_fn() -> T.Tensor:
-        return cycle_loss(params, pair, x_t, beta=1.0)
-
-    T.zero_grads(params.tensors.values())
-    loss_fn().backward()
-    encoder = model.param_group(params, "encoder")
-    worst = 0.0
-    for t in encoder.values():
-        numeric = finite_diff_grad(lambda: loss_fn().item(), t.data)
-        worst = max(worst, rel_error(t.grad_or_zero(), numeric))
-    return worst
+    return _check(lambda: cycle_loss(params, pair, x_t, beta=1.0), model.trainable(params, "encoder"))
 
 
 def run_gradcheck(seed: int = 0, verbose: bool = False) -> tuple[float, dict[str, float]]:

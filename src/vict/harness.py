@@ -11,7 +11,7 @@ of the per-corruption means and is recomputable from the report itself.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field, replace
+from dataclasses import asdict, dataclass, field, replace
 from pathlib import Path
 
 import numpy as np
@@ -49,6 +49,13 @@ _ABBREV = {
 }
 
 
+def _reject_repeats(owner: str, label: str, group: tuple) -> None:
+    repeats = list(dict.fromkeys(v for i, v in enumerate(group) if v in group[:i]))
+    if repeats:
+        names = ", ".join(str(getattr(v, "value", v)) for v in repeats)
+        raise ValueError(f"{owner}: {label} {names} selected more than once")
+
+
 @dataclass(frozen=True)
 class BenchConfig:
     checkpoint: str | Path
@@ -66,8 +73,10 @@ class BenchConfig:
     def __post_init__(self):
         if self.num_samples < 1:
             raise ValueError(f"BenchConfig: num_samples must be >= 1, got {self.num_samples}")
+        if CLEAN_SEVERITY in self.severities:
+            raise ValueError("BenchConfig: severity 0 is reserved for clean evaluation (run_clean_eval)")
         for group, allowed in (
-            (self.severities, (0, 1, 2, 3, 4, 5)),
+            (self.severities, (1, 2, 3, 4, 5)),
             (self.settings, (tuning.ZERO_SHOT, tuning.ONE_SHOT)),
             (self.methods, (FROZEN, VICT)),
         ):
@@ -82,10 +91,7 @@ class BenchConfig:
             ("setting", self.settings),
             ("method", self.methods),
         ):
-            repeats = list(dict.fromkeys(v for i, v in enumerate(group) if v in group[:i]))
-            if repeats:
-                names = ", ".join(str(getattr(v, "value", v)) for v in repeats)
-                raise ValueError(f"BenchConfig: {label} {names} selected more than once")
+            _reject_repeats("BenchConfig", label, group)
 
 
 @dataclass
@@ -103,20 +109,7 @@ class MetricReport:
     total_failures: int = 0
 
     def to_json_bytes(self) -> bytes:
-        payload = {
-            "schema": self.schema,
-            "task": self.task,
-            "metric": self.metric,
-            "higher_is_better": self.higher_is_better,
-            "master_seed": self.master_seed,
-            "num_samples": self.num_samples,
-            "vict": self.vict,
-            "rows": self.rows,
-            "avg": self.avg,
-            "clean_gaps": self.clean_gaps,
-            "total_failures": self.total_failures,
-        }
-        return (json.dumps(payload, sort_keys=True, indent=2) + "\n").encode("ascii")
+        return (json.dumps(asdict(self), sort_keys=True, indent=2) + "\n").encode("ascii")
 
     def write_json(self, path: str | Path) -> None:
         Path(path).write_bytes(self.to_json_bytes())
@@ -171,8 +164,7 @@ def _evaluate_sample(
     results: dict[tuple[str, str], float] = {}
     for setting in config.settings:
         prompt_seed = mix("bench-prompt", config.seed, corruption_name, severity, index, setting)
-        effective = setting if test_spec is not None else tuning.ZERO_SHOT  # clean eval has no corruption to mirror
-        prompt = select_prompt(config.task, effective, test_spec, prompt_seed, c)
+        prompt = select_prompt(config.task, setting, test_spec, prompt_seed, c)
         for method in config.methods:
             if method == FROZEN:
                 prediction = infer(params, prompt.pair, x_t)
@@ -199,14 +191,12 @@ def _aggregate(config: BenchConfig, params: model.Params, cells: list[tuple[str,
         if directory:
             Path(directory).mkdir(parents=True, exist_ok=True)
 
-    values: dict[tuple[str, str, str, int], list[float]] = {}
-    failures: dict[tuple[str, str, str, int], int] = {}
+    rows = []
     total_failures = 0
     for name, severity in cells:
-        keys = [(method, setting, name, severity) for setting in config.settings for method in config.methods]
-        for key in keys:
-            values.setdefault(key, [])
-            failures.setdefault(key, 0)
+        cell: dict[tuple[str, str], list[float]] = {
+            (setting, method): [] for setting in config.settings for method in config.methods
+        }
         for index in range(config.num_samples):
             try:
                 outcome = _evaluate_sample(config, params, name, severity, index)
@@ -216,74 +206,52 @@ def _aggregate(config: BenchConfig, params: model.Params, cells: list[tuple[str,
                 if isinstance(err, RuntimeError) and not isinstance(err.__cause__, FloatingPointError):
                     raise
                 total_failures += 1
-                for key in keys:
-                    failures[key] += 1
                 continue
-            for method, setting, _, _ in keys:
-                values[(method, setting, name, severity)].append(outcome[(setting, method)])
+            for key, vals in cell.items():
+                vals.append(outcome[key])
+        for (setting, method), vals in cell.items():
+            arr = np.asarray(vals, dtype=np.float64)
+            rows.append(
+                {
+                    "method": method,
+                    "setting": setting,
+                    "corruption": name,
+                    "severity": severity,
+                    "mean": float(arr.mean()) if arr.size else float("nan"),
+                    "std": float(arr.std()) if arr.size else float("nan"),
+                    "n": int(arr.size),
+                    "failures": config.num_samples - int(arr.size),
+                }
+            )
+    rows.sort(key=lambda e: (e["method"], e["setting"], e["corruption"], e["severity"]))
 
-    rows = []
-    for (method, setting, name, severity), vals in sorted(values.items()):
-        arr = np.asarray(vals, dtype=np.float64)
-        rows.append(
-            {
-                "method": method,
-                "setting": setting,
-                "corruption": name,
-                "severity": severity,
-                "mean": float(arr.mean()) if arr.size else float("nan"),
-                "std": float(arr.std()) if arr.size else float("nan"),
-                "n": int(arr.size),
-                "failures": failures[(method, setting, name, severity)],
-            }
-        )
+    # the mean of each (method, setting, severity) over its corruptions, in row order
+    means: dict[tuple[str, str, int], list[float]] = {}
+    for e in rows:
+        if e["n"] > 0:
+            means.setdefault((e["method"], e["setting"], e["severity"]), []).append(e["mean"])
+    avg = [
+        dict(method=method, setting=setting, severity=severity, mean=float(np.mean(vals)), corruptions=len(vals))
+        for (method, setting, severity), vals in sorted(means.items())
+    ]
 
-    avg = []
-    for method in config.methods:
-        for setting in config.settings:
-            for severity in sorted({severity for _, severity in cells}):
-                means = [
-                    e["mean"] for e in rows
-                    if e["method"] == method and e["setting"] == setting and e["severity"] == severity and e["n"] > 0
-                ]
-                if means:
-                    avg.append(
-                        {
-                            "method": method,
-                            "setting": setting,
-                            "severity": severity,
-                            "mean": float(np.mean(means)),
-                            "corruptions": len(means),
-                        }
-                    )
-    avg.sort(key=lambda e: (e["method"], e["setting"], e["severity"]))
-
-    report = MetricReport(
+    return MetricReport(
         schema=1,
         task=config.task.value,
         metric=tasks.metric_name_for(config.task),
         higher_is_better=config.task is not tasks.TaskKind.DEPTH,
         master_seed=config.seed,
         num_samples=config.num_samples,
-        vict={
-            "steps": config.vict.steps,
-            "lr": config.vict.lr,
-            "eps": config.vict.eps,
-            "selector": config.vict.selector,
-            "beta": config.vict.beta,
-        },
+        vict=asdict(config.vict),
         rows=rows,
         avg=avg,
         total_failures=total_failures,
     )
-    return report
 
 
 def run_bench(config: BenchConfig) -> MetricReport:
     """Corruption sweep over the configured grid of report cells."""
     params = load_checkpoint(config.checkpoint)
-    if any(s == CLEAN_SEVERITY for s in config.severities):
-        raise ValueError("run_bench: severity 0 is reserved for clean evaluation")
     cells = [(kind.value, severity) for kind in config.corruption_kinds for severity in config.severities]
     return _aggregate(config, params, cells)
 
@@ -327,6 +295,23 @@ class FewShotSweepConfig:
     num_samples: int = 16
     repeats: int = 3
     seed: int = 0
+
+    def __post_init__(self):
+        for label, value, least in (
+            ("num_samples", self.num_samples, 1),
+            ("repeats", self.repeats, 1),
+            ("finetune_steps", self.finetune_steps, 0),
+        ):
+            if value < least:
+                raise ValueError(f"FewShotSweepConfig: {label} must be >= {least}, got {value}")
+        if not self.shots:
+            raise ValueError("FewShotSweepConfig: empty shot list")
+        bad = [m for m in self.shots if m not in training.FEWSHOT_ALLOWED]
+        if bad:
+            raise ValueError(f"FewShotSweepConfig: shot counts {bad} not in {training.FEWSHOT_ALLOWED}")
+        _reject_repeats("FewShotSweepConfig", "shot count", self.shots)
+        if self.severity not in (1, 2, 3, 4, 5):
+            raise ValueError(f"FewShotSweepConfig: severity must be in 1..5, got {self.severity}")
 
 
 def _frozen_eval(

@@ -10,7 +10,10 @@ a logistic so outputs are always valid cell images.
 Parameters carry a group label so test-time tuning can update the encoder
 group alone: patch embedding, positional embeddings, mask token, and the
 encoder blocks are "encoder"; the decoder blocks and output head are
-"decoder".
+"decoder". Weights are plain data: ``init``, ``Params.clone`` and the
+checkpoint loader leave every tensor off the autodiff tape, and
+``trainable`` alone decides which group a forward pass records gradients
+for. Frozen inference therefore records no tape at all.
 """
 
 from __future__ import annotations
@@ -92,7 +95,7 @@ class Params:
     def clone(self) -> "Params":
         return Params(
             config=self.config,
-            tensors={name: T.Tensor(t.data.copy(), requires_grad=True) for name, t in self.tensors.items()},
+            tensors={name: T.Tensor(t.data.copy()) for name, t in self.tensors.items()},
             groups=dict(self.groups),
         )
 
@@ -175,7 +178,7 @@ def init(config: ModelConfig, seed: int, dtype=np.float32) -> Params:
     groups: dict[str, str] = {}
 
     def param(name: str, group: str, array: np.ndarray) -> None:
-        tensors[name] = T.Tensor(np.ascontiguousarray(array, dtype=dtype), requires_grad=True)
+        tensors[name] = T.Tensor(np.ascontiguousarray(array, dtype=dtype))
         groups[name] = group
 
     def weight(name: str, group: str, shape) -> None:
@@ -220,12 +223,17 @@ def init(config: ModelConfig, seed: int, dtype=np.float32) -> Params:
     return Params(config=config, tensors=tensors, groups=groups)
 
 
-def param_group(params: Params, selector: str) -> dict[str, T.Tensor]:
-    if selector == "all":
-        return dict(params.tensors)
-    if selector == ENCODER:
-        return {name: t for name, t in params.tensors.items() if params.groups[name] == ENCODER}
-    raise ValueError(f"param_group: selector must be 'encoder' or 'all', got {selector!r}")
+def trainable(params: Params, selector: str) -> dict[str, T.Tensor]:
+    """Put the selected group on the tape and take every other tensor off.
+
+    ``selector`` is "encoder" or "all". Returns the group, in
+    ``params.tensors`` order; only its tensors get gradients from backward.
+    """
+    if selector not in (ENCODER, "all"):
+        raise ValueError(f"trainable: selector must be 'encoder' or 'all', got {selector!r}")
+    for name, t in params.tensors.items():
+        t.requires_grad = selector == "all" or params.groups[name] == ENCODER
+    return {name: t for name, t in params.tensors.items() if t.requires_grad}
 
 
 # ---------------------------------------------------------------------------
@@ -261,10 +269,7 @@ def forward(params: Params, canvas: Canvas) -> T.Tensor:
     n = cfg.num_patches
     dtype = next(iter(p.values())).dtype
 
-    pixels = canvas.pixels()
-    if pixels.dtype != dtype:
-        pixels = T.constant(pixels.data.astype(dtype))
-    x = T.reshape(pixels, (3, g, ps, g, ps))
+    x = T.reshape(canvas.pixels(), (3, g, ps, g, ps))
     x = T.transpose(x, (1, 3, 2, 4, 0))  # row-grid, col-grid, row-pixel, col-pixel, channel
     x = T.reshape(x, (n, cfg.patch_dim))
 

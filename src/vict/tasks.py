@@ -16,6 +16,7 @@ from pathlib import Path
 import numpy as np
 from scipy.ndimage import convolve
 
+from .corruptions import line_kernel
 from .seeding import rng_for
 
 DEFAULT_CELL_SIZE = 32
@@ -154,19 +155,7 @@ def _diagonal_streaks(rng: np.random.Generator, c: int) -> np.ndarray:
     points = (rng.random((c, c)) < 0.035).astype(np.float64)
     length = max(5, c // 5)
     angle = np.pi / 4 + rng.uniform(-0.25, 0.25)
-    size = length | 1
-    kernel = np.zeros((size, size))
-    center = size // 2
-    for s in np.linspace(-length / 2, length / 2, 4 * length):
-        px, py = center + s * np.cos(angle), center + s * np.sin(angle)
-        i0, j0 = int(np.floor(py)), int(np.floor(px))
-        fi, fj = py - i0, px - j0
-        for di, dj, w in ((0, 0, (1 - fi) * (1 - fj)), (0, 1, (1 - fi) * fj), (1, 0, fi * (1 - fj)), (1, 1, fi * fj)):
-            ii, jj = i0 + di, j0 + dj
-            if 0 <= ii < size and 0 <= jj < size:
-                kernel[ii, jj] += w
-    kernel /= kernel.sum()
-    field = convolve(points, kernel, mode="constant", cval=0.0)
+    field = convolve(points, line_kernel(length, angle), mode="constant", cval=0.0)
     peak = field.max()
     if peak > 0:
         field = field / peak

@@ -82,9 +82,8 @@ def as_tensor(x) -> Tensor:
     return x if isinstance(x, Tensor) else Tensor(x)
 
 
-def constant(data, dtype=None) -> Tensor:
-    arr = np.asarray(data, dtype=dtype) if dtype is not None else np.asarray(data)
-    return Tensor(arr)
+def constant(data) -> Tensor:
+    return Tensor(data)
 
 
 def parameter(data) -> Tensor:
@@ -198,20 +197,6 @@ def add(a: Tensor, b: Tensor) -> Tensor:
     return out
 
 
-def sub(a: Tensor, b: Tensor) -> Tensor:
-    a, b = as_tensor(a), as_tensor(b)
-    _same_shape("sub", a, b)
-    _same_dtype("sub", a, b)
-    out = _node(a.data - b.data, (a, b), "sub")
-    if out.requires_grad:
-        def _bwd(g):
-            _accumulate(a, g)
-            if b.requires_grad:
-                _accumulate(b, -g)
-        out._backward = _bwd
-    return out
-
-
 def mul(a: Tensor, b: Tensor) -> Tensor:
     a, b = as_tensor(a), as_tensor(b)
     _same_shape("mul", a, b)
@@ -224,15 +209,6 @@ def mul(a: Tensor, b: Tensor) -> Tensor:
             if b.requires_grad:
                 _accumulate(b, g * a.data)
         out._backward = _bwd
-    return out
-
-
-def add_scalar(a: Tensor, s) -> Tensor:
-    a = as_tensor(a)
-    s = float(s)
-    out = _node(a.data + s, (a,), "add_scalar")
-    if out.requires_grad:
-        out._backward = lambda g: _accumulate(a, g)
     return out
 
 
@@ -505,16 +481,6 @@ def sigmoid(x: Tensor) -> Tensor:
     out = _node(y, (x,), "sigmoid")
     if out.requires_grad:
         out._backward = lambda g: _accumulate(x, g * y * (1.0 - y))
-    return out
-
-
-def clamp(x: Tensor, lo: float, hi: float) -> Tensor:
-    """Clip to [lo, hi]; gradient is identity inside the range, zero outside."""
-    x = as_tensor(x)
-    out = _node(np.clip(x.data, lo, hi), (x,), "clamp")
-    if out.requires_grad:
-        inside = (x.data >= lo) & (x.data <= hi)
-        out._backward = lambda g: _accumulate(x, g * inside)
     return out
 
 

@@ -67,6 +67,7 @@ def masked_cell_loss(
 
 def pretrain(model_config: model.ModelConfig, cfg: PretrainConfig) -> PretrainResult:
     params = model.init(model_config, seed=cfg.seed)
+    group = model.trainable(params, "all")
     state = AdamWState(lr=cfg.lr)
     rng = rng_for("pretrain", cfg.seed)
     mix_order = tuple(cfg.task_mix)
@@ -84,7 +85,7 @@ def pretrain(model_config: model.ModelConfig, cfg: PretrainConfig) -> PretrainRe
         try:
             loss = masked_cell_loss(params, (prompt.input, prompt.target), (query.input, query.target), flip)
             loss.backward()
-            adamw_step(params.tensors, collect_grads(params.tensors), state)
+            adamw_step(group, collect_grads(group), state)
         except FloatingPointError as err:
             raise RuntimeError(f"pretraining diverged at step {step}: {err}") from err
         losses.append(loss.item())
@@ -127,6 +128,7 @@ def fewshot_finetune(params0: model.Params, cfg: FewShotConfig) -> model.Params:
         pairs.append((corruptions.apply(sample.input, spec), sample.target))
 
     params = params0.clone()
+    group = model.trainable(params, "all")
     state = AdamWState(lr=cfg.lr)
     rng = rng_for("fewshot", cfg.seed)
     for step in range(cfg.steps):
@@ -137,7 +139,7 @@ def fewshot_finetune(params0: model.Params, cfg: FewShotConfig) -> model.Params:
             # same two-arrangement objective as pre-training, flipped half the time
             loss = masked_cell_loss(params, prompt, query, rng.random() < 0.5)
             loss.backward()
-            adamw_step(params.tensors, collect_grads(params.tensors), state)
+            adamw_step(group, collect_grads(group), state)
         except FloatingPointError as err:
             raise RuntimeError(f"few-shot fine-tuning diverged at step {step}: {err}") from err
     return params

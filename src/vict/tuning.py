@@ -126,15 +126,13 @@ def adapt_and_predict(
     """Tune a private clone of the weights for ``config.steps`` cycle-loss
     steps, then predict the test output with the adapted weights.
 
-    ``params0`` is never mutated; the optimizer state is fresh, and only
-    the selected parameter group is stepped. Tensors outside the group
-    stop requiring gradients in the clone, so backward computes none for
-    them; activation gradients still flow through them.
+    ``params0`` is never mutated; the optimizer state is fresh. Only the
+    clone's selected group goes on the tape (``model.trainable``) and is
+    stepped: backward computes no gradient for the other tensors, while
+    activation gradients still flow through them.
     """
     work = params0.clone()
-    group = model.param_group(work, config.selector)
-    for name, t in work.tensors.items():
-        t.requires_grad = name in group
+    group = model.trainable(work, config.selector)
     state = AdamWState(lr=config.lr, eps=config.eps)
     pair = prompt.pair
     trace: list[float] = []

@@ -69,11 +69,10 @@ def test_flipped_and_inference_masks_are_disjoint():
     assert overlap.sum() == 0
 
 
-def test_flipped_clamps_prediction():
+def test_flipped_rejects_out_of_range_prediction():
     wild = T.Tensor(np.full((3, 32, 32), 2.5, dtype=np.float32))
-    flipped = cv.assemble_flipped(const_image(0.1), const_image(0.2), wild)
-    br = cv.extract_cell(flipped.pixels(), cv.CellPosition.BOTTOM_RIGHT).data
-    assert np.all(br == 1.0)
+    with pytest.raises(ValueError, match=r"assemble_flipped\(y_t_hat\): pixel values outside \[0, 1\]"):
+        cv.assemble_flipped(const_image(0.1), const_image(0.2), wild)
 
 
 def test_assemble_rejects_bad_inputs():

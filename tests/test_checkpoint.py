@@ -33,6 +33,14 @@ def test_round_trip_is_bit_exact(checkpoint_path):
     assert loaded.groups == params.groups
 
 
+def test_loaded_weights_are_off_the_tape(tmp_path):
+    params = model.init(SMALL_MODEL, seed=1)
+    model.trainable(params, "all")
+    path = tmp_path / "trained.bin"
+    save_checkpoint(params, path)
+    assert not any(t.requires_grad for t in load_checkpoint(path).tensors.values())
+
+
 def test_save_load_save_identical_bytes(checkpoint_path, tmp_path):
     _, path = checkpoint_path
     second = tmp_path / "again.bin"

@@ -107,3 +107,25 @@ def test_bench_rejects_repeated_corruption(small_checkpoint, capsys):
 def test_bench_defaults_are_victconfig_defaults():
     args = build_parser().parse_args(["bench", "--checkpoint", "x"])
     assert _bench_config(args, (), (5,)).vict == tuning.VictConfig()
+
+
+@pytest.mark.parametrize(
+    "flags, message",
+    [
+        (["--repeats", "0"], "repeats must be >= 1, got 0"),
+        (["--shots", "1,1"], "shot count 1 selected more than once"),
+        (["--shots", "1,3"], "shot counts [3] not in"),
+        (["--shots", "1,x"], "--shots: 'x' in '1,x' is not an integer"),
+        (["--severity", "6"], "severity must be in 1..5, got 6"),
+    ],
+)
+def test_fewshot_rejects_bad_flags(small_checkpoint, capsys, flags, message):
+    code = cli_main(["fewshot", "--checkpoint", str(small_checkpoint), "--finetune-steps", "1", *flags])
+    assert code == 1
+    assert message in capsys.readouterr().err
+
+
+def test_bench_names_bad_severity_item(small_checkpoint, capsys):
+    code = cli_main(["bench", "--checkpoint", str(small_checkpoint), "--severity", "3,x"])
+    assert code == 1
+    assert "--severity: 'x' in '3,x' is not an integer" in capsys.readouterr().err

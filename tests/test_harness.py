@@ -181,3 +181,21 @@ def test_fewshot_sweep_runs(small_checkpoint):
     assert all(len(e["values"]) == 2 for e in result["per_shot"])
     again = harness.run_fewshot(config)
     assert json.dumps(result, sort_keys=True) == json.dumps(again, sort_keys=True)
+
+
+@pytest.mark.parametrize(
+    "overrides, message",
+    [
+        (dict(repeats=0), "repeats must be >= 1, got 0"),
+        (dict(num_samples=0), "num_samples must be >= 1, got 0"),
+        (dict(finetune_steps=-1), "finetune_steps must be >= 0, got -1"),
+        (dict(shots=()), "empty shot list"),
+        (dict(shots=(1, 2, 1)), "shot count 1 selected more than once"),
+        (dict(shots=(1, 3)), r"shot counts \[3\] not in"),
+        (dict(severity=0), "severity must be in 1..5, got 0"),
+        (dict(severity=6), "severity must be in 1..5, got 6"),
+    ],
+)
+def test_fewshot_config_rejects_bad_values(overrides, message):
+    with pytest.raises(ValueError, match=message):
+        harness.FewShotSweepConfig(checkpoint="unused", **overrides)

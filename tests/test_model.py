@@ -47,18 +47,38 @@ def test_every_tensor_has_group_label(default_params):
     assert set(default_params.groups) == set(default_params.tensors)
 
 
-def test_param_groups_partition(default_params):
-    everything = model.param_group(default_params, "all")
-    encoder = model.param_group(default_params, "encoder")
+def _flags(params):
+    return {name: t.requires_grad for name, t in params.tensors.items()}
+
+
+def test_trainable_groups_partition():
+    params = model.init(model.ModelConfig(), seed=0)
+    everything = model.trainable(params, "all")
+    assert list(everything) == list(params.tensors)
+    assert all(_flags(params).values())
+    encoder = model.trainable(params, "encoder")
     decoder_names = set(everything) - set(encoder)
     assert set(everything) == set(encoder) | decoder_names
-    assert all(default_params.groups[n] == model.DECODER for n in decoder_names)
+    assert all(params.groups[n] == model.DECODER for n in decoder_names)
+    assert _flags(params) == {name: name in encoder for name in params.tensors}
     assert "head.weight" not in encoder
     assert "mask_token" in encoder
     assert "patch_embed.weight" in encoder
     assert "pos_embed" in encoder
     with pytest.raises(ValueError, match="selector"):
-        model.param_group(default_params, "decoder")
+        model.trainable(params, "decoder")
+
+
+def test_init_and_clone_leave_weights_off_the_tape():
+    params = model.init(model.ModelConfig(), seed=0)
+    assert not any(_flags(params).values())
+    model.trainable(params, "all")
+    assert not any(_flags(params.clone()).values())
+
+
+def test_frozen_forward_records_no_tape(default_params, inference_canvas):
+    out = model.forward(default_params, inference_canvas)
+    assert out._parents == () and out._backward is None and not out.requires_grad
 
 
 def test_forward_output_shape_and_range(default_params, inference_canvas):
@@ -110,6 +130,7 @@ def test_masked_cell_output_independent_of_fill(default_params):
 
 def test_tiny_config_gradients_match_finite_differences():
     params = model.init(TINY_CONFIG, seed=0, dtype=np.float64)
+    model.trainable(params, "all")
     prompt = tasks.generate(tasks.TaskKind.DENOISE, 1, cell_size=8)
     query = tasks.generate(tasks.TaskKind.DENOISE, 2, cell_size=8)
     pair = (prompt.input.astype(np.float64), prompt.target.astype(np.float64))
@@ -173,6 +194,7 @@ def test_fused_ops_match_primitive_chain_bit_for_bit(default_params, monkeypatch
 
     def loss_and_grads():
         params = default_params.clone()
+        model.trainable(params, "all")
         loss = tuning.cycle_loss(params, pair, query.input)
         loss.backward()
         return loss.data.tobytes(), {name: t.grad.tobytes() for name, t in params.tensors.items()}

@@ -141,13 +141,14 @@ def test_encoder_selector_freezes_decoder_group(params, sample_pair, monkeypatch
 def test_encoder_selector_computes_no_decoder_gradients(params, sample_pair, monkeypatch):
     pair, x_t = sample_pair
     digest = params.digest()
+    flags = {name: t.requires_grad for name, t in params.tensors.items()}
     adapted = _adapted_clone(params, pair, x_t, tuning.VictConfig(steps=1, selector="encoder"), monkeypatch)
     for name, t in adapted.tensors.items():
         if params.groups[name] == model.DECODER:
             assert t.grad is None and not t.requires_grad, name
         else:
             assert t.grad is not None and t.requires_grad, name
-    assert all(t.requires_grad for t in params.tensors.values())
+    assert {name: t.requires_grad for name, t in params.tensors.items()} == flags
     assert params.digest() == digest
 
 
