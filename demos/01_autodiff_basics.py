@@ -8,14 +8,14 @@ import numpy as np
 from vict import tensor as T
 from vict.gradcheck import finite_diff_grad, rel_error
 
-# A scalar loss built from a few ops: loss = mean(gelu(x @ W + b) * x @ W + b ...)
+# A scalar loss built from a few ops: loss = sum(gelu(x @ W + b) ** 2)
 rng = np.random.default_rng(0)
 x = T.parameter(rng.normal(size=(4, 6)))
 w = T.parameter(rng.normal(size=(6, 3)) * 0.5)
 b = T.parameter(np.zeros(3))
 
 hidden = T.gelu(T.add_row(T.matmul(x, w), b))
-loss = T.mean(T.mul(hidden, hidden))
+loss = T.tsum(T.mul(hidden, hidden))
 print(f"loss = {loss.item():.6f}")
 
 loss.backward()
@@ -24,14 +24,14 @@ print(f"grad shapes: x {x.grad.shape}, w {w.grad.shape}, b {b.grad.shape}")
 # Same gradient by central finite differences.
 def loss_value():
     h = T.gelu(T.add_row(T.matmul(x, w), b))
-    return T.mean(T.mul(h, h)).item()
+    return T.tsum(T.mul(h, h)).item()
 
 numeric = finite_diff_grad(loss_value, w.data)
 print(f"max relative error vs finite differences: {rel_error(w.grad, numeric):.2e}")
 
 # Gradients accumulate until cleared.
 first = x.grad.copy()
-loss2 = T.mean(T.mul(T.add_row(T.matmul(x, w), b), T.add_row(T.matmul(x, w), b)))
+loss2 = T.tsum(T.mul(T.add_row(T.matmul(x, w), b), T.add_row(T.matmul(x, w), b)))
 loss2.backward()
 print(f"accumulated: {not np.allclose(x.grad, first)}")
 T.zero_grads([x, w, b])

@@ -17,7 +17,8 @@ for task in tasks.ALL_TASKS:
     sample = tasks.generate(task, seed=7)
     metric = tasks.evaluate(task, sample.input, sample.target)
     print(f"{task.value:<13} input-vs-target {metric.name} = {metric.value:.3f}")
-    tasks.dump_sample(sample, out)
+    write_ppm(out / f"{task.value}_{sample.seed}_input.ppm", sample.input)
+    write_ppm(out / f"{task.value}_{sample.seed}_target.ppm", sample.target)
 
 # The inference canvas: prompt pair on top, query input bottom-left, masked cell bottom-right.
 prompt = tasks.generate(tasks.TaskKind.DERAIN, seed=1)

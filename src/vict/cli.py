@@ -51,38 +51,37 @@ def _parse_methods(text: str) -> tuple[str, ...]:
 
 
 def _add_bench_flags(p: argparse.ArgumentParser) -> None:
-    vict = tuning.VictConfig()
+    bench = harness.BenchConfig(checkpoint="")
+    vict = bench.vict
     p.add_argument("--checkpoint", required=True)
-    p.add_argument("--task", default="denoise")
-    p.add_argument("--severity", default="5", help="comma list of levels in [1,5]")
-    p.add_argument("--setting", default="both", choices=["zero", "one", "both"])
+    p.add_argument("--task", default=bench.task.value)
     p.add_argument("--method", default="both", choices=["frozen", "vict", "both"])
     p.add_argument("--steps", type=int, default=vict.steps, help="test-time tuning steps")
     p.add_argument("--lr", type=float, default=vict.lr, help="test-time tuning learning rate")
     p.add_argument("--eps", type=float, default=vict.eps, help="test-time AdamW damping")
     p.add_argument("--tune", default=vict.selector, choices=["encoder", "all"])
     p.add_argument("--beta", type=float, default=vict.beta)
-    p.add_argument("--num-samples", type=int, default=50)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--num-samples", type=int, default=bench.num_samples)
+    p.add_argument("--seed", type=int, default=bench.seed)
     p.add_argument("--out", default=None, help="write the JSON report here")
     p.add_argument("--csv", default=None, help="also write a CSV report here")
     p.add_argument("--dump-canvases", default=None, metavar="DIR")
     p.add_argument("--trace-loss", default=None, metavar="DIR")
 
 
-def _bench_config(args, corruption_kinds, severities) -> harness.BenchConfig:
+def _bench_config(args, **grid) -> harness.BenchConfig:
+    """The ``bench``/``clean-eval`` config; ``grid`` holds ``bench``'s
+    corruption, severity and setting selection."""
     return harness.BenchConfig(
         checkpoint=args.checkpoint,
         task=tasks.TaskKind(args.task),
-        corruption_kinds=corruption_kinds,
-        severities=severities,
-        settings=_parse_settings(args.setting),
         methods=_parse_methods(args.method),
         num_samples=args.num_samples,
         vict=tuning.VictConfig(steps=args.steps, lr=args.lr, eps=args.eps, selector=args.tune, beta=args.beta),
         seed=args.seed,
         dump_canvases=args.dump_canvases,
         trace_loss_dir=args.trace_loss,
+        **grid,
     )
 
 
@@ -112,15 +111,18 @@ def _cmd_pretrain(args) -> int:
 
 
 def _cmd_bench(args) -> int:
-    config = _bench_config(args, _parse_corruptions(args.corruption), _parse_int_list("--severity", args.severity))
+    config = _bench_config(
+        args,
+        corruption_kinds=_parse_corruptions(args.corruption),
+        severities=_parse_int_list("--severity", args.severity),
+        settings=_parse_settings(args.setting),
+    )
     _emit_report(harness.run_bench(config), args)
     return 0
 
 
 def _cmd_clean_eval(args) -> int:
-    # corruption kinds and severities are ignored by the clean evaluation
-    config = _bench_config(args, (), (5,))
-    report = harness.run_clean_eval(config)
+    report = harness.run_clean_eval(_bench_config(args))
     _emit_report(report, args)
     for gap in report.clean_gaps:
         marker = "  [gap > 5%]" if gap["exceeds_5pct"] else ""
@@ -167,12 +169,13 @@ def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="vict", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
 
+    pre = training.PretrainConfig()
     p = sub.add_parser("pretrain", help="pre-train on clean procedural tasks")
     p.add_argument("--task-mix", default="all", help="comma list of tasks, or 'all'")
     p.add_argument("--exclude-task", default=None, help="hold one task out of pre-training")
-    p.add_argument("--steps", type=int, default=5000)
-    p.add_argument("--lr", type=float, default=1e-3)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--steps", type=int, default=pre.steps)
+    p.add_argument("--lr", type=float, default=pre.lr)
+    p.add_argument("--seed", type=int, default=pre.seed)
     p.add_argument("--out", required=True)
     p.add_argument("--loss-trace", default=None, help="write a step,loss CSV here")
     p.set_defaults(func=_cmd_pretrain)
@@ -180,23 +183,26 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("bench", help="corruption benchmark sweep")
     _add_bench_flags(p)
     p.add_argument("--corruption", default="all", help="comma list of kinds, or 'all'")
+    p.add_argument("--severity", default="5", help="comma list of levels in [1,5]")
+    p.add_argument("--setting", default="both", choices=["zero", "one", "both"])
     p.set_defaults(func=_cmd_bench)
 
-    p = sub.add_parser("clean-eval", help="evaluate on clean (in-domain) samples")
+    p = sub.add_parser("clean-eval", help="evaluate on clean (in-domain) samples, zero-shot")
     _add_bench_flags(p)
     p.set_defaults(func=_cmd_clean_eval)
 
+    few = harness.FewShotSweepConfig(checkpoint="")
     p = sub.add_parser("fewshot", help="few-shot corrupted fine-tuning baseline sweep")
     p.add_argument("--checkpoint", required=True)
-    p.add_argument("--shots", default="1,2,4,8,16,32,64")
-    p.add_argument("--task", default="denoise")
-    p.add_argument("--corruption", default="gaussian_noise")
-    p.add_argument("--severity", type=int, default=3)
-    p.add_argument("--finetune-steps", type=int, default=300)
-    p.add_argument("--finetune-lr", type=float, default=3e-4)
-    p.add_argument("--num-samples", type=int, default=16)
-    p.add_argument("--repeats", type=int, default=3)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--shots", default=",".join(map(str, training.FEWSHOT_ALLOWED)))
+    p.add_argument("--task", default=few.task.value)
+    p.add_argument("--corruption", default=few.corruption_kind.value)
+    p.add_argument("--severity", type=int, default=few.severity)
+    p.add_argument("--finetune-steps", type=int, default=few.finetune_steps)
+    p.add_argument("--finetune-lr", type=float, default=few.finetune_lr)
+    p.add_argument("--num-samples", type=int, default=few.num_samples)
+    p.add_argument("--repeats", type=int, default=few.repeats)
+    p.add_argument("--seed", type=int, default=few.seed)
     p.add_argument("--out", default=None)
     p.set_defaults(func=_cmd_fewshot)
 

@@ -3,10 +3,11 @@
 Four categories: noise (gaussian, shot, impulse), blur (defocus, glass,
 motion, zoom), weather (fog, frost, snow), and digital (brightness,
 contrast, elastic transform, jpeg compression, pixelate). Severity
-parameters live in a versioned config file shipped with the package and
-are chosen so the mean squared distortion grows with severity; nothing
-here depends on external assets. ``apply`` is a pure function of
-(image, kind, severity, seed) thanks to counter-based random streams.
+parameters come from the one versioned table shipped with the package
+(``default_severity_table``) and are chosen so the mean squared
+distortion grows with severity; nothing here depends on external assets.
+``apply`` is a pure function of (image, kind, severity, seed) thanks to
+counter-based random streams.
 """
 
 from __future__ import annotations
@@ -76,17 +77,8 @@ SeverityTable = dict[CorruptionKind, tuple[tuple[float, ...], ...]]
 
 
 # ---------------------------------------------------------------------------
-# severity table config file
+# the shipped severity table
 # ---------------------------------------------------------------------------
-
-
-def save_severity_table(path: str | Path, table: SeverityTable, version: int = TABLE_VERSION) -> None:
-    lines = ["# corruption severity table", f"table_version = {version}"]
-    for kind in ALL_KINDS:
-        for sev in range(1, 6):
-            row = ",".join(repr(float(v)) for v in table[kind][sev - 1])
-            lines.append(f"{kind.value}.{sev} = {row}")
-    Path(path).write_text("\n".join(lines) + "\n", encoding="ascii")
 
 
 def _parse_table(text: str) -> SeverityTable:
@@ -112,10 +104,6 @@ def _parse_table(text: str) -> SeverityTable:
     return table
 
 
-def load_severity_table(path: str | Path) -> SeverityTable:
-    return _parse_table(Path(path).read_text(encoding="ascii"))
-
-
 _DEFAULT_TABLE: SeverityTable | None = None
 
 
@@ -127,13 +115,12 @@ def default_severity_table() -> SeverityTable:
     return _DEFAULT_TABLE
 
 
-def severity_params(kind: CorruptionKind, severity: int, table: SeverityTable | None = None) -> tuple[float, ...]:
+def severity_params(kind: CorruptionKind, severity: int) -> tuple[float, ...]:
     if not isinstance(kind, CorruptionKind):
         raise ValueError(f"severity_params: unknown kind {kind!r}")
     if severity not in (1, 2, 3, 4, 5):
         raise ValueError(f"severity_params: severity must be in [1, 5], got {severity}")
-    table = table if table is not None else default_severity_table()
-    return table[kind][severity - 1]
+    return default_severity_table()[kind][severity - 1]
 
 
 # ---------------------------------------------------------------------------
@@ -247,7 +234,7 @@ def _resize_bilinear(image: np.ndarray, out_h: int, out_w: int) -> np.ndarray:
 
 def _gaussian_noise(img, rng, params):
     (sigma,) = params
-    return img + rng.normal(0.0, sigma, size=img.shape) if sigma > 0 else img
+    return img + rng.normal(0.0, sigma, size=img.shape)
 
 
 def _shot_noise(img, rng, params):
@@ -447,14 +434,14 @@ _IMPLEMENTATIONS = {
 }
 
 
-def apply(image: np.ndarray, spec: CorruptionSpec, table: SeverityTable | None = None) -> np.ndarray:
+def apply(image: np.ndarray, spec: CorruptionSpec) -> np.ndarray:
     """Corrupt a [3, C, C] image in [0, 1]; output is clipped back to [0, 1]."""
     arr = np.asarray(image)
     if arr.ndim != 3 or arr.shape[0] != 3:
         raise ValueError(f"apply: expected [3, C, C] image, got {arr.shape}")
     if arr.min() < 0.0 or arr.max() > 1.0:
         raise ValueError("apply: input pixel values outside [0, 1]")
-    params = severity_params(spec.kind, spec.severity, table)
+    params = severity_params(spec.kind, spec.severity)
     rng = rng_for("corrupt", spec.kind.value, spec.severity, spec.seed)
     out = _IMPLEMENTATIONS[spec.kind](arr.astype(np.float64), rng, params)
     out = np.clip(out, 0.0, 1.0)
@@ -463,16 +450,14 @@ def apply(image: np.ndarray, spec: CorruptionSpec, table: SeverityTable | None =
     return out.astype(arr.dtype if np.issubdtype(arr.dtype, np.floating) else np.float32)
 
 
-def monotonicity_report(
-    images: list[np.ndarray], table: SeverityTable | None = None, seed: int = 0
-) -> list[tuple[str, int, float]]:
+def monotonicity_report(images: list[np.ndarray], seed: int = 0) -> list[tuple[str, int, float]]:
     """Mean MSE-to-clean per (kind, severity) over a probe set."""
     rows = []
     for kind in ALL_KINDS:
         for sev in range(1, 6):
             total = 0.0
             for i, img in enumerate(images):
-                out = apply(img, CorruptionSpec(kind, sev, seed + i), table)
+                out = apply(img, CorruptionSpec(kind, sev, seed + i))
                 total += float(np.mean((out.astype(np.float64) - np.asarray(img, dtype=np.float64)) ** 2))
             rows.append((kind.value, sev, total / len(images)))
     return rows

@@ -112,7 +112,6 @@ def check_op_gradients(seed: int = 0) -> dict[str, float]:
     results["softmax"] = _check(lambda: T.tsum(T.mul(T.softmax(s), T.constant(ws))), {"s": s})
     results["gelu"] = _check(lambda: T.tsum(T.mul(T.gelu(s), T.constant(ws))), {"s": s})
     results["sigmoid"] = _check(lambda: T.tsum(T.mul(T.sigmoid(s), T.constant(ws))), {"s": s})
-    results["mean"] = _check(lambda: T.mean(T.mul(s, T.constant(ws))), {"s": s})
 
     ln_x, ln_g, ln_b = leaf(4, 6), leaf(6), leaf(6)
     wl = fixed(4, 6)

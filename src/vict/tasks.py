@@ -11,7 +11,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
-from pathlib import Path
 
 import numpy as np
 from scipy.ndimage import convolve
@@ -259,14 +258,3 @@ def a_rel(pred_depth: np.ndarray, target_depth: np.ndarray) -> Metric:
     if not valid.any():
         raise ValueError("a_rel: target has no pixels above the depth floor")
     return Metric("A.Rel", float(np.mean(np.abs(p[valid] - t[valid]) / t[valid])), False)
-
-
-def dump_sample(sample: TaskSample, directory: str | Path) -> None:
-    """Write a sample's input and target as P6 pixmaps."""
-    from .canvas import write_ppm
-
-    directory = Path(directory)
-    directory.mkdir(parents=True, exist_ok=True)
-    stem = f"{sample.task.value}_{sample.seed}"
-    write_ppm(directory / f"{stem}_input.ppm", sample.input)
-    write_ppm(directory / f"{stem}_target.ppm", sample.target)

@@ -28,6 +28,7 @@ import numpy as np
 from scipy.special import erf
 
 DEFAULT_DTYPE = np.float32
+LAYERNORM_EPS = 1e-5
 
 _INV_SQRT2 = 0.7071067811865476
 _INV_SQRT_2PI = 0.3989422804014327
@@ -428,7 +429,7 @@ def softmax(a: Tensor) -> Tensor:
     return out
 
 
-def layernorm(x: Tensor, gain: Tensor, bias: Tensor, eps: float = 1e-5) -> Tensor:
+def layernorm(x: Tensor, gain: Tensor, bias: Tensor) -> Tensor:
     """Normalize over the last axis, then scale and shift per feature."""
     x, gain, bias = as_tensor(x), as_tensor(gain), as_tensor(bias)
     d = x.shape[-1]
@@ -437,7 +438,7 @@ def layernorm(x: Tensor, gain: Tensor, bias: Tensor, eps: float = 1e-5) -> Tenso
     mu = x.data.mean(axis=-1, keepdims=True)
     centered = x.data - mu
     var = (centered * centered).mean(axis=-1, keepdims=True)
-    inv = 1.0 / np.sqrt(var + eps)
+    inv = 1.0 / np.sqrt(var + LAYERNORM_EPS)
     xhat = centered * inv
     out = _node(xhat * gain.data + bias.data, (x, gain, bias), "layernorm")
     if out.requires_grad:
@@ -450,7 +451,7 @@ def layernorm(x: Tensor, gain: Tensor, bias: Tensor, eps: float = 1e-5) -> Tenso
             if not x.requires_grad:
                 return
             dxhat = g * gain.data
-            # d/dx of (x - mu) / sqrt(var + eps), all statistics over the last axis
+            # d/dx of (x - mu) / sqrt(var + LAYERNORM_EPS), all statistics over the last axis
             dx = inv * (
                 dxhat
                 - dxhat.mean(axis=-1, keepdims=True)
@@ -481,15 +482,6 @@ def sigmoid(x: Tensor) -> Tensor:
     out = _node(y, (x,), "sigmoid")
     if out.requires_grad:
         out._backward = lambda g: _accumulate(x, g * y * (1.0 - y))
-    return out
-
-
-def mean(a: Tensor) -> Tensor:
-    """Mean over all elements, reducing to a scalar."""
-    a = as_tensor(a)
-    out = _node(a.data.mean(), (a,), "mean")
-    if out.requires_grad:
-        out._backward = lambda g: _accumulate(a, np.full_like(a.data, g / a.size))
     return out
 
 

@@ -90,7 +90,7 @@ def pretrain(model_config: model.ModelConfig, cfg: PretrainConfig) -> PretrainRe
             raise RuntimeError(f"pretraining diverged at step {step}: {err}") from err
         losses.append(loss.item())
 
-    return PretrainResult(params=params, losses=losses, task_counts=counts)
+    return PretrainResult(params=params.clone(), losses=losses, task_counts=counts)
 
 
 def save_loss_trace(path: str | Path, losses: list[float]) -> None:
@@ -142,4 +142,4 @@ def fewshot_finetune(params0: model.Params, cfg: FewShotConfig) -> model.Params:
             adamw_step(group, collect_grads(group), state)
         except FloatingPointError as err:
             raise RuntimeError(f"few-shot fine-tuning diverged at step {step}: {err}") from err
-    return params
+    return params.clone()

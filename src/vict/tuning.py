@@ -29,15 +29,16 @@ ONE_SHOT = "one_shot"
 
 @dataclass(frozen=True)
 class PromptSet:
-    """One support input/output pair and where its input came from."""
+    """One support input/output pair and the corruption applied to its
+    input, if any."""
 
     pair: tuple[np.ndarray, np.ndarray]
-    provenance: str  # "clean" or "corrupted"
     corruption: CorruptionSpec | None = None
 
-    def __post_init__(self):
-        if self.provenance not in ("clean", "corrupted"):
-            raise ValueError(f"PromptSet: bad provenance {self.provenance!r}")
+    @property
+    def provenance(self) -> str:
+        """Where the prompt input came from: "clean" or "corrupted"."""
+        return "clean" if self.corruption is None else "corrupted"
 
 
 @dataclass(frozen=True)
@@ -86,12 +87,12 @@ def select_prompt(
     seed. Prompt targets are never corrupted."""
     sample = tasks.generate(task, seed, cell_size)
     if setting == ZERO_SHOT:
-        return PromptSet(pair=(sample.input, sample.target), provenance="clean")
+        return PromptSet(pair=(sample.input, sample.target))
     if setting == ONE_SHOT:
         if corruption is None:
             raise ValueError("select_prompt: one-shot setting requires a corruption spec")
         spec = CorruptionSpec(corruption.kind, corruption.severity, mix("prompt-corruption", corruption.seed, seed))
-        return PromptSet(pair=(apply(sample.input, spec), sample.target), provenance="corrupted", corruption=spec)
+        return PromptSet(pair=(apply(sample.input, spec), sample.target), corruption=spec)
     raise ValueError(f"select_prompt: unknown setting {setting!r}")
 
 

@@ -2,7 +2,7 @@ import json
 
 import pytest
 
-from vict import tuning
+from vict import harness, training, tuning
 from vict.cli import _bench_config, build_parser, cli_main
 
 
@@ -106,7 +106,34 @@ def test_bench_rejects_repeated_corruption(small_checkpoint, capsys):
 
 def test_bench_defaults_are_victconfig_defaults():
     args = build_parser().parse_args(["bench", "--checkpoint", "x"])
-    assert _bench_config(args, (), (5,)).vict == tuning.VictConfig()
+    assert _bench_config(args).vict == tuning.VictConfig()
+
+
+@pytest.mark.parametrize(
+    "argv, runner, expected",
+    [
+        (["pretrain", "--out", "x"], (training, "pretrain"), training.PretrainConfig()),
+        (["bench", "--checkpoint", "x"], (harness, "run_bench"), harness.BenchConfig(checkpoint="x")),
+        (["clean-eval", "--checkpoint", "x"], (harness, "run_clean_eval"), harness.BenchConfig(checkpoint="x")),
+        (["fewshot", "--checkpoint", "x"], (harness, "run_fewshot"), harness.FewShotSweepConfig(checkpoint="x")),
+    ],
+)
+def test_flag_defaults_build_the_default_config(monkeypatch, argv, runner, expected):
+    built = []
+
+    def stop(*args):
+        built.append(args[-1])
+        raise RuntimeError("stop before running")
+
+    monkeypatch.setattr(*runner, stop)
+    assert cli_main(argv) == 1
+    assert built == [expected]
+
+
+@pytest.mark.parametrize("flags", [["--severity", "3,x"], ["--setting", "one"]])
+def test_clean_eval_does_not_offer_bench_grid_flags(capsys, flags):
+    assert cli_main(["clean-eval", "--checkpoint", "x", *flags]) == 2
+    assert f"unrecognized arguments: {' '.join(flags)}" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize(

@@ -45,16 +45,6 @@ def test_apply_outputs_in_range_and_shape(probe_set):
             assert np.isfinite(out).all()
 
 
-def test_gaussian_zero_sigma_is_identity(probe_set):
-    table = {k: cor.default_severity_table()[k] for k in cor.ALL_KINDS}
-    rows = list(table[cor.CorruptionKind.GAUSSIAN_NOISE])
-    rows[0] = (0.0,)
-    table[cor.CorruptionKind.GAUSSIAN_NOISE] = tuple(rows)
-    img = probe_set[2]
-    out = cor.apply(img, spec(cor.CorruptionKind.GAUSSIAN_NOISE, 1), table=table)
-    assert out.tobytes() == img.tobytes()
-
-
 def test_severity_monotone_mse_on_probe_set(probe_set):
     rows = cor.monotonicity_report(probe_set, seed=0)
     by_kind = {}
@@ -86,13 +76,6 @@ def test_spec_validation():
         cor.CorruptionSpec("fog", 3, 0)
     with pytest.raises(ValueError, match=r"\[0, 1\]"):
         cor.apply(np.full((3, 8, 8), 1.5), spec(cor.CorruptionKind.FOG))
-
-
-def test_severity_table_round_trip(tmp_path):
-    table = cor.default_severity_table()
-    path = tmp_path / "table.cfg"
-    cor.save_severity_table(path, table)
-    assert cor.load_severity_table(path) == table
 
 
 def test_monotonicity_csv(tmp_path, probe_set):

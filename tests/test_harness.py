@@ -111,6 +111,15 @@ def test_bench_config_rejects_repeats(small_checkpoint, overrides, named):
         bench_config(small_checkpoint, **overrides)
 
 
+@pytest.mark.parametrize(
+    "field, label",
+    [("corruption_kinds", "corruption kind"), ("severities", "severity"), ("settings", "setting"), ("methods", "method")],
+)
+def test_bench_config_rejects_empty_selection(small_checkpoint, field, label):
+    with pytest.raises(ValueError, match=f"BenchConfig: empty {label} selection"):
+        bench_config(small_checkpoint, **{field: ()})
+
+
 def test_clean_eval_rows_and_gaps(small_checkpoint):
     config = bench_config(small_checkpoint, methods=(harness.FROZEN, harness.VICT))
     report = harness.run_clean_eval(config)

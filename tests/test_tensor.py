@@ -37,8 +37,8 @@ def test_softmax_of_constant_row_is_uniform():
 
 
 def test_layernorm_normalizes_rows():
-    x = T.Tensor(arr(1.0, 2.0, 3.0).reshape(1, 3))
-    out = T.layernorm(x, T.Tensor(np.ones(3)), T.Tensor(np.zeros(3)), eps=1e-12)
+    x = T.Tensor(arr(100.0, 200.0, 300.0).reshape(1, 3))  # variance far above LAYERNORM_EPS
+    out = T.layernorm(x, T.Tensor(np.ones(3)), T.Tensor(np.zeros(3)))
     assert abs(out.data.mean()) < 1e-6
     assert abs(out.data.var() - 1.0) < 1e-6
 

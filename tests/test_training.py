@@ -3,7 +3,7 @@ import pytest
 
 from vict import corruptions, model, tasks, training
 from vict import tensor as T
-from vict.canvas import Canvas, CellPosition
+from vict.canvas import Canvas, CellPosition, assemble_inference
 
 SMALL_MODEL = model.ModelConfig(cell_size=16, patch_size=8, embed_dim=32, encoder_depth=1, decoder_depth=1, num_heads=2)
 
@@ -111,3 +111,18 @@ def test_fewshot_deterministic_and_leaves_original_untouched():
     assert a.digest() == b.digest()
     assert a.digest() != digest_before
     assert params.digest() == digest_before
+
+
+def test_trained_weights_are_off_the_tape():
+    pretrained = training.pretrain(SMALL_MODEL, training.PretrainConfig(steps=1, seed=7)).params
+    cfg = training.FewShotConfig(
+        shots=1,
+        task=tasks.TaskKind.DENOISE,
+        corruption_kind=corruptions.CorruptionKind.GAUSSIAN_NOISE,
+        severity=3,
+        steps=1,
+    )
+    canvas = assemble_inference(*(np.zeros((3, 16, 16), np.float32),) * 3)
+    for params in (pretrained, training.fewshot_finetune(pretrained, cfg)):
+        assert not any(t.requires_grad for t in params.tensors.values())
+        assert model.forward(params, canvas)._parents == ()

@@ -29,6 +29,8 @@ def test_zero_shot_prompt_is_clean():
     prompt = tuning.select_prompt(tasks.TaskKind.DENOISE, tuning.ZERO_SHOT, None, seed=9, cell_size=16)
     clean = tasks.generate(tasks.TaskKind.DENOISE, 9, cell_size=16)
     assert prompt.provenance == "clean"
+    with pytest.raises(TypeError):  # provenance follows the corruption; it is not stored
+        tuning.PromptSet(prompt.pair, "corrupted", None)
     assert prompt.pair[0].tobytes() == clean.input.tobytes()
     assert prompt.pair[1].tobytes() == clean.target.tobytes()
 
@@ -95,7 +97,7 @@ def test_cycle_loss_zero_for_identity_copier(params, sample_pair, monkeypatch):
 
 def test_k0_reduces_to_frozen_inference(params, sample_pair):
     pair, x_t = sample_pair
-    prompt = tuning.PromptSet(pair=pair, provenance="clean")
+    prompt = tuning.PromptSet(pair=pair)
     result = tuning.adapt_and_predict(params, prompt, x_t, tuning.VictConfig(steps=0))
     frozen = tuning.infer(params, pair, x_t)
     assert result.y_t_hat.tobytes() == frozen.tobytes()
@@ -105,7 +107,7 @@ def test_k0_reduces_to_frozen_inference(params, sample_pair):
 def test_adaptation_leaves_theta0_untouched(params, sample_pair):
     pair, x_t = sample_pair
     digest = params.digest()
-    prompt = tuning.PromptSet(pair=pair, provenance="clean")
+    prompt = tuning.PromptSet(pair=pair)
     tuning.adapt_and_predict(params, prompt, x_t, tuning.VictConfig(steps=3))
     assert params.digest() == digest
 
@@ -120,7 +122,7 @@ def _adapted_clone(params, pair, x_t, config, monkeypatch):
         return original_infer(work_params, *args, **kwargs)
 
     monkeypatch.setattr(tuning, "infer", capturing_infer)
-    tuning.adapt_and_predict(params, tuning.PromptSet(pair=pair, provenance="clean"), x_t, config)
+    tuning.adapt_and_predict(params, tuning.PromptSet(pair=pair), x_t, config)
     return captured["params"]
 
 
@@ -180,7 +182,7 @@ def test_reset_correctness_between_samples(params):
 
 def test_loss_trace_has_config_length(params, sample_pair):
     pair, x_t = sample_pair
-    prompt = tuning.PromptSet(pair=pair, provenance="clean")
+    prompt = tuning.PromptSet(pair=pair)
     result = tuning.adapt_and_predict(params, prompt, x_t, tuning.VictConfig(steps=4))
     assert len(result.loss_trace) == 4
     assert result.y_t_hat.min() >= 0.0 and result.y_t_hat.max() <= 1.0
