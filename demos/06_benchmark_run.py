@@ -43,7 +43,11 @@ print(report.to_text())
 report.write_json(out / "bench_report.json")
 (out / "bench_report.csv").write_text(report.to_csv())
 
-clean = harness.run_clean_eval(config)
+# clean evaluation is zero-shot on uncorrupted samples: no corruption grid
+clean_config = harness.BenchConfig(
+    checkpoint=ckpt, task=config.task, num_samples=config.num_samples, vict=config.vict, seed=config.seed
+)
+clean = harness.run_clean_eval(clean_config)
 for gap in clean.clean_gaps:
     print(f"clean data: frozen {gap['frozen_mean']:.2f} vs tuned {gap['vict_mean']:.2f} "
           f"(relative gap {gap['relative_gap']:.1%}, flag={gap['exceeds_5pct']})")

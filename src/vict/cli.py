@@ -5,6 +5,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from enum import Enum
 from pathlib import Path
 
 from . import corruptions, gradcheck, harness, tasks, training, tuning
@@ -12,16 +13,23 @@ from .checkpoint import describe_checkpoint, save_checkpoint
 from .model import ModelConfig
 
 
-def _parse_tasks(text: str) -> tuple[tasks.TaskKind, ...]:
-    if text == "all":
-        return tasks.ALL_TASKS
-    return tuple(tasks.TaskKind(name.strip()) for name in text.split(","))
+def _parse_name(flag: str, kind: type[Enum], text: str, item: str | None = None):
+    """The member of ``kind`` named ``item``, one entry of the ``flag`` value
+    ``text`` (by default all of it)."""
+    item = text if item is None else item
+    try:
+        return kind(item.strip())
+    except ValueError:
+        where = "" if item == text else f" in {text!r}"
+        valid = ", ".join(member.value for member in kind)
+        raise ValueError(f"{flag}: {item!r}{where} is not one of {valid}") from None
 
 
-def _parse_corruptions(text: str) -> tuple[corruptions.CorruptionKind, ...]:
+def _parse_names(flag: str, kind: type[Enum], text: str, every: tuple) -> tuple:
+    """A comma list of ``kind`` names, or ``every`` for 'all'."""
     if text == "all":
-        return corruptions.ALL_KINDS
-    return tuple(corruptions.CorruptionKind(name.strip()) for name in text.split(","))
+        return every
+    return tuple(_parse_name(flag, kind, text, item) for item in text.split(","))
 
 
 def _parse_int_list(flag: str, text: str) -> tuple[int, ...]:
@@ -74,7 +82,7 @@ def _bench_config(args, **grid) -> harness.BenchConfig:
     corruption, severity and setting selection."""
     return harness.BenchConfig(
         checkpoint=args.checkpoint,
-        task=tasks.TaskKind(args.task),
+        task=_parse_name("--task", tasks.TaskKind, args.task),
         methods=_parse_methods(args.method),
         num_samples=args.num_samples,
         vict=tuning.VictConfig(steps=args.steps, lr=args.lr, eps=args.eps, selector=args.tune, beta=args.beta),
@@ -94,9 +102,9 @@ def _emit_report(report: harness.MetricReport, args) -> None:
 
 
 def _cmd_pretrain(args) -> int:
-    task_mix = _parse_tasks(args.task_mix)
+    task_mix = _parse_names("--task-mix", tasks.TaskKind, args.task_mix, tasks.ALL_TASKS)
     if args.exclude_task:
-        held_out = tasks.TaskKind(args.exclude_task)
+        held_out = _parse_name("--exclude-task", tasks.TaskKind, args.exclude_task)
         task_mix = tuple(t for t in task_mix if t is not held_out)
     cfg = training.PretrainConfig(steps=args.steps, lr=args.lr, task_mix=task_mix, seed=args.seed)
     result = training.pretrain(ModelConfig(), cfg)
@@ -113,7 +121,7 @@ def _cmd_pretrain(args) -> int:
 def _cmd_bench(args) -> int:
     config = _bench_config(
         args,
-        corruption_kinds=_parse_corruptions(args.corruption),
+        corruption_kinds=_parse_names("--corruption", corruptions.CorruptionKind, args.corruption, corruptions.ALL_KINDS),
         severities=_parse_int_list("--severity", args.severity),
         settings=_parse_settings(args.setting),
     )
@@ -137,8 +145,8 @@ def _cmd_fewshot(args) -> int:
     config = harness.FewShotSweepConfig(
         checkpoint=args.checkpoint,
         shots=_parse_int_list("--shots", args.shots),
-        task=tasks.TaskKind(args.task),
-        corruption_kind=corruptions.CorruptionKind(args.corruption),
+        task=_parse_name("--task", tasks.TaskKind, args.task),
+        corruption_kind=_parse_name("--corruption", corruptions.CorruptionKind, args.corruption),
         severity=args.severity,
         finetune_steps=args.finetune_steps,
         finetune_lr=args.finetune_lr,

@@ -253,8 +253,15 @@ def run_bench(config: BenchConfig) -> MetricReport:
 
 def run_clean_eval(config: BenchConfig) -> MetricReport:
     """Zero-shot benchmark with the identity corruption; rows are keyed
-    'clean'. The config's corruption, severity and setting selection is
-    not read."""
+    'clean'. The config's corruption, severity and setting selection has
+    no meaning here and must be left at its defaults."""
+    defaults = BenchConfig(checkpoint=config.checkpoint)
+    for name in ("corruption_kinds", "severities", "settings"):
+        if getattr(config, name) != getattr(defaults, name):
+            raise ValueError(
+                f"run_clean_eval: BenchConfig.{name} is not read by clean evaluation "
+                "(zero-shot, uncorrupted samples); leave it at its default"
+            )
     params = load_checkpoint(config.checkpoint)
     config = replace(config, settings=(tuning.ZERO_SHOT,))
     report = _aggregate(config, params, [(CLEAN_KEY, CLEAN_SEVERITY)])

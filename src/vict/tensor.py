@@ -9,14 +9,26 @@ no product for an input that does not require gradients. Repeated backward
 calls accumulate on leaves until ``zero_grads`` is called. Any non-finite
 op output raises immediately.
 
+Gradient ownership: the first gradient that reaches a tensor becomes its
+``grad`` buffer and later ones are added into it in place. A backward rule
+hands ``_accumulate`` only an array it has just computed for that one
+input, which is then stored without a copy. An array that another
+accumulation may also read (``add``'s incoming gradient, a reshaped or
+transposed view of it, a ``concat`` slice) goes through
+``_accumulate_shared``, which copies it on first store. So no two ``grad``
+buffers ever share memory.
+
 The transformer's two hot patterns are one node each: ``linear`` (matmul
 plus bias row) and ``attention`` (multi-head scaled dot-product attention
 over packed query/key/value columns). Both evaluate the same numpy
 expressions, in the same order, as the chains of primitive ops they
 replace, so their outputs and gradients are bit-identical to those chains.
+Kernels work in place on their own temporaries where the per-element
+operation order allows it, which keeps every value unchanged.
 
-Also home to the smooth-L1 regression loss and the decoupled-weight-decay
-Adam (AdamW) update used by pre-training and test-time tuning.
+Also home to the smooth-L1 regression loss and the Adam update
+(``adamw_step``, with no weight decay) used by pre-training and test-time
+tuning.
 """
 
 from __future__ import annotations
@@ -116,10 +128,22 @@ def _node(data: np.ndarray, parents: tuple[Tensor, ...], op: str) -> Tensor:
 
 
 def _accumulate(t: Tensor, g: np.ndarray) -> None:
+    """Add a gradient computed for ``t`` alone; the first one is stored
+    as is and becomes ``t``'s to update in place."""
     if not t.requires_grad:
         return
     if t.grad is None:
-        # copy: g may be shared with another parent's accumulation
+        t.grad = g if type(g) is np.ndarray and g.dtype == t.data.dtype else np.array(g, dtype=t.data.dtype)
+    else:
+        t.grad += g
+
+
+def _accumulate_shared(t: Tensor, g: np.ndarray) -> None:
+    """Add a gradient that another accumulation may also read (or a view
+    of one); the first one is stored as a copy."""
+    if not t.requires_grad:
+        return
+    if t.grad is None:
         t.grad = np.array(g, dtype=t.data.dtype, copy=True)
     else:
         t.grad += g
@@ -192,8 +216,8 @@ def add(a: Tensor, b: Tensor) -> Tensor:
     out = _node(a.data + b.data, (a, b), "add")
     if out.requires_grad:
         def _bwd(g):
-            _accumulate(a, g)
-            _accumulate(b, g)
+            _accumulate_shared(a, g)
+            _accumulate_shared(b, g)
         out._backward = _bwd
     return out
 
@@ -247,7 +271,7 @@ def reshape(a: Tensor, shape: Sequence[int]) -> Tensor:
         raise ValueError(f"reshape: cannot reshape {a.shape} to {shape}")
     out = _node(a.data.reshape(shape), (a,), "reshape")
     if out.requires_grad:
-        out._backward = lambda g: _accumulate(a, g.reshape(a.shape))
+        out._backward = lambda g: _accumulate_shared(a, g.reshape(a.shape))
     return out
 
 
@@ -263,7 +287,7 @@ def transpose(a: Tensor, axes: Sequence[int] | None = None) -> Tensor:
     inverse = tuple(int(np.argsort(axes)[i]) for i in range(len(axes)))
     out = _node(a.data.transpose(axes), (a,), "transpose")
     if out.requires_grad:
-        out._backward = lambda g: _accumulate(a, g.transpose(inverse))
+        out._backward = lambda g: _accumulate_shared(a, g.transpose(inverse))
     return out
 
 
@@ -304,7 +328,7 @@ def concat(tensors: Sequence[Tensor], axis: int) -> Tensor:
             for t, lo, hi in zip(ts, offsets[:-1], offsets[1:]):
                 index = [slice(None)] * g.ndim
                 index[axis] = slice(int(lo), int(hi))
-                _accumulate(t, g[tuple(index)])
+                _accumulate_shared(t, g[tuple(index)])
         out._backward = _bwd
     return out
 
@@ -318,7 +342,7 @@ def add_row(x: Tensor, b: Tensor) -> Tensor:
     out = _node(x.data + b.data[None, :], (x, b), "add_row")
     if out.requires_grad:
         def _bwd(g):
-            _accumulate(x, g)
+            _accumulate_shared(x, g)
             if b.requires_grad:
                 _accumulate(b, g.sum(axis=0))
         out._backward = _bwd
@@ -335,7 +359,9 @@ def linear(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
         raise ValueError(f"linear: shapes {x.shape}, {w.shape} and {b.shape} do not align")
     _same_dtype("linear", x, w)
     _same_dtype("linear", x, b)
-    out = _node(x.data @ w.data + b.data[None, :], (x, w, b), "linear")
+    y = x.data @ w.data
+    y += b.data
+    out = _node(y, (x, w, b), "linear")
     if out.requires_grad:
         def _bwd(g):
             if b.requires_grad:
@@ -348,46 +374,47 @@ def linear(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
     return out
 
 
+def _heads(a: np.ndarray, num_heads: int) -> np.ndarray:
+    """[H, N, hd] view of the ``num_heads`` column blocks of an [N, H * hd]
+    array whose rows have unit column stride."""
+    n, width = a.shape
+    return a.reshape(n, num_heads, width // num_heads).transpose(1, 0, 2)
+
+
 def attention(qkv: Tensor, num_heads: int) -> Tensor:
     """Multi-head scaled dot-product self-attention, one node.
 
     ``qkv`` is [N, 3D]: queries, keys and values side by side, each split
     into ``num_heads`` column blocks of D / num_heads. Returns the heads'
-    outputs side by side, [N, D]. Each head runs the same 2-d products and
-    softmax expressions as the primitive per-head chain of narrow,
-    transpose, matmul, mul_scalar, softmax, matmul and concat. The heads
-    are not batched into 3-d products: that measured no faster, and its
-    products would not be the chain's.
+    outputs side by side, [N, D]. All heads run at once on [H, N, D / H]
+    views with ``np.matmul``, which makes each head's 2-d product, so the
+    values are those of the primitive per-head chain of narrow, transpose,
+    matmul, mul_scalar, softmax, matmul and concat.
     """
     qkv = as_tensor(qkv)
     if qkv.data.ndim != 2 or num_heads <= 0 or qkv.shape[1] % (3 * num_heads) != 0:
         raise ValueError(f"attention: cannot split {qkv.shape} into q, k, v of {num_heads} heads")
     data = qkv.data
-    d = data.shape[1] // 3
-    head_dim = d // num_heads
-    scale = float(1.0 / np.sqrt(head_dim))
-    heads = [
-        (data[:, lo : lo + head_dim], data[:, d + lo : d + lo + head_dim], data[:, 2 * d + lo : 2 * d + lo + head_dim])
-        for lo in range(0, d, head_dim)
-    ]
-    probs, outputs = [], []
-    for q, k, v in heads:
-        scores = (q @ k.T) * scale
-        _check_finite("attention", scores)  # before the softmax, which would hide an infinity
-        p = _softmax_rows(scores)
-        probs.append(p)
-        outputs.append(p @ v)
-    out = _node(np.concatenate(outputs, axis=1), (qkv,), "attention")
+    n, d = data.shape[0], data.shape[1] // 3
+    scale = float(1.0 / np.sqrt(d // num_heads))
+    q, k, v = (_heads(data[:, i * d : (i + 1) * d], num_heads) for i in range(3))
+    scores = np.matmul(q, k.transpose(0, 2, 1))
+    scores *= scale
+    _check_finite("attention", scores)  # before the softmax, which would hide an infinity
+    p = _softmax_rows(scores)
+    y = np.empty((n, d), dtype=data.dtype)
+    np.matmul(p, v, out=_heads(y, num_heads))
+    out = _node(y, (qkv,), "attention")
     if out.requires_grad:
         def _bwd(g):
-            dqkv = np.empty_like(data)
-            for i, ((q, k, v), p) in enumerate(zip(heads, probs)):
-                lo = i * head_dim
-                g_out = np.array(g[:, lo : lo + head_dim])  # contiguous, as the unfused chain's concat backward
-                g_s = _softmax_rows_grad(p, g_out @ v.T) * scale
-                dqkv[:, lo : lo + head_dim] = g_s @ k
-                dqkv[:, d + lo : d + lo + head_dim] = (q.T @ g_s).T
-                dqkv[:, 2 * d + lo : 2 * d + lo + head_dim] = p.T @ g_out
+            dqkv = np.empty(data.shape, dtype=data.dtype)
+            dq, dk, dv = (_heads(dqkv[:, i * d : (i + 1) * d], num_heads) for i in range(3))
+            g_out = _heads(g, num_heads)
+            g_s = _softmax_rows_grad(p, np.matmul(g_out, v.transpose(0, 2, 1)))
+            g_s *= scale
+            np.matmul(g_s, k, out=dq)
+            dk[...] = np.matmul(q.transpose(0, 2, 1), g_s).transpose(0, 2, 1)
+            np.matmul(p.transpose(0, 2, 1), g_out, out=dv)
             _accumulate(qkv, dqkv)
         out._backward = _bwd
     return out
@@ -410,19 +437,26 @@ def repeat_rows(x: Tensor, n: int) -> Tensor:
 
 
 def _softmax_rows(x: np.ndarray) -> np.ndarray:
-    e = np.exp(x - x.max(axis=-1, keepdims=True))
-    return e / e.sum(axis=-1, keepdims=True)
+    """Softmax over the last axis, computed in and returned as ``x``'s buffer."""
+    x -= x.max(axis=-1, keepdims=True)
+    np.exp(x, out=x)
+    x /= x.sum(axis=-1, keepdims=True)
+    return x
 
 
 def _softmax_rows_grad(y: np.ndarray, g: np.ndarray) -> np.ndarray:
-    """Gradient at the input of a softmax with output ``y`` and output gradient ``g``."""
-    return y * (g - (g * y).sum(axis=-1, keepdims=True))
+    """Gradient at the input of a softmax with output ``y`` and output
+    gradient ``g``: ``y * (g - (g * y).sum(-1))``, in one new array."""
+    dx = g * y
+    np.subtract(g, dx.sum(axis=-1, keepdims=True), out=dx)
+    dx *= y
+    return dx
 
 
 def softmax(a: Tensor) -> Tensor:
     """Softmax over the last axis."""
     a = as_tensor(a)
-    y = _softmax_rows(a.data)
+    y = _softmax_rows(a.data.copy())
     out = _node(y, (a,), "softmax")
     if out.requires_grad:
         out._backward = lambda g: _accumulate(a, _softmax_rows_grad(y, g))
@@ -435,28 +469,43 @@ def layernorm(x: Tensor, gain: Tensor, bias: Tensor) -> Tensor:
     d = x.shape[-1]
     if gain.shape != (d,) or bias.shape != (d,):
         raise ValueError(f"layernorm: gain/bias must be [{d}], got {gain.shape} and {bias.shape}")
-    mu = x.data.mean(axis=-1, keepdims=True)
-    centered = x.data - mu
-    var = (centered * centered).mean(axis=-1, keepdims=True)
-    inv = 1.0 / np.sqrt(var + LAYERNORM_EPS)
-    xhat = centered * inv
-    out = _node(xhat * gain.data + bias.data, (x, gain, bias), "layernorm")
+    # ``sum / d`` rounds as ``mean`` does; every other step is the
+    # textbook expression evaluated in place
+    mu = x.data.sum(axis=-1, keepdims=True)
+    mu /= d
+    xhat = x.data - mu
+    y = xhat * xhat
+    inv = y.sum(axis=-1, keepdims=True)
+    inv /= d
+    inv += LAYERNORM_EPS
+    np.sqrt(inv, out=inv)
+    np.divide(1.0, inv, out=inv)
+    xhat *= inv
+    np.multiply(xhat, gain.data, out=y)
+    y += bias.data
+    out = _node(y, (x, gain, bias), "layernorm")
     if out.requires_grad:
         def _bwd(g):
             lead = tuple(range(g.ndim - 1))
             if bias.requires_grad:
                 _accumulate(bias, g.sum(axis=lead))
+            scratch = g * xhat
             if gain.requires_grad:
-                _accumulate(gain, (g * xhat).sum(axis=lead))
+                _accumulate(gain, scratch.sum(axis=lead))
             if not x.requires_grad:
                 return
-            dxhat = g * gain.data
-            # d/dx of (x - mu) / sqrt(var + LAYERNORM_EPS), all statistics over the last axis
-            dx = inv * (
-                dxhat
-                - dxhat.mean(axis=-1, keepdims=True)
-                - xhat * (dxhat * xhat).mean(axis=-1, keepdims=True)
-            )
+            # d/dx of (x - mu) / sqrt(var + LAYERNORM_EPS), all statistics over the last axis:
+            # inv * (dxhat - mean(dxhat) - xhat * mean(dxhat * xhat))
+            dx = g * gain.data
+            np.multiply(dx, xhat, out=scratch)
+            m2 = scratch.sum(axis=-1, keepdims=True)
+            m2 /= d
+            m1 = dx.sum(axis=-1, keepdims=True)
+            m1 /= d
+            dx -= m1
+            np.multiply(xhat, m2, out=scratch)
+            dx -= scratch
+            dx *= inv
             _accumulate(x, dx)
         out._backward = _bwd
     return out
@@ -465,23 +514,43 @@ def layernorm(x: Tensor, gain: Tensor, bias: Tensor) -> Tensor:
 def gelu(x: Tensor) -> Tensor:
     """Exact (erf-based) Gaussian error linear unit."""
     x = as_tensor(x)
-    cdf = 0.5 * (1.0 + erf(x.data * _INV_SQRT2))
+    # out= keeps a 0-d result an array, so the in-place steps apply
+    cdf = np.multiply(x.data, _INV_SQRT2, out=np.empty_like(x.data))
+    erf(cdf, out=cdf)
+    cdf += 1.0
+    cdf *= 0.5
     out = _node(x.data * cdf, (x,), "gelu")
     if out.requires_grad:
         def _bwd(g):
-            pdf = np.exp(-0.5 * x.data * x.data) * _INV_SQRT_2PI
-            _accumulate(x, g * (cdf + x.data * pdf))
+            # g * (cdf + x * pdf), pdf = exp(-x * x / 2) / sqrt(2 pi)
+            dx = np.multiply(x.data, -0.5, out=np.empty_like(x.data))
+            dx *= x.data
+            np.exp(dx, out=dx)
+            dx *= _INV_SQRT_2PI
+            dx *= x.data
+            dx += cdf
+            dx *= g
+            _accumulate(x, dx)
         out._backward = _bwd
     return out
 
 
 def sigmoid(x: Tensor) -> Tensor:
     x = as_tensor(x)
-    e = np.exp(-np.abs(x.data))  # never overflows
-    y = np.where(x.data >= 0, 1.0 / (1.0 + e), e / (1.0 + e))
+    e = np.abs(x.data, out=np.empty_like(x.data))
+    np.negative(e, out=e)
+    np.exp(e, out=e)  # never overflows
+    denom = np.add(1.0, e, out=np.empty_like(e))
+    e /= denom
+    np.divide(1.0, denom, out=denom)
+    y = np.where(x.data >= 0, denom, e)
     out = _node(y, (x,), "sigmoid")
     if out.requires_grad:
-        out._backward = lambda g: _accumulate(x, g * y * (1.0 - y))
+        def _bwd(g):
+            dx = g * y
+            dx *= 1.0 - y
+            _accumulate(x, dx)
+        out._backward = _bwd
     return out
 
 
@@ -530,22 +599,22 @@ def smooth_l1(pred: Tensor, target: Tensor, beta: float = 1.0) -> Tensor:
 
 @dataclass
 class AdamWState:
-    """Decoupled-weight-decay Adam state; one shared step counter."""
+    """Adam state with one shared step counter. No weight decay: nothing in
+    pre-training, fine-tuning or test-time tuning decays its weights."""
 
     lr: float
     beta1: float = 0.9
     beta2: float = 0.999
     eps: float = 1e-8
-    weight_decay: float = 0.0
     t: int = 0
     m: dict[str, np.ndarray] = field(default_factory=dict)
     v: dict[str, np.ndarray] = field(default_factory=dict)
 
 
 def adamw_step(params: dict[str, Tensor], grads: dict[str, np.ndarray], state: AdamWState) -> None:
-    """One bias-corrected AdamW update, in place on ``params``.
+    """One bias-corrected Adam update, in place on ``params``.
 
-    theta <- theta - lr * (m_hat / (sqrt(v_hat) + eps) + wd * theta)
+    theta <- theta - lr * m_hat / (sqrt(v_hat) + eps)
     """
     if state.lr < 0:
         raise ValueError(f"adamw_step: lr must be nonnegative, got {state.lr}")
@@ -562,16 +631,25 @@ def adamw_step(params: dict[str, Tensor], grads: dict[str, np.ndarray], state: A
             raise ValueError(f"adamw_step: grad shape {g.shape} vs param shape {p.data.shape} for {name!r}")
         if not np.isfinite(g).all():
             raise FloatingPointError(f"adamw_step: non-finite gradient for {name!r}")
-        m = state.m.setdefault(name, np.zeros_like(p.data))
-        v = state.v.setdefault(name, np.zeros_like(p.data))
+        if name not in state.m:
+            state.m[name] = np.zeros_like(p.data)
+            state.v[name] = np.zeros_like(p.data)
+        m, v = state.m[name], state.v[name]
+        scratch = np.multiply(g, 1.0 - state.beta1, out=np.empty_like(g))
         m *= state.beta1
-        m += (1.0 - state.beta1) * g
+        m += scratch
+        np.multiply(g, g, out=scratch)
+        scratch *= 1.0 - state.beta2
         v *= state.beta2
-        v += (1.0 - state.beta2) * (g * g)
-        update = (m / bc1) / (np.sqrt(v / bc2) + state.eps)
-        if state.weight_decay != 0.0:
-            update = update + state.weight_decay * p.data
-        p.data -= state.lr * update
+        v += scratch
+        # scratch <- sqrt(v_hat) + eps; update = m_hat / scratch
+        np.divide(v, bc2, out=scratch)
+        np.sqrt(scratch, out=scratch)
+        scratch += state.eps
+        update = m / bc1
+        update /= scratch
+        update *= state.lr
+        p.data -= update
 
 
 def collect_grads(params: dict[str, Tensor]) -> dict[str, np.ndarray]:

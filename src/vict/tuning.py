@@ -130,7 +130,8 @@ def adapt_and_predict(
     ``params0`` is never mutated; the optimizer state is fresh. Only the
     clone's selected group goes on the tape (``model.trainable``) and is
     stepped: backward computes no gradient for the other tensors, while
-    activation gradients still flow through them.
+    activation gradients still flow through them. The prediction is a
+    frozen inference from a clone of the adapted weights, off the tape.
     """
     work = params0.clone()
     group = model.trainable(work, config.selector)
@@ -148,8 +149,9 @@ def adapt_and_predict(
                 f"adaptation failed at step {step} (params digest {work.digest()}): {err}"
             ) from err
         trace.append(loss.item())
+    adapted = work.clone()  # off the tape, so the prediction records none
     return AdaptationResult(
-        y_t_hat=infer(work, pair, x_t),
+        y_t_hat=infer(adapted, pair, x_t),
         loss_trace=trace,
-        adapted_params_digest=work.digest(),
+        adapted_params_digest=adapted.digest(),
     )

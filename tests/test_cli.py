@@ -2,7 +2,7 @@ import json
 
 import pytest
 
-from vict import harness, training, tuning
+from vict import corruptions, harness, tasks, training, tuning
 from vict.cli import _bench_config, build_parser, cli_main
 
 
@@ -156,3 +156,23 @@ def test_bench_names_bad_severity_item(small_checkpoint, capsys):
     code = cli_main(["bench", "--checkpoint", str(small_checkpoint), "--severity", "3,x"])
     assert code == 1
     assert "--severity: 'x' in '3,x' is not an integer" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["bench", "--checkpoint", "x", "--corruption", "fog,sepia"], "--corruption: 'sepia' in 'fog,sepia' is not one of"),
+        (["bench", "--checkpoint", "x", "--task", "foo"], "--task: 'foo' is not one of"),
+        (["clean-eval", "--checkpoint", "x", "--task", "foo"], "--task: 'foo' is not one of"),
+        (["pretrain", "--out", "x", "--task-mix", "denoise,foo"], "--task-mix: 'foo' in 'denoise,foo' is not one of"),
+        (["pretrain", "--out", "x", "--exclude-task", "foo"], "--exclude-task: 'foo' is not one of"),
+        (["fewshot", "--checkpoint", "x", "--task", "foo"], "--task: 'foo' is not one of"),
+        (["fewshot", "--checkpoint", "x", "--corruption", "sepia"], "--corruption: 'sepia' is not one of"),
+    ],
+)
+def test_bad_enum_name_names_flag_item_and_valid_names(capsys, argv, message):
+    assert cli_main(argv) == 1
+    err = capsys.readouterr().err
+    assert message in err
+    valid = corruptions.ALL_KINDS if "--corruption" in message else tasks.ALL_TASKS
+    assert ", ".join(kind.value for kind in valid) in err

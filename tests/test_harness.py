@@ -120,8 +120,15 @@ def test_bench_config_rejects_empty_selection(small_checkpoint, field, label):
         bench_config(small_checkpoint, **{field: ()})
 
 
+def clean_config(small_checkpoint, **overrides):
+    """``bench_config`` with the corruption grid that clean evaluation requires at its defaults."""
+    defaults = harness.BenchConfig(checkpoint=small_checkpoint)
+    grid = {name: getattr(defaults, name) for name in ("corruption_kinds", "severities", "settings")}
+    return bench_config(small_checkpoint, **{**grid, **overrides})
+
+
 def test_clean_eval_rows_and_gaps(small_checkpoint):
-    config = bench_config(small_checkpoint, methods=(harness.FROZEN, harness.VICT))
+    config = clean_config(small_checkpoint, methods=(harness.FROZEN, harness.VICT))
     report = harness.run_clean_eval(config)
     assert {e["corruption"] for e in report.rows} == {harness.CLEAN_KEY}
     assert {e["method"] for e in report.rows} == {harness.FROZEN, harness.VICT}
@@ -130,6 +137,21 @@ def test_clean_eval_rows_and_gaps(small_checkpoint):
     assert gap["setting"] == tuning.ZERO_SHOT
     assert gap["relative_gap"] >= 0.0
     assert isinstance(gap["exceeds_5pct"], bool)
+
+
+@pytest.mark.parametrize(
+    "field, value",
+    [
+        ("corruption_kinds", (corruptions.CorruptionKind.FOG,)),
+        ("severities", (3,)),
+        ("settings", (tuning.ONE_SHOT,)),
+    ],
+)
+def test_clean_eval_rejects_corruption_grid(field, value):
+    # rejected before the checkpoint is read
+    config = harness.BenchConfig(checkpoint="no-such-checkpoint.bin", **{field: value})
+    with pytest.raises(ValueError, match=f"run_clean_eval: BenchConfig.{field} is not read by clean evaluation"):
+        harness.run_clean_eval(config)
 
 
 def test_report_json_structure(small_checkpoint, tmp_path):

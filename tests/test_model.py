@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from vict import model, tasks, tuning
+from vict import model, tasks, training, tuning
 from vict import tensor as T
 from vict.canvas import assemble_inference, extract_cell
 from vict.gradcheck import TINY_CONFIG, finite_diff_grad, rel_error
@@ -207,3 +207,45 @@ def test_fused_ops_match_primitive_chain_bit_for_bit(default_params, monkeypatch
     assert fused[0] == unfused[0]
     assert fused[1].keys() == unfused[1].keys() == set(default_params.tensors)
     assert [name for name in fused[1] if fused[1][name] != unfused[1][name]] == []
+
+
+def _tape(root):
+    """Every tensor backward reaches from ``root``, root included."""
+    seen, stack = {id(root): root}, [root]
+    while stack:
+        for parent in stack.pop()._parents:
+            if parent.requires_grad and id(parent) not in seen:
+                seen[id(parent)] = parent
+                stack.append(parent)
+    return list(seen.values())
+
+
+def test_gradient_buffers_never_alias(default_params):
+    prompt = tasks.generate(tasks.TaskKind.DENOISE, 1)
+    query = tasks.generate(tasks.TaskKind.DENOISE, 2)
+    params = default_params.clone()
+    model.trainable(params, "all")
+    loss = tuning.cycle_loss(params, (prompt.input, prompt.target), query.input)
+    loss.backward()
+    grads = [node.grad for node in _tape(loss) if node.grad is not None]
+    assert len(grads) > len(params.tensors)  # intermediates too
+    assert not any(np.shares_memory(a, b) for i, a in enumerate(grads) for b in grads[i + 1 :])
+    first = {name: t.grad.tobytes() for name, t in params.tensors.items()}
+    T.zero_grads(params.tensors.values())
+    loss.backward()
+    assert {name: t.grad.tobytes() for name, t in params.tensors.items()} == first
+
+
+def test_second_backward_doubles_single_use_gradients(default_params):
+    # one forward: each weight takes one gradient per backward, so accumulating
+    # a second backward must give exactly twice the first (the cycle loss sums
+    # two contributions per weight, whose re-association moves the last bits)
+    prompt = tasks.generate(tasks.TaskKind.DENOISE, 1)
+    query = tasks.generate(tasks.TaskKind.DENOISE, 2)
+    params = default_params.clone()
+    model.trainable(params, "all")
+    loss = training.masked_cell_loss(params, (prompt.input, prompt.target), (query.input, query.target), flip=False)
+    loss.backward()
+    first = {name: t.grad.copy() for name, t in params.tensors.items()}
+    loss.backward()
+    assert [name for name, t in params.tensors.items() if t.grad.tobytes() != (2 * first[name]).tobytes()] == []

@@ -2,7 +2,9 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.special import erf
 
+from vict import model
 from vict import tensor as T
 from vict.gradcheck import FD_STEP, TOLERANCE, check_op_gradients, finite_diff_grad, rel_error
 
@@ -129,6 +131,137 @@ def test_op_gradients_match_finite_differences():
 
 
 # ---------------------------------------------------------------------------
+# kernels against the textbook numpy expressions, bit for bit
+# ---------------------------------------------------------------------------
+# Each reference below is the plain expression the kernel evaluates in place
+# and with fewer temporaries; values and gradients must not move by one bit.
+
+DTYPES = [np.float32, np.float64]
+
+
+def _op_and_grads(op, arrays, g):
+    """Output bytes of ``op`` on leaves made from ``arrays``, and each leaf's
+    gradient bytes when the output gradient is exactly ``g``."""
+    leaves = [T.parameter(a.copy()) for a in arrays]
+    out = op(*leaves)
+    T.tsum(T.mul(out, T.constant(g))).backward()
+    return out.data.tobytes(), [leaf.grad.tobytes() for leaf in leaves]
+
+
+def _reference_bytes(out, grads):
+    return out.tobytes(), [np.asarray(g).tobytes() for g in grads]
+
+
+def _normal(rng, dtype, *shape, scale=1.0):
+    return (rng.normal(size=shape) * scale).astype(dtype)
+
+
+@pytest.mark.parametrize("dtype", DTYPES)
+def test_linear_matches_textbook_expression(dtype):
+    rng = np.random.default_rng(11)
+    x, w, b, g = _normal(rng, dtype, 64, 64), _normal(rng, dtype, 64, 256), _normal(rng, dtype, 256), _normal(rng, dtype, 64, 256)
+    expected = _reference_bytes(x @ w + b[None, :], [g @ w.T, x.T @ g, g.sum(axis=0)])
+    assert _op_and_grads(T.linear, [x, w, b], g) == expected
+
+
+@pytest.mark.parametrize("dtype", DTYPES)
+@pytest.mark.parametrize("d", [64, 48])  # 1/48 is inexact, so a mean by reciprocal would show
+def test_layernorm_matches_textbook_expression(dtype, d):
+    rng = np.random.default_rng(12)
+    x = _normal(rng, dtype, 64, d, scale=3.0) + dtype(0.5)
+    gain, bias, g = _normal(rng, dtype, d), _normal(rng, dtype, d), _normal(rng, dtype, 64, d)
+    mu = x.mean(axis=-1, keepdims=True)
+    centered = x - mu
+    var = (centered * centered).mean(axis=-1, keepdims=True)
+    inv = 1.0 / np.sqrt(var + T.LAYERNORM_EPS)
+    xhat = centered * inv
+    dxhat = g * gain
+    dx = inv * (dxhat - dxhat.mean(axis=-1, keepdims=True) - xhat * (dxhat * xhat).mean(axis=-1, keepdims=True))
+    expected = _reference_bytes(xhat * gain + bias, [dx, (g * xhat).sum(axis=0), g.sum(axis=0)])
+    assert _op_and_grads(T.layernorm, [x, gain, bias], g) == expected
+
+
+@pytest.mark.parametrize("dtype", DTYPES)
+def test_gelu_matches_textbook_expression(dtype):
+    rng = np.random.default_rng(13)
+    x, g = _normal(rng, dtype, 64, 256, scale=1.5), _normal(rng, dtype, 64, 256)
+    cdf = 0.5 * (1.0 + erf(x * 0.7071067811865476))
+    pdf = np.exp(-0.5 * x * x) * 0.3989422804014327
+    expected = _reference_bytes(x * cdf, [g * (cdf + x * pdf)])
+    assert _op_and_grads(T.gelu, [x], g) == expected
+
+
+@pytest.mark.parametrize("dtype", DTYPES)
+@pytest.mark.parametrize("shape", [(64, 64), (4, 64, 64)])
+def test_softmax_matches_textbook_expression(dtype, shape):
+    rng = np.random.default_rng(14)
+    x, g = _normal(rng, dtype, *shape, scale=4.0), _normal(rng, dtype, *shape)
+    e = np.exp(x - x.max(axis=-1, keepdims=True))
+    y = e / e.sum(axis=-1, keepdims=True)
+    expected = _reference_bytes(y, [y * (g - (g * y).sum(axis=-1, keepdims=True))])
+    assert _op_and_grads(T.softmax, [x], g) == expected
+
+
+@pytest.mark.parametrize("dtype", DTYPES)
+def test_sigmoid_matches_textbook_expression(dtype):
+    rng = np.random.default_rng(15)
+    x, g = _normal(rng, dtype, 64, 192, scale=5.0), _normal(rng, dtype, 64, 192)
+    e = np.exp(-np.abs(x))
+    y = np.where(x >= 0, 1.0 / (1.0 + e), e / (1.0 + e))
+    expected = _reference_bytes(y, [g * y * (1.0 - y)])
+    assert _op_and_grads(T.sigmoid, [x], g) == expected
+
+
+@pytest.mark.parametrize("dtype", DTYPES)
+def test_attention_matches_per_head_loop(dtype):
+    rng = np.random.default_rng(16)
+    heads, n, d = 4, 64, 64
+    hd = d // heads
+    qkv, g = _normal(rng, dtype, n, 3 * d), _normal(rng, dtype, n, d)
+    scale = float(1.0 / np.sqrt(hd))
+    outputs, dqkv = [], np.empty_like(qkv)
+    for lo in range(0, d, hd):
+        q, k, v = (qkv[:, j * d + lo : j * d + lo + hd] for j in range(3))
+        e = (q @ k.T) * scale
+        e = np.exp(e - e.max(axis=-1, keepdims=True))
+        p = e / e.sum(axis=-1, keepdims=True)
+        outputs.append(p @ v)
+        g_out = np.array(g[:, lo : lo + hd])
+        g_p = g_out @ v.T
+        g_s = p * (g_p - (g_p * p).sum(axis=-1, keepdims=True)) * scale
+        dqkv[:, lo : lo + hd] = g_s @ k
+        dqkv[:, d + lo : d + lo + hd] = (q.T @ g_s).T
+        dqkv[:, 2 * d + lo : 2 * d + lo + hd] = p.T @ g_out
+    expected = _reference_bytes(np.concatenate(outputs, axis=1), [dqkv])
+    assert _op_and_grads(lambda t: T.attention(t, heads), [qkv], g) == expected
+
+
+@pytest.mark.parametrize("dtype", DTYPES)
+def test_adamw_matches_textbook_expression_over_60_steps(dtype):
+    params = model.init(model.ModelConfig(), seed=0, dtype=dtype)
+    group = model.trainable(params, "encoder")
+    rng = np.random.default_rng(17)
+    grad_sets = [{name: _normal(rng, dtype, *t.shape, scale=1e-2) for name, t in group.items()} for _ in range(3)]
+    state = T.AdamWState(lr=3e-2, eps=1e-1)
+    theta = {name: t.data.copy() for name, t in group.items()}
+    m = {name: np.zeros_like(a) for name, a in theta.items()}
+    v = {name: np.zeros_like(a) for name, a in theta.items()}
+    for step in range(1, 61):
+        grads = grad_sets[step % 3]
+        T.adamw_step(group, grads, state)
+        bc1, bc2 = 1.0 - state.beta1**step, 1.0 - state.beta2**step
+        for name, g in grads.items():
+            m[name] *= state.beta1
+            m[name] += (1.0 - state.beta1) * g
+            v[name] *= state.beta2
+            v[name] += (1.0 - state.beta2) * (g * g)
+            theta[name] -= state.lr * ((m[name] / bc1) / (np.sqrt(v[name] / bc2) + state.eps))
+    assert [name for name, t in group.items() if t.data.tobytes() != theta[name].tobytes()] == []
+    assert [name for name in group if state.m[name].tobytes() != m[name].tobytes()] == []
+    assert [name for name in group if state.v[name].tobytes() != v[name].tobytes()] == []
+
+
+# ---------------------------------------------------------------------------
 # smooth-L1
 # ---------------------------------------------------------------------------
 
@@ -175,8 +308,8 @@ def test_smooth_l1_nonnegative(values, beta):
 # ---------------------------------------------------------------------------
 
 
-def _scalar_state(lr, wd=0.0):
-    return T.AdamWState(lr=lr, weight_decay=wd)
+def _scalar_state(lr):
+    return T.AdamWState(lr=lr)
 
 
 def test_adamw_hand_derived_first_step():
@@ -207,7 +340,7 @@ def test_adamw_lr_zero_is_identity():
     assert np.array_equal(theta.data, before)
 
 
-def _reference_adamw(theta, grads, lr, beta1=0.9, beta2=0.999, eps=1e-8, wd=0.0):
+def _reference_adamw(theta, grads, lr, beta1=0.9, beta2=0.999, eps=1e-8):
     """Independent loop-and-scalar implementation for cross-checking."""
     theta = [float(v) for v in theta]
     m = [0.0] * len(theta)
@@ -218,7 +351,7 @@ def _reference_adamw(theta, grads, lr, beta1=0.9, beta2=0.999, eps=1e-8, wd=0.0)
             v[i] = beta2 * v[i] + (1 - beta2) * g[i] * g[i]
             mhat = m[i] / (1 - beta1**t)
             vhat = v[i] / (1 - beta2**t)
-            theta[i] -= lr * (mhat / (np.sqrt(vhat) + eps) + wd * theta[i])
+            theta[i] -= lr * mhat / (np.sqrt(vhat) + eps)
     return np.array(theta)
 
 

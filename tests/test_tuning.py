@@ -113,17 +113,34 @@ def test_adaptation_leaves_theta0_untouched(params, sample_pair):
 
 
 def _adapted_clone(params, pair, x_t, config, monkeypatch):
-    """The private weights ``adapt_and_predict`` ends with, caught at its final ``infer``."""
+    """The private weights ``adapt_and_predict`` tunes, caught where it puts them on the tape."""
     captured = {}
-    original_infer = tuning.infer
+    original_trainable = model.trainable
 
-    def capturing_infer(work_params, *args, **kwargs):
+    def capturing_trainable(work_params, selector):
         captured["params"] = work_params
-        return original_infer(work_params, *args, **kwargs)
+        return original_trainable(work_params, selector)
 
-    monkeypatch.setattr(tuning, "infer", capturing_infer)
+    monkeypatch.setattr(model, "trainable", capturing_trainable)
     tuning.adapt_and_predict(params, tuning.PromptSet(pair=pair), x_t, config)
     return captured["params"]
+
+
+def test_adapted_prediction_records_no_tape(params, sample_pair, monkeypatch):
+    pair, x_t = sample_pair
+    outputs = []
+    original_forward = model.forward
+
+    def recording_forward(*args):
+        outputs.append(original_forward(*args))
+        return outputs[-1]
+
+    monkeypatch.setattr(model, "forward", recording_forward)
+    tuning.adapt_and_predict(params, tuning.PromptSet(pair=pair), x_t, tuning.VictConfig(steps=2))
+    assert len(outputs) == 2 * 2 + 1  # two forwards per cycle loss, then the prediction
+    assert all(out.requires_grad for out in outputs[:-1])
+    prediction = outputs[-1]
+    assert not prediction.requires_grad and prediction._parents == () and prediction._backward is None
 
 
 def test_encoder_selector_freezes_decoder_group(params, sample_pair, monkeypatch):
