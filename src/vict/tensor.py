@@ -413,7 +413,7 @@ def attention(qkv: Tensor, num_heads: int) -> Tensor:
             g_s = _softmax_rows_grad(p, np.matmul(g_out, v.transpose(0, 2, 1)))
             g_s *= scale
             np.matmul(g_s, k, out=dq)
-            dk[...] = np.matmul(q.transpose(0, 2, 1), g_s).transpose(0, 2, 1)
+            np.matmul(q.transpose(0, 2, 1), g_s, out=dk.transpose(0, 2, 1))  # (q^T g_s)^T, as the chain
             np.matmul(p.transpose(0, 2, 1), g_out, out=dv)
             _accumulate(qkv, dqkv)
         out._backward = _bwd

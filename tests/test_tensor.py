@@ -149,7 +149,7 @@ def _op_and_grads(op, arrays, g):
 
 
 def _reference_bytes(out, grads):
-    return out.tobytes(), [np.asarray(g).tobytes() for g in grads]
+    return out.tobytes(), [g.tobytes() for g in grads]
 
 
 def _normal(rng, dtype, *shape, scale=1.0):
