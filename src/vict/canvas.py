@@ -11,6 +11,7 @@ the predicted query output at the bottom right.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from enum import Enum
 from pathlib import Path
@@ -38,6 +39,8 @@ def _validate_image(name: str, t: Tensor, cell_size: int | None = None) -> int:
     if c % 2 != 0:
         raise ValueError(f"{name}: cell size must be even, got {c}")
     lo, hi = float(t.data.min()), float(t.data.max())
+    if math.isnan(lo):  # min and max propagate NaN
+        raise ValueError(f"{name}: NaN pixel values")
     if lo < 0.0 or hi > 1.0:
         raise ValueError(f"{name}: pixel values outside [0, 1] (min {lo:.4g}, max {hi:.4g})")
     return c

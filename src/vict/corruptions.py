@@ -12,6 +12,7 @@ counter-based random streams.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from enum import Enum
 from importlib import resources
@@ -137,19 +138,23 @@ def _disk_kernel(radius: float) -> np.ndarray:
 
 def line_kernel(length: float, angle: float) -> np.ndarray:
     """Normalized straight-streak kernel: a centred line of ``length``
-    pixels at ``angle`` radians, splatted bilinearly."""
+    pixels at ``angle`` radians, splatted bilinearly.
+
+    The four corner weights of every sample are accumulated with one
+    ``np.add.at`` in (sample, corner) order, the order of a scalar splat
+    loop, so the sums carry the same bits."""
     size = int(np.ceil(length)) | 1
     kernel = np.zeros((size, size))
     center = size // 2
-    steps = max(int(4 * length), 8)
-    for s in np.linspace(-length / 2, length / 2, steps):
-        px, py = center + s * np.cos(angle), center + s * np.sin(angle)
-        i0, j0 = int(np.floor(py)), int(np.floor(px))
-        fi, fj = py - i0, px - j0
-        for di, dj, w in ((0, 0, (1 - fi) * (1 - fj)), (0, 1, (1 - fi) * fj), (1, 0, fi * (1 - fj)), (1, 1, fi * fj)):
-            ii, jj = i0 + di, j0 + dj
-            if 0 <= ii < size and 0 <= jj < size:
-                kernel[ii, jj] += w
+    s = np.linspace(-length / 2, length / 2, max(int(4 * length), 8))
+    px, py = center + s * np.cos(angle), center + s * np.sin(angle)
+    i0, j0 = np.floor(py), np.floor(px)
+    fi, fj = py - i0, px - j0
+    rows = np.stack([i0, i0, i0 + 1, i0 + 1], axis=1).astype(np.int64).ravel()
+    cols = np.stack([j0, j0 + 1, j0, j0 + 1], axis=1).astype(np.int64).ravel()
+    weights = np.stack([(1 - fi) * (1 - fj), (1 - fi) * fj, fi * (1 - fj), fi * fj], axis=1).ravel()
+    inside = (rows >= 0) & (rows < size) & (cols >= 0) & (cols < size)
+    np.add.at(kernel, (rows[inside], cols[inside]), weights[inside])
     return kernel / kernel.sum()
 
 
@@ -157,43 +162,58 @@ def _conv_rgb(image: np.ndarray, kernel: np.ndarray) -> np.ndarray:
     return np.stack([convolve(image[c], kernel, mode="reflect") for c in range(3)])
 
 
+@functools.lru_cache(maxsize=None)
+def _diamond_square_tables(size: int) -> tuple:
+    """Flat index tables of diamond-square on a size x size field, one
+    entry per level: the diamond centres and their four corners, then the
+    edge midpoints, their four neighbours in (-h, 0), (h, 0), (0, -h),
+    (0, h) order and their in-bounds count. Points are in row-major order,
+    the order they draw their random offsets in. A missing neighbour reads
+    index size * size, a cell that stays 0.0."""
+    zero = size * size
+    levels = []
+    step = size - 1
+    while step > 1:
+        half = step // 2
+        i, j = (a.ravel() for a in np.meshgrid(np.arange(half, size, step), np.arange(half, size, step), indexing="ij"))
+        centres = i * size + j
+        corners = tuple((i + di) * size + (j + dj) for di, dj in ((-half, -half), (-half, half), (half, -half), (half, half)))
+        i, j = np.array(
+            [(r, q) for r in range(0, size, half) for q in range(half if (r // half) % 2 == 0 else 0, size, step)]
+        ).T
+        mids = i * size + j
+        neighbours, count = [], np.zeros(mids.size)
+        for di, dj in ((-half, 0), (half, 0), (0, -half), (0, half)):
+            ii, jj = i + di, j + dj
+            inside = (ii >= 0) & (ii < size) & (jj >= 0) & (jj < size)
+            neighbours.append(np.where(inside, ii * size + jj, zero))
+            count += inside
+        levels.append((centres, corners, mids, tuple(neighbours), count))
+        step = half
+    return tuple(levels)
+
+
 def _plasma(n: int, rng: np.random.Generator, roughness: float) -> np.ndarray:
-    """Diamond-square fractal field on an n x n crop, normalized to [0, 1]."""
+    """Diamond-square fractal field on an n x n crop, normalized to [0, 1].
+
+    This is the scalar diamond-square loop evaluated as arrays, with the
+    same bits: within a pass no point reads another point of that pass,
+    each pass takes its offsets with one ``rng.random(count)`` (the same
+    stream as ``count`` scalar draws, in the loop's row-major order), and
+    every point sums its neighbours in the loop's order."""
     k = 1
     while (1 << k) + 1 < n:
         k += 1
     size = (1 << k) + 1
-    field = np.zeros((size, size))
-    corners = rng.random((2, 2))
-    field[0, 0], field[0, -1], field[-1, 0], field[-1, -1] = corners.ravel()
-    step = size - 1
+    field = np.zeros(size * size + 1)
+    field[[0, size - 1, size * (size - 1), size * size - 1]] = rng.random((2, 2)).ravel()
     amplitude = 1.0
-    while step > 1:
-        half = step // 2
-        # diamond: centers of squares
-        for i in range(half, size, step):
-            for j in range(half, size, step):
-                avg = (
-                    field[i - half, j - half]
-                    + field[i - half, j + half]
-                    + field[i + half, j - half]
-                    + field[i + half, j + half]
-                ) / 4.0
-                field[i, j] = avg + amplitude * (rng.random() - 0.5)
-        # square: edge midpoints
-        for i in range(0, size, half):
-            start = half if (i // half) % 2 == 0 else 0
-            for j in range(start, size, step):
-                total, count = 0.0, 0
-                for di, dj in ((-half, 0), (half, 0), (0, -half), (0, half)):
-                    ii, jj = i + di, j + dj
-                    if 0 <= ii < size and 0 <= jj < size:
-                        total += field[ii, jj]
-                        count += 1
-                field[i, j] = total / count + amplitude * (rng.random() - 0.5)
-        step = half
+    for centres, (a, b, c, d), mids, (n0, n1, n2, n3), count in _diamond_square_tables(size):
+        field[centres] = (field[a] + field[b] + field[c] + field[d]) / 4.0 + amplitude * (rng.random(centres.size) - 0.5)
+        total = field[n0] + field[n1] + field[n2] + field[n3]
+        field[mids] = total / count + amplitude * (rng.random(mids.size) - 0.5)
         amplitude *= roughness
-    crop = field[:n, :n]
+    crop = field[: size * size].reshape(size, size)[:n, :n]
     lo, hi = crop.min(), crop.max()
     return (crop - lo) / max(hi - lo, 1e-9)
 
@@ -257,19 +277,23 @@ def _defocus_blur(img, rng, params):
 
 
 def _glass_blur(img, rng, params):
+    """Blur, then c * c * iters local pixel swaps, then blur again.
+
+    This is the scalar swap loop evaluated as arrays, with the same bits:
+    the swaps run on a flat list of pixel indices, and the image is
+    gathered once through the resulting permutation."""
     shift, iters, sigma = int(params[0]), int(params[1]), params[2]
     out = gaussian_filter(img, sigma=(0, sigma, sigma), mode="reflect")
     c = out.shape[1]
+    rows, cols = np.mgrid[0:c, 0:c]
+    perm = list(range(c * c))
     for _ in range(iters):
         dy = rng.integers(-shift, shift + 1, size=(c, c))
         dx = rng.integers(-shift, shift + 1, size=(c, c))
-        for i in range(c):
-            for j in range(c):
-                ii = min(max(i + dy[i, j], 0), c - 1)
-                jj = min(max(j + dx[i, j], 0), c - 1)
-                tmp = out[:, i, j].copy()
-                out[:, i, j] = out[:, ii, jj]
-                out[:, ii, jj] = tmp
+        partners = (np.clip(rows + dy, 0, c - 1) * c + np.clip(cols + dx, 0, c - 1)).ravel().tolist()
+        for k, p in enumerate(partners):
+            perm[k], perm[p] = perm[p], perm[k]
+    out = out.reshape(3, c * c)[:, perm].reshape(3, c, c)
     return gaussian_filter(out, sigma=(0, sigma, sigma), mode="reflect")
 
 
@@ -437,8 +461,10 @@ _IMPLEMENTATIONS = {
 def apply(image: np.ndarray, spec: CorruptionSpec) -> np.ndarray:
     """Corrupt a [3, C, C] image in [0, 1]; output is clipped back to [0, 1]."""
     arr = np.asarray(image)
-    if arr.ndim != 3 or arr.shape[0] != 3:
+    if arr.ndim != 3 or arr.shape[0] != 3 or arr.shape[1] != arr.shape[2]:
         raise ValueError(f"apply: expected [3, C, C] image, got {arr.shape}")
+    if not np.isfinite(arr).all():
+        raise ValueError("apply: input has non-finite pixels")
     if arr.min() < 0.0 or arr.max() > 1.0:
         raise ValueError("apply: input pixel values outside [0, 1]")
     params = severity_params(spec.kind, spec.severity)

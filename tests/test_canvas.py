@@ -84,6 +84,15 @@ def test_assemble_rejects_bad_inputs():
         cv.extract_cell(T.Tensor(np.zeros((3, 32))), cv.CellPosition.TOP_LEFT)
 
 
+def test_assemble_rejects_nan_cell():
+    nan_img = const_image(0.2)
+    nan_img[2, 5, 9] = np.nan
+    with pytest.raises(ValueError, match=r"assemble_inference\(y\): NaN pixel values"):
+        cv.assemble_inference(const_image(0.1), nan_img, const_image(0.3))
+    with pytest.raises(ValueError, match=r"assemble_flipped\(y_t_hat\): NaN pixel values"):
+        cv.assemble_flipped(const_image(0.1), const_image(0.3), nan_img)
+
+
 def test_extract_is_pure():
     rng = np.random.default_rng(2)
     pixels = T.Tensor(rng.random((3, 64, 64)))

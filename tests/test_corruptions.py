@@ -1,8 +1,14 @@
+import copy
+
 import numpy as np
 import pytest
+from scipy.ndimage import gaussian_filter
 
 from vict import corruptions as cor
 from vict import tasks
+from vict.seeding import rng_for
+
+KIND = cor.CorruptionKind
 
 
 @pytest.fixture(scope="module")
@@ -85,3 +91,144 @@ def test_monotonicity_csv(tmp_path, probe_set):
     lines = path.read_text().strip().splitlines()
     assert lines[0] == "kind,severity,mean_mse"
     assert len(lines) == 1 + 15 * 5
+
+
+def test_apply_rejects_non_finite_input():
+    for bad in (np.nan, np.inf):
+        img = np.full((3, 32, 32), 0.5)
+        img[1, 4, 7] = bad
+        with pytest.raises(ValueError, match="non-finite"):
+            cor.apply(img, spec(KIND.CONTRAST))
+
+
+@pytest.mark.parametrize("kind", [KIND.GLASS_BLUR, KIND.FOG])
+def test_apply_rejects_non_square_image(kind):
+    with pytest.raises(ValueError, match=r"expected \[3, C, C\] image, got \(3, 32, 16\)"):
+        cor.apply(np.full((3, 32, 16), 0.5), spec(kind))
+
+
+# ---------------------------------------------------------------------------
+# the array kernels against the scalar loops they replace
+# ---------------------------------------------------------------------------
+
+SEEDS = range(8)
+
+
+def _glass_blur_swap_loop(img, rng, params):
+    shift, iters, sigma = int(params[0]), int(params[1]), params[2]
+    out = gaussian_filter(img, sigma=(0, sigma, sigma), mode="reflect")
+    c = out.shape[1]
+    for _ in range(iters):
+        dy = rng.integers(-shift, shift + 1, size=(c, c))
+        dx = rng.integers(-shift, shift + 1, size=(c, c))
+        for i in range(c):
+            for j in range(c):
+                ii = min(max(i + dy[i, j], 0), c - 1)
+                jj = min(max(j + dx[i, j], 0), c - 1)
+                tmp = out[:, i, j].copy()
+                out[:, i, j] = out[:, ii, jj]
+                out[:, ii, jj] = tmp
+    return gaussian_filter(out, sigma=(0, sigma, sigma), mode="reflect")
+
+
+def _plasma_diamond_square_loop(n, rng, roughness):
+    k = 1
+    while (1 << k) + 1 < n:
+        k += 1
+    size = (1 << k) + 1
+    field = np.zeros((size, size))
+    corners = rng.random((2, 2))
+    field[0, 0], field[0, -1], field[-1, 0], field[-1, -1] = corners.ravel()
+    step = size - 1
+    amplitude = 1.0
+    while step > 1:
+        half = step // 2
+        for i in range(half, size, step):
+            for j in range(half, size, step):
+                avg = (
+                    field[i - half, j - half]
+                    + field[i - half, j + half]
+                    + field[i + half, j - half]
+                    + field[i + half, j + half]
+                ) / 4.0
+                field[i, j] = avg + amplitude * (rng.random() - 0.5)
+        for i in range(0, size, half):
+            start = half if (i // half) % 2 == 0 else 0
+            for j in range(start, size, step):
+                total, count = 0.0, 0
+                for di, dj in ((-half, 0), (half, 0), (0, -half), (0, half)):
+                    ii, jj = i + di, j + dj
+                    if 0 <= ii < size and 0 <= jj < size:
+                        total += field[ii, jj]
+                        count += 1
+                field[i, j] = total / count + amplitude * (rng.random() - 0.5)
+        step = half
+        amplitude *= roughness
+    crop = field[:n, :n]
+    lo, hi = crop.min(), crop.max()
+    return (crop - lo) / max(hi - lo, 1e-9)
+
+
+def _line_kernel_splat_loop(length, angle):
+    size = int(np.ceil(length)) | 1
+    kernel = np.zeros((size, size))
+    center = size // 2
+    steps = max(int(4 * length), 8)
+    for s in np.linspace(-length / 2, length / 2, steps):
+        px, py = center + s * np.cos(angle), center + s * np.sin(angle)
+        i0, j0 = int(np.floor(py)), int(np.floor(px))
+        fi, fj = py - i0, px - j0
+        for di, dj, w in ((0, 0, (1 - fi) * (1 - fj)), (0, 1, (1 - fi) * fj), (1, 0, fi * (1 - fj)), (1, 1, fi * fj)):
+            ii, jj = i0 + di, j0 + dj
+            if 0 <= ii < size and 0 <= jj < size:
+                kernel[ii, jj] += w
+    return kernel / kernel.sum()
+
+
+def test_glass_blur_matches_swap_loop(probe_set):
+    for severity in range(1, 6):
+        for seed in SEEDS:
+            img = probe_set[seed].astype(np.float64)
+            params = cor.severity_params(KIND.GLASS_BLUR, severity)
+            fast = cor._glass_blur(img, rng_for("corrupt", "glass_blur", severity, seed), params)
+            slow = _glass_blur_swap_loop(img, rng_for("corrupt", "glass_blur", severity, seed), params)
+            assert fast.tobytes() == slow.tobytes(), (severity, seed)
+
+
+def test_plasma_matches_diamond_square_loop(monkeypatch, probe_set):
+    """Every field fog and frost draw, compared in float64 before it is
+    blended, clipped and rounded to float32."""
+    kernel, roughnesses = cor._plasma, set()
+
+    def both(n, rng, roughness):
+        twin = copy.deepcopy(rng)
+        field = kernel(n, rng, roughness)
+        assert field.tobytes() == _plasma_diamond_square_loop(n, twin, roughness).tobytes()
+        roughnesses.add(roughness)
+        return field
+
+    monkeypatch.setattr(cor, "_plasma", both)
+    for kind in (KIND.FOG, KIND.FROST):
+        for severity in range(1, 6):
+            for seed in SEEDS:
+                cor.apply(probe_set[seed], spec(kind, severity, seed))
+    assert roughnesses == {0.6, 0.85}
+
+
+def test_plasma_matches_loop_at_other_field_sizes():
+    for n in (2, 5, 17, 33, 64):
+        for roughness in (0.6, 0.85):
+            fast = cor._plasma(n, np.random.default_rng(n), roughness)
+            slow = _plasma_diamond_square_loop(n, np.random.default_rng(n), roughness)
+            assert fast.tobytes() == slow.tobytes(), (n, roughness)
+
+
+def test_line_kernel_matches_splat_loop():
+    lengths = {cor.severity_params(KIND.MOTION_BLUR, s)[0] for s in range(1, 6)}
+    lengths |= {cor.severity_params(KIND.SNOW, s)[1] for s in range(1, 6)}
+    lengths.add(max(5, tasks.DEFAULT_CELL_SIZE // 5))  # derain streaks
+    angles = [0.0, np.pi / 4, np.pi / 2, *np.random.default_rng(3).uniform(0.0, np.pi, 12)]
+    for length in sorted(lengths):
+        for angle in angles:
+            fast = cor.line_kernel(length, angle)
+            assert fast.tobytes() == _line_kernel_splat_loop(length, angle).tobytes(), (length, angle)
