@@ -18,7 +18,7 @@ image = tasks.probe_images(1)[0]
 
 for kind in corruptions.ALL_KINDS:
     strip = [image]
-    for severity in range(1, 6):
+    for severity in corruptions.SEVERITIES:
         strip.append(corruptions.apply(image, corruptions.CorruptionSpec(kind, severity, seed=0)))
     write_ppm(out / f"corrupt_{kind.value}.ppm", np.concatenate(strip, axis=2))
 
@@ -27,7 +27,7 @@ probes = tasks.probe_images(16)
 rows = corruptions.monotonicity_report(probes, seed=0)
 corruptions.write_monotonicity_csv(out / "monotonicity.csv", rows)
 
-print(f"{'kind':<18}" + "".join(f"  sev{s}" for s in range(1, 6)))
+print(f"{'kind':<18}" + "".join(f"  sev{s}" for s in corruptions.SEVERITIES))
 by_kind: dict[str, list[float]] = {}
 for kind, severity, mse in rows:
     by_kind.setdefault(kind, []).append(mse)

@@ -30,6 +30,15 @@ class CellPosition(Enum):
     BOTTOM_RIGHT = "bottom_right"
 
 
+# (row, column) of each cell in the 2x2 grid
+_PLACEMENT = {
+    CellPosition.TOP_LEFT: (0, 0),
+    CellPosition.TOP_RIGHT: (0, 1),
+    CellPosition.BOTTOM_LEFT: (1, 0),
+    CellPosition.BOTTOM_RIGHT: (1, 1),
+}
+
+
 def _validate_image(name: str, t: Tensor, cell_size: int | None = None) -> int:
     if t.data.ndim != 3 or t.shape[0] != 3 or t.shape[1] != t.shape[2]:
         raise ValueError(f"{name}: expected image of shape [3, C, C], got {t.shape}")
@@ -62,29 +71,19 @@ class Canvas:
         c = self.cell_size
         dtype = next(t.dtype for t in self.cells.values() if t is not None)
         fill = constant(np.full((3, c, c), EMPTY_FILL, dtype=dtype))
-        grid = {pos: (fill if t is None else t) for pos, t in self.cells.items()}
-        top = concat([grid[CellPosition.TOP_LEFT], grid[CellPosition.TOP_RIGHT]], axis=2)
-        bottom = concat([grid[CellPosition.BOTTOM_LEFT], grid[CellPosition.BOTTOM_RIGHT]], axis=2)
-        return concat([top, bottom], axis=1)
+        grid = {_PLACEMENT[pos]: (fill if t is None else t) for pos, t in self.cells.items()}
+        return concat([concat([grid[row, 0], grid[row, 1]], axis=2) for row in (0, 1)], axis=1)
 
     def patch_mask(self, patch_size: int) -> np.ndarray:
         """0/1 vector over the (2C/P)^2 patch grid in row-major order, 1 on
         the empty cell's patches."""
         if self.cell_size % patch_size != 0:
             raise ValueError(f"patch_mask: cell size {self.cell_size} not a multiple of patch size {patch_size}")
-        g = 2 * self.cell_size // patch_size
-        half = g // 2
-        rows = np.arange(g)[:, None]
-        cols = np.arange(g)[None, :]
-        in_bottom = rows >= half
-        in_right = cols >= half
-        selector = {
-            CellPosition.TOP_LEFT: ~in_bottom & ~in_right,
-            CellPosition.TOP_RIGHT: ~in_bottom & in_right,
-            CellPosition.BOTTOM_LEFT: in_bottom & ~in_right,
-            CellPosition.BOTTOM_RIGHT: in_bottom & in_right,
-        }[self.empty_position]
-        return selector.astype(np.float64).reshape(-1)
+        half = self.cell_size // patch_size
+        row, col = _PLACEMENT[self.empty_position]
+        mask = np.zeros((2 * half, 2 * half))
+        mask[row * half : (row + 1) * half, col * half : (col + 1) * half] = 1.0
+        return mask.reshape(-1)
 
 
 def assemble_inference(x, y, x_t) -> Canvas:
@@ -135,9 +134,8 @@ def extract_cell(canvas_pixels: Tensor, position: CellPosition) -> Tensor:
     if t.data.ndim != 3 or t.shape[0] != 3 or t.shape[1] != t.shape[2] or t.shape[1] % 2 != 0:
         raise ValueError(f"extract_cell: expected [3, 2C, 2C], got {t.shape}")
     c = t.shape[1] // 2
-    row0 = 0 if position in (CellPosition.TOP_LEFT, CellPosition.TOP_RIGHT) else c
-    col0 = 0 if position in (CellPosition.TOP_LEFT, CellPosition.BOTTOM_LEFT) else c
-    return narrow(narrow(t, 1, row0, c), 2, col0, c)
+    row, col = _PLACEMENT[position]
+    return narrow(narrow(t, 1, row * c, c), 2, col * c, c)
 
 
 # ---------------------------------------------------------------------------
@@ -154,30 +152,3 @@ def write_ppm(path: str | Path, image: np.ndarray) -> None:
     interleaved = quantized.transpose(1, 2, 0)  # H, W, RGB
     header = f"P6\n{arr.shape[2]} {arr.shape[1]}\n255\n".encode("ascii")
     Path(path).write_bytes(header + interleaved.tobytes())
-
-
-def read_ppm(path: str | Path) -> np.ndarray:
-    """Read a binary P6 pixmap back into a float32 [3, H, W] array in [0, 1]."""
-    raw = Path(path).read_bytes()
-    fields: list[bytes] = []
-    pos = 0
-    while len(fields) < 4:
-        while pos < len(raw) and raw[pos : pos + 1].isspace():
-            pos += 1
-        if raw[pos : pos + 1] == b"#":
-            while pos < len(raw) and raw[pos] != 0x0A:
-                pos += 1
-            continue
-        start = pos
-        while pos < len(raw) and not raw[pos : pos + 1].isspace():
-            pos += 1
-        fields.append(raw[start:pos])
-    if fields[0] != b"P6":
-        raise ValueError(f"read_ppm: not a P6 file (magic {fields[0]!r})")
-    width, height, maxval = int(fields[1]), int(fields[2]), int(fields[3])
-    if maxval != 255:
-        raise ValueError(f"read_ppm: unsupported maxval {maxval}")
-    pos += 1  # single whitespace after maxval
-    body = np.frombuffer(raw, dtype=np.uint8, count=width * height * 3, offset=pos)
-    pixels = body.reshape(height, width, 3).transpose(2, 0, 1)
-    return (pixels.astype(np.float32) / 255.0)

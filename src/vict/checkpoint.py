@@ -6,24 +6,27 @@ Layout (all integers unsigned 32-bit little-endian):
     then per tensor: name length + name | group byte (e/d) | rank | dims...
     | raw float32 little-endian values
 
-The config block is ``key=value`` text, one model-config field per line.
-Round-trips are bit-exact for float32 parameters.
+The config block is ``key=value`` text, one model-config field per line
+in ``ModelConfig`` field order. The group byte is written from the tensor
+name (``model.group_of``) and checked against it on load, so a file
+cannot relabel what test-time tuning updates. Round-trips are bit-exact
+for float32 parameters.
 """
 
 from __future__ import annotations
 
 import struct
+from dataclasses import fields
 from pathlib import Path
 
 import numpy as np
 
-from .model import DECODER, ENCODER, ModelConfig, Params
+from .model import DECODER, ENCODER, ModelConfig, Params, group_of
 from .tensor import Tensor
 
 MAGIC = b"VICTCKPT"
 FORMAT_VERSION = 1
 _GROUP_BYTES = {ENCODER: b"e", DECODER: b"d"}
-_GROUP_NAMES = {b"e": ENCODER, b"d": DECODER}
 _MAX_ELEMENTS = 2**31
 
 
@@ -32,16 +35,7 @@ class CheckpointError(ValueError):
 
 
 def _config_block(config: ModelConfig) -> bytes:
-    lines = [
-        f"cell_size={config.cell_size}",
-        f"patch_size={config.patch_size}",
-        f"embed_dim={config.embed_dim}",
-        f"encoder_depth={config.encoder_depth}",
-        f"decoder_depth={config.decoder_depth}",
-        f"num_heads={config.num_heads}",
-        f"mlp_ratio={config.mlp_ratio}",
-    ]
-    return ("\n".join(lines) + "\n").encode("ascii")
+    return "".join(f"{f.name}={getattr(config, f.name)}\n" for f in fields(config)).encode("ascii")
 
 
 def _parse_config_block(text: str, path: str | Path) -> ModelConfig:
@@ -72,7 +66,7 @@ def save_checkpoint(params: Params, path: str | Path) -> None:
         encoded = name.encode("utf-8")
         chunks.append(struct.pack("<I", len(encoded)))
         chunks.append(encoded)
-        chunks.append(_GROUP_BYTES[params.groups[name]])
+        chunks.append(_GROUP_BYTES[group_of(name)])
         chunks.append(struct.pack("<I", data.ndim))
         chunks.append(struct.pack(f"<{data.ndim}I", *data.shape))
         chunks.append(data.tobytes())
@@ -106,12 +100,14 @@ def load_checkpoint(path: str | Path) -> Params:
     config = _parse_config_block(reader.take(reader.u32()).decode("ascii"), path)
     count = reader.u32()
     tensors: dict[str, Tensor] = {}
-    groups: dict[str, str] = {}
     for _ in range(count):
         name = reader.take(reader.u32()).decode("utf-8")
-        group_byte = reader.take(1)
-        if group_byte not in _GROUP_NAMES:
-            raise CheckpointError(f"{path}: unknown group byte {group_byte!r} for tensor {name!r}")
+        group_byte, group = reader.take(1), group_of(name)
+        if group_byte != _GROUP_BYTES[group]:
+            raise CheckpointError(
+                f"{path}: tensor {name!r} has group byte {group_byte!r}, but its name puts it in the "
+                f"{group} group ({_GROUP_BYTES[group]!r})"
+            )
         rank = reader.u32()
         dims = struct.unpack(f"<{rank}I", reader.take(4 * rank))
         elements = int(np.prod(dims, dtype=np.int64)) if dims else 1
@@ -119,10 +115,9 @@ def load_checkpoint(path: str | Path) -> Params:
             raise CheckpointError(f"{path}: tensor {name!r} dimension overflow {dims}")
         values = np.frombuffer(reader.take(4 * elements), dtype="<f4").reshape(dims)
         tensors[name] = Tensor(values.astype(np.float32))
-        groups[name] = _GROUP_NAMES[group_byte]
     if reader.pos != len(raw):
         raise CheckpointError(f"{path}: {len(raw) - reader.pos} trailing bytes after tensor table")
-    return Params(config=config, tensors=tensors, groups=groups)
+    return Params(config=config, tensors=tensors)
 
 
 def describe_checkpoint(path: str | Path) -> str:
@@ -132,5 +127,5 @@ def describe_checkpoint(path: str | Path) -> str:
     lines += ["  " + line for line in _config_block(params.config).decode("ascii").splitlines()]
     lines.append(f"tensors: {len(params.tensors)} ({params.total_parameters()} parameters)")
     for name, t in params.tensors.items():
-        lines.append(f"  {name}  group={params.groups[name]}  shape={list(t.shape)}")
+        lines.append(f"  {name}  group={group_of(name)}  shape={list(t.shape)}")
     return "\n".join(lines)

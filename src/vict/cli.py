@@ -191,7 +191,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("bench", help="corruption benchmark sweep")
     _add_bench_flags(p)
     p.add_argument("--corruption", default="all", help="comma list of kinds, or 'all'")
-    p.add_argument("--severity", default="5", help="comma list of levels in [1,5]")
+    p.add_argument("--severity", default="5", help=f"comma list of levels from {corruptions.SEVERITIES}")
     p.add_argument("--setting", default="both", choices=["zero", "one", "both"])
     p.set_defaults(func=_cmd_bench)
 

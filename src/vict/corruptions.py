@@ -25,6 +25,7 @@ from scipy.ndimage import convolve, gaussian_filter
 from .seeding import rng_for
 
 TABLE_VERSION = 1
+SEVERITIES = (1, 2, 3, 4, 5)
 
 
 class CorruptionKind(Enum):
@@ -70,8 +71,12 @@ class CorruptionSpec:
     def __post_init__(self):
         if not isinstance(self.kind, CorruptionKind):
             raise ValueError(f"CorruptionSpec: unknown kind {self.kind!r}")
-        if self.severity not in (1, 2, 3, 4, 5):
-            raise ValueError(f"CorruptionSpec: severity must be in [1, 5], got {self.severity}")
+        check_severity("CorruptionSpec", self.severity)
+
+
+def check_severity(owner: str, severity: int) -> None:
+    if severity not in SEVERITIES:
+        raise ValueError(f"{owner}: severity must be in {SEVERITIES[0]}..{SEVERITIES[-1]}, got {severity}")
 
 
 SeverityTable = dict[CorruptionKind, tuple[tuple[float, ...], ...]]
@@ -99,9 +104,9 @@ def _parse_table(text: str) -> SeverityTable:
         rows[kind][int(sev)] = tuple(float(v) for v in value.split(","))
     table: SeverityTable = {}
     for kind, entries in rows.items():
-        if sorted(entries) != [1, 2, 3, 4, 5]:
+        if tuple(sorted(entries)) != SEVERITIES:
             raise ValueError(f"severity table: incomplete rows for {kind.value}")
-        table[kind] = tuple(entries[s] for s in range(1, 6))
+        table[kind] = tuple(entries[s] for s in SEVERITIES)
     return table
 
 
@@ -119,9 +124,8 @@ def default_severity_table() -> SeverityTable:
 def severity_params(kind: CorruptionKind, severity: int) -> tuple[float, ...]:
     if not isinstance(kind, CorruptionKind):
         raise ValueError(f"severity_params: unknown kind {kind!r}")
-    if severity not in (1, 2, 3, 4, 5):
-        raise ValueError(f"severity_params: severity must be in [1, 5], got {severity}")
-    return default_severity_table()[kind][severity - 1]
+    check_severity("severity_params", severity)
+    return default_severity_table()[kind][SEVERITIES.index(severity)]
 
 
 # ---------------------------------------------------------------------------
@@ -470,9 +474,11 @@ def apply(image: np.ndarray, spec: CorruptionSpec) -> np.ndarray:
     params = severity_params(spec.kind, spec.severity)
     rng = rng_for("corrupt", spec.kind.value, spec.severity, spec.seed)
     out = _IMPLEMENTATIONS[spec.kind](arr.astype(np.float64), rng, params)
-    out = np.clip(out, 0.0, 1.0)
+    # checked before the clip, which would hide an infinity; a bug in the
+    # corruption, never a numerical divergence
     if not np.isfinite(out).all():
-        raise FloatingPointError(f"apply: non-finite output for {spec.kind.value}")
+        raise RuntimeError(f"apply: non-finite output for {spec.kind.value} at severity {spec.severity}")
+    out = np.clip(out, 0.0, 1.0)
     return out.astype(arr.dtype if np.issubdtype(arr.dtype, np.floating) else np.float32)
 
 
@@ -480,7 +486,7 @@ def monotonicity_report(images: list[np.ndarray], seed: int = 0) -> list[tuple[s
     """Mean MSE-to-clean per (kind, severity) over a probe set."""
     rows = []
     for kind in ALL_KINDS:
-        for sev in range(1, 6):
+        for sev in SEVERITIES:
             total = 0.0
             for i, img in enumerate(images):
                 out = apply(img, CorruptionSpec(kind, sev, seed + i))

@@ -26,7 +26,6 @@ TINY_CONFIG = model.ModelConfig(
     encoder_depth=1,
     decoder_depth=1,
     num_heads=2,
-    mlp_ratio=4,
 )
 
 

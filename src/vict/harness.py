@@ -20,6 +20,7 @@ from . import corruptions, model, tasks, training, tuning
 from .canvas import write_ppm
 from .checkpoint import load_checkpoint
 from .seeding import mix
+from .tensor import check_lr
 from .training import FewShotConfig, fewshot_finetune
 from .tuning import VictConfig, adapt_and_predict, infer, select_prompt
 
@@ -77,7 +78,7 @@ class BenchConfig:
             raise ValueError("BenchConfig: severity 0 is reserved for clean evaluation (run_clean_eval)")
         for label, group, allowed in (
             ("corruption kind", self.corruption_kinds, corruptions.ALL_KINDS),
-            ("severity", self.severities, (1, 2, 3, 4, 5)),
+            ("severity", self.severities, corruptions.SEVERITIES),
             ("setting", self.settings, (tuning.ZERO_SHOT, tuning.ONE_SHOT)),
             ("method", self.methods, (FROZEN, VICT)),
         ):
@@ -234,7 +235,7 @@ def _aggregate(config: BenchConfig, params: model.Params, cells: list[tuple[str,
         schema=1,
         task=config.task.value,
         metric=tasks.metric_name_for(config.task),
-        higher_is_better=config.task is not tasks.TaskKind.DEPTH,
+        higher_is_better=tasks.higher_is_better_for(config.task),
         master_seed=config.seed,
         num_samples=config.num_samples,
         vict=asdict(config.vict),
@@ -313,8 +314,8 @@ class FewShotSweepConfig:
         if bad:
             raise ValueError(f"FewShotSweepConfig: shot counts {bad} not in {training.FEWSHOT_ALLOWED}")
         _reject_repeats("FewShotSweepConfig", "shot count", self.shots)
-        if self.severity not in (1, 2, 3, 4, 5):
-            raise ValueError(f"FewShotSweepConfig: severity must be in 1..5, got {self.severity}")
+        corruptions.check_severity("FewShotSweepConfig", self.severity)
+        check_lr("FewShotSweepConfig", "finetune_lr", self.finetune_lr)
 
 
 def _frozen_eval(

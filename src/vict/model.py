@@ -7,10 +7,12 @@ are added, and pre-norm transformer blocks run encoder then decoder. A
 linear head projects every position back to pixels, squashed to (0, 1) by
 a logistic so outputs are always valid cell images.
 
-Parameters carry a group label so test-time tuning can update the encoder
-group alone: patch embedding, positional embeddings, mask token, and the
-encoder blocks are "encoder"; the decoder blocks and output head are
-"decoder". Weights are plain data: ``init``, ``Params.clone`` and the
+A parameter's group, which decides what test-time tuning may update, is
+read from its name by ``group_of``: the decoder blocks, final norm and
+output head are "decoder"; the patch embedding, positional embeddings,
+mask token and encoder blocks are "encoder". ``Params`` stores no group,
+and the checkpoint loader rejects a group byte that disagrees with the
+name. Weights are plain data: ``init``, ``Params.clone`` and the
 checkpoint loader leave every tensor off the autodiff tape, and
 ``trainable`` alone decides which group a forward pass records gradients
 for. Frozen inference therefore records no tape at all.
@@ -19,7 +21,7 @@ for. Frozen inference therefore records no tape at all.
 from __future__ import annotations
 
 import hashlib
-from dataclasses import dataclass
+from dataclasses import astuple, dataclass
 
 import numpy as np
 from scipy.special import ndtr, ndtri
@@ -30,6 +32,7 @@ from .seeding import rng_for
 
 ENCODER = "encoder"
 DECODER = "decoder"
+_DECODER_PREFIXES = ("dec", "final_norm.", "head.")
 
 # structured-init gains (see _grid_circuit_init)
 _CODE_GAIN = 2.0
@@ -55,16 +58,7 @@ class ModelConfig:
     mlp_ratio: int = 4
 
     def __post_init__(self):
-        values = (
-            self.cell_size,
-            self.patch_size,
-            self.embed_dim,
-            self.encoder_depth,
-            self.decoder_depth,
-            self.num_heads,
-            self.mlp_ratio,
-        )
-        if any(v <= 0 for v in values):
+        if any(v <= 0 for v in astuple(self)):
             raise ValueError(f"ModelConfig: all fields must be positive, got {self}")
         if self.cell_size % self.patch_size != 0:
             raise ValueError(f"ModelConfig: cell_size {self.cell_size} not a multiple of patch_size {self.patch_size}")
@@ -84,19 +78,27 @@ class ModelConfig:
         return self.patch_size * self.patch_size * 3
 
 
+def group_of(name: str) -> str:
+    """The group of the parameter tensor called ``name``."""
+    return DECODER if name.startswith(_DECODER_PREFIXES) else ENCODER
+
+
 @dataclass
 class Params:
-    """Named parameter tensors plus their encoder/decoder group labels."""
+    """Named parameter tensors of one model config."""
 
     config: ModelConfig
     tensors: dict[str, T.Tensor]
-    groups: dict[str, str]
+
+    @property
+    def groups(self) -> dict[str, str]:
+        """Each tensor's encoder/decoder group, from ``group_of``."""
+        return {name: group_of(name) for name in self.tensors}
 
     def clone(self) -> "Params":
         return Params(
             config=self.config,
             tensors={name: T.Tensor(t.data.copy()) for name, t in self.tensors.items()},
-            groups=dict(self.groups),
         )
 
     def digest(self) -> str:
@@ -104,7 +106,7 @@ class Params:
         h.update(repr(self.config).encode())
         for name, t in self.tensors.items():
             h.update(name.encode())
-            h.update(self.groups[name].encode())
+            h.update(group_of(name).encode())
             h.update(str(t.shape).encode())
             h.update(t.data.tobytes())
         return h.hexdigest()
@@ -175,52 +177,50 @@ def init(config: ModelConfig, seed: int, dtype=np.float32) -> Params:
     d = config.embed_dim
     hidden = config.mlp_ratio * d
     tensors: dict[str, T.Tensor] = {}
-    groups: dict[str, str] = {}
 
-    def param(name: str, group: str, array: np.ndarray) -> None:
+    def param(name: str, array: np.ndarray) -> None:
         tensors[name] = T.Tensor(np.ascontiguousarray(array, dtype=dtype))
-        groups[name] = group
 
-    def weight(name: str, group: str, shape) -> None:
-        param(name, group, _trunc_normal(rng, shape, 0.02, dtype))
+    def weight(name: str, shape) -> None:
+        param(name, _trunc_normal(rng, shape, 0.02, dtype))
 
-    def zeros(name: str, group: str, shape) -> None:
-        param(name, group, np.zeros(shape, dtype=dtype))
+    def zeros(name: str, shape) -> None:
+        param(name, np.zeros(shape, dtype=dtype))
 
-    def ones(name: str, group: str, shape) -> None:
-        param(name, group, np.ones(shape, dtype=dtype))
+    def ones(name: str, shape) -> None:
+        param(name, np.ones(shape, dtype=dtype))
 
-    weight("patch_embed.weight", ENCODER, (config.patch_dim, d))
-    zeros("patch_embed.bias", ENCODER, (d,))
-    weight("pos_embed", ENCODER, (config.num_patches, d))
-    weight("mask_token", ENCODER, (d,))
+    weight("patch_embed.weight", (config.patch_dim, d))
+    zeros("patch_embed.bias", (d,))
+    weight("pos_embed", (config.num_patches, d))
+    weight("mask_token", (d,))
 
-    def block(prefix: str, group: str) -> None:
-        ones(f"{prefix}.ln1.gain", group, (d,))
-        zeros(f"{prefix}.ln1.bias", group, (d,))
-        weight(f"{prefix}.attn.qkv.weight", group, (d, 3 * d))
-        zeros(f"{prefix}.attn.qkv.bias", group, (3 * d,))
-        weight(f"{prefix}.attn.proj.weight", group, (d, d))
-        zeros(f"{prefix}.attn.proj.bias", group, (d,))
-        ones(f"{prefix}.ln2.gain", group, (d,))
-        zeros(f"{prefix}.ln2.bias", group, (d,))
-        weight(f"{prefix}.mlp.fc1.weight", group, (d, hidden))
-        zeros(f"{prefix}.mlp.fc1.bias", group, (hidden,))
-        weight(f"{prefix}.mlp.fc2.weight", group, (hidden, d))
-        zeros(f"{prefix}.mlp.fc2.bias", group, (d,))
+    def block(prefix: str) -> None:
+        ones(f"{prefix}.ln1.gain", (d,))
+        zeros(f"{prefix}.ln1.bias", (d,))
+        weight(f"{prefix}.attn.qkv.weight", (d, 3 * d))
+        zeros(f"{prefix}.attn.qkv.bias", (3 * d,))
+        weight(f"{prefix}.attn.proj.weight", (d, d))
+        zeros(f"{prefix}.attn.proj.bias", (d,))
+        ones(f"{prefix}.ln2.gain", (d,))
+        zeros(f"{prefix}.ln2.bias", (d,))
+        weight(f"{prefix}.mlp.fc1.weight", (d, hidden))
+        zeros(f"{prefix}.mlp.fc1.bias", (hidden,))
+        weight(f"{prefix}.mlp.fc2.weight", (hidden, d))
+        zeros(f"{prefix}.mlp.fc2.bias", (d,))
 
     for i in range(config.encoder_depth):
-        block(f"enc{i}", ENCODER)
+        block(f"enc{i}")
     for i in range(config.decoder_depth):
-        block(f"dec{i}", DECODER)
+        block(f"dec{i}")
 
-    ones("final_norm.gain", DECODER, (d,))
-    zeros("final_norm.bias", DECODER, (d,))
-    weight("head.weight", DECODER, (d, config.patch_dim))
-    zeros("head.bias", DECODER, (config.patch_dim,))
+    ones("final_norm.gain", (d,))
+    zeros("final_norm.bias", (d,))
+    weight("head.weight", (d, config.patch_dim))
+    zeros("head.bias", (config.patch_dim,))
 
     _grid_circuit_init(config, tensors)
-    return Params(config=config, tensors=tensors, groups=groups)
+    return Params(config=config, tensors=tensors)
 
 
 def trainable(params: Params, selector: str) -> dict[str, T.Tensor]:
@@ -232,7 +232,7 @@ def trainable(params: Params, selector: str) -> dict[str, T.Tensor]:
     if selector not in (ENCODER, "all"):
         raise ValueError(f"trainable: selector must be 'encoder' or 'all', got {selector!r}")
     for name, t in params.tensors.items():
-        t.requires_grad = selector == "all" or params.groups[name] == ENCODER
+        t.requires_grad = selector == "all" or group_of(name) == ENCODER
     return {name: t for name, t in params.tensors.items() if t.requires_grad}
 
 

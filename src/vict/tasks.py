@@ -55,21 +55,32 @@ class TaskSample:
     seed: int
 
 
+# each task's metric, and whether a higher value of it is better
+_METRICS = {
+    TaskKind.DENOISE: ("PSNR", True),
+    TaskKind.DERAIN: ("PSNR", True),
+    TaskKind.LOWLIGHT: ("PSNR", True),
+    TaskKind.SEGMENTATION: ("mIoU", True),
+    TaskKind.DEPTH: ("A.Rel", False),
+}
+
+
 @dataclass(frozen=True)
 class Metric:
     name: str
     value: float
-    higher_is_better: bool
+
+    @property
+    def higher_is_better(self) -> bool:
+        return dict(_METRICS.values())[self.name]
 
 
 def metric_name_for(task: TaskKind) -> str:
-    return {
-        TaskKind.DENOISE: "PSNR",
-        TaskKind.DERAIN: "PSNR",
-        TaskKind.LOWLIGHT: "PSNR",
-        TaskKind.SEGMENTATION: "mIoU",
-        TaskKind.DEPTH: "A.Rel",
-    }[task]
+    return _METRICS[task][0]
+
+
+def higher_is_better_for(task: TaskKind) -> bool:
+    return _METRICS[task][1]
 
 
 def evaluate(task: TaskKind, pred: np.ndarray, target: np.ndarray) -> Metric:
@@ -211,8 +222,8 @@ def psnr(pred: np.ndarray, target: np.ndarray) -> Metric:
         raise ValueError(f"psnr: shape mismatch {pred.shape} vs {target.shape}")
     mse = float(np.mean((pred - target) ** 2))
     if mse < 1e-10:
-        return Metric("PSNR", PSNR_CAP_DB, True)
-    return Metric("PSNR", min(10.0 * np.log10(1.0 / mse), PSNR_CAP_DB), True)
+        return Metric("PSNR", PSNR_CAP_DB)
+    return Metric("PSNR", min(10.0 * np.log10(1.0 / mse), PSNR_CAP_DB))
 
 
 def decode_classes(image: np.ndarray, palette: np.ndarray) -> np.ndarray:
@@ -240,7 +251,7 @@ def miou(pred: np.ndarray, target: np.ndarray, palette: np.ndarray) -> Metric:
         union = np.logical_or(p, t).sum()
         inter = np.logical_and(p, t).sum()
         ious.append(inter / union if union > 0 else 0.0)
-    return Metric("mIoU", float(np.mean(ious)), True)
+    return Metric("mIoU", float(np.mean(ious)))
 
 
 def luminance(image: np.ndarray) -> np.ndarray:
@@ -257,4 +268,4 @@ def a_rel(pred_depth: np.ndarray, target_depth: np.ndarray) -> Metric:
     valid = t > AREL_MIN_DEPTH
     if not valid.any():
         raise ValueError("a_rel: target has no pixels above the depth floor")
-    return Metric("A.Rel", float(np.mean(np.abs(p[valid] - t[valid]) / t[valid])), False)
+    return Metric("A.Rel", float(np.mean(np.abs(p[valid] - t[valid]) / t[valid])))

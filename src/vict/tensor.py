@@ -611,13 +611,18 @@ class AdamWState:
     v: dict[str, np.ndarray] = field(default_factory=dict)
 
 
+def check_lr(owner: str, name: str, lr: float) -> None:
+    """Reject a learning rate that is negative, NaN or infinite."""
+    if not 0.0 <= lr < np.inf:
+        raise ValueError(f"{owner}: {name} must be finite and nonnegative, got {lr}")
+
+
 def adamw_step(params: dict[str, Tensor], grads: dict[str, np.ndarray], state: AdamWState) -> None:
     """One bias-corrected Adam update, in place on ``params``.
 
     theta <- theta - lr * m_hat / (sqrt(v_hat) + eps)
     """
-    if state.lr < 0:
-        raise ValueError(f"adamw_step: lr must be nonnegative, got {state.lr}")
+    check_lr("adamw_step", "lr", state.lr)
     if set(grads) != set(params):
         raise ValueError("adamw_step: grads and params cover different names")
     state.t += 1

@@ -21,7 +21,7 @@ import numpy as np
 from . import corruptions, model, tasks
 from .canvas import assemble_flipped, assemble_inference, extract_cell
 from .seeding import mix, rng_for
-from .tensor import AdamWState, Tensor, adamw_step, collect_grads, constant, smooth_l1, zero_grads
+from .tensor import AdamWState, Tensor, adamw_step, check_lr, collect_grads, constant, smooth_l1, zero_grads
 
 FEWSHOT_ALLOWED = (1, 2, 4, 8, 16, 32, 64)
 FLIP_MASK_PROB = 0.25
@@ -37,6 +37,7 @@ class PretrainConfig:
     def __post_init__(self):
         if self.steps < 0:
             raise ValueError(f"PretrainConfig: steps must be nonnegative, got {self.steps}")
+        check_lr("PretrainConfig", "lr", self.lr)
         if not self.task_mix:
             raise ValueError("PretrainConfig: task_mix is empty")
 
@@ -112,10 +113,10 @@ class FewShotConfig:
     def __post_init__(self):
         if self.shots not in FEWSHOT_ALLOWED:
             raise ValueError(f"FewShotConfig: shots must be one of {FEWSHOT_ALLOWED}, got {self.shots}")
-        if self.severity not in (1, 2, 3, 4, 5):
-            raise ValueError(f"FewShotConfig: severity must be in [1, 5], got {self.severity}")
+        corruptions.check_severity("FewShotConfig", self.severity)
         if self.steps < 0:
             raise ValueError(f"FewShotConfig: steps must be nonnegative, got {self.steps}")
+        check_lr("FewShotConfig", "lr", self.lr)
 
 
 def fewshot_finetune(params0: model.Params, cfg: FewShotConfig) -> model.Params:

@@ -19,7 +19,7 @@ from . import model, tasks
 from .canvas import assemble_flipped, assemble_inference, extract_cell
 from .corruptions import CorruptionSpec, apply
 from .seeding import mix
-from .tensor import AdamWState, Tensor, adamw_step, collect_grads, constant, smooth_l1, zero_grads
+from .tensor import AdamWState, Tensor, adamw_step, check_lr, collect_grads, constant, smooth_l1, zero_grads
 
 DEFAULT_STEPS = 60
 
@@ -62,8 +62,10 @@ class VictConfig:
     def __post_init__(self):
         if self.steps < 0:
             raise ValueError(f"VictConfig: steps must be nonnegative, got {self.steps}")
-        if self.eps <= 0:
-            raise ValueError(f"VictConfig: eps must be positive, got {self.eps}")
+        check_lr("VictConfig", "lr", self.lr)
+        for name in ("eps", "beta"):
+            if not 0.0 < getattr(self, name) < np.inf:
+                raise ValueError(f"VictConfig: {name} must be finite and positive, got {getattr(self, name)}")
         if self.selector not in ("encoder", "all"):
             raise ValueError(f"VictConfig: selector must be 'encoder' or 'all', got {self.selector!r}")
 

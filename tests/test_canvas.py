@@ -123,13 +123,25 @@ def test_round_trip_property(seed):
         assert cv.extract_cell(grid.pixels(), pos).data.tobytes() == img.tobytes()
 
 
-def test_ppm_round_trip(tmp_path):
+@pytest.mark.parametrize("position", list(cv.CellPosition))
+def test_patch_mask_covers_exactly_the_extracted_cell(position):
+    c, p = 16, 4
+    g = 2 * c // p
+    # every pixel holds the row-major index of its patch
+    patch_ids = np.kron(np.arange(g * g, dtype=np.float64).reshape(g, g), np.ones((p, p)))
+    pixels = T.Tensor(np.repeat(patch_ids[None], 3, axis=0))
+    canvas = cv.Canvas(cells=dict.fromkeys(cv.CellPosition), cell_size=c, empty_position=position)
+    cell_ids = np.unique(cv.extract_cell(pixels, position).data)
+    assert np.array_equal(cell_ids, np.flatnonzero(canvas.patch_mask(p)))
+
+
+def test_write_ppm_bytes(tmp_path):
     rng = np.random.default_rng(3)
-    image = (rng.integers(0, 256, size=(3, 20, 28)) / 255.0).astype(np.float32)
+    levels = rng.integers(0, 256, size=(3, 20, 28))
     path = tmp_path / "dump.ppm"
-    cv.write_ppm(path, image)
-    back = cv.read_ppm(path)
-    assert back.shape == (3, 20, 28)
-    assert np.allclose(back, image, atol=1e-6)
+    cv.write_ppm(path, (levels / 255.0).astype(np.float32))
+    header = b"P6\n28 20\n255\n"
     raw = path.read_bytes()
-    assert raw.startswith(b"P6\n28 20\n255\n")
+    assert raw[: len(header)] == header
+    body = np.frombuffer(raw[len(header) :], dtype=np.uint8)
+    assert np.array_equal(body, levels.transpose(1, 2, 0).reshape(-1))  # row-major, RGB interleaved

@@ -8,6 +8,7 @@ from vict.checkpoint import (
     FORMAT_VERSION,
     MAGIC,
     CheckpointError,
+    _config_block,
     describe_checkpoint,
     load_checkpoint,
     save_checkpoint,
@@ -110,6 +111,24 @@ def test_malformed_config_line_rejected(checkpoint_path, tmp_path, line):
     with pytest.raises(CheckpointError, match="bad config line") as err:
         load_checkpoint(bad)
     assert str(bad) in str(err.value) and repr(line.decode()) in str(err.value)
+
+
+def test_default_config_block_text():
+    # the block follows ModelConfig's field order, so a reorder shows here
+    expected = "cell_size=32\npatch_size=8\nembed_dim=64\nencoder_depth=4\ndecoder_depth=2\nnum_heads=4\nmlp_ratio=4\n"
+    assert _config_block(model.ModelConfig()) == expected.encode("ascii")
+
+
+def test_group_byte_that_disagrees_with_name_rejected(checkpoint_path, tmp_path):
+    _, path = checkpoint_path
+    raw = path.read_bytes()
+    name = b"head.weight"
+    at = raw.index(struct.pack("<I", len(name)) + name) + 4 + len(name)
+    assert raw[at : at + 1] == b"d"
+    bad = tmp_path / "relabelled.bin"
+    bad.write_bytes(raw[:at] + b"e" + raw[at + 1 :])
+    with pytest.raises(CheckpointError, match="'head.weight' has group byte b'e'.*decoder group"):
+        load_checkpoint(bad)
 
 
 def test_describe_mentions_config_and_tensors(checkpoint_path):

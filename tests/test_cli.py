@@ -152,6 +152,13 @@ def test_fewshot_rejects_bad_flags(small_checkpoint, capsys, flags, message):
     assert message in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("flag", ["--lr", "--eps", "--beta"])
+def test_bench_rejects_nan_rate_before_running(monkeypatch, capsys, flag):
+    monkeypatch.setattr(harness, "run_bench", lambda config: pytest.fail("ran with a NaN rate"))
+    assert cli_main(["bench", "--checkpoint", "x", flag, "nan"]) == 1
+    assert f"VictConfig: {flag[2:]} must be finite" in capsys.readouterr().err
+
+
 def test_bench_names_bad_severity_item(small_checkpoint, capsys):
     code = cli_main(["bench", "--checkpoint", str(small_checkpoint), "--severity", "3,x"])
     assert code == 1

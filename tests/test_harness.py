@@ -92,6 +92,14 @@ def test_only_divergence_counts_as_failure(small_checkpoint, monkeypatch, error,
     assert [(e["n"], e["failures"]) for e in report.rows] == [(0, 3)] * 4
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_broken_corruption_is_an_error_not_a_divergence(small_checkpoint, monkeypatch, bad):
+    kind = corruptions.CorruptionKind.GAUSSIAN_NOISE
+    monkeypatch.setitem(corruptions._IMPLEMENTATIONS, kind, lambda img, rng, params: np.full_like(img, bad))
+    with pytest.raises(RuntimeError, match="non-finite output for gaussian_noise at severity 3"):
+        harness.run_bench(bench_config(small_checkpoint))
+
+
 def test_bench_rejects_severity_zero(small_checkpoint):
     with pytest.raises(ValueError, match="clean"):
         harness.run_bench(bench_config(small_checkpoint, severities=(0,)))
@@ -225,6 +233,8 @@ def test_fewshot_sweep_runs(small_checkpoint):
         (dict(shots=(1, 3)), r"shot counts \[3\] not in"),
         (dict(severity=0), "severity must be in 1..5, got 0"),
         (dict(severity=6), "severity must be in 1..5, got 6"),
+        (dict(finetune_lr=float("nan")), "finetune_lr must be finite and nonnegative, got nan"),
+        (dict(finetune_lr=-1.0), "finetune_lr must be finite and nonnegative, got -1.0"),
     ],
 )
 def test_fewshot_config_rejects_bad_values(overrides, message):

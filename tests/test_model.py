@@ -47,6 +47,26 @@ def test_every_tensor_has_group_label(default_params):
     assert set(default_params.groups) == set(default_params.tensors)
 
 
+_BLOCK_TENSORS = (
+    "ln1.gain", "ln1.bias", "attn.qkv.weight", "attn.qkv.bias", "attn.proj.weight", "attn.proj.bias",
+    "ln2.gain", "ln2.bias", "mlp.fc1.weight", "mlp.fc1.bias", "mlp.fc2.weight", "mlp.fc2.bias",
+)
+
+
+@pytest.mark.parametrize("config", [model.ModelConfig(), TINY_CONFIG], ids=["default", "tiny"])
+def test_groups_match_the_stored_labels_they_replace(config):
+    # the labels init used to store, in init order: stem and encoder blocks
+    # "encoder"; decoder blocks, final norm and head "decoder"
+    encoder = ["patch_embed.weight", "patch_embed.bias", "pos_embed", "mask_token"]
+    encoder += [f"enc{i}.{t}" for i in range(config.encoder_depth) for t in _BLOCK_TENSORS]
+    decoder = [f"dec{i}.{t}" for i in range(config.decoder_depth) for t in _BLOCK_TENSORS]
+    decoder += ["final_norm.gain", "final_norm.bias", "head.weight", "head.bias"]
+    expected = {**dict.fromkeys(encoder, model.ENCODER), **dict.fromkeys(decoder, model.DECODER)}
+    params = model.init(config, seed=0)
+    assert list(params.groups.items()) == list(expected.items())
+    assert list(params.clone().groups.items()) == list(expected.items())
+
+
 def _flags(params):
     return {name: t.requires_grad for name, t in params.tensors.items()}
 

@@ -330,6 +330,15 @@ def test_adamw_zero_gradient_is_identity():
     assert np.array_equal(theta.data, before)
 
 
+@pytest.mark.parametrize("lr", [-0.1, float("nan"), float("inf")])
+def test_adamw_rejects_bad_lr_before_touching_state(lr):
+    theta = T.Tensor(arr(1.0), requires_grad=True)
+    state = _scalar_state(lr=lr)
+    with pytest.raises(ValueError, match="adamw_step: lr must be finite and nonnegative"):
+        T.adamw_step({"p": theta}, {"p": arr(1.0)}, state)
+    assert state.t == 0 and theta.data[0] == 1.0
+
+
 def test_adamw_lr_zero_is_identity():
     rng = np.random.default_rng(3)
     theta = T.Tensor(rng.normal(size=(4, 3)), requires_grad=True)

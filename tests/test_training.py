@@ -81,6 +81,20 @@ def test_fewshot_config_validates_shots():
         )
 
 
+@pytest.mark.parametrize("lr", [float("nan"), float("inf"), -1e-3])
+def test_configs_reject_bad_lr(lr):
+    with pytest.raises(ValueError, match="PretrainConfig: lr must be finite and nonnegative"):
+        training.PretrainConfig(lr=lr)
+    with pytest.raises(ValueError, match="FewShotConfig: lr must be finite and nonnegative"):
+        training.FewShotConfig(
+            shots=1,
+            task=tasks.TaskKind.DENOISE,
+            corruption_kind=corruptions.CorruptionKind.GAUSSIAN_NOISE,
+            severity=3,
+            lr=lr,
+        )
+
+
 def test_fewshot_zero_steps_is_identity():
     params = model.init(SMALL_MODEL, seed=2)
     cfg = training.FewShotConfig(

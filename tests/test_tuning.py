@@ -210,3 +210,22 @@ def test_config_validation():
         tuning.VictConfig(selector="decoder")
     with pytest.raises(ValueError, match="steps"):
         tuning.VictConfig(steps=-1)
+
+
+@pytest.mark.parametrize(
+    "overrides, message",
+    [
+        (dict(lr=float("nan")), "lr must be finite and nonnegative, got nan"),
+        (dict(lr=float("inf")), "lr must be finite and nonnegative, got inf"),
+        (dict(lr=-1.0), "lr must be finite and nonnegative, got -1.0"),
+        (dict(eps=float("nan")), "eps must be finite and positive, got nan"),
+        (dict(eps=float("inf")), "eps must be finite and positive, got inf"),
+        (dict(eps=0.0), "eps must be finite and positive, got 0.0"),
+        (dict(beta=0.0), "beta must be finite and positive, got 0.0"),
+        (dict(beta=-1.0), "beta must be finite and positive, got -1.0"),
+        (dict(beta=float("nan")), "beta must be finite and positive, got nan"),
+    ],
+)
+def test_config_rejects_bad_rates(overrides, message):
+    with pytest.raises(ValueError, match=f"VictConfig: {message}"):
+        tuning.VictConfig(**overrides)
