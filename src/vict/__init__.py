@@ -10,11 +10,11 @@ from . import canvas, checkpoint, corruptions, gradcheck, harness, model, tasks,
 from .canvas import CellPosition, assemble_flipped, assemble_inference, extract_cell, write_ppm
 from .checkpoint import load_checkpoint, save_checkpoint
 from .corruptions import ALL_KINDS, CorruptionKind, CorruptionSpec, apply
-from .harness import BenchConfig, MetricReport, run_bench, run_clean_eval, run_fewshot
+from .harness import BenchConfig, FewShotSweepConfig, MetricReport, fewshot_finetune, run_bench, run_clean_eval, run_fewshot
 from .model import ModelConfig, Params, forward, init, trainable
 from .tasks import ALL_TASKS, Metric, TaskKind, TaskSample, a_rel, generate, miou, psnr
 from .tensor import AdamWState, Tensor, adamw_step, backward, smooth_l1, zero_grads
-from .training import FewShotConfig, PretrainConfig, fewshot_finetune, pretrain
+from .training import PretrainConfig, fit, pretrain
 from .tuning import AdaptationResult, PromptSet, VictConfig, adapt_and_predict, cycle_loss, select_prompt
 
 __version__ = "0.1.0"

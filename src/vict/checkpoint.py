@@ -7,27 +7,29 @@ Layout (all integers unsigned 32-bit little-endian):
     | raw float32 little-endian values
 
 The config block is ``key=value`` text, one model-config field per line
-in ``ModelConfig`` field order. The group byte is written from the tensor
-name (``model.group_of``) and checked against it on load, so a file
-cannot relabel what test-time tuning updates. Round-trips are bit-exact
-for float32 parameters.
+in ``ModelConfig`` field order. The tensor table must list exactly
+``model.layout(config)``: the same names, in the same order, with the
+same shapes. The group byte is written from the tensor name
+(``model.group_of``) and checked against it on load, so a file cannot
+relabel what test-time tuning updates. Round-trips are bit-exact for
+float32 parameters.
 """
 
 from __future__ import annotations
 
+import math
 import struct
 from dataclasses import fields
 from pathlib import Path
 
 import numpy as np
 
-from .model import DECODER, ENCODER, ModelConfig, Params, group_of
+from .model import DECODER, ENCODER, ModelConfig, Params, group_of, layout
 from .tensor import Tensor
 
 MAGIC = b"VICTCKPT"
 FORMAT_VERSION = 1
 _GROUP_BYTES = {ENCODER: b"e", DECODER: b"d"}
-_MAX_ELEMENTS = 2**31
 
 
 class CheckpointError(ValueError):
@@ -98,10 +100,16 @@ def load_checkpoint(path: str | Path) -> Params:
     if version != FORMAT_VERSION:
         raise CheckpointError(f"{path}: unsupported format version {version}")
     config = _parse_config_block(reader.take(reader.u32()).decode("ascii"), path)
+    expected = layout(config)
     count = reader.u32()
     tensors: dict[str, Tensor] = {}
-    for _ in range(count):
+    for i in range(count):
         name = reader.take(reader.u32()).decode("utf-8")
+        if i == len(expected):
+            raise CheckpointError(f"{path}: unexpected tensor {name!r} after the {len(expected)} the config defines")
+        want, shape, _ = expected[i]
+        if name != want:
+            raise CheckpointError(f"{path}: tensor {i} is {name!r}, but the config puts {want!r} there")
         group_byte, group = reader.take(1), group_of(name)
         if group_byte != _GROUP_BYTES[group]:
             raise CheckpointError(
@@ -110,11 +118,12 @@ def load_checkpoint(path: str | Path) -> Params:
             )
         rank = reader.u32()
         dims = struct.unpack(f"<{rank}I", reader.take(4 * rank))
-        elements = int(np.prod(dims, dtype=np.int64)) if dims else 1
-        if elements <= 0 or elements > _MAX_ELEMENTS:
-            raise CheckpointError(f"{path}: tensor {name!r} dimension overflow {dims}")
-        values = np.frombuffer(reader.take(4 * elements), dtype="<f4").reshape(dims)
+        if dims != shape:
+            raise CheckpointError(f"{path}: tensor {name!r} has shape {list(dims)}, but the config gives {list(shape)}")
+        values = np.frombuffer(reader.take(4 * math.prod(dims)), dtype="<f4").reshape(dims)
         tensors[name] = Tensor(values.astype(np.float32))
+    if count < len(expected):
+        raise CheckpointError(f"{path}: missing tensor {expected[count][0]!r}; the table ends after {count}")
     if reader.pos != len(raw):
         raise CheckpointError(f"{path}: {len(raw) - reader.pos} trailing bytes after tensor table")
     return Params(config=config, tensors=tensors)

@@ -10,7 +10,7 @@ from pathlib import Path
 
 from . import corruptions, gradcheck, harness, tasks, training, tuning
 from .checkpoint import describe_checkpoint, save_checkpoint
-from .model import ModelConfig
+from .model import SELECTORS, ModelConfig
 
 
 def _parse_name(flag: str, kind: type[Enum], text: str, item: str | None = None):
@@ -67,7 +67,7 @@ def _add_bench_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--steps", type=int, default=vict.steps, help="test-time tuning steps")
     p.add_argument("--lr", type=float, default=vict.lr, help="test-time tuning learning rate")
     p.add_argument("--eps", type=float, default=vict.eps, help="test-time AdamW damping")
-    p.add_argument("--tune", default=vict.selector, choices=["encoder", "all"])
+    p.add_argument("--tune", default=vict.selector, choices=SELECTORS)
     p.add_argument("--beta", type=float, default=vict.beta)
     p.add_argument("--num-samples", type=int, default=bench.num_samples)
     p.add_argument("--seed", type=int, default=bench.seed)
@@ -91,6 +91,15 @@ def _bench_config(args, **grid) -> harness.BenchConfig:
         trace_loss_dir=args.trace_loss,
         **grid,
     )
+
+
+def _check_out_paths(args) -> None:
+    """Reject an output path that is a directory, or whose directory does not
+    exist, before any work starts, so a long run is not lost at the end."""
+    for flag in ("--out", "--csv", "--loss-trace"):
+        path = getattr(args, flag[2:].replace("-", "_"), None)
+        if path and (Path(path).is_dir() or not Path(path).parent.is_dir()):
+            raise ValueError(f"{flag}: {path!r} is not a file in an existing directory")
 
 
 def _emit_report(report: harness.MetricReport, args) -> None:
@@ -202,7 +211,7 @@ def build_parser() -> argparse.ArgumentParser:
     few = harness.FewShotSweepConfig(checkpoint="")
     p = sub.add_parser("fewshot", help="few-shot corrupted fine-tuning baseline sweep")
     p.add_argument("--checkpoint", required=True)
-    p.add_argument("--shots", default=",".join(map(str, training.FEWSHOT_ALLOWED)))
+    p.add_argument("--shots", default=",".join(map(str, few.shots)))
     p.add_argument("--task", default=few.task.value)
     p.add_argument("--corruption", default=few.corruption_kind.value)
     p.add_argument("--severity", type=int, default=few.severity)
@@ -233,6 +242,7 @@ def cli_main(argv: list[str] | None = None) -> int:
     except SystemExit as exit_:
         return int(exit_.code or 0)
     try:
+        _check_out_paths(args)
         return args.func(args)
     except Exception as err:
         print(f"error: {err}", file=sys.stderr)

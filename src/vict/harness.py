@@ -6,6 +6,9 @@ master seed and the cell coordinates alone, so the same config always
 yields byte-identical reports.
 An "avg" row per (method, setting, severity) carries the arithmetic mean
 of the per-corruption means and is recomputable from the report itself.
+
+The few-shot baseline has one config, ``FewShotSweepConfig``; its
+fine-tuning runs through ``training.fit``, the loop pre-training uses.
 """
 
 from __future__ import annotations
@@ -19,9 +22,8 @@ import numpy as np
 from . import corruptions, model, tasks, training, tuning
 from .canvas import write_ppm
 from .checkpoint import load_checkpoint
-from .seeding import mix
+from .seeding import mix, rng_for
 from .tensor import check_lr
-from .training import FewShotConfig, fewshot_finetune
 from .tuning import VictConfig, adapt_and_predict, infer, select_prompt
 
 FROZEN = "frozen"
@@ -286,11 +288,13 @@ def run_clean_eval(config: BenchConfig) -> MetricReport:
 # few-shot baseline sweep
 # ---------------------------------------------------------------------------
 
+FEWSHOT_ALLOWED = (1, 2, 4, 8, 16, 32, 64)
+
 
 @dataclass(frozen=True)
 class FewShotSweepConfig:
     checkpoint: str | Path
-    shots: tuple[int, ...] = training.FEWSHOT_ALLOWED
+    shots: tuple[int, ...] = FEWSHOT_ALLOWED
     task: tasks.TaskKind = tasks.TaskKind.DENOISE
     corruption_kind: corruptions.CorruptionKind = corruptions.CorruptionKind.GAUSSIAN_NOISE
     severity: int = 3
@@ -310,33 +314,46 @@ class FewShotSweepConfig:
                 raise ValueError(f"FewShotSweepConfig: {label} must be >= {least}, got {value}")
         if not self.shots:
             raise ValueError("FewShotSweepConfig: empty shot list")
-        bad = [m for m in self.shots if m not in training.FEWSHOT_ALLOWED]
+        bad = [m for m in self.shots if m not in FEWSHOT_ALLOWED]
         if bad:
-            raise ValueError(f"FewShotSweepConfig: shot counts {bad} not in {training.FEWSHOT_ALLOWED}")
+            raise ValueError(f"FewShotSweepConfig: shot counts {bad} not in {FEWSHOT_ALLOWED}")
         _reject_repeats("FewShotSweepConfig", "shot count", self.shots)
         corruptions.check_severity("FewShotSweepConfig", self.severity)
         check_lr("FewShotSweepConfig", "finetune_lr", self.finetune_lr)
 
 
-def _frozen_eval(
-    params: model.Params,
-    task: tasks.TaskKind,
-    kind: corruptions.CorruptionKind,
-    severity: int,
-    num_samples: int,
-    seed: int,
-) -> float:
+def _frozen_eval(params: model.Params, config: FewShotSweepConfig, seed: int) -> float:
     """Mean metric of frozen inference with clean prompts on corrupted samples."""
     c = params.config.cell_size
     values = []
-    for i in range(num_samples):
-        sample = tasks.generate(task, mix("fewshot-eval-test", seed, i), c)
-        spec = corruptions.CorruptionSpec(kind, severity, mix("fewshot-eval-corr", seed, i))
+    for i in range(config.num_samples):
+        sample = tasks.generate(config.task, mix("fewshot-eval-test", seed, i), c)
+        spec = corruptions.CorruptionSpec(config.corruption_kind, config.severity, mix("fewshot-eval-corr", seed, i))
         x_t = corruptions.apply(sample.input, spec)
-        prompt = select_prompt(task, tuning.ZERO_SHOT, None, mix("fewshot-eval-prompt", seed, i), c)
+        prompt = select_prompt(config.task, tuning.ZERO_SHOT, None, mix("fewshot-eval-prompt", seed, i), c)
         prediction = infer(params, prompt.pair, x_t)
-        values.append(tasks.evaluate(task, prediction, sample.target).value)
+        values.append(tasks.evaluate(config.task, prediction, sample.target).value)
     return float(np.mean(values))
+
+
+def fewshot_finetune(params0: model.Params, config: FewShotSweepConfig, shots: int, seed: int) -> model.Params:
+    """Fine-tune all parameters of a clone of ``params0`` for
+    ``config.finetune_steps`` steps on ``shots`` corrupted input/clean
+    target pairs, cycling through them, with pre-training's objective
+    flipped half the time. ``params0`` is left untouched."""
+    if shots not in config.shots:
+        raise ValueError(f"fewshot_finetune: shot count {shots} is not in the config's shots {config.shots}")
+    c = params0.config.cell_size
+    pairs = []
+    for j in range(shots):
+        sample = tasks.generate(config.task, mix("fewshot-sample", seed, j), c)
+        spec = corruptions.CorruptionSpec(config.corruption_kind, config.severity, mix("fewshot-corrupt", seed, j))
+        pairs.append((corruptions.apply(sample.input, spec), sample.target))
+    rng = rng_for("fewshot", seed)
+    batches = (
+        (pairs[(step + 1) % shots], pairs[step % shots], rng.random() < 0.5) for step in range(config.finetune_steps)
+    )
+    return training.fit(params0.clone(), config.finetune_lr, batches, "few-shot fine-tuning")[0]
 
 
 def run_fewshot(config: FewShotSweepConfig) -> dict:
@@ -344,24 +361,8 @@ def run_fewshot(config: FewShotSweepConfig) -> dict:
     params0 = load_checkpoint(config.checkpoint)
     per_shot = []
     for m in config.shots:
-        rep_values = []
-        for rep in range(config.repeats):
-            rep_seed = mix("fewshot-rep", config.seed, rep)
-            tuned = fewshot_finetune(
-                params0,
-                FewShotConfig(
-                    shots=m,
-                    task=config.task,
-                    corruption_kind=config.corruption_kind,
-                    severity=config.severity,
-                    steps=config.finetune_steps,
-                    lr=config.finetune_lr,
-                    seed=rep_seed,
-                ),
-            )
-            rep_values.append(
-                _frozen_eval(tuned, config.task, config.corruption_kind, config.severity, config.num_samples, rep_seed)
-            )
+        seeds = [mix("fewshot-rep", config.seed, rep) for rep in range(config.repeats)]
+        rep_values = [_frozen_eval(fewshot_finetune(params0, config, m, seed), config, seed) for seed in seeds]
         per_shot.append(
             {
                 "shots": m,

@@ -12,7 +12,9 @@ read from its name by ``group_of``: the decoder blocks, final norm and
 output head are "decoder"; the patch embedding, positional embeddings,
 mask token and encoder blocks are "encoder". ``Params`` stores no group,
 and the checkpoint loader rejects a group byte that disagrees with the
-name. Weights are plain data: ``init``, ``Params.clone`` and the
+name. ``layout`` lists every tensor's name, shape and fill once: ``init``
+builds from it and the checkpoint loader checks a file against it.
+Weights are plain data: ``init``, ``Params.clone`` and the
 checkpoint loader leave every tensor off the autodiff tape, and
 ``trainable`` alone decides which group a forward pass records gradients
 for. Frozen inference therefore records no tape at all.
@@ -33,6 +35,7 @@ from .seeding import rng_for
 ENCODER = "encoder"
 DECODER = "decoder"
 _DECODER_PREFIXES = ("dec", "final_norm.", "head.")
+SELECTORS = (ENCODER, "all")  # what test-time tuning may update: the encoder group or everything
 
 # structured-init gains (see _grid_circuit_init)
 _CODE_GAIN = 2.0
@@ -169,56 +172,55 @@ def _grid_circuit_init(config: ModelConfig, tensors: dict[str, T.Tensor]) -> Non
     tensors["head.weight"].data[:] = (_HEAD_TIE_GAIN * embed.T).astype(dtype)
 
 
-def init(config: ModelConfig, seed: int, dtype=np.float32) -> Params:
-    """Deterministic initialization: truncated normal weights (std 0.02),
-    zero biases, unit layer-norm gains, plus the structured copy-circuit
-    wiring of ``_grid_circuit_init``."""
-    rng = rng_for("model-init", seed)
+def layout(config: ModelConfig) -> list[tuple[str, tuple[int, ...], str]]:
+    """Every parameter tensor of ``config`` as (name, shape, fill), in
+    ``init``'s order. ``fill`` is "normal" (truncated normal, std 0.02),
+    "zeros" or "ones"."""
     d = config.embed_dim
     hidden = config.mlp_ratio * d
+    entries = [
+        ("patch_embed.weight", (config.patch_dim, d), "normal"),
+        ("patch_embed.bias", (d,), "zeros"),
+        ("pos_embed", (config.num_patches, d), "normal"),
+        ("mask_token", (d,), "normal"),
+    ]
+    blocks = [f"enc{i}" for i in range(config.encoder_depth)] + [f"dec{i}" for i in range(config.decoder_depth)]
+    for prefix in blocks:
+        entries += [
+            (f"{prefix}.ln1.gain", (d,), "ones"),
+            (f"{prefix}.ln1.bias", (d,), "zeros"),
+            (f"{prefix}.attn.qkv.weight", (d, 3 * d), "normal"),
+            (f"{prefix}.attn.qkv.bias", (3 * d,), "zeros"),
+            (f"{prefix}.attn.proj.weight", (d, d), "normal"),
+            (f"{prefix}.attn.proj.bias", (d,), "zeros"),
+            (f"{prefix}.ln2.gain", (d,), "ones"),
+            (f"{prefix}.ln2.bias", (d,), "zeros"),
+            (f"{prefix}.mlp.fc1.weight", (d, hidden), "normal"),
+            (f"{prefix}.mlp.fc1.bias", (hidden,), "zeros"),
+            (f"{prefix}.mlp.fc2.weight", (hidden, d), "normal"),
+            (f"{prefix}.mlp.fc2.bias", (d,), "zeros"),
+        ]
+    entries += [
+        ("final_norm.gain", (d,), "ones"),
+        ("final_norm.bias", (d,), "zeros"),
+        ("head.weight", (d, config.patch_dim), "normal"),
+        ("head.bias", (config.patch_dim,), "zeros"),
+    ]
+    return entries
+
+
+def init(config: ModelConfig, seed: int, dtype=np.float32) -> Params:
+    """Deterministic initialization of ``layout(config)``: truncated normal
+    weights (std 0.02), zero biases, unit layer-norm gains, plus the
+    structured copy-circuit wiring of ``_grid_circuit_init``."""
+    rng = rng_for("model-init", seed)
     tensors: dict[str, T.Tensor] = {}
-
-    def param(name: str, array: np.ndarray) -> None:
+    for name, shape, fill in layout(config):
+        if fill == "normal":
+            array = _trunc_normal(rng, shape, 0.02, dtype)
+        else:
+            array = (np.zeros if fill == "zeros" else np.ones)(shape, dtype=dtype)
         tensors[name] = T.Tensor(np.ascontiguousarray(array, dtype=dtype))
-
-    def weight(name: str, shape) -> None:
-        param(name, _trunc_normal(rng, shape, 0.02, dtype))
-
-    def zeros(name: str, shape) -> None:
-        param(name, np.zeros(shape, dtype=dtype))
-
-    def ones(name: str, shape) -> None:
-        param(name, np.ones(shape, dtype=dtype))
-
-    weight("patch_embed.weight", (config.patch_dim, d))
-    zeros("patch_embed.bias", (d,))
-    weight("pos_embed", (config.num_patches, d))
-    weight("mask_token", (d,))
-
-    def block(prefix: str) -> None:
-        ones(f"{prefix}.ln1.gain", (d,))
-        zeros(f"{prefix}.ln1.bias", (d,))
-        weight(f"{prefix}.attn.qkv.weight", (d, 3 * d))
-        zeros(f"{prefix}.attn.qkv.bias", (3 * d,))
-        weight(f"{prefix}.attn.proj.weight", (d, d))
-        zeros(f"{prefix}.attn.proj.bias", (d,))
-        ones(f"{prefix}.ln2.gain", (d,))
-        zeros(f"{prefix}.ln2.bias", (d,))
-        weight(f"{prefix}.mlp.fc1.weight", (d, hidden))
-        zeros(f"{prefix}.mlp.fc1.bias", (hidden,))
-        weight(f"{prefix}.mlp.fc2.weight", (hidden, d))
-        zeros(f"{prefix}.mlp.fc2.bias", (d,))
-
-    for i in range(config.encoder_depth):
-        block(f"enc{i}")
-    for i in range(config.decoder_depth):
-        block(f"dec{i}")
-
-    ones("final_norm.gain", (d,))
-    zeros("final_norm.bias", (d,))
-    weight("head.weight", (d, config.patch_dim))
-    zeros("head.bias", (config.patch_dim,))
-
     _grid_circuit_init(config, tensors)
     return Params(config=config, tensors=tensors)
 
@@ -226,11 +228,12 @@ def init(config: ModelConfig, seed: int, dtype=np.float32) -> Params:
 def trainable(params: Params, selector: str) -> dict[str, T.Tensor]:
     """Put the selected group on the tape and take every other tensor off.
 
-    ``selector`` is "encoder" or "all". Returns the group, in
-    ``params.tensors`` order; only its tensors get gradients from backward.
+    ``selector`` is one of ``SELECTORS``: "encoder" or "all". Returns the
+    group, in ``params.tensors`` order; only its tensors get gradients from
+    backward.
     """
-    if selector not in (ENCODER, "all"):
-        raise ValueError(f"trainable: selector must be 'encoder' or 'all', got {selector!r}")
+    if selector not in SELECTORS:
+        raise ValueError(f"trainable: selector must be one of {SELECTORS}, got {selector!r}")
     for name, t in params.tensors.items():
         t.requires_grad = selector == "all" or group_of(name) == ENCODER
     return {name: t for name, t in params.tensors.items() if t.requires_grad}

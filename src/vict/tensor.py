@@ -597,14 +597,17 @@ def smooth_l1(pred: Tensor, target: Tensor, beta: float = 1.0) -> Tensor:
 # ---------------------------------------------------------------------------
 
 
+ADAM_BETA1 = 0.9
+ADAM_BETA2 = 0.999
+
+
 @dataclass
 class AdamWState:
-    """Adam state with one shared step counter. No weight decay: nothing in
+    """Adam state with one shared step counter; the moment decay rates are
+    ``ADAM_BETA1`` and ``ADAM_BETA2``. No weight decay: nothing in
     pre-training, fine-tuning or test-time tuning decays its weights."""
 
     lr: float
-    beta1: float = 0.9
-    beta2: float = 0.999
     eps: float = 1e-8
     t: int = 0
     m: dict[str, np.ndarray] = field(default_factory=dict)
@@ -626,8 +629,8 @@ def adamw_step(params: dict[str, Tensor], grads: dict[str, np.ndarray], state: A
     if set(grads) != set(params):
         raise ValueError("adamw_step: grads and params cover different names")
     state.t += 1
-    bc1 = 1.0 - state.beta1 ** state.t
-    bc2 = 1.0 - state.beta2 ** state.t
+    bc1 = 1.0 - ADAM_BETA1 ** state.t
+    bc2 = 1.0 - ADAM_BETA2 ** state.t
     for name, p in params.items():
         g = grads[name]
         if g is None:
@@ -640,12 +643,12 @@ def adamw_step(params: dict[str, Tensor], grads: dict[str, np.ndarray], state: A
             state.m[name] = np.zeros_like(p.data)
             state.v[name] = np.zeros_like(p.data)
         m, v = state.m[name], state.v[name]
-        scratch = np.multiply(g, 1.0 - state.beta1, out=np.empty_like(g))
-        m *= state.beta1
+        scratch = np.multiply(g, 1.0 - ADAM_BETA1, out=np.empty_like(g))
+        m *= ADAM_BETA1
         m += scratch
         np.multiply(g, g, out=scratch)
-        scratch *= 1.0 - state.beta2
-        v *= state.beta2
+        scratch *= 1.0 - ADAM_BETA2
+        v *= ADAM_BETA2
         v += scratch
         # scratch <- sqrt(v_hat) + eps; update = m_hat / scratch
         np.divide(v, bc2, out=scratch)

@@ -1,30 +1,34 @@
-"""Clean-distribution pre-training and the few-shot fine-tuning baseline.
+"""Clean-distribution pre-training and the one weight-fitting loop.
+
+``fit`` is the loop that pre-training and the few-shot fine-tuning
+baseline (``harness.fewshot_finetune``) share: every parameter on the
+tape, a fresh AdamW state, and per batch one smooth-L1 loss on a masked
+output cell (``masked_cell_loss``), one backward and one update.
 
 Pre-training draws a task, generates an independent prompt pair and query
-pair, and supervises one masked output cell with smooth-L1; AdamW updates
-every parameter. Each step masks either the query output (bottom right)
-or, with probability ``FLIP_MASK_PROB``, the prompt output (top right,
-with the true query pair completing the canvas) so both inpainting
-arrangements used at test time are in-distribution. No corrupted data and
-no augmentation ever enter this loop. The few-shot baseline fine-tunes a
-pre-trained checkpoint on m corrupted input/clean target pairs with the
-same objective, ``masked_cell_loss``, for later frozen evaluation.
+pair, and supervises one masked output cell. Each step masks either the
+query output (bottom right) or, with probability ``FLIP_MASK_PROB``, the
+prompt output (top right, with the true query pair completing the canvas)
+so both inpainting arrangements used at test time are in-distribution. No
+corrupted data and no augmentation ever enter pre-training.
 """
 
 from __future__ import annotations
 
+from collections.abc import Iterable
 from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
 
-from . import corruptions, model, tasks
+from . import model, tasks
 from .canvas import assemble_flipped, assemble_inference, extract_cell
-from .seeding import mix, rng_for
+from .seeding import rng_for
 from .tensor import AdamWState, Tensor, adamw_step, check_lr, collect_grads, constant, smooth_l1, zero_grads
 
-FEWSHOT_ALLOWED = (1, 2, 4, 8, 16, 32, 64)
 FLIP_MASK_PROB = 0.25
+
+Pair = tuple[np.ndarray, np.ndarray]
 
 
 @dataclass(frozen=True)
@@ -49,12 +53,7 @@ class PretrainResult:
     task_counts: dict[tasks.TaskKind, int]
 
 
-def masked_cell_loss(
-    params: model.Params,
-    prompt: tuple[np.ndarray, np.ndarray],
-    query: tuple[np.ndarray, np.ndarray],
-    flip: bool,
-) -> Tensor:
+def masked_cell_loss(params: model.Params, prompt: Pair, query: Pair, flip: bool) -> Tensor:
     """Smooth-L1 on the canvas's empty cell: the query output, or with
     ``flip`` the prompt output, the true query pair completing the canvas."""
     (x, y), (x_q, y_q) = prompt, query
@@ -66,81 +65,47 @@ def masked_cell_loss(
     return smooth_l1(pred, constant(target))
 
 
-def pretrain(model_config: model.ModelConfig, cfg: PretrainConfig) -> PretrainResult:
-    params = model.init(model_config, seed=cfg.seed)
+def fit(
+    params: model.Params, lr: float, batches: Iterable[tuple[Pair, Pair, bool]], what: str
+) -> tuple[model.Params, list[float]]:
+    """Step every parameter of ``params`` with AdamW, in place, once per
+    ``(prompt, query, flip)`` batch of ``masked_cell_loss``. Returns an
+    off-tape clone of the fitted weights and the loss of each step; a
+    divergence is a ``RuntimeError`` naming ``what`` and the step."""
     group = model.trainable(params, "all")
-    state = AdamWState(lr=cfg.lr)
-    rng = rng_for("pretrain", cfg.seed)
-    mix_order = tuple(cfg.task_mix)
+    state = AdamWState(lr=lr)
     losses: list[float] = []
-    counts: dict[tasks.TaskKind, int] = {t: 0 for t in mix_order}
-    c = model_config.cell_size
-
-    for step in range(cfg.steps):
-        task = mix_order[int(rng.integers(len(mix_order)))]
-        counts[task] += 1
-        prompt = tasks.generate(task, int(rng.integers(0, 2**63)), c)
-        query = tasks.generate(task, int(rng.integers(0, 2**63)), c)
-        flip = rng.random() < FLIP_MASK_PROB
+    for step, (prompt, query, flip) in enumerate(batches):
         zero_grads(params.tensors.values())
         try:
-            loss = masked_cell_loss(params, (prompt.input, prompt.target), (query.input, query.target), flip)
+            loss = masked_cell_loss(params, prompt, query, flip)
             loss.backward()
             adamw_step(group, collect_grads(group), state)
         except FloatingPointError as err:
-            raise RuntimeError(f"pretraining diverged at step {step}: {err}") from err
+            raise RuntimeError(f"{what} diverged at step {step}: {err}") from err
         losses.append(loss.item())
+    return params.clone(), losses
 
-    return PretrainResult(params=params.clone(), losses=losses, task_counts=counts)
+
+def pretrain(model_config: model.ModelConfig, cfg: PretrainConfig) -> PretrainResult:
+    rng = rng_for("pretrain", cfg.seed)
+    mix_order = tuple(cfg.task_mix)
+    counts: dict[tasks.TaskKind, int] = {t: 0 for t in mix_order}
+    c = model_config.cell_size
+
+    def batches():
+        for _ in range(cfg.steps):
+            task = mix_order[int(rng.integers(len(mix_order)))]
+            counts[task] += 1
+            prompt = tasks.generate(task, int(rng.integers(0, 2**63)), c)
+            query = tasks.generate(task, int(rng.integers(0, 2**63)), c)
+            yield (prompt.input, prompt.target), (query.input, query.target), rng.random() < FLIP_MASK_PROB
+
+    params, losses = fit(model.init(model_config, seed=cfg.seed), cfg.lr, batches(), "pretraining")
+    return PretrainResult(params=params, losses=losses, task_counts=counts)
 
 
 def save_loss_trace(path: str | Path, losses: list[float]) -> None:
     lines = ["step,loss"]
     lines += [f"{i},{value:.8f}" for i, value in enumerate(losses)]
     Path(path).write_text("\n".join(lines) + "\n", encoding="ascii")
-
-
-@dataclass(frozen=True)
-class FewShotConfig:
-    shots: int
-    task: tasks.TaskKind
-    corruption_kind: corruptions.CorruptionKind
-    severity: int
-    steps: int = 300
-    lr: float = 3e-4
-    seed: int = 0
-
-    def __post_init__(self):
-        if self.shots not in FEWSHOT_ALLOWED:
-            raise ValueError(f"FewShotConfig: shots must be one of {FEWSHOT_ALLOWED}, got {self.shots}")
-        corruptions.check_severity("FewShotConfig", self.severity)
-        if self.steps < 0:
-            raise ValueError(f"FewShotConfig: steps must be nonnegative, got {self.steps}")
-        check_lr("FewShotConfig", "lr", self.lr)
-
-
-def fewshot_finetune(params0: model.Params, cfg: FewShotConfig) -> model.Params:
-    """Fine-tune all parameters on m corrupted pairs, cycling through them."""
-    c = params0.config.cell_size
-    pairs = []
-    for j in range(cfg.shots):
-        sample = tasks.generate(cfg.task, mix("fewshot-sample", cfg.seed, j), c)
-        spec = corruptions.CorruptionSpec(cfg.corruption_kind, cfg.severity, mix("fewshot-corrupt", cfg.seed, j))
-        pairs.append((corruptions.apply(sample.input, spec), sample.target))
-
-    params = params0.clone()
-    group = model.trainable(params, "all")
-    state = AdamWState(lr=cfg.lr)
-    rng = rng_for("fewshot", cfg.seed)
-    for step in range(cfg.steps):
-        query = pairs[step % cfg.shots]
-        prompt = pairs[(step + 1) % cfg.shots]
-        zero_grads(params.tensors.values())
-        try:
-            # same two-arrangement objective as pre-training, flipped half the time
-            loss = masked_cell_loss(params, prompt, query, rng.random() < 0.5)
-            loss.backward()
-            adamw_step(group, collect_grads(group), state)
-        except FloatingPointError as err:
-            raise RuntimeError(f"few-shot fine-tuning diverged at step {step}: {err}") from err
-    return params.clone()

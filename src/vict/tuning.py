@@ -66,8 +66,8 @@ class VictConfig:
         for name in ("eps", "beta"):
             if not 0.0 < getattr(self, name) < np.inf:
                 raise ValueError(f"VictConfig: {name} must be finite and positive, got {getattr(self, name)}")
-        if self.selector not in ("encoder", "all"):
-            raise ValueError(f"VictConfig: selector must be 'encoder' or 'all', got {self.selector!r}")
+        if self.selector not in model.SELECTORS:
+            raise ValueError(f"VictConfig: selector must be one of {model.SELECTORS}, got {self.selector!r}")
 
 
 @dataclass

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from vict import model
+from vict.tensor import Tensor
 from vict.checkpoint import (
     FORMAT_VERSION,
     MAGIC,
@@ -128,6 +129,45 @@ def test_group_byte_that_disagrees_with_name_rejected(checkpoint_path, tmp_path)
     bad = tmp_path / "relabelled.bin"
     bad.write_bytes(raw[:at] + b"e" + raw[at + 1 :])
     with pytest.raises(CheckpointError, match="'head.weight' has group byte b'e'.*decoder group"):
+        load_checkpoint(bad)
+
+
+def _drop(name):
+    return lambda tensors: tensors.pop(name)
+
+
+def _add_extra(tensors):
+    tensors["enc5.extra"] = Tensor(np.zeros(3, np.float32))
+
+
+def _swap_first_two(tensors):
+    first, second, *rest = tensors
+    reordered = {name: tensors[name] for name in (second, first, *rest)}
+    tensors.clear()
+    tensors.update(reordered)
+
+
+def _widen_head_bias(tensors):
+    tensors["head.bias"] = Tensor(np.zeros(tensors["head.bias"].shape[0] + 1, np.float32))
+
+
+@pytest.mark.parametrize(
+    "edit, message",
+    [
+        (_drop("enc0.ln1.gain"), r"tensor 4 is 'enc0.ln1.bias', but the config puts 'enc0.ln1.gain' there"),
+        (_drop("head.bias"), r"missing tensor 'head.bias'"),
+        (_add_extra, r"unexpected tensor 'enc5.extra'"),
+        (_swap_first_two, r"tensor 0 is 'patch_embed.bias', but the config puts 'patch_embed.weight' there"),
+        (_widen_head_bias, r"tensor 'head.bias' has shape \[193\], but the config gives \[192\]"),
+    ],
+    ids=["missing", "missing-last", "extra", "reordered", "misshapen"],
+)
+def test_tensor_table_that_differs_from_the_config_rejected(tmp_path, edit, message):
+    params = model.init(SMALL_MODEL, seed=1)
+    edit(params.tensors)
+    bad = tmp_path / "bad.bin"
+    save_checkpoint(params, bad)
+    with pytest.raises(CheckpointError, match=message):
         load_checkpoint(bad)
 
 

@@ -183,3 +183,26 @@ def test_bad_enum_name_names_flag_item_and_valid_names(capsys, argv, message):
     assert message in err
     valid = corruptions.ALL_KINDS if "--corruption" in message else tasks.ALL_TASKS
     assert ", ".join(kind.value for kind in valid) in err
+
+
+@pytest.mark.parametrize(
+    "argv, runner, flag",
+    [
+        (["bench", "--checkpoint", "x", "--out", "nodir/r.json"], (harness, "run_bench"), "--out"),
+        (["bench", "--checkpoint", "x", "--csv", "nodir/r.csv"], (harness, "run_bench"), "--csv"),
+        (["clean-eval", "--checkpoint", "x", "--out", "nodir/r.json"], (harness, "run_clean_eval"), "--out"),
+        (["clean-eval", "--checkpoint", "x", "--csv", "nodir/r.csv"], (harness, "run_clean_eval"), "--csv"),
+        (["pretrain", "--out", "nodir/c.bin"], (training, "pretrain"), "--out"),
+        (["pretrain", "--out", "c.bin", "--loss-trace", "nodir/t.csv"], (training, "pretrain"), "--loss-trace"),
+        (["fewshot", "--checkpoint", "x", "--out", "nodir/f.json"], (harness, "run_fewshot"), "--out"),
+        (["pretrain", "--out", "adir"], (training, "pretrain"), "--out"),
+    ],
+)
+def test_unwritable_output_path_rejected_before_running(tmp_path, monkeypatch, capsys, argv, runner, flag):
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "adir").mkdir()
+    monkeypatch.setattr(*runner, lambda *args: pytest.fail("ran with an unwritable output path"))
+    assert cli_main(argv) == 1
+    path = next(arg for arg in argv if "dir" in arg)
+    assert f"error: {flag}: {path!r} is not a file in an existing directory" in capsys.readouterr().err
+    assert [p.name for p in tmp_path.iterdir()] == ["adir"]

@@ -249,12 +249,12 @@ def test_adamw_matches_textbook_expression_over_60_steps(dtype):
     for step in range(1, 61):
         grads = grad_sets[step % 3]
         T.adamw_step(group, grads, state)
-        bc1, bc2 = 1.0 - state.beta1**step, 1.0 - state.beta2**step
+        bc1, bc2 = 1.0 - T.ADAM_BETA1**step, 1.0 - T.ADAM_BETA2**step
         for name, g in grads.items():
-            m[name] *= state.beta1
-            m[name] += (1.0 - state.beta1) * g
-            v[name] *= state.beta2
-            v[name] += (1.0 - state.beta2) * (g * g)
+            m[name] *= T.ADAM_BETA1
+            m[name] += (1.0 - T.ADAM_BETA1) * g
+            v[name] *= T.ADAM_BETA2
+            v[name] += (1.0 - T.ADAM_BETA2) * (g * g)
             theta[name] -= state.lr * ((m[name] / bc1) / (np.sqrt(v[name] / bc2) + state.eps))
     assert [name for name, t in group.items() if t.data.tobytes() != theta[name].tobytes()] == []
     assert [name for name in group if state.m[name].tobytes() != m[name].tobytes()] == []

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from vict import corruptions, model, tasks, training
+from vict import harness, model, tasks, training
 from vict import tensor as T
 from vict.canvas import Canvas, CellPosition, assemble_inference
 
@@ -71,57 +71,36 @@ def test_loss_trace_csv(tmp_path):
     assert path.read_text().splitlines() == ["step,loss", "0,0.50000000", "1,0.25000000"]
 
 
-def test_fewshot_config_validates_shots():
-    with pytest.raises(ValueError, match="shots"):
-        training.FewShotConfig(
-            shots=3,
-            task=tasks.TaskKind.DENOISE,
-            corruption_kind=corruptions.CorruptionKind.GAUSSIAN_NOISE,
-            severity=3,
-        )
+def _fewshot_config(**overrides):
+    return harness.FewShotSweepConfig(checkpoint="unused", **overrides)
+
+
+def test_fewshot_finetune_rejects_shots_outside_config():
+    params = model.init(SMALL_MODEL, seed=2)
+    with pytest.raises(ValueError, match=r"fewshot_finetune: shot count 4 is not in the config's shots \(1, 2\)"):
+        harness.fewshot_finetune(params, _fewshot_config(shots=(1, 2)), 4, 0)
 
 
 @pytest.mark.parametrize("lr", [float("nan"), float("inf"), -1e-3])
 def test_configs_reject_bad_lr(lr):
     with pytest.raises(ValueError, match="PretrainConfig: lr must be finite and nonnegative"):
         training.PretrainConfig(lr=lr)
-    with pytest.raises(ValueError, match="FewShotConfig: lr must be finite and nonnegative"):
-        training.FewShotConfig(
-            shots=1,
-            task=tasks.TaskKind.DENOISE,
-            corruption_kind=corruptions.CorruptionKind.GAUSSIAN_NOISE,
-            severity=3,
-            lr=lr,
-        )
+    with pytest.raises(ValueError, match="FewShotSweepConfig: finetune_lr must be finite and nonnegative"):
+        _fewshot_config(finetune_lr=lr)
 
 
 def test_fewshot_zero_steps_is_identity():
     params = model.init(SMALL_MODEL, seed=2)
-    cfg = training.FewShotConfig(
-        shots=1,
-        task=tasks.TaskKind.DENOISE,
-        corruption_kind=corruptions.CorruptionKind.GAUSSIAN_NOISE,
-        severity=3,
-        steps=0,
-        seed=0,
-    )
-    tuned = training.fewshot_finetune(params, cfg)
+    tuned = harness.fewshot_finetune(params, _fewshot_config(finetune_steps=0), 1, 0)
     assert tuned.digest() == params.digest()
 
 
 def test_fewshot_deterministic_and_leaves_original_untouched():
     params = model.init(SMALL_MODEL, seed=2)
     digest_before = params.digest()
-    cfg = training.FewShotConfig(
-        shots=2,
-        task=tasks.TaskKind.DENOISE,
-        corruption_kind=corruptions.CorruptionKind.GAUSSIAN_NOISE,
-        severity=3,
-        steps=5,
-        seed=3,
-    )
-    a = training.fewshot_finetune(params, cfg)
-    b = training.fewshot_finetune(params, cfg)
+    config = _fewshot_config(finetune_steps=5)
+    a = harness.fewshot_finetune(params, config, 2, 3)
+    b = harness.fewshot_finetune(params, config, 2, 3)
     assert a.digest() == b.digest()
     assert a.digest() != digest_before
     assert params.digest() == digest_before
@@ -129,14 +108,23 @@ def test_fewshot_deterministic_and_leaves_original_untouched():
 
 def test_trained_weights_are_off_the_tape():
     pretrained = training.pretrain(SMALL_MODEL, training.PretrainConfig(steps=1, seed=7)).params
-    cfg = training.FewShotConfig(
-        shots=1,
-        task=tasks.TaskKind.DENOISE,
-        corruption_kind=corruptions.CorruptionKind.GAUSSIAN_NOISE,
-        severity=3,
-        steps=1,
-    )
     canvas = assemble_inference(*(np.zeros((3, 16, 16), np.float32),) * 3)
-    for params in (pretrained, training.fewshot_finetune(pretrained, cfg)):
+    for params in (pretrained, harness.fewshot_finetune(pretrained, _fewshot_config(finetune_steps=1), 1, 0)):
         assert not any(t.requires_grad for t in params.tensors.values())
         assert model.forward(params, canvas)._parents == ()
+
+
+@pytest.mark.parametrize("what", ["pretraining", "few-shot fine-tuning"])
+def test_divergence_names_the_loop_and_step(monkeypatch, what):
+    def diverge_on_second_step(group, grads, state):
+        if state.t == 1:
+            raise FloatingPointError("adamw_step: non-finite gradient for 'mask_token'")
+        state.t += 1
+
+    monkeypatch.setattr(training, "adamw_step", diverge_on_second_step)
+    with pytest.raises(RuntimeError, match=f"^{what} diverged at step 1: adamw_step: non-finite") as err:
+        if what == "pretraining":
+            training.pretrain(SMALL_MODEL, training.PretrainConfig(steps=3, seed=0))
+        else:
+            harness.fewshot_finetune(model.init(SMALL_MODEL, seed=2), _fewshot_config(finetune_steps=3), 1, 0)
+    assert isinstance(err.value.__cause__, FloatingPointError)
