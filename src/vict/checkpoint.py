@@ -25,7 +25,6 @@ from pathlib import Path
 import numpy as np
 
 from .model import DECODER, ENCODER, ModelConfig, Params, group_of, layout
-from .tensor import Tensor
 
 MAGIC = b"VICTCKPT"
 FORMAT_VERSION = 1
@@ -101,8 +100,8 @@ def load_checkpoint(path: str | Path) -> Params:
         raise CheckpointError(f"{path}: unsupported format version {version}")
     config = _parse_config_block(reader.take(reader.u32()).decode("ascii"), path)
     expected = layout(config)
+    params = Params.empty(config)  # every tensor is filled below, or the load fails
     count = reader.u32()
-    tensors: dict[str, Tensor] = {}
     for i in range(count):
         name = reader.take(reader.u32()).decode("utf-8")
         if i == len(expected):
@@ -120,13 +119,12 @@ def load_checkpoint(path: str | Path) -> Params:
         dims = struct.unpack(f"<{rank}I", reader.take(4 * rank))
         if dims != shape:
             raise CheckpointError(f"{path}: tensor {name!r} has shape {list(dims)}, but the config gives {list(shape)}")
-        values = np.frombuffer(reader.take(4 * math.prod(dims)), dtype="<f4").reshape(dims)
-        tensors[name] = Tensor(values.astype(np.float32))
+        params.tensors[name].data[...] = np.frombuffer(reader.take(4 * math.prod(dims)), dtype="<f4").reshape(dims)
     if count < len(expected):
         raise CheckpointError(f"{path}: missing tensor {expected[count][0]!r}; the table ends after {count}")
     if reader.pos != len(raw):
         raise CheckpointError(f"{path}: {len(raw) - reader.pos} trailing bytes after tensor table")
-    return Params(config=config, tensors=tensors)
+    return params
 
 
 def describe_checkpoint(path: str | Path) -> str:

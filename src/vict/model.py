@@ -14,16 +14,24 @@ mask token and encoder blocks are "encoder". ``Params`` stores no group,
 and the checkpoint loader rejects a group byte that disagrees with the
 name. ``layout`` lists every tensor's name, shape and fill once: ``init``
 builds from it and the checkpoint loader checks a file against it.
-Weights are plain data: ``init``, ``Params.clone`` and the
-checkpoint loader leave every tensor off the autodiff tape, and
-``trainable`` alone decides which group a forward pass records gradients
-for. Frozen inference therefore records no tape at all.
+
+The weights are views of one flat buffer, ``Params.flat`` (an arena), in
+``layout`` order, so the encoder group is its leading slice. ``init`` and
+the checkpoint loader fill a new arena (``Params.empty``), ``clone`` copies
+it in one go, and AdamW steps a group's slice in one pass. ``trainable``
+gives the group's tensors views of one gradient arena to receive their
+gradients in.
+
+Weights are plain data: ``init``, ``Params.clone`` and the checkpoint
+loader leave every tensor off the autodiff tape, and ``trainable`` alone
+decides which group a forward pass records gradients for. Frozen
+inference therefore records no tape at all.
 """
 
 from __future__ import annotations
 
 import hashlib
-from dataclasses import astuple, dataclass
+from dataclasses import astuple, dataclass, field
 
 import numpy as np
 from scipy.special import ndtr, ndtri
@@ -88,10 +96,22 @@ def group_of(name: str) -> str:
 
 @dataclass
 class Params:
-    """Named parameter tensors of one model config."""
+    """Named parameter tensors of one model config. Their data must tile
+    one flat buffer, ``flat``, in order (``T.arena_of``); a tensor that
+    does not (another dtype, another buffer, a gap) is rejected by name."""
 
     config: ModelConfig
     tensors: dict[str, T.Tensor]
+    flat: np.ndarray = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        self.flat = T.arena_of(((name, t.data) for name, t in self.tensors.items()), "Params")
+
+    @classmethod
+    def empty(cls, config: ModelConfig, dtype=np.float32) -> "Params":
+        """Uninitialised weights of ``layout(config)``, views of one new arena."""
+        views = T.new_arena(((name, shape) for name, shape, _ in layout(config)), dtype)
+        return cls(config=config, tensors={name: T.Tensor(a) for name, a in views.items()})
 
     @property
     def groups(self) -> dict[str, str]:
@@ -99,10 +119,9 @@ class Params:
         return {name: group_of(name) for name in self.tensors}
 
     def clone(self) -> "Params":
-        return Params(
-            config=self.config,
-            tensors={name: T.Tensor(t.data.copy()) for name, t in self.tensors.items()},
-        )
+        out = Params.empty(self.config, self.flat.dtype)
+        np.copyto(out.flat, self.flat)
+        return out
 
     def digest(self) -> str:
         h = hashlib.sha256()
@@ -214,15 +233,15 @@ def init(config: ModelConfig, seed: int, dtype=np.float32) -> Params:
     weights (std 0.02), zero biases, unit layer-norm gains, plus the
     structured copy-circuit wiring of ``_grid_circuit_init``."""
     rng = rng_for("model-init", seed)
-    tensors: dict[str, T.Tensor] = {}
+    params = Params.empty(config, dtype)
     for name, shape, fill in layout(config):
+        data = params.tensors[name].data
         if fill == "normal":
-            array = _trunc_normal(rng, shape, 0.02, dtype)
+            data[...] = _trunc_normal(rng, shape, 0.02, dtype)
         else:
-            array = (np.zeros if fill == "zeros" else np.ones)(shape, dtype=dtype)
-        tensors[name] = T.Tensor(np.ascontiguousarray(array, dtype=dtype))
-    _grid_circuit_init(config, tensors)
-    return Params(config=config, tensors=tensors)
+            data.fill(0.0 if fill == "zeros" else 1.0)
+    _grid_circuit_init(config, params.tensors)
+    return params
 
 
 def trainable(params: Params, selector: str) -> dict[str, T.Tensor]:
@@ -230,13 +249,18 @@ def trainable(params: Params, selector: str) -> dict[str, T.Tensor]:
 
     ``selector`` is one of ``SELECTORS``: "encoder" or "all". Returns the
     group, in ``params.tensors`` order; only its tensors get gradients from
-    backward.
+    backward, each into its view of one new gradient arena.
     """
     if selector not in SELECTORS:
         raise ValueError(f"trainable: selector must be one of {SELECTORS}, got {selector!r}")
     for name, t in params.tensors.items():
         t.requires_grad = selector == "all" or group_of(name) == ENCODER
-    return {name: t for name, t in params.tensors.items() if t.requires_grad}
+        t.grad_buffer = None
+    group = {name: t for name, t in params.tensors.items() if t.requires_grad}
+    buffers = T.new_arena(((name, t.shape) for name, t in group.items()), params.flat.dtype)
+    for name, t in group.items():
+        t.grad_buffer = buffers[name]
+    return group
 
 
 # ---------------------------------------------------------------------------

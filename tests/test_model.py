@@ -4,6 +4,7 @@ import pytest
 from vict import model, tasks, training, tuning
 from vict import tensor as T
 from vict.canvas import assemble_inference, extract_cell
+from vict.checkpoint import load_checkpoint, save_checkpoint
 from vict.gradcheck import TINY_CONFIG, finite_diff_grad, rel_error
 
 
@@ -269,3 +270,77 @@ def test_second_backward_doubles_single_use_gradients(default_params):
     first = {name: t.grad.copy() for name, t in params.tensors.items()}
     loss.backward()
     assert [name for name, t in params.tensors.items() if t.grad.tobytes() != (2 * first[name]).tobytes()] == []
+
+
+# ---------------------------------------------------------------------------
+# the weight arena
+# ---------------------------------------------------------------------------
+
+
+def _address(a):
+    return a.__array_interface__["data"][0]
+
+
+def _assert_tiles(flat, arrays):
+    """``arrays``, in order, are C-contiguous views that cover ``flat`` end to end."""
+    offset = 0
+    for name, a in arrays:
+        assert a.dtype == flat.dtype and a.flags.c_contiguous, name
+        assert _address(a) == _address(flat) + offset * flat.itemsize, name
+        offset += a.size
+    assert offset == flat.size
+
+
+def _assert_one_arena(params):
+    assert list(params.tensors) == [name for name, _, _ in model.layout(params.config)]
+    assert params.flat.ndim == 1 and params.flat.size == params.total_parameters()
+    _assert_tiles(params.flat, [(name, t.data) for name, t in params.tensors.items()])
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_init_and_clone_build_one_arena_each(dtype):
+    params = model.init(TINY_CONFIG, seed=0, dtype=dtype)
+    _assert_one_arena(params)
+    assert params.flat.dtype == dtype
+    clone = params.clone()
+    _assert_one_arena(clone)
+    assert clone.flat.tobytes() == params.flat.tobytes()
+    assert not np.shares_memory(clone.flat, params.flat)
+
+
+def test_loaded_and_fitted_weights_are_one_arena(tmp_path):
+    params = model.init(TINY_CONFIG, seed=0)
+    save_checkpoint(params, tmp_path / "tiny.bin")
+    loaded = load_checkpoint(tmp_path / "tiny.bin")
+    _assert_one_arena(loaded)
+    assert loaded.flat.tobytes() == params.flat.tobytes()
+
+    c = TINY_CONFIG.cell_size
+    pair = tasks.generate(tasks.TaskKind.DENOISE, 1, c)
+    pair = (pair.input, pair.target)
+    fitted, _ = training.fit(loaded, 1e-3, [(pair, pair, False)] * 2, "fit")
+    for params in (loaded, fitted):
+        _assert_one_arena(params)
+    assert not np.shares_memory(fitted.flat, loaded.flat)
+    grads = [(name, t.grad) for name, t in loaded.tensors.items()]  # fit steps every tensor
+    _assert_tiles(T.arena_of(grads, "grads"), grads)
+
+
+def test_encoder_group_and_its_gradients_are_leading_slices(default_params):
+    params = default_params.clone()
+    group = model.trainable(params, "encoder")
+    assert list(group) == list(params.tensors)[: len(group)]
+    _assert_tiles(params.flat[: sum(t.size for t in group.values())], [(n, t.data) for n, t in group.items()])
+    grads = [(name, t.grad_buffer) for name, t in group.items()]
+    _assert_tiles(T.arena_of(grads, "grads"), grads)
+
+
+def test_params_reject_tensors_outside_one_arena():
+    views = T.new_arena(((name, shape) for name, shape, _ in model.layout(TINY_CONFIG)), np.float32)
+    tensors = {name: T.Tensor(a) for name, a in views.items()}
+    mixed = {**tensors, "mask_token": T.Tensor(views["mask_token"].astype(np.float64))}
+    with pytest.raises(ValueError, match=r"^Params: 'mask_token' is float64, but 'patch_embed.weight' is float32$"):
+        model.Params(config=TINY_CONFIG, tensors=mixed)
+    copied = {**tensors, "pos_embed": T.Tensor(views["pos_embed"].copy())}
+    with pytest.raises(ValueError, match=r"^Params: 'pos_embed' does not start"):
+        model.Params(config=TINY_CONFIG, tensors=copied)

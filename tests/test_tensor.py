@@ -4,9 +4,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.special import erf
 
-from vict import model
+from vict import model, tasks, tuning
 from vict import tensor as T
-from vict.gradcheck import FD_STEP, TOLERANCE, check_op_gradients, finite_diff_grad, rel_error
+from vict.gradcheck import FD_STEP, TINY_CONFIG, TOLERANCE, check_op_gradients, finite_diff_grad, rel_error
 
 
 def arr(*values):
@@ -46,9 +46,35 @@ def test_layernorm_normalizes_rows():
 
 
 def test_non_finite_output_is_an_error():
-    big = T.Tensor(np.full((4,), 1e300))
-    with np.errstate(over="ignore"), pytest.raises(FloatingPointError):
-        T.mul(big, big)
+    # ops propagate an overflow; backward's check on the loss names the op that made it
+    big = T.parameter(np.full((4,), 1e300))
+    with np.errstate(over="ignore"):
+        loss = T.tsum(T.mul(big, big))
+    with pytest.raises(FloatingPointError, match=r"^mul: non-finite values in output$"):
+        loss.backward()
+
+
+def test_non_finite_error_names_the_first_non_finite_op_on_the_tape():
+    x = T.parameter(arr(1.0, 2.0, 3.0))
+    with np.errstate(over="ignore", invalid="ignore"):
+        h = T.mul_scalar(T.mul(x, x), 1e308)  # the mul is finite, the mul_scalar overflows
+        h = T.gelu(T.add(h, h))
+        with pytest.raises(FloatingPointError, match=r"^mul_scalar: non-finite values in output$"):
+            T.sigmoid(h)
+        loss = T.tsum(h)
+    with pytest.raises(FloatingPointError, match=r"^mul_scalar: non-finite values in output$"):
+        loss.backward()
+
+
+@pytest.mark.parametrize("value", [np.inf, -np.inf, np.nan])
+def test_ops_that_could_hide_a_non_finite_input_check_it(value):
+    # off the tape, the checking op is named
+    with pytest.raises(FloatingPointError, match=r"^sigmoid: non-finite values in input$"):
+        T.sigmoid(T.Tensor(arr(0.5, value)))  # the logistic would give a finite 1 or 0 for +-inf
+    with pytest.raises(FloatingPointError, match=r"^softmax: non-finite values in input$"):
+        T.softmax(T.Tensor(arr(0.5, value).reshape(1, 2)))  # -inf would come out as a finite 0
+    with pytest.raises(FloatingPointError, match=r"^narrow: non-finite values in input$"):
+        T.narrow(T.Tensor(arr(0.5, value)), 0, 0, 1)  # the value lies outside the range kept
 
 
 def test_attention_rejects_non_finite_scores():
@@ -236,12 +262,33 @@ def test_attention_matches_per_head_loop(dtype):
     assert _op_and_grads(lambda t: T.attention(t, heads), [qkv], g) == expected
 
 
+def _per_tensor(flat, group):
+    """Each tensor's view of a flat array laid out like ``group``'s arena."""
+    views, lo = {}, 0
+    for name, t in group.items():
+        views[name] = flat[lo : lo + t.size].reshape(t.shape)
+        lo += t.size
+    assert lo == flat.size
+    return views
+
+
+def _grad_arena(group, arrays):
+    """``arrays`` copied into one gradient arena laid out like ``group``."""
+    views = T.new_arena(((name, t.shape) for name, t in group.items()), next(iter(arrays.values())).dtype)
+    for name, view in views.items():
+        view[...] = arrays[name]
+    return views
+
+
 @pytest.mark.parametrize("dtype", DTYPES)
 def test_adamw_matches_textbook_expression_over_60_steps(dtype):
     params = model.init(model.ModelConfig(), seed=0, dtype=dtype)
     group = model.trainable(params, "encoder")
     rng = np.random.default_rng(17)
-    grad_sets = [{name: _normal(rng, dtype, *t.shape, scale=1e-2) for name, t in group.items()} for _ in range(3)]
+    grad_sets = [
+        _grad_arena(group, {name: _normal(rng, dtype, *t.shape, scale=1e-2) for name, t in group.items()})
+        for _ in range(3)
+    ]
     state = T.AdamWState(lr=3e-2, eps=1e-1)
     theta = {name: t.data.copy() for name, t in group.items()}
     m = {name: np.zeros_like(a) for name, a in theta.items()}
@@ -257,8 +304,9 @@ def test_adamw_matches_textbook_expression_over_60_steps(dtype):
             v[name] += (1.0 - T.ADAM_BETA2) * (g * g)
             theta[name] -= state.lr * ((m[name] / bc1) / (np.sqrt(v[name] / bc2) + state.eps))
     assert [name for name, t in group.items() if t.data.tobytes() != theta[name].tobytes()] == []
-    assert [name for name in group if state.m[name].tobytes() != m[name].tobytes()] == []
-    assert [name for name in group if state.v[name].tobytes() != v[name].tobytes()] == []
+    state_m, state_v = _per_tensor(state.m, group), _per_tensor(state.v, group)
+    assert [name for name in group if state_m[name].tobytes() != m[name].tobytes()] == []
+    assert [name for name in group if state_v[name].tobytes() != v[name].tobytes()] == []
 
 
 # ---------------------------------------------------------------------------
@@ -319,8 +367,8 @@ def test_adamw_hand_derived_first_step():
     # m=0.1, v=0.001, m_hat=1, v_hat=1 -> theta = 1 - 0.1/(1+1e-8)
     assert abs(theta.data[0] - 0.9) < 1e-7
     assert state.t == 1
-    assert np.allclose(state.m["p"], 0.1)
-    assert np.allclose(state.v["p"], 0.001)
+    assert np.allclose(_per_tensor(state.m, {"p": theta})["p"], 0.1)
+    assert np.allclose(_per_tensor(state.v, {"p": theta})["p"], 0.001)
 
 
 def test_adamw_zero_gradient_is_identity():
@@ -387,8 +435,33 @@ def test_adamw_rejects_non_finite_grad_and_bad_shapes():
 
 
 def test_adamw_t_increments_once_per_step():
-    theta = T.Tensor(arr(1.0), requires_grad=True)
-    other = T.Tensor(arr(2.0), requires_grad=True)
+    data = T.new_arena([("a", (1,)), ("b", (1,))], np.float64)
+    data["a"][...], data["b"][...] = 1.0, 2.0
+    params = {name: T.Tensor(a, requires_grad=True) for name, a in data.items()}
     state = _scalar_state(lr=0.1)
-    T.adamw_step({"a": theta, "b": other}, {"a": arr(0.1), "b": arr(0.2)}, state)
+    T.adamw_step(params, _grad_arena(params, {"a": arr(0.1), "b": arr(0.2)}), state)
     assert state.t == 1
+
+
+def test_adamw_names_the_tensor_whose_gradient_is_non_finite():
+    params = model.init(TINY_CONFIG, seed=0)
+    group = model.trainable(params, "encoder")
+    c = TINY_CONFIG.cell_size
+    pair, query = tasks.generate(tasks.TaskKind.DENOISE, 1, c), tasks.generate(tasks.TaskKind.DENOISE, 2, c)
+    tuning.cycle_loss(params, (pair.input, pair.target), query.input).backward()
+    grads = T.collect_grads(group)
+    grads["mask_token"][1] = np.nan  # one value in that tensor's slice of the gradient arena
+    state = _scalar_state(lr=0.1)
+    before = params.flat.tobytes()
+    with pytest.raises(FloatingPointError, match=r"^adamw_step: non-finite gradient for 'mask_token'$"):
+        T.adamw_step(group, grads, state)
+    assert params.flat.tobytes() == before and state.t == 0
+
+
+def test_adamw_rejects_tensors_that_are_not_one_arena():
+    params = {"a": T.Tensor(arr(1.0), requires_grad=True), "b": T.Tensor(arr(2.0), requires_grad=True)}
+    with pytest.raises(ValueError, match=r"^adamw_step: params: 'b' does not start"):
+        T.adamw_step(params, {"a": arr(0.1), "b": arr(0.2)}, _scalar_state(lr=0.1))
+    arena = {name: T.Tensor(a) for name, a in _grad_arena(params, {"a": arr(1.0), "b": arr(2.0)}).items()}
+    with pytest.raises(ValueError, match=r"^adamw_step: grads: 'b' does not start"):
+        T.adamw_step(arena, {"a": arr(0.1), "b": arr(0.2)}, _scalar_state(lr=0.1))

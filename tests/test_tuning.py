@@ -229,3 +229,48 @@ def test_config_validation():
 def test_config_rejects_bad_rates(overrides, message):
     with pytest.raises(ValueError, match=f"VictConfig: {message}"):
         tuning.VictConfig(**overrides)
+
+
+# ---------------------------------------------------------------------------
+# non-finite values
+# ---------------------------------------------------------------------------
+
+
+def test_overflow_inside_the_forward_pass_raises_on_and_off_the_tape(params, sample_pair):
+    pair, x_t = sample_pair
+    huge = params.clone()
+    huge.tensors["enc0.mlp.fc1.weight"].data[...] = 1e38  # its output overflows
+    with np.errstate(over="ignore", invalid="ignore"):
+        with pytest.raises(FloatingPointError, match=r"^attention: non-finite values in scores$"):
+            tuning.infer(huge, pair, x_t)  # no tape: the next attention's check names itself
+        model.trainable(huge, "encoder")
+        with pytest.raises(FloatingPointError, match=r"^linear: non-finite values in output$"):
+            tuning.cycle_loss(huge, pair, x_t)
+
+
+@pytest.mark.parametrize("value", [np.inf, -np.inf])
+def test_head_pre_activation_the_sigmoid_would_saturate_raises(params, sample_pair, value):
+    pair, x_t = sample_pair
+    bad = params.clone()
+    bad.tensors["head.bias"].data[0] = value  # sigmoid(+-inf) is a finite 1 or 0
+    with pytest.raises(FloatingPointError, match=r"^sigmoid: non-finite values in input$"):
+        tuning.infer(bad, pair, x_t)
+
+
+def test_non_finite_confined_to_a_discarded_cell_raises(params, sample_pair, monkeypatch):
+    pair, x_t = sample_pair
+    linear = T.linear
+
+    def poisoned_head(x, w, b):
+        out = linear(x, w, b)
+        if w is params_under_test.tensors["head.weight"]:
+            out.data[0] = np.nan  # patch 0 lies in the top-left cell; infer keeps the bottom-right one
+        return out
+
+    monkeypatch.setattr(T, "linear", poisoned_head)
+    params_under_test = params.clone()
+    with pytest.raises(FloatingPointError, match=r"^sigmoid: non-finite values in input$"):
+        tuning.infer(params_under_test, pair, x_t)
+    model.trainable(params_under_test, "all")
+    with pytest.raises(FloatingPointError, match=r"^linear: non-finite values in output$"):
+        tuning.cycle_loss(params_under_test, pair, x_t)
