@@ -14,7 +14,7 @@ x = T.parameter(rng.normal(size=(4, 6)))
 w = T.parameter(rng.normal(size=(6, 3)) * 0.5)
 b = T.parameter(np.zeros(3))
 
-hidden = T.gelu(T.add_row(T.matmul(x, w), b))
+hidden = T.gelu(T.linear(x, w, b))
 loss = T.tsum(T.mul(hidden, hidden))
 print(f"loss = {loss.item():.6f}")
 
@@ -23,7 +23,7 @@ print(f"grad shapes: x {x.grad.shape}, w {w.grad.shape}, b {b.grad.shape}")
 
 # Same gradient by central finite differences.
 def loss_value():
-    h = T.gelu(T.add_row(T.matmul(x, w), b))
+    h = T.gelu(T.linear(x, w, b))
     return T.tsum(T.mul(h, h)).item()
 
 numeric = finite_diff_grad(loss_value, w.data)
@@ -31,7 +31,7 @@ print(f"max relative error vs finite differences: {rel_error(w.grad, numeric):.2
 
 # Gradients accumulate until cleared.
 first = x.grad.copy()
-loss2 = T.tsum(T.mul(T.add_row(T.matmul(x, w), b), T.add_row(T.matmul(x, w), b)))
+loss2 = T.tsum(T.mul(T.linear(x, w, b), T.linear(x, w, b)))
 loss2.backward()
 print(f"accumulated: {not np.allclose(x.grad, first)}")
 T.zero_grads([x, w, b])

@@ -31,7 +31,7 @@ corruption = corruptions.CorruptionSpec(corruptions.CorruptionKind.GAUSSIAN_NOIS
 sample = tasks.generate(task, seed=100)
 x_t = corruptions.apply(sample.input, corruption)
 prompt = tuning.select_prompt(task, tuning.ONE_SHOT, corruption, seed=200)
-print(f"prompt provenance: {prompt.provenance}")
+print(f"prompt input corrupted: {prompt.corruption is not None}")
 
 frozen_pred = tuning.infer(params, prompt.pair, x_t)
 frozen_psnr = tasks.psnr(frozen_pred, sample.target).value

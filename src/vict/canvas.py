@@ -39,15 +39,16 @@ _PLACEMENT = {
 }
 
 
-def _validate_image(name: str, t: Tensor, cell_size: int | None = None) -> int:
-    if t.data.ndim != 3 or t.shape[0] != 3 or t.shape[1] != t.shape[2]:
-        raise ValueError(f"{name}: expected image of shape [3, C, C], got {t.shape}")
-    c = t.shape[1]
+def check_image(name: str, image: np.ndarray, cell_size: int | None = None) -> int:
+    """C of ``image``, which must be [3, C, C] (with C = ``cell_size`` if
+    given), hold no NaN and lie in [0, 1], so no infinity either. Any other
+    array raises ``ValueError`` naming ``name``."""
+    if image.ndim != 3 or image.shape[0] != 3 or image.shape[1] != image.shape[2]:
+        raise ValueError(f"{name}: expected image of shape [3, C, C], got {image.shape}")
+    c = image.shape[1]
     if cell_size is not None and c != cell_size:
         raise ValueError(f"{name}: cell size {c} does not match {cell_size}")
-    if c % 2 != 0:
-        raise ValueError(f"{name}: cell size must be even, got {c}")
-    lo, hi = float(t.data.min()), float(t.data.max())
+    lo, hi = float(image.min()), float(image.max())
     if math.isnan(lo):  # min and max propagate NaN
         raise ValueError(f"{name}: NaN pixel values")
     if lo < 0.0 or hi > 1.0:
@@ -86,21 +87,32 @@ class Canvas:
         return mask.reshape(-1)
 
 
+def _assemble(owner: str, cells: dict[CellPosition, tuple[str, object] | None]) -> Canvas:
+    """Canvas of ``cells``, each a named image of one even cell size; the
+    cell mapped to ``None`` is the empty one."""
+    tensors: dict[CellPosition, Tensor | None] = dict.fromkeys(cells)
+    c = None
+    for position, cell in cells.items():
+        if cell is not None:
+            name, image = cell
+            tensors[position] = as_tensor(image)
+            c = check_image(f"{owner}({name})", tensors[position].data, c)
+            if c % 2 != 0:
+                raise ValueError(f"{owner}({name}): cell size must be even, got {c}")
+    empty = next(position for position, cell in cells.items() if cell is None)
+    return Canvas(cells=tensors, cell_size=c, empty_position=empty)
+
+
 def assemble_inference(x, y, x_t) -> Canvas:
     """Canvas for predicting the query output: (x, y, x_t, empty)."""
-    x, y, x_t = as_tensor(x), as_tensor(y), as_tensor(x_t)
-    c = _validate_image("assemble_inference(x)", x)
-    _validate_image("assemble_inference(y)", y, c)
-    _validate_image("assemble_inference(x_t)", x_t, c)
-    return Canvas(
-        cells={
-            CellPosition.TOP_LEFT: x,
-            CellPosition.TOP_RIGHT: y,
-            CellPosition.BOTTOM_LEFT: x_t,
+    return _assemble(
+        "assemble_inference",
+        {
+            CellPosition.TOP_LEFT: ("x", x),
+            CellPosition.TOP_RIGHT: ("y", y),
+            CellPosition.BOTTOM_LEFT: ("x_t", x_t),
             CellPosition.BOTTOM_RIGHT: None,
         },
-        cell_size=c,
-        empty_position=CellPosition.BOTTOM_RIGHT,
     )
 
 
@@ -112,19 +124,14 @@ def assemble_flipped(x, x_t, y_t_hat) -> Canvas:
     in training, a true cell; values outside [0, 1] are rejected like any
     other cell's.
     """
-    x, x_t, y_t_hat = as_tensor(x), as_tensor(x_t), as_tensor(y_t_hat)
-    c = _validate_image("assemble_flipped(x)", x)
-    _validate_image("assemble_flipped(x_t)", x_t, c)
-    _validate_image("assemble_flipped(y_t_hat)", y_t_hat, c)
-    return Canvas(
-        cells={
-            CellPosition.TOP_LEFT: x,
+    return _assemble(
+        "assemble_flipped",
+        {
+            CellPosition.TOP_LEFT: ("x", x),
             CellPosition.TOP_RIGHT: None,
-            CellPosition.BOTTOM_LEFT: x_t,
-            CellPosition.BOTTOM_RIGHT: y_t_hat,
+            CellPosition.BOTTOM_LEFT: ("x_t", x_t),
+            CellPosition.BOTTOM_RIGHT: ("y_t_hat", y_t_hat),
         },
-        cell_size=c,
-        empty_position=CellPosition.TOP_RIGHT,
     )
 
 

@@ -39,19 +39,32 @@ def _config_block(config: ModelConfig) -> bytes:
     return "".join(f"{f.name}={getattr(config, f.name)}\n" for f in fields(config)).encode("ascii")
 
 
-def _parse_config_block(text: str, path: str | Path) -> ModelConfig:
-    fields: dict[str, int] = {}
-    for line in text.splitlines():
+def _decode(raw: bytes, encoding: str, what: str, path: str | Path) -> str:
+    try:
+        return raw.decode(encoding)
+    except UnicodeDecodeError as err:
+        raise CheckpointError(f"{path}: {what} is not {encoding}: {err}") from None
+
+
+def _parse_config_block(raw: bytes, path: str | Path) -> ModelConfig:
+    values: dict[str, int] = {}
+    for line in _decode(raw, "ascii", "config block", path).splitlines():
         line = line.strip()
         if not line:
             continue
         key, _, value = line.partition("=")
+        key = key.strip()
+        if key in values:
+            raise CheckpointError(f"{path}: config field {key!r} given twice")
         try:
-            fields[key.strip()] = int(value)  # no "=" leaves value empty
+            values[key] = int(value)  # no "=" leaves value empty
         except ValueError:
             raise CheckpointError(f"{path}: bad config line {line!r}, expected key=integer") from None
+    missing = [f.name for f in fields(ModelConfig) if f.name not in values]
+    if missing:
+        raise CheckpointError(f"{path}: config block lacks {', '.join(missing)}")
     try:
-        return ModelConfig(**fields)
+        return ModelConfig(**values)
     except (TypeError, ValueError) as err:
         raise CheckpointError(f"{path}: bad config block: {err}") from err
 
@@ -75,13 +88,14 @@ def save_checkpoint(params: Params, path: str | Path) -> None:
 
 
 class _Reader:
-    def __init__(self, raw: bytes):
+    def __init__(self, raw: bytes, path: str | Path):
         self.raw = raw
+        self.path = path
         self.pos = 0
 
     def take(self, n: int) -> bytes:
         if self.pos + n > len(self.raw):
-            raise CheckpointError(f"truncated checkpoint: wanted {n} bytes at offset {self.pos}")
+            raise CheckpointError(f"{self.path}: truncated checkpoint: wanted {n} bytes at offset {self.pos}")
         out = self.raw[self.pos : self.pos + n]
         self.pos += n
         return out
@@ -92,18 +106,18 @@ class _Reader:
 
 def load_checkpoint(path: str | Path) -> Params:
     raw = Path(path).read_bytes()
-    reader = _Reader(raw)
+    reader = _Reader(raw, path)
     if reader.take(len(MAGIC)) != MAGIC:
         raise CheckpointError(f"{path}: bad magic bytes, not a checkpoint")
     version = reader.u32()
     if version != FORMAT_VERSION:
         raise CheckpointError(f"{path}: unsupported format version {version}")
-    config = _parse_config_block(reader.take(reader.u32()).decode("ascii"), path)
+    config = _parse_config_block(reader.take(reader.u32()), path)
     expected = layout(config)
     params = Params.empty(config)  # every tensor is filled below, or the load fails
     count = reader.u32()
     for i in range(count):
-        name = reader.take(reader.u32()).decode("utf-8")
+        name = _decode(reader.take(reader.u32()), "utf-8", f"tensor {i}'s name", path)
         if i == len(expected):
             raise CheckpointError(f"{path}: unexpected tensor {name!r} after the {len(expected)} the config defines")
         want, shape, _ = expected[i]

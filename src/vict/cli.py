@@ -46,7 +46,7 @@ def _parse_settings(text: str) -> tuple[str, ...]:
     return {
         "zero": (tuning.ZERO_SHOT,),
         "one": (tuning.ONE_SHOT,),
-        "both": (tuning.ZERO_SHOT, tuning.ONE_SHOT),
+        "both": tuning.SETTINGS,
     }[text]
 
 
@@ -54,7 +54,7 @@ def _parse_methods(text: str) -> tuple[str, ...]:
     return {
         "frozen": (harness.FROZEN,),
         "vict": (harness.VICT,),
-        "both": (harness.FROZEN, harness.VICT),
+        "both": harness.METHODS,
     }[text]
 
 

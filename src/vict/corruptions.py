@@ -22,6 +22,7 @@ import numpy as np
 from scipy.fft import dctn, idctn
 from scipy.ndimage import convolve, gaussian_filter
 
+from .canvas import check_image
 from .seeding import rng_for
 
 TABLE_VERSION = 1
@@ -465,12 +466,7 @@ _IMPLEMENTATIONS = {
 def apply(image: np.ndarray, spec: CorruptionSpec) -> np.ndarray:
     """Corrupt a [3, C, C] image in [0, 1]; output is clipped back to [0, 1]."""
     arr = np.asarray(image)
-    if arr.ndim != 3 or arr.shape[0] != 3 or arr.shape[1] != arr.shape[2]:
-        raise ValueError(f"apply: expected [3, C, C] image, got {arr.shape}")
-    if not np.isfinite(arr).all():
-        raise ValueError("apply: input has non-finite pixels")
-    if arr.min() < 0.0 or arr.max() > 1.0:
-        raise ValueError("apply: input pixel values outside [0, 1]")
+    check_image("apply", arr)
     params = severity_params(spec.kind, spec.severity)
     rng = rng_for("corrupt", spec.kind.value, spec.severity, spec.seed)
     out = _IMPLEMENTATIONS[spec.kind](arr.astype(np.float64), rng, params)

@@ -77,7 +77,6 @@ def check_op_gradients(seed: int = 0) -> dict[str, float]:
     w = fixed(3, 4)
     results["add"] = _check(lambda: T.tsum(T.mul(T.add(a, b), T.constant(w))), {"a": a, "b": b})
     results["mul"] = _check(lambda: T.tsum(T.mul(T.mul(a, b), T.constant(w))), {"a": a, "b": b})
-    results["mul_scalar"] = _check(lambda: T.tsum(T.mul_scalar(a, 1.7)), {"a": a})
 
     m1, m2 = leaf(3, 5), leaf(5, 2)
     wm = fixed(3, 2)
@@ -99,11 +98,8 @@ def check_op_gradients(seed: int = 0) -> dict[str, float]:
         lambda: T.tsum(T.mul(T.concat([c1, c2], axis=0), T.constant(wc))), {"c1": c1, "c2": c2}
     )
 
-    x, bias = leaf(4, 5), leaf(5)
-    wx = fixed(4, 5)
-    results["add_row"] = _check(lambda: T.tsum(T.mul(T.add_row(x, bias), T.constant(wx))), {"x": x, "bias": bias})
-
     row = leaf(1, 5)
+    wx = fixed(4, 5)
     results["repeat_rows"] = _check(lambda: T.tsum(T.mul(T.repeat_rows(row, 4), T.constant(wx))), {"row": row})
 
     s = leaf(3, 6)

@@ -14,6 +14,7 @@ fine-tuning runs through ``training.fit``, the loop pre-training uses.
 from __future__ import annotations
 
 import json
+import sys
 from dataclasses import asdict, dataclass, field, replace
 from pathlib import Path
 
@@ -28,6 +29,7 @@ from .tuning import VictConfig, adapt_and_predict, infer, select_prompt
 
 FROZEN = "frozen"
 VICT = "vict"
+METHODS = (FROZEN, VICT)
 CLEAN_KEY = "clean"
 CLEAN_SEVERITY = 0
 
@@ -65,8 +67,8 @@ class BenchConfig:
     task: tasks.TaskKind = tasks.TaskKind.DENOISE
     corruption_kinds: tuple[corruptions.CorruptionKind, ...] = corruptions.ALL_KINDS
     severities: tuple[int, ...] = (5,)
-    settings: tuple[str, ...] = (tuning.ZERO_SHOT, tuning.ONE_SHOT)
-    methods: tuple[str, ...] = (FROZEN, VICT)
+    settings: tuple[str, ...] = tuning.SETTINGS
+    methods: tuple[str, ...] = METHODS
     num_samples: int = 50
     vict: VictConfig = field(default_factory=VictConfig)
     seed: int = 0
@@ -81,8 +83,8 @@ class BenchConfig:
         for label, group, allowed in (
             ("corruption kind", self.corruption_kinds, corruptions.ALL_KINDS),
             ("severity", self.severities, corruptions.SEVERITIES),
-            ("setting", self.settings, (tuning.ZERO_SHOT, tuning.ONE_SHOT)),
-            ("method", self.methods, (FROZEN, VICT)),
+            ("setting", self.settings, tuning.SETTINGS),
+            ("method", self.methods, METHODS),
         ):
             if not group:
                 raise ValueError(f"BenchConfig: empty {label} selection")
@@ -198,11 +200,10 @@ def _aggregate(config: BenchConfig, params: model.Params, cells: list[tuple[str,
         for index in range(config.num_samples):
             try:
                 outcome = _evaluate_sample(config, params, name, severity, index)
-            except (FloatingPointError, RuntimeError) as err:
+            except FloatingPointError as err:
                 # only a numerical divergence is excluded from the mean and counted
                 # as a failure; any other error is a bug and propagates
-                if isinstance(err, RuntimeError) and not isinstance(err.__cause__, FloatingPointError):
-                    raise
+                print(f"vict: {name} severity {severity} sample {index} failed: {err}", file=sys.stderr)
                 total_failures += 1
                 continue
             for key, vals in cell.items():

@@ -113,11 +113,6 @@ class Params:
         views = T.new_arena(((name, shape) for name, shape, _ in layout(config)), dtype)
         return cls(config=config, tensors={name: T.Tensor(a) for name, a in views.items()})
 
-    @property
-    def groups(self) -> dict[str, str]:
-        """Each tensor's encoder/decoder group, from ``group_of``."""
-        return {name: group_of(name) for name in self.tensors}
-
     def clone(self) -> "Params":
         out = Params.empty(self.config, self.flat.dtype)
         np.copyto(out.flat, self.flat)

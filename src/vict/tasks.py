@@ -70,10 +70,6 @@ class Metric:
     name: str
     value: float
 
-    @property
-    def higher_is_better(self) -> bool:
-        return dict(_METRICS.values())[self.name]
-
 
 def metric_name_for(task: TaskKind) -> str:
     return _METRICS[task][0]
@@ -85,7 +81,7 @@ def higher_is_better_for(task: TaskKind) -> bool:
 
 def evaluate(task: TaskKind, pred: np.ndarray, target: np.ndarray) -> Metric:
     if task is TaskKind.SEGMENTATION:
-        return miou(pred, target, PALETTE)
+        return miou(pred, target)
     if task is TaskKind.DEPTH:
         return a_rel(pred, target)
     return psnr(pred, target)
@@ -226,24 +222,22 @@ def psnr(pred: np.ndarray, target: np.ndarray) -> Metric:
     return Metric("PSNR", min(10.0 * np.log10(1.0 / mse), PSNR_CAP_DB))
 
 
-def decode_classes(image: np.ndarray, palette: np.ndarray) -> np.ndarray:
-    """Nearest-palette-color (L2) class index per pixel."""
-    palette = np.asarray(palette, dtype=np.float64)
-    if palette.ndim != 2 or palette.shape[1] != 3 or palette.shape[0] == 0:
-        raise ValueError(f"decode_classes: palette must be [K, 3] with K >= 1, got {palette.shape}")
+def decode_classes(image: np.ndarray) -> np.ndarray:
+    """Nearest-``PALETTE``-color (L2) class index per pixel."""
+    palette = PALETTE.astype(np.float64)
     flat = np.asarray(image, dtype=np.float64).reshape(3, -1).T  # pixels x 3
     dists = ((flat[:, None, :] - palette[None, :, :]) ** 2).sum(axis=2)
     return dists.argmin(axis=1).reshape(image.shape[1], image.shape[2])
 
 
-def miou(pred: np.ndarray, target: np.ndarray, palette: np.ndarray) -> Metric:
+def miou(pred: np.ndarray, target: np.ndarray) -> Metric:
     """Mean IoU over the classes present in the target."""
     pred = np.asarray(pred)
     target = np.asarray(target)
     if pred.shape != target.shape:
         raise ValueError(f"miou: shape mismatch {pred.shape} vs {target.shape}")
-    pred_cls = decode_classes(pred, palette)
-    target_cls = decode_classes(target, palette)
+    pred_cls = decode_classes(pred)
+    target_cls = decode_classes(target)
     ious = []
     for cls in np.unique(target_cls):
         p = pred_cls == cls

@@ -274,15 +274,6 @@ def mul(a: Tensor, b: Tensor) -> Tensor:
     return out
 
 
-def mul_scalar(a: Tensor, s) -> Tensor:
-    a = as_tensor(a)
-    s = float(s)
-    out = _node(a.data * s, (a,), "mul_scalar")
-    if out.requires_grad:
-        out._backward = lambda g: _accumulate(a, g * s)
-    return out
-
-
 def matmul(a: Tensor, b: Tensor) -> Tensor:
     a, b = as_tensor(a), as_tensor(b)
     if a.data.ndim != 2 or b.data.ndim != 2:
@@ -371,25 +362,9 @@ def concat(tensors: Sequence[Tensor], axis: int) -> Tensor:
     return out
 
 
-def add_row(x: Tensor, b: Tensor) -> Tensor:
-    """Add a length-D vector to every row of an [R, D] matrix (bias add)."""
-    x, b = as_tensor(x), as_tensor(b)
-    if x.data.ndim != 2 or b.data.ndim != 1 or x.shape[1] != b.shape[0]:
-        raise ValueError(f"add_row: shapes {x.shape} and {b.shape} do not align")
-    _same_dtype("add_row", x, b)
-    out = _node(x.data + b.data[None, :], (x, b), "add_row")
-    if out.requires_grad:
-        def _bwd(g):
-            _accumulate_shared(x, g)
-            if b.requires_grad:
-                _accumulate(b, g.sum(axis=0))
-        out._backward = _bwd
-    return out
-
-
 def linear(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
     """Affine map ``x @ w + b`` of an [R, K] matrix, one node for
-    ``add_row(matmul(x, w), b)``."""
+    ``add(matmul(x, w), repeat_rows(reshape(b, (1, D)), R))``."""
     x, w, b = as_tensor(x), as_tensor(w), as_tensor(b)
     if x.data.ndim != 2 or w.data.ndim != 2 or b.data.ndim != 1:
         raise ValueError(f"linear: expects [R, K], [K, D] and [D], got {x.shape}, {w.shape} and {b.shape}")
@@ -427,7 +402,7 @@ def attention(qkv: Tensor, num_heads: int) -> Tensor:
     outputs side by side, [N, D]. All heads run at once on [H, N, D / H]
     views with ``np.matmul``, which makes each head's 2-d product, so the
     values are those of the primitive per-head chain of narrow, transpose,
-    matmul, mul_scalar, softmax, matmul and concat.
+    matmul, mul by the constant scale, softmax, matmul and concat.
     """
     qkv = as_tensor(qkv)
     if qkv.data.ndim != 2 or num_heads <= 0 or qkv.shape[1] % (3 * num_heads) != 0:

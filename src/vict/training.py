@@ -71,7 +71,7 @@ def fit(
     """Step every parameter of ``params`` with AdamW, in place, once per
     ``(prompt, query, flip)`` batch of ``masked_cell_loss``. Returns an
     off-tape clone of the fitted weights and the loss of each step; a
-    divergence is a ``RuntimeError`` naming ``what`` and the step."""
+    divergence is a ``FloatingPointError`` naming ``what`` and the step."""
     group = model.trainable(params, "all")
     state = AdamWState(lr=lr)
     losses: list[float] = []
@@ -82,7 +82,7 @@ def fit(
             loss.backward()
             adamw_step(group, collect_grads(group), state)
         except FloatingPointError as err:
-            raise RuntimeError(f"{what} diverged at step {step}: {err}") from err
+            raise FloatingPointError(f"{what} diverged at step {step}: {err}") from err
         losses.append(loss.item())
     return params.clone(), losses
 

@@ -25,6 +25,7 @@ DEFAULT_STEPS = 60
 
 ZERO_SHOT = "zero_shot"
 ONE_SHOT = "one_shot"
+SETTINGS = (ZERO_SHOT, ONE_SHOT)
 
 
 @dataclass(frozen=True)
@@ -34,11 +35,6 @@ class PromptSet:
 
     pair: tuple[np.ndarray, np.ndarray]
     corruption: CorruptionSpec | None = None
-
-    @property
-    def provenance(self) -> str:
-        """Where the prompt input came from: "clean" or "corrupted"."""
-        return "clean" if self.corruption is None else "corrupted"
 
 
 @dataclass(frozen=True)
@@ -133,7 +129,9 @@ def adapt_and_predict(
     clone's selected group goes on the tape (``model.trainable``) and is
     stepped: backward computes no gradient for the other tensors, while
     activation gradients still flow through them. The prediction is a
-    frozen inference from a clone of the adapted weights, off the tape.
+    frozen inference from a clone of the adapted weights, off the tape. A
+    divergence is a ``FloatingPointError`` naming the step and the digest
+    of the weights that step started from.
     """
     work = params0.clone()
     group = model.trainable(work, config.selector)
@@ -147,8 +145,8 @@ def adapt_and_predict(
             loss.backward()
             adamw_step(group, collect_grads(group), state)
         except FloatingPointError as err:
-            raise RuntimeError(
-                f"adaptation failed at step {step} (params digest {work.digest()}): {err}"
+            raise FloatingPointError(
+                f"adaptation diverged at step {step} (params digest {work.digest()}): {err}"
             ) from err
         trace.append(loss.item())
     adapted = work.clone()  # off the tape, so the prediction records none

@@ -32,7 +32,6 @@ def test_round_trip_is_bit_exact(checkpoint_path):
     assert loaded.digest() == params.digest()
     assert loaded.config == params.config
     assert list(loaded.tensors) == list(params.tensors)
-    assert loaded.groups == params.groups
 
 
 def test_loaded_weights_are_off_the_tape(tmp_path):
@@ -88,8 +87,9 @@ def test_truncated_file_rejected(checkpoint_path, tmp_path):
     raw = path.read_bytes()
     bad = tmp_path / "bad.bin"
     bad.write_bytes(raw[: len(raw) // 2])
-    with pytest.raises(CheckpointError, match="truncated"):
+    with pytest.raises(CheckpointError, match="truncated") as err:
         load_checkpoint(bad)
+    assert str(err.value).startswith(f"{bad}: ")
 
 
 def test_trailing_garbage_rejected(checkpoint_path, tmp_path):
@@ -100,18 +100,48 @@ def test_trailing_garbage_rejected(checkpoint_path, tmp_path):
         load_checkpoint(bad)
 
 
-@pytest.mark.parametrize("line", [b"patch_size", b"patch_size=eight"])
-def test_malformed_config_line_rejected(checkpoint_path, tmp_path, line):
-    _, path = checkpoint_path
+def _with_config_block(path, tmp_path, edit):
+    """A copy of the checkpoint at ``path`` whose config block is ``edit(block)``."""
     raw = path.read_bytes()
     start = len(MAGIC) + 4
     (length,) = struct.unpack_from("<I", raw, start)
-    block = raw[start + 4 : start + 4 + length].replace(b"patch_size=8", line)
+    block = edit(raw[start + 4 : start + 4 + length])
     bad = tmp_path / "bad.bin"
     bad.write_bytes(raw[:start] + struct.pack("<I", len(block)) + block + raw[start + 4 + length :])
+    return bad
+
+
+@pytest.mark.parametrize("line", [b"patch_size", b"patch_size=eight"])
+def test_malformed_config_line_rejected(checkpoint_path, tmp_path, line):
+    bad = _with_config_block(checkpoint_path[1], tmp_path, lambda block: block.replace(b"patch_size=8", line))
     with pytest.raises(CheckpointError, match="bad config line") as err:
         load_checkpoint(bad)
     assert str(bad) in str(err.value) and repr(line.decode()) in str(err.value)
+
+
+@pytest.mark.parametrize(
+    "edit, message",
+    [
+        (lambda block: b"\xff" + block, r"config block is not ascii: 'ascii' codec can't decode byte 0xff in position 0"),
+        (lambda block: block.replace(b"mlp_ratio=4\n", b""), r"config block lacks mlp_ratio$"),
+        (lambda block: block + b"embed_dim=32\n", r"config field 'embed_dim' given twice$"),
+    ],
+    ids=["non-ascii", "missing-field", "repeated-field"],
+)
+def test_malformed_config_block_rejected_by_name(checkpoint_path, tmp_path, edit, message):
+    bad = _with_config_block(checkpoint_path[1], tmp_path, edit)
+    with pytest.raises(CheckpointError, match=message) as err:
+        load_checkpoint(bad)
+    assert str(err.value).startswith(f"{bad}: ")
+
+
+def test_tensor_name_that_is_not_utf8_rejected(checkpoint_path, tmp_path):
+    _, path = checkpoint_path
+    bad = tmp_path / "bad.bin"
+    bad.write_bytes(path.read_bytes().replace(b"head.weight", b"head.weigh\xff"))
+    index = len(model.layout(SMALL_MODEL)) - 2
+    with pytest.raises(CheckpointError, match=rf"^{bad}: tensor {index}'s name is not utf-8: 'utf-8' codec"):
+        load_checkpoint(bad)
 
 
 def test_default_config_block_text():

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from vict import corruptions, harness, tasks, tuning
+from vict.checkpoint import load_checkpoint
 
 
 def bench_config(small_checkpoint, **overrides):
@@ -90,6 +91,28 @@ def test_only_divergence_counts_as_failure(small_checkpoint, monkeypatch, error,
     report = harness.run_bench(config)
     assert report.total_failures == 6
     assert [(e["n"], e["failures"]) for e in report.rows] == [(0, 3)] * 4
+
+
+def test_failed_sample_says_why_on_stderr(small_checkpoint, monkeypatch, capsys):
+    real_cycle_loss, calls = tuning.cycle_loss, []
+
+    def cycle_loss_diverging_on_sample_1(*args, **kwargs):
+        calls.append(None)
+        if len(calls) == 2:  # one setting and one tuning step: the second call is sample 1's
+            raise FloatingPointError("smooth_l1: non-finite values in output")
+        return real_cycle_loss(*args, **kwargs)
+
+    monkeypatch.setattr(tuning, "cycle_loss", cycle_loss_diverging_on_sample_1)
+    config = bench_config(
+        small_checkpoint, corruption_kinds=(corruptions.CorruptionKind.GAUSSIAN_NOISE,), methods=harness.METHODS
+    )
+    report = harness.run_bench(config)
+    assert capsys.readouterr().err.splitlines() == [
+        f"vict: gaussian_noise severity 3 sample 1 failed: adaptation diverged at step 0 "
+        f"(params digest {load_checkpoint(small_checkpoint).digest()}): smooth_l1: non-finite values in output"
+    ]
+    assert report.total_failures == 1
+    assert [(e["n"], e["failures"]) for e in report.rows] == [(2, 1)] * 2
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf])

@@ -78,7 +78,7 @@ def test_psnr_shape_mismatch():
 
 def test_miou_perfect_prediction():
     target = tasks.generate(tasks.TaskKind.SEGMENTATION, 2).target
-    assert tasks.miou(target, target, tasks.PALETTE).value == 1.0
+    assert tasks.miou(target, target).value == 1.0
 
 
 def test_miou_disjoint_prediction():
@@ -87,7 +87,7 @@ def test_miou_disjoint_prediction():
     target[:] = tasks.PALETTE[0][:, None, None]  # all background
     pred = np.zeros((3, c, c), dtype=np.float32)
     pred[:] = tasks.PALETTE[2][:, None, None]  # all one absent class
-    assert tasks.miou(pred, target, tasks.PALETTE).value == 0.0
+    assert tasks.miou(pred, target).value == 0.0
 
 
 def test_miou_half_plane_counting():
@@ -98,18 +98,13 @@ def test_miou_half_plane_counting():
     pred = np.zeros((3, c, c), dtype=np.float32)
     pred[:] = tasks.PALETTE[1][:, None, None]
     # IoU(class 1) = 0.5, IoU(class 2) = 0 -> mIoU 0.25
-    assert tasks.miou(pred, target, tasks.PALETTE).value == pytest.approx(0.25)
-
-
-def test_miou_empty_palette():
-    with pytest.raises(ValueError, match="palette"):
-        tasks.miou(np.zeros((3, 4, 4)), np.zeros((3, 4, 4)), np.zeros((0, 3)))
+    assert tasks.miou(pred, target).value == pytest.approx(0.25)
 
 
 def test_segmentation_decode_encode_identity():
     classes = np.array([[0, 1], [2, 3]])
     image = tasks.PALETTE[classes].transpose(2, 0, 1)
-    assert np.array_equal(tasks.decode_classes(image, tasks.PALETTE), classes)
+    assert np.array_equal(tasks.decode_classes(image), classes)
 
 
 # ---------------------------------------------------------------------------
@@ -157,7 +152,7 @@ def test_perturbing_away_from_target_never_helps():
     seg = tasks.generate(tasks.TaskKind.SEGMENTATION, 9)
     flipped = seg.target.copy()
     flipped[:, :8, :8] = tasks.PALETTE[3][:, None, None]
-    assert tasks.miou(flipped, seg.target, tasks.PALETTE).value <= 1.0
+    assert tasks.miou(flipped, seg.target).value <= 1.0
 
     depth = tasks.generate(tasks.TaskKind.DEPTH, 9)
     assert tasks.a_rel(np.clip(depth.target + 0.1, 0, 1), depth.target).value >= 0.0
@@ -168,4 +163,4 @@ def test_metric_dispatch():
     assert tasks.metric_name_for(tasks.TaskKind.SEGMENTATION) == "mIoU"
     assert tasks.metric_name_for(tasks.TaskKind.DEPTH) == "A.Rel"
     metric = tasks.evaluate(tasks.TaskKind.DEPTH, np.full((3, 4, 4), 0.5), np.full((3, 4, 4), 0.5))
-    assert metric.name == "A.Rel" and not metric.higher_is_better
+    assert metric.name == "A.Rel" and not tasks.higher_is_better_for(tasks.TaskKind.DEPTH)

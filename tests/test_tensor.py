@@ -4,7 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.special import erf
 
-from vict import model, tasks, tuning
+from vict import model, tasks, training, tuning
 from vict import tensor as T
 from vict.gradcheck import FD_STEP, TINY_CONFIG, TOLERANCE, check_op_gradients, finite_diff_grad, rel_error
 
@@ -57,12 +57,12 @@ def test_non_finite_output_is_an_error():
 def test_non_finite_error_names_the_first_non_finite_op_on_the_tape():
     x = T.parameter(arr(1.0, 2.0, 3.0))
     with np.errstate(over="ignore", invalid="ignore"):
-        h = T.mul_scalar(T.mul(x, x), 1e308)  # the mul is finite, the mul_scalar overflows
+        h = T.mul(T.gelu(x), T.constant(np.full(3, 1e308)))  # the gelu is finite, the mul overflows
         h = T.gelu(T.add(h, h))
-        with pytest.raises(FloatingPointError, match=r"^mul_scalar: non-finite values in output$"):
+        with pytest.raises(FloatingPointError, match=r"^mul: non-finite values in output$"):
             T.sigmoid(h)
         loss = T.tsum(h)
-    with pytest.raises(FloatingPointError, match=r"^mul_scalar: non-finite values in output$"):
+    with pytest.raises(FloatingPointError, match=r"^mul: non-finite values in output$"):
         loss.backward()
 
 
@@ -154,6 +154,32 @@ def test_op_gradients_match_finite_differences():
     results = check_op_gradients()
     assert {"linear", "attention"} <= set(results)
     assert {name: err for name, err in results.items() if not err < TOLERANCE} == {}
+
+
+def _tape_ops(root):
+    ops, seen, stack = set(), set(), [root]
+    while stack:
+        t = stack.pop()
+        if id(t) not in seen:
+            seen.add(id(t))
+            if t._parents:
+                ops.add(t._op)
+            stack.extend(t._parents)
+    return ops
+
+
+def test_gradcheck_covers_every_op_the_model_records():
+    params = model.init(TINY_CONFIG, seed=0, dtype=np.float64)
+    model.trainable(params, "all")
+    c = TINY_CONFIG.cell_size
+    prompt, query = (tasks.generate(tasks.TaskKind.DENOISE, seed, c) for seed in (1, 2))
+    prompt, query = ((s.input.astype(np.float64), s.target.astype(np.float64)) for s in (prompt, query))
+    tapes = [tuning.cycle_loss(params, prompt, query[0])]
+    tapes += [training.masked_cell_loss(params, prompt, query, flip) for flip in (False, True)]
+    recorded = set().union(*map(_tape_ops, tapes))
+    checked = set(check_op_gradients())
+    assert {"linear", "attention", "smooth_l1"} <= recorded
+    assert {op for op in recorded if op not in checked and not any(k.startswith(f"{op}_") for k in checked)} == set()
 
 
 # ---------------------------------------------------------------------------

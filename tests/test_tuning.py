@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from vict import model, tasks, tuning
+from vict import harness, model, tasks, tuning
 from vict import tensor as T
 from vict.corruptions import CorruptionKind, CorruptionSpec
 
@@ -28,7 +28,7 @@ def sample_pair():
 def test_zero_shot_prompt_is_clean():
     prompt = tuning.select_prompt(tasks.TaskKind.DENOISE, tuning.ZERO_SHOT, None, seed=9, cell_size=16)
     clean = tasks.generate(tasks.TaskKind.DENOISE, 9, cell_size=16)
-    assert prompt.provenance == "clean"
+    assert prompt.corruption is None
     with pytest.raises(TypeError):  # provenance follows the corruption; it is not stored
         tuning.PromptSet(prompt.pair, "corrupted", None)
     assert prompt.pair[0].tobytes() == clean.input.tobytes()
@@ -39,7 +39,7 @@ def test_one_shot_prompt_is_corrupted_input_clean_target():
     spec = CorruptionSpec(CorruptionKind.GAUSSIAN_NOISE, 3, seed=42)
     prompt = tuning.select_prompt(tasks.TaskKind.DENOISE, tuning.ONE_SHOT, spec, seed=9, cell_size=16)
     clean = tasks.generate(tasks.TaskKind.DENOISE, 9, cell_size=16)
-    assert prompt.provenance == "corrupted"
+    assert prompt.corruption is not None
     assert np.mean((prompt.pair[0] - clean.input) ** 2) > 0.0
     assert prompt.pair[1].tobytes() == clean.target.tobytes()
     # independent corruption seed, same kind and severity
@@ -149,7 +149,7 @@ def test_encoder_selector_freezes_decoder_group(params, sample_pair, monkeypatch
     changed, frozen_names = [], []
     for name, t in adapted.tensors.items():
         same = t.data.tobytes() == params.tensors[name].data.tobytes()
-        if params.groups[name] == model.DECODER:
+        if model.group_of(name) == model.DECODER:
             assert same, f"decoder tensor {name} changed under encoder selector"
             frozen_names.append(name)
         elif not same:
@@ -163,7 +163,7 @@ def test_encoder_selector_computes_no_decoder_gradients(params, sample_pair, mon
     flags = {name: t.requires_grad for name, t in params.tensors.items()}
     adapted = _adapted_clone(params, pair, x_t, tuning.VictConfig(steps=1, selector="encoder"), monkeypatch)
     for name, t in adapted.tensors.items():
-        if params.groups[name] == model.DECODER:
+        if model.group_of(name) == model.DECODER:
             assert t.grad is None and not t.requires_grad, name
         else:
             assert t.grad is not None and t.requires_grad, name
@@ -177,7 +177,7 @@ def test_all_selector_changes_some_decoder_tensor(params, sample_pair, monkeypat
     decoder_changed = [
         name
         for name, t in adapted.tensors.items()
-        if params.groups[name] == model.DECODER and t.data.tobytes() != params.tensors[name].data.tobytes()
+        if model.group_of(name) == model.DECODER and t.data.tobytes() != params.tensors[name].data.tobytes()
     ]
     assert decoder_changed
 
@@ -274,3 +274,33 @@ def test_non_finite_confined_to_a_discarded_cell_raises(params, sample_pair, mon
     model.trainable(params_under_test, "all")
     with pytest.raises(FloatingPointError, match=r"^linear: non-finite values in output$"):
         tuning.cycle_loss(params_under_test, pair, x_t)
+
+
+def test_adaptation_divergence_names_the_step_and_the_weights(params, sample_pair, small_checkpoint, monkeypatch):
+    pair, x_t = sample_pair
+    prompt = tuning.PromptSet(pair=pair)
+    after_one_step = tuning.adapt_and_predict(params, prompt, x_t, tuning.VictConfig(steps=1)).adapted_params_digest
+    real_adamw_step = tuning.adamw_step
+
+    def adamw_step_diverging_on_step_1(group, grads, state):
+        if state.t == 1:
+            raise FloatingPointError("adamw_step: non-finite gradient for 'mask_token'")
+        real_adamw_step(group, grads, state)
+
+    monkeypatch.setattr(tuning, "adamw_step", adamw_step_diverging_on_step_1)
+    message = r"^adaptation diverged at step 1 \(params digest [0-9a-f]{64}\): adamw_step: "
+    with pytest.raises(FloatingPointError, match=message) as err:
+        tuning.adapt_and_predict(params, prompt, x_t, tuning.VictConfig(steps=2))
+    assert f"(params digest {after_one_step})" in str(err.value)  # the weights step 1 started from
+
+    config = harness.BenchConfig(
+        checkpoint=small_checkpoint,
+        corruption_kinds=(CorruptionKind.GAUSSIAN_NOISE,),
+        severities=(3,),
+        settings=(tuning.ZERO_SHOT,),
+        num_samples=2,
+        vict=tuning.VictConfig(steps=2),
+    )
+    report = harness.run_bench(config)
+    assert report.total_failures == 2
+    assert [(e["method"], e["n"], e["failures"]) for e in report.rows] == [(harness.FROZEN, 0, 2), (harness.VICT, 0, 2)]
