@@ -40,12 +40,14 @@ _PLACEMENT = {
 
 
 def check_image(name: str, image: np.ndarray, cell_size: int | None = None) -> int:
-    """C of ``image``, which must be [3, C, C] (with C = ``cell_size`` if
-    given), hold no NaN and lie in [0, 1], so no infinity either. Any other
-    array raises ``ValueError`` naming ``name``."""
+    """C of ``image``, which must be [3, C, C] with C > 0 (and C =
+    ``cell_size`` if given), hold no NaN and lie in [0, 1], so no infinity
+    either. Any other array raises ``ValueError`` naming ``name``."""
     if image.ndim != 3 or image.shape[0] != 3 or image.shape[1] != image.shape[2]:
         raise ValueError(f"{name}: expected image of shape [3, C, C], got {image.shape}")
     c = image.shape[1]
+    if c == 0:
+        raise ValueError(f"{name}: empty image of shape {image.shape}")
     if cell_size is not None and c != cell_size:
         raise ValueError(f"{name}: cell size {c} does not match {cell_size}")
     lo, hi = float(image.min()), float(image.max())

@@ -29,7 +29,10 @@ only an array it has just computed for that one input, which is then
 stored without a copy. An array that another accumulation may also read
 (``add``'s incoming gradient, a reshaped or transposed view of it, a
 ``concat`` slice) goes through ``_accumulate_shared``, which copies it on
-first store. So no two ``grad`` buffers ever share memory.
+first store. So no two ``grad`` buffers ever share memory. An op output's
+(an intermediate's) gradient is dropped as soon as its backward rule has
+run, so backward holds only the gradients still to be passed on; leaves
+keep theirs.
 
 The transformer's two hot patterns are one node each: ``linear`` (matmul
 plus bias row) and ``attention`` (multi-head scaled dot-product attention
@@ -43,6 +46,8 @@ Also home to the smooth-L1 regression loss and the Adam update
 (``adamw_step``, with no weight decay) used by pre-training and test-time
 tuning. The update runs on whole arenas: the tensors it steps, and their
 gradients, must each be consecutive views of one flat buffer (``arena_of``).
+It walks the arena in blocks of ``ADAMW_BLOCK`` values, so its temporaries
+stay in cache.
 """
 
 from __future__ import annotations
@@ -218,7 +223,8 @@ def backward(root: Tensor) -> None:
     """Populate ``grad`` on every grad-requiring leaf reachable from ``root``.
 
     ``root`` must be a scalar produced by a recorded op. Intermediate grads
-    are reset on entry; leaf grads accumulate across calls (``zero_grads``
+    are reset on entry and dropped once their rule has used them, so none
+    is left afterwards; leaf grads accumulate across calls (``zero_grads``
     resets them).
     """
     if root.data.size != 1:
@@ -234,6 +240,7 @@ def backward(root: Tensor) -> None:
     for node in reversed(order):
         if node._backward is not None and node.grad is not None:
             node._backward(node.grad)
+            node.grad = None
 
 
 def zero_grads(tensors: Iterable[Tensor]) -> None:
@@ -655,6 +662,7 @@ def arena_of(arrays: Iterable[tuple[str, np.ndarray]], owner: str) -> np.ndarray
 
 ADAM_BETA1 = 0.9
 ADAM_BETA2 = 0.999
+ADAMW_BLOCK = 2**15  # values per block of the update: 128 KiB temporaries in float32
 
 
 @dataclass
@@ -664,9 +672,9 @@ class AdamWState:
     pre-training, fine-tuning or test-time tuning decays its weights.
 
     The first ``adamw_step`` makes ``m`` and ``v``, flat and laid out like
-    the parameter arena it updates. Its scratch arrays live only during the
-    update: kept between steps, they would add to the resident memory of
-    every forward and backward pass.
+    the parameter arena it updates. Its two block-sized scratch arrays live
+    only during the update: kept between steps, they would add to the
+    resident memory of every forward and backward pass.
     """
 
     lr: float
@@ -714,7 +722,11 @@ def adamw_step(params: Mapping[str, Tensor], grads: Mapping[str, np.ndarray], st
 
     ``params``' data, and ``grads`` in ``params`` order, must each tile one
     flat buffer (``arena_of``), as a ``model.trainable`` group and its
-    gradients do.
+    gradients do. After one finiteness check over the whole gradient arena,
+    the arena is updated in blocks of ``ADAMW_BLOCK`` values, each with the
+    same per-element operations in the same order, so every value is the
+    one a whole-arena update gives; only the two temporaries shrink to a
+    block.
     """
     check_lr("adamw_step", "lr", state.lr)
     if grads.keys() != params.keys():
@@ -730,22 +742,27 @@ def adamw_step(params: Mapping[str, Tensor], grads: Mapping[str, np.ndarray], st
     state.t += 1
     bc1 = 1.0 - ADAM_BETA1 ** state.t
     bc2 = 1.0 - ADAM_BETA2 ** state.t
-    m, v = state.m, state.v
-    scratch = np.multiply(g, 1.0 - ADAM_BETA1)
-    m *= ADAM_BETA1
-    m += scratch
-    np.multiply(g, g, out=scratch)
-    scratch *= 1.0 - ADAM_BETA2
-    v *= ADAM_BETA2
-    v += scratch
-    # scratch <- sqrt(v_hat) + eps; update = m_hat / scratch
-    np.divide(v, bc2, out=scratch)
-    np.sqrt(scratch, out=scratch)
-    scratch += state.eps
-    update = m / bc1
-    update /= scratch
-    update *= state.lr
-    theta -= update
+    size = min(ADAMW_BLOCK, theta.size)
+    scratch_block, update_block = np.empty(size, dtype=g.dtype), np.empty(size, dtype=theta.dtype)
+    for lo in range(0, theta.size, ADAMW_BLOCK):
+        block = slice(lo, lo + ADAMW_BLOCK)
+        gb, m, v = g[block], state.m[block], state.v[block]
+        scratch, update = scratch_block[: gb.size], update_block[: gb.size]
+        np.multiply(gb, 1.0 - ADAM_BETA1, out=scratch)
+        m *= ADAM_BETA1
+        m += scratch
+        np.multiply(gb, gb, out=scratch)
+        scratch *= 1.0 - ADAM_BETA2
+        v *= ADAM_BETA2
+        v += scratch
+        # scratch <- sqrt(v_hat) + eps; update = m_hat / scratch
+        np.divide(v, bc2, out=scratch)
+        np.sqrt(scratch, out=scratch)
+        scratch += state.eps
+        np.divide(m, bc1, out=update)
+        update /= scratch
+        update *= state.lr
+        theta[block] -= update
 
 
 def collect_grads(params: dict[str, Tensor]) -> dict[str, np.ndarray]:

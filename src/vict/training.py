@@ -84,6 +84,7 @@ def fit(
         except FloatingPointError as err:
             raise FloatingPointError(f"{what} diverged at step {step}: {err}") from err
         losses.append(loss.item())
+        del loss  # frees the tape after the update: freed before it, its memory went back to the OS and was faulted in again
     return params.clone(), losses
 
 

@@ -149,6 +149,7 @@ def adapt_and_predict(
                 f"adaptation diverged at step {step} (params digest {work.digest()}): {err}"
             ) from err
         trace.append(loss.item())
+        del loss  # frees the tape after the update: freed before it, its memory went back to the OS and was faulted in again
     adapted = work.clone()  # off the tape, so the prediction records none
     return AdaptationResult(
         y_t_hat=infer(adapted, pair, x_t),

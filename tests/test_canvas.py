@@ -93,6 +93,12 @@ def test_assemble_rejects_nan_cell():
         cv.assemble_flipped(const_image(0.1), const_image(0.3), nan_img)
 
 
+def test_assemble_rejects_empty_image():
+    empty = np.zeros((3, 0, 0), dtype=np.float32)
+    with pytest.raises(ValueError, match=r"^assemble_inference\(x\): empty image of shape \(3, 0, 0\)$"):
+        cv.assemble_inference(empty, const_image(0.2), const_image(0.3))
+
+
 def test_extract_is_pure():
     rng = np.random.default_rng(2)
     pixels = T.Tensor(rng.random((3, 64, 64)))

@@ -107,6 +107,11 @@ def test_apply_rejects_non_square_image(kind):
         cor.apply(np.full((3, 32, 16), 0.5), spec(kind))
 
 
+def test_apply_rejects_empty_image():
+    with pytest.raises(ValueError, match=r"^apply: empty image of shape \(3, 0, 0\)$"):
+        cor.apply(np.zeros((3, 0, 0)), spec(KIND.FOG))
+
+
 # ---------------------------------------------------------------------------
 # the array kernels against the scalar loops they replace
 # ---------------------------------------------------------------------------

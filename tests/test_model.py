@@ -1,3 +1,6 @@
+import gc
+import weakref
+
 import numpy as np
 import pytest
 
@@ -242,19 +245,77 @@ def _tape(root):
 
 
 def test_gradient_buffers_never_alias(default_params):
+    # backward drops each intermediate gradient once its rule has run, so each
+    # rule records the gradient it is handed, and the references kept here
+    # stop a freed buffer from being reused for a later one
     prompt = tasks.generate(tasks.TaskKind.DENOISE, 1)
     query = tasks.generate(tasks.TaskKind.DENOISE, 2)
     params = default_params.clone()
     model.trainable(params, "all")
     loss = tuning.cycle_loss(params, (prompt.input, prompt.target), query.input)
+    handed = []
+    for node in _tape(loss):
+        if node._backward is not None:
+            node._backward = lambda g, rule=node._backward: (handed.append(g), rule(g))
     loss.backward()
-    grads = [node.grad for node in _tape(loss) if node.grad is not None]
-    assert len(grads) > len(params.tensors)  # intermediates too
+    assert len(handed) > len(params.tensors)
+    grads = handed + [t.grad for t in params.tensors.values()]
     assert not any(np.shares_memory(a, b) for i, a in enumerate(grads) for b in grads[i + 1 :])
     first = {name: t.grad.tobytes() for name, t in params.tensors.items()}
     T.zero_grads(params.tensors.values())
     loss.backward()
     assert {name: t.grad.tobytes() for name, t in params.tensors.items()} == first
+
+
+def test_backward_keeps_only_leaf_gradients(default_params):
+    prompt = tasks.generate(tasks.TaskKind.DENOISE, 1)
+    query = tasks.generate(tasks.TaskKind.DENOISE, 2)
+    params = default_params.clone()
+    model.trainable(params, "encoder")
+    loss = tuning.cycle_loss(params, (prompt.input, prompt.target), query.input)
+    loss.backward()
+    tape = _tape(loss)
+    assert [node._op for node in tape if node._parents and node.grad is not None] == []
+    leaves = [node for node in tape if not node._parents]
+    assert leaves and all(node.grad is not None for node in leaves)
+
+
+def _run_loop(loop):
+    c = TINY_CONFIG.cell_size
+    prompt, query = tasks.generate(tasks.TaskKind.DENOISE, 1, c), tasks.generate(tasks.TaskKind.DENOISE, 2, c)
+    params = model.init(TINY_CONFIG, seed=0)
+    if loop == "fit":
+        batches = [((prompt.input, prompt.target), (query.input, query.target), flip) for flip in (False, True, False)]
+        training.fit(params, 1e-3, batches, "fitting")
+    else:
+        prompt_set = tuning.PromptSet(pair=(prompt.input, prompt.target))
+        tuning.adapt_and_predict(params, prompt_set, query.input, tuning.VictConfig(steps=3, selector=loop))
+
+
+@pytest.mark.parametrize("loop", ["encoder", "all", "fit"])
+def test_each_loop_holds_one_tape_at_a_time(loop, monkeypatch):
+    # Tensor takes no weak references, but each op output holds its data
+    # array, so a tape whose arrays are all dead has been freed
+    module, name = (training, "masked_cell_loss") if loop == "fit" else (tuning, "cycle_loss")
+    make_loss = getattr(module, name)
+    tapes = []
+
+    def alive():
+        return [i for i, tape in enumerate(tapes) if any(ref() is not None for ref in tape)]
+
+    def tracked_loss(*args, **kwargs):
+        assert alive() == []
+        loss = make_loss(*args, **kwargs)
+        tapes.append([weakref.ref(node.data) for node in _tape(loss) if node._parents])
+        return loss
+
+    monkeypatch.setattr(module, name, tracked_loss)
+    gc.disable()  # only reference counts may free a tape
+    try:
+        _run_loop(loop)
+    finally:
+        gc.enable()
+    assert len(tapes) == 3 and alive() == []
 
 
 def test_second_backward_doubles_single_use_gradients(default_params):

@@ -335,6 +335,63 @@ def test_adamw_matches_textbook_expression_over_60_steps(dtype):
     assert [name for name in group if state_v[name].tobytes() != v[name].tobytes()] == []
 
 
+def _arena_group(dtype, sizes, seed):
+    """Parameters of the given sizes, random, tiling one arena."""
+    rng = np.random.default_rng(seed)
+    data = T.new_arena(((f"p{i}", (n,)) for i, n in enumerate(sizes)), dtype)
+    for view in data.values():
+        view[...] = _normal(rng, dtype, view.size)
+    return {name: T.Tensor(view, requires_grad=True) for name, view in data.items()}
+
+
+def _theta(group):
+    """The flat arena ``group``'s data tiles."""
+    return T.arena_of(((name, t.data) for name, t in group.items()), "theta")
+
+
+@pytest.mark.parametrize("dtype", DTYPES)
+@pytest.mark.parametrize("sizes", [(5, T.ADAMW_BLOCK - 5), (T.ADAMW_BLOCK, 1), None], ids=["block", "block+1", "tiny"])
+def test_adamw_blocks_match_textbook_expression(dtype, sizes):
+    if sizes is None:  # less than one block
+        group = model.trainable(model.init(TINY_CONFIG, seed=0, dtype=dtype), "all")
+        assert sum(t.size for t in group.values()) < T.ADAMW_BLOCK
+    else:
+        group = _arena_group(dtype, sizes, seed=5)
+    rng = np.random.default_rng(18)
+    grad_sets = [
+        _grad_arena(group, {name: _normal(rng, dtype, *t.shape, scale=1e-2) for name, t in group.items()})
+        for _ in range(3)
+    ]
+    state = T.AdamWState(lr=3e-2, eps=1e-1)
+    theta = _theta(group).copy()
+    m, v = np.zeros_like(theta), np.zeros_like(theta)
+    for step in range(1, 7):
+        grads = grad_sets[step % 3]
+        T.adamw_step(group, grads, state)
+        g = T.arena_of(((name, grads[name]) for name in group), "grads")
+        bc1, bc2 = 1.0 - T.ADAM_BETA1**step, 1.0 - T.ADAM_BETA2**step
+        m *= T.ADAM_BETA1
+        m += (1.0 - T.ADAM_BETA1) * g
+        v *= T.ADAM_BETA2
+        v += (1.0 - T.ADAM_BETA2) * (g * g)
+        theta -= state.lr * ((m / bc1) / (np.sqrt(v / bc2) + state.eps))
+    assert _theta(group).tobytes() == theta.tobytes()
+    assert state.m.tobytes() == m.tobytes() and state.v.tobytes() == v.tobytes()
+
+
+def test_adamw_nan_in_the_last_block_changes_nothing():
+    group = _arena_group(np.float32, (T.ADAMW_BLOCK, T.ADAMW_BLOCK, 9), seed=6)
+    rng = np.random.default_rng(19)
+    grads = _grad_arena(group, {name: _normal(rng, np.float32, *t.shape) for name, t in group.items()})
+    state = T.AdamWState(lr=1e-2)
+    T.adamw_step(group, grads, state)
+    before = (_theta(group).tobytes(), state.m.tobytes(), state.v.tobytes(), state.t)
+    grads["p2"][-1] = np.nan
+    with pytest.raises(FloatingPointError, match=r"^adamw_step: non-finite gradient for 'p2'$"):
+        T.adamw_step(group, grads, state)
+    assert (_theta(group).tobytes(), state.m.tobytes(), state.v.tobytes(), state.t) == before
+
+
 # ---------------------------------------------------------------------------
 # smooth-L1
 # ---------------------------------------------------------------------------
