@@ -6,8 +6,10 @@ Outputs land in demos/out/.
 
 from pathlib import Path
 
+import numpy as np
+
 from vict import tasks
-from vict.canvas import CellPosition, assemble_flipped, assemble_inference, extract_cell, write_ppm
+from vict.canvas import EMPTY_FILL, assemble_flipped, assemble_inference, extract_cell, write_ppm
 
 out = Path(__file__).parent / "out"
 out.mkdir(exist_ok=True)
@@ -24,17 +26,26 @@ for task in tasks.ALL_TASKS:
 prompt = tasks.generate(tasks.TaskKind.DERAIN, seed=1)
 query = tasks.generate(tasks.TaskKind.DERAIN, seed=2)
 canvas = assemble_inference(prompt.input, prompt.target, query.input)
-write_ppm(out / "canvas_inference.ppm", canvas.pixels().data)
+empty = np.full_like(prompt.input, EMPTY_FILL)
+
+
+def grid(top_left, top_right, bottom_left, bottom_right):
+    return np.concatenate(
+        [np.concatenate([top_left, top_right], axis=2), np.concatenate([bottom_left, bottom_right], axis=2)], axis=1
+    )
+
+
+write_ppm(out / "canvas_inference.ppm", grid(prompt.input, prompt.target, query.input, empty))
 print(f"inference canvas masks {canvas.empty_position.value}; "
-      f"{int(canvas.patch_mask(8).sum())} of {len(canvas.patch_mask(8))} patches masked")
+      f"{len(canvas.empty_rows(8))} of {len(canvas.patches(8).data)} patches masked")
 
 # The role-flipped canvas: the (here: true) query output moves to the bottom right,
 # and the prompt output cell becomes the reconstruction target.
 flipped = assemble_flipped(prompt.input, query.input, query.target)
-write_ppm(out / "canvas_flipped.ppm", flipped.pixels().data)
+write_ppm(out / "canvas_flipped.ppm", grid(prompt.input, empty, query.input, query.target))
 print(f"flipped canvas masks {flipped.empty_position.value}")
 
-# Cells extract losslessly.
-back = extract_cell(canvas.pixels(), CellPosition.TOP_RIGHT).data
-print(f"extract round-trip exact: {back.tobytes() == prompt.target.tobytes()}")
+# The model reads and writes patch rows; cells go into them and come back losslessly.
+back = extract_cell(flipped.patches(8).data[canvas.empty_rows(8)]).data
+print(f"extract round-trip exact: {back.tobytes() == query.target.tobytes()}")
 print(f"wrote pixmaps to {out}/")

@@ -7,6 +7,15 @@ and only its patches are masked for the model. ``assemble_inference``
 leaves the bottom-right (query output) empty; ``assemble_flipped`` swaps
 the roles of prompt and query, leaving the top-right empty and placing
 the predicted query output at the bottom right.
+
+The model reads and writes patch rows, never canvas pixels.
+``Canvas.patches`` gives it the canvas as one matrix of P x P patches,
+each flattened (row, column, channel), in row-major order over the
+(2C/P)^2 patch grid. The values are assembled and patchified in numpy;
+a cell on the autodiff tape (the predicted query output in the flipped
+canvas) enters through its tape patchify and one ``put_rows`` node. The
+model returns only the empty cell's (C/P)^2 rows, and ``extract_cell``
+turns them back into a [3, C, C] image.
 """
 
 from __future__ import annotations
@@ -18,7 +27,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .tensor import Tensor, as_tensor, concat, constant, narrow
+from .tensor import Tensor, as_tensor, constant, put_rows, reshape, transpose
 
 EMPTY_FILL = 0.5
 
@@ -58,9 +67,28 @@ def check_image(name: str, image: np.ndarray, cell_size: int | None = None) -> i
     return c
 
 
+def cell_rows(position: CellPosition, half: int) -> np.ndarray:
+    """Rows of ``position``'s half x half patches in the (2 half)^2 patch
+    grid, in row-major order within the cell."""
+    row, col = _PLACEMENT[position]
+    grid_rows = np.arange(row * half, (row + 1) * half)[:, None]
+    grid_cols = np.arange(col * half, (col + 1) * half)[None, :]
+    return (grid_rows * 2 * half + grid_cols).reshape(-1)
+
+
+def patchify(image: Tensor, patch_size: int) -> Tensor:
+    """The [(C/P)^2, 3P^2] patch rows of a [3, C, C] image, on the tape if
+    the image is; ``extract_cell`` is the inverse."""
+    k = image.shape[1] // patch_size
+    x = reshape(image, (3, k, patch_size, k, patch_size))
+    x = transpose(x, (1, 3, 2, 4, 0))  # row-grid, col-grid, row-pixel, col-pixel, channel
+    return reshape(x, (k * k, 3 * patch_size * patch_size))
+
+
 @dataclass(frozen=True)
 class Canvas:
-    """Four cells, one of which is empty; ``pixels`` assembles [3, 2C, 2C].
+    """Four cells, one of which is empty; ``patches`` gives the model its
+    patch matrix.
 
     ``empty_position`` is the cell the model masks and the cell whose
     prediction the caller reads back.
@@ -70,23 +98,31 @@ class Canvas:
     cell_size: int
     empty_position: CellPosition
 
-    def pixels(self) -> Tensor:
-        c = self.cell_size
-        dtype = next(t.dtype for t in self.cells.values() if t is not None)
-        fill = constant(np.full((3, c, c), EMPTY_FILL, dtype=dtype))
-        grid = {_PLACEMENT[pos]: (fill if t is None else t) for pos, t in self.cells.items()}
-        return concat([concat([grid[row, 0], grid[row, 1]], axis=2) for row in (0, 1)], axis=1)
-
-    def patch_mask(self, patch_size: int) -> np.ndarray:
-        """0/1 vector over the (2C/P)^2 patch grid in row-major order, 1 on
-        the empty cell's patches."""
+    def _half(self, patch_size: int) -> int:
         if self.cell_size % patch_size != 0:
-            raise ValueError(f"patch_mask: cell size {self.cell_size} not a multiple of patch size {patch_size}")
-        half = self.cell_size // patch_size
-        row, col = _PLACEMENT[self.empty_position]
-        mask = np.zeros((2 * half, 2 * half))
-        mask[row * half : (row + 1) * half, col * half : (col + 1) * half] = 1.0
-        return mask.reshape(-1)
+            raise ValueError(f"Canvas: cell size {self.cell_size} not a multiple of patch size {patch_size}")
+        return self.cell_size // patch_size
+
+    def patches(self, patch_size: int) -> Tensor:
+        """[(2C/P)^2, 3P^2] patch rows of the whole canvas, the empty cell's
+        filled with ``EMPTY_FILL``; on the tape if any cell is."""
+        half, c = self._half(patch_size), self.cell_size
+        dtype = next(t.dtype for t in self.cells.values() if t is not None)
+        pixels = np.full((3, 2 * c, 2 * c), EMPTY_FILL, dtype=dtype)
+        for position, t in self.cells.items():
+            if t is not None:
+                row, col = _PLACEMENT[position]
+                pixels[:, row * c : (row + 1) * c, col * c : (col + 1) * c] = t.data
+        out = patchify(constant(pixels), patch_size)
+        for position, t in self.cells.items():
+            if t is not None and t.requires_grad:
+                out = put_rows(out, cell_rows(position, half), patchify(t, patch_size))
+        return out
+
+    def empty_rows(self, patch_size: int) -> np.ndarray:
+        """Rows of the empty cell's patches in ``patches``, in the order
+        ``extract_cell`` reads them."""
+        return cell_rows(self.empty_position, self._half(patch_size))
 
 
 def _assemble(owner: str, cells: dict[CellPosition, tuple[str, object] | None]) -> Canvas:
@@ -137,14 +173,18 @@ def assemble_flipped(x, x_t, y_t_hat) -> Canvas:
     )
 
 
-def extract_cell(canvas_pixels: Tensor, position: CellPosition) -> Tensor:
-    """Slice one quadrant [3, C, C] out of assembled pixels [3, 2C, 2C]."""
-    t = as_tensor(canvas_pixels)
-    if t.data.ndim != 3 or t.shape[0] != 3 or t.shape[1] != t.shape[2] or t.shape[1] % 2 != 0:
-        raise ValueError(f"extract_cell: expected [3, 2C, 2C], got {t.shape}")
-    c = t.shape[1] // 2
-    row, col = _PLACEMENT[position]
-    return narrow(narrow(t, 1, row * c, c), 2, col * c, c)
+def extract_cell(rows: Tensor) -> Tensor:
+    """The [3, C, C] image whose patch rows, [(C/P)^2, 3P^2] in row-major
+    patch order, are ``rows``; on the tape if ``rows`` is. The inverse of
+    ``patchify``."""
+    t = as_tensor(rows)
+    n, width = t.shape if t.data.ndim == 2 else (0, 0)
+    k, p = math.isqrt(n), math.isqrt(width // 3)
+    if k == 0 or p == 0 or k * k != n or 3 * p * p != width:
+        raise ValueError(f"extract_cell: expected [(C/P)^2, 3P^2] patch rows, got {t.shape}")
+    x = reshape(t, (k, k, p, p, 3))
+    x = transpose(x, (4, 0, 2, 1, 3))
+    return reshape(x, (3, k * p, k * p))
 
 
 # ---------------------------------------------------------------------------

@@ -88,19 +88,18 @@ def check_op_gradients(seed: int = 0) -> dict[str, float]:
     wt = fixed(4, 2, 3)
     results["transpose"] = _check(lambda: T.tsum(T.mul(T.transpose(r, (2, 0, 1)), T.constant(wt))), {"r": r})
 
-    n = leaf(4, 6)
-    wn = fixed(4, 3)
-    results["narrow"] = _check(lambda: T.tsum(T.mul(T.narrow(n, 1, 2, 3), T.constant(wn))), {"n": n})
-
-    c1, c2 = leaf(2, 3), leaf(4, 3)
-    wc = fixed(6, 3)
-    results["concat"] = _check(
-        lambda: T.tsum(T.mul(T.concat([c1, c2], axis=0), T.constant(wc))), {"c1": c1, "c2": c2}
+    n = leaf(5, 3)
+    rows = np.array([3, 0, 4])
+    wn = fixed(3, 3)
+    results["take_rows"] = _check(lambda: T.tsum(T.mul(T.take_rows(n, rows), T.constant(wn))), {"n": n})
+    put, row = leaf(3, 3), leaf(3)
+    wp = fixed(5, 3)
+    results["put_rows"] = _check(
+        lambda: T.tsum(T.mul(T.put_rows(n, rows, put), T.constant(wp))), {"n": n, "put": put}
     )
-
-    row = leaf(1, 5)
-    wx = fixed(4, 5)
-    results["repeat_rows"] = _check(lambda: T.tsum(T.mul(T.repeat_rows(row, 4), T.constant(wx))), {"row": row})
+    results["put_rows_row"] = _check(
+        lambda: T.tsum(T.mul(T.put_rows(n, rows, row), T.constant(wp))), {"n": n, "row": row}
+    )
 
     s = leaf(3, 6)
     ws = fixed(3, 6)
@@ -131,6 +130,11 @@ def check_op_gradients(seed: int = 0) -> dict[str, float]:
     qkv = leaf(5, 12)  # 2 heads of dimension 2
     w_attn = fixed(5, 4)
     results["attention"] = _check(lambda: T.tsum(T.mul(T.attention(qkv, 2), T.constant(w_attn))), {"qkv": qkv})
+    query_rows = np.array([4, 1])
+    w_rows = fixed(2, 4)
+    results["attention_rows"] = _check(
+        lambda: T.tsum(T.mul(T.attention(qkv, 2, query_rows), T.constant(w_rows))), {"qkv": qkv}
+    )
 
     return results
 

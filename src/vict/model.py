@@ -1,11 +1,13 @@
 """Small patch-transformer encoder-decoder for masked canvas inpainting.
 
-The canvas is split into patches, each linearly projected to an embedding;
-masked patches are replaced by a learned mask token (post-projection, so
-nothing of the fill value reaches attention), learned positional embeddings
-are added, and pre-norm transformer blocks run encoder then decoder. A
-linear head projects every position back to pixels, squashed to (0, 1) by
-a logistic so outputs are always valid cell images.
+The model reads the canvas as patch rows (``Canvas.patches``), each
+linearly projected to an embedding; the empty cell's patches are replaced
+by a learned mask token (post-projection, so nothing of the fill value
+reaches attention), learned positional embeddings are added, and pre-norm
+transformer blocks run encoder then decoder. The last block, the final
+norm and a linear head run on the empty cell's patches only, and the head
+projects them back to pixel rows, squashed to (0, 1) by a logistic so
+outputs are always valid cell images.
 
 A parameter's group, which decides what test-time tuning may update, is
 read from its name by ``group_of``: the decoder blocks, final norm and
@@ -263,9 +265,9 @@ def trainable(params: Params, selector: str) -> dict[str, T.Tensor]:
 # ---------------------------------------------------------------------------
 
 
-def _attention(h: T.Tensor, p: dict[str, T.Tensor], prefix: str, num_heads: int) -> T.Tensor:
+def _attention(h: T.Tensor, p: dict[str, T.Tensor], prefix: str, num_heads: int, rows: np.ndarray | None) -> T.Tensor:
     qkv = T.linear(h, p[f"{prefix}.attn.qkv.weight"], p[f"{prefix}.attn.qkv.bias"])
-    return T.linear(T.attention(qkv, num_heads), p[f"{prefix}.attn.proj.weight"], p[f"{prefix}.attn.proj.bias"])
+    return T.linear(T.attention(qkv, num_heads, rows), p[f"{prefix}.attn.proj.weight"], p[f"{prefix}.attn.proj.bias"])
 
 
 def _mlp(h: T.Tensor, p: dict[str, T.Tensor], prefix: str) -> T.Tensor:
@@ -273,45 +275,44 @@ def _mlp(h: T.Tensor, p: dict[str, T.Tensor], prefix: str) -> T.Tensor:
     return T.linear(h, p[f"{prefix}.mlp.fc2.weight"], p[f"{prefix}.mlp.fc2.bias"])
 
 
-def _block(h: T.Tensor, p: dict[str, T.Tensor], prefix: str, num_heads: int) -> T.Tensor:
+def _block(
+    h: T.Tensor, p: dict[str, T.Tensor], prefix: str, num_heads: int, rows: np.ndarray | None = None
+) -> T.Tensor:
+    """One pre-norm block over all of ``h``'s rows, or with ``rows`` the
+    outputs of those rows only: every row still gives keys and values."""
     normed = T.layernorm(h, p[f"{prefix}.ln1.gain"], p[f"{prefix}.ln1.bias"])
-    h = T.add(h, _attention(normed, p, prefix, num_heads))
+    attended = _attention(normed, p, prefix, num_heads, rows)
+    if rows is not None:
+        h = T.take_rows(h, rows)
+    h = T.add(h, attended)
     normed = T.layernorm(h, p[f"{prefix}.ln2.gain"], p[f"{prefix}.ln2.bias"])
     return T.add(h, _mlp(normed, p, prefix))
 
 
 def forward(params: Params, canvas: Canvas) -> T.Tensor:
-    """Reconstruct the full canvas, [3, 2C, 2C] with values in (0, 1); the
-    canvas's empty cell is the masked one."""
+    """Predict the canvas's empty (masked) cell: its (C/P)^2 patch rows,
+    [(C/P)^2, 3P^2] with values in (0, 1), which ``canvas.extract_cell``
+    turns into the [3, C, C] cell.
+
+    Every block but the last runs on all (2C/P)^2 patches. The last one
+    computes keys and values for all of them but its outputs, and so the
+    final norm, head and sigmoid, only for the empty cell's rows: no
+    other row reaches the prediction.
+    """
     cfg = params.config
     if canvas.cell_size != cfg.cell_size:
         raise ValueError(f"forward: canvas cell size {canvas.cell_size} != model cell size {cfg.cell_size}")
     p = params.tensors
-    g, ps, d = cfg.grid, cfg.patch_size, cfg.embed_dim
-    n = cfg.num_patches
-    dtype = next(iter(p.values())).dtype
+    empty = canvas.empty_rows(cfg.patch_size)
 
-    x = T.reshape(canvas.pixels(), (3, g, ps, g, ps))
-    x = T.transpose(x, (1, 3, 2, 4, 0))  # row-grid, col-grid, row-pixel, col-pixel, channel
-    x = T.reshape(x, (n, cfg.patch_dim))
-
-    h = T.linear(x, p["patch_embed.weight"], p["patch_embed.bias"])
-
-    m = canvas.patch_mask(ps).astype(dtype)
-    keep = T.constant(np.repeat((1.0 - m)[:, None], d, axis=1))
-    drop = T.constant(np.repeat(m[:, None], d, axis=1))
-    token_rows = T.repeat_rows(T.reshape(p["mask_token"], (1, d)), n)
-    h = T.add(T.mul(h, keep), T.mul(token_rows, drop))
+    h = T.linear(canvas.patches(cfg.patch_size), p["patch_embed.weight"], p["patch_embed.bias"])
+    h = T.put_rows(h, empty, p["mask_token"])
     h = T.add(h, p["pos_embed"])
 
-    for i in range(cfg.encoder_depth):
-        h = _block(h, p, f"enc{i}", cfg.num_heads)
-    for i in range(cfg.decoder_depth):
-        h = _block(h, p, f"dec{i}", cfg.num_heads)
+    blocks = [f"enc{i}" for i in range(cfg.encoder_depth)] + [f"dec{i}" for i in range(cfg.decoder_depth)]
+    for prefix in blocks[:-1]:
+        h = _block(h, p, prefix, cfg.num_heads)
+    h = _block(h, p, blocks[-1], cfg.num_heads, empty)
 
     h = T.layernorm(h, p["final_norm.gain"], p["final_norm.bias"])
-    out = T.linear(h, p["head.weight"], p["head.bias"])
-    out = T.sigmoid(out)
-    out = T.reshape(out, (g, g, ps, ps, 3))
-    out = T.transpose(out, (4, 0, 2, 1, 3))
-    return T.reshape(out, (3, 2 * cfg.cell_size, 2 * cfg.cell_size))
+    return T.sigmoid(T.linear(h, p["head.weight"], p["head.bias"]))

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
+from functools import cache
 
 import numpy as np
 from scipy.ndimage import convolve
@@ -92,9 +93,24 @@ def evaluate(task: TaskKind, pred: np.ndarray, target: np.ndarray) -> Metric:
 # ---------------------------------------------------------------------------
 
 
+def _clip_unit(a: np.ndarray) -> np.ndarray:
+    """``a`` clipped to [0, 1] in place: ``np.clip``'s values without the
+    cost of its wrapper, which is most of a small array's clip."""
+    np.maximum(a, 0.0, out=a)
+    return np.minimum(a, 1.0, out=a)
+
+
+@cache
+def _pixel_centers(c: int) -> tuple[np.ndarray, np.ndarray]:
+    """Row and column coordinates of a c x c grid's pixel centers, read-only."""
+    ys, xs = np.mgrid[0:c, 0:c].astype(np.float64) + 0.5
+    ys.flags.writeable = xs.flags.writeable = False
+    return ys, xs
+
+
 def _render_scene(rng: np.random.Generator, c: int):
     """Scene plus per-pixel class indices and inverse-depth values."""
-    ys, xs = np.mgrid[0:c, 0:c].astype(np.float64) + 0.5
+    ys, xs = _pixel_centers(c)
     theta = rng.uniform(0.0, 2.0 * np.pi)
     proj = xs * np.cos(theta) + ys * np.sin(theta)
     proj = (proj - proj.min()) / max(proj.max() - proj.min(), 1e-9)
@@ -122,7 +138,7 @@ def _render_scene(rng: np.random.Generator, c: int):
             geom = (cx + radii * np.cos(angles), cy + radii * np.sin(angles))
             r_eff = 0.7 * radii.mean()
         # inverse depth follows visible cues (bigger and lower means nearer)
-        z = float(np.clip(0.3 + 2.2 * (r_eff / c - 0.08) + 0.35 * (cy / c - 0.5), 0.25, 1.0))
+        z = float(min(max(0.3 + 2.2 * (r_eff / c - 0.08) + 0.35 * (cy / c - 0.5), 0.25), 1.0))
         shapes.append((z, kind, color, geom))
 
     # far shapes first so nearer ones paint over them
@@ -130,12 +146,11 @@ def _render_scene(rng: np.random.Generator, c: int):
         if kind == 0:
             cx, cy, r = geom
             dist = np.sqrt((xs - cx) ** 2 + (ys - cy) ** 2)
-            alpha = np.clip(r - dist + 0.5, 0.0, 1.0)
+            alpha = _clip_unit(r - dist + 0.5)
         elif kind == 1:
             cx, cy, hw, hh = geom
-            ax = np.clip(hw - np.abs(xs - cx) + 0.5, 0.0, 1.0)
-            ay = np.clip(hh - np.abs(ys - cy) + 0.5, 0.0, 1.0)
-            alpha = ax * ay
+            alpha = _clip_unit(hw - np.abs(xs - cx) + 0.5)
+            alpha *= _clip_unit(hh - np.abs(ys - cy) + 0.5)
         else:
             vx, vy = geom
             sd = np.full((c, c), -np.inf)
@@ -147,13 +162,15 @@ def _render_scene(rng: np.random.Generator, c: int):
                 # vertices are angle-sorted around the centroid, so edges wind CCW
                 # and the outward normal is (ey, -ex) / norm
                 sd = np.maximum(sd, ((xs - x0) * ey - (ys - y0) * ex) / norm)
-            alpha = np.clip(0.5 - sd, 0.0, 1.0)
-        scene = alpha[None] * color[:, None, None] + (1.0 - alpha[None]) * scene
+            alpha = _clip_unit(0.5 - sd)
+        # alpha * color + (1 - alpha) * scene, in place
+        scene *= 1.0 - alpha
+        scene += alpha * color[:, None, None]
         hard = alpha >= 0.5
         class_map[hard] = kind + 1
         inv_depth[hard] = z
 
-    return np.clip(scene, 0.0, 1.0), class_map, inv_depth
+    return _clip_unit(scene), class_map, inv_depth
 
 
 def _diagonal_streaks(rng: np.random.Generator, c: int) -> np.ndarray:
@@ -176,14 +193,14 @@ def generate(task: TaskKind, seed: int, cell_size: int = DEFAULT_CELL_SIZE) -> T
     scene, class_map, inv_depth = _render_scene(rng, cell_size)
 
     if task is TaskKind.DENOISE:
-        image = np.clip(scene + rng.normal(0.0, 0.1, size=scene.shape), 0.0, 1.0)
+        image = _clip_unit(scene + rng.normal(0.0, 0.1, size=scene.shape))
         target = scene
     elif task is TaskKind.DERAIN:
         streaks = _diagonal_streaks(rng, cell_size)
-        image = np.clip(scene + streaks[None], 0.0, 1.0)
+        image = _clip_unit(scene + streaks[None])
         target = scene
     elif task is TaskKind.LOWLIGHT:
-        image = np.clip((scene ** 2.2) * 0.4, 0.0, 1.0)
+        image = _clip_unit((scene ** 2.2) * 0.4)
         target = scene
     elif task is TaskKind.SEGMENTATION:
         image = scene

@@ -12,9 +12,10 @@ Non-finite values: ops do not check their outputs, because every op
 carries an inf or NaN in any input into its output, except where a value
 can leave the computation. Only there is it checked: ``attention`` checks
 its scores before the softmax, ``softmax`` and ``sigmoid`` check their
-inputs (both map an infinity to a finite value), ``narrow`` checks the
-array it slices (the values it drops would be lost), and ``backward``
-checks the loss it starts from. So every non-finite value still raises
+inputs (both map an infinity to a finite value), ``take_rows`` checks
+the matrix it takes rows from and ``put_rows`` the rows it overwrites
+(the values they drop would be lost), and ``backward`` checks the loss
+it starts from. So every non-finite value still raises
 ``FloatingPointError``. When the value has a tape, the message names the
 first op on it whose output is non-finite; otherwise it names the
 checking op.
@@ -27,10 +28,10 @@ then becomes ``grad``; copying and then adding gives the same bits as
 storing and then adding. Otherwise a backward rule hands ``_accumulate``
 only an array it has just computed for that one input, which is then
 stored without a copy. An array that another accumulation may also read
-(``add``'s incoming gradient, a reshaped or transposed view of it, a
-``concat`` slice) goes through ``_accumulate_shared``, which copies it on
-first store. So no two ``grad`` buffers ever share memory. An op output's
-(an intermediate's) gradient is dropped as soon as its backward rule has
+(``add``'s incoming gradient, or a reshaped or transposed view of it)
+goes through ``_accumulate_shared``, which copies it on first store. So
+no two ``grad`` buffers ever share memory. An op output's (an
+intermediate's) gradient is dropped as soon as its backward rule has
 run, so backward holds only the gradients still to be passed on; leaves
 keep theirs.
 
@@ -302,7 +303,7 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
 def reshape(a: Tensor, shape: Sequence[int]) -> Tensor:
     a = as_tensor(a)
     shape = tuple(int(s) for s in shape)
-    if int(np.prod(shape)) != a.size:
+    if math.prod(shape) != a.size:
         raise ValueError(f"reshape: cannot reshape {a.shape} to {shape}")
     out = _node(a.data.reshape(shape), (a,), "reshape")
     if out.requires_grad:
@@ -319,59 +320,58 @@ def transpose(a: Tensor, axes: Sequence[int] | None = None) -> Tensor:
     axes = tuple(int(x) for x in axes)
     if sorted(axes) != list(range(a.data.ndim)):
         raise ValueError(f"transpose: invalid axes {axes} for shape {a.shape}")
-    inverse = tuple(int(np.argsort(axes)[i]) for i in range(len(axes)))
     out = _node(a.data.transpose(axes), (a,), "transpose")
     if out.requires_grad:
+        inverse = tuple(axes.index(i) for i in range(len(axes)))
         out._backward = lambda g: _accumulate_shared(a, g.transpose(inverse))
     return out
 
 
-def narrow(a: Tensor, axis: int, start: int, length: int) -> Tensor:
-    """Contiguous slice along one axis."""
-    a = as_tensor(a)
-    dim = a.shape[axis]
-    if start < 0 or length <= 0 or start + length > dim:
-        raise ValueError(f"narrow: range [{start}, {start + length}) out of bounds for axis {axis} of {a.shape}")
-    index = [slice(None)] * a.data.ndim
-    index[axis] = slice(start, start + length)
-    index = tuple(index)
-    _require_finite("narrow", "input", a.data, a)  # the values outside the range leave here
-    # view is safe: ops never mutate their operands' buffers in place
-    out = _node(a.data[index], (a,), "narrow")
+def take_rows(x: Tensor, rows: np.ndarray) -> Tensor:
+    """The given rows of an [N, D] matrix, in order; ``rows`` are distinct
+    indices. Backward scatters the gradient back into those rows."""
+    x = as_tensor(x)
+    if x.data.ndim != 2:
+        raise ValueError(f"take_rows: expects an [N, D] matrix, got {x.shape}")
+    _require_finite("take_rows", "input", x.data, x)  # the rows not taken leave here
+    out = _node(x.data[rows], (x,), "take_rows")
     if out.requires_grad:
         def _bwd(g):
-            if a.grad is None:
-                _store_first(a, np.zeros_like(a.data), shared=False)
-            a.grad[index] += g
+            dx = np.zeros_like(x.data)
+            dx[rows] = g
+            _accumulate(x, dx)
         out._backward = _bwd
     return out
 
 
-def concat(tensors: Sequence[Tensor], axis: int) -> Tensor:
-    ts = [as_tensor(t) for t in tensors]
-    if not ts:
-        raise ValueError("concat: empty input list")
-    ndim = ts[0].data.ndim
-    for t in ts[1:]:
-        if t.data.ndim != ndim:
-            raise ValueError(f"concat: rank mismatch {ts[0].shape} vs {t.shape}")
-        _same_dtype("concat", ts[0], t)
-    out = _node(np.concatenate([t.data for t in ts], axis=axis), tuple(ts), "concat")
+def put_rows(x: Tensor, rows: np.ndarray, values: Tensor) -> Tensor:
+    """An [N, D] matrix with the given distinct rows of ``x`` replaced by
+    ``values``: [len(rows), D], or one [D] row written into each of them,
+    whose gradient is then the sum over those rows."""
+    x, values = as_tensor(x), as_tensor(values)
+    if x.data.ndim != 2 or values.shape not in ((x.shape[1],), (len(rows), x.shape[1])):
+        raise ValueError(f"put_rows: cannot put {values.shape} into {len(rows)} rows of {x.shape}")
+    _same_dtype("put_rows", x, values)
+    _require_finite("put_rows", "replaced rows", x.data[rows], x)  # the values they held leave here
+    y = x.data.copy()
+    y[rows] = values.data
+    out = _node(y, (x, values), "put_rows")
     if out.requires_grad:
-        sizes = [t.shape[axis] for t in ts]
-        offsets = np.cumsum([0] + sizes)
         def _bwd(g):
-            for t, lo, hi in zip(ts, offsets[:-1], offsets[1:]):
-                index = [slice(None)] * g.ndim
-                index[axis] = slice(int(lo), int(hi))
-                _accumulate_shared(t, g[tuple(index)])
+            if values.requires_grad:
+                g_rows = g[rows]
+                _accumulate(values, g_rows if values.data.ndim == 2 else g_rows.sum(axis=0))
+            if x.requires_grad:
+                dx = g.copy()
+                dx[rows] = 0.0
+                _accumulate(x, dx)
         out._backward = _bwd
     return out
 
 
 def linear(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
     """Affine map ``x @ w + b`` of an [R, K] matrix, one node for
-    ``add(matmul(x, w), repeat_rows(reshape(b, (1, D)), R))``."""
+    ``matmul`` plus the bias ``b`` repeated over the R rows."""
     x, w, b = as_tensor(x), as_tensor(w), as_tensor(b)
     if x.data.ndim != 2 or w.data.ndim != 2 or b.data.ndim != 1:
         raise ValueError(f"linear: expects [R, K], [K, D] and [D], got {x.shape}, {w.shape} and {b.shape}")
@@ -401,53 +401,54 @@ def _heads(a: np.ndarray, num_heads: int) -> np.ndarray:
     return a.reshape(n, num_heads, width // num_heads).transpose(1, 0, 2)
 
 
-def attention(qkv: Tensor, num_heads: int) -> Tensor:
+def attention(qkv: Tensor, num_heads: int, rows: np.ndarray | None = None) -> Tensor:
     """Multi-head scaled dot-product self-attention, one node.
 
     ``qkv`` is [N, 3D]: queries, keys and values side by side, each split
     into ``num_heads`` column blocks of D / num_heads. Returns the heads'
-    outputs side by side, [N, D]. All heads run at once on [H, N, D / H]
-    views with ``np.matmul``, which makes each head's 2-d product, so the
-    values are those of the primitive per-head chain of narrow, transpose,
-    matmul, mul by the constant scale, softmax, matmul and concat.
+    outputs side by side, [N, D], or with ``rows`` (distinct indices) only
+    the outputs of those query rows, [len(rows), D], attending to all N
+    keys. All heads run at once on [H, N, D / H] views with ``np.matmul``,
+    which makes each head's 2-d product, so the values are those of the
+    primitive per-head chain of narrow, transpose, matmul, mul by the
+    constant scale, softmax, matmul and concat, with a row take of the
+    queries when ``rows`` is given.
     """
     qkv = as_tensor(qkv)
     if qkv.data.ndim != 2 or num_heads <= 0 or qkv.shape[1] % (3 * num_heads) != 0:
         raise ValueError(f"attention: cannot split {qkv.shape} into q, k, v of {num_heads} heads")
     data = qkv.data
-    n, d = data.shape[0], data.shape[1] // 3
+    d = data.shape[1] // 3
     scale = float(1.0 / np.sqrt(d // num_heads))
-    q, k, v = (_heads(data[:, i * d : (i + 1) * d], num_heads) for i in range(3))
+    queries = data[:, :d] if rows is None else data[rows, :d]
+    q = _heads(queries, num_heads)
+    k, v = (_heads(data[:, i * d : (i + 1) * d], num_heads) for i in (1, 2))
     scores = np.matmul(q, k.transpose(0, 2, 1))
     scores *= scale
     _require_finite("attention", "scores", scores, qkv)  # before the softmax, which would hide an infinity
     p = _softmax_rows(scores)
-    y = np.empty((n, d), dtype=data.dtype)
+    y = np.empty(queries.shape, dtype=data.dtype)
     np.matmul(p, v, out=_heads(y, num_heads))
     out = _node(y, (qkv,), "attention")
     if out.requires_grad:
         def _bwd(g):
             dqkv = np.empty(data.shape, dtype=data.dtype)
-            dq, dk, dv = (_heads(dqkv[:, i * d : (i + 1) * d], num_heads) for i in range(3))
+            dk, dv = (_heads(dqkv[:, i * d : (i + 1) * d], num_heads) for i in (1, 2))
+            if rows is None:
+                dq = dqkv[:, :d]
+            else:
+                dqkv[:, :d] = 0.0
+                dq = np.empty(queries.shape, dtype=data.dtype)
             g_out = _heads(g, num_heads)
             g_s = _softmax_rows_grad(p, np.matmul(g_out, v.transpose(0, 2, 1)))
             g_s *= scale
-            np.matmul(g_s, k, out=dq)
+            np.matmul(g_s, k, out=_heads(dq, num_heads))
             np.matmul(q.transpose(0, 2, 1), g_s, out=dk.transpose(0, 2, 1))  # (q^T g_s)^T, as the chain
             np.matmul(p.transpose(0, 2, 1), g_out, out=dv)
+            if rows is not None:
+                dqkv[rows, :d] = dq
             _accumulate(qkv, dqkv)
         out._backward = _bwd
-    return out
-
-
-def repeat_rows(x: Tensor, n: int) -> Tensor:
-    """Tile a [1, D] row into [n, D]; backward sums over the copies."""
-    x = as_tensor(x)
-    if x.data.ndim != 2 or x.shape[0] != 1:
-        raise ValueError(f"repeat_rows: expects shape [1, D], got {x.shape}")
-    out = _node(np.repeat(x.data, n, axis=0), (x,), "repeat_rows")
-    if out.requires_grad:
-        out._backward = lambda g: _accumulate(x, g.sum(axis=0, keepdims=True))
     return out
 
 

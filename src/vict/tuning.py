@@ -98,7 +98,7 @@ def infer(params: model.Params, pair: tuple[np.ndarray, np.ndarray], x_t: np.nda
     """Frozen in-context inference: inpaint the test output cell."""
     x, y = pair
     canvas = assemble_inference(x, y, x_t)
-    return extract_cell(model.forward(params, canvas), canvas.empty_position).data
+    return extract_cell(model.forward(params, canvas)).data
 
 
 def cycle_loss(
@@ -110,9 +110,9 @@ def cycle_loss(
     """Scalar cycle-consistency loss for one prompt pair and test input."""
     x, y = pair
     canvas = assemble_inference(x, y, x_t)
-    y_t_hat = extract_cell(model.forward(params, canvas), canvas.empty_position)
+    y_t_hat = extract_cell(model.forward(params, canvas))
     flipped = assemble_flipped(x, x_t, y_t_hat)
-    y_hat = extract_cell(model.forward(params, flipped), flipped.empty_position)
+    y_hat = extract_cell(model.forward(params, flipped))
     return smooth_l1(y_hat, constant(np.asarray(y)), beta)
 
 

@@ -7,6 +7,15 @@ from vict import canvas as cv
 from vict import tensor as T
 
 
+# (row, column) of each cell in the 2x2 grid
+GRID = {
+    cv.CellPosition.TOP_LEFT: (0, 0),
+    cv.CellPosition.TOP_RIGHT: (0, 1),
+    cv.CellPosition.BOTTOM_LEFT: (1, 0),
+    cv.CellPosition.BOTTOM_RIGHT: (1, 1),
+}
+
+
 def const_image(value, c=32):
     return np.full((3, c, c), value, dtype=np.float32)
 
@@ -15,15 +24,22 @@ def random_image(rng, c=32):
     return rng.random((3, c, c)).astype(np.float32)
 
 
+def cell_of(canvas, position, patch_size=8):
+    """The image ``canvas.patches`` holds in ``position``."""
+    rows = canvas.patches(patch_size).data[cv.cell_rows(position, canvas.cell_size // patch_size)]
+    return cv.extract_cell(T.Tensor(rows)).data
+
+
 def test_assemble_inference_places_cells():
     a, b, c = const_image(0.1), const_image(0.2), const_image(0.3)
     grid = cv.assemble_inference(a, b, c)
-    pixels = grid.pixels().data
-    assert pixels.shape == (3, 64, 64)
-    assert np.all(pixels[:, :32, :32] == np.float32(0.1))
-    assert np.all(pixels[:, :32, 32:] == np.float32(0.2))
-    assert np.all(pixels[:, 32:, :32] == np.float32(0.3))
-    assert np.all(pixels[:, 32:, 32:] == np.float32(cv.EMPTY_FILL))
+    patches = grid.patches(8).data
+    assert patches.shape == (64, 192) and patches.dtype == np.float32
+    by_cell = patches.reshape(2, 4, 2, 4, 192)  # cell row, patch row, cell column, patch column
+    assert np.all(by_cell[0, :, 0] == np.float32(0.1))
+    assert np.all(by_cell[0, :, 1] == np.float32(0.2))
+    assert np.all(by_cell[1, :, 0] == np.float32(0.3))
+    assert np.all(by_cell[1, :, 1] == np.float32(cv.EMPTY_FILL))
     assert grid.empty_position is cv.CellPosition.BOTTOM_RIGHT
 
 
@@ -31,19 +47,17 @@ def test_extract_round_trip_is_bit_exact():
     rng = np.random.default_rng(0)
     x, y, x_t = random_image(rng), random_image(rng), random_image(rng)
     grid = cv.assemble_inference(x, y, x_t)
-    back = cv.extract_cell(grid.pixels(), cv.CellPosition.TOP_RIGHT).data
+    back = cell_of(grid, cv.CellPosition.TOP_RIGHT)
     assert back.tobytes() == y.tobytes()
 
 
 def test_mask_spec_counts_patches():
     canvas = cv.assemble_inference(const_image(0.1), const_image(0.2), const_image(0.3))
-    patch_mask = canvas.patch_mask(8)
-    assert patch_mask.shape == (64,)
-    assert patch_mask.sum() == 16
-    # masked entries all sit in the bottom-right quadrant of the 8x8 patch grid
-    grid = patch_mask.reshape(8, 8)
-    assert np.all(grid[4:, 4:] == 1)
-    assert grid[:4, :].sum() == 0 and grid[:, :4].sum() == 0
+    rows = canvas.empty_rows(8)
+    # the bottom-right quadrant of the 8x8 patch grid, row-major
+    assert rows.tolist() == [r * 8 + c for r in range(4, 8) for c in range(4, 8)]
+    with pytest.raises(ValueError, match="cell size 32 not a multiple of patch size 5"):
+        canvas.empty_rows(5)
 
 
 def test_assemble_flipped_round_trip_and_shared_cells():
@@ -51,22 +65,19 @@ def test_assemble_flipped_round_trip_and_shared_cells():
     x, x_t, y_hat = random_image(rng), random_image(rng), random_image(rng)
     flipped = cv.assemble_flipped(x, x_t, y_hat)
     assert flipped.empty_position is cv.CellPosition.TOP_RIGHT
-    back = cv.extract_cell(flipped.pixels(), cv.CellPosition.BOTTOM_RIGHT).data
+    back = cell_of(flipped, cv.CellPosition.BOTTOM_RIGHT)
     assert back.tobytes() == y_hat.tobytes()
 
     inference = cv.assemble_inference(x, rng.random((3, 32, 32)).astype(np.float32), x_t)
     for pos in (cv.CellPosition.TOP_LEFT, cv.CellPosition.BOTTOM_LEFT):
-        a = cv.extract_cell(inference.pixels(), pos).data
-        b = cv.extract_cell(flipped.pixels(), pos).data
-        assert a.tobytes() == b.tobytes()
+        assert cell_of(inference, pos).tobytes() == cell_of(flipped, pos).tobytes()
 
 
 def test_flipped_and_inference_masks_are_disjoint():
     a, b, c = const_image(0.1), const_image(0.2), const_image(0.3)
     inference = cv.assemble_inference(a, b, c)
     flipped = cv.assemble_flipped(a, b, c)
-    overlap = inference.patch_mask(8) * flipped.patch_mask(8)
-    assert overlap.sum() == 0
+    assert np.intersect1d(inference.empty_rows(8), flipped.empty_rows(8)).size == 0
 
 
 def test_flipped_rejects_out_of_range_prediction():
@@ -81,7 +92,7 @@ def test_assemble_rejects_bad_inputs():
     with pytest.raises(ValueError, match=r"\[0, 1\]"):
         cv.assemble_inference(const_image(1.5), const_image(0.2), const_image(0.3))
     with pytest.raises(ValueError, match="expected"):
-        cv.extract_cell(T.Tensor(np.zeros((3, 32))), cv.CellPosition.TOP_LEFT)
+        cv.extract_cell(T.Tensor(np.zeros((3, 32))))
 
 
 def test_assemble_rejects_nan_cell():
@@ -101,22 +112,17 @@ def test_assemble_rejects_empty_image():
 
 def test_extract_is_pure():
     rng = np.random.default_rng(2)
-    pixels = T.Tensor(rng.random((3, 64, 64)))
-    first = cv.extract_cell(pixels, cv.CellPosition.BOTTOM_LEFT).data
-    second = cv.extract_cell(pixels, cv.CellPosition.BOTTOM_LEFT).data
+    rows = T.Tensor(rng.random((16, 192)))
+    first = cv.extract_cell(rows).data
+    second = cv.extract_cell(rows).data
     assert first.tobytes() == second.tobytes()
 
 
 def test_extract_checkerboard_constants():
-    pixels = np.zeros((3, 64, 64))
-    for value, (r, c) in zip((0.1, 0.2, 0.3, 0.4), ((0, 0), (0, 32), (32, 0), (32, 32))):
-        pixels[:, r : r + 32, c : c + 32] = value
-    grid = T.Tensor(pixels)
-    for value, pos in zip(
-        (0.1, 0.2, 0.3, 0.4),
-        (cv.CellPosition.TOP_LEFT, cv.CellPosition.TOP_RIGHT, cv.CellPosition.BOTTOM_LEFT, cv.CellPosition.BOTTOM_RIGHT),
-    ):
-        assert np.all(cv.extract_cell(grid, pos).data == value)
+    cells = {pos: T.Tensor(const_image(value)) for value, pos in zip((0.1, 0.2, 0.3, 0.4), GRID)}
+    canvas = cv.Canvas(cells=cells, cell_size=32, empty_position=cv.CellPosition.TOP_LEFT)
+    for value, pos in zip((0.1, 0.2, 0.3, 0.4), GRID):
+        assert np.all(cell_of(canvas, pos) == np.float32(value))
 
 
 @settings(max_examples=25, deadline=None)
@@ -126,19 +132,35 @@ def test_round_trip_property(seed):
     cells = [random_image(rng, c=16) for _ in range(3)]
     grid = cv.assemble_inference(*cells)
     for img, pos in zip(cells, (cv.CellPosition.TOP_LEFT, cv.CellPosition.TOP_RIGHT, cv.CellPosition.BOTTOM_LEFT)):
-        assert cv.extract_cell(grid.pixels(), pos).data.tobytes() == img.tobytes()
+        assert cell_of(grid, pos, patch_size=4).tobytes() == img.tobytes()
 
 
 @pytest.mark.parametrize("position", list(cv.CellPosition))
 def test_patch_mask_covers_exactly_the_extracted_cell(position):
     c, p = 16, 4
     g = 2 * c // p
-    # every pixel holds the row-major index of its patch
+    # every pixel of the canvas image holds the row-major index of its patch
     patch_ids = np.kron(np.arange(g * g, dtype=np.float64).reshape(g, g), np.ones((p, p)))
-    pixels = T.Tensor(np.repeat(patch_ids[None], 3, axis=0))
-    canvas = cv.Canvas(cells=dict.fromkeys(cv.CellPosition), cell_size=c, empty_position=position)
-    cell_ids = np.unique(cv.extract_cell(pixels, position).data)
-    assert np.array_equal(cell_ids, np.flatnonzero(canvas.patch_mask(p)))
+    pixels = np.repeat(patch_ids[None], 3, axis=0)
+    quadrants = {pos: pixels[:, r * c : (r + 1) * c, col * c : (col + 1) * c] for pos, (r, col) in GRID.items()}
+    cells = {pos: T.Tensor(image) for pos, image in quadrants.items()}
+    canvas = cv.Canvas(cells=cells, cell_size=c, empty_position=position)
+    rows = canvas.empty_rows(p)
+    patches = canvas.patches(p).data
+    assert np.array_equal(patches[rows], np.repeat(rows[:, None].astype(np.float64), 3 * p * p, axis=1))
+    assert cv.extract_cell(T.Tensor(patches[rows])).data.tobytes() == quadrants[position].tobytes()
+
+
+def test_a_cell_on_the_tape_enters_through_one_put_rows_node():
+    rng = np.random.default_rng(4)
+    y_hat = T.parameter(random_image(rng))
+    flipped = cv.assemble_flipped(random_image(rng), random_image(rng), y_hat)
+    patches = flipped.patches(8)
+    assert patches._op == "put_rows" and not patches._parents[0].requires_grad
+    weights = rng.random((64, 192)).astype(np.float32)
+    T.tsum(T.mul(patches, T.constant(weights))).backward()
+    rows = cv.cell_rows(cv.CellPosition.BOTTOM_RIGHT, 4)
+    assert y_hat.grad.tobytes() == cv.extract_cell(T.Tensor(weights[rows])).data.tobytes()
 
 
 def test_write_ppm_bytes(tmp_path):

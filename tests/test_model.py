@@ -6,9 +6,12 @@ import pytest
 
 from vict import model, tasks, training, tuning
 from vict import tensor as T
-from vict.canvas import assemble_inference, extract_cell
+from vict import canvas as cv
+from vict.canvas import assemble_flipped, assemble_inference, extract_cell
 from vict.checkpoint import load_checkpoint, save_checkpoint
 from vict.gradcheck import TINY_CONFIG, finite_diff_grad, rel_error
+
+from reference_ops import concat, narrow, repeat_rows
 
 
 @pytest.fixture(scope="module")
@@ -105,7 +108,7 @@ def test_frozen_forward_records_no_tape(default_params, inference_canvas):
 
 def test_forward_output_shape_and_range(default_params, inference_canvas):
     out = model.forward(default_params, inference_canvas)
-    assert out.shape == (3, 64, 64)
+    assert out.shape == (16, 192)  # the empty cell's 4 x 4 patches of 8 x 8 x 3 pixels
     assert out.data.min() > 0.0 and out.data.max() < 1.0
 
 
@@ -161,7 +164,7 @@ def test_tiny_config_gradients_match_finite_differences():
     def loss_fn():
         canvas = assemble_inference(pair[0], pair[1], query.input.astype(np.float64))
         out = model.forward(params, canvas)
-        return T.smooth_l1(extract_cell(out, canvas.empty_position), target, 1.0)
+        return T.smooth_l1(extract_cell(out), target, 1.0)
 
     T.zero_grads(params.tensors.values())
     loss_fn().backward()
@@ -191,23 +194,25 @@ def test_param_count_is_config_function():
 
 def _unfused_linear(x, w, b):
     rows, width = x.shape[0], b.shape[0]
-    return T.add(T.matmul(x, w), T.repeat_rows(T.reshape(b, (1, width)), rows))
+    return T.add(T.matmul(x, w), repeat_rows(T.reshape(b, (1, width)), rows))
 
 
-def _unfused_attention(h, p, prefix, num_heads):
+def _unfused_attention(h, p, prefix, num_heads, rows):
     """The per-head chain of primitive ops that ``T.attention`` replaces."""
     d = h.shape[1]
     head_dim = d // num_heads
     qkv = _unfused_linear(h, p[f"{prefix}.attn.qkv.weight"], p[f"{prefix}.attn.qkv.bias"])
-    q, k, v = (T.narrow(qkv, 1, j * d, d) for j in range(3))
+    q, k, v = (narrow(qkv, 1, j * d, d) for j in range(3))
+    if rows is not None:
+        q = T.take_rows(q, rows)
     scale = 1.0 / np.sqrt(head_dim)
     outputs = []
     for i in range(num_heads):
-        qi, ki, vi = (T.narrow(t, 1, i * head_dim, head_dim) for t in (q, k, v))
+        qi, ki, vi = (narrow(t, 1, i * head_dim, head_dim) for t in (q, k, v))
         scores = T.matmul(qi, T.transpose(ki))
         scores = T.mul(scores, T.constant(np.full(scores.shape, scale, dtype=scores.dtype)))
         outputs.append(T.matmul(T.softmax(scores), vi))
-    merged = T.concat(outputs, axis=1)
+    merged = concat(outputs, axis=1)
     return _unfused_linear(merged, p[f"{prefix}.attn.proj.weight"], p[f"{prefix}.attn.proj.bias"])
 
 
@@ -231,6 +236,68 @@ def test_fused_ops_match_primitive_chain_bit_for_bit(default_params, monkeypatch
     assert fused[0] == unfused[0]
     assert fused[1].keys() == unfused[1].keys() == set(default_params.tensors)
     assert [name for name in fused[1] if fused[1][name] != unfused[1][name]] == []
+
+
+def _full_canvas_forward(params, canvas):
+    """``model.forward`` computed over the whole canvas: the cells
+    concatenated as pixels and patchified on the tape, the mask token mixed
+    in by constant 0/1 masks, all 64 rows through every block, the head on
+    every row, and then the empty cell's rows."""
+    cfg, p = params.config, params.tensors
+    c, ps, g, d = cfg.cell_size, cfg.patch_size, cfg.grid, cfg.embed_dim
+    dtype = p["pos_embed"].dtype
+    fill = T.constant(np.full((3, c, c), cv.EMPTY_FILL, dtype=dtype))
+    cell = {pos: fill if t is None else t for pos, t in canvas.cells.items()}
+    top = concat([cell[cv.CellPosition.TOP_LEFT], cell[cv.CellPosition.TOP_RIGHT]], axis=2)
+    bottom = concat([cell[cv.CellPosition.BOTTOM_LEFT], cell[cv.CellPosition.BOTTOM_RIGHT]], axis=2)
+    x = T.reshape(concat([top, bottom], axis=1), (3, g, ps, g, ps))
+    x = T.reshape(T.transpose(x, (1, 3, 2, 4, 0)), (cfg.num_patches, cfg.patch_dim))
+
+    empty = canvas.empty_rows(ps)
+    masked = np.zeros((cfg.num_patches, d), dtype=dtype)
+    masked[empty] = 1.0
+    token_rows = repeat_rows(T.reshape(p["mask_token"], (1, d)), cfg.num_patches)
+    h = T.linear(x, p["patch_embed.weight"], p["patch_embed.bias"])
+    h = T.add(T.mul(h, T.constant(1.0 - masked)), T.mul(token_rows, T.constant(masked)))
+    h = T.add(h, p["pos_embed"])
+    for prefix in [f"enc{i}" for i in range(cfg.encoder_depth)] + [f"dec{i}" for i in range(cfg.decoder_depth)]:
+        normed = T.layernorm(h, p[f"{prefix}.ln1.gain"], p[f"{prefix}.ln1.bias"])
+        qkv = T.linear(normed, p[f"{prefix}.attn.qkv.weight"], p[f"{prefix}.attn.qkv.bias"])
+        attended = T.attention(qkv, cfg.num_heads)
+        h = T.add(h, T.linear(attended, p[f"{prefix}.attn.proj.weight"], p[f"{prefix}.attn.proj.bias"]))
+        normed = T.layernorm(h, p[f"{prefix}.ln2.gain"], p[f"{prefix}.ln2.bias"])
+        hidden = T.gelu(T.linear(normed, p[f"{prefix}.mlp.fc1.weight"], p[f"{prefix}.mlp.fc1.bias"]))
+        h = T.add(h, T.linear(hidden, p[f"{prefix}.mlp.fc2.weight"], p[f"{prefix}.mlp.fc2.bias"]))
+    h = T.layernorm(h, p["final_norm.gain"], p["final_norm.bias"])
+    return T.take_rows(T.sigmoid(T.linear(h, p["head.weight"], p["head.bias"])), empty)
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_forward_restricted_to_the_empty_cell_matches_the_full_canvas(dtype, monkeypatch):
+    params = model.init(model.ModelConfig(), seed=0, dtype=dtype)
+    prompt, query = (tasks.generate(tasks.TaskKind.DERAIN, seed) for seed in (1, 2))
+    pair = (prompt.input.astype(dtype), prompt.target.astype(dtype))
+    x_t, y_t = query.input.astype(dtype), query.target.astype(dtype)
+    for canvas in (assemble_inference(*pair, x_t), assemble_flipped(pair[0], x_t, y_t)):
+        assert model.forward(params, canvas).data.tobytes() == _full_canvas_forward(params, canvas).data.tobytes()
+
+    def cycle_loss_and_grads():
+        work = params.clone()
+        group = model.trainable(work, "encoder")
+        loss = tuning.cycle_loss(work, pair, x_t)
+        loss.backward()
+        return loss.data.tobytes(), {name: t.grad for name, t in group.items()}
+
+    loss, grads = cycle_loss_and_grads()
+    monkeypatch.setattr(model, "forward", _full_canvas_forward)
+    full_loss, full_grads = cycle_loss_and_grads()
+    assert loss == full_loss
+    # Not bit for bit: the products that pass a gradient back through a
+    # weight, g @ W.T, run on 16 rows instead of 64 after the last
+    # attention, and the BLAS kernel for the smaller shape rounds its sums
+    # differently in the last bits.
+    worst = {name: np.abs(grads[name] - g).max() / np.abs(g).max() for name, g in full_grads.items()}
+    assert {name: err for name, err in worst.items() if not err <= 1e-5} == {}
 
 
 def _tape(root):

@@ -1,3 +1,5 @@
+import hashlib
+
 import numpy as np
 import pytest
 
@@ -12,6 +14,27 @@ def test_generate_is_deterministic_per_seed():
         assert a.target.tobytes() == b.target.tobytes()
         c = tasks.generate(task, 124)
         assert a.input.tobytes() != c.input.tobytes()
+
+
+# sha256 over the input and target bytes of seeds 0-49 at the default cell
+# size: a change to the scene renderer that moves any bit of a sample shows
+SAMPLE_DIGESTS = {
+    tasks.TaskKind.DENOISE: "09c3f8455a447c790202e378bb91bb43c833288a8f51b598824cd81f80dd69d5",
+    tasks.TaskKind.DERAIN: "234a91a89fef661ffadbb20a27bd16e30599e5c578234839d34871a0c7296e3e",
+    tasks.TaskKind.LOWLIGHT: "ebfbdb3e6e8450d44e47c6080cd6d36e3dd3cb38a9b7a4965c278e4c7f5e65bf",
+    tasks.TaskKind.SEGMENTATION: "a57fb3fcf147dde7110045917c3d1d8030fde2443da8df5f3f51e06f9086bfd8",
+    tasks.TaskKind.DEPTH: "2cd101b9e83b31457963b779f838dd1eab7e0028923965b12f40ef739f013576",
+}
+
+
+@pytest.mark.parametrize("task", tasks.ALL_TASKS, ids=lambda t: t.value)
+def test_generate_keeps_its_recorded_samples(task):
+    digest = hashlib.sha256()
+    for seed in range(50):
+        sample = tasks.generate(task, seed)
+        digest.update(sample.input.tobytes())
+        digest.update(sample.target.tobytes())
+    assert digest.hexdigest() == SAMPLE_DIGESTS[task]
 
 
 def test_generate_outputs_in_range():

@@ -6,7 +6,9 @@ from scipy.special import erf
 
 from vict import model, tasks, training, tuning
 from vict import tensor as T
-from vict.gradcheck import FD_STEP, TINY_CONFIG, TOLERANCE, check_op_gradients, finite_diff_grad, rel_error
+from vict.gradcheck import FD_STEP, TINY_CONFIG, TOLERANCE, _check, check_op_gradients, finite_diff_grad, rel_error
+
+from reference_ops import concat, narrow, repeat_rows
 
 
 def arr(*values):
@@ -73,8 +75,10 @@ def test_ops_that_could_hide_a_non_finite_input_check_it(value):
         T.sigmoid(T.Tensor(arr(0.5, value)))  # the logistic would give a finite 1 or 0 for +-inf
     with pytest.raises(FloatingPointError, match=r"^softmax: non-finite values in input$"):
         T.softmax(T.Tensor(arr(0.5, value).reshape(1, 2)))  # -inf would come out as a finite 0
-    with pytest.raises(FloatingPointError, match=r"^narrow: non-finite values in input$"):
-        T.narrow(T.Tensor(arr(0.5, value)), 0, 0, 1)  # the value lies outside the range kept
+    with pytest.raises(FloatingPointError, match=r"^take_rows: non-finite values in input$"):
+        T.take_rows(T.Tensor(arr(0.5, value).reshape(2, 1)), np.array([0]))  # the value lies in a row not taken
+    with pytest.raises(FloatingPointError, match=r"^put_rows: non-finite values in replaced rows$"):
+        T.put_rows(T.Tensor(arr(0.5, value).reshape(2, 1)), np.array([1]), T.Tensor(arr(0.5)))  # it is overwritten
 
 
 def test_attention_rejects_non_finite_scores():
@@ -153,6 +157,19 @@ def test_repeated_backward_accumulates_until_zero_grads():
 def test_op_gradients_match_finite_differences():
     results = check_op_gradients()
     assert {"linear", "attention"} <= set(results)
+    assert {name: err for name, err in results.items() if not err < TOLERANCE} == {}
+
+
+def test_reference_op_gradients_match_finite_differences():
+    # the ops only the tests' reference chains use, checked here and not by ``vict gradcheck``
+    rng = np.random.default_rng(0)
+    n, c1, c2, row = (T.parameter(rng.uniform(-1.0, 1.0, size=shape)) for shape in [(4, 6), (2, 3), (4, 3), (1, 5)])
+    wn, wc, wx = (T.constant(rng.uniform(-1.0, 1.0, size=shape)) for shape in [(4, 3), (6, 3), (4, 5)])
+    results = {
+        "narrow": _check(lambda: T.tsum(T.mul(narrow(n, 1, 2, 3), wn)), {"n": n}),
+        "concat": _check(lambda: T.tsum(T.mul(concat([c1, c2], axis=0), wc)), {"c1": c1, "c2": c2}),
+        "repeat_rows": _check(lambda: T.tsum(T.mul(repeat_rows(row, 4), wx)), {"row": row}),
+    }
     assert {name: err for name, err in results.items() if not err < TOLERANCE} == {}
 
 
@@ -269,23 +286,27 @@ def test_attention_matches_per_head_loop(dtype):
     rng = np.random.default_rng(16)
     heads, n, d = 4, 64, 64
     hd = d // heads
-    qkv, g = _normal(rng, dtype, n, 3 * d), _normal(rng, dtype, n, d)
+    qkv = _normal(rng, dtype, n, 3 * d)
     scale = float(1.0 / np.sqrt(hd))
-    outputs, dqkv = [], np.empty_like(qkv)
-    for lo in range(0, d, hd):
-        q, k, v = (qkv[:, j * d + lo : j * d + lo + hd] for j in range(3))
-        e = (q @ k.T) * scale
-        e = np.exp(e - e.max(axis=-1, keepdims=True))
-        p = e / e.sum(axis=-1, keepdims=True)
-        outputs.append(p @ v)
-        g_out = np.array(g[:, lo : lo + hd])
-        g_p = g_out @ v.T
-        g_s = p * (g_p - (g_p * p).sum(axis=-1, keepdims=True)) * scale
-        dqkv[:, lo : lo + hd] = g_s @ k
-        dqkv[:, d + lo : d + lo + hd] = (q.T @ g_s).T
-        dqkv[:, 2 * d + lo : 2 * d + lo + hd] = p.T @ g_out
-    expected = _reference_bytes(np.concatenate(outputs, axis=1), [dqkv])
-    assert _op_and_grads(lambda t: T.attention(t, heads), [qkv], g) == expected
+    for rows in (None, np.array([9, 3, 40, 41, 63])):  # all query rows, then a few
+        queries = slice(None) if rows is None else rows
+        g = _normal(rng, dtype, n if rows is None else len(rows), d)
+        outputs, dqkv = [], np.zeros_like(qkv)
+        for lo in range(0, d, hd):
+            q, k, v = (qkv[:, j * d + lo : j * d + lo + hd] for j in range(3))
+            q = q[queries]
+            e = (q @ k.T) * scale
+            e = np.exp(e - e.max(axis=-1, keepdims=True))
+            p = e / e.sum(axis=-1, keepdims=True)
+            outputs.append(p @ v)
+            g_out = np.array(g[:, lo : lo + hd])
+            g_p = g_out @ v.T
+            g_s = p * (g_p - (g_p * p).sum(axis=-1, keepdims=True)) * scale
+            dqkv[queries, lo : lo + hd] = g_s @ k
+            dqkv[:, d + lo : d + lo + hd] = (q.T @ g_s).T
+            dqkv[:, 2 * d + lo : 2 * d + lo + hd] = p.T @ g_out
+        expected = _reference_bytes(np.concatenate(outputs, axis=1), [dqkv])
+        assert _op_and_grads(lambda t: T.attention(t, heads, rows), [qkv], g) == expected
 
 
 def _per_tensor(flat, group):

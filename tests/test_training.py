@@ -3,7 +3,7 @@ import pytest
 
 from vict import harness, model, tasks, training
 from vict import tensor as T
-from vict.canvas import Canvas, CellPosition, assemble_inference
+from vict.canvas import CellPosition, assemble_inference, patchify
 
 SMALL_MODEL = model.ModelConfig(cell_size=16, patch_size=8, embed_dim=32, encoder_depth=1, decoder_depth=1, num_heads=2)
 
@@ -54,8 +54,7 @@ def test_masked_cell_loss_scores_the_empty_cell(monkeypatch):
         return np.full((3, c, c), value, dtype=np.float32)
 
     def stub_forward(params, canvas):
-        cells = {pos: T.constant(image(value)) for pos, value in painted.items()}
-        return Canvas(cells=cells, cell_size=c, empty_position=canvas.empty_position).pixels()
+        return patchify(T.constant(image(painted[canvas.empty_position])), 4)  # the empty cell's patch rows
 
     monkeypatch.setattr(model, "forward", stub_forward)
     prompt, query = (image(0.5), image(0.9)), (image(0.5), image(0.65))

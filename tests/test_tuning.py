@@ -3,6 +3,7 @@ import pytest
 
 from vict import harness, model, tasks, tuning
 from vict import tensor as T
+from vict.canvas import patchify
 from vict.corruptions import CorruptionKind, CorruptionSpec
 
 SMALL_MODEL = model.ModelConfig(cell_size=16, patch_size=8, embed_dim=32, encoder_depth=1, decoder_depth=1, num_heads=2)
@@ -77,13 +78,7 @@ def test_cycle_loss_zero_for_identity_copier(params, sample_pair, monkeypatch):
     y = pair[1]
 
     def stub_forward(p, canvas):
-        cells = {
-            pos: (T.constant(y) if t is None else t)
-            for pos, t in canvas.cells.items()
-        }
-        from vict.canvas import Canvas
-
-        return Canvas(cells=cells, cell_size=canvas.cell_size, empty_position=canvas.empty_position).pixels()
+        return patchify(T.constant(y), SMALL_MODEL.patch_size)  # the empty cell's patch rows
 
     monkeypatch.setattr(model, "forward", stub_forward)
     loss = tuning.cycle_loss(params, pair, x_t)
@@ -259,21 +254,26 @@ def test_head_pre_activation_the_sigmoid_would_saturate_raises(params, sample_pa
 
 def test_non_finite_confined_to_a_discarded_cell_raises(params, sample_pair, monkeypatch):
     pair, x_t = sample_pair
-    linear = T.linear
+    layernorm = T.layernorm
 
-    def poisoned_head(x, w, b):
-        out = linear(x, w, b)
-        if w is params_under_test.tensors["head.weight"]:
-            out.data[0] = np.nan  # patch 0 lies in the top-left cell; infer keeps the bottom-right one
+    def poisoning_layernorm(x, gain, bias):
+        out = layernorm(x, gain, bias)
+        if gain is params_under_test.tensors["dec0.ln1.gain"]:
+            # after the last block's keys and values are made from it: patch 0
+            # lies in the top-left cell, a row the last block drops
+            x.data[0] = np.nan
         return out
 
-    monkeypatch.setattr(T, "linear", poisoned_head)
+    monkeypatch.setattr(T, "layernorm", poisoning_layernorm)
     params_under_test = params.clone()
-    with pytest.raises(FloatingPointError, match=r"^sigmoid: non-finite values in input$"):
+    with pytest.raises(FloatingPointError, match=r"^take_rows: non-finite values in input$") as err:
         tuning.infer(params_under_test, pair, x_t)
+    assert err.traceback[-2].name == "take_rows"
     model.trainable(params_under_test, "all")
-    with pytest.raises(FloatingPointError, match=r"^linear: non-finite values in output$"):
+    # on the tape, the row take's check names the op whose output holds the NaN
+    with pytest.raises(FloatingPointError, match=r"^add: non-finite values in output$") as err:
         tuning.cycle_loss(params_under_test, pair, x_t)
+    assert err.traceback[-2].name == "take_rows"
 
 
 def test_adaptation_divergence_names_the_step_and_the_weights(params, sample_pair, small_checkpoint, monkeypatch):
