@@ -37,7 +37,7 @@ def grid(top_left, top_right, bottom_left, bottom_right):
 
 write_ppm(out / "canvas_inference.ppm", grid(prompt.input, prompt.target, query.input, empty))
 print(f"inference canvas masks {canvas.empty_position.value}; "
-      f"{len(canvas.empty_rows(8))} of {len(canvas.patches(8).data)} patches masked")
+      f"{len(canvas.empty_rows(8))} of {len(canvas.patches(8))} patches masked")
 
 # The role-flipped canvas: the (here: true) query output moves to the bottom right,
 # and the prompt output cell becomes the reconstruction target.
@@ -46,6 +46,6 @@ write_ppm(out / "canvas_flipped.ppm", grid(prompt.input, empty, query.input, que
 print(f"flipped canvas masks {flipped.empty_position.value}")
 
 # The model reads and writes patch rows; cells go into them and come back losslessly.
-back = extract_cell(flipped.patches(8).data[canvas.empty_rows(8)]).data
+back = extract_cell(flipped.patches(8)[canvas.empty_rows(8)]).data
 print(f"extract round-trip exact: {back.tobytes() == query.target.tobytes()}")
 print(f"wrote pixmaps to {out}/")

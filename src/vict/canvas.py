@@ -9,13 +9,13 @@ the roles of prompt and query, leaving the top-right empty and placing
 the predicted query output at the bottom right.
 
 The model reads and writes patch rows, never canvas pixels.
-``Canvas.patches`` gives it the canvas as one matrix of P x P patches,
-each flattened (row, column, channel), in row-major order over the
-(2C/P)^2 patch grid. The values are assembled and patchified in numpy;
-a cell on the autodiff tape (the predicted query output in the flipped
-canvas) enters through its tape patchify and one ``put_rows`` node. The
-model returns only the empty cell's (C/P)^2 rows, and ``extract_cell``
-turns them back into a [3, C, C] image.
+``Canvas.patches`` gives it the canvas as one numpy matrix of P x P
+patches, each flattened (row, column, channel), in row-major order over
+the (2C/P)^2 patch grid. A canvas holds no tape: the one cell that enters
+the model on the tape, the prediction in tuning's flipped canvas, is put
+into the flipped canvas's rows by ``tuning.cycle_loss`` (one ``put_rows``
+node). The model returns only the empty cell's (C/P)^2 rows, and
+``extract_cell`` turns them back into a [3, C, C] image.
 """
 
 from __future__ import annotations
@@ -27,7 +27,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .tensor import Tensor, as_tensor, constant, put_rows, reshape, transpose
+from .tensor import Tensor, as_tensor, reshape, transpose
 
 EMPTY_FILL = 0.5
 
@@ -76,13 +76,13 @@ def cell_rows(position: CellPosition, half: int) -> np.ndarray:
     return (grid_rows * 2 * half + grid_cols).reshape(-1)
 
 
-def patchify(image: Tensor, patch_size: int) -> Tensor:
-    """The [(C/P)^2, 3P^2] patch rows of a [3, C, C] image, on the tape if
-    the image is; ``extract_cell`` is the inverse."""
+def patchify(image: np.ndarray, patch_size: int) -> np.ndarray:
+    """The [(C/P)^2, 3P^2] patch rows of a [3, C, C] image; ``extract_cell``
+    is the inverse."""
     k = image.shape[1] // patch_size
-    x = reshape(image, (3, k, patch_size, k, patch_size))
-    x = transpose(x, (1, 3, 2, 4, 0))  # row-grid, col-grid, row-pixel, col-pixel, channel
-    return reshape(x, (k * k, 3 * patch_size * patch_size))
+    x = image.reshape(3, k, patch_size, k, patch_size)
+    x = x.transpose(1, 3, 2, 4, 0)  # row-grid, col-grid, row-pixel, col-pixel, channel
+    return x.reshape(k * k, 3 * patch_size * patch_size)
 
 
 @dataclass(frozen=True)
@@ -94,7 +94,7 @@ class Canvas:
     prediction the caller reads back.
     """
 
-    cells: dict[CellPosition, Tensor | None]
+    cells: dict[CellPosition, np.ndarray | None]
     cell_size: int
     empty_position: CellPosition
 
@@ -103,21 +103,18 @@ class Canvas:
             raise ValueError(f"Canvas: cell size {self.cell_size} not a multiple of patch size {patch_size}")
         return self.cell_size // patch_size
 
-    def patches(self, patch_size: int) -> Tensor:
+    def patches(self, patch_size: int) -> np.ndarray:
         """[(2C/P)^2, 3P^2] patch rows of the whole canvas, the empty cell's
-        filled with ``EMPTY_FILL``; on the tape if any cell is."""
-        half, c = self._half(patch_size), self.cell_size
-        dtype = next(t.dtype for t in self.cells.values() if t is not None)
+        filled with ``EMPTY_FILL``."""
+        self._half(patch_size)
+        c = self.cell_size
+        dtype = next(image.dtype for image in self.cells.values() if image is not None)
         pixels = np.full((3, 2 * c, 2 * c), EMPTY_FILL, dtype=dtype)
-        for position, t in self.cells.items():
-            if t is not None:
+        for position, image in self.cells.items():
+            if image is not None:
                 row, col = _PLACEMENT[position]
-                pixels[:, row * c : (row + 1) * c, col * c : (col + 1) * c] = t.data
-        out = patchify(constant(pixels), patch_size)
-        for position, t in self.cells.items():
-            if t is not None and t.requires_grad:
-                out = put_rows(out, cell_rows(position, half), patchify(t, patch_size))
-        return out
+                pixels[:, row * c : (row + 1) * c, col * c : (col + 1) * c] = image
+        return patchify(pixels, patch_size)
 
     def empty_rows(self, patch_size: int) -> np.ndarray:
         """Rows of the empty cell's patches in ``patches``, in the order
@@ -128,17 +125,17 @@ class Canvas:
 def _assemble(owner: str, cells: dict[CellPosition, tuple[str, object] | None]) -> Canvas:
     """Canvas of ``cells``, each a named image of one even cell size; the
     cell mapped to ``None`` is the empty one."""
-    tensors: dict[CellPosition, Tensor | None] = dict.fromkeys(cells)
+    images: dict[CellPosition, np.ndarray | None] = dict.fromkeys(cells)
     c = None
     for position, cell in cells.items():
         if cell is not None:
             name, image = cell
-            tensors[position] = as_tensor(image)
-            c = check_image(f"{owner}({name})", tensors[position].data, c)
+            images[position] = np.asarray(image)
+            c = check_image(f"{owner}({name})", images[position], c)
             if c % 2 != 0:
                 raise ValueError(f"{owner}({name}): cell size must be even, got {c}")
     empty = next(position for position, cell in cells.items() if cell is None)
-    return Canvas(cells=tensors, cell_size=c, empty_position=empty)
+    return Canvas(cells=images, cell_size=c, empty_position=empty)
 
 
 def assemble_inference(x, y, x_t) -> Canvas:
@@ -157,10 +154,10 @@ def assemble_inference(x, y, x_t) -> Canvas:
 def assemble_flipped(x, x_t, y_t_hat) -> Canvas:
     """Role-flipped canvas for reconstructing the prompt output: (x, empty, x_t, y_t_hat).
 
-    ``y_t_hat`` goes in as given, so gradients reach the prediction that
-    produced it. It is a model output (a logistic, already in [0, 1]) or,
-    in training, a true cell; values outside [0, 1] are rejected like any
-    other cell's.
+    In training ``y_t_hat`` is a true cell. Tuning builds the canvas once
+    per adaptation with a placeholder there, which ``tuning.cycle_loss``
+    overwrites with each step's predicted rows on the tape. Values outside
+    [0, 1] are rejected like any other cell's.
     """
     return _assemble(
         "assemble_flipped",

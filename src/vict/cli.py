@@ -94,12 +94,18 @@ def _bench_config(args, **grid) -> harness.BenchConfig:
 
 
 def _check_out_paths(args) -> None:
-    """Reject an output path that is a directory, or whose directory does not
-    exist, before any work starts, so a long run is not lost at the end."""
+    """Reject an output file path that is a directory, or whose directory
+    does not exist, and an output directory path that is, or lies under, an
+    existing non-directory, before any work starts, so a long run is not
+    lost at the end."""
     for flag in ("--out", "--csv", "--loss-trace"):
         path = getattr(args, flag[2:].replace("-", "_"), None)
         if path and (Path(path).is_dir() or not Path(path).parent.is_dir()):
             raise ValueError(f"{flag}: {path!r} is not a file in an existing directory")
+    for flag in ("--dump-canvases", "--trace-loss"):
+        path = getattr(args, flag[2:].replace("-", "_"), None) or "."
+        if any(p.exists() and not p.is_dir() for p in (Path(path), *Path(path).parents)):
+            raise ValueError(f"{flag}: {path!r} is not a directory and cannot be made one")
 
 
 def _emit_report(report: harness.MetricReport, args) -> None:

@@ -14,7 +14,7 @@ import numpy as np
 
 from . import model, tasks
 from . import tensor as T
-from .tuning import cycle_loss
+from .tuning import cycle_loss, cycle_rows
 
 FD_STEP = 1e-5
 TOLERANCE = 1e-4
@@ -145,9 +145,8 @@ def check_cycle_loss(config: model.ModelConfig = TINY_CONFIG, seed: int = 0) -> 
     c = config.cell_size
     prompt = tasks.generate(tasks.TaskKind.DENOISE, seed + 1, c)
     query = tasks.generate(tasks.TaskKind.DENOISE, seed + 2, c)
-    pair = (prompt.input.astype(np.float64), prompt.target.astype(np.float64))
-    x_t = query.input.astype(np.float64)
-    return _check(lambda: cycle_loss(params, pair, x_t, beta=1.0), model.trainable(params, "encoder"))
+    rows = [a.astype(np.float64) for a in cycle_rows((prompt.input, prompt.target), query.input, config.patch_size)]
+    return _check(lambda: cycle_loss(params, *rows, beta=1.0), model.trainable(params, "encoder"))
 
 
 def run_gradcheck(seed: int = 0, verbose: bool = False) -> tuple[float, dict[str, float]]:

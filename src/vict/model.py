@@ -1,7 +1,8 @@
 """Small patch-transformer encoder-decoder for masked canvas inpainting.
 
-The model reads the canvas as patch rows (``Canvas.patches``), each
-linearly projected to an embedding; the empty cell's patches are replaced
+The model reads the canvas as patch rows (``Canvas.patches``) and the
+empty cell's row indices (``Canvas.empty_rows``). Each row is linearly
+projected to an embedding; the empty cell's patches are replaced
 by a learned mask token (post-projection, so nothing of the fill value
 reaches attention), learned positional embeddings are added, and pre-norm
 transformer blocks run encoder then decoder. The last block, the final
@@ -39,7 +40,6 @@ import numpy as np
 from scipy.special import ndtr, ndtri
 
 from . import tensor as T
-from .canvas import Canvas
 from .seeding import rng_for
 
 ENCODER = "encoder"
@@ -289,23 +289,25 @@ def _block(
     return T.add(h, _mlp(normed, p, prefix))
 
 
-def forward(params: Params, canvas: Canvas) -> T.Tensor:
-    """Predict the canvas's empty (masked) cell: its (C/P)^2 patch rows,
+def forward(params: Params, patches, empty: np.ndarray) -> T.Tensor:
+    """Predict the empty (masked) cell of a canvas: its (C/P)^2 patch rows,
     [(C/P)^2, 3P^2] with values in (0, 1), which ``canvas.extract_cell``
     turns into the [3, C, C] cell.
 
-    Every block but the last runs on all (2C/P)^2 patches. The last one
-    computes keys and values for all of them but its outputs, and so the
-    final norm, head and sigmoid, only for the empty cell's rows: no
-    other row reaches the prediction.
+    ``patches`` holds the canvas's [(2C/P)^2, 3P^2] patch rows: an array
+    (``Canvas.patches``), or in tuning's second pass a tensor with the
+    first pass's prediction put into them. ``empty`` lists the empty
+    cell's rows (``Canvas.empty_rows``). Every block but the last runs on
+    all rows. The last one computes keys and values for all of them but
+    its outputs, and so the final norm, head and sigmoid, only for the
+    empty cell's rows: no other row reaches the prediction.
     """
     cfg = params.config
-    if canvas.cell_size != cfg.cell_size:
-        raise ValueError(f"forward: canvas cell size {canvas.cell_size} != model cell size {cfg.cell_size}")
+    if T.as_tensor(patches).shape != (cfg.num_patches, cfg.patch_dim):
+        raise ValueError(f"forward: expected [{cfg.num_patches}, {cfg.patch_dim}] patch rows (cell size {cfg.cell_size})")
     p = params.tensors
-    empty = canvas.empty_rows(cfg.patch_size)
 
-    h = T.linear(canvas.patches(cfg.patch_size), p["patch_embed.weight"], p["patch_embed.bias"])
+    h = T.linear(patches, p["patch_embed.weight"], p["patch_embed.bias"])
     h = T.put_rows(h, empty, p["mask_token"])
     h = T.add(h, p["pos_embed"])
 

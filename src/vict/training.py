@@ -61,7 +61,8 @@ def masked_cell_loss(params: model.Params, prompt: Pair, query: Pair, flip: bool
         canvas, target = assemble_flipped(x, x_q, y_q), y
     else:
         canvas, target = assemble_inference(x, y, x_q), y_q
-    pred = extract_cell(model.forward(params, canvas))
+    p = params.config.patch_size
+    pred = extract_cell(model.forward(params, canvas.patches(p), canvas.empty_rows(p)))
     return smooth_l1(pred, constant(target))
 
 

@@ -3,7 +3,11 @@
 For one test input x_t and one prompt pair (x, y): predict the test output
 on the inference canvas, flip the roles so the prediction becomes the
 prompt, and supervise the reconstruction of the original prompt output y
-with smooth-L1. Gradients flow through both forward passes. Every test
+with smooth-L1. Gradients flow through both forward passes. The loop
+stays in patch rows: the canvases' constant rows and y's rows are built
+once per adaptation (``cycle_rows``), the first pass's predicted rows
+enter the flipped canvas through one ``put_rows`` node, and the second
+pass's rows are scored against y's rows. Every test
 sample starts from a private clone of the pre-trained weights with a fresh
 optimizer, so adaptation of one sample can never leak into another; the
 ground-truth test label is not an input anywhere in this module.
@@ -16,10 +20,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import model, tasks
-from .canvas import assemble_flipped, assemble_inference, extract_cell
+from .canvas import EMPTY_FILL, CellPosition, assemble_flipped, assemble_inference, cell_rows, extract_cell, patchify
 from .corruptions import CorruptionSpec, apply
 from .seeding import mix
-from .tensor import AdamWState, Tensor, adamw_step, check_lr, collect_grads, constant, smooth_l1, zero_grads
+from .tensor import AdamWState, Tensor, adamw_step, check_lr, collect_grads, constant, put_rows, smooth_l1, zero_grads
 
 DEFAULT_STEPS = 60
 
@@ -96,24 +100,32 @@ def select_prompt(
 
 def infer(params: model.Params, pair: tuple[np.ndarray, np.ndarray], x_t: np.ndarray) -> np.ndarray:
     """Frozen in-context inference: inpaint the test output cell."""
+    canvas = assemble_inference(*pair, x_t)
+    p = params.config.patch_size
+    return extract_cell(model.forward(params, canvas.patches(p), canvas.empty_rows(p))).data
+
+
+def cycle_rows(pair: tuple[np.ndarray, np.ndarray], x_t: np.ndarray, patch_size: int) -> tuple[np.ndarray, ...]:
+    """``cycle_loss``'s constant inputs, which do not change during an
+    adaptation: the patch rows of the inference canvas (x, y, x_t, empty),
+    of the flipped canvas (x, empty, x_t, a placeholder that the
+    prediction overwrites) and of the prompt output y."""
     x, y = pair
-    canvas = assemble_inference(x, y, x_t)
-    return extract_cell(model.forward(params, canvas)).data
+    flipped = assemble_flipped(x, x_t, np.full_like(x_t, EMPTY_FILL))
+    return assemble_inference(x, y, x_t).patches(patch_size), flipped.patches(patch_size), patchify(y, patch_size)
 
 
 def cycle_loss(
-    params: model.Params,
-    pair: tuple[np.ndarray, np.ndarray],
-    x_t: np.ndarray,
-    beta: float = 1.0,
+    params: model.Params, inference: np.ndarray, flipped: np.ndarray, y: np.ndarray, beta: float = 1.0
 ) -> Tensor:
-    """Scalar cycle-consistency loss for one prompt pair and test input."""
-    x, y = pair
-    canvas = assemble_inference(x, y, x_t)
-    y_t_hat = extract_cell(model.forward(params, canvas))
-    flipped = assemble_flipped(x, x_t, y_t_hat)
-    y_hat = extract_cell(model.forward(params, flipped))
-    return smooth_l1(y_hat, constant(np.asarray(y)), beta)
+    """Scalar cycle-consistency loss on the rows of ``cycle_rows``: predict
+    the test output's rows, put them into the flipped canvas, predict the
+    prompt output's rows and score them against ``y``."""
+    half = params.config.grid // 2
+    query, prompt = cell_rows(CellPosition.BOTTOM_RIGHT, half), cell_rows(CellPosition.TOP_RIGHT, half)
+    y_t_hat = model.forward(params, inference, query)
+    y_hat = model.forward(params, put_rows(constant(flipped), query, y_t_hat), prompt)
+    return smooth_l1(y_hat, constant(y), beta)
 
 
 def adapt_and_predict(
@@ -136,12 +148,12 @@ def adapt_and_predict(
     work = params0.clone()
     group = model.trainable(work, config.selector)
     state = AdamWState(lr=config.lr, eps=config.eps)
-    pair = prompt.pair
+    rows = cycle_rows(prompt.pair, x_t, work.config.patch_size)
     trace: list[float] = []
     for step in range(config.steps):
         zero_grads(work.tensors.values())
         try:
-            loss = cycle_loss(work, pair, x_t, config.beta)
+            loss = cycle_loss(work, *rows, config.beta)
             loss.backward()
             adamw_step(group, collect_grads(group), state)
         except FloatingPointError as err:
@@ -152,7 +164,7 @@ def adapt_and_predict(
         del loss  # frees the tape after the update: freed before it, its memory went back to the OS and was faulted in again
     adapted = work.clone()  # off the tape, so the prediction records none
     return AdaptationResult(
-        y_t_hat=infer(adapted, pair, x_t),
+        y_t_hat=infer(adapted, prompt.pair, x_t),
         loss_trace=trace,
         adapted_params_digest=adapted.digest(),
     )

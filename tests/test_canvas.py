@@ -26,15 +26,15 @@ def random_image(rng, c=32):
 
 def cell_of(canvas, position, patch_size=8):
     """The image ``canvas.patches`` holds in ``position``."""
-    rows = canvas.patches(patch_size).data[cv.cell_rows(position, canvas.cell_size // patch_size)]
+    rows = canvas.patches(patch_size)[cv.cell_rows(position, canvas.cell_size // patch_size)]
     return cv.extract_cell(T.Tensor(rows)).data
 
 
 def test_assemble_inference_places_cells():
     a, b, c = const_image(0.1), const_image(0.2), const_image(0.3)
     grid = cv.assemble_inference(a, b, c)
-    patches = grid.patches(8).data
-    assert patches.shape == (64, 192) and patches.dtype == np.float32
+    patches = grid.patches(8)
+    assert isinstance(patches, np.ndarray) and patches.shape == (64, 192) and patches.dtype == np.float32
     by_cell = patches.reshape(2, 4, 2, 4, 192)  # cell row, patch row, cell column, patch column
     assert np.all(by_cell[0, :, 0] == np.float32(0.1))
     assert np.all(by_cell[0, :, 1] == np.float32(0.2))
@@ -81,7 +81,7 @@ def test_flipped_and_inference_masks_are_disjoint():
 
 
 def test_flipped_rejects_out_of_range_prediction():
-    wild = T.Tensor(np.full((3, 32, 32), 2.5, dtype=np.float32))
+    wild = np.full((3, 32, 32), 2.5, dtype=np.float32)
     with pytest.raises(ValueError, match=r"assemble_flipped\(y_t_hat\): pixel values outside \[0, 1\]"):
         cv.assemble_flipped(const_image(0.1), const_image(0.2), wild)
 
@@ -119,7 +119,7 @@ def test_extract_is_pure():
 
 
 def test_extract_checkerboard_constants():
-    cells = {pos: T.Tensor(const_image(value)) for value, pos in zip((0.1, 0.2, 0.3, 0.4), GRID)}
+    cells = {pos: const_image(value) for value, pos in zip((0.1, 0.2, 0.3, 0.4), GRID)}
     canvas = cv.Canvas(cells=cells, cell_size=32, empty_position=cv.CellPosition.TOP_LEFT)
     for value, pos in zip((0.1, 0.2, 0.3, 0.4), GRID):
         assert np.all(cell_of(canvas, pos) == np.float32(value))
@@ -143,24 +143,11 @@ def test_patch_mask_covers_exactly_the_extracted_cell(position):
     patch_ids = np.kron(np.arange(g * g, dtype=np.float64).reshape(g, g), np.ones((p, p)))
     pixels = np.repeat(patch_ids[None], 3, axis=0)
     quadrants = {pos: pixels[:, r * c : (r + 1) * c, col * c : (col + 1) * c] for pos, (r, col) in GRID.items()}
-    cells = {pos: T.Tensor(image) for pos, image in quadrants.items()}
-    canvas = cv.Canvas(cells=cells, cell_size=c, empty_position=position)
+    canvas = cv.Canvas(cells=quadrants, cell_size=c, empty_position=position)
     rows = canvas.empty_rows(p)
-    patches = canvas.patches(p).data
+    patches = canvas.patches(p)
     assert np.array_equal(patches[rows], np.repeat(rows[:, None].astype(np.float64), 3 * p * p, axis=1))
     assert cv.extract_cell(T.Tensor(patches[rows])).data.tobytes() == quadrants[position].tobytes()
-
-
-def test_a_cell_on_the_tape_enters_through_one_put_rows_node():
-    rng = np.random.default_rng(4)
-    y_hat = T.parameter(random_image(rng))
-    flipped = cv.assemble_flipped(random_image(rng), random_image(rng), y_hat)
-    patches = flipped.patches(8)
-    assert patches._op == "put_rows" and not patches._parents[0].requires_grad
-    weights = rng.random((64, 192)).astype(np.float32)
-    T.tsum(T.mul(patches, T.constant(weights))).backward()
-    rows = cv.cell_rows(cv.CellPosition.BOTTOM_RIGHT, 4)
-    assert y_hat.grad.tobytes() == cv.extract_cell(T.Tensor(weights[rows])).data.tobytes()
 
 
 def test_write_ppm_bytes(tmp_path):

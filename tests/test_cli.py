@@ -196,13 +196,21 @@ def test_bad_enum_name_names_flag_item_and_valid_names(capsys, argv, message):
         (["pretrain", "--out", "c.bin", "--loss-trace", "nodir/t.csv"], (training, "pretrain"), "--loss-trace"),
         (["fewshot", "--checkpoint", "x", "--out", "nodir/f.json"], (harness, "run_fewshot"), "--out"),
         (["pretrain", "--out", "adir"], (training, "pretrain"), "--out"),
+        (["bench", "--checkpoint", "x", "--dump-canvases", "afile"], (harness, "run_bench"), "--dump-canvases"),
+        (["bench", "--checkpoint", "x", "--trace-loss", "afile/sub"], (harness, "run_bench"), "--trace-loss"),
+        (["clean-eval", "--checkpoint", "x", "--dump-canvases", "afile/sub"], (harness, "run_clean_eval"), "--dump-canvases"),
+        (["clean-eval", "--checkpoint", "x", "--trace-loss", "afile"], (harness, "run_clean_eval"), "--trace-loss"),
     ],
 )
 def test_unwritable_output_path_rejected_before_running(tmp_path, monkeypatch, capsys, argv, runner, flag):
     monkeypatch.chdir(tmp_path)
     (tmp_path / "adir").mkdir()
+    (tmp_path / "afile").write_bytes(b"")
     monkeypatch.setattr(*runner, lambda *args: pytest.fail("ran with an unwritable output path"))
     assert cli_main(argv) == 1
-    path = next(arg for arg in argv if "dir" in arg)
-    assert f"error: {flag}: {path!r} is not a file in an existing directory" in capsys.readouterr().err
-    assert [p.name for p in tmp_path.iterdir()] == ["adir"]
+    path, err = argv[-1], capsys.readouterr().err
+    if flag in ("--dump-canvases", "--trace-loss"):
+        assert f"error: {flag}: {path!r} is not a directory and cannot be made one" in err
+    else:
+        assert f"error: {flag}: {path!r} is not a file in an existing directory" in err
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["adir", "afile"]

@@ -6,7 +6,6 @@ import pytest
 
 from vict import model, tasks, training, tuning
 from vict import tensor as T
-from vict import canvas as cv
 from vict.canvas import assemble_flipped, assemble_inference, extract_cell
 from vict.checkpoint import load_checkpoint, save_checkpoint
 from vict.gradcheck import TINY_CONFIG, finite_diff_grad, rel_error
@@ -19,11 +18,16 @@ def default_params():
     return model.init(model.ModelConfig(), seed=0)
 
 
+def _rows(canvas, patch_size=8):
+    """``model.forward``'s inputs for ``canvas``: its patch rows and its empty rows."""
+    return canvas.patches(patch_size), canvas.empty_rows(patch_size)
+
+
 @pytest.fixture(scope="module")
-def inference_canvas():
+def inference_rows():
     prompt = tasks.generate(tasks.TaskKind.DENOISE, 1)
     query = tasks.generate(tasks.TaskKind.DENOISE, 2)
-    return assemble_inference(prompt.input, prompt.target, query.input)
+    return _rows(assemble_inference(prompt.input, prompt.target, query.input))
 
 
 def test_config_validation():
@@ -101,20 +105,20 @@ def test_init_and_clone_leave_weights_off_the_tape():
     assert not any(_flags(params.clone()).values())
 
 
-def test_frozen_forward_records_no_tape(default_params, inference_canvas):
-    out = model.forward(default_params, inference_canvas)
+def test_frozen_forward_records_no_tape(default_params, inference_rows):
+    out = model.forward(default_params, *inference_rows)
     assert out._parents == () and out._backward is None and not out.requires_grad
 
 
-def test_forward_output_shape_and_range(default_params, inference_canvas):
-    out = model.forward(default_params, inference_canvas)
+def test_forward_output_shape_and_range(default_params, inference_rows):
+    out = model.forward(default_params, *inference_rows)
     assert out.shape == (16, 192)  # the empty cell's 4 x 4 patches of 8 x 8 x 3 pixels
     assert out.data.min() > 0.0 and out.data.max() < 1.0
 
 
-def test_forward_deterministic(default_params, inference_canvas):
-    a = model.forward(default_params, inference_canvas).data
-    b = model.forward(default_params, inference_canvas).data
+def test_forward_deterministic(default_params, inference_rows):
+    a = model.forward(default_params, *inference_rows).data
+    b = model.forward(default_params, *inference_rows).data
     assert a.tobytes() == b.tobytes()
 
 
@@ -122,16 +126,16 @@ def test_forward_rejects_wrong_cell_size(default_params):
     prompt = tasks.generate(tasks.TaskKind.DENOISE, 1, cell_size=16)
     query = tasks.generate(tasks.TaskKind.DENOISE, 2, cell_size=16)
     canvas = assemble_inference(prompt.input, prompt.target, query.input)
-    with pytest.raises(ValueError, match="cell size"):
-        model.forward(default_params, canvas)
+    with pytest.raises(ValueError, match=r"^forward: expected \[64, 192\] patch rows \(cell size 32\)$"):
+        model.forward(default_params, *_rows(canvas))
 
 
 def test_permutation_sensitivity(default_params):
     a = tasks.generate(tasks.TaskKind.DENOISE, 3)
     b = tasks.generate(tasks.TaskKind.DENOISE, 4)
     c = tasks.generate(tasks.TaskKind.DENOISE, 5)
-    o1 = model.forward(default_params, assemble_inference(a.input, b.input, c.input)).data
-    o2 = model.forward(default_params, assemble_inference(a.input, c.input, b.input)).data
+    o1 = model.forward(default_params, *_rows(assemble_inference(a.input, b.input, c.input))).data
+    o2 = model.forward(default_params, *_rows(assemble_inference(a.input, c.input, b.input))).data
     assert np.abs(o1 - o2).max() > 1e-6
 
 
@@ -142,12 +146,12 @@ def test_masked_cell_output_independent_of_fill(default_params):
     prompt = tasks.generate(tasks.TaskKind.DENOISE, 6)
     query = tasks.generate(tasks.TaskKind.DENOISE, 7)
     canvas = assemble_inference(prompt.input, prompt.target, query.input)
-    out_a = model.forward(default_params, canvas).data
+    out_a = model.forward(default_params, *_rows(canvas)).data
 
     original = cv.EMPTY_FILL
     try:
         cv.EMPTY_FILL = 0.123
-        out_b = model.forward(default_params, canvas).data
+        out_b = model.forward(default_params, *_rows(canvas)).data
     finally:
         cv.EMPTY_FILL = original
     assert out_a.tobytes() == out_b.tobytes()
@@ -163,7 +167,7 @@ def test_tiny_config_gradients_match_finite_differences():
 
     def loss_fn():
         canvas = assemble_inference(pair[0], pair[1], query.input.astype(np.float64))
-        out = model.forward(params, canvas)
+        out = model.forward(params, *_rows(canvas, 4))
         return T.smooth_l1(extract_cell(out), target, 1.0)
 
     T.zero_grads(params.tensors.values())
@@ -224,7 +228,7 @@ def test_fused_ops_match_primitive_chain_bit_for_bit(default_params, monkeypatch
     def loss_and_grads():
         params = default_params.clone()
         model.trainable(params, "all")
-        loss = tuning.cycle_loss(params, pair, query.input)
+        loss = tuning.cycle_loss(params, *tuning.cycle_rows(pair, query.input, params.config.patch_size))
         loss.backward()
         return loss.data.tobytes(), {name: t.grad.tobytes() for name, t in params.tensors.items()}
 
@@ -238,26 +242,16 @@ def test_fused_ops_match_primitive_chain_bit_for_bit(default_params, monkeypatch
     assert [name for name in fused[1] if fused[1][name] != unfused[1][name]] == []
 
 
-def _full_canvas_forward(params, canvas):
-    """``model.forward`` computed over the whole canvas: the cells
-    concatenated as pixels and patchified on the tape, the mask token mixed
-    in by constant 0/1 masks, all 64 rows through every block, the head on
-    every row, and then the empty cell's rows."""
+def _full_canvas_forward(params, patches, empty):
+    """``model.forward`` computed over the whole canvas: the mask token
+    mixed in by constant 0/1 masks, all rows through every block, the head
+    on every row, and then the empty cell's rows."""
     cfg, p = params.config, params.tensors
-    c, ps, g, d = cfg.cell_size, cfg.patch_size, cfg.grid, cfg.embed_dim
-    dtype = p["pos_embed"].dtype
-    fill = T.constant(np.full((3, c, c), cv.EMPTY_FILL, dtype=dtype))
-    cell = {pos: fill if t is None else t for pos, t in canvas.cells.items()}
-    top = concat([cell[cv.CellPosition.TOP_LEFT], cell[cv.CellPosition.TOP_RIGHT]], axis=2)
-    bottom = concat([cell[cv.CellPosition.BOTTOM_LEFT], cell[cv.CellPosition.BOTTOM_RIGHT]], axis=2)
-    x = T.reshape(concat([top, bottom], axis=1), (3, g, ps, g, ps))
-    x = T.reshape(T.transpose(x, (1, 3, 2, 4, 0)), (cfg.num_patches, cfg.patch_dim))
-
-    empty = canvas.empty_rows(ps)
-    masked = np.zeros((cfg.num_patches, d), dtype=dtype)
+    d = cfg.embed_dim
+    masked = np.zeros((cfg.num_patches, d), dtype=p["pos_embed"].dtype)
     masked[empty] = 1.0
     token_rows = repeat_rows(T.reshape(p["mask_token"], (1, d)), cfg.num_patches)
-    h = T.linear(x, p["patch_embed.weight"], p["patch_embed.bias"])
+    h = T.linear(T.as_tensor(patches), p["patch_embed.weight"], p["patch_embed.bias"])
     h = T.add(T.mul(h, T.constant(1.0 - masked)), T.mul(token_rows, T.constant(masked)))
     h = T.add(h, p["pos_embed"])
     for prefix in [f"enc{i}" for i in range(cfg.encoder_depth)] + [f"dec{i}" for i in range(cfg.decoder_depth)]:
@@ -279,12 +273,13 @@ def test_forward_restricted_to_the_empty_cell_matches_the_full_canvas(dtype, mon
     pair = (prompt.input.astype(dtype), prompt.target.astype(dtype))
     x_t, y_t = query.input.astype(dtype), query.target.astype(dtype)
     for canvas in (assemble_inference(*pair, x_t), assemble_flipped(pair[0], x_t, y_t)):
-        assert model.forward(params, canvas).data.tobytes() == _full_canvas_forward(params, canvas).data.tobytes()
+        rows = _rows(canvas)
+        assert model.forward(params, *rows).data.tobytes() == _full_canvas_forward(params, *rows).data.tobytes()
 
     def cycle_loss_and_grads():
         work = params.clone()
         group = model.trainable(work, "encoder")
-        loss = tuning.cycle_loss(work, pair, x_t)
+        loss = tuning.cycle_loss(work, *tuning.cycle_rows(pair, x_t, work.config.patch_size))
         loss.backward()
         return loss.data.tobytes(), {name: t.grad for name, t in group.items()}
 
@@ -300,6 +295,12 @@ def test_forward_restricted_to_the_empty_cell_matches_the_full_canvas(dtype, mon
     assert {name: err for name, err in worst.items() if not err <= 1e-5} == {}
 
 
+def _cycle_loss(params, prompt, query):
+    """The cycle loss of a prompt sample and a query input."""
+    rows = tuning.cycle_rows((prompt.input, prompt.target), query.input, params.config.patch_size)
+    return tuning.cycle_loss(params, *rows)
+
+
 def _tape(root):
     """Every tensor backward reaches from ``root``, root included."""
     seen, stack = {id(root): root}, [root]
@@ -311,6 +312,19 @@ def _tape(root):
     return list(seen.values())
 
 
+def test_a_cycle_loss_records_188_tape_nodes(default_params):
+    prompt = tasks.generate(tasks.TaskKind.DENOISE, 1)
+    query = tasks.generate(tasks.TaskKind.DENOISE, 2)
+    params = default_params.clone()
+    model.trainable(params, "encoder")
+    loss = _cycle_loss(params, prompt, query)
+    tape = _tape(loss)
+    # the prediction enters the flipped canvas as rows: no cell is
+    # unpatchified or patchified on the tape
+    assert [node._op for node in tape if node._op in ("reshape", "transpose")] == []
+    assert len(tape) == 188
+
+
 def test_gradient_buffers_never_alias(default_params):
     # backward drops each intermediate gradient once its rule has run, so each
     # rule records the gradient it is handed, and the references kept here
@@ -319,7 +333,7 @@ def test_gradient_buffers_never_alias(default_params):
     query = tasks.generate(tasks.TaskKind.DENOISE, 2)
     params = default_params.clone()
     model.trainable(params, "all")
-    loss = tuning.cycle_loss(params, (prompt.input, prompt.target), query.input)
+    loss = _cycle_loss(params, prompt, query)
     handed = []
     for node in _tape(loss):
         if node._backward is not None:
@@ -339,7 +353,7 @@ def test_backward_keeps_only_leaf_gradients(default_params):
     query = tasks.generate(tasks.TaskKind.DENOISE, 2)
     params = default_params.clone()
     model.trainable(params, "encoder")
-    loss = tuning.cycle_loss(params, (prompt.input, prompt.target), query.input)
+    loss = _cycle_loss(params, prompt, query)
     loss.backward()
     tape = _tape(loss)
     assert [node._op for node in tape if node._parents and node.grad is not None] == []

@@ -191,7 +191,7 @@ def test_gradcheck_covers_every_op_the_model_records():
     c = TINY_CONFIG.cell_size
     prompt, query = (tasks.generate(tasks.TaskKind.DENOISE, seed, c) for seed in (1, 2))
     prompt, query = ((s.input.astype(np.float64), s.target.astype(np.float64)) for s in (prompt, query))
-    tapes = [tuning.cycle_loss(params, prompt, query[0])]
+    tapes = [tuning.cycle_loss(params, *tuning.cycle_rows(prompt, query[0], params.config.patch_size))]
     tapes += [training.masked_cell_loss(params, prompt, query, flip) for flip in (False, True)]
     recorded = set().union(*map(_tape_ops, tapes))
     checked = set(check_op_gradients())
@@ -552,7 +552,8 @@ def test_adamw_names_the_tensor_whose_gradient_is_non_finite():
     group = model.trainable(params, "encoder")
     c = TINY_CONFIG.cell_size
     pair, query = tasks.generate(tasks.TaskKind.DENOISE, 1, c), tasks.generate(tasks.TaskKind.DENOISE, 2, c)
-    tuning.cycle_loss(params, (pair.input, pair.target), query.input).backward()
+    rows = tuning.cycle_rows((pair.input, pair.target), query.input, params.config.patch_size)
+    tuning.cycle_loss(params, *rows).backward()
     grads = T.collect_grads(group)
     grads["mask_token"][1] = np.nan  # one value in that tensor's slice of the gradient arena
     state = _scalar_state(lr=0.1)

@@ -3,7 +3,8 @@ import pytest
 
 from vict import harness, model, tasks, training
 from vict import tensor as T
-from vict.canvas import CellPosition, assemble_inference, patchify
+from vict.canvas import CellPosition, assemble_inference, cell_rows, patchify
+from vict.gradcheck import TINY_CONFIG
 
 SMALL_MODEL = model.ModelConfig(cell_size=16, patch_size=8, embed_dim=32, encoder_depth=1, decoder_depth=1, num_heads=2)
 
@@ -53,14 +54,15 @@ def test_masked_cell_loss_scores_the_empty_cell(monkeypatch):
     def image(value):
         return np.full((3, c, c), value, dtype=np.float32)
 
-    def stub_forward(params, canvas):
-        return patchify(T.constant(image(painted[canvas.empty_position])), 4)  # the empty cell's patch rows
+    def stub_forward(params, patches, empty):
+        cell = next(position for position in painted if np.array_equal(cell_rows(position, 2), empty))
+        return T.constant(patchify(image(painted[cell]), 4))  # the empty cell's patch rows
 
     monkeypatch.setattr(model, "forward", stub_forward)
     prompt, query = (image(0.5), image(0.9)), (image(0.5), image(0.65))
     # the 8 (cell, target) pairings give 8 distinct losses
     for flip, cell, target in ((False, CellPosition.BOTTOM_RIGHT, 0.65), (True, CellPosition.TOP_RIGHT, 0.9)):
-        loss = training.masked_cell_loss(None, prompt, query, flip).item()
+        loss = training.masked_cell_loss(model.init(TINY_CONFIG, seed=0), prompt, query, flip).item()
         assert loss == pytest.approx(0.5 * (painted[cell] - target) ** 2, rel=1e-6)
 
 
@@ -110,7 +112,7 @@ def test_trained_weights_are_off_the_tape():
     canvas = assemble_inference(*(np.zeros((3, 16, 16), np.float32),) * 3)
     for params in (pretrained, harness.fewshot_finetune(pretrained, _fewshot_config(finetune_steps=1), 1, 0)):
         assert not any(t.requires_grad for t in params.tensors.values())
-        assert model.forward(params, canvas)._parents == ()
+        assert model.forward(params, canvas.patches(8), canvas.empty_rows(8))._parents == ()
 
 
 @pytest.mark.parametrize("what", ["pretraining", "few-shot fine-tuning"])

@@ -1,9 +1,12 @@
+from collections import Counter
+
 import numpy as np
 import pytest
 
+from vict import canvas as cv
 from vict import harness, model, tasks, tuning
 from vict import tensor as T
-from vict.canvas import patchify
+from vict.canvas import assemble_flipped, assemble_inference, extract_cell, patchify
 from vict.corruptions import CorruptionKind, CorruptionSpec
 
 SMALL_MODEL = model.ModelConfig(cell_size=16, patch_size=8, embed_dim=32, encoder_depth=1, decoder_depth=1, num_heads=2)
@@ -67,7 +70,7 @@ def test_prompt_differs_from_test_sample():
 
 def test_cycle_loss_nonnegative_scalar(params, sample_pair):
     pair, x_t = sample_pair
-    loss = tuning.cycle_loss(params, pair, x_t)
+    loss = tuning.cycle_loss(params, *tuning.cycle_rows(pair, x_t, params.config.patch_size))
     assert loss.size == 1
     assert loss.item() >= 0.0
 
@@ -77,12 +80,81 @@ def test_cycle_loss_zero_for_identity_copier(params, sample_pair, monkeypatch):
     pair, x_t = sample_pair
     y = pair[1]
 
-    def stub_forward(p, canvas):
-        return patchify(T.constant(y), SMALL_MODEL.patch_size)  # the empty cell's patch rows
+    def stub_forward(p, patches, empty):
+        return T.constant(patchify(y, SMALL_MODEL.patch_size))  # the empty cell's patch rows
 
     monkeypatch.setattr(model, "forward", stub_forward)
-    loss = tuning.cycle_loss(params, pair, x_t)
+    loss = tuning.cycle_loss(params, *tuning.cycle_rows(pair, x_t, params.config.patch_size))
     assert loss.item() == 0.0
+
+
+def _image_space_cycle_loss(params, pair, x_t):
+    """The cycle loss scored on images: the first prediction unpatchified
+    on the tape, patchified again on the tape into the flipped canvas, and
+    the second prediction unpatchified and scored against the image y."""
+    x, y = pair
+    p = params.config.patch_size
+    inference = assemble_inference(x, y, x_t)
+    y_t_hat = extract_cell(model.forward(params, inference.patches(p), inference.empty_rows(p)))
+    k = y_t_hat.shape[1] // p
+    cell = T.reshape(y_t_hat, (3, k, p, k, p))
+    cell = T.reshape(T.transpose(cell, (1, 3, 2, 4, 0)), (k * k, 3 * p * p))
+    flipped = assemble_flipped(x, x_t, y_t_hat.data)
+    rows = T.put_rows(T.constant(flipped.patches(p)), inference.empty_rows(p), cell)
+    y_hat = extract_cell(model.forward(params, rows, flipped.empty_rows(p)))
+    return T.smooth_l1(y_hat, T.constant(y))
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_rows_scored_cycle_loss_matches_the_image_space_chain(dtype):
+    params = model.init(model.ModelConfig(), seed=0, dtype=dtype)
+    prompt, query = (tasks.generate(tasks.TaskKind.DERAIN, seed) for seed in (3, 4))
+    pair, x_t = (prompt.input.astype(dtype), prompt.target.astype(dtype)), query.input.astype(dtype)
+
+    def loss_and_grads(make_loss):
+        work = params.clone()
+        group = model.trainable(work, "encoder")
+        loss = make_loss(work)
+        loss.backward()
+        return loss.data, {name: t.grad.tobytes() for name, t in group.items()}
+
+    rows = tuning.cycle_rows(pair, x_t, params.config.patch_size)
+    loss, grads = loss_and_grads(lambda work: tuning.cycle_loss(work, *rows))
+    ref_loss, ref_grads = loss_and_grads(lambda work: _image_space_cycle_loss(work, pair, x_t))
+    # the gradient of smooth-L1 is elementwise, so every gradient keeps its
+    # bits, including what reaches the first prediction through put_rows;
+    # only the loss sums its terms in another order
+    assert [name for name in grads if grads[name] != ref_grads[name]] == []
+    assert abs(loss - ref_loss) <= 2 * np.spacing(ref_loss)
+
+
+def test_an_adaptation_builds_its_canvases_once(params, sample_pair, monkeypatch):
+    pair, x_t = sample_pair
+    calls = Counter()
+
+    def counted(module, name):
+        original = getattr(module, name)
+
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(module, name, wrapper)
+
+    for module, name in ((tuning, "assemble_inference"), (tuning, "assemble_flipped"), (cv.Canvas, "patches")):
+        counted(module, name)
+    counted(cv, "patchify")  # inside Canvas.patches
+    counted(tuning, "patchify")  # the prompt output's rows
+
+    def calls_for(steps):
+        calls.clear()
+        tuning.adapt_and_predict(params, tuning.PromptSet(pair=pair), x_t, tuning.VictConfig(steps=steps))
+        return dict(calls)
+
+    # the cycle loss's canvases and y's rows once, then the prediction's canvas
+    assert calls_for(1) == calls_for(5) == {
+        "assemble_inference": 2, "assemble_flipped": 1, "patches": 3, "patchify": 4,
+    }
 
 
 # ---------------------------------------------------------------------------
@@ -240,7 +312,7 @@ def test_overflow_inside_the_forward_pass_raises_on_and_off_the_tape(params, sam
             tuning.infer(huge, pair, x_t)  # no tape: the next attention's check names itself
         model.trainable(huge, "encoder")
         with pytest.raises(FloatingPointError, match=r"^linear: non-finite values in output$"):
-            tuning.cycle_loss(huge, pair, x_t)
+            tuning.cycle_loss(huge, *tuning.cycle_rows(pair, x_t, huge.config.patch_size))
 
 
 @pytest.mark.parametrize("value", [np.inf, -np.inf])
@@ -272,7 +344,7 @@ def test_non_finite_confined_to_a_discarded_cell_raises(params, sample_pair, mon
     model.trainable(params_under_test, "all")
     # on the tape, the row take's check names the op whose output holds the NaN
     with pytest.raises(FloatingPointError, match=r"^add: non-finite values in output$") as err:
-        tuning.cycle_loss(params_under_test, pair, x_t)
+        tuning.cycle_loss(params_under_test, *tuning.cycle_rows(pair, x_t, SMALL_MODEL.patch_size))
     assert err.traceback[-2].name == "take_rows"
 
 
