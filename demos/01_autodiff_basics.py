@@ -39,7 +39,7 @@ T.zero_grads([x, w, b])
 # The smooth-L1 loss behind all training in this package.
 pred = T.parameter(np.array([0.0, 0.5, 2.0]))
 target = T.constant(np.zeros(3))
-print(f"smooth_l1 per-branch values: {T.smooth_l1(pred, target, 1.0).item():.6f} (mean of 0, 0.125, 1.5)")
+print(f"smooth_l1 per-branch values: {T.smooth_l1(pred, target).item():.6f} (mean of 0, 0.125, 1.5)")
 
 # One AdamW step on a scalar: theta 1.0 -> ~0.9 with lr=0.1.
 theta = T.parameter(np.array([1.0]))

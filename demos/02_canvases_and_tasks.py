@@ -45,7 +45,8 @@ flipped = assemble_flipped(prompt.input, query.input, query.target)
 write_ppm(out / "canvas_flipped.ppm", grid(prompt.input, empty, query.input, query.target))
 print(f"flipped canvas masks {flipped.empty_position.value}")
 
-# The model reads and writes patch rows; cells go into them and come back losslessly.
-back = extract_cell(flipped.patches(8)[canvas.empty_rows(8)]).data
+# The model reads and writes patch rows; cells go into them and come back
+# losslessly. extract_cell is plain numpy: patch rows in, an image out.
+back = extract_cell(flipped.patches(8)[canvas.empty_rows(8)])
 print(f"extract round-trip exact: {back.tobytes() == query.target.tobytes()}")
 print(f"wrote pixmaps to {out}/")

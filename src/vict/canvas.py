@@ -11,11 +11,13 @@ the predicted query output at the bottom right.
 The model reads and writes patch rows, never canvas pixels.
 ``Canvas.patches`` gives it the canvas as one numpy matrix of P x P
 patches, each flattened (row, column, channel), in row-major order over
-the (2C/P)^2 patch grid. A canvas holds no tape: the one cell that enters
-the model on the tape, the prediction in tuning's flipped canvas, is put
-into the flipped canvas's rows by ``tuning.cycle_loss`` (one ``put_rows``
-node). The model returns only the empty cell's (C/P)^2 rows, and
-``extract_cell`` turns them back into a [3, C, C] image.
+the (2C/P)^2 patch grid. This module is plain numpy and knows no tape:
+the one cell that enters the model on the tape, the prediction in
+tuning's flipped canvas, is put into the flipped canvas's rows by
+``tuning.cycle_loss`` (one ``put_rows`` node). The model returns only the
+empty cell's (C/P)^2 rows; the losses score them against ``patchify`` of
+the true cell, and ``extract_cell`` turns them back into a [3, C, C]
+image only where an image leaves the system.
 """
 
 from __future__ import annotations
@@ -26,8 +28,6 @@ from enum import Enum
 from pathlib import Path
 
 import numpy as np
-
-from .tensor import Tensor, as_tensor, reshape, transpose
 
 EMPTY_FILL = 0.5
 
@@ -170,18 +170,15 @@ def assemble_flipped(x, x_t, y_t_hat) -> Canvas:
     )
 
 
-def extract_cell(rows: Tensor) -> Tensor:
+def extract_cell(rows: np.ndarray) -> np.ndarray:
     """The [3, C, C] image whose patch rows, [(C/P)^2, 3P^2] in row-major
-    patch order, are ``rows``; on the tape if ``rows`` is. The inverse of
-    ``patchify``."""
-    t = as_tensor(rows)
-    n, width = t.shape if t.data.ndim == 2 else (0, 0)
+    patch order, are ``rows``. The inverse of ``patchify``."""
+    rows = np.asarray(rows)
+    n, width = rows.shape if rows.ndim == 2 else (0, 0)
     k, p = math.isqrt(n), math.isqrt(width // 3)
     if k == 0 or p == 0 or k * k != n or 3 * p * p != width:
-        raise ValueError(f"extract_cell: expected [(C/P)^2, 3P^2] patch rows, got {t.shape}")
-    x = reshape(t, (k, k, p, p, 3))
-    x = transpose(x, (4, 0, 2, 1, 3))
-    return reshape(x, (3, k * p, k * p))
+        raise ValueError(f"extract_cell: expected [(C/P)^2, 3P^2] patch rows, got {rows.shape}")
+    return rows.reshape(k, k, p, p, 3).transpose(4, 0, 2, 1, 3).reshape(3, k * p, k * p)
 
 
 # ---------------------------------------------------------------------------

@@ -68,7 +68,6 @@ def _add_bench_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--lr", type=float, default=vict.lr, help="test-time tuning learning rate")
     p.add_argument("--eps", type=float, default=vict.eps, help="test-time AdamW damping")
     p.add_argument("--tune", default=vict.selector, choices=SELECTORS)
-    p.add_argument("--beta", type=float, default=vict.beta)
     p.add_argument("--num-samples", type=int, default=bench.num_samples)
     p.add_argument("--seed", type=int, default=bench.seed)
     p.add_argument("--out", default=None, help="write the JSON report here")
@@ -85,7 +84,7 @@ def _bench_config(args, **grid) -> harness.BenchConfig:
         task=_parse_name("--task", tasks.TaskKind, args.task),
         methods=_parse_methods(args.method),
         num_samples=args.num_samples,
-        vict=tuning.VictConfig(steps=args.steps, lr=args.lr, eps=args.eps, selector=args.tune, beta=args.beta),
+        vict=tuning.VictConfig(steps=args.steps, lr=args.lr, eps=args.eps, selector=args.tune),
         seed=args.seed,
         dump_canvases=args.dump_canvases,
         trace_loss_dir=args.trace_loss,

@@ -1,6 +1,6 @@
 """Finite-difference verification of analytic gradients, in double precision.
 
-Two layers of checking: every differentiable op against central finite
+Two layers of checking: every tape op of ``tensor`` against central finite
 differences on small random inputs, and the full test-time cycle loss on a
 tiny model configuration, elementwise over all encoder parameters. The
 relative error uses max(|a|, |b|, 1e-8) as denominator.
@@ -82,12 +82,6 @@ def check_op_gradients(seed: int = 0) -> dict[str, float]:
     wm = fixed(3, 2)
     results["matmul"] = _check(lambda: T.tsum(T.mul(T.matmul(m1, m2), T.constant(wm))), {"m1": m1, "m2": m2})
 
-    r = leaf(2, 3, 4)
-    wr = fixed(4, 6)
-    results["reshape"] = _check(lambda: T.tsum(T.mul(T.reshape(r, (4, 6)), T.constant(wr))), {"r": r})
-    wt = fixed(4, 2, 3)
-    results["transpose"] = _check(lambda: T.tsum(T.mul(T.transpose(r, (2, 0, 1)), T.constant(wt))), {"r": r})
-
     n = leaf(5, 3)
     rows = np.array([3, 0, 4])
     wn = fixed(3, 3)
@@ -103,7 +97,6 @@ def check_op_gradients(seed: int = 0) -> dict[str, float]:
 
     s = leaf(3, 6)
     ws = fixed(3, 6)
-    results["softmax"] = _check(lambda: T.tsum(T.mul(T.softmax(s), T.constant(ws))), {"s": s})
     results["gelu"] = _check(lambda: T.tsum(T.mul(T.gelu(s), T.constant(ws))), {"s": s})
     results["sigmoid"] = _check(lambda: T.tsum(T.mul(T.sigmoid(s), T.constant(ws))), {"s": s})
 
@@ -115,10 +108,11 @@ def check_op_gradients(seed: int = 0) -> dict[str, float]:
     )
 
     pred = leaf(3, 4)
-    target = T.constant(fixed(3, 4))
-    # quadratic branch (beta larger than any |d|) and linear branch (beta tiny)
-    results["smooth_l1_quad"] = _check(lambda: T.smooth_l1(pred, target, beta=5.0), {"pred": pred})
-    results["smooth_l1_lin"] = _check(lambda: T.smooth_l1(pred, target, beta=1e-3), {"pred": pred})
+    # quadratic branch: every |d| <= 0.5 < 1; linear branch: every |d| >= 1.5 > 1
+    near = T.constant(pred.data + rng.uniform(-0.5, 0.5, size=pred.shape))
+    far = T.constant(pred.data + rng.choice([-1.0, 1.0], size=pred.shape) * rng.uniform(1.5, 2.5, size=pred.shape))
+    results["smooth_l1_quad"] = _check(lambda: T.smooth_l1(pred, near), {"pred": pred})
+    results["smooth_l1_lin"] = _check(lambda: T.smooth_l1(pred, far), {"pred": pred})
 
     lin_x, lin_w, lin_b = leaf(4, 5), leaf(5, 3), leaf(3)
     w_lin = fixed(4, 3)
@@ -146,7 +140,7 @@ def check_cycle_loss(config: model.ModelConfig = TINY_CONFIG, seed: int = 0) -> 
     prompt = tasks.generate(tasks.TaskKind.DENOISE, seed + 1, c)
     query = tasks.generate(tasks.TaskKind.DENOISE, seed + 2, c)
     rows = [a.astype(np.float64) for a in cycle_rows((prompt.input, prompt.target), query.input, config.patch_size)]
-    return _check(lambda: cycle_loss(params, *rows, beta=1.0), model.trainable(params, "encoder"))
+    return _check(lambda: cycle_loss(params, *rows), model.trainable(params, "encoder"))
 
 
 def run_gradcheck(seed: int = 0, verbose: bool = False) -> tuple[float, dict[str, float]]:

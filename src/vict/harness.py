@@ -235,7 +235,7 @@ def _aggregate(config: BenchConfig, params: model.Params, cells: list[tuple[str,
     ]
 
     return MetricReport(
-        schema=1,
+        schema=2,
         task=config.task.value,
         metric=tasks.metric_name_for(config.task),
         higher_is_better=tasks.higher_is_better_for(config.task),

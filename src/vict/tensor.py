@@ -11,14 +11,13 @@ calls accumulate on leaves until ``zero_grads`` is called.
 Non-finite values: ops do not check their outputs, because every op
 carries an inf or NaN in any input into its output, except where a value
 can leave the computation. Only there is it checked: ``attention`` checks
-its scores before the softmax, ``softmax`` and ``sigmoid`` check their
-inputs (both map an infinity to a finite value), ``take_rows`` checks
-the matrix it takes rows from and ``put_rows`` the rows it overwrites
-(the values they drop would be lost), and ``backward`` checks the loss
-it starts from. So every non-finite value still raises
-``FloatingPointError``. When the value has a tape, the message names the
-first op on it whose output is non-finite; otherwise it names the
-checking op.
+its scores before the softmax, ``sigmoid`` checks its input (the logistic
+maps an infinity to a finite value), ``take_rows`` checks the matrix it
+takes rows from and ``put_rows`` the rows it overwrites (the values they
+drop would be lost), and ``backward`` checks the loss it starts from. So
+every non-finite value still raises ``FloatingPointError``. When the
+value has a tape, the message names the first op on it whose output is
+non-finite; otherwise it names the checking op.
 
 Gradient ownership: the first gradient that reaches a tensor becomes its
 ``grad`` buffer and later ones are added into it in place. A tensor with a
@@ -28,9 +27,9 @@ then becomes ``grad``; copying and then adding gives the same bits as
 storing and then adding. Otherwise a backward rule hands ``_accumulate``
 only an array it has just computed for that one input, which is then
 stored without a copy. An array that another accumulation may also read
-(``add``'s incoming gradient, or a reshaped or transposed view of it)
-goes through ``_accumulate_shared``, which copies it on first store. So
-no two ``grad`` buffers ever share memory. An op output's (an
+(``add``'s incoming gradient, or a view of one) goes through
+``_accumulate_shared``, which copies it on first store. So no two
+``grad`` buffers ever share memory. An op output's (an
 intermediate's) gradient is dropped as soon as its backward rule has
 run, so backward holds only the gradients still to be passed on; leaves
 keep theirs.
@@ -56,7 +55,7 @@ from __future__ import annotations
 import math
 import operator
 from dataclasses import dataclass, field
-from typing import Callable, Iterable, Mapping, Sequence
+from typing import Callable, Iterable, Mapping
 
 import numpy as np
 from scipy.special import erf
@@ -300,33 +299,6 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
     return out
 
 
-def reshape(a: Tensor, shape: Sequence[int]) -> Tensor:
-    a = as_tensor(a)
-    shape = tuple(int(s) for s in shape)
-    if math.prod(shape) != a.size:
-        raise ValueError(f"reshape: cannot reshape {a.shape} to {shape}")
-    out = _node(a.data.reshape(shape), (a,), "reshape")
-    if out.requires_grad:
-        out._backward = lambda g: _accumulate_shared(a, g.reshape(a.shape))
-    return out
-
-
-def transpose(a: Tensor, axes: Sequence[int] | None = None) -> Tensor:
-    a = as_tensor(a)
-    if axes is None:
-        if a.data.ndim != 2:
-            raise ValueError(f"transpose: default transpose expects 2-d, got {a.shape}")
-        axes = (1, 0)
-    axes = tuple(int(x) for x in axes)
-    if sorted(axes) != list(range(a.data.ndim)):
-        raise ValueError(f"transpose: invalid axes {axes} for shape {a.shape}")
-    out = _node(a.data.transpose(axes), (a,), "transpose")
-    if out.requires_grad:
-        inverse = tuple(axes.index(i) for i in range(len(axes)))
-        out._backward = lambda g: _accumulate_shared(a, g.transpose(inverse))
-    return out
-
-
 def take_rows(x: Tensor, rows: np.ndarray) -> Tensor:
     """The given rows of an [N, D] matrix, in order; ``rows`` are distinct
     indices. Backward scatters the gradient back into those rows."""
@@ -474,17 +446,6 @@ def _softmax_rows_grad(y: np.ndarray, g: np.ndarray) -> np.ndarray:
     return dx
 
 
-def softmax(a: Tensor) -> Tensor:
-    """Softmax over the last axis."""
-    a = as_tensor(a)
-    _require_finite("softmax", "input", a.data, a)  # a lone -inf would come out as a finite 0
-    y = _softmax_rows(a.data.copy())
-    out = _node(y, (a,), "softmax")
-    if out.requires_grad:
-        out._backward = lambda g: _accumulate(a, _softmax_rows_grad(y, g))
-    return out
-
-
 def layernorm(x: Tensor, gain: Tensor, bias: Tensor) -> Tensor:
     """Normalize over the last axis, then scale and shift per feature."""
     x, gain, bias = as_tensor(x), as_tensor(gain), as_tensor(bias)
@@ -591,23 +552,21 @@ def tsum(a: Tensor) -> Tensor:
 # ---------------------------------------------------------------------------
 
 
-def smooth_l1(pred: Tensor, target: Tensor, beta: float = 1.0) -> Tensor:
-    """Mean smooth-L1: 0.5 d^2 / beta for |d| < beta, else |d| - 0.5 beta.
+def smooth_l1(pred: Tensor, target: Tensor) -> Tensor:
+    """Mean smooth-L1: 0.5 d^2 for |d| < 1, else |d| - 0.5.
 
-    C1 at |d| = beta: both branches have value beta/2 and slope sign(d).
+    C1 at |d| = 1: both branches have value 1/2 and slope sign(d).
     """
     pred, target = as_tensor(pred), as_tensor(target)
-    if beta <= 0:
-        raise ValueError(f"smooth_l1: beta must be positive, got {beta}")
     _same_shape("smooth_l1", pred, target)
     d = pred.data - target.data
     absd = np.abs(d)
-    quad = absd < beta
-    per = np.where(quad, 0.5 * d * d / beta, absd - 0.5 * beta)
+    quad = absd < 1.0
+    per = np.where(quad, 0.5 * d * d, absd - 0.5)
     out = _node(np.asarray(per.mean(), dtype=pred.dtype), (pred, target), "smooth_l1")
     if out.requires_grad:
         def _bwd(g):
-            coef = np.where(quad, d / beta, np.sign(d)) / float(d.size)
+            coef = np.where(quad, d, np.sign(d)) / float(d.size)
             _accumulate(pred, g * coef)
             if target.requires_grad:
                 _accumulate(target, -(g * coef))

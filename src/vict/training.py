@@ -3,7 +3,8 @@
 ``fit`` is the loop that pre-training and the few-shot fine-tuning
 baseline (``harness.fewshot_finetune``) share: every parameter on the
 tape, a fresh AdamW state, and per batch one smooth-L1 loss on a masked
-output cell (``masked_cell_loss``), one backward and one update.
+output cell's patch rows (``masked_cell_loss``), one backward and one
+update.
 
 Pre-training draws a task, generates an independent prompt pair and query
 pair, and supervises one masked output cell. Each step masks either the
@@ -22,7 +23,8 @@ from pathlib import Path
 import numpy as np
 
 from . import model, tasks
-from .canvas import assemble_flipped, assemble_inference, extract_cell
+# extract_cell is not called here; it stays imported because perfbench/tracing.py:200 patches training.extract_cell
+from .canvas import assemble_flipped, assemble_inference, extract_cell, patchify  # noqa: F401
 from .seeding import rng_for
 from .tensor import AdamWState, Tensor, adamw_step, check_lr, collect_grads, constant, smooth_l1, zero_grads
 
@@ -55,15 +57,17 @@ class PretrainResult:
 
 def masked_cell_loss(params: model.Params, prompt: Pair, query: Pair, flip: bool) -> Tensor:
     """Smooth-L1 on the canvas's empty cell: the query output, or with
-    ``flip`` the prompt output, the true query pair completing the canvas."""
+    ``flip`` the prompt output, the true query pair completing the canvas.
+    The predicted patch rows are scored against the true cell's rows, as
+    ``tuning.cycle_loss`` scores its own."""
     (x, y), (x_q, y_q) = prompt, query
     if flip:
         canvas, target = assemble_flipped(x, x_q, y_q), y
     else:
         canvas, target = assemble_inference(x, y, x_q), y_q
     p = params.config.patch_size
-    pred = extract_cell(model.forward(params, canvas.patches(p), canvas.empty_rows(p)))
-    return smooth_l1(pred, constant(target))
+    pred = model.forward(params, canvas.patches(p), canvas.empty_rows(p))
+    return smooth_l1(pred, constant(patchify(target, p)))
 
 
 def fit(

@@ -57,15 +57,13 @@ class VictConfig:
     lr: float = 3e-2
     eps: float = 1e-1
     selector: str = "encoder"
-    beta: float = 1.0
 
     def __post_init__(self):
         if self.steps < 0:
             raise ValueError(f"VictConfig: steps must be nonnegative, got {self.steps}")
         check_lr("VictConfig", "lr", self.lr)
-        for name in ("eps", "beta"):
-            if not 0.0 < getattr(self, name) < np.inf:
-                raise ValueError(f"VictConfig: {name} must be finite and positive, got {getattr(self, name)}")
+        if not 0.0 < self.eps < np.inf:
+            raise ValueError(f"VictConfig: eps must be finite and positive, got {self.eps}")
         if self.selector not in model.SELECTORS:
             raise ValueError(f"VictConfig: selector must be one of {model.SELECTORS}, got {self.selector!r}")
 
@@ -102,7 +100,7 @@ def infer(params: model.Params, pair: tuple[np.ndarray, np.ndarray], x_t: np.nda
     """Frozen in-context inference: inpaint the test output cell."""
     canvas = assemble_inference(*pair, x_t)
     p = params.config.patch_size
-    return extract_cell(model.forward(params, canvas.patches(p), canvas.empty_rows(p))).data
+    return extract_cell(model.forward(params, canvas.patches(p), canvas.empty_rows(p)).data)
 
 
 def cycle_rows(pair: tuple[np.ndarray, np.ndarray], x_t: np.ndarray, patch_size: int) -> tuple[np.ndarray, ...]:
@@ -115,9 +113,7 @@ def cycle_rows(pair: tuple[np.ndarray, np.ndarray], x_t: np.ndarray, patch_size:
     return assemble_inference(x, y, x_t).patches(patch_size), flipped.patches(patch_size), patchify(y, patch_size)
 
 
-def cycle_loss(
-    params: model.Params, inference: np.ndarray, flipped: np.ndarray, y: np.ndarray, beta: float = 1.0
-) -> Tensor:
+def cycle_loss(params: model.Params, inference: np.ndarray, flipped: np.ndarray, y: np.ndarray) -> Tensor:
     """Scalar cycle-consistency loss on the rows of ``cycle_rows``: predict
     the test output's rows, put them into the flipped canvas, predict the
     prompt output's rows and score them against ``y``."""
@@ -125,7 +121,7 @@ def cycle_loss(
     query, prompt = cell_rows(CellPosition.BOTTOM_RIGHT, half), cell_rows(CellPosition.TOP_RIGHT, half)
     y_t_hat = model.forward(params, inference, query)
     y_hat = model.forward(params, put_rows(constant(flipped), query, y_t_hat), prompt)
-    return smooth_l1(y_hat, constant(y), beta)
+    return smooth_l1(y_hat, constant(y))
 
 
 def adapt_and_predict(
@@ -153,7 +149,7 @@ def adapt_and_predict(
     for step in range(config.steps):
         zero_grads(work.tensors.values())
         try:
-            loss = cycle_loss(work, *rows, config.beta)
+            loss = cycle_loss(work, *rows)
             loss.backward()
             adamw_step(group, collect_grads(group), state)
         except FloatingPointError as err:

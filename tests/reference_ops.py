@@ -1,19 +1,82 @@
 """Tape ops that only the tests' reference chains use.
 
-The model's forward pass records none of them: ``linear`` replaces the
-``matmul`` plus ``repeat_rows`` bias chain, ``attention`` the per-head
-chain of ``narrow``, ``concat`` and friends, and the canvas reaches the
-model as patch rows instead of ``concat``-ed pixels. The tests keep them
-to rebuild those chains and compare the fused path against them.
+The model's forward pass and the losses record none of them: ``linear``
+replaces the ``matmul`` plus ``repeat_rows`` bias chain, ``attention`` the
+per-head chain of ``narrow``, ``transpose``, ``softmax``, ``concat`` and
+friends, the canvas reaches the model as patch rows instead of
+``concat``-ed pixels, and both losses score patch rows instead of the
+image ``extract_cell`` builds from them with ``reshape`` and
+``transpose``. The tests keep them to rebuild those chains and compare
+the fused path against them.
 """
 
 from __future__ import annotations
 
+import math
 from typing import Sequence
 
 import numpy as np
 
-from vict.tensor import Tensor, _accumulate, _accumulate_shared, _node, _same_dtype, _store_first, as_tensor
+from vict.tensor import (
+    Tensor,
+    _accumulate,
+    _accumulate_shared,
+    _node,
+    _require_finite,
+    _same_dtype,
+    _softmax_rows,
+    _softmax_rows_grad,
+    _store_first,
+    as_tensor,
+)
+
+
+def reshape(a: Tensor, shape: Sequence[int]) -> Tensor:
+    a = as_tensor(a)
+    shape = tuple(int(s) for s in shape)
+    if math.prod(shape) != a.size:
+        raise ValueError(f"reshape: cannot reshape {a.shape} to {shape}")
+    out = _node(a.data.reshape(shape), (a,), "reshape")
+    if out.requires_grad:
+        out._backward = lambda g: _accumulate_shared(a, g.reshape(a.shape))
+    return out
+
+
+def transpose(a: Tensor, axes: Sequence[int] | None = None) -> Tensor:
+    a = as_tensor(a)
+    if axes is None:
+        if a.data.ndim != 2:
+            raise ValueError(f"transpose: default transpose expects 2-d, got {a.shape}")
+        axes = (1, 0)
+    axes = tuple(int(x) for x in axes)
+    if sorted(axes) != list(range(a.data.ndim)):
+        raise ValueError(f"transpose: invalid axes {axes} for shape {a.shape}")
+    out = _node(a.data.transpose(axes), (a,), "transpose")
+    if out.requires_grad:
+        inverse = tuple(axes.index(i) for i in range(len(axes)))
+        out._backward = lambda g: _accumulate_shared(a, g.transpose(inverse))
+    return out
+
+
+def softmax(a: Tensor) -> Tensor:
+    """Softmax over the last axis, with ``attention``'s kernels."""
+    a = as_tensor(a)
+    _require_finite("softmax", "input", a.data, a)  # a lone -inf would come out as a finite 0
+    y = _softmax_rows(a.data.copy())
+    out = _node(y, (a,), "softmax")
+    if out.requires_grad:
+        out._backward = lambda g: _accumulate(a, _softmax_rows_grad(y, g))
+    return out
+
+
+def extract_cell(rows: Tensor) -> Tensor:
+    """``canvas.extract_cell`` on the tape: the [3, C, C] image of
+    [(C/P)^2, 3P^2] patch rows, as two reshapes and a transpose."""
+    n, width = rows.shape
+    k, p = math.isqrt(n), math.isqrt(width // 3)
+    x = reshape(rows, (k, k, p, p, 3))
+    x = transpose(x, (4, 0, 2, 1, 3))
+    return reshape(x, (3, k * p, k * p))
 
 
 def narrow(a: Tensor, axis: int, start: int, length: int) -> Tensor:

@@ -4,7 +4,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from vict import canvas as cv
-from vict import tensor as T
 
 
 # (row, column) of each cell in the 2x2 grid
@@ -27,7 +26,7 @@ def random_image(rng, c=32):
 def cell_of(canvas, position, patch_size=8):
     """The image ``canvas.patches`` holds in ``position``."""
     rows = canvas.patches(patch_size)[cv.cell_rows(position, canvas.cell_size // patch_size)]
-    return cv.extract_cell(T.Tensor(rows)).data
+    return cv.extract_cell(rows)
 
 
 def test_assemble_inference_places_cells():
@@ -92,7 +91,7 @@ def test_assemble_rejects_bad_inputs():
     with pytest.raises(ValueError, match=r"\[0, 1\]"):
         cv.assemble_inference(const_image(1.5), const_image(0.2), const_image(0.3))
     with pytest.raises(ValueError, match="expected"):
-        cv.extract_cell(T.Tensor(np.zeros((3, 32))))
+        cv.extract_cell(np.zeros((3, 32)))
 
 
 def test_assemble_rejects_nan_cell():
@@ -112,10 +111,14 @@ def test_assemble_rejects_empty_image():
 
 def test_extract_is_pure():
     rng = np.random.default_rng(2)
-    rows = T.Tensor(rng.random((16, 192)))
-    first = cv.extract_cell(rows).data
-    second = cv.extract_cell(rows).data
+    rows = rng.random((16, 192))
+    kept = rows.copy()
+    first = cv.extract_cell(rows)
+    second = cv.extract_cell(rows)
+    assert isinstance(first, np.ndarray) and first.shape == (3, 32, 32)
     assert first.tobytes() == second.tobytes()
+    assert rows.tobytes() == kept.tobytes()
+    assert cv.patchify(first, 8).tobytes() == rows.tobytes()
 
 
 def test_extract_checkerboard_constants():
@@ -147,7 +150,7 @@ def test_patch_mask_covers_exactly_the_extracted_cell(position):
     rows = canvas.empty_rows(p)
     patches = canvas.patches(p)
     assert np.array_equal(patches[rows], np.repeat(rows[:, None].astype(np.float64), 3 * p * p, axis=1))
-    assert cv.extract_cell(T.Tensor(patches[rows])).data.tobytes() == quadrants[position].tobytes()
+    assert cv.extract_cell(patches[rows]).tobytes() == quadrants[position].tobytes()
 
 
 def test_write_ppm_bytes(tmp_path):

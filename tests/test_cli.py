@@ -136,6 +136,12 @@ def test_clean_eval_does_not_offer_bench_grid_flags(capsys, flags):
     assert f"unrecognized arguments: {' '.join(flags)}" in capsys.readouterr().err
 
 
+def test_bench_has_no_beta_flag(capsys):
+    # the smooth-L1 loss has its turn at |d| = 1, with no option to move it
+    assert cli_main(["bench", "--checkpoint", "x", "--beta", "1"]) == 2
+    assert "unrecognized arguments: --beta 1" in capsys.readouterr().err
+
+
 @pytest.mark.parametrize(
     "flags, message",
     [
@@ -152,7 +158,7 @@ def test_fewshot_rejects_bad_flags(small_checkpoint, capsys, flags, message):
     assert message in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("flag", ["--lr", "--eps", "--beta"])
+@pytest.mark.parametrize("flag", ["--lr", "--eps"])
 def test_bench_rejects_nan_rate_before_running(monkeypatch, capsys, flag):
     monkeypatch.setattr(harness, "run_bench", lambda config: pytest.fail("ran with a NaN rate"))
     assert cli_main(["bench", "--checkpoint", "x", flag, "nan"]) == 1

@@ -6,11 +6,11 @@ import pytest
 
 from vict import model, tasks, training, tuning
 from vict import tensor as T
-from vict.canvas import assemble_flipped, assemble_inference, extract_cell
+from vict.canvas import assemble_flipped, assemble_inference
 from vict.checkpoint import load_checkpoint, save_checkpoint
 from vict.gradcheck import TINY_CONFIG, finite_diff_grad, rel_error
 
-from reference_ops import concat, narrow, repeat_rows
+from reference_ops import concat, narrow, repeat_rows, reshape, softmax, transpose
 
 
 @pytest.fixture(scope="module")
@@ -158,26 +158,24 @@ def test_masked_cell_output_independent_of_fill(default_params):
 
 
 def test_tiny_config_gradients_match_finite_differences():
+    # the pre-training loss itself, on either masked cell
     params = model.init(TINY_CONFIG, seed=0, dtype=np.float64)
     model.trainable(params, "all")
     prompt = tasks.generate(tasks.TaskKind.DENOISE, 1, cell_size=8)
     query = tasks.generate(tasks.TaskKind.DENOISE, 2, cell_size=8)
-    pair = (prompt.input.astype(np.float64), prompt.target.astype(np.float64))
-    target = T.constant(query.target.astype(np.float64))
+    prompt, query = ((s.input.astype(np.float64), s.target.astype(np.float64)) for s in (prompt, query))
+    worst = {}
+    for flip in (False, True):
+        def loss_fn():
+            return training.masked_cell_loss(params, prompt, query, flip)
 
-    def loss_fn():
-        canvas = assemble_inference(pair[0], pair[1], query.input.astype(np.float64))
-        out = model.forward(params, *_rows(canvas, 4))
-        return T.smooth_l1(extract_cell(out), target, 1.0)
-
-    T.zero_grads(params.tensors.values())
-    loss_fn().backward()
-    worst = 0.0
-    for name in ("patch_embed.weight", "mask_token", "enc0.attn.qkv.weight", "enc0.mlp.fc1.bias"):
-        t = params.tensors[name]
-        numeric = finite_diff_grad(lambda: loss_fn().item(), t.data)
-        worst = max(worst, rel_error(t.grad_or_zero(), numeric))
-    assert worst < 1e-4
+        T.zero_grads(params.tensors.values())
+        loss_fn().backward()
+        for name in ("patch_embed.weight", "mask_token", "enc0.attn.qkv.weight", "enc0.mlp.fc1.bias", "head.weight"):
+            t = params.tensors[name]
+            numeric = finite_diff_grad(lambda: loss_fn().item(), t.data)
+            worst[flip, name] = rel_error(t.grad_or_zero(), numeric)
+    assert {key: err for key, err in worst.items() if not err < 1e-4} == {}
 
 
 def test_clone_is_independent(default_params):
@@ -198,7 +196,7 @@ def test_param_count_is_config_function():
 
 def _unfused_linear(x, w, b):
     rows, width = x.shape[0], b.shape[0]
-    return T.add(T.matmul(x, w), repeat_rows(T.reshape(b, (1, width)), rows))
+    return T.add(T.matmul(x, w), repeat_rows(reshape(b, (1, width)), rows))
 
 
 def _unfused_attention(h, p, prefix, num_heads, rows):
@@ -213,9 +211,9 @@ def _unfused_attention(h, p, prefix, num_heads, rows):
     outputs = []
     for i in range(num_heads):
         qi, ki, vi = (narrow(t, 1, i * head_dim, head_dim) for t in (q, k, v))
-        scores = T.matmul(qi, T.transpose(ki))
+        scores = T.matmul(qi, transpose(ki))
         scores = T.mul(scores, T.constant(np.full(scores.shape, scale, dtype=scores.dtype)))
-        outputs.append(T.matmul(T.softmax(scores), vi))
+        outputs.append(T.matmul(softmax(scores), vi))
     merged = concat(outputs, axis=1)
     return _unfused_linear(merged, p[f"{prefix}.attn.proj.weight"], p[f"{prefix}.attn.proj.bias"])
 
@@ -250,7 +248,7 @@ def _full_canvas_forward(params, patches, empty):
     d = cfg.embed_dim
     masked = np.zeros((cfg.num_patches, d), dtype=p["pos_embed"].dtype)
     masked[empty] = 1.0
-    token_rows = repeat_rows(T.reshape(p["mask_token"], (1, d)), cfg.num_patches)
+    token_rows = repeat_rows(reshape(p["mask_token"], (1, d)), cfg.num_patches)
     h = T.linear(T.as_tensor(patches), p["patch_embed.weight"], p["patch_embed.bias"])
     h = T.add(T.mul(h, T.constant(1.0 - masked)), T.mul(token_rows, T.constant(masked)))
     h = T.add(h, p["pos_embed"])
@@ -323,6 +321,13 @@ def test_a_cycle_loss_records_188_tape_nodes(default_params):
     # unpatchified or patchified on the tape
     assert [node._op for node in tape if node._op in ("reshape", "transpose")] == []
     assert len(tape) == 188
+    # pre-training scores the predicted rows too, with every weight on the tape
+    params = default_params.clone()
+    model.trainable(params, "all")
+    for flip in (False, True):
+        tape = _tape(training.masked_cell_loss(params, (prompt.input, prompt.target), (query.input, query.target), flip))
+        assert [node._op for node in tape if node._op in ("reshape", "transpose")] == []
+        assert len(tape) == 148
 
 
 def test_gradient_buffers_never_alias(default_params):

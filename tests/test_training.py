@@ -3,8 +3,10 @@ import pytest
 
 from vict import harness, model, tasks, training
 from vict import tensor as T
-from vict.canvas import CellPosition, assemble_inference, cell_rows, patchify
+from vict.canvas import CellPosition, assemble_flipped, assemble_inference, cell_rows, patchify
 from vict.gradcheck import TINY_CONFIG
+
+from reference_ops import extract_cell
 
 SMALL_MODEL = model.ModelConfig(cell_size=16, patch_size=8, embed_dim=32, encoder_depth=1, decoder_depth=1, num_heads=2)
 
@@ -64,6 +66,40 @@ def test_masked_cell_loss_scores_the_empty_cell(monkeypatch):
     for flip, cell, target in ((False, CellPosition.BOTTOM_RIGHT, 0.65), (True, CellPosition.TOP_RIGHT, 0.9)):
         loss = training.masked_cell_loss(model.init(TINY_CONFIG, seed=0), prompt, query, flip).item()
         assert loss == pytest.approx(0.5 * (painted[cell] - target) ** 2, rel=1e-6)
+
+
+def _image_space_masked_cell_loss(params, prompt, query, flip):
+    """The pre-training loss scored on images: the prediction unpatchified
+    on the tape and scored against the true cell."""
+    (x, y), (x_q, y_q) = prompt, query
+    canvas, target = (assemble_flipped(x, x_q, y_q), y) if flip else (assemble_inference(x, y, x_q), y_q)
+    p = params.config.patch_size
+    pred = extract_cell(model.forward(params, canvas.patches(p), canvas.empty_rows(p)))
+    return T.smooth_l1(pred, T.constant(target))
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+@pytest.mark.parametrize("flip", [False, True])
+def test_rows_scored_masked_cell_loss_matches_the_image_space_chain(flip, dtype):
+    params = model.init(model.ModelConfig(), seed=0, dtype=dtype)
+    prompt, query = (tasks.generate(tasks.TaskKind.DERAIN, seed) for seed in (3, 4))
+    prompt, query = ((s.input.astype(dtype), s.target.astype(dtype)) for s in (prompt, query))
+
+    def loss_and_grads(loss_fn):
+        work = params.clone()
+        group = model.trainable(work, "all")
+        loss = loss_fn(work, prompt, query, flip)
+        loss.backward()
+        return loss.data, {name: t.grad.tobytes() for name, t in group.items()}
+
+    loss, grads = loss_and_grads(training.masked_cell_loss)
+    ref_loss, ref_grads = loss_and_grads(_image_space_masked_cell_loss)
+    # the gradient of smooth-L1 is elementwise, so the rows get the image's
+    # gradient values, permuted, and every weight keeps its bits; only the
+    # loss sums its terms in another order
+    assert grads.keys() == ref_grads.keys() == set(params.tensors)
+    assert [name for name in grads if grads[name] != ref_grads[name]] == []
+    assert abs(loss - ref_loss) <= 2 * np.spacing(ref_loss)
 
 
 def test_loss_trace_csv(tmp_path):
