@@ -14,7 +14,7 @@ x = T.parameter(rng.normal(size=(4, 6)))
 w = T.parameter(rng.normal(size=(6, 3)) * 0.5)
 b = T.parameter(np.zeros(3))
 
-hidden = T.gelu(T.linear(x, w, b))
+hidden = T.linear_gelu(x, w, b)  # one node: gelu of the affine map
 loss = T.tsum(T.mul(hidden, hidden))
 print(f"loss = {loss.item():.6f}")
 
@@ -23,7 +23,7 @@ print(f"grad shapes: x {x.grad.shape}, w {w.grad.shape}, b {b.grad.shape}")
 
 # Same gradient by central finite differences.
 def loss_value():
-    h = T.gelu(T.linear(x, w, b))
+    h = T.linear_gelu(x, w, b)
     return T.tsum(T.mul(h, h)).item()
 
 numeric = finite_diff_grad(loss_value, w.data)

@@ -97,7 +97,6 @@ def check_op_gradients(seed: int = 0) -> dict[str, float]:
 
     s = leaf(3, 6)
     ws = fixed(3, 6)
-    results["gelu"] = _check(lambda: T.tsum(T.mul(T.gelu(s), T.constant(ws))), {"s": s})
     results["sigmoid"] = _check(lambda: T.tsum(T.mul(T.sigmoid(s), T.constant(ws))), {"s": s})
 
     ln_x, ln_g, ln_b = leaf(4, 6), leaf(6), leaf(6)
@@ -118,6 +117,15 @@ def check_op_gradients(seed: int = 0) -> dict[str, float]:
     w_lin = fixed(4, 3)
     results["linear"] = _check(
         lambda: T.tsum(T.mul(T.linear(lin_x, lin_w, lin_b), T.constant(w_lin))),
+        {"x": lin_x, "w": lin_w, "b": lin_b},
+    )
+    lin_r = leaf(4, 3)
+    results["linear_residual"] = _check(
+        lambda: T.tsum(T.mul(T.linear(lin_x, lin_w, lin_b, lin_r), T.constant(w_lin))),
+        {"x": lin_x, "w": lin_w, "b": lin_b, "residual": lin_r},
+    )
+    results["linear_gelu"] = _check(
+        lambda: T.tsum(T.mul(T.linear_gelu(lin_x, lin_w, lin_b), T.constant(w_lin))),
         {"x": lin_x, "w": lin_w, "b": lin_b},
     )
 

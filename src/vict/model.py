@@ -10,6 +10,12 @@ norm and a linear head run on the empty cell's patches only, and the head
 projects them back to pixel rows, squashed to (0, 1) by a logistic so
 outputs are always valid cell images.
 
+A block records seven tape nodes (the last one also its row take): two
+layer norms, the query/key/value ``linear``, ``attention``, the MLP's
+first layer and GELU as one ``linear_gelu``, and the two ``linear`` nodes
+that end the attention and MLP branches, each adding the residual stream
+in place.
+
 A parameter's group, which decides what test-time tuning may update, is
 read from its name by ``group_of``: the decoder blocks, final norm and
 output head are "decoder"; the patch embedding, positional embeddings,
@@ -265,28 +271,21 @@ def trainable(params: Params, selector: str) -> dict[str, T.Tensor]:
 # ---------------------------------------------------------------------------
 
 
-def _attention(h: T.Tensor, p: dict[str, T.Tensor], prefix: str, num_heads: int, rows: np.ndarray | None) -> T.Tensor:
-    qkv = T.linear(h, p[f"{prefix}.attn.qkv.weight"], p[f"{prefix}.attn.qkv.bias"])
-    return T.linear(T.attention(qkv, num_heads, rows), p[f"{prefix}.attn.proj.weight"], p[f"{prefix}.attn.proj.bias"])
-
-
-def _mlp(h: T.Tensor, p: dict[str, T.Tensor], prefix: str) -> T.Tensor:
-    h = T.gelu(T.linear(h, p[f"{prefix}.mlp.fc1.weight"], p[f"{prefix}.mlp.fc1.bias"]))
-    return T.linear(h, p[f"{prefix}.mlp.fc2.weight"], p[f"{prefix}.mlp.fc2.bias"])
-
-
 def _block(
     h: T.Tensor, p: dict[str, T.Tensor], prefix: str, num_heads: int, rows: np.ndarray | None = None
 ) -> T.Tensor:
     """One pre-norm block over all of ``h``'s rows, or with ``rows`` the
-    outputs of those rows only: every row still gives keys and values."""
+    outputs of those rows only: every row still gives keys and values.
+    Each residual add happens inside the linear node that ends its branch."""
     normed = T.layernorm(h, p[f"{prefix}.ln1.gain"], p[f"{prefix}.ln1.bias"])
-    attended = _attention(normed, p, prefix, num_heads, rows)
+    qkv = T.linear(normed, p[f"{prefix}.attn.qkv.weight"], p[f"{prefix}.attn.qkv.bias"])
+    attended = T.attention(qkv, num_heads, rows)
     if rows is not None:
         h = T.take_rows(h, rows)
-    h = T.add(h, attended)
+    h = T.linear(attended, p[f"{prefix}.attn.proj.weight"], p[f"{prefix}.attn.proj.bias"], h)
     normed = T.layernorm(h, p[f"{prefix}.ln2.gain"], p[f"{prefix}.ln2.bias"])
-    return T.add(h, _mlp(normed, p, prefix))
+    hidden = T.linear_gelu(normed, p[f"{prefix}.mlp.fc1.weight"], p[f"{prefix}.mlp.fc1.bias"])
+    return T.linear(hidden, p[f"{prefix}.mlp.fc2.weight"], p[f"{prefix}.mlp.fc2.bias"], h)
 
 
 def forward(params: Params, patches, empty: np.ndarray) -> T.Tensor:

@@ -27,18 +27,24 @@ then becomes ``grad``; copying and then adding gives the same bits as
 storing and then adding. Otherwise a backward rule hands ``_accumulate``
 only an array it has just computed for that one input, which is then
 stored without a copy. An array that another accumulation may also read
-(``add``'s incoming gradient, or a view of one) goes through
+(``add``'s incoming gradient, the one ``linear`` hands its residual, or
+a view of one) goes through
 ``_accumulate_shared``, which copies it on first store. So no two
 ``grad`` buffers ever share memory. An op output's (an
 intermediate's) gradient is dropped as soon as its backward rule has
 run, so backward holds only the gradients still to be passed on; leaves
 keep theirs.
 
-The transformer's two hot patterns are one node each: ``linear`` (matmul
-plus bias row) and ``attention`` (multi-head scaled dot-product attention
-over packed query/key/value columns). Both evaluate the same numpy
-expressions, in the same order, as the chains of primitive ops they
-replace, so their outputs and gradients are bit-identical to those chains.
+The transformer's four hot patterns are one node each: ``linear`` (matmul
+plus bias row), ``linear`` with a ``residual`` (that, then the residual
+stream's add), ``linear_gelu`` (that, then the exact GELU) and
+``attention`` (multi-head scaled dot-product attention over packed
+query/key/value columns). A fused node keeps on the tape only what its
+backward rule reads: neither ``linear``'s sum before the residual is
+added, nor ``linear_gelu``'s pre-activation and normal cdf, which it
+replaces by the GELU's derivative. Each evaluates the same numpy
+expressions, in the same order, as the chain of primitive ops it
+replaces, so outputs and gradients are bit-identical to that chain.
 Kernels work in place on their own temporaries where the per-element
 operation order allows it, which keeps every value unchanged.
 
@@ -341,27 +347,81 @@ def put_rows(x: Tensor, rows: np.ndarray, values: Tensor) -> Tensor:
     return out
 
 
-def linear(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
-    """Affine map ``x @ w + b`` of an [R, K] matrix, one node for
-    ``matmul`` plus the bias ``b`` repeated over the R rows."""
-    x, w, b = as_tensor(x), as_tensor(w), as_tensor(b)
+def _affine(op: str, x: Tensor, w: Tensor, b: Tensor) -> np.ndarray:
+    """Checked ``x @ w + b`` of an [R, K] matrix, in a new array."""
     if x.data.ndim != 2 or w.data.ndim != 2 or b.data.ndim != 1:
-        raise ValueError(f"linear: expects [R, K], [K, D] and [D], got {x.shape}, {w.shape} and {b.shape}")
+        raise ValueError(f"{op}: expects [R, K], [K, D] and [D], got {x.shape}, {w.shape} and {b.shape}")
     if x.shape[1] != w.shape[0] or w.shape[1] != b.shape[0]:
-        raise ValueError(f"linear: shapes {x.shape}, {w.shape} and {b.shape} do not align")
-    _same_dtype("linear", x, w)
-    _same_dtype("linear", x, b)
+        raise ValueError(f"{op}: shapes {x.shape}, {w.shape} and {b.shape} do not align")
+    _same_dtype(op, x, w)
+    _same_dtype(op, x, b)
     y = x.data @ w.data
     y += b.data
-    out = _node(y, (x, w, b), "linear")
+    return y
+
+
+def _affine_backward(x: Tensor, w: Tensor, b: Tensor, g: np.ndarray) -> None:
+    """Pass the gradient ``g`` at ``x @ w + b`` on to ``x``, ``w`` and ``b``."""
+    if b.requires_grad:
+        _accumulate(b, g.sum(axis=0))
+    if x.requires_grad:
+        _accumulate(x, g @ w.data.T)
+    if w.requires_grad:
+        _accumulate(w, x.data.T @ g)
+
+
+def linear(x: Tensor, w: Tensor, b: Tensor, residual: Tensor | None = None) -> Tensor:
+    """Affine map ``x @ w + b`` of an [R, K] matrix, one node for
+    ``matmul`` plus the bias ``b`` repeated over the R rows, and with
+    ``residual`` ([R, D]) plus that too: the chain's ``add``, added in
+    place, so the sum is not kept twice on the tape."""
+    x, w, b = as_tensor(x), as_tensor(w), as_tensor(b)
+    y = _affine("linear", x, w, b)
+    parents = (x, w, b)
+    if residual is not None:
+        residual = as_tensor(residual)
+        if residual.shape != y.shape:
+            raise ValueError(f"linear: residual shape {residual.shape} vs output shape {y.shape}")
+        _same_dtype("linear", x, residual)
+        y += residual.data
+        parents += (residual,)
+    out = _node(y, parents, "linear")
     if out.requires_grad:
         def _bwd(g):
-            if b.requires_grad:
-                _accumulate(b, g.sum(axis=0))
-            if x.requires_grad:
-                _accumulate(x, g @ w.data.T)
-            if w.requires_grad:
-                _accumulate(w, x.data.T @ g)
+            if residual is not None:
+                _accumulate_shared(residual, g)
+            _affine_backward(x, w, b, g)
+        out._backward = _bwd
+    return out
+
+
+def linear_gelu(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
+    """Exact (erf-based) Gaussian error linear unit of ``x @ w + b``, one
+    node for ``linear`` then ``gelu``. The pre-activation and the normal
+    cdf are temporaries: a taped output keeps only the derivative
+    ``cdf + pre * pdf`` for its backward, whose rule is then ``g`` times
+    that, followed by ``linear``'s three products."""
+    x, w, b = as_tensor(x), as_tensor(w), as_tensor(b)
+    pre = _affine("linear_gelu", x, w, b)
+    cdf = np.multiply(pre, _INV_SQRT2, out=np.empty_like(pre))
+    erf(cdf, out=cdf)
+    cdf += 1.0
+    cdf *= 0.5
+    taped = x.requires_grad or w.requires_grad or b.requires_grad
+    if taped:
+        # cdf + pre * pdf, pdf = exp(-pre * pre / 2) / sqrt(2 pi)
+        d = np.multiply(pre, -0.5, out=np.empty_like(pre))
+        d *= pre
+        np.exp(d, out=d)
+        d *= _INV_SQRT_2PI
+        d *= pre
+        d += cdf
+    pre *= cdf
+    out = _node(pre, (x, w, b), "linear_gelu")
+    if taped:
+        def _bwd(g):
+            g *= d  # g is this node's own, dropped once the rule has run
+            _affine_backward(x, w, b, g)
         out._backward = _bwd
     return out
 
@@ -489,30 +549,6 @@ def layernorm(x: Tensor, gain: Tensor, bias: Tensor) -> Tensor:
             np.multiply(xhat, m2, out=scratch)
             dx -= scratch
             dx *= inv
-            _accumulate(x, dx)
-        out._backward = _bwd
-    return out
-
-
-def gelu(x: Tensor) -> Tensor:
-    """Exact (erf-based) Gaussian error linear unit."""
-    x = as_tensor(x)
-    # out= keeps a 0-d result an array, so the in-place steps apply
-    cdf = np.multiply(x.data, _INV_SQRT2, out=np.empty_like(x.data))
-    erf(cdf, out=cdf)
-    cdf += 1.0
-    cdf *= 0.5
-    out = _node(x.data * cdf, (x,), "gelu")
-    if out.requires_grad:
-        def _bwd(g):
-            # g * (cdf + x * pdf), pdf = exp(-x * x / 2) / sqrt(2 pi)
-            dx = np.multiply(x.data, -0.5, out=np.empty_like(x.data))
-            dx *= x.data
-            np.exp(dx, out=dx)
-            dx *= _INV_SQRT_2PI
-            dx *= x.data
-            dx += cdf
-            dx *= g
             _accumulate(x, dx)
         out._backward = _bwd
     return out

@@ -1,13 +1,14 @@
 """Tape ops that only the tests' reference chains use.
 
 The model's forward pass and the losses record none of them: ``linear``
-replaces the ``matmul`` plus ``repeat_rows`` bias chain, ``attention`` the
-per-head chain of ``narrow``, ``transpose``, ``softmax``, ``concat`` and
-friends, the canvas reaches the model as patch rows instead of
-``concat``-ed pixels, and both losses score patch rows instead of the
-image ``extract_cell`` builds from them with ``reshape`` and
-``transpose``. The tests keep them to rebuild those chains and compare
-the fused path against them.
+replaces the ``matmul`` plus ``repeat_rows`` bias chain and, with a
+residual, the ``add`` after it, ``linear_gelu`` the ``gelu`` of a
+``linear``, ``attention`` the per-head chain of ``narrow``,
+``transpose``, ``softmax``, ``concat`` and friends, the canvas reaches
+the model as patch rows instead of ``concat``-ed pixels, and both losses
+score patch rows instead of the image ``extract_cell`` builds from them
+with ``reshape`` and ``transpose``. The tests keep them to rebuild those
+chains and compare the fused path against them.
 """
 
 from __future__ import annotations
@@ -16,8 +17,11 @@ import math
 from typing import Sequence
 
 import numpy as np
+from scipy.special import erf
 
 from vict.tensor import (
+    _INV_SQRT2,
+    _INV_SQRT_2PI,
     Tensor,
     _accumulate,
     _accumulate_shared,
@@ -66,6 +70,31 @@ def softmax(a: Tensor) -> Tensor:
     out = _node(y, (a,), "softmax")
     if out.requires_grad:
         out._backward = lambda g: _accumulate(a, _softmax_rows_grad(y, g))
+    return out
+
+
+def gelu(x: Tensor) -> Tensor:
+    """Exact (erf-based) Gaussian error linear unit, with ``linear_gelu``'s
+    kernels."""
+    x = as_tensor(x)
+    # out= keeps a 0-d result an array, so the in-place steps apply
+    cdf = np.multiply(x.data, _INV_SQRT2, out=np.empty_like(x.data))
+    erf(cdf, out=cdf)
+    cdf += 1.0
+    cdf *= 0.5
+    out = _node(x.data * cdf, (x,), "gelu")
+    if out.requires_grad:
+        def _bwd(g):
+            # g * (cdf + x * pdf), pdf = exp(-x * x / 2) / sqrt(2 pi)
+            dx = np.multiply(x.data, -0.5, out=np.empty_like(x.data))
+            dx *= x.data
+            np.exp(dx, out=dx)
+            dx *= _INV_SQRT_2PI
+            dx *= x.data
+            dx += cdf
+            dx *= g
+            _accumulate(x, dx)
+        out._backward = _bwd
     return out
 
 

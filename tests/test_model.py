@@ -10,7 +10,7 @@ from vict.canvas import assemble_flipped, assemble_inference
 from vict.checkpoint import load_checkpoint, save_checkpoint
 from vict.gradcheck import TINY_CONFIG, finite_diff_grad, rel_error
 
-from reference_ops import concat, narrow, repeat_rows, reshape, softmax, transpose
+from reference_ops import concat, gelu, narrow, repeat_rows, reshape, softmax, transpose
 
 
 @pytest.fixture(scope="module")
@@ -194,16 +194,17 @@ def test_param_count_is_config_function():
     assert shapes_a == shapes_b
 
 
-def _unfused_linear(x, w, b):
+def _unfused_linear(x, w, b, residual=None):
+    """``matmul`` plus the bias row, then ``add`` of the residual, if any."""
     rows, width = x.shape[0], b.shape[0]
-    return T.add(T.matmul(x, w), repeat_rows(reshape(b, (1, width)), rows))
+    y = T.add(T.matmul(x, w), repeat_rows(reshape(b, (1, width)), rows))
+    return y if residual is None else T.add(residual, y)
 
 
-def _unfused_attention(h, p, prefix, num_heads, rows):
+def _unfused_attention(qkv, num_heads, rows=None):
     """The per-head chain of primitive ops that ``T.attention`` replaces."""
-    d = h.shape[1]
+    d = qkv.shape[1] // 3
     head_dim = d // num_heads
-    qkv = _unfused_linear(h, p[f"{prefix}.attn.qkv.weight"], p[f"{prefix}.attn.qkv.bias"])
     q, k, v = (narrow(qkv, 1, j * d, d) for j in range(3))
     if rows is not None:
         q = T.take_rows(q, rows)
@@ -214,8 +215,7 @@ def _unfused_attention(h, p, prefix, num_heads, rows):
         scores = T.matmul(qi, transpose(ki))
         scores = T.mul(scores, T.constant(np.full(scores.shape, scale, dtype=scores.dtype)))
         outputs.append(T.matmul(softmax(scores), vi))
-    merged = concat(outputs, axis=1)
-    return _unfused_linear(merged, p[f"{prefix}.attn.proj.weight"], p[f"{prefix}.attn.proj.bias"])
+    return concat(outputs, axis=1)
 
 
 def test_fused_ops_match_primitive_chain_bit_for_bit(default_params, monkeypatch):
@@ -227,14 +227,20 @@ def test_fused_ops_match_primitive_chain_bit_for_bit(default_params, monkeypatch
         params = default_params.clone()
         model.trainable(params, "all")
         loss = tuning.cycle_loss(params, *tuning.cycle_rows(pair, query.input, params.config.patch_size))
+        ops = {node._op for node in _tape(loss)}
         loss.backward()
-        return loss.data.tobytes(), {name: t.grad.tobytes() for name, t in params.tensors.items()}
+        return loss.data.tobytes(), {name: t.grad.tobytes() for name, t in params.tensors.items()}, ops
 
     fused = loss_and_grads()
-    # every linear map (embedding, attention, MLP, head) and every attention unfused
+    # every linear map (embedding, attention, MLP, head) with its residual
+    # add, every linear-then-GELU and every attention unfused
     monkeypatch.setattr(T, "linear", _unfused_linear)
-    monkeypatch.setattr(model, "_attention", _unfused_attention)
+    monkeypatch.setattr(T, "linear_gelu", lambda x, w, b: gelu(_unfused_linear(x, w, b)))
+    monkeypatch.setattr(T, "attention", _unfused_attention)
     unfused = loss_and_grads()
+    assert {"linear", "linear_gelu", "attention"} <= fused[2]
+    assert {"linear", "linear_gelu", "attention"}.isdisjoint(unfused[2])
+    assert {"gelu", "repeat_rows", "softmax"} <= unfused[2]
     assert fused[0] == unfused[0]
     assert fused[1].keys() == unfused[1].keys() == set(default_params.tensors)
     assert [name for name in fused[1] if fused[1][name] != unfused[1][name]] == []
@@ -256,10 +262,10 @@ def _full_canvas_forward(params, patches, empty):
         normed = T.layernorm(h, p[f"{prefix}.ln1.gain"], p[f"{prefix}.ln1.bias"])
         qkv = T.linear(normed, p[f"{prefix}.attn.qkv.weight"], p[f"{prefix}.attn.qkv.bias"])
         attended = T.attention(qkv, cfg.num_heads)
-        h = T.add(h, T.linear(attended, p[f"{prefix}.attn.proj.weight"], p[f"{prefix}.attn.proj.bias"]))
+        h = T.linear(attended, p[f"{prefix}.attn.proj.weight"], p[f"{prefix}.attn.proj.bias"], h)
         normed = T.layernorm(h, p[f"{prefix}.ln2.gain"], p[f"{prefix}.ln2.bias"])
-        hidden = T.gelu(T.linear(normed, p[f"{prefix}.mlp.fc1.weight"], p[f"{prefix}.mlp.fc1.bias"]))
-        h = T.add(h, T.linear(hidden, p[f"{prefix}.mlp.fc2.weight"], p[f"{prefix}.mlp.fc2.bias"]))
+        hidden = T.linear_gelu(normed, p[f"{prefix}.mlp.fc1.weight"], p[f"{prefix}.mlp.fc1.bias"])
+        h = T.linear(hidden, p[f"{prefix}.mlp.fc2.weight"], p[f"{prefix}.mlp.fc2.bias"], h)
     h = T.layernorm(h, p["final_norm.gain"], p["final_norm.bias"])
     return T.take_rows(T.sigmoid(T.linear(h, p["head.weight"], p["head.bias"])), empty)
 
@@ -310,7 +316,7 @@ def _tape(root):
     return list(seen.values())
 
 
-def test_a_cycle_loss_records_188_tape_nodes(default_params):
+def test_a_cycle_loss_records_152_tape_nodes(default_params):
     prompt = tasks.generate(tasks.TaskKind.DENOISE, 1)
     query = tasks.generate(tasks.TaskKind.DENOISE, 2)
     params = default_params.clone()
@@ -320,14 +326,43 @@ def test_a_cycle_loss_records_188_tape_nodes(default_params):
     # the prediction enters the flipped canvas as rows: no cell is
     # unpatchified or patchified on the tape
     assert [node._op for node in tape if node._op in ("reshape", "transpose")] == []
-    assert len(tape) == 188
+    # each block's residual adds are inside its linear nodes, and its GELU in ``linear_gelu``
+    assert [node._op for node in tape if node._op == "gelu"] == []
+    assert [node._parents[1] for node in tape if node._op == "add"] == [params.tensors["pos_embed"]] * 2
+    assert len(tape) == 152
     # pre-training scores the predicted rows too, with every weight on the tape
     params = default_params.clone()
     model.trainable(params, "all")
     for flip in (False, True):
         tape = _tape(training.masked_cell_loss(params, (prompt.input, prompt.target), (query.input, query.target), flip))
-        assert [node._op for node in tape if node._op in ("reshape", "transpose")] == []
-        assert len(tape) == 148
+        assert [node._op for node in tape if node._op in ("reshape", "transpose", "gelu")] == []
+        assert [node._parents[1] for node in tape if node._op == "add"] == [params.tensors["pos_embed"]]
+        assert len(tape) == 130
+
+
+def _held_bytes(root):
+    """Bytes of the distinct buffers that ``root``'s tape keeps alive: op
+    outputs and the arrays their backward rules close over (weights and
+    other leaves not counted). A view counts as the buffer it views."""
+    buffers = {}
+    for node in _tape(root):
+        arrays = [node.data] if node._parents else []
+        arrays += [c.cell_contents for c in node._backward.__closure__ or ()] if node._backward else []
+        for a in arrays:
+            if isinstance(a, np.ndarray):
+                while isinstance(a.base, np.ndarray):
+                    a = a.base
+                buffers[id(a)] = a
+    return sum(a.nbytes for a in buffers.values())
+
+
+def test_a_cycle_loss_tape_holds_no_residual_sum_or_gelu_input(default_params):
+    # the residual adds' outputs and the GELU pre-activation and cdf are
+    # not kept: 5,190,660 bytes when they were
+    params = default_params.clone()
+    model.trainable(params, "encoder")
+    loss = _cycle_loss(params, tasks.generate(tasks.TaskKind.DENOISE, 1), tasks.generate(tasks.TaskKind.DENOISE, 2))
+    assert _held_bytes(loss) == 4_158_468
 
 
 def test_gradient_buffers_never_alias(default_params):

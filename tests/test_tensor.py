@@ -8,7 +8,7 @@ from vict import model, tasks, training, tuning
 from vict import tensor as T
 from vict.gradcheck import FD_STEP, TINY_CONFIG, TOLERANCE, _check, check_op_gradients, finite_diff_grad, rel_error
 
-from reference_ops import concat, narrow, repeat_rows, reshape, softmax, transpose
+from reference_ops import concat, gelu, narrow, repeat_rows, reshape, softmax, transpose
 
 
 def arr(*values):
@@ -28,6 +28,29 @@ def test_matmul_shape():
 def test_matmul_shape_mismatch_names_op_and_shapes():
     with pytest.raises(ValueError, match=r"matmul.*\(2, 3\).*\(4, 5\)"):
         T.matmul(T.Tensor(np.zeros((2, 3))), T.Tensor(np.zeros((4, 5))))
+
+
+def _zeros(*shape, dtype=np.float64):
+    return T.Tensor(np.zeros(shape, dtype=dtype))
+
+
+@pytest.mark.parametrize(
+    "args, message",
+    [
+        ((_zeros(2, 3, 1), _zeros(3, 4), _zeros(4)), r"expects \[R, K\], \[K, D\] and \[D\], got \(2, 3, 1\)"),
+        ((_zeros(2, 3), _zeros(5, 4), _zeros(4)), r"shapes \(2, 3\), \(5, 4\) and \(4,\) do not align"),
+        ((_zeros(2, 3), _zeros(3, 4, dtype=np.float32), _zeros(4)), "dtype mismatch float64 vs float32"),
+        ((_zeros(2, 3), _zeros(3, 4), _zeros(4), _zeros(4, 2)), r"residual shape \(4, 2\) vs output shape \(2, 4\)"),
+        ((_zeros(2, 3), _zeros(3, 4), _zeros(4), _zeros(2, 4, dtype=np.float32)), "dtype mismatch float64 vs float32"),
+    ],
+    ids=["rank", "align", "dtype", "residual-shape", "residual-dtype"],
+)
+def test_linear_rejects_bad_operands(args, message):
+    with pytest.raises(ValueError, match=f"^linear: {message}"):
+        T.linear(*args)
+    if len(args) == 3:
+        with pytest.raises(ValueError, match=f"^linear_gelu: {message}"):
+            T.linear_gelu(*args)
 
 
 def test_add_shape_mismatch():
@@ -59,8 +82,8 @@ def test_non_finite_output_is_an_error():
 def test_non_finite_error_names_the_first_non_finite_op_on_the_tape():
     x = T.parameter(arr(1.0, 2.0, 3.0))
     with np.errstate(over="ignore", invalid="ignore"):
-        h = T.mul(T.gelu(x), T.constant(np.full(3, 1e308)))  # the gelu is finite, the mul overflows
-        h = T.gelu(T.add(h, h))
+        h = T.mul(gelu(x), T.constant(np.full(3, 1e308)))  # the gelu is finite, the mul overflows
+        h = gelu(T.add(h, h))
         with pytest.raises(FloatingPointError, match=r"^mul: non-finite values in output$"):
             T.sigmoid(h)
         loss = T.tsum(h)
@@ -93,8 +116,8 @@ def test_attention_rejects_non_finite_scores():
 def test_forward_determinism_bit_identical():
     rng = np.random.default_rng(0)
     x = rng.normal(size=(6, 6))
-    a = softmax(T.gelu(T.Tensor(x.copy()))).data
-    b = softmax(T.gelu(T.Tensor(x.copy()))).data
+    a = softmax(gelu(T.Tensor(x.copy()))).data
+    b = softmax(gelu(T.Tensor(x.copy()))).data
     assert a.tobytes() == b.tobytes()
 
 
@@ -176,6 +199,7 @@ def test_reference_op_gradients_match_finite_differences():
         "reshape": _check(lambda: T.tsum(T.mul(reshape(r, (4, 6)), wr)), {"r": r}),
         "transpose": _check(lambda: T.tsum(T.mul(transpose(r, (2, 0, 1)), wt)), {"r": r}),
         "softmax": _check(lambda: T.tsum(T.mul(softmax(s), ws)), {"s": s}),
+        "gelu": _check(lambda: T.tsum(T.mul(gelu(s), ws)), {"s": s}),
     }
     assert {name: err for name, err in results.items() if not err < TOLERANCE} == {}
 
@@ -243,6 +267,9 @@ def test_linear_matches_textbook_expression(dtype):
     x, w, b, g = _normal(rng, dtype, 64, 64), _normal(rng, dtype, 64, 256), _normal(rng, dtype, 256), _normal(rng, dtype, 64, 256)
     expected = _reference_bytes(x @ w + b[None, :], [g @ w.T, x.T @ g, g.sum(axis=0)])
     assert _op_and_grads(T.linear, [x, w, b], g) == expected
+    r = _normal(rng, dtype, 64, 256)
+    expected = _reference_bytes(x @ w + b[None, :] + r, [g @ w.T, x.T @ g, g.sum(axis=0), g])
+    assert _op_and_grads(T.linear, [x, w, b, r], g) == expected
 
 
 @pytest.mark.parametrize("dtype", DTYPES)
@@ -263,13 +290,18 @@ def test_layernorm_matches_textbook_expression(dtype, d):
 
 
 @pytest.mark.parametrize("dtype", DTYPES)
-def test_gelu_matches_textbook_expression(dtype):
+def test_linear_gelu_matches_textbook_expression(dtype):
     rng = np.random.default_rng(13)
-    x, g = _normal(rng, dtype, 64, 256, scale=1.5), _normal(rng, dtype, 64, 256)
-    cdf = 0.5 * (1.0 + erf(x * 0.7071067811865476))
-    pdf = np.exp(-0.5 * x * x) * 0.3989422804014327
-    expected = _reference_bytes(x * cdf, [g * (cdf + x * pdf)])
-    assert _op_and_grads(T.gelu, [x], g) == expected
+    x, w, b = _normal(rng, dtype, 64, 64), _normal(rng, dtype, 64, 256, scale=0.2), _normal(rng, dtype, 256)
+    g = _normal(rng, dtype, 64, 256)
+    pre = x @ w + b[None, :]
+    cdf = 0.5 * (1.0 + erf(pre * 0.7071067811865476))
+    pdf = np.exp(-0.5 * pre * pre) * 0.3989422804014327
+    dpre = g * (cdf + pre * pdf)
+    expected = _reference_bytes(pre * cdf, [dpre @ w.T, x.T @ dpre, dpre.sum(axis=0)])
+    assert _op_and_grads(T.linear_gelu, [x, w, b], g) == expected
+    # off the tape, the same output
+    assert T.linear_gelu(T.Tensor(x), T.Tensor(w), T.Tensor(b)).data.tobytes() == expected[0]
 
 
 @pytest.mark.parametrize("dtype", DTYPES)

@@ -310,7 +310,7 @@ def test_overflow_inside_the_forward_pass_raises_on_and_off_the_tape(params, sam
         with pytest.raises(FloatingPointError, match=r"^attention: non-finite values in scores$"):
             tuning.infer(huge, pair, x_t)  # no tape: the next attention's check names itself
         model.trainable(huge, "encoder")
-        with pytest.raises(FloatingPointError, match=r"^linear: non-finite values in output$"):
+        with pytest.raises(FloatingPointError, match=r"^linear_gelu: non-finite values in output$"):
             tuning.cycle_loss(huge, *tuning.cycle_rows(pair, x_t, huge.config.patch_size))
 
 
@@ -342,7 +342,7 @@ def test_non_finite_confined_to_a_discarded_cell_raises(params, sample_pair, mon
     assert err.traceback[-2].name == "take_rows"
     model.trainable(params_under_test, "all")
     # on the tape, the row take's check names the op whose output holds the NaN
-    with pytest.raises(FloatingPointError, match=r"^add: non-finite values in output$") as err:
+    with pytest.raises(FloatingPointError, match=r"^linear: non-finite values in output$") as err:
         tuning.cycle_loss(params_under_test, *tuning.cycle_rows(pair, x_t, SMALL_MODEL.patch_size))
     assert err.traceback[-2].name == "take_rows"
 
