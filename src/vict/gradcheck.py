@@ -1,9 +1,11 @@
 """Finite-difference verification of analytic gradients, in double precision.
 
 Two layers of checking: every tape op of ``tensor`` against central finite
-differences on small random inputs, and the full test-time cycle loss on a
-tiny model configuration, elementwise over all encoder parameters. The
-relative error uses max(|a|, |b|, 1e-8) as denominator.
+differences on small random inputs (each fused node twice: with its
+weights on the tape, and with them frozen, when it keeps less), and the
+full test-time cycle loss on a tiny model configuration, elementwise over
+all encoder parameters. The relative error uses max(|a|, |b|, 1e-8) as
+denominator.
 """
 
 from __future__ import annotations
@@ -99,13 +101,6 @@ def check_op_gradients(seed: int = 0) -> dict[str, float]:
     ws = fixed(3, 6)
     results["sigmoid"] = _check(lambda: T.tsum(T.mul(T.sigmoid(s), T.constant(ws))), {"s": s})
 
-    ln_x, ln_g, ln_b = leaf(4, 6), leaf(6), leaf(6)
-    wl = fixed(4, 6)
-    results["layernorm"] = _check(
-        lambda: T.tsum(T.mul(T.layernorm(ln_x, ln_g, ln_b), T.constant(wl))),
-        {"x": ln_x, "gain": ln_g, "bias": ln_b},
-    )
-
     pred = leaf(3, 4)
     # quadratic branch: every |d| <= 0.5 < 1; linear branch: every |d| >= 1.5 > 1
     near = T.constant(pred.data + rng.uniform(-0.5, 0.5, size=pred.shape))
@@ -113,30 +108,39 @@ def check_op_gradients(seed: int = 0) -> dict[str, float]:
     results["smooth_l1_quad"] = _check(lambda: T.smooth_l1(pred, near), {"pred": pred})
     results["smooth_l1_lin"] = _check(lambda: T.smooth_l1(pred, far), {"pred": pred})
 
-    lin_x, lin_w, lin_b = leaf(4, 5), leaf(5, 3), leaf(3)
-    w_lin = fixed(4, 3)
-    results["linear"] = _check(
-        lambda: T.tsum(T.mul(T.linear(lin_x, lin_w, lin_b), T.constant(w_lin))),
-        {"x": lin_x, "w": lin_w, "b": lin_b},
-    )
-    lin_r = leaf(4, 3)
-    results["linear_residual"] = _check(
-        lambda: T.tsum(T.mul(T.linear(lin_x, lin_w, lin_b, lin_r), T.constant(w_lin))),
-        {"x": lin_x, "w": lin_w, "b": lin_b, "residual": lin_r},
-    )
-    results["linear_gelu"] = _check(
-        lambda: T.tsum(T.mul(T.linear_gelu(lin_x, lin_w, lin_b), T.constant(w_lin))),
-        {"x": lin_x, "w": lin_w, "b": lin_b},
+    def fused(name: str, op: Callable[..., T.Tensor], inputs: dict, weights: dict, out_shape) -> None:
+        """Check ``op(**inputs, **weights)`` with the weights on the tape,
+        then as ``{name}_frozen`` with them off it, where the node keeps no
+        input for a weight's gradient."""
+        w_out = T.constant(fixed(*out_shape))
+        results[name] = _check(lambda: T.tsum(T.mul(op(**inputs, **weights), w_out)), {**inputs, **weights})
+        frozen = {key: T.constant(t.data) for key, t in weights.items()}
+        results[f"{name}_frozen"] = _check(lambda: T.tsum(T.mul(op(**inputs, **frozen), w_out)), inputs)
+
+    x = leaf(4, 5)
+    affine = {"w": leaf(5, 3), "b": leaf(3)}
+    fused("linear", T.linear, {"x": x}, affine, (4, 3))
+    fused(
+        "linear_norm",
+        lambda x, w, b, gain, bias: T.linear(x, w, b, (gain, bias)),
+        {"x": x},
+        {**affine, "gain": leaf(5), "bias": leaf(5)},
+        (4, 3),
     )
 
     qkv = leaf(5, 12)  # 2 heads of dimension 2
-    w_attn = fixed(5, 4)
-    results["attention"] = _check(lambda: T.tsum(T.mul(T.attention(qkv, 2), T.constant(w_attn))), {"qkv": qkv})
-    query_rows = np.array([4, 1])
-    w_rows = fixed(2, 4)
-    results["attention_rows"] = _check(
-        lambda: T.tsum(T.mul(T.attention(qkv, 2, query_rows), T.constant(w_rows))), {"qkv": qkv}
-    )
+    projection = {"w": leaf(4, 3), "b": leaf(3)}
+    for name, rows, r in (("attention", None, 5), ("attention_rows", np.array([4, 1]), 2)):
+        fused(
+            name,
+            lambda qkv, residual, w, b, rows=rows: T.attention(qkv, 2, rows, w, b, residual),
+            {"qkv": qkv, "residual": leaf(r, 3)},
+            projection,
+            (r, 3),
+        )
+
+    branch = {"gain": leaf(4), "bias": leaf(4), "w1": leaf(4, 6), "b1": leaf(6), "w2": leaf(6, 4), "b2": leaf(4)}
+    fused("mlp", T.mlp, {"h": leaf(3, 4)}, branch, (3, 4))
 
     return results
 

@@ -10,11 +10,11 @@ norm and a linear head run on the empty cell's patches only, and the head
 projects them back to pixel rows, squashed to (0, 1) by a logistic so
 outputs are always valid cell images.
 
-A block records seven tape nodes (the last one also its row take): two
-layer norms, the query/key/value ``linear``, ``attention``, the MLP's
-first layer and GELU as one ``linear_gelu``, and the two ``linear`` nodes
-that end the attention and MLP branches, each adding the residual stream
-in place.
+A block records three tape nodes (the last one also its row take): the
+first layer norm and the query/key/value map as one ``linear``,
+``attention`` with its output projection and residual add, and ``mlp``,
+the second layer norm through the MLP's residual add. The final norm and
+the head are one more ``linear``.
 
 A parameter's group, which decides what test-time tuning may update, is
 read from its name by ``group_of``: the decoder blocks, final norm and
@@ -29,11 +29,12 @@ The weights are views of one flat buffer, ``Params.flat`` (an arena), in
 the checkpoint loader fill a new arena (``Params.empty``), ``clone`` copies
 it in one go, and AdamW steps a group's slice in one pass. ``trainable``
 gives the group's tensors views of one gradient arena to receive their
-gradients in.
+gradients in; ``freeze`` drops it.
 
 Weights are plain data: ``init``, ``Params.clone`` and the checkpoint
-loader leave every tensor off the autodiff tape, and ``trainable`` alone
-decides which group a forward pass records gradients for. Frozen
+loader leave every tensor off the autodiff tape, ``trainable`` alone
+decides which group a forward pass records gradients for, and ``freeze``
+takes every tensor off again once a loop has fitted them. Frozen
 inference therefore records no tape at all.
 """
 
@@ -266,6 +267,15 @@ def trainable(params: Params, selector: str) -> dict[str, T.Tensor]:
     return group
 
 
+def freeze(params: Params) -> None:
+    """Take every tensor off the tape and drop its gradient and gradient
+    buffer, the counterpart of ``trainable``: the weights are plain data
+    again, and the gradient arena is freed once nothing else holds it."""
+    for t in params.tensors.values():
+        t.requires_grad = False
+        t.grad = t.grad_buffer = None
+
+
 # ---------------------------------------------------------------------------
 # forward pass
 # ---------------------------------------------------------------------------
@@ -275,17 +285,13 @@ def _block(
     h: T.Tensor, p: dict[str, T.Tensor], prefix: str, num_heads: int, rows: np.ndarray | None = None
 ) -> T.Tensor:
     """One pre-norm block over all of ``h``'s rows, or with ``rows`` the
-    outputs of those rows only: every row still gives keys and values.
-    Each residual add happens inside the linear node that ends its branch."""
-    normed = T.layernorm(h, p[f"{prefix}.ln1.gain"], p[f"{prefix}.ln1.bias"])
-    qkv = T.linear(normed, p[f"{prefix}.attn.qkv.weight"], p[f"{prefix}.attn.qkv.bias"])
-    attended = T.attention(qkv, num_heads, rows)
-    if rows is not None:
-        h = T.take_rows(h, rows)
-    h = T.linear(attended, p[f"{prefix}.attn.proj.weight"], p[f"{prefix}.attn.proj.bias"], h)
-    normed = T.layernorm(h, p[f"{prefix}.ln2.gain"], p[f"{prefix}.ln2.bias"])
-    hidden = T.linear_gelu(normed, p[f"{prefix}.mlp.fc1.weight"], p[f"{prefix}.mlp.fc1.bias"])
-    return T.linear(hidden, p[f"{prefix}.mlp.fc2.weight"], p[f"{prefix}.mlp.fc2.bias"], h)
+    outputs of those rows only: every row still gives keys and values."""
+    norm = (p[f"{prefix}.ln1.gain"], p[f"{prefix}.ln1.bias"])
+    qkv = T.linear(h, p[f"{prefix}.attn.qkv.weight"], p[f"{prefix}.attn.qkv.bias"], norm)
+    residual = h if rows is None else T.take_rows(h, rows)
+    h = T.attention(qkv, num_heads, rows, p[f"{prefix}.attn.proj.weight"], p[f"{prefix}.attn.proj.bias"], residual)
+    names = ("ln2.gain", "ln2.bias", "mlp.fc1.weight", "mlp.fc1.bias", "mlp.fc2.weight", "mlp.fc2.bias")
+    return T.mlp(h, *(p[f"{prefix}.{name}"] for name in names))
 
 
 def forward(params: Params, patches, empty: np.ndarray) -> T.Tensor:
@@ -315,5 +321,4 @@ def forward(params: Params, patches, empty: np.ndarray) -> T.Tensor:
         h = _block(h, p, prefix, cfg.num_heads)
     h = _block(h, p, blocks[-1], cfg.num_heads, empty)
 
-    h = T.layernorm(h, p["final_norm.gain"], p["final_norm.bias"])
-    return T.sigmoid(T.linear(h, p["head.weight"], p["head.bias"]))
+    return T.sigmoid(T.linear(h, p["head.weight"], p["head.bias"], (p["final_norm.gain"], p["final_norm.bias"])))

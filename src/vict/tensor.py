@@ -27,26 +27,32 @@ then becomes ``grad``; copying and then adding gives the same bits as
 storing and then adding. Otherwise a backward rule hands ``_accumulate``
 only an array it has just computed for that one input, which is then
 stored without a copy. An array that another accumulation may also read
-(``add``'s incoming gradient, the one ``linear`` hands its residual, or
-a view of one) goes through
-``_accumulate_shared``, which copies it on first store. So no two
+(``add``'s incoming gradient, the one ``attention`` and ``mlp`` hand
+their residual, or a view of one) goes through ``_accumulate_shared``,
+which copies it on first store. So no two
 ``grad`` buffers ever share memory. An op output's (an
 intermediate's) gradient is dropped as soon as its backward rule has
 run, so backward holds only the gradients still to be passed on; leaves
 keep theirs.
 
-The transformer's four hot patterns are one node each: ``linear`` (matmul
-plus bias row), ``linear`` with a ``residual`` (that, then the residual
-stream's add), ``linear_gelu`` (that, then the exact GELU) and
-``attention`` (multi-head scaled dot-product attention over packed
-query/key/value columns). A fused node keeps on the tape only what its
-backward rule reads: neither ``linear``'s sum before the residual is
-added, nor ``linear_gelu``'s pre-activation and normal cdf, which it
-replaces by the GELU's derivative. Each evaluates the same numpy
-expressions, in the same order, as the chain of primitive ops it
-replaces, so outputs and gradients are bit-identical to that chain.
-Kernels work in place on their own temporaries where the per-element
-operation order allows it, which keeps every value unchanged.
+The transformer is three kinds of node, each ending in an affine map:
+``linear`` (matmul plus bias row, optionally reading the layer norm of
+its input), ``attention`` (multi-head scaled dot-product attention over
+packed query/key/value columns, then the output projection and the
+residual stream's add) and ``mlp`` (a block's second layer norm, first
+linear map, exact GELU, second linear map and residual add). Each op
+whose output its own backward never reads is folded into the product
+that consumes it, so a pre-norm block is three nodes, and a fused node
+keeps on the tape only what its backward rule reads: a norm's ``xhat``
+and ``inv``, the softmax output, the GELU's derivative and, only while
+the weight is on the tape, the input that the weight's gradient
+``x.T @ g`` reads. A norm's output is never kept: a weight's gradient
+rebuilds it from ``xhat``, recomputing instead of storing as gradient
+checkpointing does. Each evaluates the same numpy expressions, in the
+same order, as the chain of primitive ops it replaces, so outputs and
+gradients are bit-identical to that chain. Kernels work in place on
+their own temporaries where the per-element operation order allows it,
+which keeps every value unchanged.
 
 Also home to the smooth-L1 regression loss and the Adam update
 (``adamw_step``, with no weight decay) used by pre-training and test-time
@@ -347,69 +353,115 @@ def put_rows(x: Tensor, rows: np.ndarray, values: Tensor) -> Tensor:
     return out
 
 
-def _affine(op: str, x: Tensor, w: Tensor, b: Tensor) -> np.ndarray:
+# ---------------------------------------------------------------------------
+# the transformer's fused nodes
+# ---------------------------------------------------------------------------
+
+
+def _affine(op: str, x: np.ndarray, w: Tensor, b: Tensor) -> np.ndarray:
     """Checked ``x @ w + b`` of an [R, K] matrix, in a new array."""
-    if x.data.ndim != 2 or w.data.ndim != 2 or b.data.ndim != 1:
+    if x.ndim != 2 or w.data.ndim != 2 or b.data.ndim != 1:
         raise ValueError(f"{op}: expects [R, K], [K, D] and [D], got {x.shape}, {w.shape} and {b.shape}")
     if x.shape[1] != w.shape[0] or w.shape[1] != b.shape[0]:
         raise ValueError(f"{op}: shapes {x.shape}, {w.shape} and {b.shape} do not align")
     _same_dtype(op, x, w)
     _same_dtype(op, x, b)
-    y = x.data @ w.data
+    y = x @ w.data
     y += b.data
     return y
 
 
-def _affine_backward(x: Tensor, w: Tensor, b: Tensor, g: np.ndarray) -> None:
-    """Pass the gradient ``g`` at ``x @ w + b`` on to ``x``, ``w`` and ``b``."""
+def _affine_backward(
+    x: np.ndarray | None, w: Tensor, b: Tensor, g: np.ndarray, dx_wanted: bool
+) -> np.ndarray | None:
+    """Pass the gradient ``g`` at ``x @ w + b`` on to ``w`` and ``b``, and
+    return the one at ``x`` if wanted. ``x`` is read only if ``w`` is on
+    the tape, so a node with a frozen ``w`` need not keep it."""
     if b.requires_grad:
         _accumulate(b, g.sum(axis=0))
-    if x.requires_grad:
-        _accumulate(x, g @ w.data.T)
     if w.requires_grad:
-        _accumulate(w, x.data.T @ g)
+        _accumulate(w, x.T @ g)
+    return g @ w.data.T if dx_wanted else None
 
 
-def linear(x: Tensor, w: Tensor, b: Tensor, residual: Tensor | None = None) -> Tensor:
-    """Affine map ``x @ w + b`` of an [R, K] matrix, one node for
-    ``matmul`` plus the bias ``b`` repeated over the R rows, and with
-    ``residual`` ([R, D]) plus that too: the chain's ``add``, added in
-    place, so the sum is not kept twice on the tape."""
-    x, w, b = as_tensor(x), as_tensor(w), as_tensor(b)
-    y = _affine("linear", x, w, b)
-    parents = (x, w, b)
-    if residual is not None:
-        residual = as_tensor(residual)
-        if residual.shape != y.shape:
-            raise ValueError(f"linear: residual shape {residual.shape} vs output shape {y.shape}")
-        _same_dtype("linear", x, residual)
-        y += residual.data
-        parents += (residual,)
-    out = _node(y, parents, "linear")
-    if out.requires_grad:
-        def _bwd(g):
-            if residual is not None:
-                _accumulate_shared(residual, g)
-            _affine_backward(x, w, b, g)
-        out._backward = _bwd
-    return out
+def _add_residual(op: str, y: np.ndarray, residual: Tensor) -> None:
+    """Add the residual stream ([R, D], like ``y``) to ``y`` in place."""
+    if residual.shape != y.shape:
+        raise ValueError(f"{op}: residual shape {residual.shape} vs output shape {y.shape}")
+    _same_dtype(op, y, residual)
+    y += residual.data
 
 
-def linear_gelu(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
-    """Exact (erf-based) Gaussian error linear unit of ``x @ w + b``, one
-    node for ``linear`` then ``gelu``. The pre-activation and the normal
-    cdf are temporaries: a taped output keeps only the derivative
-    ``cdf + pre * pdf`` for its backward, whose rule is then ``g`` times
-    that, followed by ``linear``'s three products."""
-    x, w, b = as_tensor(x), as_tensor(w), as_tensor(b)
-    pre = _affine("linear_gelu", x, w, b)
+def _normalize(op: str, x: Tensor, gain: Tensor, bias: Tensor) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Layer norm of the rows of ``x``, scaled by ``gain`` and shifted by
+    ``bias`` per feature, in a new array; also returns what its backward
+    reads: ``xhat``, the normalized rows, and ``inv``, one over each row's
+    standard deviation."""
+    d = x.shape[-1]
+    if gain.shape != (d,) or bias.shape != (d,):
+        raise ValueError(f"{op}: gain/bias must be [{d}], got {gain.shape} and {bias.shape}")
+    # ``sum / d`` rounds as ``mean`` does; every other step is the
+    # textbook expression evaluated in place
+    mu = x.data.sum(axis=-1, keepdims=True)
+    mu /= d
+    xhat = x.data - mu
+    y = xhat * xhat
+    inv = y.sum(axis=-1, keepdims=True)
+    inv /= d
+    inv += LAYERNORM_EPS
+    np.sqrt(inv, out=inv)
+    np.divide(1.0, inv, out=inv)
+    xhat *= inv
+    return _scale_shift(xhat, gain, bias, y), xhat, inv
+
+
+def _scale_shift(xhat: np.ndarray, gain: Tensor, bias: Tensor, out: np.ndarray | None = None) -> np.ndarray:
+    """``xhat * gain + bias``: the layer norm's output, which a backward
+    rebuilds from the kept ``xhat`` instead of keeping it."""
+    y = np.multiply(xhat, gain.data, out=out)
+    y += bias.data
+    return y
+
+
+def _normalize_backward(
+    x: Tensor, gain: Tensor, bias: Tensor, xhat: np.ndarray, inv: np.ndarray, g: np.ndarray
+) -> None:
+    """Pass the gradient ``g`` at a layer norm's [R, D] output on to
+    ``x``, ``gain`` and ``bias``."""
+    if bias.requires_grad:
+        _accumulate(bias, g.sum(axis=0))
+    scratch = g * xhat
+    if gain.requires_grad:
+        _accumulate(gain, scratch.sum(axis=0))
+    if not x.requires_grad:
+        return
+    # d/dx of (x - mu) / sqrt(var + LAYERNORM_EPS), all statistics over the last axis:
+    # inv * (dxhat - mean(dxhat) - xhat * mean(dxhat * xhat))
+    d = xhat.shape[-1]
+    dx = g * gain.data
+    np.multiply(dx, xhat, out=scratch)
+    m2 = scratch.sum(axis=-1, keepdims=True)
+    m2 /= d
+    m1 = dx.sum(axis=-1, keepdims=True)
+    m1 /= d
+    dx -= m1
+    np.multiply(xhat, m2, out=scratch)
+    dx -= scratch
+    dx *= inv
+    _accumulate(x, dx)
+
+
+def _gelu(pre: np.ndarray, derivative: bool) -> np.ndarray | None:
+    """Exact (erf-based) Gaussian error linear unit of ``pre``, in place.
+    Returns its derivative ``cdf + pre * pdf`` in a new array if asked
+    for, else None; the normal cdf is a temporary."""
     cdf = np.multiply(pre, _INV_SQRT2, out=np.empty_like(pre))
     erf(cdf, out=cdf)
     cdf += 1.0
     cdf *= 0.5
-    taped = x.requires_grad or w.requires_grad or b.requires_grad
-    if taped:
-        # cdf + pre * pdf, pdf = exp(-pre * pre / 2) / sqrt(2 pi)
+    d = None
+    if derivative:
+        # pdf = exp(-pre * pre / 2) / sqrt(2 pi)
         d = np.multiply(pre, -0.5, out=np.empty_like(pre))
         d *= pre
         np.exp(d, out=d)
@@ -417,11 +469,35 @@ def linear_gelu(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
         d *= pre
         d += cdf
     pre *= cdf
-    out = _node(pre, (x, w, b), "linear_gelu")
-    if taped:
+    return d
+
+
+def linear(x: Tensor, w: Tensor, b: Tensor, norm: tuple[Tensor, Tensor] | None = None) -> Tensor:
+    """Affine map ``x @ w + b`` of an [R, K] matrix, one node for
+    ``matmul`` plus the bias ``b`` repeated over the R rows. With ``norm``
+    (a gain and a bias, [K] each), the map reads the layer norm of ``x``'s
+    rows instead: the node keeps the norm's ``xhat`` and ``inv``, and
+    ``w``'s gradient reads the norm's output rebuilt from them."""
+    x, w, b = as_tensor(x), as_tensor(w), as_tensor(b)
+    if norm is None:
+        out = _node(_affine("linear", x.data, w, b), (x, w, b), "linear")
+        if out.requires_grad:
+            def _bwd(g):
+                dx = _affine_backward(x.data, w, b, g, x.requires_grad)
+                if dx is not None:
+                    _accumulate(x, dx)
+            out._backward = _bwd
+        return out
+    gain, bias = as_tensor(norm[0]), as_tensor(norm[1])
+    normed, xhat, inv = _normalize("linear", x, gain, bias)
+    out = _node(_affine("linear", normed, w, b), (x, gain, bias, w, b), "linear")
+    if out.requires_grad:
+        norm_taped = x.requires_grad or gain.requires_grad or bias.requires_grad
         def _bwd(g):
-            g *= d  # g is this node's own, dropped once the rule has run
-            _affine_backward(x, w, b, g)
+            normed = _scale_shift(xhat, gain, bias) if w.requires_grad else None
+            dnormed = _affine_backward(normed, w, b, g, norm_taped)
+            if dnormed is not None:
+                _normalize_backward(x, gain, bias, xhat, inv, dnormed)
         out._backward = _bwd
     return out
 
@@ -433,20 +509,25 @@ def _heads(a: np.ndarray, num_heads: int) -> np.ndarray:
     return a.reshape(n, num_heads, width // num_heads).transpose(1, 0, 2)
 
 
-def attention(qkv: Tensor, num_heads: int, rows: np.ndarray | None = None) -> Tensor:
-    """Multi-head scaled dot-product self-attention, one node.
+def attention(
+    qkv: Tensor, num_heads: int, rows: np.ndarray | None, w: Tensor, b: Tensor, residual: Tensor
+) -> Tensor:
+    """Multi-head scaled dot-product self-attention, its output projection
+    ``@ w + b`` and the residual stream's add, one node.
 
     ``qkv`` is [N, 3D]: queries, keys and values side by side, each split
-    into ``num_heads`` column blocks of D / num_heads. Returns the heads'
-    outputs side by side, [N, D], or with ``rows`` (distinct indices) only
-    the outputs of those query rows, [len(rows), D], attending to all N
-    keys. All heads run at once on [H, N, D / H] views with ``np.matmul``,
-    which makes each head's 2-d product, so the values are those of the
-    primitive per-head chain of narrow, transpose, matmul, mul by the
-    constant scale, softmax, matmul and concat, with a row take of the
-    queries when ``rows`` is given.
+    into ``num_heads`` column blocks of D / num_heads. The heads' outputs,
+    side by side, are [N, D], or with ``rows`` (distinct indices) only
+    those of those query rows, [len(rows), D], attending to all N keys;
+    ``residual`` has their shape. All heads run at once on [H, N, D / H]
+    views with ``np.matmul``, which makes each head's 2-d product, so the
+    values are those of the primitive per-head chain of narrow, transpose,
+    matmul, mul by the constant scale, softmax, matmul and concat, with a
+    row take of the queries when ``rows`` is given, then ``linear`` and
+    ``add``. The heads' outputs are kept for ``w``'s gradient only while
+    ``w`` is on the tape.
     """
-    qkv = as_tensor(qkv)
+    qkv, w, b, residual = as_tensor(qkv), as_tensor(w), as_tensor(b), as_tensor(residual)
     if qkv.data.ndim != 2 or num_heads <= 0 or qkv.shape[1] % (3 * num_heads) != 0:
         raise ValueError(f"attention: cannot split {qkv.shape} into q, k, v of {num_heads} heads")
     data = qkv.data
@@ -461,9 +542,16 @@ def attention(qkv: Tensor, num_heads: int, rows: np.ndarray | None = None) -> Te
     p = _softmax_rows(scores)
     y = np.empty(queries.shape, dtype=data.dtype)
     np.matmul(p, v, out=_heads(y, num_heads))
-    out = _node(y, (qkv,), "attention")
+    projected = _affine("attention", y, w, b)
+    _add_residual("attention", projected, residual)
+    out = _node(projected, (qkv, w, b, residual), "attention")
     if out.requires_grad:
+        heads = y if w.requires_grad else None
         def _bwd(g):
+            _accumulate_shared(residual, g)
+            g = _affine_backward(heads, w, b, g, qkv.requires_grad)
+            if g is None:
+                return
             dqkv = np.empty(data.shape, dtype=data.dtype)
             dk, dv = (_heads(dqkv[:, i * d : (i + 1) * d], num_heads) for i in (1, 2))
             if rows is None:
@@ -480,6 +568,38 @@ def attention(qkv: Tensor, num_heads: int, rows: np.ndarray | None = None) -> Te
             if rows is not None:
                 dqkv[rows, :d] = dq
             _accumulate(qkv, dqkv)
+        out._backward = _bwd
+    return out
+
+
+def mlp(h: Tensor, gain: Tensor, bias: Tensor, w1: Tensor, b1: Tensor, w2: Tensor, b2: Tensor) -> Tensor:
+    """A pre-norm block's MLP branch and the residual stream's add, one
+    node: ``h + gelu(norm(h) @ w1 + b1) @ w2 + b2``, where ``norm`` is the
+    layer norm of ``h``'s [R, D] rows scaled by ``gain`` and shifted by
+    ``bias``, and the GELU is the exact (erf-based) one. A taped node keeps
+    the norm's ``xhat`` and ``inv``, the GELU's derivative and, while ``w2``
+    is on the tape, the GELU's output; ``w1``'s gradient reads the norm's
+    output rebuilt from ``xhat``. An untaped one computes no derivative."""
+    parents = tuple(map(as_tensor, (h, gain, bias, w1, b1, w2, b2)))
+    h, gain, bias, w1, b1, w2, b2 = parents
+    taped = any(t.requires_grad for t in parents)
+    normed, xhat, inv = _normalize("mlp", h, gain, bias)
+    hidden = _affine("mlp", normed, w1, b1)
+    d = _gelu(hidden, taped)
+    y = _affine("mlp", hidden, w2, b2)
+    _add_residual("mlp", y, h)
+    out = _node(y, parents, "mlp")
+    if taped:
+        kept = hidden if w2.requires_grad else None
+        norm_taped = h.requires_grad or gain.requires_grad or bias.requires_grad
+        def _bwd(g):
+            _accumulate_shared(h, g)
+            g = _affine_backward(kept, w2, b2, g, True)
+            g *= d
+            normed = _scale_shift(xhat, gain, bias) if w1.requires_grad else None
+            g = _affine_backward(normed, w1, b1, g, norm_taped)
+            if g is not None:
+                _normalize_backward(h, gain, bias, xhat, inv, g)
         out._backward = _bwd
     return out
 
@@ -504,54 +624,6 @@ def _softmax_rows_grad(y: np.ndarray, g: np.ndarray) -> np.ndarray:
     np.subtract(g, dx.sum(axis=-1, keepdims=True), out=dx)
     dx *= y
     return dx
-
-
-def layernorm(x: Tensor, gain: Tensor, bias: Tensor) -> Tensor:
-    """Normalize over the last axis, then scale and shift per feature."""
-    x, gain, bias = as_tensor(x), as_tensor(gain), as_tensor(bias)
-    d = x.shape[-1]
-    if gain.shape != (d,) or bias.shape != (d,):
-        raise ValueError(f"layernorm: gain/bias must be [{d}], got {gain.shape} and {bias.shape}")
-    # ``sum / d`` rounds as ``mean`` does; every other step is the
-    # textbook expression evaluated in place
-    mu = x.data.sum(axis=-1, keepdims=True)
-    mu /= d
-    xhat = x.data - mu
-    y = xhat * xhat
-    inv = y.sum(axis=-1, keepdims=True)
-    inv /= d
-    inv += LAYERNORM_EPS
-    np.sqrt(inv, out=inv)
-    np.divide(1.0, inv, out=inv)
-    xhat *= inv
-    np.multiply(xhat, gain.data, out=y)
-    y += bias.data
-    out = _node(y, (x, gain, bias), "layernorm")
-    if out.requires_grad:
-        def _bwd(g):
-            lead = tuple(range(g.ndim - 1))
-            if bias.requires_grad:
-                _accumulate(bias, g.sum(axis=lead))
-            scratch = g * xhat
-            if gain.requires_grad:
-                _accumulate(gain, scratch.sum(axis=lead))
-            if not x.requires_grad:
-                return
-            # d/dx of (x - mu) / sqrt(var + LAYERNORM_EPS), all statistics over the last axis:
-            # inv * (dxhat - mean(dxhat) - xhat * mean(dxhat * xhat))
-            dx = g * gain.data
-            np.multiply(dx, xhat, out=scratch)
-            m2 = scratch.sum(axis=-1, keepdims=True)
-            m2 /= d
-            m1 = dx.sum(axis=-1, keepdims=True)
-            m1 /= d
-            dx -= m1
-            np.multiply(xhat, m2, out=scratch)
-            dx -= scratch
-            dx *= inv
-            _accumulate(x, dx)
-        out._backward = _bwd
-    return out
 
 
 def sigmoid(x: Tensor) -> Tensor:

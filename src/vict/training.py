@@ -74,9 +74,10 @@ def fit(
     params: model.Params, lr: float, batches: Iterable[tuple[Pair, Pair, bool]], what: str
 ) -> tuple[model.Params, list[float]]:
     """Step every parameter of ``params`` with AdamW, in place, once per
-    ``(prompt, query, flip)`` batch of ``masked_cell_loss``. Returns an
-    off-tape clone of the fitted weights and the loss of each step; a
-    divergence is a ``FloatingPointError`` naming ``what`` and the step."""
+    ``(prompt, query, flip)`` batch of ``masked_cell_loss``. Returns
+    ``params`` itself, fitted and off the tape again (``model.freeze``),
+    and the loss of each step; a divergence is a ``FloatingPointError``
+    naming ``what`` and the step."""
     group = model.trainable(params, "all")
     state = AdamWState(lr=lr)
     losses: list[float] = []
@@ -90,7 +91,8 @@ def fit(
             raise FloatingPointError(f"{what} diverged at step {step}: {err}") from err
         losses.append(loss.item())
         del loss  # frees the tape after the update: freed before it, its memory went back to the OS and was faulted in again
-    return params.clone(), losses
+    model.freeze(params)
+    return params, losses
 
 
 def pretrain(model_config: model.ModelConfig, cfg: PretrainConfig) -> PretrainResult:

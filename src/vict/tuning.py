@@ -137,9 +137,10 @@ def adapt_and_predict(
     clone's selected group goes on the tape (``model.trainable``) and is
     stepped: backward computes no gradient for the other tensors, while
     activation gradients still flow through them. The prediction is a
-    frozen inference from a clone of the adapted weights, off the tape. A
-    divergence is a ``FloatingPointError`` naming the step and the digest
-    of the weights that step started from.
+    frozen inference from the adapted clone, taken off the tape with its
+    gradient arena and optimizer moments dropped first. A divergence is a
+    ``FloatingPointError`` naming the step and the digest of the weights
+    that step started from.
     """
     work = params0.clone()
     group = model.trainable(work, config.selector)
@@ -158,9 +159,10 @@ def adapt_and_predict(
             ) from err
         trace.append(loss.item())
         del loss  # frees the tape after the update: freed before it, its memory went back to the OS and was faulted in again
-    adapted = work.clone()  # off the tape, so the prediction records none
+    del state  # the moments, and the last update's hold on the gradient arena
+    model.freeze(work)  # so the prediction records no tape
     return AdaptationResult(
-        y_t_hat=infer(adapted, prompt.pair, x_t),
+        y_t_hat=infer(work, prompt.pair, x_t),
         loss_trace=trace,
-        adapted_params_digest=adapted.digest(),
+        adapted_params_digest=work.digest(),
     )

@@ -2,9 +2,11 @@
 
 The model's forward pass and the losses record none of them: ``linear``
 replaces the ``matmul`` plus ``repeat_rows`` bias chain and, with a
-residual, the ``add`` after it, ``linear_gelu`` the ``gelu`` of a
-``linear``, ``attention`` the per-head chain of ``narrow``,
-``transpose``, ``softmax``, ``concat`` and friends, the canvas reaches
+norm, the ``layernorm`` before it, ``attention`` the per-head chain of
+``narrow``, ``transpose``, ``softmax``, ``concat`` and friends, then the
+output projection's ``linear`` and the residual ``add``, ``mlp`` the
+chain of ``layernorm``, ``linear``, ``gelu`` (or ``linear_gelu``),
+``linear`` and ``add``, the canvas reaches
 the model as patch rows instead of ``concat``-ed pixels, and both losses
 score patch rows instead of the image ``extract_cell`` builds from them
 with ``reshape`` and ``transpose``. The tests keep them to rebuild those
@@ -25,7 +27,12 @@ from vict.tensor import (
     Tensor,
     _accumulate,
     _accumulate_shared,
+    _affine,
+    _affine_backward,
+    _gelu,
     _node,
+    _normalize,
+    _normalize_backward,
     _require_finite,
     _same_dtype,
     _softmax_rows,
@@ -73,9 +80,37 @@ def softmax(a: Tensor) -> Tensor:
     return out
 
 
+def layernorm(x: Tensor, gain: Tensor, bias: Tensor) -> Tensor:
+    """Normalize an [R, D] matrix's rows, then scale and shift per
+    feature, with the fused nodes' kernels."""
+    x, gain, bias = as_tensor(x), as_tensor(gain), as_tensor(bias)
+    y, xhat, inv = _normalize("layernorm", x, gain, bias)
+    out = _node(y, (x, gain, bias), "layernorm")
+    if out.requires_grad:
+        out._backward = lambda g: _normalize_backward(x, gain, bias, xhat, inv, g)
+    return out
+
+
+def linear_gelu(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
+    """Exact (erf-based) GELU of ``x @ w + b``, one node, with ``mlp``'s
+    kernels: a taped output keeps the GELU's derivative, not its input."""
+    x, w, b = as_tensor(x), as_tensor(w), as_tensor(b)
+    y = _affine("linear_gelu", x.data, w, b)
+    d = _gelu(y, x.requires_grad or w.requires_grad or b.requires_grad)
+    out = _node(y, (x, w, b), "linear_gelu")
+    if out.requires_grad:
+        def _bwd(g):
+            g *= d  # g is this node's own, dropped once the rule has run
+            dx = _affine_backward(x.data, w, b, g, x.requires_grad)
+            if dx is not None:
+                _accumulate(x, dx)
+        out._backward = _bwd
+    return out
+
+
 def gelu(x: Tensor) -> Tensor:
-    """Exact (erf-based) Gaussian error linear unit, with ``linear_gelu``'s
-    kernels."""
+    """Exact (erf-based) Gaussian error linear unit, with the same
+    expressions as ``mlp``'s kernel."""
     x = as_tensor(x)
     # out= keeps a 0-d result an array, so the in-place steps apply
     cdf = np.multiply(x.data, _INV_SQRT2, out=np.empty_like(x.data))

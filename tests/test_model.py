@@ -10,7 +10,7 @@ from vict.canvas import assemble_flipped, assemble_inference
 from vict.checkpoint import load_checkpoint, save_checkpoint
 from vict.gradcheck import TINY_CONFIG, finite_diff_grad, rel_error
 
-from reference_ops import concat, gelu, narrow, repeat_rows, reshape, softmax, transpose
+from reference_ops import concat, gelu, layernorm, narrow, repeat_rows, reshape, softmax, transpose
 
 
 @pytest.fixture(scope="module")
@@ -194,15 +194,17 @@ def test_param_count_is_config_function():
     assert shapes_a == shapes_b
 
 
-def _unfused_linear(x, w, b, residual=None):
-    """``matmul`` plus the bias row, then ``add`` of the residual, if any."""
+def _unfused_linear(x, w, b, norm=None):
+    """The layer norm, if any, then ``matmul`` plus the bias row."""
+    if norm is not None:
+        x = layernorm(x, *norm)
     rows, width = x.shape[0], b.shape[0]
-    y = T.add(T.matmul(x, w), repeat_rows(reshape(b, (1, width)), rows))
-    return y if residual is None else T.add(residual, y)
+    return T.add(T.matmul(x, w), repeat_rows(reshape(b, (1, width)), rows))
 
 
-def _unfused_attention(qkv, num_heads, rows=None):
-    """The per-head chain of primitive ops that ``T.attention`` replaces."""
+def _unfused_attention(qkv, num_heads, rows, w, b, residual):
+    """The per-head chain of primitive ops that ``T.attention`` replaces,
+    then the output projection and the residual ``add``."""
     d = qkv.shape[1] // 3
     head_dim = d // num_heads
     q, k, v = (narrow(qkv, 1, j * d, d) for j in range(3))
@@ -215,7 +217,22 @@ def _unfused_attention(qkv, num_heads, rows=None):
         scores = T.matmul(qi, transpose(ki))
         scores = T.mul(scores, T.constant(np.full(scores.shape, scale, dtype=scores.dtype)))
         outputs.append(T.matmul(softmax(scores), vi))
-    return concat(outputs, axis=1)
+    return T.add(residual, T.linear(concat(outputs, axis=1), w, b))
+
+
+def _unfused_mlp(h, gain, bias, w1, b1, w2, b2):
+    """The chain ``T.mlp`` replaces: layer norm, linear, GELU, linear, add."""
+    hidden = gelu(T.linear(h, w1, b1, (gain, bias)))
+    return T.add(h, T.linear(hidden, w2, b2))
+
+
+def _unfuse(monkeypatch):
+    """Make the model record the primitive chains in place of its fused
+    nodes; the unfused attention and MLP reach their linear maps through
+    ``T.linear``."""
+    monkeypatch.setattr(T, "linear", _unfused_linear)
+    monkeypatch.setattr(T, "attention", _unfused_attention)
+    monkeypatch.setattr(T, "mlp", _unfused_mlp)
 
 
 def test_fused_ops_match_primitive_chain_bit_for_bit(default_params, monkeypatch):
@@ -223,27 +240,29 @@ def test_fused_ops_match_primitive_chain_bit_for_bit(default_params, monkeypatch
     query = tasks.generate(tasks.TaskKind.DENOISE, 2)
     pair = (prompt.input, prompt.target)
 
-    def loss_and_grads():
+    def loss_and_grads(selector):
         params = default_params.clone()
-        model.trainable(params, "all")
+        model.trainable(params, selector)
         loss = tuning.cycle_loss(params, *tuning.cycle_rows(pair, query.input, params.config.patch_size))
         ops = {node._op for node in _tape(loss)}
         loss.backward()
-        return loss.data.tobytes(), {name: t.grad.tobytes() for name, t in params.tensors.items()}, ops
+        grads = {name: t.grad.tobytes() for name, t in params.tensors.items() if t.grad is not None}
+        return loss.data.tobytes(), grads, ops
 
-    fused = loss_and_grads()
-    # every linear map (embedding, attention, MLP, head) with its residual
-    # add, every linear-then-GELU and every attention unfused
-    monkeypatch.setattr(T, "linear", _unfused_linear)
-    monkeypatch.setattr(T, "linear_gelu", lambda x, w, b: gelu(_unfused_linear(x, w, b)))
-    monkeypatch.setattr(T, "attention", _unfused_attention)
-    unfused = loss_and_grads()
-    assert {"linear", "linear_gelu", "attention"} <= fused[2]
-    assert {"linear", "linear_gelu", "attention"}.isdisjoint(unfused[2])
-    assert {"gelu", "repeat_rows", "softmax"} <= unfused[2]
-    assert fused[0] == unfused[0]
-    assert fused[1].keys() == unfused[1].keys() == set(default_params.tensors)
-    assert [name for name in fused[1] if fused[1][name] != unfused[1][name]] == []
+    fused = {selector: loss_and_grads(selector) for selector in model.SELECTORS}
+    # every linear map (embedding, query/key/value with its norm, head with
+    # the final norm), every attention with its projection and residual add
+    # and every MLP branch unfused
+    _unfuse(monkeypatch)
+    unfused = {selector: loss_and_grads(selector) for selector in model.SELECTORS}
+    encoder = [name for name in default_params.tensors if model.group_of(name) == model.ENCODER]
+    for selector, names in ((model.ENCODER, encoder), ("all", list(default_params.tensors))):
+        assert {"linear", "attention", "mlp"} <= fused[selector][2]
+        assert {"linear", "attention", "mlp"}.isdisjoint(unfused[selector][2])
+        assert {"layernorm", "gelu", "repeat_rows", "softmax"} <= unfused[selector][2]
+        assert fused[selector][0] == unfused[selector][0]
+        assert list(fused[selector][1]) == list(unfused[selector][1]) == names
+        assert [name for name in names if fused[selector][1][name] != unfused[selector][1][name]] == []
 
 
 def _full_canvas_forward(params, patches, empty):
@@ -259,15 +278,9 @@ def _full_canvas_forward(params, patches, empty):
     h = T.add(T.mul(h, T.constant(1.0 - masked)), T.mul(token_rows, T.constant(masked)))
     h = T.add(h, p["pos_embed"])
     for prefix in [f"enc{i}" for i in range(cfg.encoder_depth)] + [f"dec{i}" for i in range(cfg.decoder_depth)]:
-        normed = T.layernorm(h, p[f"{prefix}.ln1.gain"], p[f"{prefix}.ln1.bias"])
-        qkv = T.linear(normed, p[f"{prefix}.attn.qkv.weight"], p[f"{prefix}.attn.qkv.bias"])
-        attended = T.attention(qkv, cfg.num_heads)
-        h = T.linear(attended, p[f"{prefix}.attn.proj.weight"], p[f"{prefix}.attn.proj.bias"], h)
-        normed = T.layernorm(h, p[f"{prefix}.ln2.gain"], p[f"{prefix}.ln2.bias"])
-        hidden = T.linear_gelu(normed, p[f"{prefix}.mlp.fc1.weight"], p[f"{prefix}.mlp.fc1.bias"])
-        h = T.linear(hidden, p[f"{prefix}.mlp.fc2.weight"], p[f"{prefix}.mlp.fc2.bias"], h)
-    h = T.layernorm(h, p["final_norm.gain"], p["final_norm.bias"])
-    return T.take_rows(T.sigmoid(T.linear(h, p["head.weight"], p["head.bias"])), empty)
+        h = model._block(h, p, prefix, cfg.num_heads)
+    h = T.linear(h, p["head.weight"], p["head.bias"], (p["final_norm.gain"], p["final_norm.bias"]))
+    return T.take_rows(T.sigmoid(h), empty)
 
 
 @pytest.mark.parametrize("dtype", [np.float32, np.float64])
@@ -316,7 +329,7 @@ def _tape(root):
     return list(seen.values())
 
 
-def test_a_cycle_loss_records_152_tape_nodes(default_params):
+def test_a_cycle_loss_records_102_tape_nodes(default_params):
     prompt = tasks.generate(tasks.TaskKind.DENOISE, 1)
     query = tasks.generate(tasks.TaskKind.DENOISE, 2)
     params = default_params.clone()
@@ -326,43 +339,91 @@ def test_a_cycle_loss_records_152_tape_nodes(default_params):
     # the prediction enters the flipped canvas as rows: no cell is
     # unpatchified or patchified on the tape
     assert [node._op for node in tape if node._op in ("reshape", "transpose")] == []
-    # each block's residual adds are inside its linear nodes, and its GELU in ``linear_gelu``
-    assert [node._op for node in tape if node._op == "gelu"] == []
+    # each block is three nodes: its norms, GELU and residual adds are inside them
+    unfused = ("layernorm", "linear_gelu", "gelu")
+    assert [node._op for node in tape if node._op in unfused] == []
     assert [node._parents[1] for node in tape if node._op == "add"] == [params.tensors["pos_embed"]] * 2
-    assert len(tape) == 152
+    assert len(tape) == 102
     # pre-training scores the predicted rows too, with every weight on the tape
     params = default_params.clone()
     model.trainable(params, "all")
     for flip in (False, True):
-        tape = _tape(training.masked_cell_loss(params, (prompt.input, prompt.target), (query.input, query.target), flip))
-        assert [node._op for node in tape if node._op in ("reshape", "transpose", "gelu")] == []
+        loss = training.masked_cell_loss(params, (prompt.input, prompt.target), (query.input, query.target), flip)
+        tape = _tape(loss)
+        assert [node._op for node in tape if node._op in ("reshape", "transpose", *unfused)] == []
         assert [node._parents[1] for node in tape if node._op == "add"] == [params.tensors["pos_embed"]]
-        assert len(tape) == 130
+        assert len(tape) == 105
+
+
+def _held_arrays(root):
+    """The arrays that ``root``'s tape keeps alive: op outputs and the
+    arrays their backward rules close over (weights and other leaves not
+    counted)."""
+    arrays = []
+    for node in _tape(root):
+        arrays += [node.data] if node._parents else []
+        arrays += [c.cell_contents for c in node._backward.__closure__ or ()] if node._backward else []
+    return [a for a in arrays if isinstance(a, np.ndarray)]
 
 
 def _held_bytes(root):
-    """Bytes of the distinct buffers that ``root``'s tape keeps alive: op
-    outputs and the arrays their backward rules close over (weights and
-    other leaves not counted). A view counts as the buffer it views."""
+    """Bytes of the distinct buffers ``_held_arrays`` finds. A view counts
+    as the buffer it views."""
     buffers = {}
-    for node in _tape(root):
-        arrays = [node.data] if node._parents else []
-        arrays += [c.cell_contents for c in node._backward.__closure__ or ()] if node._backward else []
-        for a in arrays:
-            if isinstance(a, np.ndarray):
-                while isinstance(a.base, np.ndarray):
-                    a = a.base
-                buffers[id(a)] = a
+    for a in _held_arrays(root):
+        while isinstance(a.base, np.ndarray):
+            a = a.base
+        buffers[id(a)] = a
     return sum(a.nbytes for a in buffers.values())
 
 
 def test_a_cycle_loss_tape_holds_no_residual_sum_or_gelu_input(default_params):
-    # the residual adds' outputs and the GELU pre-activation and cdf are
-    # not kept: 5,190,660 bytes when they were
+    # nor a layer norm's output, which a trainable weight's gradient rebuilds
+    # from the norm's xhat, nor the heads' outputs or the GELU's output
+    # where only a frozen weight reads them: 4,158,468 bytes when they were
+    # kept, and 5,190,660 with the residual sums and the GELU's input too
+    prompt, query = tasks.generate(tasks.TaskKind.DENOISE, 1), tasks.generate(tasks.TaskKind.DENOISE, 2)
     params = default_params.clone()
     model.trainable(params, "encoder")
-    loss = _cycle_loss(params, tasks.generate(tasks.TaskKind.DENOISE, 1), tasks.generate(tasks.TaskKind.DENOISE, 2))
-    assert _held_bytes(loss) == 4_158_468
+    assert _held_bytes(_cycle_loss(params, prompt, query)) == 3_576_836
+    model.trainable(params, "all")
+    for flip in (False, True):
+        loss = training.masked_cell_loss(params, (prompt.input, prompt.target), (query.input, query.target), flip)
+        assert _held_bytes(loss) == 1_873_924
+
+
+def test_no_held_array_is_the_input_of_a_frozen_weights_product(default_params, monkeypatch):
+    # under the encoder selector the decoder and head weights are frozen, so
+    # no backward reads the input of their products: the primitive chain,
+    # which computes the same values, names those inputs
+    prompt, query = tasks.generate(tasks.TaskKind.DENOISE, 1), tasks.generate(tasks.TaskKind.DENOISE, 2)
+    params = default_params.clone()
+    # init's unit gains and zero biases make each norm's output equal to its
+    # xhat, which the tape keeps; other values tell the two apart
+    rng = np.random.default_rng(0)
+    for name, t in params.tensors.items():
+        if name.startswith("final_norm.") or ".ln" in name:
+            t.data += rng.normal(scale=0.1, size=t.shape).astype(t.dtype)
+    model.trainable(params, model.ENCODER)
+    held = _held_arrays(_cycle_loss(params, prompt, query))
+    inputs = {False: [], True: []}  # by whether the weight is on the tape
+
+    def recording_linear(x, w, b, norm=None):
+        out = _unfused_linear(x, w, b, norm)
+        inputs[w.requires_grad].append(out._parents[0]._parents[0].data)  # the matmul's input
+        return out
+
+    _unfuse(monkeypatch)
+    monkeypatch.setattr(T, "linear", recording_linear)
+    _cycle_loss(params, prompt, query)
+
+    def kept(a):
+        return any(h.shape == a.shape and h.tobytes() == a.tobytes() for h in held)
+
+    assert len(inputs[False]) == 2 * (4 * params.config.decoder_depth + 1)  # four per block, and the head
+    assert [i for i, a in enumerate(inputs[False]) if kept(a)] == []
+    # the check can see a kept input: a trainable projection's input is one
+    assert any(kept(a) for a in inputs[True])
 
 
 def test_gradient_buffers_never_alias(default_params):
@@ -375,11 +436,11 @@ def test_gradient_buffers_never_alias(default_params):
     model.trainable(params, "all")
     loss = _cycle_loss(params, prompt, query)
     handed = []
-    for node in _tape(loss):
-        if node._backward is not None:
-            node._backward = lambda g, rule=node._backward: (handed.append(g), rule(g))
+    rules = [node for node in _tape(loss) if node._backward is not None]
+    for node in rules:
+        node._backward = lambda g, rule=node._backward: (handed.append(g), rule(g))
     loss.backward()
-    assert len(handed) > len(params.tensors)
+    assert len(handed) == len(rules) == 50  # every rule ran once
     grads = handed + [t.grad for t in params.tensors.values()]
     assert not any(np.shares_memory(a, b) for i, a in enumerate(grads) for b in grads[i + 1 :])
     first = {name: t.grad.tobytes() for name, t in params.tensors.items()}
@@ -490,7 +551,7 @@ def test_init_and_clone_build_one_arena_each(dtype):
     assert not np.shares_memory(clone.flat, params.flat)
 
 
-def test_loaded_and_fitted_weights_are_one_arena(tmp_path):
+def test_loaded_and_fitted_weights_are_one_arena(tmp_path, monkeypatch):
     params = model.init(TINY_CONFIG, seed=0)
     save_checkpoint(params, tmp_path / "tiny.bin")
     loaded = load_checkpoint(tmp_path / "tiny.bin")
@@ -500,12 +561,25 @@ def test_loaded_and_fitted_weights_are_one_arena(tmp_path):
     c = TINY_CONFIG.cell_size
     pair = tasks.generate(tasks.TaskKind.DENOISE, 1, c)
     pair = (pair.input, pair.target)
+    updates, adamw_step = [], training.adamw_step
+
+    def recording_adamw_step(group, grads, state):
+        updates.append(grads)
+        adamw_step(group, grads, state)
+
+    monkeypatch.setattr(training, "adamw_step", recording_adamw_step)
     fitted, _ = training.fit(loaded, 1e-3, [(pair, pair, False)] * 2, "fit")
-    for params in (loaded, fitted):
-        _assert_one_arena(params)
-    assert not np.shares_memory(fitted.flat, loaded.flat)
-    grads = [(name, t.grad) for name, t in loaded.tensors.items()]  # fit steps every tensor
-    _assert_tiles(T.arena_of(grads, "grads"), grads)
+    assert fitted is loaded  # fitted in place
+    _assert_one_arena(fitted)
+    assert fitted.flat.tobytes() != params.flat.tobytes()
+    assert len(updates) == 2
+    for grads in updates:
+        assert list(grads) == list(fitted.tensors)  # fit steps every tensor
+        grads = list(grads.items())
+        _assert_tiles(T.arena_of(grads, "grads"), grads)
+    # and then takes them off the tape, with their gradient arena
+    taped = [name for name, t in fitted.tensors.items() if t.requires_grad or t.grad is not None or t.grad_buffer is not None]
+    assert taped == []
 
 
 def test_encoder_group_and_its_gradients_are_leading_slices(default_params):

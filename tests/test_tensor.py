@@ -8,7 +8,7 @@ from vict import model, tasks, training, tuning
 from vict import tensor as T
 from vict.gradcheck import FD_STEP, TINY_CONFIG, TOLERANCE, _check, check_op_gradients, finite_diff_grad, rel_error
 
-from reference_ops import concat, gelu, narrow, repeat_rows, reshape, softmax, transpose
+from reference_ops import concat, gelu, layernorm, linear_gelu, narrow, repeat_rows, reshape, softmax, transpose
 
 
 def arr(*values):
@@ -46,11 +46,27 @@ def _zeros(*shape, dtype=np.float64):
     ids=["rank", "align", "dtype", "residual-shape", "residual-dtype"],
 )
 def test_linear_rejects_bad_operands(args, message):
-    with pytest.raises(ValueError, match=f"^linear: {message}"):
-        T.linear(*args)
+    # the affine map's checks, which every fused node shares; of the model's
+    # nodes, ``attention`` is the one that takes a residual
     if len(args) == 3:
+        with pytest.raises(ValueError, match=f"^linear: {message}"):
+            T.linear(*args)
         with pytest.raises(ValueError, match=f"^linear_gelu: {message}"):
-            T.linear_gelu(*args)
+            linear_gelu(*args)
+    else:
+        x, w, b, residual = args
+        with pytest.raises(ValueError, match=f"^attention: {message}"):
+            T.attention(_zeros(x.shape[0], 3 * x.shape[1]), 1, None, w, b, residual)
+
+
+def test_fused_nodes_reject_a_bad_norm_or_branch():
+    h, w = _zeros(2, 3), _zeros(3, 4)
+    with pytest.raises(ValueError, match=r"^linear: gain/bias must be \[3\], got \(4,\) and \(3,\)$"):
+        T.linear(h, w, _zeros(4), (_zeros(4), _zeros(3)))
+    with pytest.raises(ValueError, match=r"^mlp: gain/bias must be \[3\], got \(3,\) and \(2,\)$"):
+        T.mlp(h, _zeros(3), _zeros(2), w, _zeros(4), _zeros(4, 3), _zeros(3))
+    with pytest.raises(ValueError, match=r"^mlp: residual shape \(2, 3\) vs output shape \(2, 5\)$"):
+        T.mlp(h, _zeros(3), _zeros(3), w, _zeros(4), _zeros(4, 5), _zeros(5))
 
 
 def test_add_shape_mismatch():
@@ -65,7 +81,7 @@ def test_softmax_of_constant_row_is_uniform():
 
 def test_layernorm_normalizes_rows():
     x = T.Tensor(arr(100.0, 200.0, 300.0).reshape(1, 3))  # variance far above LAYERNORM_EPS
-    out = T.layernorm(x, T.Tensor(np.ones(3)), T.Tensor(np.zeros(3)))
+    out = layernorm(x, T.Tensor(np.ones(3)), T.Tensor(np.zeros(3)))
     assert abs(out.data.mean()) < 1e-6
     assert abs(out.data.var() - 1.0) < 1e-6
 
@@ -109,8 +125,9 @@ def test_attention_rejects_non_finite_scores():
     q = np.array([[1e20], [1e20]], dtype=np.float32)
     k = np.array([[0.0], [-1e20]], dtype=np.float32)
     qkv = T.Tensor(np.concatenate([q, k, np.ones((2, 1), dtype=np.float32)], axis=1))
+    w, b, residual = (T.Tensor(np.ones(shape, dtype=np.float32)) for shape in [(1, 1), (1,), (2, 1)])
     with np.errstate(over="ignore"), pytest.raises(FloatingPointError, match="attention"):
-        T.attention(qkv, 1)
+        T.attention(qkv, 1, None, w, b, residual)
 
 
 def test_forward_determinism_bit_identical():
@@ -179,7 +196,7 @@ def test_repeated_backward_accumulates_until_zero_grads():
 
 def test_op_gradients_match_finite_differences():
     results = check_op_gradients()
-    assert {"linear", "attention"} <= set(results)
+    assert {"linear", "attention", "mlp"} <= set(results)
     assert {name: err for name, err in results.items() if not err < TOLERANCE} == {}
 
 
@@ -192,6 +209,7 @@ def test_reference_op_gradients_match_finite_differences():
     wn, wc, wx, wr, wt, ws = (
         T.constant(rng.uniform(-1.0, 1.0, size=shape)) for shape in [(4, 3), (6, 3), (4, 5), (4, 6), (4, 2, 3), (3, 6)]
     )
+    gain, bias, lw, lb = (T.parameter(rng.uniform(-1.0, 1.0, size=shape)) for shape in [(6,), (6,), (6, 3), (3,)])
     results = {
         "narrow": _check(lambda: T.tsum(T.mul(narrow(n, 1, 2, 3), wn)), {"n": n}),
         "concat": _check(lambda: T.tsum(T.mul(concat([c1, c2], axis=0), wc)), {"c1": c1, "c2": c2}),
@@ -200,6 +218,8 @@ def test_reference_op_gradients_match_finite_differences():
         "transpose": _check(lambda: T.tsum(T.mul(transpose(r, (2, 0, 1)), wt)), {"r": r}),
         "softmax": _check(lambda: T.tsum(T.mul(softmax(s), ws)), {"s": s}),
         "gelu": _check(lambda: T.tsum(T.mul(gelu(s), ws)), {"s": s}),
+        "layernorm": _check(lambda: T.tsum(T.mul(layernorm(s, gain, bias), ws)), {"s": s, "gain": gain, "bias": bias}),
+        "linear_gelu": _check(lambda: T.tsum(T.mul(linear_gelu(n, lw, lb), wn)), {"n": n, "w": lw, "b": lb}),
     }
     assert {name: err for name, err in results.items() if not err < TOLERANCE} == {}
 
@@ -233,6 +253,10 @@ def test_gradcheck_covers_every_op_the_model_records():
     # scalar, and ``matmul``, which perfbench/tracing.py wraps by name
     unrecorded = {k for k in checked if not any(k == op or k.startswith(f"{op}_") for op in recorded)}
     assert unrecorded <= {"mul", "matmul"}
+    # each fused node also with its weights frozen, when it keeps no input for them
+    fused = {"linear", "attention", "mlp"}
+    assert fused <= recorded
+    assert {f"{op}_frozen" for op in fused} <= checked
 
 
 # ---------------------------------------------------------------------------
@@ -261,23 +285,9 @@ def _normal(rng, dtype, *shape, scale=1.0):
     return (rng.normal(size=shape) * scale).astype(dtype)
 
 
-@pytest.mark.parametrize("dtype", DTYPES)
-def test_linear_matches_textbook_expression(dtype):
-    rng = np.random.default_rng(11)
-    x, w, b, g = _normal(rng, dtype, 64, 64), _normal(rng, dtype, 64, 256), _normal(rng, dtype, 256), _normal(rng, dtype, 64, 256)
-    expected = _reference_bytes(x @ w + b[None, :], [g @ w.T, x.T @ g, g.sum(axis=0)])
-    assert _op_and_grads(T.linear, [x, w, b], g) == expected
-    r = _normal(rng, dtype, 64, 256)
-    expected = _reference_bytes(x @ w + b[None, :] + r, [g @ w.T, x.T @ g, g.sum(axis=0), g])
-    assert _op_and_grads(T.linear, [x, w, b, r], g) == expected
-
-
-@pytest.mark.parametrize("dtype", DTYPES)
-@pytest.mark.parametrize("d", [64, 48])  # 1/48 is inexact, so a mean by reciprocal would show
-def test_layernorm_matches_textbook_expression(dtype, d):
-    rng = np.random.default_rng(12)
-    x = _normal(rng, dtype, 64, d, scale=3.0) + dtype(0.5)
-    gain, bias, g = _normal(rng, dtype, d), _normal(rng, dtype, d), _normal(rng, dtype, 64, d)
+def _textbook_layernorm(x, gain, bias, g):
+    """Layer norm of ``x``'s rows and, for the output gradient ``g``, the
+    gradients at ``x``, ``gain`` and ``bias``, plus ``xhat``."""
     mu = x.mean(axis=-1, keepdims=True)
     centered = x - mu
     var = (centered * centered).mean(axis=-1, keepdims=True)
@@ -285,23 +295,76 @@ def test_layernorm_matches_textbook_expression(dtype, d):
     xhat = centered * inv
     dxhat = g * gain
     dx = inv * (dxhat - dxhat.mean(axis=-1, keepdims=True) - xhat * (dxhat * xhat).mean(axis=-1, keepdims=True))
-    expected = _reference_bytes(xhat * gain + bias, [dx, (g * xhat).sum(axis=0), g.sum(axis=0)])
-    assert _op_and_grads(T.layernorm, [x, gain, bias], g) == expected
+    return xhat * gain + bias, [dx, (g * xhat).sum(axis=0), g.sum(axis=0)]
+
+
+def _textbook_gelu(pre):
+    """Exact GELU of ``pre`` and its derivative."""
+    cdf = 0.5 * (1.0 + erf(pre * 0.7071067811865476))
+    pdf = np.exp(-0.5 * pre * pre) * 0.3989422804014327
+    return pre * cdf, cdf + pre * pdf
+
+
+@pytest.mark.parametrize("dtype", DTYPES)
+def test_linear_matches_textbook_expression(dtype):
+    rng = np.random.default_rng(11)
+    x, w, b, g = _normal(rng, dtype, 64, 64), _normal(rng, dtype, 64, 256), _normal(rng, dtype, 256), _normal(rng, dtype, 64, 256)
+    expected = _reference_bytes(x @ w + b[None, :], [g @ w.T, x.T @ g, g.sum(axis=0)])
+    assert _op_and_grads(T.linear, [x, w, b], g) == expected
+    # with a norm: the layer norm of x's rows, then the affine map
+    gain, bias = _normal(rng, dtype, 64), _normal(rng, dtype, 64)
+    normed, (dx, dgain, dbias) = _textbook_layernorm(x, gain, bias, g @ w.T)
+    expected = _reference_bytes(normed @ w + b[None, :], [dx, normed.T @ g, g.sum(axis=0), dgain, dbias])
+    normed_linear = lambda x, w, b, gain, bias: T.linear(x, w, b, (gain, bias))  # noqa: E731
+    assert _op_and_grads(normed_linear, [x, w, b, gain, bias], g) == expected
+
+
+@pytest.mark.parametrize("dtype", DTYPES)
+@pytest.mark.parametrize("d", [64, 48])  # 1/48 is inexact, so a mean by reciprocal would show
+def test_layernorm_matches_textbook_expression(dtype, d):
+    # the reference op, with the kernels of ``linear``'s and ``mlp``'s norms
+    rng = np.random.default_rng(12)
+    x = _normal(rng, dtype, 64, d, scale=3.0) + dtype(0.5)
+    gain, bias, g = _normal(rng, dtype, d), _normal(rng, dtype, d), _normal(rng, dtype, 64, d)
+    expected = _reference_bytes(*_textbook_layernorm(x, gain, bias, g))
+    assert _op_and_grads(layernorm, [x, gain, bias], g) == expected
 
 
 @pytest.mark.parametrize("dtype", DTYPES)
 def test_linear_gelu_matches_textbook_expression(dtype):
+    # the reference op, with ``mlp``'s GELU kernel
     rng = np.random.default_rng(13)
     x, w, b = _normal(rng, dtype, 64, 64), _normal(rng, dtype, 64, 256, scale=0.2), _normal(rng, dtype, 256)
     g = _normal(rng, dtype, 64, 256)
     pre = x @ w + b[None, :]
-    cdf = 0.5 * (1.0 + erf(pre * 0.7071067811865476))
-    pdf = np.exp(-0.5 * pre * pre) * 0.3989422804014327
-    dpre = g * (cdf + pre * pdf)
-    expected = _reference_bytes(pre * cdf, [dpre @ w.T, x.T @ dpre, dpre.sum(axis=0)])
-    assert _op_and_grads(T.linear_gelu, [x, w, b], g) == expected
+    out, slope = _textbook_gelu(pre)
+    dpre = g * slope
+    expected = _reference_bytes(out, [dpre @ w.T, x.T @ dpre, dpre.sum(axis=0)])
+    assert _op_and_grads(linear_gelu, [x, w, b], g) == expected
     # off the tape, the same output
-    assert T.linear_gelu(T.Tensor(x), T.Tensor(w), T.Tensor(b)).data.tobytes() == expected[0]
+    assert linear_gelu(T.Tensor(x), T.Tensor(w), T.Tensor(b)).data.tobytes() == expected[0]
+
+
+@pytest.mark.parametrize("dtype", DTYPES)
+def test_mlp_matches_textbook_expression(dtype):
+    rng = np.random.default_rng(17)
+    h = _normal(rng, dtype, 64, 64, scale=3.0)
+    gain, bias, b1, b2 = (_normal(rng, dtype, n) for n in (64, 64, 256, 64))
+    w1, w2 = _normal(rng, dtype, 64, 256, scale=0.2), _normal(rng, dtype, 256, 64, scale=0.2)
+    g = _normal(rng, dtype, 64, 64)
+    normed, _ = _textbook_layernorm(h, gain, bias, g)  # the output; its gradients come below
+    pre = normed @ w1 + b1[None, :]
+    hidden, slope = _textbook_gelu(pre)
+    dpre = (g @ w2.T) * slope
+    _, (dh, dgain, dbias) = _textbook_layernorm(h, gain, bias, dpre @ w1.T)
+    expected = _reference_bytes(
+        hidden @ w2 + b2[None, :] + h,
+        [g + dh, dgain, dbias, normed.T @ dpre, dpre.sum(axis=0), hidden.T @ g, g.sum(axis=0)],
+    )
+    arrays = [h, gain, bias, w1, b1, w2, b2]
+    assert _op_and_grads(T.mlp, arrays, g) == expected
+    # off the tape, the same output
+    assert T.mlp(*map(T.Tensor, arrays)).data.tobytes() == expected[0]
 
 
 @pytest.mark.parametrize("dtype", DTYPES)
@@ -330,11 +393,13 @@ def test_attention_matches_per_head_loop(dtype):
     rng = np.random.default_rng(16)
     heads, n, d = 4, 64, 64
     hd = d // heads
-    qkv = _normal(rng, dtype, n, 3 * d)
+    qkv, w, b = _normal(rng, dtype, n, 3 * d), _normal(rng, dtype, d, d, scale=0.2), _normal(rng, dtype, d)
     scale = float(1.0 / np.sqrt(hd))
     for rows in (None, np.array([9, 3, 40, 41, 63])):  # all query rows, then a few
         queries = slice(None) if rows is None else rows
-        g = _normal(rng, dtype, n if rows is None else len(rows), d)
+        r = n if rows is None else len(rows)
+        g, residual = _normal(rng, dtype, r, d), _normal(rng, dtype, r, d)
+        g_heads = g @ w.T
         outputs, dqkv = [], np.zeros_like(qkv)
         for lo in range(0, d, hd):
             q, k, v = (qkv[:, j * d + lo : j * d + lo + hd] for j in range(3))
@@ -343,14 +408,16 @@ def test_attention_matches_per_head_loop(dtype):
             e = np.exp(e - e.max(axis=-1, keepdims=True))
             p = e / e.sum(axis=-1, keepdims=True)
             outputs.append(p @ v)
-            g_out = np.array(g[:, lo : lo + hd])
+            g_out = np.array(g_heads[:, lo : lo + hd])
             g_p = g_out @ v.T
             g_s = p * (g_p - (g_p * p).sum(axis=-1, keepdims=True)) * scale
             dqkv[queries, lo : lo + hd] = g_s @ k
             dqkv[:, d + lo : d + lo + hd] = (q.T @ g_s).T
             dqkv[:, 2 * d + lo : 2 * d + lo + hd] = p.T @ g_out
-        expected = _reference_bytes(np.concatenate(outputs, axis=1), [dqkv])
-        assert _op_and_grads(lambda t: T.attention(t, heads, rows), [qkv], g) == expected
+        attended = np.concatenate(outputs, axis=1)
+        expected = _reference_bytes(attended @ w + b[None, :] + residual, [dqkv, attended.T @ g, g.sum(axis=0), g])
+        op = lambda t, w, b, residual: T.attention(t, heads, rows, w, b, residual)  # noqa: E731
+        assert _op_and_grads(op, [qkv, w, b, residual], g) == expected
 
 
 def _per_tensor(flat, group):

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from vict import canvas as cv
-from vict import harness, model, tasks, tuning
+from vict import harness, model, tasks, training, tuning
 from vict import tensor as T
 from vict.canvas import assemble_flipped, assemble_inference, patchify
 from vict.corruptions import CorruptionKind, CorruptionSpec
@@ -181,6 +181,30 @@ def test_adaptation_leaves_theta0_untouched(params, sample_pair):
     assert params.digest() == digest
 
 
+def test_an_adaptation_and_a_fit_build_one_parameter_arena_each(params, sample_pair, monkeypatch):
+    # the adapted and the fitted weights are predicted from and returned
+    # as they are, taken off the tape, not cloned again
+    pair, x_t = sample_pair
+    before = params.flat.tobytes()
+    built = []
+    empty = model.Params.empty.__func__
+    monkeypatch.setattr(model.Params, "empty", classmethod(lambda cls, *args: built.append(args) or empty(cls, *args)))
+    adapted = {}
+    for steps in (0, 2):
+        built.clear()
+        config = tuning.VictConfig(steps=steps)
+        adapted[steps] = tuning.adapt_and_predict(params, tuning.PromptSet(pair=pair), x_t, config)
+        assert len(built) == 1  # the private clone
+        assert params.flat.tobytes() == before
+    frozen = tuning.infer(params, pair, x_t).tobytes()
+    assert adapted[0].y_t_hat.tobytes() == frozen and adapted[0].adapted_params_digest == params.digest()
+    assert adapted[2].y_t_hat.tobytes() != frozen
+    built.clear()
+    fitted = training.pretrain(SMALL_MODEL, training.PretrainConfig(steps=2, seed=0)).params
+    assert len(built) == 1  # init's; fit steps and returns those weights
+    assert not any(t.requires_grad or t.grad is not None or t.grad_buffer is not None for t in fitted.tensors.values())
+
+
 def _adapted_clone(params, pair, x_t, config, monkeypatch):
     """The private weights ``adapt_and_predict`` tunes, caught where it puts them on the tape."""
     captured = {}
@@ -230,12 +254,30 @@ def test_encoder_selector_computes_no_decoder_gradients(params, sample_pair, mon
     pair, x_t = sample_pair
     digest = params.digest()
     flags = {name: t.requires_grad for name, t in params.tensors.items()}
-    adapted = _adapted_clone(params, pair, x_t, tuning.VictConfig(steps=1, selector="encoder"), monkeypatch)
-    for name, t in adapted.tensors.items():
-        if model.group_of(name) == model.DECODER:
-            assert t.grad is None and not t.requires_grad, name
-        else:
-            assert t.grad is not None and t.requires_grad, name
+    at_update, adamw_step = [], tuning.adamw_step
+
+    def recording_adamw_step(group, grads, state):
+        work = captured["params"]
+        at_update.append({name: (t.grad is not None, t.requires_grad) for name, t in work.tensors.items()})
+        adamw_step(group, grads, state)
+
+    captured, trainable = {}, model.trainable
+
+    def capturing_trainable(work, selector):
+        captured["params"] = work
+        return trainable(work, selector)
+
+    monkeypatch.setattr(model, "trainable", capturing_trainable)
+    monkeypatch.setattr(tuning, "adamw_step", recording_adamw_step)
+    config = tuning.VictConfig(steps=1, selector="encoder")
+    tuning.adapt_and_predict(params, tuning.PromptSet(pair=pair), x_t, config)
+    adapted = captured["params"]
+    assert len(at_update) == 1
+    for name, state in at_update[0].items():
+        assert state == ((False, False) if model.group_of(name) == model.DECODER else (True, True)), name
+    # and once the loop is done, every tensor is off the tape with no gradient left
+    taped = [name for name, t in adapted.tensors.items() if t.requires_grad or t.grad is not None or t.grad_buffer is not None]
+    assert taped == []
     assert {name: t.requires_grad for name, t in params.tensors.items()} == flags
     assert params.digest() == digest
 
@@ -307,10 +349,10 @@ def test_overflow_inside_the_forward_pass_raises_on_and_off_the_tape(params, sam
     huge = params.clone()
     huge.tensors["enc0.mlp.fc1.weight"].data[...] = 1e38  # its output overflows
     with np.errstate(over="ignore", invalid="ignore"):
-        with pytest.raises(FloatingPointError, match=r"^attention: non-finite values in scores$"):
-            tuning.infer(huge, pair, x_t)  # no tape: the next attention's check names itself
+        with pytest.raises(FloatingPointError, match=r"^take_rows: non-finite values in input$"):
+            tuning.infer(huge, pair, x_t)  # no tape: the last block's row take checks it first and names itself
         model.trainable(huge, "encoder")
-        with pytest.raises(FloatingPointError, match=r"^linear_gelu: non-finite values in output$"):
+        with pytest.raises(FloatingPointError, match=r"^mlp: non-finite values in output$"):
             tuning.cycle_loss(huge, *tuning.cycle_rows(pair, x_t, huge.config.patch_size))
 
 
@@ -325,24 +367,24 @@ def test_head_pre_activation_the_sigmoid_would_saturate_raises(params, sample_pa
 
 def test_non_finite_confined_to_a_discarded_cell_raises(params, sample_pair, monkeypatch):
     pair, x_t = sample_pair
-    layernorm = T.layernorm
+    linear = T.linear
 
-    def poisoning_layernorm(x, gain, bias):
-        out = layernorm(x, gain, bias)
-        if gain is params_under_test.tensors["dec0.ln1.gain"]:
+    def poisoning_linear(x, w, b, norm=None):
+        out = linear(x, w, b, norm)
+        if w is params_under_test.tensors["dec0.attn.qkv.weight"]:
             # after the last block's keys and values are made from it: patch 0
             # lies in the top-left cell, a row the last block drops
             x.data[0] = np.nan
         return out
 
-    monkeypatch.setattr(T, "layernorm", poisoning_layernorm)
+    monkeypatch.setattr(T, "linear", poisoning_linear)
     params_under_test = params.clone()
     with pytest.raises(FloatingPointError, match=r"^take_rows: non-finite values in input$") as err:
         tuning.infer(params_under_test, pair, x_t)
     assert err.traceback[-2].name == "take_rows"
     model.trainable(params_under_test, "all")
     # on the tape, the row take's check names the op whose output holds the NaN
-    with pytest.raises(FloatingPointError, match=r"^linear: non-finite values in output$") as err:
+    with pytest.raises(FloatingPointError, match=r"^mlp: non-finite values in output$") as err:
         tuning.cycle_loss(params_under_test, *tuning.cycle_rows(pair, x_t, SMALL_MODEL.patch_size))
     assert err.traceback[-2].name == "take_rows"
 
