@@ -1,9 +1,11 @@
 """Grid-canvas visual in-context inpainting with per-sample test-time tuning.
 
-A small numpy/scipy stack: a reverse-mode autodiff engine, 2x2 canvas
+A small numpy-only stack: a reverse-mode autodiff engine, 2x2 canvas
 assembly with a prompt/test role flip, a patch-transformer inpainting
 model, procedural tasks and corruptions, cycle-consistency test-time
-tuning, and a deterministic benchmark harness.
+tuning, and a deterministic benchmark harness. Its erf, inverse normal
+cdf, 8x8 DCT, convolve and gaussian filter are numpy ports with scipy's
+bits, which the tests check against scipy.
 """
 
 from . import canvas, checkpoint, corruptions, gradcheck, harness, model, tasks, tensor, training, tuning

@@ -19,8 +19,6 @@ from importlib import resources
 from pathlib import Path
 
 import numpy as np
-from scipy.fft import dctn, idctn
-from scipy.ndimage import convolve, gaussian_filter
 
 from .canvas import check_image
 from .seeding import rng_for
@@ -163,8 +161,67 @@ def line_kernel(length: float, angle: float) -> np.ndarray:
     return kernel / kernel.sum()
 
 
-def _conv_rgb(image: np.ndarray, kernel: np.ndarray) -> np.ndarray:
-    return np.stack([convolve(image[c], kernel, mode="reflect") for c in range(3)])
+_DBL_EPSILON = float(np.finfo(np.float64).eps)
+
+
+@functools.lru_cache(maxsize=None)
+def _reflect_index(n: int, radius: int) -> np.ndarray:
+    """Indices that pad an axis of length ``n`` by ``radius`` on each side
+    in scipy.ndimage's "reflect" mode, (d c b a | a b c d | d c b a),
+    repeating the pattern when ``radius`` exceeds ``n``."""
+    i = np.arange(-radius, n + radius) % (2 * n)
+    index = np.where(i < n, i, 2 * n - 1 - i)
+    index.setflags(write=False)  # shared by every caller
+    return index
+
+
+def convolve(image: np.ndarray, kernel: np.ndarray, mode: str) -> np.ndarray:
+    """``scipy.ndimage.convolve`` of float64 ``image``'s last two axes with
+    an odd-sized ``kernel``, with its bits; ``mode`` is "reflect" or
+    "constant" (zero fill). Every pixel starts from 0.0 and adds its
+    shifted neighbours times the weights in the order ndimage sums them:
+    the flipped kernel's raveled order, skipping weights with
+    |w| <= DBL_EPSILON."""
+    kh, kw = kernel.shape
+    h, w = image.shape[-2:]
+    if mode == "reflect":
+        padded = image.take(_reflect_index(h, kh // 2), axis=-2).take(_reflect_index(w, kw // 2), axis=-1)
+    else:
+        padded = np.zeros(image.shape[:-2] + (h + kh - 1, w + kw - 1))
+        padded[..., kh // 2 : kh // 2 + h, kw // 2 : kw // 2 + w] = image
+    out = np.zeros(image.shape)
+    term = np.empty(image.shape)
+    flipped = kernel[::-1, ::-1]
+    for i, j in zip(*(a.tolist() for a in np.nonzero(np.abs(flipped) > _DBL_EPSILON))):
+        np.multiply(padded[..., i : i + h, j : j + w], flipped[i, j], out=term)
+        out += term
+    return out
+
+
+def _gaussian_blur(image: np.ndarray, sigma: float) -> np.ndarray:
+    """``scipy.ndimage.gaussian_filter`` of float64 ``image``'s last two
+    axes (sigma 0 on any others) in "reflect" mode, with its bits: per
+    axis, rows first, a kernel of radius int(4 sigma + 0.5) summed as
+    ndimage sums a symmetric one, the centre times its weight plus each
+    pair of neighbours times theirs, from the outermost pair inward.
+    Each pass blurs axis -2, whose shifts are contiguous, and swaps the
+    last two axes."""
+    radius = int(4.0 * sigma + 0.5)
+    x = np.arange(-radius, radius + 1)
+    phi = np.exp(-0.5 / (sigma * sigma) * x**2)
+    phi = (phi / phi.sum()).tolist()
+    out = image
+    for _ in range(2):
+        n = out.shape[-2]
+        padded = out.take(_reflect_index(n, radius), axis=-2)
+        out = padded[..., radius : radius + n, :] * phi[radius]
+        pair = np.empty_like(out)
+        for d in range(radius, 0, -1):
+            np.add(padded[..., radius - d : radius - d + n, :], padded[..., radius + d : radius + d + n, :], out=pair)
+            pair *= phi[radius - d]
+            out += pair
+        out = out.swapaxes(-1, -2)
+    return out
 
 
 @functools.lru_cache(maxsize=None)
@@ -278,7 +335,7 @@ def _impulse_noise(img, rng, params):
 
 def _defocus_blur(img, rng, params):
     (radius,) = params
-    return _conv_rgb(img, _disk_kernel(radius))
+    return convolve(img, _disk_kernel(radius), "reflect")
 
 
 def _glass_blur(img, rng, params):
@@ -288,7 +345,7 @@ def _glass_blur(img, rng, params):
     the swaps run on a flat list of pixel indices, and the image is
     gathered once through the resulting permutation."""
     shift, iters, sigma = int(params[0]), int(params[1]), params[2]
-    out = gaussian_filter(img, sigma=(0, sigma, sigma), mode="reflect")
+    out = _gaussian_blur(img, sigma)
     c = out.shape[1]
     rows, cols = np.mgrid[0:c, 0:c]
     perm = list(range(c * c))
@@ -299,13 +356,13 @@ def _glass_blur(img, rng, params):
         for k, p in enumerate(partners):
             perm[k], perm[p] = perm[p], perm[k]
     out = out.reshape(3, c * c)[:, perm].reshape(3, c, c)
-    return gaussian_filter(out, sigma=(0, sigma, sigma), mode="reflect")
+    return _gaussian_blur(out, sigma)
 
 
 def _motion_blur(img, rng, params):
     (length,) = params
     angle = rng.uniform(0.0, np.pi)
-    return _conv_rgb(img, line_kernel(length, angle))
+    return convolve(img, line_kernel(length, angle), "reflect")
 
 
 def _zoom_blur(img, rng, params):
@@ -341,7 +398,7 @@ def _snow(img, rng, params):
     density, length, lift = params
     points = (rng.random(img.shape[1:]) < density).astype(np.float64)
     angle = np.pi / 2 + rng.uniform(-0.35, 0.35)
-    flakes = convolve(points, line_kernel(length, angle), mode="constant", cval=0.0)
+    flakes = convolve(points, line_kernel(length, angle), "constant")
     peak = flakes.max()
     if peak > 0:
         flakes = flakes / peak
@@ -362,9 +419,7 @@ def _contrast(img, rng, params):
 def _elastic_transform(img, rng, params):
     alpha, sigma = params
     c = img.shape[1]
-    raw = rng.uniform(-1.0, 1.0, size=(2, c, c))
-    dy = gaussian_filter(raw[0], sigma, mode="reflect")
-    dx = gaussian_filter(raw[1], sigma, mode="reflect")
+    dy, dx = _gaussian_blur(rng.uniform(-1.0, 1.0, size=(2, c, c)), sigma)
     dy = dy / max(np.abs(dy).max(), 1e-9) * alpha
     dx = dx / max(np.abs(dx).max(), 1e-9) * alpha
     ys, xs = np.mgrid[0:c, 0:c].astype(np.float64)
@@ -405,13 +460,83 @@ def _quality_scaled(table: np.ndarray, quality: float) -> np.ndarray:
     return np.clip(np.floor((table * scale + 50.0) / 100.0), 1.0, None)
 
 
-def _blockwise(channel: np.ndarray, q: np.ndarray) -> np.ndarray:
-    h, w = channel.shape
-    blocks = channel.reshape(h // 8, 8, w // 8, 8).transpose(0, 2, 1, 3)
-    coeffs = dctn(blocks, axes=(2, 3), norm="ortho")
-    coeffs = np.round(coeffs / q) * q
-    out = idctn(coeffs, axes=(2, 3), norm="ortho")
-    return out.transpose(0, 2, 1, 3).reshape(h, w)
+# The orthonormal 8-point DCT-II and DCT-III as scipy.fft (pocketfft)
+# computes them, FFTPACK's algorithm: a pre-step, a real FFT of length 8
+# (numpy.fft runs the same pocketfft code) and a post-step, with
+# twiddles cos(2 pi k / 32), k = 1..7, as pocketfft rounds them: its
+# cos(pi / 4) and cos(7 pi / 16) are one ulp below the correctly rounded
+# values. Scaling by a power of two commutes with every rounding, so the
+# transforms below leave out such factors and ``_dctn``/``_idctn`` apply
+# them once at the end. They run along axis 0, whose slices are
+# contiguous rows.
+_TWIDDLE = np.array([float.fromhex(t) for t in (
+    "0x1.f6297cff75cb0p-1", "0x1.d906bcf328d46p-1", "0x1.a9b66290ea1a3p-1", "0x1.6a09e667f3bccp-1",
+    "0x1.1c73b39ae68c8p-1", "0x1.87de2a6aea963p-2", "0x1.8f8b83c69a60ap-3",
+)])
+_TW_K, _TW_KC = _TWIDDLE[0:3, None], _TWIDDLE[6:3:-1, None]  # per pair (k, 8 - k), k = 1..3
+_SQRT2 = 1.4142135623730951
+
+
+def _dct2(x: np.ndarray) -> np.ndarray:
+    """8 times the orthonormal DCT-II of the columns of ``x``, [8, M]."""
+    spec = np.zeros((5, x.shape[1]), np.complex128)  # the FFT's half-complex input
+    re, im = spec.real, spec.imag
+    np.multiply(x[0], 2.0, out=re[0])
+    np.multiply(x[7], 2.0, out=re[4])
+    np.add(x[2:8:2], x[1:7:2], out=re[1:4])
+    np.subtract(x[2:8:2], x[1:7:2], out=im[1:4])
+    c = np.fft.irfft(spec, n=8, axis=0, norm="forward")
+    lo, hi = c[1:4], c[7:4:-1]
+    t1 = _TW_K * hi + _TW_KC * lo
+    t2 = _TW_K * lo - _TW_KC * hi
+    out = np.empty(x.shape)
+    np.multiply(c[0], _SQRT2, out=out[0])
+    np.add(t1, t2, out=out[1:4])
+    np.multiply(c[4], 2.0 * _TWIDDLE[3], out=out[4])
+    np.subtract(t1, t2, out=out[7:4:-1])
+    return out
+
+
+def _dct3(x: np.ndarray) -> np.ndarray:
+    """4 times the orthonormal DCT-III, the DCT-II's inverse, of the
+    columns of ``x``, [8, M]."""
+    lo, hi = x[1:4], x[7:4:-1]
+    t1, t2 = lo + hi, lo - hi
+    c = np.empty(x.shape)
+    np.multiply(x[0], _SQRT2, out=c[0])
+    np.add(_TW_K * t2, _TW_KC * t1, out=c[1:4])
+    np.multiply(x[4], 2.0 * _TWIDDLE[3], out=c[4])
+    np.subtract(_TW_K * t1, _TW_KC * t2, out=c[7:4:-1])
+    spec = np.fft.rfft(c, axis=0)
+    re, im = spec.real, spec.imag
+    out = np.empty(x.shape)
+    out[0] = re[0]
+    np.subtract(re[1:4], im[1:4], out=out[1:7:2])
+    np.add(re[1:4], im[1:4], out=out[2:8:2])
+    out[7] = re[4]
+    return out
+
+
+def _blockwise(transform, blocks: np.ndarray, scale: float) -> np.ndarray:
+    """``transform`` of [8, 8, ...] ``blocks`` along axis 0, then axis 1,
+    times ``scale``."""
+    shape = blocks.shape
+    out = transform(blocks.reshape(8, -1)).reshape(shape)
+    out = transform(out.swapaxes(0, 1).reshape(8, -1))
+    out *= scale
+    return out.reshape(shape).swapaxes(0, 1)
+
+
+def _dctn(blocks: np.ndarray) -> np.ndarray:
+    """``scipy.fft.dctn(blocks, axes=(0, 1), norm="ortho")`` of [8, 8, ...]
+    ``blocks``, with its bits."""
+    return _blockwise(_dct2, blocks, 1.0 / 64.0)
+
+
+def _idctn(blocks: np.ndarray) -> np.ndarray:
+    """``scipy.fft.idctn(blocks, axes=(0, 1), norm="ortho")`` of [8, 8, ...]
+    ``blocks``, with its bits."""
+    return _blockwise(_dct3, blocks, 1.0 / 16.0)
 
 
 def _jpeg_compression(img, rng, params):
@@ -420,12 +545,17 @@ def _jpeg_compression(img, rng, params):
     if c % 8 != 0:
         raise ValueError(f"jpeg_compression: image side {c} must be a multiple of 8")
     r, g, b = img[0] * 255.0, img[1] * 255.0, img[2] * 255.0
-    y = 0.299 * r + 0.587 * g + 0.114 * b - 128.0
-    cb = -0.168736 * r - 0.331264 * g + 0.5 * b
-    cr = 0.5 * r - 0.418688 * g - 0.081312 * b
-    y = _blockwise(y, _quality_scaled(_JPEG_Q_LUMA, quality))
-    cb = _blockwise(cb, _quality_scaled(_JPEG_Q_CHROMA, quality))
-    cr = _blockwise(cr, _quality_scaled(_JPEG_Q_CHROMA, quality))
+    ycc = np.stack([
+        0.299 * r + 0.587 * g + 0.114 * b - 128.0,
+        -0.168736 * r - 0.331264 * g + 0.5 * b,
+        0.5 * r - 0.418688 * g - 0.081312 * b,
+    ])
+    # the 8x8 blocks of Y, Cb and Cr, as [row, column, channel, block row, block column]
+    blocks = ycc.reshape(3, c // 8, 8, c // 8, 8).transpose(2, 4, 0, 1, 3)
+    q = _quality_scaled(np.stack([_JPEG_Q_LUMA, _JPEG_Q_CHROMA, _JPEG_Q_CHROMA]), quality)
+    q = q.transpose(1, 2, 0)[..., None, None]
+    coeffs = np.round(_dctn(blocks) / q) * q
+    y, cb, cr = _idctn(coeffs).transpose(2, 3, 0, 4, 1).reshape(3, c, c)
     y = y + 128.0
     r = y + 1.402 * cr
     g = y - 0.344136 * cb - 0.714136 * cr

@@ -14,9 +14,8 @@ from enum import Enum
 from functools import cache
 
 import numpy as np
-from scipy.ndimage import convolve
 
-from .corruptions import line_kernel
+from .corruptions import convolve, line_kernel
 from .seeding import rng_for
 
 DEFAULT_CELL_SIZE = 32
@@ -178,7 +177,7 @@ def _diagonal_streaks(rng: np.random.Generator, c: int) -> np.ndarray:
     points = (rng.random((c, c)) < 0.035).astype(np.float64)
     length = max(5, c // 5)
     angle = np.pi / 4 + rng.uniform(-0.25, 0.25)
-    field = convolve(points, line_kernel(length, angle), mode="constant", cval=0.0)
+    field = convolve(points, line_kernel(length, angle), "constant")
     peak = field.max()
     if peak > 0:
         field = field / peak

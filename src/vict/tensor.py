@@ -70,7 +70,6 @@ from dataclasses import dataclass, field
 from typing import Callable, Iterable, Mapping
 
 import numpy as np
-from scipy.special import erf
 
 DEFAULT_DTYPE = np.float32
 LAYERNORM_EPS = 1e-5
@@ -451,12 +450,70 @@ def _normalize_backward(
     _accumulate(x, dx)
 
 
+# Cephes' erf and erfc, the algorithm and coefficients scipy.special.erf
+# evaluates: x T(x^2) / U(x^2) for |x| <= 1, else 1 - exp(-x^2) P(|x|) / Q(|x|).
+# U and Q are monic; their leading 1 is written out.
+_ERF_T = (9.60497373987051638749e0, 9.00260197203842689217e1, 2.23200534594684319226e3,
+          7.00332514112805075473e3, 5.55923013010394962768e4)
+_ERF_U = (1.0, 3.35617141647503099647e1, 5.21357949780152679795e2, 4.59432382970980127987e3,
+          2.26290000613890934246e4, 4.92673942608635921086e4)
+_ERFC_P = (2.46196981473530512524e-10, 5.64189564831068821977e-1, 7.46321056442269912687e0,
+           4.86371970985681366614e1, 1.96520832956077098242e2, 5.26445194995477358631e2,
+           9.34528527171957607540e2, 1.02755188689515710272e3, 5.57535335369399327526e2)
+_ERFC_Q = (1.0, 1.32281951154744992508e1, 8.67072140885989742329e1, 3.54937778887819891062e2,
+           9.75708501743205489753e2, 1.82390916687909736289e3, 2.24633760818710981792e3,
+           1.65666309194161350182e3, 5.57535340817727675546e2)
+_libm_exp = np.frompyfunc(math.exp, 1, 1)
+
+
+def polevl(x: np.ndarray, coef: tuple[float, ...]) -> np.ndarray:
+    """Horner's rule at float64 ``x``, highest power first, in a new array:
+    the operations, in order, of Cephes' ``polevl``, and of ``p1evl`` when
+    ``coef[0]`` is its unstored leading 1."""
+    if coef[0] == 1.0:
+        acc = x + coef[1]
+    else:
+        acc = np.multiply(x, coef[0])
+        acc += coef[1]
+    for c in coef[2:]:
+        acc *= x
+        acc += c
+    return acc
+
+
+def _erf(x: np.ndarray) -> np.ndarray:
+    """The error function of ``x`` with ``scipy.special.erf``'s bits, in a
+    new array of ``x``'s dtype: Cephes evaluated in float64, then rounded.
+
+    The |x| <= 1 rational runs over every element, and the erfc branch
+    over the |x| > 1 ones only, which GELU inputs rarely hold. There |x|
+    is capped at 8: from 6 on, erfc(|x|) < 2**-54 and 1 - erfc rounds to
+    1, as Cephes' other branches for large |x| give. numpy's float64
+    ``exp`` can differ from libm's in the last bit, so a float64 ``x``
+    takes libm's (Python's ``math.exp``); a float32 result is the same
+    either way, which a sweep of every float32 input showed."""
+    with np.errstate(over="ignore", invalid="ignore"):  # |x| > ~1e30, overwritten below; signalling NaNs
+        v = x.astype(np.float64, order="C")
+        z = v * v  # > 1 exactly where |x| > 1
+        v *= polevl(z, _ERF_T)
+        v /= polevl(z, _ERF_U)
+    if not z.max(initial=0.0) <= 1.0:  # a NaN, which stays NaN, also lands here
+        big = np.flatnonzero(z > 1.0)
+        xb = x.reshape(-1)[big]
+        s = np.minimum(np.abs(xb), 8.0).astype(np.float64)
+        e = np.negative(s * s)
+        e = _libm_exp(e).astype(np.float64) if x.dtype == np.float64 else np.exp(e, out=e)
+        e *= polevl(s, _ERFC_P)
+        e /= polevl(s, _ERFC_Q)
+        v.reshape(-1)[big] = np.copysign(np.subtract(1.0, e, out=e), xb)
+    return v.astype(x.dtype, copy=False)
+
+
 def _gelu(pre: np.ndarray, derivative: bool) -> np.ndarray | None:
     """Exact (erf-based) Gaussian error linear unit of ``pre``, in place.
     Returns its derivative ``cdf + pre * pdf`` in a new array if asked
     for, else None; the normal cdf is a temporary."""
-    cdf = np.multiply(pre, _INV_SQRT2, out=np.empty_like(pre))
-    erf(cdf, out=cdf)
+    cdf = _erf(pre * _INV_SQRT2)
     cdf += 1.0
     cdf *= 0.5
     d = None

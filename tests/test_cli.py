@@ -1,7 +1,12 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import vict
 from vict import corruptions, harness, tasks, training, tuning
 from vict.cli import _bench_config, build_parser, cli_main
 
@@ -220,3 +225,11 @@ def test_unwritable_output_path_rejected_before_running(tmp_path, monkeypatch, c
     else:
         assert f"error: {flag}: {path!r} is not a file in an existing directory" in err
     assert sorted(p.name for p in tmp_path.iterdir()) == ["adir", "afile"]
+
+
+def test_import_loads_no_scipy():
+    # in a fresh interpreter, since pytest has loaded scipy for the reference tests
+    code = "import sys, vict, vict.cli; print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
+    env = {**os.environ, "PYTHONPATH": str(Path(vict.__file__).resolve().parents[1])}
+    run = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=120, check=True)
+    assert run.stdout.strip() == "[]"

@@ -2,6 +2,8 @@ import copy
 
 import numpy as np
 import pytest
+import scipy.fft
+from scipy import ndimage
 from scipy.ndimage import gaussian_filter
 
 from vict import corruptions as cor
@@ -237,3 +239,51 @@ def test_line_kernel_matches_splat_loop():
         for angle in angles:
             fast = cor.line_kernel(length, angle)
             assert fast.tobytes() == _line_kernel_splat_loop(length, angle).tobytes(), (length, angle)
+
+
+# ---------------------------------------------------------------------------
+# the numpy image kernels against the scipy functions they replace
+# ---------------------------------------------------------------------------
+
+
+def _table_values(kind, index):
+    return sorted({cor.severity_params(kind, s)[index] for s in cor.SEVERITIES})
+
+
+@pytest.mark.parametrize("c", [8, 16, 32])
+def test_convolve_matches_ndimage(c):
+    rng = np.random.default_rng(c)
+    image = rng.uniform(0.0, 1.0, (3, c, c))
+    points = (rng.random((c, c)) < 0.1).astype(np.float64)
+    angles = [0.0, np.pi / 4, np.pi / 2, *rng.uniform(0.0, np.pi, 4)]
+    reflect = [cor._disk_kernel(r) for r in _table_values(KIND.DEFOCUS_BLUR, 0)]
+    reflect += [cor.line_kernel(n, a) for n in _table_values(KIND.MOTION_BLUR, 0) for a in angles]
+    constant = [cor.line_kernel(n, a) for n in _table_values(KIND.SNOW, 1) for a in angles]
+    constant += [cor.line_kernel(max(5, c // 5), a) for a in angles]  # derain streaks
+    assert max(k.shape[0] for k in reflect) > 8  # wider than the smallest image
+    for kernel in reflect:
+        expected = np.stack([ndimage.convolve(image[i], kernel, mode="reflect") for i in range(3)])
+        assert cor.convolve(image, kernel, "reflect").tobytes() == expected.tobytes(), kernel.shape
+    for kernel in constant:
+        expected = ndimage.convolve(points, kernel, mode="constant", cval=0.0)
+        assert cor.convolve(points, kernel, "constant").tobytes() == expected.tobytes(), kernel.shape
+
+
+@pytest.mark.parametrize("c", [8, 16, 32])
+def test_gaussian_blur_matches_ndimage(c):
+    rng = np.random.default_rng(c)
+    image = rng.uniform(-1.0, 1.0, (3, c, c))
+    sigmas = _table_values(KIND.GLASS_BLUR, 2) + _table_values(KIND.ELASTIC_TRANSFORM, 1)
+    for sigma in sigmas + [3.0]:  # 3.0: a radius (12) wider than the smallest image
+        expected = ndimage.gaussian_filter(image, sigma=(0, sigma, sigma), mode="reflect")
+        assert cor._gaussian_blur(image, sigma).tobytes() == expected.tobytes(), sigma
+        expected = ndimage.gaussian_filter(image[0], sigma, mode="reflect")
+        assert cor._gaussian_blur(image[0], sigma).tobytes() == expected.tobytes(), sigma
+
+
+def test_dct_matches_scipy_fft():
+    rng = np.random.default_rng(0)
+    blocks = rng.uniform(-300.0, 300.0, (8, 8, 3, 20, 20))
+    blocks[..., 0, 0] = np.round(blocks[..., 0, 0])  # quantized blocks, as jpeg transforms them back
+    assert cor._dctn(blocks).tobytes() == scipy.fft.dctn(blocks, axes=(0, 1), norm="ortho").tobytes()
+    assert cor._idctn(blocks).tobytes() == scipy.fft.idctn(blocks, axes=(0, 1), norm="ortho").tobytes()

@@ -3,6 +3,7 @@ import weakref
 
 import numpy as np
 import pytest
+from scipy.special import ndtr, ndtri
 
 from vict import model, tasks, training, tuning
 from vict import tensor as T
@@ -600,3 +601,15 @@ def test_params_reject_tensors_outside_one_arena():
     copied = {**tensors, "pos_embed": T.Tensor(views["pos_embed"].copy())}
     with pytest.raises(ValueError, match=r"^Params: 'pos_embed' does not start"):
         model.Params(config=TINY_CONFIG, tensors=copied)
+
+
+def test_truncation_bounds_are_scipy_ndtr():
+    assert (model._TRUNC_LO, model._TRUNC_HI) == (ndtr(-2.0), ndtr(2.0))
+
+
+def test_ndtri_matches_scipy_on_the_truncation_range():
+    lo, hi, edge = model._TRUNC_LO, model._TRUNC_HI, model._EXP_M2
+    ends = [lo, hi, 0.5, edge, 1.0 - edge]  # the range, and where the central rational meets the tails
+    ends += [np.nextafter(v, d) for v in ends[2:] for d in (0.0, 1.0)] + [np.nextafter(lo, 1.0), np.nextafter(hi, 0.0)]
+    y = np.concatenate([np.random.default_rng(0).uniform(lo, hi, 300_000), ends])
+    assert model._ndtri(y).tobytes() == ndtri(y).tobytes()

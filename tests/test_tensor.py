@@ -525,6 +525,46 @@ def test_adamw_nan_in_the_last_block_changes_nothing():
 
 
 # ---------------------------------------------------------------------------
+# erf against scipy.special.erf, bit for bit
+# ---------------------------------------------------------------------------
+
+
+def _assert_erf_matches_scipy(x):
+    ours, theirs = T._erf(x), erf(x)
+    assert ours.dtype == theirs.dtype == x.dtype
+    nan = np.isnan(theirs)
+    assert np.array_equal(np.isnan(ours), nan)
+    assert ours[~nan].tobytes() == theirs[~nan].tobytes()
+
+
+def test_erf_matches_scipy_on_every_float32_from_1_to_8():
+    """The erfc branch, and the cap at 8, on every float32 it serves."""
+    lo, hi = (int(np.array(v, np.float32).view(np.int32)) for v in (1.0, 8.0))
+    chunk = 1 << 21
+    for start in range(lo, hi, chunk):
+        x = np.arange(start, min(start + chunk, hi), dtype=np.int32).view(np.float32)
+        _assert_erf_matches_scipy(x)
+        _assert_erf_matches_scipy(-x)
+
+
+def test_erf_matches_scipy_on_float32_below_1_and_special_values():
+    x = np.arange(0, int(np.array(1.0, np.float32).view(np.int32)), 251, dtype=np.int32).view(np.float32)
+    _assert_erf_matches_scipy(np.concatenate([x, -x]))
+    big = np.finfo(np.float32).max
+    special = [0.0, -0.0, 1.0, -1.0, 6.0, 8.0, 1e30, -1e30, big, -big, np.inf, -np.inf, np.nan]
+    _assert_erf_matches_scipy(np.array(special, np.float32))
+    _assert_erf_matches_scipy(np.array([[0.5, np.nan], [2.0, -3.0]], np.float32).T)  # NaN among |x| > 1, not contiguous
+    assert T._erf(np.zeros((0, 4), np.float32)).shape == (0, 4)
+
+
+@pytest.mark.parametrize("scale", [0.3, 1.0, 3.0, 30.0])
+def test_erf_matches_scipy_on_float64(scale):
+    x = np.random.default_rng(int(scale * 10)).standard_normal(100_000) * scale
+    _assert_erf_matches_scipy(x)
+    _assert_erf_matches_scipy(np.array([0.0, -0.0, 1.0, -1.0, 1e300, -np.inf, np.inf, np.nan]))
+
+
+# ---------------------------------------------------------------------------
 # smooth-L1
 # ---------------------------------------------------------------------------
 
