@@ -17,8 +17,8 @@ out.mkdir(exist_ok=True)
 # One sample per task; inputs and targets side by side.
 for task in tasks.ALL_TASKS:
     sample = tasks.generate(task, seed=7)
-    metric = tasks.evaluate(task, sample.input, sample.target)
-    print(f"{task.value:<13} input-vs-target {metric.name} = {metric.value:.3f}")
+    value = tasks.evaluate(task, sample.input, sample.target)
+    print(f"{task.value:<13} input-vs-target {tasks.metric_name_for(task)} = {value:.3f}")
     write_ppm(out / f"{task.value}_{sample.seed}_input.ppm", sample.input)
     write_ppm(out / f"{task.value}_{sample.seed}_target.ppm", sample.target)
 

@@ -28,17 +28,18 @@ else:
 task = tasks.TaskKind.DENOISE
 corruption = corruptions.CorruptionSpec(corruptions.CorruptionKind.GAUSSIAN_NOISE, severity=3, seed=11)
 
-sample = tasks.generate(task, seed=100)
+cell_size = params.config.cell_size
+sample = tasks.generate(task, seed=100, cell_size=cell_size)
 x_t = corruptions.apply(sample.input, corruption)
-prompt = tuning.select_prompt(task, tuning.ONE_SHOT, corruption, seed=200)
+prompt = tuning.select_prompt(task, tuning.ONE_SHOT, corruption, seed=200, cell_size=cell_size)
 print(f"prompt input corrupted: {prompt.corruption is not None}")
 
 frozen_pred = tuning.infer(params, prompt.pair, x_t)
-frozen_psnr = tasks.psnr(frozen_pred, sample.target).value
+frozen_psnr = tasks.psnr(frozen_pred, sample.target)
 
 config = tuning.VictConfig(steps=40)
 result = tuning.adapt_and_predict(params, prompt, x_t, config)
-tuned_psnr = tasks.psnr(result.y_t_hat, sample.target).value
+tuned_psnr = tasks.psnr(result.y_t_hat, sample.target)
 
 print(f"cycle loss: {result.loss_trace[0]:.4f} -> {result.loss_trace[-1]:.4f} over {config.steps} steps")
 print(f"test PSNR: frozen {frozen_psnr:.2f} dB -> tuned {tuned_psnr:.2f} dB")

@@ -9,10 +9,10 @@ Layout (all integers unsigned 32-bit little-endian):
 The config block is ``key=value`` text, one model-config field per line
 in ``ModelConfig`` field order. The tensor table must list exactly
 ``model.layout(config)``: the same names, in the same order, with the
-same shapes. The group byte is written from the tensor name
-(``model.group_of``) and checked against it on load, so a file cannot
-relabel what test-time tuning updates. Round-trips are bit-exact for
-float32 parameters.
+same shapes, and every value finite. The group byte is written from the
+tensor name (``model.group_of``) and checked against it on load, so a
+file cannot relabel what test-time tuning updates. Round-trips are
+bit-exact for float32 parameters.
 """
 
 from __future__ import annotations
@@ -133,7 +133,10 @@ def load_checkpoint(path: str | Path) -> Params:
         dims = struct.unpack(f"<{rank}I", reader.take(4 * rank))
         if dims != shape:
             raise CheckpointError(f"{path}: tensor {name!r} has shape {list(dims)}, but the config gives {list(shape)}")
-        params.tensors[name].data[...] = np.frombuffer(reader.take(4 * math.prod(dims)), dtype="<f4").reshape(dims)
+        values = np.frombuffer(reader.take(4 * math.prod(dims)), dtype="<f4")
+        if not np.isfinite(values).all():
+            raise CheckpointError(f"{path}: tensor {name!r} holds non-finite values")
+        params.tensors[name].data[...] = values.reshape(dims)
     if count < len(expected):
         raise CheckpointError(f"{path}: missing tensor {expected[count][0]!r}; the table ends after {count}")
     if reader.pos != len(raw):

@@ -16,7 +16,6 @@ import functools
 from dataclasses import dataclass
 from enum import Enum
 from importlib import resources
-from pathlib import Path
 
 import numpy as np
 
@@ -607,21 +606,3 @@ def apply(image: np.ndarray, spec: CorruptionSpec) -> np.ndarray:
     out = np.clip(out, 0.0, 1.0)
     return out.astype(arr.dtype if np.issubdtype(arr.dtype, np.floating) else np.float32)
 
-
-def monotonicity_report(images: list[np.ndarray], seed: int = 0) -> list[tuple[str, int, float]]:
-    """Mean MSE-to-clean per (kind, severity) over a probe set."""
-    rows = []
-    for kind in ALL_KINDS:
-        for sev in SEVERITIES:
-            total = 0.0
-            for i, img in enumerate(images):
-                out = apply(img, CorruptionSpec(kind, sev, seed + i))
-                total += float(np.mean((out.astype(np.float64) - np.asarray(img, dtype=np.float64)) ** 2))
-            rows.append((kind.value, sev, total / len(images)))
-    return rows
-
-
-def write_monotonicity_csv(path: str | Path, rows: list[tuple[str, int, float]]) -> None:
-    lines = ["kind,severity,mean_mse"]
-    lines += [f"{kind},{sev},{mse:.8f}" for kind, sev, mse in rows]
-    Path(path).write_text("\n".join(lines) + "\n", encoding="ascii")

@@ -151,7 +151,8 @@ def check_cycle_loss(config: model.ModelConfig = TINY_CONFIG, seed: int = 0) -> 
     c = config.cell_size
     prompt = tasks.generate(tasks.TaskKind.DENOISE, seed + 1, c)
     query = tasks.generate(tasks.TaskKind.DENOISE, seed + 2, c)
-    rows = [a.astype(np.float64) for a in cycle_rows((prompt.input, prompt.target), query.input, config.patch_size)]
+    rows = cycle_rows((prompt.input, prompt.target), query.input, config.patch_size)
+    rows = [a.astype(np.float64) if a.dtype.kind == "f" else a for a in rows]
     return _check(lambda: cycle_loss(params, *rows), model.trainable(params, "encoder"))
 
 

@@ -25,6 +25,7 @@ from .canvas import write_ppm
 from .checkpoint import load_checkpoint
 from .seeding import mix, rng_for
 from .tensor import check_lr
+from .training import reject_repeats
 from .tuning import VictConfig, adapt_and_predict, infer, select_prompt
 
 FROZEN = "frozen"
@@ -52,13 +53,6 @@ _ABBREV = {
     "zoom_blur": "zoom",
     CLEAN_KEY: CLEAN_KEY,
 }
-
-
-def _reject_repeats(owner: str, label: str, group: tuple) -> None:
-    repeats = list(dict.fromkeys(v for i, v in enumerate(group) if v in group[:i]))
-    if repeats:
-        names = ", ".join(str(getattr(v, "value", v)) for v in repeats)
-        raise ValueError(f"{owner}: {label} {names} selected more than once")
 
 
 @dataclass(frozen=True)
@@ -91,7 +85,7 @@ class BenchConfig:
             bad = [v for v in group if v not in allowed]
             if bad:
                 raise ValueError(f"BenchConfig: invalid {label} selection {bad}")
-            _reject_repeats("BenchConfig", label, group)
+            reject_repeats("BenchConfig", label, group)
 
 
 @dataclass
@@ -182,7 +176,7 @@ def _evaluate_sample(
                     [np.concatenate([x, y], axis=2), np.concatenate([x_t, prediction], axis=2)], axis=1
                 )
                 write_ppm(Path(config.dump_canvases) / f"{corruption_name}_s{severity}_{setting}_{method}.ppm", grid)
-            results[(setting, method)] = tasks.evaluate(config.task, prediction, sample.target).value
+            results[(setting, method)] = tasks.evaluate(config.task, prediction, sample.target)
     return results
 
 
@@ -318,7 +312,7 @@ class FewShotSweepConfig:
         bad = [m for m in self.shots if m not in FEWSHOT_ALLOWED]
         if bad:
             raise ValueError(f"FewShotSweepConfig: shot counts {bad} not in {FEWSHOT_ALLOWED}")
-        _reject_repeats("FewShotSweepConfig", "shot count", self.shots)
+        reject_repeats("FewShotSweepConfig", "shot count", self.shots)
         corruptions.check_severity("FewShotSweepConfig", self.severity)
         check_lr("FewShotSweepConfig", "finetune_lr", self.finetune_lr)
 
@@ -333,7 +327,7 @@ def _frozen_eval(params: model.Params, config: FewShotSweepConfig, seed: int) ->
         x_t = corruptions.apply(sample.input, spec)
         prompt = select_prompt(config.task, tuning.ZERO_SHOT, None, mix("fewshot-eval-prompt", seed, i), c)
         prediction = infer(params, prompt.pair, x_t)
-        values.append(tasks.evaluate(config.task, prediction, sample.target).value)
+        values.append(tasks.evaluate(config.task, prediction, sample.target))
     return float(np.mean(values))
 
 

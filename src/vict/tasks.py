@@ -65,12 +65,6 @@ _METRICS = {
 }
 
 
-@dataclass(frozen=True)
-class Metric:
-    name: str
-    value: float
-
-
 def metric_name_for(task: TaskKind) -> str:
     return _METRICS[task][0]
 
@@ -79,7 +73,9 @@ def higher_is_better_for(task: TaskKind) -> bool:
     return _METRICS[task][1]
 
 
-def evaluate(task: TaskKind, pred: np.ndarray, target: np.ndarray) -> Metric:
+def evaluate(task: TaskKind, pred: np.ndarray, target: np.ndarray) -> float:
+    """``task``'s metric of ``pred`` against ``target``; ``metric_name_for``
+    names it."""
     if task is TaskKind.SEGMENTATION:
         return miou(pred, target)
     if task is TaskKind.DEPTH:
@@ -216,17 +212,12 @@ def generate(task: TaskKind, seed: int, cell_size: int = DEFAULT_CELL_SIZE) -> T
     )
 
 
-def probe_images(count: int = 16, cell_size: int = DEFAULT_CELL_SIZE, seed: int = 1000) -> list[np.ndarray]:
-    """Fixed clean scenes, used as the corruption monotonicity probe set."""
-    return [generate(TaskKind.SEGMENTATION, seed + i, cell_size).input for i in range(count)]
-
-
 # ---------------------------------------------------------------------------
 # metrics
 # ---------------------------------------------------------------------------
 
 
-def psnr(pred: np.ndarray, target: np.ndarray) -> Metric:
+def psnr(pred: np.ndarray, target: np.ndarray) -> float:
     """Peak signal-to-noise ratio in dB against a unit dynamic range."""
     pred = np.asarray(pred, dtype=np.float64)
     target = np.asarray(target, dtype=np.float64)
@@ -234,8 +225,8 @@ def psnr(pred: np.ndarray, target: np.ndarray) -> Metric:
         raise ValueError(f"psnr: shape mismatch {pred.shape} vs {target.shape}")
     mse = float(np.mean((pred - target) ** 2))
     if mse < 1e-10:
-        return Metric("PSNR", PSNR_CAP_DB)
-    return Metric("PSNR", min(10.0 * np.log10(1.0 / mse), PSNR_CAP_DB))
+        return PSNR_CAP_DB
+    return min(10.0 * np.log10(1.0 / mse), PSNR_CAP_DB)
 
 
 def decode_classes(image: np.ndarray) -> np.ndarray:
@@ -246,7 +237,7 @@ def decode_classes(image: np.ndarray) -> np.ndarray:
     return dists.argmin(axis=1).reshape(image.shape[1], image.shape[2])
 
 
-def miou(pred: np.ndarray, target: np.ndarray) -> Metric:
+def miou(pred: np.ndarray, target: np.ndarray) -> float:
     """Mean IoU over the classes present in the target."""
     pred = np.asarray(pred)
     target = np.asarray(target)
@@ -261,7 +252,7 @@ def miou(pred: np.ndarray, target: np.ndarray) -> Metric:
         union = np.logical_or(p, t).sum()
         inter = np.logical_and(p, t).sum()
         ious.append(inter / union if union > 0 else 0.0)
-    return Metric("mIoU", float(np.mean(ious)))
+    return float(np.mean(ious))
 
 
 def luminance(image: np.ndarray) -> np.ndarray:
@@ -269,7 +260,7 @@ def luminance(image: np.ndarray) -> np.ndarray:
     return 0.299 * image[0] + 0.587 * image[1] + 0.114 * image[2]
 
 
-def a_rel(pred_depth: np.ndarray, target_depth: np.ndarray) -> Metric:
+def a_rel(pred_depth: np.ndarray, target_depth: np.ndarray) -> float:
     """Mean absolute relative depth error over pixels deeper than a floor."""
     p = luminance(pred_depth)
     t = luminance(target_depth)
@@ -278,4 +269,4 @@ def a_rel(pred_depth: np.ndarray, target_depth: np.ndarray) -> Metric:
     valid = t > AREL_MIN_DEPTH
     if not valid.any():
         raise ValueError("a_rel: target has no pixels above the depth floor")
-    return Metric("A.Rel", float(np.mean(np.abs(p[valid] - t[valid]) / t[valid])))
+    return float(np.mean(np.abs(p[valid] - t[valid]) / t[valid]))

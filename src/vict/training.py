@@ -33,6 +33,14 @@ FLIP_MASK_PROB = 0.25
 Pair = tuple[np.ndarray, np.ndarray]
 
 
+def reject_repeats(owner: str, label: str, group: tuple) -> None:
+    """Reject a selection that names one value more than once."""
+    repeats = list(dict.fromkeys(v for i, v in enumerate(group) if v in group[:i]))
+    if repeats:
+        names = ", ".join(str(getattr(v, "value", v)) for v in repeats)
+        raise ValueError(f"{owner}: {label} {names} selected more than once")
+
+
 @dataclass(frozen=True)
 class PretrainConfig:
     steps: int = 5000
@@ -46,6 +54,7 @@ class PretrainConfig:
         check_lr("PretrainConfig", "lr", self.lr)
         if not self.task_mix:
             raise ValueError("PretrainConfig: task_mix is empty")
+        reject_repeats("PretrainConfig", "task", self.task_mix)
 
 
 @dataclass

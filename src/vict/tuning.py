@@ -20,7 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import model, tasks
-from .canvas import EMPTY_FILL, CellPosition, assemble_flipped, assemble_inference, cell_rows, extract_cell, patchify
+from .canvas import EMPTY_FILL, assemble_flipped, assemble_inference, extract_cell, patchify
 from .corruptions import CorruptionSpec, apply
 from .seeding import mix
 from .tensor import AdamWState, Tensor, adamw_step, check_lr, collect_grads, constant, put_rows, smooth_l1, zero_grads
@@ -105,20 +105,29 @@ def infer(params: model.Params, pair: tuple[np.ndarray, np.ndarray], x_t: np.nda
 
 def cycle_rows(pair: tuple[np.ndarray, np.ndarray], x_t: np.ndarray, patch_size: int) -> tuple[np.ndarray, ...]:
     """``cycle_loss``'s constant inputs, which do not change during an
-    adaptation: the patch rows of the inference canvas (x, y, x_t, empty),
-    of the flipped canvas (x, empty, x_t, a placeholder that the
-    prediction overwrites) and of the prompt output y."""
+    adaptation: the patch rows of the inference canvas (x, y, x_t, empty)
+    and its empty cell's rows; the same two of the flipped canvas (x,
+    empty, x_t, a placeholder that the prediction overwrites); and the
+    patch rows of the prompt output y."""
     x, y = pair
+    inference = assemble_inference(x, y, x_t)
     flipped = assemble_flipped(x, x_t, np.full_like(x_t, EMPTY_FILL))
-    return assemble_inference(x, y, x_t).patches(patch_size), flipped.patches(patch_size), patchify(y, patch_size)
+    return (
+        inference.patches(patch_size),
+        inference.empty_rows(patch_size),
+        flipped.patches(patch_size),
+        flipped.empty_rows(patch_size),
+        patchify(y, patch_size),
+    )
 
 
-def cycle_loss(params: model.Params, inference: np.ndarray, flipped: np.ndarray, y: np.ndarray) -> Tensor:
+def cycle_loss(
+    params: model.Params, inference: np.ndarray, query: np.ndarray, flipped: np.ndarray, prompt: np.ndarray, y: np.ndarray
+) -> Tensor:
     """Scalar cycle-consistency loss on the rows of ``cycle_rows``: predict
-    the test output's rows, put them into the flipped canvas, predict the
-    prompt output's rows and score them against ``y``."""
-    half = params.config.grid // 2
-    query, prompt = cell_rows(CellPosition.BOTTOM_RIGHT, half), cell_rows(CellPosition.TOP_RIGHT, half)
+    the test output's rows ``query``, put them into the flipped canvas at
+    the same rows, predict the prompt output's rows ``prompt`` and score
+    them against ``y``."""
     y_t_hat = model.forward(params, inference, query)
     y_hat = model.forward(params, put_rows(constant(flipped), query, y_t_hat), prompt)
     return smooth_l1(y_hat, constant(y))

@@ -1,3 +1,9 @@
+import os
+import shutil
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 
 from vict import model, training
@@ -13,3 +19,23 @@ def small_checkpoint(tmp_path_factory):
     path = tmp_path_factory.mktemp("ckpt") / "small.bin"
     save_checkpoint(result.params, path)
     return path
+
+
+@pytest.fixture
+def run_demo(tmp_path):
+    """Runs a demo from a copy in ``tmp_path``, so the ``out/`` it writes
+    beside itself stays out of the checkout. ``run_demo(name, *args)``
+    returns that ``out/`` directory."""
+    root = Path(__file__).resolve().parent.parent
+
+    def run(name, *args):
+        script = tmp_path / name
+        shutil.copy(root / "demos" / name, script)
+        env = {**os.environ, "PYTHONPATH": str(root / "src")}
+        done = subprocess.run(
+            [sys.executable, str(script), *map(str, args)], cwd=tmp_path, env=env, capture_output=True, text=True, timeout=300
+        )
+        assert done.returncode == 0, done.stderr
+        return tmp_path / "out"
+
+    return run

@@ -201,6 +201,17 @@ def test_tensor_table_that_differs_from_the_config_rejected(tmp_path, edit, mess
         load_checkpoint(bad)
 
 
+@pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+def test_non_finite_weights_rejected_by_name(tmp_path, value):
+    params = model.init(SMALL_MODEL, seed=1)
+    params.tensors["enc0.mlp.fc1.weight"].data[2, 3] = value
+    bad = tmp_path / "bad.bin"
+    save_checkpoint(params, bad)
+    with pytest.raises(CheckpointError, match=r"tensor 'enc0.mlp.fc1.weight' holds non-finite values") as err:
+        load_checkpoint(bad)
+    assert str(err.value).startswith(f"{bad}: ")
+
+
 def test_describe_mentions_config_and_tensors(checkpoint_path):
     params, path = checkpoint_path
     text = describe_checkpoint(path)

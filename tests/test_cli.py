@@ -4,10 +4,12 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import vict
 from vict import corruptions, harness, tasks, training, tuning
+from vict.checkpoint import load_checkpoint, save_checkpoint
 from vict.cli import _bench_config, build_parser, cli_main
 
 
@@ -107,6 +109,24 @@ def test_bench_rejects_repeated_corruption(small_checkpoint, capsys):
     code = cli_main(["bench", "--checkpoint", str(small_checkpoint), "--corruption", "fog,fog"])
     assert code == 1
     assert "corruption kind fog selected more than once" in capsys.readouterr().err
+
+
+def test_bench_rejects_a_checkpoint_with_non_finite_weights(small_checkpoint, tmp_path, capsys):
+    params = load_checkpoint(small_checkpoint)
+    params.tensors["enc0.mlp.fc1.weight"].data[0, 0] = np.nan
+    bad = tmp_path / "nan.bin"
+    save_checkpoint(params, bad)
+    code = cli_main(["bench", "--checkpoint", str(bad), "--corruption", "fog", "--num-samples", "2", "--steps", "1"])
+    assert code == 1
+    captured = capsys.readouterr()
+    assert "tensor 'enc0.mlp.fc1.weight' holds non-finite values" in captured.err
+    assert captured.out == ""
+
+
+def test_pretrain_rejects_repeated_task(monkeypatch, capsys):
+    monkeypatch.setattr(training, "pretrain", lambda *args: pytest.fail("ran with a repeated task"))
+    assert cli_main(["pretrain", "--out", "x", "--task-mix", "denoise,denoise,depth"]) == 1
+    assert "PretrainConfig: task denoise selected more than once" in capsys.readouterr().err
 
 
 def test_bench_defaults_are_victconfig_defaults():

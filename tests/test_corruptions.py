@@ -15,7 +15,8 @@ KIND = cor.CorruptionKind
 
 @pytest.fixture(scope="module")
 def probe_set():
-    return tasks.probe_images(16)
+    """Fixed clean scenes, the set the severity-growth test measures on."""
+    return [tasks.generate(tasks.TaskKind.SEGMENTATION, 1000 + i).input for i in range(16)]
 
 
 def spec(kind, severity=3, seed=0):
@@ -53,15 +54,17 @@ def test_apply_outputs_in_range_and_shape(probe_set):
             assert np.isfinite(out).all()
 
 
+def _mean_mse(images, kind, severity):
+    """Mean squared distortion of ``kind`` at ``severity`` over ``images``,
+    image i corrupted with seed i."""
+    errors = [cor.apply(img, spec(kind, severity, i)).astype(np.float64) - img for i, img in enumerate(images)]
+    return np.mean([np.mean(e**2) for e in errors])
+
+
 def test_severity_monotone_mse_on_probe_set(probe_set):
-    rows = cor.monotonicity_report(probe_set, seed=0)
-    by_kind = {}
-    for kind, severity, mse in rows:
-        by_kind.setdefault(kind, []).append((severity, mse))
+    by_kind = {kind: [_mean_mse(probe_set, kind, s) for s in cor.SEVERITIES] for kind in cor.ALL_KINDS}
     assert len(by_kind) == 15
-    for kind, entries in by_kind.items():
-        entries.sort()
-        mses = [m for _, m in entries]
+    for kind, mses in by_kind.items():
         assert all(mses[i + 1] >= mses[i] for i in range(4)), f"{kind}: {mses}"
         assert mses[0] > 0.0, f"{kind} severity 1 is a no-op"
 
@@ -86,13 +89,17 @@ def test_spec_validation():
         cor.apply(np.full((3, 8, 8), 1.5), spec(cor.CorruptionKind.FOG))
 
 
-def test_monotonicity_csv(tmp_path, probe_set):
-    rows = cor.monotonicity_report(probe_set[:2], seed=0)
-    path = tmp_path / "mono.csv"
-    cor.write_monotonicity_csv(path, rows)
-    lines = path.read_text().strip().splitlines()
+def test_monotonicity_csv(run_demo, probe_set):
+    """Demo 03 writes the severity-growth table as CSV: a header, then one
+    row per kind and severity holding the mean MSE over the probe set."""
+    lines = (run_demo("03_corruption_gallery.py") / "monotonicity.csv").read_text().splitlines()
     assert lines[0] == "kind,severity,mean_mse"
     assert len(lines) == 1 + 15 * 5
+    expected = [(kind.value, s) for kind in cor.ALL_KINDS for s in cor.SEVERITIES]
+    for line, (kind, severity) in zip(lines[1:], expected):
+        name, sev, mse = line.split(",")
+        assert (name, int(sev)) == (kind, severity)
+        assert float(mse) == pytest.approx(_mean_mse(probe_set, KIND(kind), severity), rel=0, abs=1e-8), line
 
 
 def test_apply_rejects_non_finite_input():

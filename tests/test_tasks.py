@@ -60,7 +60,7 @@ def test_palette_pairwise_distances():
 
 
 def test_denoise_inputs_are_measurably_degraded():
-    values = [tasks.psnr(s.input, s.target).value for s in (tasks.generate(tasks.TaskKind.DENOISE, i) for i in range(100))]
+    values = [tasks.psnr(s.input, s.target) for s in (tasks.generate(tasks.TaskKind.DENOISE, i) for i in range(100))]
     assert np.mean(values) < 30.0
     assert np.mean(values) > 10.0  # degraded, not destroyed
 
@@ -80,13 +80,13 @@ def test_depth_target_encodes_background():
 
 def test_psnr_cap_on_identical_images():
     img = tasks.generate(tasks.TaskKind.DENOISE, 1).target
-    assert tasks.psnr(img, img).value == tasks.PSNR_CAP_DB
+    assert tasks.psnr(img, img) == tasks.PSNR_CAP_DB
 
 
 def test_psnr_closed_form_values():
     base = np.zeros((3, 8, 8))
-    assert tasks.psnr(base + 0.1, base).value == pytest.approx(20.0, abs=1e-6)
-    assert tasks.psnr(base + 0.5, base).value == pytest.approx(6.0205999, abs=1e-4)
+    assert tasks.psnr(base + 0.1, base) == pytest.approx(20.0, abs=1e-6)
+    assert tasks.psnr(base + 0.5, base) == pytest.approx(6.0205999, abs=1e-4)
 
 
 def test_psnr_shape_mismatch():
@@ -101,7 +101,7 @@ def test_psnr_shape_mismatch():
 
 def test_miou_perfect_prediction():
     target = tasks.generate(tasks.TaskKind.SEGMENTATION, 2).target
-    assert tasks.miou(target, target).value == 1.0
+    assert tasks.miou(target, target) == 1.0
 
 
 def test_miou_disjoint_prediction():
@@ -110,7 +110,7 @@ def test_miou_disjoint_prediction():
     target[:] = tasks.PALETTE[0][:, None, None]  # all background
     pred = np.zeros((3, c, c), dtype=np.float32)
     pred[:] = tasks.PALETTE[2][:, None, None]  # all one absent class
-    assert tasks.miou(pred, target).value == 0.0
+    assert tasks.miou(pred, target) == 0.0
 
 
 def test_miou_half_plane_counting():
@@ -121,7 +121,7 @@ def test_miou_half_plane_counting():
     pred = np.zeros((3, c, c), dtype=np.float32)
     pred[:] = tasks.PALETTE[1][:, None, None]
     # IoU(class 1) = 0.5, IoU(class 2) = 0 -> mIoU 0.25
-    assert tasks.miou(pred, target).value == pytest.approx(0.25)
+    assert tasks.miou(pred, target) == pytest.approx(0.25)
 
 
 def test_segmentation_decode_encode_identity():
@@ -137,13 +137,13 @@ def test_segmentation_decode_encode_identity():
 
 def test_a_rel_zero_for_perfect():
     target = tasks.generate(tasks.TaskKind.DEPTH, 4).target
-    assert tasks.a_rel(target, target).value == 0.0
+    assert tasks.a_rel(target, target) == 0.0
 
 
 def test_a_rel_constant_offset():
     target = np.full((3, 8, 8), 0.5)
     pred = np.full((3, 8, 8), 0.6)
-    assert tasks.a_rel(pred, target).value == pytest.approx(0.2, abs=1e-9)
+    assert tasks.a_rel(pred, target) == pytest.approx(0.2, abs=1e-9)
 
 
 def test_a_rel_mixed_halves():
@@ -152,7 +152,7 @@ def test_a_rel_mixed_halves():
     pred = target.copy()
     pred[:, :, 4:] = 0.3
     # half pixels error 0, half |0.1|/0.2 = 0.5 -> mean 0.25
-    assert tasks.a_rel(pred, target).value == pytest.approx(0.25, abs=1e-9)
+    assert tasks.a_rel(pred, target) == pytest.approx(0.25, abs=1e-9)
 
 
 def test_a_rel_requires_valid_pixels():
@@ -167,23 +167,26 @@ def test_a_rel_requires_valid_pixels():
 
 def test_perturbing_away_from_target_never_helps():
     sample = tasks.generate(tasks.TaskKind.DENOISE, 9)
-    base = tasks.psnr(sample.target, sample.target).value
-    worse = tasks.psnr(np.clip(sample.target + 0.05, 0, 1), sample.target).value
-    even_worse = tasks.psnr(np.clip(sample.target + 0.15, 0, 1), sample.target).value
+    base = tasks.psnr(sample.target, sample.target)
+    worse = tasks.psnr(np.clip(sample.target + 0.05, 0, 1), sample.target)
+    even_worse = tasks.psnr(np.clip(sample.target + 0.15, 0, 1), sample.target)
     assert base >= worse >= even_worse
 
     seg = tasks.generate(tasks.TaskKind.SEGMENTATION, 9)
     flipped = seg.target.copy()
     flipped[:, :8, :8] = tasks.PALETTE[3][:, None, None]
-    assert tasks.miou(flipped, seg.target).value <= 1.0
+    assert tasks.miou(flipped, seg.target) <= 1.0
 
     depth = tasks.generate(tasks.TaskKind.DEPTH, 9)
-    assert tasks.a_rel(np.clip(depth.target + 0.1, 0, 1), depth.target).value >= 0.0
+    assert tasks.a_rel(np.clip(depth.target + 0.1, 0, 1), depth.target) >= 0.0
 
 
 def test_metric_dispatch():
     assert tasks.metric_name_for(tasks.TaskKind.DENOISE) == "PSNR"
     assert tasks.metric_name_for(tasks.TaskKind.SEGMENTATION) == "mIoU"
     assert tasks.metric_name_for(tasks.TaskKind.DEPTH) == "A.Rel"
-    metric = tasks.evaluate(tasks.TaskKind.DEPTH, np.full((3, 4, 4), 0.5), np.full((3, 4, 4), 0.5))
-    assert metric.name == "A.Rel" and not tasks.higher_is_better_for(tasks.TaskKind.DEPTH)
+    assert not tasks.higher_is_better_for(tasks.TaskKind.DEPTH)
+    pred, target = np.full((3, 4, 4), 0.4), np.full((3, 4, 4), 0.5)
+    for task, metric in ((tasks.TaskKind.DEPTH, tasks.a_rel), (tasks.TaskKind.SEGMENTATION, tasks.miou)):
+        assert tasks.evaluate(task, pred, target) == metric(pred, target)
+    assert tasks.evaluate(tasks.TaskKind.DENOISE, pred, target) == tasks.psnr(pred, target) == pytest.approx(20.0)

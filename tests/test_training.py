@@ -42,6 +42,12 @@ def test_held_out_task_never_drawn():
     assert sum(result.task_counts.values()) == 40
 
 
+def test_repeated_task_rejected():
+    mix = (tasks.TaskKind.DENOISE, tasks.TaskKind.DENOISE, tasks.TaskKind.DEPTH)
+    with pytest.raises(ValueError, match=r"^PretrainConfig: task denoise selected more than once$"):
+        training.PretrainConfig(task_mix=mix)
+
+
 def test_masked_cell_loss_scores_the_empty_cell(monkeypatch):
     """With a model that paints each cell a distinct constant, the loss
     identifies which cell was read and which target it was scored against."""
