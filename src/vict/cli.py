@@ -119,7 +119,11 @@ def _cmd_pretrain(args) -> int:
     task_mix = _parse_names("--task-mix", tasks.TaskKind, args.task_mix, tasks.ALL_TASKS)
     if args.exclude_task:
         held_out = _parse_name("--exclude-task", tasks.TaskKind, args.exclude_task)
+        if held_out not in task_mix:
+            raise ValueError(f"--exclude-task: {held_out.value} is not in --task-mix {args.task_mix!r}")
         task_mix = tuple(t for t in task_mix if t is not held_out)
+        if not task_mix:
+            raise ValueError(f"--exclude-task: holding out {held_out.value} leaves --task-mix {args.task_mix!r} empty")
     cfg = training.PretrainConfig(steps=args.steps, lr=args.lr, task_mix=task_mix, seed=args.seed)
     result = training.pretrain(ModelConfig(), cfg)
     save_checkpoint(result.params, args.out)

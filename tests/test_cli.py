@@ -129,6 +129,33 @@ def test_pretrain_rejects_repeated_task(monkeypatch, capsys):
     assert "PretrainConfig: task denoise selected more than once" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "mix, held_out, message",
+    [
+        ("denoise", "depth", "--exclude-task: depth is not in --task-mix 'denoise'"),
+        ("derain,lowlight", "denoise", "--exclude-task: denoise is not in --task-mix 'derain,lowlight'"),
+        ("denoise", "denoise", "--exclude-task: holding out denoise leaves --task-mix 'denoise' empty"),
+    ],
+)
+def test_pretrain_rejects_an_exclusion_outside_the_mix(monkeypatch, capsys, mix, held_out, message):
+    monkeypatch.setattr(training, "pretrain", lambda *args: pytest.fail("ran with a bad exclusion"))
+    assert cli_main(["pretrain", "--steps", "2", "--out", "x", "--task-mix", mix, "--exclude-task", held_out]) == 1
+    assert capsys.readouterr().err == f"error: {message}\n"
+
+
+def test_pretrain_trains_on_the_mix_less_the_exclusion(monkeypatch, tmp_path):
+    mixes, pretrain = [], training.pretrain
+
+    def recording_pretrain(model_config, cfg):
+        mixes.append(cfg.task_mix)
+        return pretrain(model_config, cfg)
+
+    monkeypatch.setattr(training, "pretrain", recording_pretrain)
+    argv = ["pretrain", "--steps", "2", "--out", str(tmp_path / "c.bin"), "--task-mix", "denoise,depth,derain"]
+    assert cli_main([*argv, "--exclude-task", "depth"]) == 0
+    assert mixes == [(tasks.TaskKind.DENOISE, tasks.TaskKind.DERAIN)]
+
+
 def test_bench_defaults_are_victconfig_defaults():
     args = build_parser().parse_args(["bench", "--checkpoint", "x"])
     assert _bench_config(args).vict == tuning.VictConfig()
@@ -249,7 +276,9 @@ def test_unwritable_output_path_rejected_before_running(tmp_path, monkeypatch, c
 
 def test_import_loads_no_scipy():
     # in a fresh interpreter, since pytest has loaded scipy for the reference tests
-    code = "import sys, vict, vict.cli; print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
+    # nor multiprocessing: pre-training's sample helper is a bare os.fork, so
+    # bench, clean-eval and fewshot pay nothing for it
+    code = "import sys, vict, vict.cli; print(sorted(m for m in sys.modules if m.split('.')[0] in ('scipy', 'multiprocessing')))"
     env = {**os.environ, "PYTHONPATH": str(Path(vict.__file__).resolve().parents[1])}
     run = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=120, check=True)
     assert run.stdout.strip() == "[]"

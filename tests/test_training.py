@@ -1,3 +1,5 @@
+import os
+
 import numpy as np
 import pytest
 
@@ -5,10 +7,123 @@ from vict import harness, model, tasks, training
 from vict import tensor as T
 from vict.canvas import CellPosition, assemble_flipped, assemble_inference, cell_rows, patchify
 from vict.gradcheck import TINY_CONFIG
+from vict.seeding import rng_for
 
 from reference_ops import extract_cell
 
 SMALL_MODEL = model.ModelConfig(cell_size=16, patch_size=8, embed_dim=32, encoder_depth=1, decoder_depth=1, num_heads=2)
+FOUR_TASKS = (tasks.TaskKind.LOWLIGHT, tasks.TaskKind.DENOISE, tasks.TaskKind.SEGMENTATION, tasks.TaskKind.DEPTH)
+
+
+def _assert_no_child_process():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+def _in_process_pretrain(model_config, cfg):
+    """Pre-training with its batches drawn and rendered in this process,
+    the loop the sample helper replaced."""
+    rng = rng_for("pretrain", cfg.seed)
+    counts = {t: 0 for t in cfg.task_mix}
+    c = model_config.cell_size
+
+    def batches():
+        for _ in range(cfg.steps):
+            task = cfg.task_mix[int(rng.integers(len(cfg.task_mix)))]
+            counts[task] += 1
+            prompt = tasks.generate(task, int(rng.integers(0, 2**63)), c)
+            query = tasks.generate(task, int(rng.integers(0, 2**63)), c)
+            yield (prompt.input, prompt.target), (query.input, query.target), rng.random() < training.FLIP_MASK_PROB
+
+    params, losses = training.fit(model.init(model_config, seed=cfg.seed), cfg.lr, batches(), "pretraining")
+    return params, losses, counts
+
+
+@pytest.mark.parametrize(
+    "model_config, steps, mix",
+    [
+        pytest.param(SMALL_MODEL, steps, mix, id=f"small-{steps}-steps-{len(mix)}-tasks")
+        for steps in (0, 1, 7, 41)
+        for mix in (tasks.ALL_TASKS, FOUR_TASKS)
+    ]
+    + [pytest.param(model.ModelConfig(), 7, tasks.ALL_TASKS, id="default-7-steps-5-tasks")],
+)
+def test_pretrain_matches_the_in_process_batch_loop(model_config, steps, mix):
+    cfg = training.PretrainConfig(steps=steps, seed=steps + 2, task_mix=mix)
+    result = training.pretrain(model_config, cfg)
+    params, losses, counts = _in_process_pretrain(model_config, cfg)
+    assert result.params.digest() == params.digest()
+    assert result.losses == losses
+    assert result.task_counts == counts
+    assert list(result.task_counts) == list(mix)
+    _assert_no_child_process()
+
+
+def test_pretrain_without_steps_starts_no_helper(monkeypatch):
+    monkeypatch.setattr(os, "fork", lambda: pytest.fail("forked a helper for zero steps"))
+    training.pretrain(SMALL_MODEL, training.PretrainConfig(steps=0))
+
+
+def test_no_helper_outlives_a_divergence(monkeypatch):
+    """The helper renders more batches than the pipe holds, so it is still
+    running, blocked on the pipe, when the trainer stops at step 1."""
+    def diverge_on_second_step(group, grads, state):
+        if state.t == 1:
+            raise FloatingPointError("adamw_step: non-finite gradient for 'mask_token'")
+        state.t += 1
+
+    monkeypatch.setattr(training, "adamw_step", diverge_on_second_step)
+    with pytest.raises(FloatingPointError, match="^pretraining diverged at step 1: "):
+        training.pretrain(SMALL_MODEL, training.PretrainConfig(steps=500, seed=0))
+    _assert_no_child_process()
+
+
+def test_an_error_in_the_helper_names_the_step_and_message(monkeypatch):
+    generate, calls = tasks.generate, []
+
+    def fail_on_fifth_sample(task, seed, cell_size):
+        calls.append(seed)  # in the helper's memory: each step renders two samples
+        if len(calls) == 5:
+            raise ValueError(f"no scene for seed {seed}")
+        return generate(task, seed, cell_size)
+
+    monkeypatch.setattr(tasks, "generate", fail_on_fifth_sample)
+    with pytest.raises(RuntimeError, match=r"^pretraining sample helper failed at step 2: ValueError: no scene for seed \d+$"):
+        training.pretrain(SMALL_MODEL, training.PretrainConfig(steps=6, seed=0))
+    assert calls == []  # the parent never renders
+    _assert_no_child_process()
+
+
+def test_a_helper_that_exits_early_names_the_step(monkeypatch):
+    generate = tasks.generate
+    calls = []
+
+    def exit_on_third_sample(task, seed, cell_size):
+        calls.append(seed)
+        if len(calls) == 3:
+            os._exit(3)
+        return generate(task, seed, cell_size)
+
+    monkeypatch.setattr(tasks, "generate", exit_on_third_sample)
+    with pytest.raises(RuntimeError, match="^pretraining sample helper failed at step 1: it exited before sending"):
+        training.pretrain(SMALL_MODEL, training.PretrainConfig(steps=4, seed=0))
+    _assert_no_child_process()
+
+
+def test_progress_lines_on_stderr(monkeypatch, capsys):
+    cfg = training.PretrainConfig(steps=7, seed=1)
+    result = training.pretrain(SMALL_MODEL, cfg)
+    assert capsys.readouterr() == ("", "")  # fewer steps than PROGRESS_EVERY print nothing
+    monkeypatch.setattr(training, "PROGRESS_EVERY", 3)
+    again = training.pretrain(SMALL_MODEL, cfg)
+    out, err = capsys.readouterr()
+    assert out == ""
+    lines = err.splitlines()
+    assert [line.split(",")[0] for line in lines] == [
+        f"pretraining step {step}: mean loss {sum(result.losses[step - 3:step]) / 3:.5f} over the last 3" for step in (3, 6)
+    ]
+    assert all(line.endswith(" s") for line in lines)
+    assert again.losses == result.losses and again.params.digest() == result.params.digest()
 
 
 def test_zero_steps_returns_init_params():
