@@ -1,5 +1,8 @@
 """Small benchmark sweep through the harness API: frozen vs tuned, report formats.
 
+The JSON report comes with its per-sample sidecar, bench_report.samples.jsonl:
+one record per test sample with its metrics and tuning loss trace.
+
 Run:  python demos/06_benchmark_run.py [checkpoint]
 Without an argument this pre-trains briefly; expect the tuned-vs-frozen
 gap to be small for such a short pre-training budget.

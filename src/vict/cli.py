@@ -70,10 +70,9 @@ def _add_bench_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--tune", default=vict.selector, choices=SELECTORS)
     p.add_argument("--num-samples", type=int, default=bench.num_samples)
     p.add_argument("--seed", type=int, default=bench.seed)
-    p.add_argument("--out", default=None, help="write the JSON report here")
+    p.add_argument("--out", default=None, help="write the JSON report here, and its per-sample records beside it")
     p.add_argument("--csv", default=None, help="also write a CSV report here")
     p.add_argument("--dump-canvases", default=None, metavar="DIR")
-    p.add_argument("--trace-loss", default=None, metavar="DIR")
 
 
 def _bench_config(args, **grid) -> harness.BenchConfig:
@@ -87,7 +86,6 @@ def _bench_config(args, **grid) -> harness.BenchConfig:
         vict=tuning.VictConfig(steps=args.steps, lr=args.lr, eps=args.eps, selector=args.tune),
         seed=args.seed,
         dump_canvases=args.dump_canvases,
-        trace_loss_dir=args.trace_loss,
         **grid,
     )
 
@@ -96,15 +94,16 @@ def _check_out_paths(args) -> None:
     """Reject an output file path that is a directory, or whose directory
     does not exist, and an output directory path that is, or lies under, an
     existing non-directory, before any work starts, so a long run is not
-    lost at the end."""
-    for flag in ("--out", "--csv", "--loss-trace"):
-        path = getattr(args, flag[2:].replace("-", "_"), None)
+    lost at the end. A report's sidecar counts as an ``--out`` file."""
+    files = [(flag, getattr(args, flag[2:].replace("-", "_"), None)) for flag in ("--out", "--csv", "--loss-trace")]
+    if args.func in (_cmd_bench, _cmd_clean_eval) and args.out:
+        files.append(("--out", str(harness.sidecar_path(args.out))))
+    for flag, path in files:
         if path and (Path(path).is_dir() or not Path(path).parent.is_dir()):
             raise ValueError(f"{flag}: {path!r} is not a file in an existing directory")
-    for flag in ("--dump-canvases", "--trace-loss"):
-        path = getattr(args, flag[2:].replace("-", "_"), None) or "."
-        if any(p.exists() and not p.is_dir() for p in (Path(path), *Path(path).parents)):
-            raise ValueError(f"{flag}: {path!r} is not a directory and cannot be made one")
+    path = getattr(args, "dump_canvases", None) or "."
+    if any(p.exists() and not p.is_dir() for p in (Path(path), *Path(path).parents)):
+        raise ValueError(f"--dump-canvases: {path!r} is not a directory and cannot be made one")
 
 
 def _emit_report(report: harness.MetricReport, args) -> None:

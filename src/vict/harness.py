@@ -1,11 +1,12 @@
 """Benchmark harness: corruption sweeps, clean evaluation, few-shot baseline.
 
-Every report cell is keyed by (method, setting, corruption, severity) and
-aggregates a fixed set of per-sample metrics whose seeds derive from the
-master seed and the cell coordinates alone, so the same config always
-yields byte-identical reports.
-An "avg" row per (method, setting, severity) carries the arithmetic mean
-of the per-corruption means and is recomputable from the report itself.
+Each test sample is evaluated into one ``SampleRecord``, with seeds that
+derive from the master seed and the sample's coordinates alone; the report
+is ``_fold`` over the records, which does no I/O, so the same config always
+yields byte-identical reports. Every row is keyed by (method, setting,
+corruption, severity); an "avg" row per (method, setting, severity) carries
+the arithmetic mean of the per-corruption means and is recomputable from
+the report itself. ``MetricReport.write_json`` writes the records to a sidecar.
 
 The few-shot baseline has one config, ``FewShotSweepConfig``; its
 fine-tuning runs through ``training.fit``, the loop pre-training uses.
@@ -16,6 +17,7 @@ from __future__ import annotations
 import json
 import sys
 from dataclasses import asdict, dataclass, field, replace
+from itertools import groupby
 from pathlib import Path
 
 import numpy as np
@@ -67,7 +69,6 @@ class BenchConfig:
     vict: VictConfig = field(default_factory=VictConfig)
     seed: int = 0
     dump_canvases: str | Path | None = None
-    trace_loss_dir: str | Path | None = None
 
     def __post_init__(self):
         if self.num_samples < 1:
@@ -88,6 +89,25 @@ class BenchConfig:
             reject_repeats("BenchConfig", label, group)
 
 
+@dataclass(frozen=True)
+class SampleRecord:
+    """One test sample's outcome. ``metrics`` maps setting, then method, to
+    the metric and ``loss_traces`` maps setting to the tuning loss per step;
+    a sample that diverged holds neither, only its ``failure`` message."""
+
+    corruption: str
+    severity: int
+    index: int
+    metrics: dict[str, dict[str, float]]
+    loss_traces: dict[str, list[float]]
+    failure: str | None = None
+
+
+def sidecar_path(report_path: str | Path) -> Path:
+    """Where ``MetricReport.write_json`` puts the per-sample records."""
+    return Path(report_path).with_suffix(".samples.jsonl")
+
+
 @dataclass
 class MetricReport:
     schema: int
@@ -101,12 +121,19 @@ class MetricReport:
     avg: list[dict]
     clean_gaps: list[dict] = field(default_factory=list)
     total_failures: int = 0
+    records: list[SampleRecord] = field(default_factory=list)
 
     def to_json_bytes(self) -> bytes:
-        return (json.dumps(asdict(self), sort_keys=True, indent=2) + "\n").encode("ascii")
+        """The report without its records."""
+        payload = {name: value for name, value in asdict(self).items() if name != "records"}
+        return (json.dumps(payload, sort_keys=True, indent=2) + "\n").encode("ascii")
 
     def write_json(self, path: str | Path) -> None:
+        """The report at ``path``, and its records in evaluation order at
+        ``sidecar_path(path)``, one JSON line each."""
         Path(path).write_bytes(self.to_json_bytes())
+        lines = [json.dumps(asdict(record), sort_keys=True) + "\n" for record in self.records]
+        sidecar_path(path).write_text("".join(lines), encoding="ascii")
 
     def row(self, method: str, setting: str, corruption: str, severity: int) -> dict:
         key = (method, setting, corruption, severity)
@@ -143,79 +170,74 @@ class MetricReport:
 
 def _evaluate_sample(
     config: BenchConfig, params: model.Params, corruption_name: str, severity: int, index: int
-) -> dict[tuple[str, str], float]:
-    """Metrics for one test sample across the configured settings and methods."""
+) -> SampleRecord:
+    """One test sample's record across the configured settings and methods.
+    Only a numerical divergence makes a failed record; any other error is a
+    bug and propagates."""
     c = params.config.cell_size
-    sample = tasks.generate(config.task, mix("bench-test", config.seed, corruption_name, severity, index), c)
-    if corruption_name == CLEAN_KEY:
-        x_t = sample.input
-        test_spec = None
-    else:
-        spec_seed = mix("bench-test-corruption", config.seed, corruption_name, severity, index)
-        test_spec = corruptions.CorruptionSpec(corruptions.CorruptionKind(corruption_name), severity, spec_seed)
-        x_t = corruptions.apply(sample.input, test_spec)
+    metrics: dict[str, dict[str, float]] = {}
+    traces: dict[str, list[float]] = {}
+    try:
+        sample = tasks.generate(config.task, mix("bench-test", config.seed, corruption_name, severity, index), c)
+        if corruption_name == CLEAN_KEY:
+            x_t = sample.input
+            test_spec = None
+        else:
+            spec_seed = mix("bench-test-corruption", config.seed, corruption_name, severity, index)
+            test_spec = corruptions.CorruptionSpec(corruptions.CorruptionKind(corruption_name), severity, spec_seed)
+            x_t = corruptions.apply(sample.input, test_spec)
 
-    results: dict[tuple[str, str], float] = {}
-    for setting in config.settings:
-        prompt_seed = mix("bench-prompt", config.seed, corruption_name, severity, index, setting)
-        prompt = select_prompt(config.task, setting, test_spec, prompt_seed, c)
-        for method in config.methods:
-            if method == FROZEN:
-                prediction = infer(params, prompt.pair, x_t)
-            else:
-                outcome = adapt_and_predict(params, prompt, x_t, config.vict)
-                prediction = outcome.y_t_hat
-                if config.trace_loss_dir and index == 0:
-                    training.save_loss_trace(
-                        Path(config.trace_loss_dir) / f"{corruption_name}_s{severity}_{setting}_loss.csv",
-                        outcome.loss_trace,
+        for setting in config.settings:
+            prompt_seed = mix("bench-prompt", config.seed, corruption_name, severity, index, setting)
+            prompt = select_prompt(config.task, setting, test_spec, prompt_seed, c)
+            for method in config.methods:
+                if method == FROZEN:
+                    prediction = infer(params, prompt.pair, x_t)
+                else:
+                    outcome = adapt_and_predict(params, prompt, x_t, config.vict)
+                    prediction = outcome.y_t_hat
+                    traces[setting] = outcome.loss_trace
+                if config.dump_canvases and index == 0:
+                    x, y = prompt.pair
+                    grid = np.concatenate(
+                        [np.concatenate([x, y], axis=2), np.concatenate([x_t, prediction], axis=2)], axis=1
                     )
-            if config.dump_canvases and index == 0:
-                x, y = prompt.pair
-                grid = np.concatenate(
-                    [np.concatenate([x, y], axis=2), np.concatenate([x_t, prediction], axis=2)], axis=1
-                )
-                write_ppm(Path(config.dump_canvases) / f"{corruption_name}_s{severity}_{setting}_{method}.ppm", grid)
-            results[(setting, method)] = tasks.evaluate(config.task, prediction, sample.target)
-    return results
+                    write_ppm(Path(config.dump_canvases) / f"{corruption_name}_s{severity}_{setting}_{method}.ppm", grid)
+                metrics.setdefault(setting, {})[method] = float(tasks.evaluate(config.task, prediction, sample.target))
+    except FloatingPointError as err:
+        print(f"vict: {corruption_name} severity {severity} sample {index} failed: {err}", file=sys.stderr)
+        return SampleRecord(corruption_name, severity, index, {}, {}, str(err))
+    return SampleRecord(corruption_name, severity, index, metrics, traces)
 
 
-def _aggregate(config: BenchConfig, params: model.Params, cells: list[tuple[str, int]]) -> MetricReport:
-    for directory in (config.dump_canvases, config.trace_loss_dir):
-        if directory:
-            Path(directory).mkdir(parents=True, exist_ok=True)
+def _evaluate(config: BenchConfig, cells: list[tuple[str, int]]) -> list[SampleRecord]:
+    """The records of every sample of every cell, in (cell, index) order."""
+    params = load_checkpoint(config.checkpoint)
+    if config.dump_canvases:
+        Path(config.dump_canvases).mkdir(parents=True, exist_ok=True)
+    return [_evaluate_sample(config, params, name, sev, i) for name, sev in cells for i in range(config.num_samples)]
 
+
+def _fold(config: BenchConfig, records: list[SampleRecord]) -> MetricReport:
+    """The report over ``records``, which come cell by cell as ``_evaluate`` lists them."""
     rows = []
-    total_failures = 0
-    for name, severity in cells:
-        cell: dict[tuple[str, str], list[float]] = {
-            (setting, method): [] for setting in config.settings for method in config.methods
-        }
-        for index in range(config.num_samples):
-            try:
-                outcome = _evaluate_sample(config, params, name, severity, index)
-            except FloatingPointError as err:
-                # only a numerical divergence is excluded from the mean and counted
-                # as a failure; any other error is a bug and propagates
-                print(f"vict: {name} severity {severity} sample {index} failed: {err}", file=sys.stderr)
-                total_failures += 1
-                continue
-            for key, vals in cell.items():
-                vals.append(outcome[key])
-        for (setting, method), vals in cell.items():
-            arr = np.asarray(vals, dtype=np.float64)
-            rows.append(
-                {
-                    "method": method,
-                    "setting": setting,
-                    "corruption": name,
-                    "severity": severity,
-                    "mean": float(arr.mean()) if arr.size else float("nan"),
-                    "std": float(arr.std()) if arr.size else float("nan"),
-                    "n": int(arr.size),
-                    "failures": config.num_samples - int(arr.size),
-                }
-            )
+    for (name, severity), cell in groupby(records, key=lambda r: (r.corruption, r.severity)):
+        done = [r for r in cell if r.failure is None]
+        for setting in config.settings:
+            for method in config.methods:
+                arr = np.asarray([r.metrics[setting][method] for r in done], dtype=np.float64)
+                rows.append(
+                    {
+                        "method": method,
+                        "setting": setting,
+                        "corruption": name,
+                        "severity": severity,
+                        "mean": float(arr.mean()) if arr.size else float("nan"),
+                        "std": float(arr.std()) if arr.size else float("nan"),
+                        "n": int(arr.size),
+                        "failures": config.num_samples - int(arr.size),
+                    }
+                )
     rows.sort(key=lambda e: (e["method"], e["setting"], e["corruption"], e["severity"]))
 
     # the mean of each (method, setting, severity) over its corruptions, in row order
@@ -238,15 +260,15 @@ def _aggregate(config: BenchConfig, params: model.Params, cells: list[tuple[str,
         vict=asdict(config.vict),
         rows=rows,
         avg=avg,
-        total_failures=total_failures,
+        total_failures=sum(r.failure is not None for r in records),
+        records=records,
     )
 
 
 def run_bench(config: BenchConfig) -> MetricReport:
     """Corruption sweep over the configured grid of report cells."""
-    params = load_checkpoint(config.checkpoint)
     cells = [(kind.value, severity) for kind in config.corruption_kinds for severity in config.severities]
-    return _aggregate(config, params, cells)
+    return _fold(config, _evaluate(config, cells))
 
 
 def run_clean_eval(config: BenchConfig) -> MetricReport:
@@ -260,9 +282,8 @@ def run_clean_eval(config: BenchConfig) -> MetricReport:
                 f"run_clean_eval: BenchConfig.{name} is not read by clean evaluation "
                 "(zero-shot, uncorrupted samples); leave it at its default"
             )
-    params = load_checkpoint(config.checkpoint)
     config = replace(config, settings=(tuning.ZERO_SHOT,))
-    report = _aggregate(config, params, [(CLEAN_KEY, CLEAN_SEVERITY)])
+    report = _fold(config, _evaluate(config, [(CLEAN_KEY, CLEAN_SEVERITY)]))
     if FROZEN in config.methods and VICT in config.methods:
         frozen_mean = report.row(FROZEN, tuning.ZERO_SHOT, CLEAN_KEY, CLEAN_SEVERITY)["mean"]
         vict_mean = report.row(VICT, tuning.ZERO_SHOT, CLEAN_KEY, CLEAN_SEVERITY)["mean"]

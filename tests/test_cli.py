@@ -2,6 +2,7 @@ import json
 import os
 import subprocess
 import sys
+from dataclasses import fields
 from pathlib import Path
 
 import numpy as np
@@ -63,6 +64,7 @@ def test_bench_steps0_methods_match(small_checkpoint, tmp_path, capsys):
     payload = json.loads(out.read_text())
     rows = {e["method"]: e for e in payload["rows"]}
     assert rows["frozen"]["mean"] == rows["vict"]["mean"]
+    assert len((tmp_path / "report.samples.jsonl").read_text().splitlines()) == 2
     assert "gauss" in capsys.readouterr().out
 
 
@@ -180,6 +182,11 @@ def test_flag_defaults_build_the_default_config(monkeypatch, argv, runner, expec
     monkeypatch.setattr(*runner, stop)
     assert cli_main(argv) == 1
     assert built == [expected]
+    if isinstance(expected, harness.BenchConfig):  # every field has its flag; the sidecar replaced trace_loss_dir
+        assert [f.name for f in fields(expected)] == [
+            "checkpoint", "task", "corruption_kinds", "severities", "settings",
+            "methods", "num_samples", "vict", "seed", "dump_canvases",
+        ]
 
 
 @pytest.mark.parametrize("flags", [["--severity", "3,x"], ["--setting", "one"]])
@@ -192,6 +199,12 @@ def test_bench_has_no_beta_flag(capsys):
     # the smooth-L1 loss has its turn at |d| = 1, with no option to move it
     assert cli_main(["bench", "--checkpoint", "x", "--beta", "1"]) == 2
     assert "unrecognized arguments: --beta 1" in capsys.readouterr().err
+
+
+def test_bench_has_no_trace_loss_flag(capsys):
+    # every sample's tuning loss trace is in the sidecar that --out writes
+    assert cli_main(["bench", "--checkpoint", "x", "--trace-loss", "traces"]) == 2
+    assert "unrecognized arguments: --trace-loss traces" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize(
@@ -255,23 +268,26 @@ def test_bad_enum_name_names_flag_item_and_valid_names(capsys, argv, message):
         (["fewshot", "--checkpoint", "x", "--out", "nodir/f.json"], (harness, "run_fewshot"), "--out"),
         (["pretrain", "--out", "adir"], (training, "pretrain"), "--out"),
         (["bench", "--checkpoint", "x", "--dump-canvases", "afile"], (harness, "run_bench"), "--dump-canvases"),
-        (["bench", "--checkpoint", "x", "--trace-loss", "afile/sub"], (harness, "run_bench"), "--trace-loss"),
+        (["bench", "--checkpoint", "x", "--out", "r.json"], (harness, "run_bench"), "--out"),
         (["clean-eval", "--checkpoint", "x", "--dump-canvases", "afile/sub"], (harness, "run_clean_eval"), "--dump-canvases"),
-        (["clean-eval", "--checkpoint", "x", "--trace-loss", "afile"], (harness, "run_clean_eval"), "--trace-loss"),
+        (["clean-eval", "--checkpoint", "x", "--out", "r.json"], (harness, "run_clean_eval"), "--out"),
     ],
 )
 def test_unwritable_output_path_rejected_before_running(tmp_path, monkeypatch, capsys, argv, runner, flag):
     monkeypatch.chdir(tmp_path)
     (tmp_path / "adir").mkdir()
     (tmp_path / "afile").write_bytes(b"")
+    (tmp_path / "r.samples.jsonl").mkdir()
     monkeypatch.setattr(*runner, lambda *args: pytest.fail("ran with an unwritable output path"))
     assert cli_main(argv) == 1
     path, err = argv[-1], capsys.readouterr().err
-    if flag in ("--dump-canvases", "--trace-loss"):
+    if path == "r.json":  # the report's sidecar is the one that cannot be written
+        path = "r.samples.jsonl"
+    if flag == "--dump-canvases":
         assert f"error: {flag}: {path!r} is not a directory and cannot be made one" in err
     else:
         assert f"error: {flag}: {path!r} is not a file in an existing directory" in err
-    assert sorted(p.name for p in tmp_path.iterdir()) == ["adir", "afile"]
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["adir", "afile", "r.samples.jsonl"]
 
 
 def test_import_loads_no_scipy():

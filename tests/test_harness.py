@@ -107,12 +107,15 @@ def test_failed_sample_says_why_on_stderr(small_checkpoint, monkeypatch, capsys)
         small_checkpoint, corruption_kinds=(corruptions.CorruptionKind.GAUSSIAN_NOISE,), methods=harness.METHODS
     )
     report = harness.run_bench(config)
-    assert capsys.readouterr().err.splitlines() == [
-        f"vict: gaussian_noise severity 3 sample 1 failed: adaptation diverged at step 0 "
-        f"(params digest {load_checkpoint(small_checkpoint).digest()}): smooth_l1: non-finite values in output"
-    ]
+    message = (
+        f"adaptation diverged at step 0 (params digest {load_checkpoint(small_checkpoint).digest()}): "
+        "smooth_l1: non-finite values in output"
+    )
+    assert capsys.readouterr().err.splitlines() == [f"vict: gaussian_noise severity 3 sample 1 failed: {message}"]
     assert report.total_failures == 1
     assert [(e["n"], e["failures"]) for e in report.rows] == [(2, 1)] * 2
+    assert [(r.index, r.failure) for r in report.records] == [(0, None), (1, message), (2, None)]
+    assert (report.records[1].metrics, report.records[1].loss_traces) == ({}, {})
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf])
@@ -215,19 +218,66 @@ def test_canvas_dumps_written(small_checkpoint, tmp_path):
     assert files == ["brightness_s3_zero_shot_frozen.ppm", "gaussian_noise_s3_zero_shot_frozen.ppm"]
 
 
-def test_loss_traces_written(small_checkpoint, tmp_path):
-    trace_dir = tmp_path / "traces"
+def test_sidecar_holds_every_sample_in_evaluation_order(small_checkpoint, tmp_path):
     config = bench_config(
         small_checkpoint,
-        methods=(harness.VICT,),
+        severities=(3, 5),
+        settings=tuning.SETTINGS,
+        methods=harness.METHODS,
+        num_samples=2,
         vict=tuning.VictConfig(steps=2),
-        trace_loss_dir=trace_dir,
-        corruption_kinds=(corruptions.CorruptionKind.GAUSSIAN_NOISE,),
     )
-    harness.run_bench(config)
-    trace = trace_dir / "gaussian_noise_s3_zero_shot_loss.csv"
-    assert trace.exists()
-    assert len(trace.read_text().splitlines()) == 3  # header + 2 steps
+    for run in ("a", "b"):
+        harness.run_bench(config).write_json(tmp_path / f"{run}.json")
+    sidecar = tmp_path / "a.samples.jsonl"
+    assert sidecar.read_bytes() == (tmp_path / "b.samples.jsonl").read_bytes()
+    records = [json.loads(line) for line in sidecar.read_text().splitlines()]
+    assert [(r["corruption"], r["severity"], r["index"]) for r in records] == [
+        (kind.value, severity, index) for kind in config.corruption_kinds for severity in (3, 5) for index in range(2)
+    ]
+    for r in records:
+        assert r["failure"] is None
+        assert {setting: len(trace) for setting, trace in r["loss_traces"].items()} == {s: 2 for s in tuning.SETTINGS}
+    rows = json.loads((tmp_path / "a.json").read_text())["rows"]
+    assert len(rows) == 2 * 2 * 2 * 2
+    for row in rows:
+        cell = [r for r in records if (r["corruption"], r["severity"]) == (row["corruption"], row["severity"])]
+        values = [r["metrics"][row["setting"]][row["method"]] for r in cell]
+        assert float(np.asarray(values, dtype=np.float64).mean()) == row["mean"]
+
+
+def test_fold_reads_nothing_but_its_records(monkeypatch):
+    def no_io(*args, **kwargs):
+        pytest.fail("the fold opened a file or ran the model")
+
+    for name in ("load_checkpoint", "select_prompt", "infer", "adapt_and_predict"):
+        monkeypatch.setattr(harness, name, no_io)
+    monkeypatch.setattr("builtins.open", no_io)
+    monkeypatch.setattr("io.open", no_io)
+    config = harness.BenchConfig(
+        checkpoint="no-such-checkpoint.bin",
+        corruption_kinds=(corruptions.CorruptionKind.FOG, corruptions.CorruptionKind.GAUSSIAN_NOISE),
+        severities=(3,),
+        settings=(tuning.ZERO_SHOT,),
+        methods=(harness.FROZEN,),
+        num_samples=3,
+    )
+
+    def record(kind, index, value=None):
+        if value is None:
+            return harness.SampleRecord(kind, 3, index, {}, {}, "adaptation diverged")
+        return harness.SampleRecord(kind, 3, index, {tuning.ZERO_SHOT: {harness.FROZEN: value}}, {})
+
+    records = [record("fog", i) for i in range(3)]
+    records += [record("gaussian_noise", 0, 20.0), record("gaussian_noise", 1), record("gaussian_noise", 2, 23.0)]
+    report = harness._fold(config, records)
+    fog, gauss = report.rows
+    assert (fog["corruption"], fog["n"], fog["failures"]) == ("fog", 0, 3)
+    assert np.isnan(fog["mean"]) and np.isnan(fog["std"])
+    assert (gauss["corruption"], gauss["n"], gauss["failures"], gauss["mean"], gauss["std"]) == ("gaussian_noise", 2, 1, 21.5, 1.5)
+    assert report.avg == [dict(method=harness.FROZEN, setting=tuning.ZERO_SHOT, severity=3, mean=21.5, corruptions=1)]
+    assert report.total_failures == 4
+    assert report.records == records
 
 
 def test_fewshot_sweep_runs(small_checkpoint):
