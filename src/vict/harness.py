@@ -8,8 +8,11 @@ corruption, severity); an "avg" row per (method, setting, severity) carries
 the arithmetic mean of the per-corruption means and is recomputable from
 the report itself. ``MetricReport.write_json`` writes the records to a sidecar.
 
-The few-shot baseline has one config, ``FewShotSweepConfig``; its
-fine-tuning runs through ``training.fit``, the loop pre-training uses.
+``_evaluate_sample`` is the one place a test sample is drawn, corrupted,
+prompted, predicted and scored. The few-shot baseline has one config,
+``FewShotSweepConfig``; its fine-tuning runs through ``training.fit``, the
+loop pre-training uses, and it scores each fine-tuned clone through the
+bench's own frozen zero-shot records.
 """
 
 from __future__ import annotations
@@ -36,24 +39,13 @@ METHODS = (FROZEN, VICT)
 CLEAN_KEY = "clean"
 CLEAN_SEVERITY = 0
 
-# Table-style column abbreviations, alphabetical like the report layout.
+# Column abbreviations where a name's first five letters do not serve.
 _ABBREV = {
-    "brightness": "brigh",
     "contrast": "cont",
-    "defocus_blur": "defoc",
-    "elastic_transform": "elast",
-    "fog": "fog",
-    "frost": "frost",
-    "gaussian_noise": "gauss",
-    "glass_blur": "glass",
-    "impulse_noise": "impul",
     "jpeg_compression": "jpeg",
     "motion_blur": "motn",
-    "pixelate": "pixel",
     "shot_noise": "shot",
-    "snow": "snow",
     "zoom_blur": "zoom",
-    CLEAN_KEY: CLEAN_KEY,
 }
 
 
@@ -152,19 +144,19 @@ class MetricReport:
         return "\n".join(lines) + "\n"
 
     def to_text(self) -> str:
-        """Aligned table, corruption columns plus the trailing avg column."""
+        """Aligned table, corruption columns plus the trailing avg column; a
+        (method, setting) whose every sample failed has nan for its avg."""
         kinds = sorted({e["corruption"] for e in self.rows})
+        avg = {(e["method"], e["setting"], e["severity"]): e["mean"] for e in self.avg}
         lines = [f"task={self.task}  metric={self.metric}  n={self.num_samples} per cell  seed={self.master_seed}"]
         for severity in sorted({e["severity"] for e in self.rows}):
             lines.append(f"-- severity {severity} --")
             header = f"{'method':<8}{'setting':<11}" + "".join(f"{_ABBREV.get(k, k[:5]):>7}" for k in kinds) + f"{'avg':>9}"
             lines.append(header)
-            for entry in self.avg:
-                if entry["severity"] != severity:
-                    continue
-                method, setting = entry["method"], entry["setting"]
+            for method, setting in sorted({(e["method"], e["setting"]) for e in self.rows if e["severity"] == severity}):
                 cells = [f"{self.row(method, setting, kind, severity)['mean']:>7.2f}" for kind in kinds]
-                lines.append(f"{method:<8}{setting:<11}" + "".join(cells) + f"{entry['mean']:>9.3f}")
+                mean = avg.get((method, setting, severity), float("nan"))
+                lines.append(f"{method:<8}{setting:<11}" + "".join(cells) + f"{mean:>9.3f}")
         return "\n".join(lines) + "\n"
 
 
@@ -210,9 +202,8 @@ def _evaluate_sample(
     return SampleRecord(corruption_name, severity, index, metrics, traces)
 
 
-def _evaluate(config: BenchConfig, cells: list[tuple[str, int]]) -> list[SampleRecord]:
-    """The records of every sample of every cell, in (cell, index) order."""
-    params = load_checkpoint(config.checkpoint)
+def _evaluate(config: BenchConfig, params: model.Params, cells: list[tuple[str, int]]) -> list[SampleRecord]:
+    """The records of ``params`` on every sample of every cell, in (cell, index) order."""
     if config.dump_canvases:
         Path(config.dump_canvases).mkdir(parents=True, exist_ok=True)
     return [_evaluate_sample(config, params, name, sev, i) for name, sev in cells for i in range(config.num_samples)]
@@ -268,7 +259,7 @@ def _fold(config: BenchConfig, records: list[SampleRecord]) -> MetricReport:
 def run_bench(config: BenchConfig) -> MetricReport:
     """Corruption sweep over the configured grid of report cells."""
     cells = [(kind.value, severity) for kind in config.corruption_kinds for severity in config.severities]
-    return _fold(config, _evaluate(config, cells))
+    return _fold(config, _evaluate(config, load_checkpoint(config.checkpoint), cells))
 
 
 def run_clean_eval(config: BenchConfig) -> MetricReport:
@@ -283,7 +274,7 @@ def run_clean_eval(config: BenchConfig) -> MetricReport:
                 "(zero-shot, uncorrupted samples); leave it at its default"
             )
     config = replace(config, settings=(tuning.ZERO_SHOT,))
-    report = _fold(config, _evaluate(config, [(CLEAN_KEY, CLEAN_SEVERITY)]))
+    report = _fold(config, _evaluate(config, load_checkpoint(config.checkpoint), [(CLEAN_KEY, CLEAN_SEVERITY)]))
     if FROZEN in config.methods and VICT in config.methods:
         frozen_mean = report.row(FROZEN, tuning.ZERO_SHOT, CLEAN_KEY, CLEAN_SEVERITY)["mean"]
         vict_mean = report.row(VICT, tuning.ZERO_SHOT, CLEAN_KEY, CLEAN_SEVERITY)["mean"]
@@ -338,20 +329,6 @@ class FewShotSweepConfig:
         check_lr("FewShotSweepConfig", "finetune_lr", self.finetune_lr)
 
 
-def _frozen_eval(params: model.Params, config: FewShotSweepConfig, seed: int) -> float:
-    """Mean metric of frozen inference with clean prompts on corrupted samples."""
-    c = params.config.cell_size
-    values = []
-    for i in range(config.num_samples):
-        sample = tasks.generate(config.task, mix("fewshot-eval-test", seed, i), c)
-        spec = corruptions.CorruptionSpec(config.corruption_kind, config.severity, mix("fewshot-eval-corr", seed, i))
-        x_t = corruptions.apply(sample.input, spec)
-        prompt = select_prompt(config.task, tuning.ZERO_SHOT, None, mix("fewshot-eval-prompt", seed, i), c)
-        prediction = infer(params, prompt.pair, x_t)
-        values.append(tasks.evaluate(config.task, prediction, sample.target))
-    return float(np.mean(values))
-
-
 def fewshot_finetune(params0: model.Params, config: FewShotSweepConfig, shots: int, seed: int) -> model.Params:
     """Fine-tune all parameters of a clone of ``params0`` for
     ``config.finetune_steps`` steps on ``shots`` corrupted input/clean
@@ -373,22 +350,39 @@ def fewshot_finetune(params0: model.Params, config: FewShotSweepConfig, shots: i
 
 
 def run_fewshot(config: FewShotSweepConfig) -> dict:
-    """Fine-tune at each shot count, evaluate frozen, average over repeats."""
+    """Fine-tune at each shot count and score each clone as ``vict bench``
+    scores frozen zero-shot inference, on the same samples and prompts."""
     params0 = load_checkpoint(config.checkpoint)
+    bench = BenchConfig(
+        checkpoint=config.checkpoint,
+        task=config.task,
+        corruption_kinds=(config.corruption_kind,),
+        severities=(config.severity,),
+        settings=(tuning.ZERO_SHOT,),
+        methods=(FROZEN,),
+        num_samples=config.num_samples,
+        seed=config.seed,
+    )
     per_shot = []
     for m in config.shots:
-        seeds = [mix("fewshot-rep", config.seed, rep) for rep in range(config.repeats)]
-        rep_values = [_frozen_eval(fewshot_finetune(params0, config, m, seed), config, seed) for seed in seeds]
+        rep_values = []
+        for rep in range(config.repeats):
+            clone = fewshot_finetune(params0, config, m, mix("fewshot-rep", config.seed, rep))
+            report = _fold(bench, _evaluate(bench, clone, [(config.corruption_kind.value, config.severity)]))
+            for record in report.records:
+                if record.failure is not None:
+                    raise FloatingPointError(f"few-shot evaluation at {m} shots, repeat {rep}: {record.failure}")
+            rep_values.append(report.rows[0]["mean"])
         per_shot.append(
             {
                 "shots": m,
                 "mean": float(np.mean(rep_values)),
                 "std": float(np.std(rep_values)),
-                "values": [float(v) for v in rep_values],
+                "values": rep_values,
             }
         )
     return {
-        "schema": 1,
+        "schema": 2,
         "task": config.task.value,
         "metric": tasks.metric_name_for(config.task),
         "corruption": config.corruption_kind.value,

@@ -22,6 +22,11 @@ def test_unknown_flag_fails():
     assert cli_main(["gradcheck", "--no-such-flag"]) != 0
 
 
+def test_gradcheck_passes(capsys):
+    assert cli_main(["gradcheck"]) == 0
+    assert "over 20 checks" in capsys.readouterr().out
+
+
 def test_missing_checkpoint_is_reported(tmp_path, capsys):
     code = cli_main(["inspect", str(tmp_path / "nope.bin")])
     assert code != 0

@@ -280,6 +280,39 @@ def test_fold_reads_nothing_but_its_records(monkeypatch):
     assert report.records == records
 
 
+def test_text_keeps_a_method_whose_every_sample_failed():
+    config = harness.BenchConfig(
+        checkpoint="no-such-checkpoint.bin",
+        corruption_kinds=(corruptions.CorruptionKind.FOG,),
+        severities=(3,),
+        settings=(tuning.ZERO_SHOT,),
+        methods=harness.METHODS,
+        num_samples=2,
+    )
+    records = [harness.SampleRecord("fog", 3, i, {}, {}, "adaptation diverged") for i in range(2)]
+    report = harness._fold(config, records)
+    assert report.avg == []
+    assert report.to_text().splitlines()[-2:] == [
+        "frozen  zero_shot      nan      nan",
+        "vict    zero_shot      nan      nan",
+    ]
+
+
+def test_text_header_abbreviates_every_kind():
+    config = harness.BenchConfig(
+        checkpoint="no-such-checkpoint.bin", severities=(5,), settings=(tuning.ZERO_SHOT,), methods=(harness.FROZEN,), num_samples=1
+    )
+    records = [
+        harness.SampleRecord(kind.value, 5, 0, {tuning.ZERO_SHOT: {harness.FROZEN: 20.0}}, {})
+        for kind in corruptions.ALL_KINDS
+    ]
+    lines = harness._fold(config, records).to_text().splitlines()
+    assert lines[2].split() == (
+        "method setting brigh cont defoc elast fog frost gauss glass impul jpeg motn pixel shot snow zoom avg".split()
+    )
+    assert lines[3].split() == ["frozen", "zero_shot"] + ["20.00"] * 15 + ["20.000"]
+
+
 def test_fewshot_sweep_runs(small_checkpoint):
     config = harness.FewShotSweepConfig(
         checkpoint=small_checkpoint,
@@ -314,3 +347,45 @@ def test_fewshot_sweep_runs(small_checkpoint):
 def test_fewshot_config_rejects_bad_values(overrides, message):
     with pytest.raises(ValueError, match=message):
         harness.FewShotSweepConfig(checkpoint="unused", **overrides)
+
+
+def fewshot_config(small_checkpoint, **overrides):
+    defaults = dict(
+        checkpoint=small_checkpoint,
+        shots=(1, 2),
+        corruption_kind=corruptions.CorruptionKind.FOG,
+        severity=4,
+        num_samples=2,
+        repeats=2,
+        seed=3,
+    )
+    defaults.update(overrides)
+    return harness.FewShotSweepConfig(**defaults)
+
+
+def test_fewshot_scores_the_bench_samples(small_checkpoint):
+    config = fewshot_config(small_checkpoint, finetune_steps=0)
+    bench = harness.run_bench(
+        bench_config(small_checkpoint, corruption_kinds=(config.corruption_kind,), severities=(4,), num_samples=2, seed=3)
+    )
+    frozen_mean = bench.row(harness.FROZEN, tuning.ZERO_SHOT, "fog", 4)["mean"]
+    result = harness.run_fewshot(config)
+    assert result["schema"] == 2
+    assert [e["values"] for e in result["per_shot"]] == [[frozen_mean] * 2] * 2
+
+
+def test_fewshot_stops_at_a_diverged_sample(small_checkpoint, monkeypatch, capsys):
+    calls = []
+    real_infer = harness.infer
+
+    def infer_that_diverges_once(*args):
+        calls.append(None)
+        if len(calls) == 3:
+            raise FloatingPointError("overflow encountered in matmul")
+        return real_infer(*args)
+
+    monkeypatch.setattr(harness, "infer", infer_that_diverges_once)
+    with pytest.raises(FloatingPointError, match="at 2 shots, repeat 0: overflow encountered in matmul"):
+        harness.run_fewshot(fewshot_config(small_checkpoint, shots=(1, 2, 4), finetune_steps=1, repeats=1))
+    assert len(calls) == 4  # the failed cell is scored to its end, and 4 shots never run
+    assert "fog severity 4 sample 0 failed: overflow encountered in matmul" in capsys.readouterr().err
