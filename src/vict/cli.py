@@ -114,6 +114,14 @@ def _emit_report(report: harness.MetricReport, args) -> None:
     sys.stdout.write(report.to_text())
 
 
+def _exit_status(report: harness.MetricReport) -> int:
+    """1, with a line on stderr, when no sample of ``report`` succeeded."""
+    if report.total_failures < len(report.records):
+        return 0
+    print(f"error: every sample failed ({report.total_failures} of {len(report.records)})", file=sys.stderr)
+    return 1
+
+
 def _cmd_pretrain(args) -> int:
     task_mix = _parse_names("--task-mix", tasks.TaskKind, args.task_mix, tasks.ALL_TASKS)
     if args.exclude_task:
@@ -142,8 +150,9 @@ def _cmd_bench(args) -> int:
         severities=_parse_int_list("--severity", args.severity),
         settings=_parse_settings(args.setting),
     )
-    _emit_report(harness.run_bench(config), args)
-    return 0
+    report = harness.run_bench(config)
+    _emit_report(report, args)
+    return _exit_status(report)
 
 
 def _cmd_clean_eval(args) -> int:
@@ -155,7 +164,7 @@ def _cmd_clean_eval(args) -> int:
             f"clean {gap['setting']}: frozen {gap['frozen_mean']:.3f} vs vict {gap['vict_mean']:.3f} "
             f"(relative gap {gap['relative_gap']:.1%}){marker}"
         )
-    return 0
+    return _exit_status(report)
 
 
 def _cmd_fewshot(args) -> int:

@@ -9,7 +9,11 @@ the arithmetic mean of the per-corruption means and is recomputable from
 the report itself. ``MetricReport.write_json`` writes the records to a sidecar.
 
 ``_evaluate_sample`` is the one place a test sample is drawn, corrupted,
-prompted, predicted and scored. The few-shot baseline has one config,
+predicted and scored. Its prompts, which depend on its coordinates and
+the master seed alone, are drawn ahead by ``_draw_prompts`` in a forked
+helper process (``prefetch.Prefetcher``, which pre-training shares), so
+that they are ready on a second core; they arrive with the bytes an
+in-process draw gives. The few-shot baseline has one config,
 ``FewShotSweepConfig``; its fine-tuning runs through ``training.fit``, the
 loop pre-training uses, and it scores each fine-tuned clone through the
 bench's own frozen zero-shot records.
@@ -19,6 +23,8 @@ from __future__ import annotations
 
 import json
 import sys
+from collections.abc import Iterator
+from contextlib import closing
 from dataclasses import asdict, dataclass, field, replace
 from itertools import groupby
 from pathlib import Path
@@ -28,10 +34,11 @@ import numpy as np
 from . import corruptions, model, tasks, training, tuning
 from .canvas import write_ppm
 from .checkpoint import load_checkpoint
+from .prefetch import Prefetcher
 from .seeding import mix, rng_for
 from .tensor import check_lr
 from .training import reject_repeats
-from .tuning import VictConfig, adapt_and_predict, infer, select_prompt
+from .tuning import PromptSet, VictConfig, adapt_and_predict, infer, select_prompt
 
 FROZEN = "frozen"
 VICT = "vict"
@@ -160,28 +167,41 @@ class MetricReport:
         return "\n".join(lines) + "\n"
 
 
+def _test_spec(config: BenchConfig, corruption_name: str, severity: int, index: int) -> corruptions.CorruptionSpec | None:
+    """The test sample's corruption, from its coordinates alone: None for a
+    clean sample. Its one-shot prompt is corrupted from it too."""
+    if corruption_name == CLEAN_KEY:
+        return None
+    spec_seed = mix("bench-test-corruption", config.seed, corruption_name, severity, index)
+    return corruptions.CorruptionSpec(corruptions.CorruptionKind(corruption_name), severity, spec_seed)
+
+
+def _draw_prompts(config: BenchConfig, jobs: list[tuple[str, int, int]], cell_size: int) -> Iterator[dict[str, PromptSet]]:
+    """Each job's prompt per setting, which needs no test sample."""
+    for name, severity, index in jobs:
+        spec = _test_spec(config, name, severity, index)
+        seeds = {setting: mix("bench-prompt", config.seed, name, severity, index, setting) for setting in config.settings}
+        yield {setting: select_prompt(config.task, setting, spec, seed, cell_size) for setting, seed in seeds.items()}
+
+
 def _evaluate_sample(
-    config: BenchConfig, params: model.Params, corruption_name: str, severity: int, index: int
+    config: BenchConfig, params: model.Params, corruption_name: str, severity: int, index: int, helper: Prefetcher
 ) -> SampleRecord:
-    """One test sample's record across the configured settings and methods.
-    Only a numerical divergence makes a failed record; any other error is a
-    bug and propagates."""
+    """One test sample's record across the configured settings and methods,
+    with its prompts per setting from ``helper``, taken once the test input
+    is ready. Only a numerical divergence makes a failed record; any other
+    error is a bug and propagates."""
     c = params.config.cell_size
+    where = f"{corruption_name} severity {severity} sample {index}"
     metrics: dict[str, dict[str, float]] = {}
     traces: dict[str, list[float]] = {}
     try:
         sample = tasks.generate(config.task, mix("bench-test", config.seed, corruption_name, severity, index), c)
-        if corruption_name == CLEAN_KEY:
-            x_t = sample.input
-            test_spec = None
-        else:
-            spec_seed = mix("bench-test-corruption", config.seed, corruption_name, severity, index)
-            test_spec = corruptions.CorruptionSpec(corruptions.CorruptionKind(corruption_name), severity, spec_seed)
-            x_t = corruptions.apply(sample.input, test_spec)
+        test_spec = _test_spec(config, corruption_name, severity, index)
+        x_t = sample.input if test_spec is None else corruptions.apply(sample.input, test_spec)
+        prompts: dict[str, PromptSet] = helper.get(where)
 
-        for setting in config.settings:
-            prompt_seed = mix("bench-prompt", config.seed, corruption_name, severity, index, setting)
-            prompt = select_prompt(config.task, setting, test_spec, prompt_seed, c)
+        for setting, prompt in prompts.items():
             for method in config.methods:
                 if method == FROZEN:
                     prediction = infer(params, prompt.pair, x_t)
@@ -197,16 +217,19 @@ def _evaluate_sample(
                     write_ppm(Path(config.dump_canvases) / f"{corruption_name}_s{severity}_{setting}_{method}.ppm", grid)
                 metrics.setdefault(setting, {})[method] = float(tasks.evaluate(config.task, prediction, sample.target))
     except FloatingPointError as err:
-        print(f"vict: {corruption_name} severity {severity} sample {index} failed: {err}", file=sys.stderr)
+        print(f"vict: {where} failed: {err}", file=sys.stderr)
         return SampleRecord(corruption_name, severity, index, {}, {}, str(err))
     return SampleRecord(corruption_name, severity, index, metrics, traces)
 
 
 def _evaluate(config: BenchConfig, params: model.Params, cells: list[tuple[str, int]]) -> list[SampleRecord]:
-    """The records of ``params`` on every sample of every cell, in (cell, index) order."""
+    """The records of ``params`` on every sample of every cell, in (cell,
+    index) order. The prompts are drawn ahead in a helper process."""
     if config.dump_canvases:
         Path(config.dump_canvases).mkdir(parents=True, exist_ok=True)
-    return [_evaluate_sample(config, params, name, sev, i) for name, sev in cells for i in range(config.num_samples)]
+    jobs = [(name, severity, i) for name, severity in cells for i in range(config.num_samples)]
+    with closing(Prefetcher("bench prompt helper", _draw_prompts(config, jobs, params.config.cell_size))) as helper:
+        return [_evaluate_sample(config, params, name, severity, i, helper) for name, severity, i in jobs]
 
 
 def _fold(config: BenchConfig, records: list[SampleRecord]) -> MetricReport:

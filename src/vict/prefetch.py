@@ -1,0 +1,81 @@
+"""Run an iterator ahead of its consumer, in a forked child process.
+
+Pre-training draws and renders its batches through a ``Prefetcher``, and
+the bench draws each test sample's prompts through one, so that this work
+runs on a second core while this process runs the model. Each item is
+pickled (protocol 5) through a pipe, so every array arrives with the
+bytes and layout it was made with, in the order the iterator yields them.
+It needs ``os.fork`` (POSIX).
+"""
+
+from __future__ import annotations
+
+import contextlib
+import os
+import pickle
+import signal
+from collections.abc import Iterator
+from typing import Any, NoReturn
+
+_PIPE_BYTES = 1 << 20  # the child runs this far ahead without waking the consumer
+
+
+def _send(fd: int, items: Iterator) -> NoReturn:
+    """The child's body: write ``(None, item)`` to ``fd`` for each item, or
+    ``(message, None)`` on an error. Never returns."""
+    import fcntl  # POSIX-only, like os.fork: importing vict needs neither
+
+    status, pipe = 1, open(fd, "wb")
+    try:
+        with contextlib.suppress(AttributeError, OSError):  # F_SETPIPE_SZ is Linux-only and capped by pipe-max-size
+            fcntl.fcntl(fd, fcntl.F_SETPIPE_SZ, _PIPE_BYTES)
+        for item in items:
+            pipe.write(pickle.dumps((None, item), protocol=5))
+            pipe.flush()
+        status = 0
+    except BrokenPipeError:
+        pass  # the consumer stopped reading
+    except Exception as err:
+        with contextlib.suppress(OSError):
+            pipe.write(pickle.dumps((f"{type(err).__name__}: {err}", None), protocol=5))
+            pipe.flush()
+    finally:
+        os._exit(status)
+
+
+class Prefetcher:
+    """Runs ``items``, an iterator made in this process but not yet started,
+    in a child forked at once, so that the first item is under way while
+    the caller sets up; a caller with no items to get makes none. ``close``
+    kills and reaps the child; use it through ``contextlib.closing``."""
+
+    def __init__(self, what: str, items: Iterator):
+        self.what = what
+        read_fd, write_fd = os.pipe()
+        try:
+            self.pid = os.fork()
+        except OSError:
+            os.close(read_fd)
+            os.close(write_fd)
+            raise
+        if self.pid == 0:
+            os.close(read_fd)
+            _send(write_fd, items)
+        os.close(write_fd)
+        self.pipe = open(read_fd, "rb")
+
+    def get(self, label: str) -> Any:
+        """The next item. A child that fails or exits before sending it is a
+        ``RuntimeError`` naming the helper, ``label`` and the child's message."""
+        try:
+            message, item = pickle.load(self.pipe)
+        except (EOFError, pickle.UnpicklingError):
+            message = "it exited before sending this item"
+        if message is not None:
+            raise RuntimeError(f"{self.what} failed at {label}: {message}")
+        return item
+
+    def close(self) -> None:
+        self.pipe.close()
+        os.kill(self.pid, signal.SIGKILL)  # it may still be drawing, after a divergence
+        os.waitpid(self.pid, 0)

@@ -159,9 +159,10 @@ def adapt_and_predict(
     for step in range(config.steps):
         zero_grads(work.tensors.values())
         try:
-            loss = cycle_loss(work, *rows)
-            loss.backward()
-            adamw_step(group, collect_grads(group), state)
+            with np.errstate(over="ignore", invalid="ignore", divide="ignore"):  # the finiteness checks name the op
+                loss = cycle_loss(work, *rows)
+                loss.backward()
+                adamw_step(group, collect_grads(group), state)
         except FloatingPointError as err:
             raise FloatingPointError(
                 f"adaptation diverged at step {step} (params digest {work.digest()}): {err}"

@@ -87,6 +87,21 @@ def test_clean_eval_prints_gap(small_checkpoint, capsys):
     assert "clean zero_shot" in capsys.readouterr().out
 
 
+@pytest.mark.parametrize("command", ["bench", "clean-eval"])
+def test_every_sample_failing_exits_1_after_the_report(small_checkpoint, tmp_path, capsys, command):
+    out = tmp_path / "r.json"
+    argv = [command, "--checkpoint", str(small_checkpoint), "--num-samples", "2", "--out", str(out)]
+    if command == "bench":
+        argv += ["--corruption", "fog", "--setting", "zero"]
+    diverging = ["--steps", "20", "--lr", "1e30", "--eps", "1e-30"]
+    assert cli_main(argv + diverging) == 1
+    captured = capsys.readouterr()
+    assert captured.err.splitlines()[-1] == "error: every sample failed (2 of 2)"
+    assert "nan" in captured.out
+    assert json.loads(out.read_text())["total_failures"] == 2
+    assert cli_main(argv + ["--steps", "1"]) == 0
+
+
 def test_fewshot_subcommand(small_checkpoint, tmp_path, capsys):
     out = tmp_path / "fewshot.json"
     code = cli_main(
@@ -297,8 +312,8 @@ def test_unwritable_output_path_rejected_before_running(tmp_path, monkeypatch, c
 
 def test_import_loads_no_scipy():
     # in a fresh interpreter, since pytest has loaded scipy for the reference tests
-    # nor multiprocessing: pre-training's sample helper is a bare os.fork, so
-    # bench, clean-eval and fewshot pay nothing for it
+    # nor multiprocessing: the helper that pre-training and the bench share
+    # is a bare os.fork
     code = "import sys, vict, vict.cli; print(sorted(m for m in sys.modules if m.split('.')[0] in ('scipy', 'multiprocessing')))"
     env = {**os.environ, "PYTHONPATH": str(Path(vict.__file__).resolve().parents[1])}
     run = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=120, check=True)

@@ -1,10 +1,14 @@
 import json
+import os
+from dataclasses import replace
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
 from vict import corruptions, harness, tasks, tuning
 from vict.checkpoint import load_checkpoint
+from vict.seeding import mix
 
 
 def bench_config(small_checkpoint, **overrides):
@@ -389,3 +393,131 @@ def test_fewshot_stops_at_a_diverged_sample(small_checkpoint, monkeypatch, capsy
         harness.run_fewshot(fewshot_config(small_checkpoint, shots=(1, 2, 4), finetune_steps=1, repeats=1))
     assert len(calls) == 4  # the failed cell is scored to its end, and 4 shots never run
     assert "fog severity 4 sample 0 failed: overflow encountered in matmul" in capsys.readouterr().err
+
+
+def _assert_no_child_process():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+def _in_process_evaluate(config, params, cells):
+    """``harness._evaluate`` with each sample's prompts drawn in this
+    process, the loop the prompt helper replaced."""
+    records = []
+    for name, severity in cells:
+        for index in range(config.num_samples):
+            spec = None
+            if name != harness.CLEAN_KEY:
+                seed = mix("bench-test-corruption", config.seed, name, severity, index)
+                spec = corruptions.CorruptionSpec(corruptions.CorruptionKind(name), severity, seed)
+            prompts = {
+                setting: tuning.select_prompt(
+                    config.task, setting, spec, mix("bench-prompt", config.seed, name, severity, index, setting),
+                    params.config.cell_size,
+                )
+                for setting in config.settings
+            }
+            helper = SimpleNamespace(get=lambda label, prompts=prompts: prompts)
+            records.append(harness._evaluate_sample(config, params, name, severity, index, helper))
+    return records
+
+
+@pytest.mark.parametrize(
+    "runner, make_config, overrides",
+    [
+        pytest.param(
+            harness.run_bench,
+            bench_config,
+            dict(severities=(3, 5), settings=tuning.SETTINGS, num_samples=2),
+            id="bench-denoise-both-settings",
+        ),
+        pytest.param(
+            harness.run_bench,
+            bench_config,
+            dict(task=tasks.TaskKind.SEGMENTATION, settings=(tuning.ONE_SHOT,), seed=4),
+            id="bench-segmentation-one-shot",
+        ),
+        pytest.param(harness.run_clean_eval, clean_config, dict(task=tasks.TaskKind.DERAIN, seed=2), id="clean-eval-derain"),
+    ],
+)
+def test_prompt_helper_gives_the_in_process_bytes(small_checkpoint, tmp_path, monkeypatch, runner, make_config, overrides):
+    config = make_config(small_checkpoint, methods=harness.METHODS, vict=tuning.VictConfig(steps=2), **overrides)
+    helped = runner(config)
+    _assert_no_child_process()
+    monkeypatch.setattr(harness, "_evaluate", _in_process_evaluate)
+    in_process = runner(config)
+    assert helped.total_failures == 0
+    assert helped.to_text() == in_process.to_text()
+    for name, report in (("helped", helped), ("in_process", in_process)):
+        report.write_json(tmp_path / f"{name}.json")
+    for suffix in (".json", ".samples.jsonl"):
+        assert (tmp_path / f"helped{suffix}").read_bytes() == (tmp_path / f"in_process{suffix}").read_bytes()
+
+
+def test_the_parent_never_draws_a_prompt(small_checkpoint, monkeypatch):
+    real_select_prompt, calls = harness.select_prompt, []
+
+    def recorded_select_prompt(*args):
+        calls.append(args)  # in the helper's memory
+        return real_select_prompt(*args)
+
+    monkeypatch.setattr(harness, "select_prompt", recorded_select_prompt)
+    report = harness.run_bench(bench_config(small_checkpoint, settings=tuning.SETTINGS))
+    assert calls == []
+    assert [e["n"] for e in report.rows] == [3] * 4
+
+
+def test_no_prompt_helper_outlives_a_divergence_or_a_bug(small_checkpoint, monkeypatch):
+    """200 samples' prompts overfill the pipe, so the helper is still
+    running, blocked on it, when the sweep stops at sample 1."""
+    calls, real_infer = [], harness.infer
+
+    def infer_failing_at_sample_1(error):
+        def infer(*args):
+            calls.append(None)
+            if len(calls) == 2:
+                raise error
+            return real_infer(*args)
+
+        return infer
+
+    config = bench_config(small_checkpoint, corruption_kinds=(corruptions.CorruptionKind.FOG,), num_samples=200)
+    monkeypatch.setattr(harness, "infer", infer_failing_at_sample_1(FloatingPointError("matmul: non-finite values")))
+    report = harness.run_bench(replace(config, num_samples=3))
+    assert [r.failure for r in report.records] == [None, "matmul: non-finite values", None]
+    _assert_no_child_process()
+    calls.clear()
+    monkeypatch.setattr(harness, "infer", infer_failing_at_sample_1(TypeError("a bug")))
+    with pytest.raises(TypeError, match="^a bug$"):
+        harness.run_bench(config)
+    _assert_no_child_process()
+
+
+def test_an_error_in_the_prompt_helper_names_the_sample(small_checkpoint, monkeypatch):
+    real_select_prompt, calls = harness.select_prompt, []
+
+    def fail_on_third_prompt(task, setting, spec, seed, cell_size):
+        calls.append(seed)
+        if len(calls) == 3:
+            raise ValueError(f"no prompt for seed {seed}")
+        return real_select_prompt(task, setting, spec, seed, cell_size)
+
+    monkeypatch.setattr(harness, "select_prompt", fail_on_third_prompt)
+    message = r"^bench prompt helper failed at gaussian_noise severity 3 sample 2: ValueError: no prompt for seed \d+$"
+    with pytest.raises(RuntimeError, match=message):
+        harness.run_bench(bench_config(small_checkpoint))
+    _assert_no_child_process()
+
+
+def test_a_divergence_under_warnings_as_errors_is_a_failed_record(small_checkpoint):
+    # the suite turns warnings into errors, as python -W error does
+    config = bench_config(
+        small_checkpoint,
+        corruption_kinds=(corruptions.CorruptionKind.FOG,),
+        methods=harness.METHODS,
+        num_samples=1,
+        vict=tuning.VictConfig(steps=20, lr=1e30, eps=1e-30),
+    )
+    report = harness.run_bench(config)
+    assert report.total_failures == 1
+    assert report.records[0].failure.startswith("adaptation diverged at step")
