@@ -8,12 +8,13 @@ corruption, severity); an "avg" row per (method, setting, severity) carries
 the arithmetic mean of the per-corruption means and is recomputable from
 the report itself. ``MetricReport.write_json`` writes the records to a sidecar.
 
-``_evaluate_sample`` is the one place a test sample is drawn, corrupted,
-predicted and scored. Its prompts, which depend on its coordinates and
-the master seed alone, are drawn ahead by ``_draw_prompts`` in a forked
-helper process (``prefetch.Prefetcher``, which pre-training shares), so
-that they are ready on a second core; they arrive with the bytes an
-in-process draw gives. The few-shot baseline has one config,
+``_evaluate_sample`` is the one place a test sample is predicted and
+scored. Its corrupted input and its prompts, which depend on its
+coordinates and the master seed alone, are drawn ahead by ``_draw_inputs``
+in a forked helper process (``prefetch.Prefetcher``, which pre-training
+shares), so that they are ready on a second core; they arrive with the
+bytes an in-process draw gives. The parent renders the sample again only
+for the target it scores. The few-shot baseline has one config,
 ``FewShotSweepConfig``; its fine-tuning runs through ``training.fit``, the
 loop pre-training uses, and it scores each fine-tuned clone through the
 bench's own frozen zero-shot records.
@@ -176,30 +177,37 @@ def _test_spec(config: BenchConfig, corruption_name: str, severity: int, index: 
     return corruptions.CorruptionSpec(corruptions.CorruptionKind(corruption_name), severity, spec_seed)
 
 
-def _draw_prompts(config: BenchConfig, jobs: list[tuple[str, int, int]], cell_size: int) -> Iterator[dict[str, PromptSet]]:
-    """Each job's prompt per setting, which needs no test sample."""
+def _test_sample(config: BenchConfig, corruption_name: str, severity: int, index: int, cell_size: int) -> tasks.TaskSample:
+    """The test sample, from its coordinates alone."""
+    return tasks.generate(config.task, mix("bench-test", config.seed, corruption_name, severity, index), cell_size)
+
+
+def _draw_inputs(
+    config: BenchConfig, jobs: list[tuple[str, int, int]], cell_size: int
+) -> Iterator[tuple[np.ndarray, dict[str, PromptSet]]]:
+    """Each job's test input, corrupted unless the job is clean, and its
+    prompt per setting."""
     for name, severity, index in jobs:
         spec = _test_spec(config, name, severity, index)
+        x = _test_sample(config, name, severity, index, cell_size).input
+        x_t = x if spec is None else corruptions.apply(x, spec)
         seeds = {setting: mix("bench-prompt", config.seed, name, severity, index, setting) for setting in config.settings}
-        yield {setting: select_prompt(config.task, setting, spec, seed, cell_size) for setting, seed in seeds.items()}
+        yield x_t, {setting: select_prompt(config.task, setting, spec, seed, cell_size) for setting, seed in seeds.items()}
 
 
 def _evaluate_sample(
     config: BenchConfig, params: model.Params, corruption_name: str, severity: int, index: int, helper: Prefetcher
 ) -> SampleRecord:
     """One test sample's record across the configured settings and methods,
-    with its prompts per setting from ``helper``, taken once the test input
-    is ready. Only a numerical divergence makes a failed record; any other
-    error is a bug and propagates."""
-    c = params.config.cell_size
+    with its input and its prompts per setting from ``helper``, taken once
+    the target is ready. Only a numerical divergence makes a failed record;
+    any other error is a bug and propagates."""
     where = f"{corruption_name} severity {severity} sample {index}"
     metrics: dict[str, dict[str, float]] = {}
     traces: dict[str, list[float]] = {}
     try:
-        sample = tasks.generate(config.task, mix("bench-test", config.seed, corruption_name, severity, index), c)
-        test_spec = _test_spec(config, corruption_name, severity, index)
-        x_t = sample.input if test_spec is None else corruptions.apply(sample.input, test_spec)
-        prompts: dict[str, PromptSet] = helper.get(where)
+        target = _test_sample(config, corruption_name, severity, index, params.config.cell_size).target
+        x_t, prompts = helper.get(where)
 
         for setting, prompt in prompts.items():
             for method in config.methods:
@@ -215,7 +223,7 @@ def _evaluate_sample(
                         [np.concatenate([x, y], axis=2), np.concatenate([x_t, prediction], axis=2)], axis=1
                     )
                     write_ppm(Path(config.dump_canvases) / f"{corruption_name}_s{severity}_{setting}_{method}.ppm", grid)
-                metrics.setdefault(setting, {})[method] = float(tasks.evaluate(config.task, prediction, sample.target))
+                metrics.setdefault(setting, {})[method] = float(tasks.evaluate(config.task, prediction, target))
     except FloatingPointError as err:
         print(f"vict: {where} failed: {err}", file=sys.stderr)
         return SampleRecord(corruption_name, severity, index, {}, {}, str(err))
@@ -224,11 +232,11 @@ def _evaluate_sample(
 
 def _evaluate(config: BenchConfig, params: model.Params, cells: list[tuple[str, int]]) -> list[SampleRecord]:
     """The records of ``params`` on every sample of every cell, in (cell,
-    index) order. The prompts are drawn ahead in a helper process."""
+    index) order. The inputs and prompts are drawn ahead in a helper process."""
     if config.dump_canvases:
         Path(config.dump_canvases).mkdir(parents=True, exist_ok=True)
     jobs = [(name, severity, i) for name, severity in cells for i in range(config.num_samples)]
-    with closing(Prefetcher("bench prompt helper", _draw_prompts(config, jobs, params.config.cell_size))) as helper:
+    with closing(Prefetcher("bench input helper", _draw_inputs(config, jobs, params.config.cell_size))) as helper:
         return [_evaluate_sample(config, params, name, severity, i, helper) for name, severity, i in jobs]
 
 

@@ -20,20 +20,21 @@ value has a tape, the message names the first op on it whose output is
 non-finite; otherwise it names the checking op.
 
 Gradient ownership: the first gradient that reaches a tensor becomes its
-``grad`` buffer and later ones are added into it in place. A tensor with a
-``grad_buffer`` (a weight, whose buffer is its view of a gradient arena,
-see ``new_arena``) has the first gradient copied into that view, which
-then becomes ``grad``; copying and then adding gives the same bits as
-storing and then adding. Otherwise a backward rule hands ``_accumulate``
-only an array it has just computed for that one input, which is then
-stored without a copy. An array that another accumulation may also read
+``grad`` buffer and later ones are added into it in place. A tensor with
+a ``grad_buffer`` (a weight, whose buffer is its view of a gradient
+arena, see ``new_arena``) has its first gradient computed straight into
+that view (``_first_out``) where a rule computes it for that tensor
+alone, and copied into it otherwise; the view then becomes ``grad``.
+Writing or copying and then adding gives the same bits as storing and
+then adding. Otherwise a backward rule hands ``_accumulate`` only an
+array it has just computed for that one input, which is then stored
+without a copy. An array that another accumulation may also read
 (``add``'s incoming gradient, the one ``attention`` and ``mlp`` hand
 their residual, or a view of one) goes through ``_accumulate_shared``,
-which copies it on first store. So no two
-``grad`` buffers ever share memory. An op output's (an
-intermediate's) gradient is dropped as soon as its backward rule has
-run, so backward holds only the gradients still to be passed on; leaves
-keep theirs.
+which copies it on first store. So no two ``grad`` buffers ever share
+memory. An op output's (an intermediate's) gradient is dropped as soon
+as its backward rule has run, so backward holds only the gradients still
+to be passed on; leaves keep theirs.
 
 The transformer is three kinds of node, each ending in an affine map:
 ``linear`` (matmul plus bias row, optionally reading the layer norm of
@@ -167,11 +168,20 @@ def _node(data: np.ndarray, parents: tuple[Tensor, ...], op: str) -> Tensor:
     return out
 
 
+def _first_out(t: Tensor) -> np.ndarray | None:
+    """Where to compute a gradient for ``t`` alone, as a ufunc's ``out``:
+    ``t.grad_buffer`` while no gradient has reached ``t``, else None (a new
+    array, which ``_accumulate`` then adds in place)."""
+    return t.grad_buffer if t.grad is None else None
+
+
 def _store_first(t: Tensor, g: np.ndarray, shared: bool) -> None:
     """Make ``g`` the first gradient of ``t``: copied into ``t.grad_buffer``
-    if it has one, else kept as is unless another accumulation may read it."""
+    if it has one and ``g`` is not already it, else kept as is unless
+    another accumulation may read it."""
     if t.grad_buffer is not None:
-        np.copyto(t.grad_buffer, g)
+        if g is not t.grad_buffer:
+            np.copyto(t.grad_buffer, g)
         t.grad = t.grad_buffer
     elif shared or type(g) is not np.ndarray or g.dtype != t.data.dtype:
         t.grad = np.array(g, dtype=t.data.dtype, copy=True)
@@ -343,7 +353,7 @@ def put_rows(x: Tensor, rows: np.ndarray, values: Tensor) -> Tensor:
         def _bwd(g):
             if values.requires_grad:
                 g_rows = g[rows]
-                _accumulate(values, g_rows if values.data.ndim == 2 else g_rows.sum(axis=0))
+                _accumulate(values, g_rows if values.data.ndim == 2 else g_rows.sum(axis=0, out=_first_out(values)))
             if x.requires_grad:
                 dx = g.copy()
                 dx[rows] = 0.0
@@ -377,9 +387,9 @@ def _affine_backward(
     return the one at ``x`` if wanted. ``x`` is read only if ``w`` is on
     the tape, so a node with a frozen ``w`` need not keep it."""
     if b.requires_grad:
-        _accumulate(b, g.sum(axis=0))
+        _accumulate(b, g.sum(axis=0, out=_first_out(b)))
     if w.requires_grad:
-        _accumulate(w, x.T @ g)
+        _accumulate(w, np.matmul(x.T, g, out=_first_out(w)))
     return g @ w.data.T if dx_wanted else None
 
 
@@ -428,10 +438,10 @@ def _normalize_backward(
     """Pass the gradient ``g`` at a layer norm's [R, D] output on to
     ``x``, ``gain`` and ``bias``."""
     if bias.requires_grad:
-        _accumulate(bias, g.sum(axis=0))
+        _accumulate(bias, g.sum(axis=0, out=_first_out(bias)))
     scratch = g * xhat
     if gain.requires_grad:
-        _accumulate(gain, scratch.sum(axis=0))
+        _accumulate(gain, scratch.sum(axis=0, out=_first_out(gain)))
     if not x.requires_grad:
         return
     # d/dx of (x - mu) / sqrt(var + LAYERNORM_EPS), all statistics over the last axis:

@@ -401,8 +401,9 @@ def _assert_no_child_process():
 
 
 def _in_process_evaluate(config, params, cells):
-    """``harness._evaluate`` with each sample's prompts drawn in this
-    process, the loop the prompt helper replaced."""
+    """``harness._evaluate`` with each sample's input corrupted and its
+    prompts drawn in this process, the loop the input helper replaced."""
+    c = params.config.cell_size
     records = []
     for name, severity in cells:
         for index in range(config.num_samples):
@@ -410,14 +411,15 @@ def _in_process_evaluate(config, params, cells):
             if name != harness.CLEAN_KEY:
                 seed = mix("bench-test-corruption", config.seed, name, severity, index)
                 spec = corruptions.CorruptionSpec(corruptions.CorruptionKind(name), severity, seed)
+            x = tasks.generate(config.task, mix("bench-test", config.seed, name, severity, index), c).input
+            x_t = x if spec is None else corruptions.apply(x, spec)
             prompts = {
                 setting: tuning.select_prompt(
-                    config.task, setting, spec, mix("bench-prompt", config.seed, name, severity, index, setting),
-                    params.config.cell_size,
+                    config.task, setting, spec, mix("bench-prompt", config.seed, name, severity, index, setting), c
                 )
                 for setting in config.settings
             }
-            helper = SimpleNamespace(get=lambda label, prompts=prompts: prompts)
+            helper = SimpleNamespace(get=lambda label, item=(x_t, prompts): item)
             records.append(harness._evaluate_sample(config, params, name, severity, index, helper))
     return records
 
@@ -467,9 +469,38 @@ def test_the_parent_never_draws_a_prompt(small_checkpoint, monkeypatch):
     assert [e["n"] for e in report.rows] == [3] * 4
 
 
+def test_fewshot_gives_the_in_process_result(small_checkpoint, monkeypatch):
+    config = fewshot_config(small_checkpoint, finetune_steps=2, repeats=1)
+    helped = harness.run_fewshot(config)
+    _assert_no_child_process()
+    monkeypatch.setattr(harness, "_evaluate", _in_process_evaluate)
+    assert json.dumps(harness.run_fewshot(config), sort_keys=True) == json.dumps(helped, sort_keys=True)
+
+
+def test_the_parent_never_corrupts_a_test_input(small_checkpoint, monkeypatch):
+    calls = []
+
+    def recorded(apply):
+        def recorded_apply(*args, **kwargs):
+            calls.append(args)  # in the helper's memory
+            return apply(*args, **kwargs)
+
+        return recorded_apply
+
+    monkeypatch.setattr(corruptions, "apply", recorded(corruptions.apply))
+    monkeypatch.setattr(tuning, "apply", recorded(tuning.apply))  # the one-shot prompt's corruption
+    config = bench_config(small_checkpoint, settings=tuning.SETTINGS)
+    report = harness.run_bench(config)
+    assert calls == []
+    assert [e["n"] for e in report.rows] == [3] * 4
+    monkeypatch.setattr(harness, "_evaluate", _in_process_evaluate)
+    harness.run_bench(config)
+    assert len(calls) == 2 * 3 * 2  # the recorder sees an in-process draw: 6 samples, input and one-shot prompt
+
+
 def test_no_prompt_helper_outlives_a_divergence_or_a_bug(small_checkpoint, monkeypatch):
-    """200 samples' prompts overfill the pipe, so the helper is still
-    running, blocked on it, when the sweep stops at sample 1."""
+    """200 samples' inputs and prompts overfill the pipe, so the helper is
+    still running, blocked on it, when the sweep stops at sample 1."""
     calls, real_infer = [], harness.infer
 
     def infer_failing_at_sample_1(error):
@@ -503,7 +534,23 @@ def test_an_error_in_the_prompt_helper_names_the_sample(small_checkpoint, monkey
         return real_select_prompt(task, setting, spec, seed, cell_size)
 
     monkeypatch.setattr(harness, "select_prompt", fail_on_third_prompt)
-    message = r"^bench prompt helper failed at gaussian_noise severity 3 sample 2: ValueError: no prompt for seed \d+$"
+    message = r"^bench input helper failed at gaussian_noise severity 3 sample 2: ValueError: no prompt for seed \d+$"
+    with pytest.raises(RuntimeError, match=message):
+        harness.run_bench(bench_config(small_checkpoint))
+    _assert_no_child_process()
+
+
+def test_an_error_in_the_helpers_corruption_names_the_sample(small_checkpoint, monkeypatch):
+    real_apply, calls = corruptions.apply, []
+
+    def fail_on_third_input(image, spec):
+        calls.append(spec)
+        if len(calls) == 3:
+            raise ValueError(f"cannot corrupt with seed {spec.seed}")
+        return real_apply(image, spec)
+
+    monkeypatch.setattr(corruptions, "apply", fail_on_third_input)
+    message = r"^bench input helper failed at gaussian_noise severity 3 sample 2: ValueError: cannot corrupt with seed \d+$"
     with pytest.raises(RuntimeError, match=message):
         harness.run_bench(bench_config(small_checkpoint))
     _assert_no_child_process()

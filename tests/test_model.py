@@ -266,6 +266,43 @@ def test_fused_ops_match_primitive_chain_bit_for_bit(default_params, monkeypatch
         assert [name for name in names if fused[selector][1][name] != unfused[selector][1][name]] == []
 
 
+def _one_fit_step(params, monkeypatch):
+    """Each weight's gradient at the update of one ``fit`` step on a clone of
+    ``params``, as whether it is the weight's ``grad_buffer`` and its bytes,
+    and the weights whose first gradient was copied into that buffer."""
+    prompt = tasks.generate(tasks.TaskKind.DENOISE, 1)
+    query = tasks.generate(tasks.TaskKind.DENOISE, 2)
+    params = params.clone()
+    names = {id(t): name for name, t in params.tensors.items()}
+    grads, copied = {}, []
+    real_store_first, real_adamw_step = T._store_first, training.adamw_step
+
+    def store_first(t, g, shared):
+        if t.grad_buffer is not None and g is not t.grad_buffer:
+            copied.append(names[id(t)])
+        real_store_first(t, g, shared)
+
+    def adamw_step(group, flat_grads, state):
+        grads.update({name: (t.grad is t.grad_buffer, t.grad.tobytes()) for name, t in group.items()})
+        return real_adamw_step(group, flat_grads, state)
+
+    with monkeypatch.context() as patched:
+        patched.setattr(T, "_store_first", store_first)
+        patched.setattr(training, "adamw_step", adamw_step)
+        training.fit(params, 1e-3, [((prompt.input, prompt.target), (query.input, query.target), False)], "fitting")
+    return grads, copied
+
+
+def test_fit_computes_each_first_gradient_into_its_arena_slot(default_params, monkeypatch):
+    grads, copied = _one_fit_step(default_params, monkeypatch)
+    assert list(grads) == list(default_params.tensors)
+    assert [name for name, (in_buffer, _) in grads.items() if not in_buffer] == []
+    assert copied == ["pos_embed"]  # ``add`` hands on a gradient that its other input also reads
+    _unfuse(monkeypatch)
+    reference, _ = _one_fit_step(default_params, monkeypatch)
+    assert [name for name in grads if grads[name][1] != reference[name][1]] == []
+
+
 def _full_canvas_forward(params, patches, empty):
     """``model.forward`` computed over the whole canvas: the mask token
     mixed in by constant 0/1 masks, all rows through every block, the head
