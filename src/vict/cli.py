@@ -10,7 +10,7 @@ from pathlib import Path
 
 from . import corruptions, gradcheck, harness, tasks, training, tuning
 from .checkpoint import describe_checkpoint, save_checkpoint
-from .model import SELECTORS, ModelConfig
+from .model import ModelConfig
 
 
 def _parse_name(flag: str, kind: type[Enum], text: str, item: str | None = None):
@@ -67,7 +67,6 @@ def _add_bench_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--steps", type=int, default=vict.steps, help="test-time tuning steps")
     p.add_argument("--lr", type=float, default=vict.lr, help="test-time tuning learning rate")
     p.add_argument("--eps", type=float, default=vict.eps, help="test-time AdamW damping")
-    p.add_argument("--tune", default=vict.selector, choices=SELECTORS)
     p.add_argument("--num-samples", type=int, default=bench.num_samples)
     p.add_argument("--seed", type=int, default=bench.seed)
     p.add_argument("--out", default=None, help="write the JSON report here, and its per-sample records beside it")
@@ -83,7 +82,7 @@ def _bench_config(args, **grid) -> harness.BenchConfig:
         task=_parse_name("--task", tasks.TaskKind, args.task),
         methods=_parse_methods(args.method),
         num_samples=args.num_samples,
-        vict=tuning.VictConfig(steps=args.steps, lr=args.lr, eps=args.eps, selector=args.tune),
+        vict=tuning.VictConfig(steps=args.steps, lr=args.lr, eps=args.eps),
         seed=args.seed,
         dump_canvases=args.dump_canvases,
         **grid,

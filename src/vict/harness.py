@@ -273,7 +273,7 @@ def _fold(config: BenchConfig, records: list[SampleRecord]) -> MetricReport:
     ]
 
     return MetricReport(
-        schema=2,
+        schema=3,
         task=config.task.value,
         metric=tasks.metric_name_for(config.task),
         higher_is_better=tasks.higher_is_better_for(config.task),

@@ -51,7 +51,7 @@ from .seeding import rng_for
 ENCODER = "encoder"
 DECODER = "decoder"
 _DECODER_PREFIXES = ("dec", "final_norm.", "head.")
-SELECTORS = (ENCODER, "all")  # what test-time tuning may update: the encoder group or everything
+SELECTORS = (ENCODER, "all")  # what ``trainable`` accepts: the encoder group for tuning and check_cycle_loss, "all" for fit
 
 # structured-init gains (see _grid_circuit_init)
 _CODE_GAIN = 2.0

@@ -3,7 +3,8 @@
 For one test input x_t and one prompt pair (x, y): predict the test output
 on the inference canvas, flip the roles so the prediction becomes the
 prompt, and supervise the reconstruction of the original prompt output y
-with smooth-L1. Gradients flow through both forward passes. The loop
+with smooth-L1. Gradients flow through both forward passes, and the
+update steps the encoder group only (``model.ENCODER``). The loop
 stays in patch rows: the canvases' constant rows and y's rows are built
 once per adaptation (``cycle_rows``), the first pass's predicted rows
 enter the flipped canvas through one ``put_rows`` node, and the second
@@ -56,7 +57,6 @@ class VictConfig:
     steps: int = DEFAULT_STEPS
     lr: float = 3e-2
     eps: float = 1e-1
-    selector: str = "encoder"
 
     def __post_init__(self):
         if self.steps < 0:
@@ -64,8 +64,6 @@ class VictConfig:
         check_lr("VictConfig", "lr", self.lr)
         if not 0.0 < self.eps < np.inf:
             raise ValueError(f"VictConfig: eps must be finite and positive, got {self.eps}")
-        if self.selector not in model.SELECTORS:
-            raise ValueError(f"VictConfig: selector must be one of {model.SELECTORS}, got {self.selector!r}")
 
 
 @dataclass
@@ -143,8 +141,8 @@ def adapt_and_predict(
     steps, then predict the test output with the adapted weights.
 
     ``params0`` is never mutated; the optimizer state is fresh. Only the
-    clone's selected group goes on the tape (``model.trainable``) and is
-    stepped: backward computes no gradient for the other tensors, while
+    clone's encoder group goes on the tape (``model.trainable``) and is
+    stepped: backward computes no gradient for the decoder and head, while
     activation gradients still flow through them. The prediction is a
     frozen inference from the adapted clone, taken off the tape with its
     gradient arena and optimizer moments dropped first. A divergence is a
@@ -152,7 +150,7 @@ def adapt_and_predict(
     that step started from.
     """
     work = params0.clone()
-    group = model.trainable(work, config.selector)
+    group = model.trainable(work, model.ENCODER)
     state = AdamWState(lr=config.lr, eps=config.eps)
     rows = cycle_rows(prompt.pair, x_t, work.config.patch_size)
     trace: list[float] = []

@@ -227,6 +227,12 @@ def test_bench_has_no_trace_loss_flag(capsys):
     assert "unrecognized arguments: --trace-loss traces" in capsys.readouterr().err
 
 
+def test_bench_has_no_tune_flag(capsys):
+    # test-time tuning always updates the encoder group
+    assert cli_main(["bench", "--checkpoint", "x", "--tune", "all"]) == 2
+    assert "unrecognized arguments: --tune all" in capsys.readouterr().err
+
+
 @pytest.mark.parametrize(
     "flags, message",
     [

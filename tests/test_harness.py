@@ -197,8 +197,8 @@ def test_report_json_structure(small_checkpoint, tmp_path):
     path = tmp_path / "report.json"
     report.write_json(path)
     payload = json.loads(path.read_text())
-    assert payload["schema"] == 2
-    assert sorted(payload["vict"]) == ["eps", "lr", "selector", "steps"]  # no "beta" since schema 2
+    assert payload["schema"] == 3
+    assert sorted(payload["vict"]) == ["eps", "lr", "steps"]  # no "beta" since schema 2, no "selector" since 3
     assert payload["task"] == "denoise"
     assert payload["metric"] == "PSNR"
     assert payload["num_samples"] == 3

@@ -238,7 +238,7 @@ def test_adapted_prediction_records_no_tape(params, sample_pair, monkeypatch):
 
 def test_encoder_selector_freezes_decoder_group(params, sample_pair, monkeypatch):
     pair, x_t = sample_pair
-    adapted = _adapted_clone(params, pair, x_t, tuning.VictConfig(steps=2, selector="encoder"), monkeypatch)
+    adapted = _adapted_clone(params, pair, x_t, tuning.VictConfig(steps=2), monkeypatch)
     changed, frozen_names = [], []
     for name, t in adapted.tensors.items():
         same = t.data.tobytes() == params.tensors[name].data.tobytes()
@@ -269,7 +269,7 @@ def test_encoder_selector_computes_no_decoder_gradients(params, sample_pair, mon
 
     monkeypatch.setattr(model, "trainable", capturing_trainable)
     monkeypatch.setattr(tuning, "adamw_step", recording_adamw_step)
-    config = tuning.VictConfig(steps=1, selector="encoder")
+    config = tuning.VictConfig(steps=1)
     tuning.adapt_and_predict(params, tuning.PromptSet(pair=pair), x_t, config)
     adapted = captured["params"]
     assert len(at_update) == 1
@@ -280,17 +280,6 @@ def test_encoder_selector_computes_no_decoder_gradients(params, sample_pair, mon
     assert taped == []
     assert {name: t.requires_grad for name, t in params.tensors.items()} == flags
     assert params.digest() == digest
-
-
-def test_all_selector_changes_some_decoder_tensor(params, sample_pair, monkeypatch):
-    pair, x_t = sample_pair
-    adapted = _adapted_clone(params, pair, x_t, tuning.VictConfig(steps=2, selector="all"), monkeypatch)
-    decoder_changed = [
-        name
-        for name, t in adapted.tensors.items()
-        if model.group_of(name) == model.DECODER and t.data.tobytes() != params.tensors[name].data.tobytes()
-    ]
-    assert decoder_changed
 
 
 def test_reset_correctness_between_samples(params):
@@ -317,8 +306,6 @@ def test_loss_trace_has_config_length(params, sample_pair):
 
 
 def test_config_validation():
-    with pytest.raises(ValueError, match="selector"):
-        tuning.VictConfig(selector="decoder")
     with pytest.raises(ValueError, match="steps"):
         tuning.VictConfig(steps=-1)
 
