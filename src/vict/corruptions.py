@@ -2,12 +2,12 @@
 
 Four categories: noise (gaussian, shot, impulse), blur (defocus, glass,
 motion, zoom), weather (fog, frost, snow), and digital (brightness,
-contrast, elastic transform, jpeg compression, pixelate). Severity
-parameters come from the one versioned table shipped with the package
-(``default_severity_table``) and are chosen so the mean squared
-distortion grows with severity; nothing here depends on external assets.
-``apply`` is a pure function of (image, kind, severity, seed) thanks to
-counter-based random streams.
+contrast, elastic transform, jpeg compression, pixelate). ``_KINDS``
+holds one row per kind: its category, its implementation and its
+parameters at each severity, chosen so the mean squared distortion grows
+with severity; nothing here depends on external assets. ``apply`` is a
+pure function of (image, kind, severity, seed) thanks to counter-based
+random streams.
 """
 
 from __future__ import annotations
@@ -15,14 +15,13 @@ from __future__ import annotations
 import functools
 from dataclasses import dataclass
 from enum import Enum
-from importlib import resources
+from typing import Callable, NamedTuple
 
 import numpy as np
 
 from .canvas import check_image
 from .seeding import rng_for
 
-TABLE_VERSION = 1
 SEVERITIES = (1, 2, 3, 4, 5)
 
 
@@ -46,19 +45,6 @@ class CorruptionKind(Enum):
 
 ALL_KINDS = tuple(CorruptionKind)
 
-CATEGORIES: dict[str, tuple[CorruptionKind, ...]] = {
-    "noise": (CorruptionKind.GAUSSIAN_NOISE, CorruptionKind.SHOT_NOISE, CorruptionKind.IMPULSE_NOISE),
-    "blur": (CorruptionKind.DEFOCUS_BLUR, CorruptionKind.GLASS_BLUR, CorruptionKind.MOTION_BLUR, CorruptionKind.ZOOM_BLUR),
-    "weather": (CorruptionKind.FOG, CorruptionKind.FROST, CorruptionKind.SNOW),
-    "digital": (
-        CorruptionKind.BRIGHTNESS,
-        CorruptionKind.CONTRAST,
-        CorruptionKind.ELASTIC_TRANSFORM,
-        CorruptionKind.JPEG_COMPRESSION,
-        CorruptionKind.PIXELATE,
-    ),
-}
-
 
 @dataclass(frozen=True)
 class CorruptionSpec:
@@ -75,55 +61,6 @@ class CorruptionSpec:
 def check_severity(owner: str, severity: int) -> None:
     if severity not in SEVERITIES:
         raise ValueError(f"{owner}: severity must be in {SEVERITIES[0]}..{SEVERITIES[-1]}, got {severity}")
-
-
-SeverityTable = dict[CorruptionKind, tuple[tuple[float, ...], ...]]
-
-
-# ---------------------------------------------------------------------------
-# the shipped severity table
-# ---------------------------------------------------------------------------
-
-
-def _parse_table(text: str) -> SeverityTable:
-    rows: dict[CorruptionKind, dict[int, tuple[float, ...]]] = {k: {} for k in ALL_KINDS}
-    for raw in text.splitlines():
-        line = raw.strip()
-        if not line or line.startswith("#"):
-            continue
-        key, _, value = line.partition("=")
-        key = key.strip()
-        if key == "table_version":
-            if int(value) != TABLE_VERSION:
-                raise ValueError(f"severity table version {value.strip()} != supported {TABLE_VERSION}")
-            continue
-        name, _, sev = key.partition(".")
-        kind = CorruptionKind(name)
-        rows[kind][int(sev)] = tuple(float(v) for v in value.split(","))
-    table: SeverityTable = {}
-    for kind, entries in rows.items():
-        if tuple(sorted(entries)) != SEVERITIES:
-            raise ValueError(f"severity table: incomplete rows for {kind.value}")
-        table[kind] = tuple(entries[s] for s in SEVERITIES)
-    return table
-
-
-_DEFAULT_TABLE: SeverityTable | None = None
-
-
-def default_severity_table() -> SeverityTable:
-    global _DEFAULT_TABLE
-    if _DEFAULT_TABLE is None:
-        text = resources.files("vict").joinpath("data/severity_table.cfg").read_text(encoding="ascii")
-        _DEFAULT_TABLE = _parse_table(text)
-    return _DEFAULT_TABLE
-
-
-def severity_params(kind: CorruptionKind, severity: int) -> tuple[float, ...]:
-    if not isinstance(kind, CorruptionKind):
-        raise ValueError(f"severity_params: unknown kind {kind!r}")
-    check_severity("severity_params", severity)
-    return default_severity_table()[kind][SEVERITIES.index(severity)]
 
 
 # ---------------------------------------------------------------------------
@@ -195,6 +132,20 @@ def convolve(image: np.ndarray, kernel: np.ndarray, mode: str) -> np.ndarray:
         np.multiply(padded[..., i : i + h, j : j + w], flipped[i, j], out=term)
         out += term
     return out
+
+
+def streak_field(
+    rng: np.random.Generator, c: int, density: float, length: float, angle: float, spread: float
+) -> np.ndarray:
+    """Streak field in [0, 1] on a c x c grid: points drawn with
+    probability ``density``, then smeared along a ``length``-pixel line at
+    ``angle`` plus a uniform draw from [-spread, spread) radians, and
+    scaled so the brightest pixel is 1. Snow and the derain task draw
+    their streaks here."""
+    points = (rng.random((c, c)) < density).astype(np.float64)
+    field = convolve(points, line_kernel(length, angle + rng.uniform(-spread, spread)), "constant")
+    peak = field.max()
+    return field / peak if peak > 0 else field
 
 
 def _gaussian_blur(image: np.ndarray, sigma: float) -> np.ndarray:
@@ -395,12 +346,7 @@ def _frost(img, rng, params):
 
 def _snow(img, rng, params):
     density, length, lift = params
-    points = (rng.random(img.shape[1:]) < density).astype(np.float64)
-    angle = np.pi / 2 + rng.uniform(-0.35, 0.35)
-    flakes = convolve(points, line_kernel(length, angle), "constant")
-    peak = flakes.max()
-    if peak > 0:
-        flakes = flakes / peak
+    flakes = streak_field(rng, img.shape[1], density, length, np.pi / 2, 0.35)
     return img + 0.8 * flakes[None] + lift
 
 
@@ -573,23 +519,53 @@ def _pixelate(img, rng, params):
     return up[:, :c, :c]
 
 
-_IMPLEMENTATIONS = {
-    CorruptionKind.GAUSSIAN_NOISE: _gaussian_noise,
-    CorruptionKind.SHOT_NOISE: _shot_noise,
-    CorruptionKind.IMPULSE_NOISE: _impulse_noise,
-    CorruptionKind.DEFOCUS_BLUR: _defocus_blur,
-    CorruptionKind.GLASS_BLUR: _glass_blur,
-    CorruptionKind.MOTION_BLUR: _motion_blur,
-    CorruptionKind.ZOOM_BLUR: _zoom_blur,
-    CorruptionKind.FOG: _fog,
-    CorruptionKind.FROST: _frost,
-    CorruptionKind.SNOW: _snow,
-    CorruptionKind.BRIGHTNESS: _brightness,
-    CorruptionKind.CONTRAST: _contrast,
-    CorruptionKind.ELASTIC_TRANSFORM: _elastic_transform,
-    CorruptionKind.JPEG_COMPRESSION: _jpeg_compression,
-    CorruptionKind.PIXELATE: _pixelate,
+class _Kind(NamedTuple):
+    category: str
+    implementation: Callable[[np.ndarray, np.random.Generator, tuple[float, ...]], np.ndarray]
+    severities: tuple[tuple[float, ...], ...]  # the parameters each implementation unpacks, one row per severity
+
+
+_KINDS: dict[CorruptionKind, _Kind] = {
+    CorruptionKind.GAUSSIAN_NOISE: _Kind("noise", _gaussian_noise, ((0.08,), (0.12,), (0.18,), (0.26,), (0.38,))),
+    CorruptionKind.SHOT_NOISE: _Kind("noise", _shot_noise, ((60.0,), (25.0,), (12.0,), (5.0,), (3.0,))),
+    CorruptionKind.IMPULSE_NOISE: _Kind("noise", _impulse_noise, ((0.03,), (0.06,), (0.09,), (0.17,), (0.27,))),
+    CorruptionKind.DEFOCUS_BLUR: _Kind("blur", _defocus_blur, ((1.0,), (1.5,), (2.0,), (2.8,), (3.8,))),
+    CorruptionKind.GLASS_BLUR: _Kind(  # shift, iterations, sigma
+        "blur", _glass_blur, ((1.0, 1.0, 0.4), (1.0, 3.0, 0.4), (2.0, 2.0, 0.4), (2.0, 4.0, 0.4), (3.0, 3.0, 0.4))
+    ),
+    CorruptionKind.MOTION_BLUR: _Kind("blur", _motion_blur, ((3.0,), (5.0,), (7.0,), (9.0,), (12.0,))),
+    CorruptionKind.ZOOM_BLUR: _Kind(  # largest zoom, zoom step
+        "blur", _zoom_blur, ((1.06, 0.02), (1.11, 0.02), (1.16, 0.02), (1.21, 0.02), (1.26, 0.02))
+    ),
+    CorruptionKind.FOG: _Kind(  # opacity, roughness
+        "weather", _fog, ((0.15, 0.6), (0.25, 0.6), (0.35, 0.6), (0.45, 0.6), (0.55, 0.6))
+    ),
+    CorruptionKind.FROST: _Kind(  # opacity, coverage
+        "weather", _frost, ((0.25, 0.25), (0.35, 0.3), (0.45, 0.35), (0.55, 0.4), (0.65, 0.45))
+    ),
+    CorruptionKind.SNOW: _Kind(  # density, streak length, lift
+        "weather", _snow, ((0.01, 3.0, 0.05), (0.02, 4.0, 0.08), (0.03, 5.0, 0.12), (0.045, 6.0, 0.16), (0.06, 8.0, 0.2))
+    ),
+    CorruptionKind.BRIGHTNESS: _Kind("digital", _brightness, ((0.1,), (0.18,), (0.26,), (0.34,), (0.42,))),
+    CorruptionKind.CONTRAST: _Kind("digital", _contrast, ((0.75,), (0.6,), (0.45,), (0.3,), (0.18,))),
+    CorruptionKind.ELASTIC_TRANSFORM: _Kind(  # displacement, sigma
+        "digital", _elastic_transform, ((1.5, 1.2), (2.5, 1.2), (3.5, 1.2), (4.5, 1.2), (6.0, 1.2))
+    ),
+    CorruptionKind.JPEG_COMPRESSION: _Kind("digital", _jpeg_compression, ((25.0,), (18.0,), (12.0,), (8.0,), (5.0,))),
+    CorruptionKind.PIXELATE: _Kind("digital", _pixelate, ((2.0,), (3.0,), (4.0,), (5.0,), (8.0,))),
 }
+
+CATEGORIES: dict[str, tuple[CorruptionKind, ...]] = {
+    name: tuple(kind for kind, row in _KINDS.items() if row.category == name)
+    for name in dict.fromkeys(row.category for row in _KINDS.values())
+}
+
+
+def severity_params(kind: CorruptionKind, severity: int) -> tuple[float, ...]:
+    if not isinstance(kind, CorruptionKind):
+        raise ValueError(f"severity_params: unknown kind {kind!r}")
+    check_severity("severity_params", severity)
+    return _KINDS[kind].severities[SEVERITIES.index(severity)]
 
 
 def apply(image: np.ndarray, spec: CorruptionSpec) -> np.ndarray:
@@ -598,7 +574,7 @@ def apply(image: np.ndarray, spec: CorruptionSpec) -> np.ndarray:
     check_image("apply", arr)
     params = severity_params(spec.kind, spec.severity)
     rng = rng_for("corrupt", spec.kind.value, spec.severity, spec.seed)
-    out = _IMPLEMENTATIONS[spec.kind](arr.astype(np.float64), rng, params)
+    out = _KINDS[spec.kind].implementation(arr.astype(np.float64), rng, params)
     # checked before the clip, which would hide an infinity; a bug in the
     # corruption, never a numerical divergence
     if not np.isfinite(out).all():

@@ -15,7 +15,7 @@ from functools import cache
 
 import numpy as np
 
-from .corruptions import convolve, line_kernel
+from .corruptions import streak_field
 from .seeding import rng_for
 
 DEFAULT_CELL_SIZE = 32
@@ -168,18 +168,6 @@ def _render_scene(rng: np.random.Generator, c: int):
     return _clip_unit(scene), class_map, inv_depth
 
 
-def _diagonal_streaks(rng: np.random.Generator, c: int) -> np.ndarray:
-    """Bright rain-like streak field in [0, 1]."""
-    points = (rng.random((c, c)) < 0.035).astype(np.float64)
-    length = max(5, c // 5)
-    angle = np.pi / 4 + rng.uniform(-0.25, 0.25)
-    field = convolve(points, line_kernel(length, angle), "constant")
-    peak = field.max()
-    if peak > 0:
-        field = field / peak
-    return 0.7 * field
-
-
 def generate(task: TaskKind, seed: int, cell_size: int = DEFAULT_CELL_SIZE) -> TaskSample:
     """Deterministic input/target pair for one task instance."""
     if not isinstance(task, TaskKind):
@@ -191,7 +179,7 @@ def generate(task: TaskKind, seed: int, cell_size: int = DEFAULT_CELL_SIZE) -> T
         image = _clip_unit(scene + rng.normal(0.0, 0.1, size=scene.shape))
         target = scene
     elif task is TaskKind.DERAIN:
-        streaks = _diagonal_streaks(rng, cell_size)
+        streaks = 0.7 * streak_field(rng, cell_size, 0.035, max(5, cell_size // 5), np.pi / 4, 0.25)
         image = _clip_unit(scene + streaks[None])
         target = scene
     elif task is TaskKind.LOWLIGHT:

@@ -439,7 +439,8 @@ def _normalize_backward(
     ``x``, ``gain`` and ``bias``."""
     if bias.requires_grad:
         _accumulate(bias, g.sum(axis=0, out=_first_out(bias)))
-    scratch = g * xhat
+    # with a frozen gain, scratch is only an out= buffer, written before it is read
+    scratch = g * xhat if gain.requires_grad else np.empty(g.shape, np.result_type(g, xhat))
     if gain.requires_grad:
         _accumulate(gain, scratch.sum(axis=0, out=_first_out(gain)))
     if not x.requires_grad:

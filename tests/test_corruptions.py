@@ -1,4 +1,5 @@
 import copy
+import hashlib
 
 import numpy as np
 import pytest
@@ -78,6 +79,20 @@ def test_severity_params_validation_and_purity():
         cor.severity_params(cor.CorruptionKind.FOG, 6)
     with pytest.raises(ValueError, match="kind"):
         cor.severity_params("fog", 3)
+
+
+def test_severity_table_is_complete_and_pinned():
+    assert tuple(cor._KINDS) == cor.ALL_KINDS
+    for kind, entry in cor._KINDS.items():
+        assert len(entry.severities) == len(cor.SEVERITIES) == 5, kind
+        for row in entry.severities:
+            assert type(row) is tuple and row and all(type(v) is float for v in row), (kind, row)
+    # pins every value's bits to those the rows had when a cfg file held them
+    digest = hashlib.sha256()
+    for kind in cor.ALL_KINDS:
+        for s in cor.SEVERITIES:
+            digest.update(repr(cor.severity_params(kind, s)).encode())
+    assert digest.hexdigest() == "338c3845e7ebfc459d2f7bc8654a3c0cefc1b45bc5b958d5f8bdbe3604609bb7"
 
 
 def test_spec_validation():

@@ -125,7 +125,8 @@ def test_failed_sample_says_why_on_stderr(small_checkpoint, monkeypatch, capsys)
 @pytest.mark.parametrize("bad", [np.nan, np.inf])
 def test_broken_corruption_is_an_error_not_a_divergence(small_checkpoint, monkeypatch, bad):
     kind = corruptions.CorruptionKind.GAUSSIAN_NOISE
-    monkeypatch.setitem(corruptions._IMPLEMENTATIONS, kind, lambda img, rng, params: np.full_like(img, bad))
+    broken = corruptions._KINDS[kind]._replace(implementation=lambda img, rng, params: np.full_like(img, bad))
+    monkeypatch.setitem(corruptions._KINDS, kind, broken)
     with pytest.raises(RuntimeError, match="non-finite output for gaussian_noise at severity 3"):
         harness.run_bench(bench_config(small_checkpoint))
 
