@@ -6,7 +6,8 @@ one, so that this work runs on a second core while this process runs the
 model. Each item is
 pickled (protocol 5) through a pipe, so every array arrives with the
 bytes and layout it was made with, in the order the iterator yields them.
-It needs ``os.fork`` (POSIX).
+It needs ``os.fork`` (POSIX). ``fork_child`` and ``kill_and_reap`` are
+the fork and the end it shares with ``tensor.AdamWWorker``.
 """
 
 from __future__ import annotations
@@ -15,7 +16,7 @@ import contextlib
 import os
 import pickle
 import signal
-from collections.abc import Iterator
+from collections.abc import Callable, Iterator
 from typing import Any, NoReturn
 
 _PIPE_BYTES = 1 << 20  # the child runs this far ahead without waking the consumer
@@ -44,6 +45,33 @@ def _send(fd: int, items: Iterator) -> NoReturn:
         os._exit(status)
 
 
+def fork_child(body: Callable[..., NoReturn], child_fds: tuple[int, ...], parent_fds: tuple[int, ...]) -> int:
+    """Fork a child that closes ``parent_fds`` and runs ``body(*child_fds)``,
+    which ends in ``os._exit``; here, close ``child_fds`` and return the
+    child's pid. If the fork fails, every fd given is closed."""
+    try:
+        pid = os.fork()
+    except OSError:
+        for fd in child_fds + parent_fds:
+            os.close(fd)
+        raise
+    if pid == 0:
+        try:
+            for fd in parent_fds:
+                os.close(fd)
+            body(*child_fds)
+        finally:
+            os._exit(1)
+    for fd in child_fds:
+        os.close(fd)
+    return pid
+
+
+def kill_and_reap(pid: int) -> None:
+    os.kill(pid, signal.SIGKILL)  # it may still be at work, after a divergence
+    os.waitpid(pid, 0)
+
+
 class Prefetcher:
     """Runs ``items``, an iterator made in this process but not yet started,
     in a child forked at once, so that the first item is under way while
@@ -53,16 +81,7 @@ class Prefetcher:
     def __init__(self, what: str, items: Iterator):
         self.what = what
         read_fd, write_fd = os.pipe()
-        try:
-            self.pid = os.fork()
-        except OSError:
-            os.close(read_fd)
-            os.close(write_fd)
-            raise
-        if self.pid == 0:
-            os.close(read_fd)
-            _send(write_fd, items)
-        os.close(write_fd)
+        self.pid = fork_child(lambda fd: _send(fd, items), (write_fd,), (read_fd,))
         self.pipe = open(read_fd, "rb")
 
     def get(self, label: str) -> Any:
@@ -78,5 +97,4 @@ class Prefetcher:
 
     def close(self) -> None:
         self.pipe.close()
-        os.kill(self.pid, signal.SIGKILL)  # it may still be drawing, after a divergence
-        os.waitpid(self.pid, 0)
+        kill_and_reap(self.pid)

@@ -59,18 +59,30 @@ Also home to the smooth-L1 regression loss and the Adam update
 (``adamw_step``, with no weight decay) used by pre-training and test-time
 tuning. The update runs on whole arenas: the tensors it steps, and their
 gradients, must each be consecutive views of one flat buffer (``arena_of``).
-It walks the arena in blocks of ``ADAMW_BLOCK`` values, so its temporaries
-stay in cache.
+Every arena is an anonymous shared mapping (``new_arena``), so a child
+forked after it is made reads the same memory. The loops step through an
+``AdamWWorker``: a child forked at the first step holds the moments and
+computes each gradient run's update (``_adam_update``) as soon as
+``backward`` has finished it (``on_final``), so the update overlaps the
+rest of backward on a second core; ``adamw_step`` then waits for the last
+run and subtracts the update from the weights in this process. It needs
+``os.fork`` (POSIX).
 """
 
 from __future__ import annotations
 
+import functools
 import math
+import mmap
 import operator
+import os
+import struct
 from dataclasses import dataclass, field
-from typing import Callable, Iterable, Mapping
+from typing import Callable, Iterable, Mapping, NoReturn
 
 import numpy as np
+
+from .prefetch import fork_child, kill_and_reap
 
 DEFAULT_DTYPE = np.float32
 LAYERNORM_EPS = 1e-5
@@ -117,8 +129,8 @@ class Tensor:
         """Gradient buffer, materializing zeros for untouched leaves."""
         return self.grad if self.grad is not None else np.zeros_like(self.data)
 
-    def backward(self) -> None:
-        backward(self)
+    def backward(self, on_final: Callable[[Tensor], None] | None = None) -> None:
+        backward(self, on_final=on_final)
 
     def __repr__(self) -> str:
         flag = ", requires_grad=True" if self.requires_grad else ""
@@ -240,13 +252,29 @@ def _topo_order(root: Tensor) -> list[Tensor]:
     return order  # inputs precede their consumers
 
 
-def backward(root: Tensor) -> None:
+def _last_consumers(order: list[Tensor]) -> dict[int, list[Tensor]]:
+    """The grad-requiring leaves of a tape in ``_topo_order``, keyed by the
+    id of the consumer whose rule backward runs last for each: the first of
+    its consumers in ``order``."""
+    seen: set[int] = set()
+    last: dict[int, list[Tensor]] = {}
+    for node in order:
+        for parent in node._parents:
+            if parent.requires_grad and not parent._parents and id(parent) not in seen:
+                seen.add(id(parent))
+                last.setdefault(id(node), []).append(parent)
+    return last
+
+
+def backward(root: Tensor, on_final: Callable[[Tensor], None] | None = None) -> None:
     """Populate ``grad`` on every grad-requiring leaf reachable from ``root``.
 
     ``root`` must be a scalar produced by a recorded op. Intermediate grads
     are reset on entry and dropped once their rule has used them, so none
     is left afterwards; leaf grads accumulate across calls (``zero_grads``
-    resets them).
+    resets them). ``on_final(leaf)`` is called once for each grad-requiring
+    leaf, right after the rule of its last consumer has run, when no later
+    rule changes its gradient.
     """
     if root.data.size != 1:
         raise ValueError(f"backward: root must be a scalar, got shape {root.shape}")
@@ -257,11 +285,14 @@ def backward(root: Tensor) -> None:
     for node in order:
         if node._parents:
             node.grad = None
+    finals = _last_consumers(order) if on_final is not None else {}
     root.grad = np.ones_like(root.data)
     for node in reversed(order):
         if node._backward is not None and node.grad is not None:
             node._backward(node.grad)
             node.grad = None
+        for leaf in finals.get(id(node), ()):
+            on_final(leaf)
 
 
 def zero_grads(tensors: Iterable[Tensor]) -> None:
@@ -755,11 +786,19 @@ def smooth_l1(pred: Tensor, target: Tensor) -> Tensor:
 # ---------------------------------------------------------------------------
 
 
+def _shared_array(size: int, dtype) -> np.ndarray:
+    """A new flat array of zeros in an anonymous shared mapping, which a
+    child forked after it is made reads and writes as this process does."""
+    dtype = np.dtype(dtype)
+    return np.frombuffer(mmap.mmap(-1, max(size * dtype.itemsize, 1)), dtype=dtype, count=size)
+
+
 def new_arena(shapes: Iterable[tuple[str, tuple[int, ...]]], dtype) -> dict[str, np.ndarray]:
-    """Uninitialised arrays of the given names and shapes, in order, as
-    consecutive views of one new flat buffer (an arena)."""
+    """Zero-filled arrays of the given names and shapes, in order, as
+    consecutive views of one new flat buffer (an arena) in an anonymous
+    shared mapping (``_shared_array``)."""
     shapes = list(shapes)
-    flat = np.empty(sum(math.prod(shape) for _, shape in shapes), dtype=dtype)
+    flat = _shared_array(sum(math.prod(shape) for _, shape in shapes), dtype)
     views: dict[str, np.ndarray] = {}
     lo = 0
     for name, shape in shapes:
@@ -799,6 +838,7 @@ def arena_of(arrays: Iterable[tuple[str, np.ndarray]], owner: str) -> np.ndarray
 ADAM_BETA1 = 0.9
 ADAM_BETA2 = 0.999
 ADAMW_BLOCK = 2**15  # values per block of the update: 128 KiB temporaries in float32
+ADAMW_RUN = 2**14  # the fewest gradient values one message during backward hands the AdamW worker
 
 
 @dataclass
@@ -807,10 +847,10 @@ class AdamWState:
     ``ADAM_BETA1`` and ``ADAM_BETA2``. No weight decay: nothing in
     pre-training, fine-tuning or test-time tuning decays its weights.
 
-    The first ``adamw_step`` makes ``m`` and ``v``, flat and laid out like
-    the parameter arena it updates. Its two block-sized scratch arrays live
-    only during the update: kept between steps, they would add to the
-    resident memory of every forward and backward pass.
+    Stepped in process, the first ``adamw_step`` makes ``m`` and ``v``,
+    flat and laid out like the parameter arena it updates. With a
+    ``worker`` (an ``AdamWWorker``, which sets itself here), the moments
+    live in the worker's process and ``m`` and ``v`` stay None.
     """
 
     lr: float
@@ -818,6 +858,7 @@ class AdamWState:
     t: int = 0
     m: np.ndarray | None = None
     v: np.ndarray | None = None
+    worker: AdamWWorker | None = field(default=None, repr=False, compare=False)
     # the last call's parameter and gradient arrays, with their flat arenas
     _arenas: tuple = field(default=(), repr=False, compare=False)
 
@@ -850,55 +891,221 @@ def _flat_operands(
     return theta, g
 
 
+def _adam_update(
+    g: np.ndarray, m: np.ndarray, v: np.ndarray, update: np.ndarray, t: int, lr: float, eps: float, scratch: np.ndarray
+) -> None:
+    """Step the moments ``m`` and ``v`` of a slice with its gradients ``g``
+    and write the slice's step-``t`` update, ``lr * m_hat / (sqrt(v_hat) +
+    eps)``, into ``update``, all in place. It walks the slice in blocks of
+    ``ADAMW_BLOCK`` values with ``scratch``, one block long, as its
+    temporary. Each value depends on its own element alone, so an arena
+    updated in any slices has the bits of one whole-arena update."""
+    bc1 = 1.0 - ADAM_BETA1 ** t
+    bc2 = 1.0 - ADAM_BETA2 ** t
+    for lo in range(0, g.size, ADAMW_BLOCK):
+        block = slice(lo, lo + ADAMW_BLOCK)
+        gb, mb, vb, ub = g[block], m[block], v[block], update[block]
+        s = scratch[: gb.size]
+        np.multiply(gb, 1.0 - ADAM_BETA1, out=s)
+        mb *= ADAM_BETA1
+        mb += s
+        np.multiply(gb, gb, out=s)
+        s *= 1.0 - ADAM_BETA2
+        vb *= ADAM_BETA2
+        vb += s
+        # s <- sqrt(v_hat) + eps; update = m_hat / s
+        np.divide(vb, bc2, out=s)
+        np.sqrt(s, out=s)
+        s += eps
+        np.divide(mb, bc1, out=ub)
+        ub /= s
+        ub *= lr
+
+
+def _update_in_process(theta: np.ndarray, g: np.ndarray, state: AdamWState) -> np.ndarray | None:
+    """The next update of ``theta`` from its gradients ``g``, stepping the
+    moments of ``state``; None, and nothing changed, if ``g`` is not finite."""
+    if not np.isfinite(g).all():
+        return None
+    if state.m is None:
+        state.m, state.v = np.zeros_like(theta), np.zeros_like(theta)
+    elif state.m.shape != theta.shape:
+        raise ValueError(f"adamw_step: state holds moments for {state.m.size} values, params have {theta.size}")
+    update = np.empty_like(theta)
+    scratch = np.empty(min(ADAMW_BLOCK, g.size), dtype=g.dtype)
+    _adam_update(g, state.m, state.v, update, state.t + 1, state.lr, state.eps, scratch)
+    return update
+
+
 def adamw_step(params: Mapping[str, Tensor], grads: Mapping[str, np.ndarray], state: AdamWState) -> None:
-    """One bias-corrected Adam update, in place on ``params``, in one pass
-    over their arena.
+    """One bias-corrected Adam update, in place on ``params``.
 
     theta <- theta - lr * m_hat / (sqrt(v_hat) + eps)
 
     ``params``' data, and ``grads`` in ``params`` order, must each tile one
     flat buffer (``arena_of``), as a ``model.trainable`` group and its
-    gradients do. After one finiteness check over the whole gradient arena,
-    the arena is updated in blocks of ``ADAMW_BLOCK`` values, each with the
-    same per-element operations in the same order, so every value is the
-    one a whole-arena update gives; only the two temporaries shrink to a
-    block.
+    gradients do. With ``state.worker``, the worker has already computed
+    the update of each run of the gradient arena that backward handed it;
+    this call hands it the rest and waits for it (``AdamWWorker.step``).
+    Without one, the update is computed here. Either way it comes from
+    ``_adam_update``, so it has the same bits, and this process subtracts
+    it from the weights. A non-finite gradient is a ``FloatingPointError``
+    naming the first non-finite tensor in ``params`` order, and then no
+    weight changes.
     """
     check_lr("adamw_step", "lr", state.lr)
     if grads.keys() != params.keys():
         raise ValueError("adamw_step: grads and params cover different names")
     theta, g = _flat_operands(params, grads, state)
-    if not np.isfinite(g).all():
+    update = state.worker.step(g) if state.worker is not None else _update_in_process(theta, g, state)
+    if update is None:
         name = next(name for name in params if not np.isfinite(grads[name]).all())
         raise FloatingPointError(f"adamw_step: non-finite gradient for {name!r}")
-    if state.m is None:
-        state.m, state.v = np.zeros_like(theta), np.zeros_like(theta)
-    elif state.m.shape != theta.shape:
-        raise ValueError(f"adamw_step: state holds moments for {state.m.size} values, params have {theta.size}")
     state.t += 1
-    bc1 = 1.0 - ADAM_BETA1 ** state.t
-    bc2 = 1.0 - ADAM_BETA2 ** state.t
-    size = min(ADAMW_BLOCK, theta.size)
-    scratch_block, update_block = np.empty(size, dtype=g.dtype), np.empty(size, dtype=theta.dtype)
-    for lo in range(0, theta.size, ADAMW_BLOCK):
-        block = slice(lo, lo + ADAMW_BLOCK)
-        gb, m, v = g[block], state.m[block], state.v[block]
-        scratch, update = scratch_block[: gb.size], update_block[: gb.size]
-        np.multiply(gb, 1.0 - ADAM_BETA1, out=scratch)
-        m *= ADAM_BETA1
-        m += scratch
-        np.multiply(gb, gb, out=scratch)
-        scratch *= 1.0 - ADAM_BETA2
-        v *= ADAM_BETA2
-        v += scratch
-        # scratch <- sqrt(v_hat) + eps; update = m_hat / scratch
-        np.divide(v, bc2, out=scratch)
-        np.sqrt(scratch, out=scratch)
-        scratch += state.eps
-        np.divide(m, bc1, out=update)
-        update /= scratch
-        update *= state.lr
-        theta[block] -= update
+    theta -= update
+
+
+# a message to the AdamW worker: the run [lo, hi) of the gradient arena, or with lo == hi the step's end
+_RUN = struct.Struct("=qq")
+
+
+def _is_shared(a: np.ndarray) -> bool:
+    """Whether ``a`` is a view of an anonymous shared mapping (``_shared_array``)."""
+    while isinstance(a, np.ndarray):
+        a = a.base
+    return isinstance(a, memoryview) and isinstance(a.obj, mmap.mmap)
+
+
+def _run_worker(g: np.ndarray, update: np.ndarray, lr: float, eps: float, commands: int, status: int) -> NoReturn:
+    """The AdamW worker's body. For each run ``[lo, hi)`` of the gradient
+    arena ``g`` read from ``commands``: check that it is finite and write
+    its update into ``update``; at each step's end write b"1" to ``status``,
+    or b"0" if a run of the step was not finite. ``m`` and ``v`` live here.
+    It exits at the pipe's end; an error is written as b"E" and its message.
+    Never returns."""
+    code = 1
+    try:
+        pipe = open(commands, "rb")
+        m, v = np.zeros_like(g), np.zeros_like(g)
+        scratch = np.empty(min(ADAMW_BLOCK, g.size), dtype=g.dtype)
+        t, finite = 1, True
+        while len(message := pipe.read(_RUN.size)) == _RUN.size:
+            lo, hi = _RUN.unpack(message)
+            if lo == hi:
+                os.write(status, b"1" if finite else b"0")
+                t, finite = t + finite, True
+            elif finite:
+                finite = bool(np.isfinite(g[lo:hi]).all())
+                if finite:
+                    _adam_update(g[lo:hi], m[lo:hi], v[lo:hi], update[lo:hi], t, lr, eps, scratch)
+        code = 0
+    except Exception as err:
+        os.write(status, f"E{type(err).__name__}: {err}".encode())
+    finally:
+        os._exit(code)
+
+
+class AdamWWorker:
+    """Computes the AdamW updates of ``params``, a ``model.trainable``
+    group, for ``state`` in a forked child, while backward still runs.
+
+    ``finished`` is ``backward``'s ``on_final``. Backward finishes the
+    gradient arena from its end down; each time the finished run at its end
+    has grown by ``ADAMW_RUN`` values, its bounds go to the child through a
+    pipe. The child reads the gradients from the arena itself, which is
+    shared (``new_arena``), and writes their update into a shared buffer
+    (``_run_worker``). ``adamw_step`` calls ``step``, which hands over the
+    rest of the arena and the step's end and waits for the child.
+
+    ``lr`` and ``eps`` are taken from ``state`` here. The child is forked
+    at the first run handed over, so a loop with no step forks none. It
+    holds ``m`` and ``v`` in its own memory and exits when its command
+    pipe reaches its end, so it does not outlive this process. A step with
+    a non-finite gradient leaves its moments moved, so the worker refuses
+    any later step. ``close`` kills and reaps the child; use it through
+    ``contextlib.closing``. It needs ``os.fork`` (POSIX).
+    """
+
+    def __init__(self, params: Mapping[str, Tensor], state: AdamWState):
+        self.grads = arena_of(((name, t.grad_buffer) for name, t in params.items()), "AdamWWorker: gradient buffers")
+        if not _is_shared(self.grads):
+            raise ValueError("AdamWWorker: the gradient buffers are not a shared arena (new_arena)")
+        self.dtype = next(iter(params.values())).dtype
+        self._index = {id(t): i for i, t in enumerate(params.values())}
+        self._starts = [0]  # each tensor's offset in the arena, then the arena's size
+        for t in params.values():
+            self._starts.append(self._starts[-1] + t.size)
+        self.lr, self.eps = state.lr, state.eps
+        self.pid: int | None = None
+        self.lost = False
+        self._new_step()
+        state.worker = self
+
+    def _new_step(self) -> None:
+        self._final = [False] * len(self._index)
+        self._top = len(self._index)  # the tensors from this index on have their final gradients
+        self._sent = self._starts[-1]  # the arena from this offset on is handed over
+
+    def finished(self, leaf: Tensor) -> None:
+        """``leaf``'s gradient is final: hand over the finished run at the
+        arena's end once it holds ``ADAMW_RUN`` values not yet handed over."""
+        i = self._index.get(id(leaf))
+        if i is None:
+            return
+        self._final[i] = True
+        while self._top > 0 and self._final[self._top - 1]:
+            self._top -= 1
+        lo = self._starts[self._top]
+        if self._sent - lo >= ADAMW_RUN:
+            self._send(lo, self._sent)
+            self._sent = lo
+
+    def step(self, g: np.ndarray) -> np.ndarray | None:
+        """Hand over the rest of the gradient arena ``g`` and the step's end,
+        and wait for the child: the update, or None if a gradient was not
+        finite."""
+        if g.ctypes.data != self.grads.ctypes.data or g.size != self.grads.size:
+            raise ValueError("adamw_step: grads are not the gradient arena the AdamW worker reads")
+        if self._sent > 0:
+            self._send(0, self._sent)
+        self._send(0, 0)
+        self._new_step()
+        verdict = self._status.read(1)
+        if verdict == b"1":
+            return self.update
+        if verdict == b"0":
+            self.lost = True
+            return None
+        raise self._failure(verdict)
+
+    def _send(self, lo: int, hi: int) -> None:
+        if self.lost:
+            raise RuntimeError("adamw_step: a step with a non-finite gradient moved the AdamW worker's moments")
+        if self.pid is None:
+            self._fork()
+        try:
+            os.write(self._commands, _RUN.pack(lo, hi))
+        except BrokenPipeError:
+            raise self._failure(b"") from None
+
+    def _failure(self, head: bytes) -> RuntimeError:
+        message = (head + self._status.read()).decode(errors="replace").removeprefix("E")
+        return RuntimeError(f"adamw_step: the AdamW worker failed: {message or 'it exited'}")
+
+    def _fork(self) -> None:
+        self.update = _shared_array(self.grads.size, self.dtype)
+        commands, to_child = os.pipe()
+        from_child, status = os.pipe()
+        body = functools.partial(_run_worker, self.grads, self.update, self.lr, self.eps)
+        self.pid = fork_child(body, (commands, status), (to_child, from_child))
+        self._commands, self._status = to_child, open(from_child, "rb")
+
+    def close(self) -> None:
+        if self.pid is not None:
+            os.close(self._commands)
+            self._status.close()
+            kill_and_reap(self.pid)
+            self.pid = None
 
 
 def collect_grads(params: dict[str, Tensor]) -> dict[str, np.ndarray]:

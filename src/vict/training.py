@@ -4,7 +4,9 @@
 baseline (``harness.fewshot_finetune``) share: every parameter on the
 tape, a fresh AdamW state, and per batch one smooth-L1 loss on a masked
 output cell's patch rows (``masked_cell_loss``), one backward and one
-update.
+update. The update of each gradient run is computed by a forked AdamW
+worker (``tensor.AdamWWorker``) while backward still runs; the weights
+change only in this process, with the same bits as an in-process update.
 
 Pre-training draws a task, generates an independent prompt pair and query
 pair, and supervises one masked output cell. Each step masks either the
@@ -15,9 +17,9 @@ corrupted data and no augmentation ever enter pre-training.
 
 Pre-training draws and renders its batches (``_draw_batches``) in a
 forked helper process (``prefetch.Prefetcher``), so that ``tasks.generate``
-runs on a second core while this process runs forward, backward and
-AdamW. The helper draws from the same seeded stream in the same order as
-an in-process loop would, and the batches arrive with the same bytes, so
+runs on a second core while this process runs forward and backward. The
+helper draws from the same seeded stream in the same order as an
+in-process loop would, and the batches arrive with the same bytes, so
 the results keep their bits. It needs ``os.fork`` (POSIX).
 """
 
@@ -37,7 +39,7 @@ from . import model, tasks
 from .canvas import assemble_flipped, assemble_inference, extract_cell, patchify  # noqa: F401
 from .prefetch import Prefetcher
 from .seeding import rng_for
-from .tensor import AdamWState, Tensor, adamw_step, check_lr, collect_grads, constant, smooth_l1, zero_grads
+from .tensor import AdamWState, AdamWWorker, Tensor, adamw_step, check_lr, collect_grads, constant, smooth_l1, zero_grads
 
 FLIP_MASK_PROB = 0.25
 PROGRESS_EVERY = 1000  # fit prints one progress line to stderr per this many steps
@@ -105,22 +107,23 @@ def fit(
     state = AdamWState(lr=lr)
     losses: list[float] = []
     start = time.perf_counter()
-    for step, (prompt, query, flip) in enumerate(batches):
-        zero_grads(params.tensors.values())
-        try:
-            with np.errstate(over="ignore", invalid="ignore", divide="ignore"):  # the finiteness checks name the op
-                loss = masked_cell_loss(params, prompt, query, flip)
-                loss.backward()
-                adamw_step(group, collect_grads(group), state)
-        except FloatingPointError as err:
-            raise FloatingPointError(f"{what} diverged at step {step}: {err}") from err
-        losses.append(loss.item())
-        del loss  # frees the tape after the update: freed before it, its memory went back to the OS and was faulted in again
-        if len(losses) % PROGRESS_EVERY == 0:
-            mean = sum(losses[-PROGRESS_EVERY:]) / PROGRESS_EVERY
-            elapsed = time.perf_counter() - start
-            print(f"{what} step {len(losses)}: mean loss {mean:.5f} over the last {PROGRESS_EVERY}, {elapsed:.1f} s",
-                  file=sys.stderr)
+    with contextlib.closing(AdamWWorker(group, state)) as worker:  # forked during the first backward
+        for step, (prompt, query, flip) in enumerate(batches):
+            zero_grads(params.tensors.values())
+            try:
+                with np.errstate(over="ignore", invalid="ignore", divide="ignore"):  # the finiteness checks name the op
+                    loss = masked_cell_loss(params, prompt, query, flip)
+                    loss.backward(on_final=worker.finished)
+                    adamw_step(group, collect_grads(group), state)
+            except FloatingPointError as err:
+                raise FloatingPointError(f"{what} diverged at step {step}: {err}") from err
+            losses.append(loss.item())
+            del loss  # frees the tape after the update: freed before it, its memory went back to the OS and was faulted in again
+            if len(losses) % PROGRESS_EVERY == 0:
+                mean = sum(losses[-PROGRESS_EVERY:]) / PROGRESS_EVERY
+                elapsed = time.perf_counter() - start
+                print(f"{what} step {len(losses)}: mean loss {mean:.5f} over the last {PROGRESS_EVERY}, {elapsed:.1f} s",
+                      file=sys.stderr)
     model.freeze(params)
     return params, losses
 

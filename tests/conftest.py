@@ -12,6 +12,18 @@ from vict.checkpoint import save_checkpoint
 SMALL_MODEL = model.ModelConfig(cell_size=16, patch_size=8, embed_dim=32, encoder_depth=1, decoder_depth=1, num_heads=2)
 
 
+@pytest.fixture(autouse=True)
+def no_child_process_left():
+    """Fails a test that leaves a child process behind: every sample
+    helper and AdamW worker is killed and reaped on every exit."""
+    yield
+    try:
+        pid, _ = os.waitpid(-1, os.WNOHANG)
+    except ChildProcessError:
+        return
+    pytest.fail(f"a child process outlived the test (waitpid gave pid {pid})")
+
+
 @pytest.fixture(scope="session")
 def small_checkpoint(tmp_path_factory):
     """Briefly pre-trained small model, shared by harness and CLI tests."""

@@ -500,6 +500,26 @@ def test_backward_keeps_only_leaf_gradients(default_params):
     assert leaves and all(node.grad is not None for node in leaves)
 
 
+@pytest.mark.parametrize("tape", ["pretraining", "cycle"])
+def test_backward_hands_over_each_leaf_once_with_its_final_gradient(default_params, tape):
+    prompt = tasks.generate(tasks.TaskKind.DENOISE, 1)
+    query = tasks.generate(tasks.TaskKind.DENOISE, 2)
+    params = default_params.clone()
+    group = model.trainable(params, "all" if tape == "pretraining" else "encoder")
+    if tape == "pretraining":
+        loss = training.masked_cell_loss(params, (prompt.input, prompt.target), (query.input, query.target), flip=False)
+    else:
+        loss = _cycle_loss(params, prompt, query)
+    names = {id(t): name for name, t in group.items()}
+    handed = []
+    loss.backward(on_final=lambda leaf: handed.append((names[id(leaf)], leaf.grad.tobytes())))
+    order = [name for name, _ in handed]
+    assert sorted(order) == sorted(group)
+    assert [name for name, grad in handed if grad != group[name].grad.tobytes()] == []
+    assert order.index("pos_embed") < order.index("mask_token")  # out of arena order: ``add`` runs before ``put_rows``
+    assert order[-1] == "patch_embed.bias"
+
+
 def _run_loop(loop):
     c = TINY_CONFIG.cell_size
     prompt, query = tasks.generate(tasks.TaskKind.DENOISE, 1, c), tasks.generate(tasks.TaskKind.DENOISE, 2, c)

@@ -511,6 +511,64 @@ def test_adamw_blocks_match_textbook_expression(dtype, sizes):
     assert state.m.tobytes() == m.tobytes() and state.v.tobytes() == v.tobytes()
 
 
+def _worker_step(group, grads, state, worker):
+    """One ``adamw_step`` through ``worker``, with the gradients handed over
+    as backward would: the tensors from the arena's end down."""
+    for name in reversed(list(group)):
+        group[name].grad_buffer[...] = grads[name]
+        worker.finished(group[name])
+    T.adamw_step(group, {name: t.grad_buffer for name, t in group.items()}, state)
+
+
+def test_adamw_worker_gives_the_in_process_bits_and_refuses_a_step_after_a_nan():
+    sizes = (T.ADAMW_RUN - 3, 7, T.ADAMW_BLOCK + 5, 2 * T.ADAMW_RUN, 11)  # runs that cross blocks, and a rest
+    group, reference = (_arena_group(np.float32, sizes, seed=7) for _ in range(2))
+    views = T.new_arena(((name, t.shape) for name, t in group.items()), np.float32)
+    for name, t in group.items():
+        t.grad_buffer = views[name]
+    rng = np.random.default_rng(20)
+    grad_sets = [{name: _normal(rng, np.float32, *t.shape, scale=1e-2) for name, t in group.items()} for _ in range(3)]
+    state, reference_state = T.AdamWState(lr=3e-2, eps=1e-1), T.AdamWState(lr=3e-2, eps=1e-1)
+    worker = T.AdamWWorker(group, state)
+    try:
+        for step in range(4):
+            _worker_step(group, grad_sets[step % 3], state, worker)
+            T.adamw_step(reference, _grad_arena(reference, grad_sets[step % 3]), reference_state)
+            assert _theta(group).tobytes() == _theta(reference).tobytes()
+        assert state.t == 4 and state.m is None
+        before = _theta(group).tobytes()
+        grad_sets[0]["p3"][5] = np.nan
+        with pytest.raises(FloatingPointError, match=r"^adamw_step: non-finite gradient for 'p3'$"):
+            _worker_step(group, grad_sets[0], state, worker)
+        assert _theta(group).tobytes() == before and state.t == 4
+        with pytest.raises(RuntimeError, match="^adamw_step: a step with a non-finite gradient moved the AdamW worker's moments$"):
+            _worker_step(group, grad_sets[1], state, worker)
+    finally:
+        worker.close()
+
+
+def test_an_error_in_the_adamw_worker_is_named(monkeypatch):
+    def broken_update(*args):
+        raise ValueError("no update here")
+
+    monkeypatch.setattr(T, "_adam_update", broken_update)  # in the worker's memory too: it is forked after this
+    group = model.trainable(model.init(TINY_CONFIG, seed=0), "all")
+    state = T.AdamWState(lr=0.1)
+    worker = T.AdamWWorker(group, state)
+    try:
+        with pytest.raises(RuntimeError, match="^adamw_step: the AdamW worker failed: ValueError: no update here$"):
+            T.adamw_step(group, {name: t.grad_buffer for name, t in group.items()}, state)
+    finally:
+        worker.close()
+
+
+def test_adamw_worker_needs_a_shared_gradient_arena():
+    group = {"p": T.Tensor(arr(1.0, 2.0), requires_grad=True)}
+    group["p"].grad_buffer = np.zeros(2)
+    with pytest.raises(ValueError, match=r"^AdamWWorker: the gradient buffers are not a shared arena \(new_arena\)$"):
+        T.AdamWWorker(group, T.AdamWState(lr=0.1))
+
+
 def test_adamw_nan_in_the_last_block_changes_nothing():
     group = _arena_group(np.float32, (T.ADAMW_BLOCK, T.ADAMW_BLOCK, 9), seed=6)
     rng = np.random.default_rng(19)

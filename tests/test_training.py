@@ -1,9 +1,15 @@
 import os
+import re
+import signal
+import subprocess
+import sys
+import time
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from vict import harness, model, tasks, training
+from vict import harness, model, tasks, training, tuning
 from vict import tensor as T
 from vict.canvas import CellPosition, assemble_flipped, assemble_inference, cell_rows, patchify
 from vict.gradcheck import TINY_CONFIG
@@ -13,11 +19,6 @@ from reference_ops import extract_cell
 
 SMALL_MODEL = model.ModelConfig(cell_size=16, patch_size=8, embed_dim=32, encoder_depth=1, decoder_depth=1, num_heads=2)
 FOUR_TASKS = (tasks.TaskKind.LOWLIGHT, tasks.TaskKind.DENOISE, tasks.TaskKind.SEGMENTATION, tasks.TaskKind.DEPTH)
-
-
-def _assert_no_child_process():
-    with pytest.raises(ChildProcessError):
-        os.waitpid(-1, os.WNOHANG)
 
 
 def _in_process_pretrain(model_config, cfg):
@@ -56,7 +57,6 @@ def test_pretrain_matches_the_in_process_batch_loop(model_config, steps, mix):
     assert result.losses == losses
     assert result.task_counts == counts
     assert list(result.task_counts) == list(mix)
-    _assert_no_child_process()
 
 
 def test_pretrain_without_steps_starts_no_helper(monkeypatch):
@@ -75,7 +75,6 @@ def test_no_helper_outlives_a_divergence(monkeypatch):
     monkeypatch.setattr(training, "adamw_step", diverge_on_second_step)
     with pytest.raises(FloatingPointError, match="^pretraining diverged at step 1: "):
         training.pretrain(SMALL_MODEL, training.PretrainConfig(steps=500, seed=0))
-    _assert_no_child_process()
 
 
 def test_an_error_in_the_helper_names_the_step_and_message(monkeypatch):
@@ -91,7 +90,6 @@ def test_an_error_in_the_helper_names_the_step_and_message(monkeypatch):
     with pytest.raises(RuntimeError, match=r"^pretraining sample helper failed at step 2: ValueError: no scene for seed \d+$"):
         training.pretrain(SMALL_MODEL, training.PretrainConfig(steps=6, seed=0))
     assert calls == []  # the parent never renders
-    _assert_no_child_process()
 
 
 def test_a_helper_that_exits_early_names_the_step(monkeypatch):
@@ -107,7 +105,6 @@ def test_a_helper_that_exits_early_names_the_step(monkeypatch):
     monkeypatch.setattr(tasks, "generate", exit_on_third_sample)
     with pytest.raises(RuntimeError, match="^pretraining sample helper failed at step 1: it exited before sending"):
         training.pretrain(SMALL_MODEL, training.PretrainConfig(steps=4, seed=0))
-    _assert_no_child_process()
 
 
 def test_progress_lines_on_stderr(monkeypatch, capsys):
@@ -286,3 +283,168 @@ def test_divergence_names_the_loop_and_step(monkeypatch, what):
         else:
             harness.fewshot_finetune(model.init(SMALL_MODEL, seed=2), _fewshot_config(finetune_steps=3), 1, 0)
     assert isinstance(err.value.__cause__, FloatingPointError)
+
+
+# ---------------------------------------------------------------------------
+# the AdamW worker
+# ---------------------------------------------------------------------------
+
+
+def _batches(config, steps):
+    c = config.cell_size
+    batches = []
+    for i in range(steps):
+        prompt, query = (tasks.generate(tasks.ALL_TASKS[i % 5], 10 * i + k, c) for k in (1, 2))
+        batches.append(((prompt.input, prompt.target), (query.input, query.target), i % 3 == 2))
+    return batches
+
+
+def _fit_in_process(params, lr, batches):
+    """``fit`` with every update computed in this process: ``adamw_step``
+    with no worker, after a backward that hands nothing over."""
+    group = model.trainable(params, "all")
+    state = T.AdamWState(lr=lr)
+    losses = []
+    for prompt, query, flip in batches:
+        T.zero_grads(params.tensors.values())
+        loss = training.masked_cell_loss(params, prompt, query, flip)
+        loss.backward()
+        T.adamw_step(group, T.collect_grads(group), state)
+        losses.append(loss.item())
+    model.freeze(params)
+    return params, losses
+
+
+@pytest.mark.parametrize("config", [SMALL_MODEL, model.ModelConfig()], ids=["small", "default"])
+def test_fit_gives_the_in_process_update(config):
+    batches = _batches(config, 6)
+    fitted, losses = training.fit(model.init(config, seed=3), 1e-2, batches, "fitting")
+    reference, reference_losses = _fit_in_process(model.init(config, seed=3), 1e-2, batches)
+    assert losses == reference_losses
+    assert fitted.flat.tobytes() == reference.flat.tobytes()
+    assert fitted.digest() == reference.digest()
+
+
+def _plant_nan(monkeypatch, name, step):
+    """From here on, backward number ``step`` (counted from 0) writes a NaN
+    into the gradient of the ``model.trainable`` group's tensor ``name``
+    just before it hands that tensor over to ``on_final``."""
+    groups, calls, trainable, backward = [], [], model.trainable, T.backward
+
+    def capturing_trainable(params, selector):
+        groups.append(trainable(params, selector))
+        return groups[-1]
+
+    def planting_backward(root, on_final=None):
+        calls.append(None)
+
+        def plant(leaf):
+            if len(calls) == step + 1 and leaf is groups[-1][name]:
+                leaf.grad.reshape(-1)[-1] = np.nan
+            on_final(leaf)
+
+        backward(root, on_final=plant)
+
+    monkeypatch.setattr(model, "trainable", capturing_trainable)
+    monkeypatch.setattr(T, "backward", planting_backward)
+
+
+def _loop(loop, params, steps):
+    """Run ``fit``, which steps ``params`` in place, or ``adapt_and_predict``
+    from ``params`` for ``steps`` steps; returns the digest of the weights
+    it stepped."""
+    if loop == "fit":
+        return training.fit(params, 1e-2, _batches(params.config, steps), "fitting")[0].digest()
+    (x, y), (x_t, _), _ = _batches(params.config, 1)[0]
+    return tuning.adapt_and_predict(params, tuning.PromptSet(pair=(x, y)), x_t, tuning.VictConfig(steps=steps)).adapted_params_digest
+
+
+@pytest.mark.parametrize("config", [SMALL_MODEL, model.ModelConfig()], ids=["small", "default"])
+@pytest.mark.parametrize("loop", ["fit", "adapt"])
+def test_a_nan_in_an_encoder_gradient_is_named_and_moves_no_weight(monkeypatch, loop, config):
+    """In the default config the worker finds the NaN in a run handed over
+    during backward; in the small one, in the rest ``adamw_step`` hands over."""
+    after_one_step = _loop(loop, model.init(config, seed=0), 1)
+    _plant_nan(monkeypatch, "enc0.attn.qkv.weight", step=1)
+    cause = re.escape("adamw_step: non-finite gradient for 'enc0.attn.qkv.weight'")
+    head = "fitting diverged at step 1" if loop == "fit" else rf"adaptation diverged at step 1 \(params digest {after_one_step}\)"
+    params = model.init(config, seed=0)
+    with pytest.raises(FloatingPointError, match=f"^{head}: {cause}$"):
+        _loop(loop, params, 3)
+    assert params.digest() == (after_one_step if loop == "fit" else model.init(config, seed=0).digest())
+
+
+@pytest.mark.parametrize("loop", ["fit", "adapt"])
+def test_a_loop_with_no_step_forks_no_worker(monkeypatch, loop):
+    monkeypatch.setattr(os, "fork", lambda: pytest.fail("forked a worker for zero steps"))
+    _loop(loop, model.init(SMALL_MODEL, seed=0), 0)
+
+
+@pytest.mark.parametrize("ending", ["normal", "divergence", "bug"])
+@pytest.mark.parametrize("loop", ["fit", "adapt"])
+def test_no_adamw_worker_outlives_its_loop(monkeypatch, loop, ending):
+    """The worker is forked at the first step and reaped on every exit
+    (the ``no_child_process_left`` fixture checks that none is left)."""
+    forks, fork = [], os.fork
+    monkeypatch.setattr(os, "fork", lambda: forks.append(None) or fork())
+    if ending == "divergence":
+        _plant_nan(monkeypatch, "mask_token", step=1)
+    if ending == "bug":
+        module, name = (training, "masked_cell_loss") if loop == "fit" else (tuning, "cycle_loss")
+        calls, real_loss = [], getattr(module, name)
+
+        def loss_with_a_bug(*args):
+            calls.append(None)
+            if len(calls) == 2:
+                raise TypeError("a bug")
+            return real_loss(*args)
+
+        monkeypatch.setattr(module, name, loss_with_a_bug)
+    expected = {"normal": None, "divergence": FloatingPointError, "bug": TypeError}[ending]
+    if expected is None:
+        _loop(loop, model.init(SMALL_MODEL, seed=0), 3)
+    else:
+        with pytest.raises(expected):
+            _loop(loop, model.init(SMALL_MODEL, seed=0), 3)
+    assert len(forks) == 1
+
+
+def _running(pid):
+    """Whether process ``pid`` exists and has not exited (a zombie has)."""
+    try:
+        stat = Path(f"/proc/{pid}/stat").read_text()
+    except FileNotFoundError:
+        return False
+    return stat.rsplit(")", 1)[1].split()[0] not in ("Z", "X")
+
+
+@pytest.mark.skipif(not Path("/proc/self/stat").exists(), reason="reads process states from /proc")
+def test_a_killed_parent_leaves_no_adamw_worker():
+    """A fit that kills itself outright at its second batch: its worker
+    sees the end of its command pipe and exits."""
+    code = f"""
+import os, signal
+from vict import model, tasks, training
+fork = os.fork
+def printing_fork():
+    pid = fork()
+    if pid:
+        print(pid, flush=True)
+    return pid
+os.fork = printing_fork
+sample = tasks.generate(tasks.TaskKind.DENOISE, 1, 16)
+batch = ((sample.input, sample.target), (sample.input, sample.target), False)
+def batches():
+    yield batch
+    os.kill(os.getpid(), signal.SIGKILL)
+    yield batch
+training.fit(model.init(model.{SMALL_MODEL!r}, seed=0), 1e-2, batches(), "fitting")
+"""
+    env = {**os.environ, "PYTHONPATH": str(Path(training.__file__).resolve().parents[1])}
+    run = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=120)
+    assert run.returncode == -signal.SIGKILL, run.stderr
+    [pid] = map(int, run.stdout.split())
+    deadline = time.monotonic() + 10
+    while _running(pid) and time.monotonic() < deadline:
+        time.sleep(0.01)
+    assert not _running(pid)

@@ -205,6 +205,37 @@ def test_an_adaptation_and_a_fit_build_one_parameter_arena_each(params, sample_p
     assert not any(t.requires_grad or t.grad is not None or t.grad_buffer is not None for t in fitted.tensors.values())
 
 
+def _adapt_in_process(params0, prompt, x_t, config):
+    """``adapt_and_predict`` with every update computed in this process:
+    ``adamw_step`` with no worker, after a backward that hands nothing over."""
+    work = params0.clone()
+    group = model.trainable(work, model.ENCODER)
+    state = T.AdamWState(lr=config.lr, eps=config.eps)
+    rows = tuning.cycle_rows(prompt.pair, x_t, work.config.patch_size)
+    trace = []
+    for _ in range(config.steps):
+        T.zero_grads(work.tensors.values())
+        loss = tuning.cycle_loss(work, *rows)
+        loss.backward()
+        T.adamw_step(group, T.collect_grads(group), state)
+        trace.append(loss.item())
+    model.freeze(work)
+    return tuning.AdaptationResult(tuning.infer(work, prompt.pair, x_t), trace, work.digest())
+
+
+@pytest.mark.parametrize("config", [SMALL_MODEL, model.ModelConfig()], ids=["small", "default"])
+def test_adaptation_gives_the_in_process_update(config):
+    c = config.cell_size
+    prompt = tuning.select_prompt(tasks.TaskKind.DENOISE, tuning.ZERO_SHOT, None, seed=5, cell_size=c)
+    x_t = tasks.generate(tasks.TaskKind.DENOISE, 6, cell_size=c).input
+    params = model.init(config, seed=1)
+    vict = tuning.VictConfig(steps=8)
+    result, reference = tuning.adapt_and_predict(params, prompt, x_t, vict), _adapt_in_process(params, prompt, x_t, vict)
+    assert result.loss_trace == reference.loss_trace
+    assert result.adapted_params_digest == reference.adapted_params_digest
+    assert result.y_t_hat.tobytes() == reference.y_t_hat.tobytes()
+
+
 def _adapted_clone(params, pair, x_t, config, monkeypatch):
     """The private weights ``adapt_and_predict`` tunes, caught where it puts them on the tape."""
     captured = {}
