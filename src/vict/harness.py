@@ -14,7 +14,13 @@ coordinates and the master seed alone, are drawn ahead by ``_draw_inputs``
 in a forked helper process (``prefetch.Prefetcher``, which pre-training
 shares), so that they are ready on a second core; they arrive with the
 bytes an in-process draw gives. The parent renders the sample again only
-for the target it scores. The few-shot baseline has one config,
+for the target it scores. Once they arrive, the VICT adaptation of each
+setting after the first starts in a forked child of its own
+(``_adaptation``), up to one child fewer than the CPUs this process may
+use, so that it runs on another core while the parent predicts and
+adapts the first setting itself; the parent takes each child's result
+when that setting's turn comes, so records, their order and report bytes
+do not depend on the CPU count. The few-shot baseline has one config,
 ``FewShotSweepConfig``; its fine-tuning runs through ``training.fit``, the
 loop pre-training uses, and it scores each fine-tuned clone through the
 bench's own frozen zero-shot records.
@@ -23,9 +29,10 @@ bench's own frozen zero-shot records.
 from __future__ import annotations
 
 import json
+import os
 import sys
 from collections.abc import Iterator
-from contextlib import closing
+from contextlib import ExitStack, closing
 from dataclasses import asdict, dataclass, field, replace
 from itertools import groupby
 from pathlib import Path
@@ -39,7 +46,7 @@ from .prefetch import Prefetcher
 from .seeding import mix, rng_for
 from .tensor import check_lr
 from .training import reject_repeats
-from .tuning import PromptSet, VictConfig, adapt_and_predict, infer, select_prompt
+from .tuning import AdaptationResult, PromptSet, VictConfig, adapt_and_predict, infer, select_prompt
 
 FROZEN = "frozen"
 VICT = "vict"
@@ -195,26 +202,55 @@ def _draw_inputs(
         yield x_t, {setting: select_prompt(config.task, setting, spec, seed, cell_size) for setting, seed in seeds.items()}
 
 
+def _adaptation(
+    params: model.Params, prompt: PromptSet, x_t: np.ndarray, config: VictConfig
+) -> Iterator[tuple[AdaptationResult | None, str | None]]:
+    """One adaptation as a ``Prefetcher``'s only item: ``(result, None)``,
+    or ``(None, message)`` if it diverged. Any other error ends the child,
+    and the ``Prefetcher`` raises it as a ``RuntimeError``."""
+    try:
+        outcome = adapt_and_predict(params, prompt, x_t, config)
+    except FloatingPointError as err:
+        yield None, str(err)
+    else:
+        yield outcome, None
+
+
 def _evaluate_sample(
     config: BenchConfig, params: model.Params, corruption_name: str, severity: int, index: int, helper: Prefetcher
 ) -> SampleRecord:
     """One test sample's record across the configured settings and methods,
     with its input and its prompts per setting from ``helper``, taken once
-    the target is ready. Only a numerical divergence makes a failed record;
-    any other error is a bug and propagates."""
+    the target is ready. The adaptations of the settings after the first
+    run in forked children (``_adaptation``), up to one fewer than the
+    usable CPUs; each child is killed and reaped when the sample ends. Only
+    a numerical divergence, here or in a child, makes a failed record,
+    with the first one's message in setting order; any other error is a
+    bug and propagates."""
     where = f"{corruption_name} severity {severity} sample {index}"
     metrics: dict[str, dict[str, float]] = {}
     traces: dict[str, list[float]] = {}
+    children = ExitStack()  # the forked adaptations
     try:
         target = _test_sample(config, corruption_name, severity, index, params.config.cell_size).target
         x_t, prompts = helper.get(where)
+        forked = {}
+        if VICT in config.methods:  # a child per CPU beyond this process's own
+            for setting in list(prompts)[1 : len(os.sched_getaffinity(0))]:
+                adaptation = _adaptation(params, prompts[setting], x_t, config.vict)
+                forked[setting] = children.enter_context(closing(Prefetcher(f"{setting} adaptation", adaptation)))
 
         for setting, prompt in prompts.items():
             for method in config.methods:
                 if method == FROZEN:
                     prediction = infer(params, prompt.pair, x_t)
                 else:
-                    outcome = adapt_and_predict(params, prompt, x_t, config.vict)
+                    if setting in forked:
+                        outcome, divergence = forked[setting].get(where)
+                        if divergence is not None:
+                            raise FloatingPointError(divergence)
+                    else:
+                        outcome = adapt_and_predict(params, prompt, x_t, config.vict)
                     prediction = outcome.y_t_hat
                     traces[setting] = outcome.loss_trace
                 if config.dump_canvases and index == 0:
@@ -227,6 +263,8 @@ def _evaluate_sample(
     except FloatingPointError as err:
         print(f"vict: {where} failed: {err}", file=sys.stderr)
         return SampleRecord(corruption_name, severity, index, {}, {}, str(err))
+    finally:
+        children.close()
     return SampleRecord(corruption_name, severity, index, metrics, traces)
 
 

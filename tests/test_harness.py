@@ -1,4 +1,6 @@
 import json
+import os
+import time
 from dataclasses import replace
 from types import SimpleNamespace
 
@@ -8,6 +10,12 @@ import pytest
 from vict import corruptions, harness, tasks, tuning
 from vict.checkpoint import load_checkpoint
 from vict.seeding import mix
+
+
+def use_cpus(monkeypatch, n):
+    """Make the harness see ``n`` usable CPUs, so it forks ``n - 1``
+    adaptation children per sample at most."""
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(n)))
 
 
 def bench_config(small_checkpoint, **overrides):
@@ -86,14 +94,33 @@ def test_only_divergence_counts_as_failure(small_checkpoint, monkeypatch, error,
         raise error
 
     monkeypatch.setattr(tuning, "cycle_loss", broken_cycle_loss)
-    config = bench_config(small_checkpoint, methods=(harness.FROZEN, harness.VICT))
-    if not counted:
-        with pytest.raises(type(error), match=str(error)):
-            harness.run_bench(config)
-        return
-    report = harness.run_bench(config)
-    assert report.total_failures == 6
-    assert [(e["n"], e["failures"]) for e in report.rows] == [(0, 3)] * 4
+    use_cpus(monkeypatch, 2)  # with both settings, the second adapts in a forked child
+    for settings in ((tuning.ZERO_SHOT,), tuning.SETTINGS):
+        config = bench_config(small_checkpoint, methods=(harness.FROZEN, harness.VICT), settings=settings)
+        if not counted:
+            with pytest.raises(type(error), match=str(error)):  # the first setting's, raised in this process
+                harness.run_bench(config)
+            continue
+        report = harness.run_bench(config)
+        assert report.total_failures == 6
+        assert [(e["n"], e["failures"]) for e in report.rows] == [(0, 3)] * 4 * len(settings)
+
+
+@pytest.mark.parametrize("error", [TypeError("unsupported operand"), RuntimeError("not a divergence")])
+def test_a_bug_in_a_forked_adaptation_is_an_error_naming_it(small_checkpoint, monkeypatch, error):
+    real_adapt = harness.adapt_and_predict
+
+    def adapt_failing_one_shot(params0, prompt, x_t, config):
+        if prompt.corruption is not None:  # the one-shot prompt's: a call counter would not cross the fork
+            raise error
+        return real_adapt(params0, prompt, x_t, config)
+
+    monkeypatch.setattr(harness, "adapt_and_predict", adapt_failing_one_shot)
+    use_cpus(monkeypatch, 2)
+    config = bench_config(small_checkpoint, methods=harness.METHODS, settings=tuning.SETTINGS)
+    message = f"^one_shot adaptation failed at gaussian_noise severity 3 sample 0: {type(error).__name__}: {error}$"
+    with pytest.raises(RuntimeError, match=message):
+        harness.run_bench(config)
 
 
 def test_failed_sample_says_why_on_stderr(small_checkpoint, monkeypatch, capsys):
@@ -557,3 +584,98 @@ def test_a_divergence_under_warnings_as_errors_is_a_failed_record(small_checkpoi
     report = harness.run_bench(config)
     assert report.total_failures == 1
     assert report.records[0].failure.startswith("adaptation diverged at step")
+
+
+def run_with_cpus(monkeypatch, config, cpus, out):
+    """``run_bench(config)`` seeing ``cpus`` usable CPUs, with its report
+    and sidecar written to ``out``; the report, and the ``Prefetcher``s it
+    made in this process: the input helper, then one per forked adaptation."""
+    made, real_prefetcher = [], harness.Prefetcher
+
+    def recorded_prefetcher(what, items):
+        made.append(what)
+        return real_prefetcher(what, items)
+
+    with monkeypatch.context() as patch:
+        use_cpus(patch, cpus)
+        patch.setattr(harness, "Prefetcher", recorded_prefetcher)
+        report = harness.run_bench(config)
+    report.write_json(out)
+    return report, made
+
+
+def test_concurrent_adaptations_give_the_serial_bytes(small_checkpoint, tmp_path, monkeypatch):
+    files = {}
+    for cpus in (1, 2):
+        config = bench_config(
+            small_checkpoint,
+            settings=tuning.SETTINGS,
+            methods=harness.METHODS,
+            num_samples=2,
+            vict=tuning.VictConfig(steps=2),
+            dump_canvases=tmp_path / f"dumps{cpus}",
+        )
+        report, made = run_with_cpus(monkeypatch, config, cpus, tmp_path / f"cpus{cpus}.json")
+        assert report.total_failures == 0
+        assert made == ["bench input helper"] + ["one_shot adaptation"] * 4 * (cpus - 1)
+        files[cpus] = {path.relative_to(tmp_path / f"dumps{cpus}"): path.read_bytes() for path in config.dump_canvases.iterdir()}
+        for suffix in (".json", ".samples.jsonl"):
+            files[cpus][suffix] = (tmp_path / f"cpus{cpus}{suffix}").read_bytes()
+    assert len(files[1]) == 2 * 2 * 2 + 2  # a canvas per kind, setting and method for sample 0; report and sidecar
+    assert files[2] == files[1]
+
+
+@pytest.mark.parametrize(
+    "diverging, message",
+    [((tuning.ONE_SHOT,), "one_shot diverged"), (tuning.SETTINGS, "zero_shot diverged")],
+)
+def test_a_forked_divergence_is_the_serial_failure(small_checkpoint, tmp_path, monkeypatch, capsys, diverging, message):
+    fog, real_adapt = corruptions.CorruptionKind.FOG, harness.adapt_and_predict
+    config = bench_config(
+        small_checkpoint,
+        corruption_kinds=(corruptions.CorruptionKind.GAUSSIAN_NOISE, fog),
+        settings=tuning.SETTINGS,
+        methods=harness.METHODS,
+        num_samples=2,
+        vict=tuning.VictConfig(steps=1),
+    )
+    cell_size = load_checkpoint(small_checkpoint).config.cell_size
+    fog_inputs = {x_t.tobytes() for x_t, _ in harness._draw_inputs(config, [("fog", 3, i) for i in range(2)], cell_size)}
+
+    def adapt_diverging_on_fog(params0, prompt, x_t, config):
+        setting = tuning.ZERO_SHOT if prompt.corruption is None else tuning.ONE_SHOT
+        if setting in diverging and x_t.tobytes() in fog_inputs:  # from the inputs: a call counter would not cross the fork
+            raise FloatingPointError(f"{setting} diverged")
+        return real_adapt(params0, prompt, x_t, config)
+
+    monkeypatch.setattr(harness, "adapt_and_predict", adapt_diverging_on_fog)
+    outputs = {}
+    for cpus in (1, 2):
+        report, _ = run_with_cpus(monkeypatch, config, cpus, tmp_path / f"cpus{cpus}.json")
+        outputs[cpus] = (
+            capsys.readouterr().err,
+            [(tmp_path / f"cpus{cpus}{suffix}").read_bytes() for suffix in (".json", ".samples.jsonl")],
+        )
+        assert [(r.corruption, r.index, r.failure) for r in report.records] == [
+            ("gaussian_noise", 0, None), ("gaussian_noise", 1, None), ("fog", 0, message), ("fog", 1, message)
+        ]
+    assert outputs[1][0].splitlines() == [f"vict: fog severity 3 sample {i} failed: {message}" for i in range(2)]
+    assert outputs[2] == outputs[1]
+
+
+def test_a_divergence_here_kills_the_pending_child(small_checkpoint, monkeypatch):
+    real_adapt = harness.adapt_and_predict
+
+    def adapt(params0, prompt, x_t, config):
+        if prompt.corruption is None:  # zero-shot, in this process
+            raise FloatingPointError("zero_shot diverged")
+        time.sleep(60)  # one-shot, in the child, still running when the sample ends
+        return real_adapt(params0, prompt, x_t, config)
+
+    monkeypatch.setattr(harness, "adapt_and_predict", adapt)
+    use_cpus(monkeypatch, 2)
+    config = bench_config(small_checkpoint, settings=tuning.SETTINGS, methods=harness.METHODS, num_samples=2)
+    start = time.monotonic()
+    report = harness.run_bench(config)
+    assert time.monotonic() - start < 30  # no sample waited for its child
+    assert [r.failure for r in report.records] == ["zero_shot diverged"] * 4
