@@ -6,7 +6,17 @@ model, procedural tasks and corruptions, cycle-consistency test-time
 tuning, and a deterministic benchmark harness. Its erf, inverse normal
 cdf, 8x8 DCT, convolve and gaussian filter are numpy ports with scipy's
 bits, which the tests check against scipy.
+
+BLAS is pinned to one thread unless the environment already says
+otherwise, before numpy loads: a sweep runs one process per CPU, and
+BLAS threads in each would compete for the same cores.
 """
+
+import os
+
+for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+    os.environ.setdefault(_var, "1")
+del _var
 
 from . import canvas, checkpoint, corruptions, gradcheck, harness, model, tasks, tensor, training, tuning
 from .canvas import CellPosition, assemble_flipped, assemble_inference, extract_cell, write_ppm

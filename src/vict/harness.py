@@ -9,21 +9,20 @@ the arithmetic mean of the per-corruption means and is recomputable from
 the report itself. ``MetricReport.write_json`` writes the records to a sidecar.
 
 ``_evaluate_sample`` is the one place a test sample is predicted and
-scored. Its corrupted input and its prompts, which depend on its
-coordinates and the master seed alone, are drawn ahead by ``_draw_inputs``
-in a forked helper process (``prefetch.Prefetcher``, which pre-training
-shares), so that they are ready on a second core; they arrive with the
-bytes an in-process draw gives. The parent renders the sample again only
-for the target it scores. Once they arrive, the VICT adaptation of each
-setting after the first starts in a forked child of its own
-(``_adaptation``), up to one child fewer than the CPUs this process may
-use, so that it runs on another core while the parent predicts and
-adapts the first setting itself; the parent takes each child's result
-when that setting's turn comes, so records, their order and report bytes
-do not depend on the CPU count. The few-shot baseline has one config,
-``FewShotSweepConfig``; its fine-tuning runs through ``training.fit``, the
-loop pre-training uses, and it scores each fine-tuned clone through the
-bench's own frozen zero-shot records.
+scored; it renders the sample, corrupts its input and draws its prompts
+(``_draw_inputs``) from its coordinates and the master seed alone.
+``_evaluate`` splits a sweep's samples over one process per usable CPU,
+at most one per sample: this process evaluates every W-th sample from
+the first, and W - 1 forked workers (``prefetch.Prefetcher``) the others.
+It takes the records in sample order and prints each failure as it takes
+it, so records, stderr and report bytes do not depend on the CPU count.
+The CPUs the workers leave free go to this process alone: on them, the
+VICT adaptation of each setting after the first runs in a forked child
+of its own (``_adaptation``), while this process predicts and adapts the
+first setting itself. The few-shot baseline has one config,
+``FewShotSweepConfig``; its fine-tuning runs through ``training.fit``,
+the loop pre-training uses, and it scores each fine-tuned clone through
+the bench's own frozen zero-shot records.
 """
 
 from __future__ import annotations
@@ -175,31 +174,25 @@ class MetricReport:
         return "\n".join(lines) + "\n"
 
 
-def _test_spec(config: BenchConfig, corruption_name: str, severity: int, index: int) -> corruptions.CorruptionSpec | None:
-    """The test sample's corruption, from its coordinates alone: None for a
-    clean sample. Its one-shot prompt is corrupted from it too."""
-    if corruption_name == CLEAN_KEY:
-        return None
-    spec_seed = mix("bench-test-corruption", config.seed, corruption_name, severity, index)
-    return corruptions.CorruptionSpec(corruptions.CorruptionKind(corruption_name), severity, spec_seed)
-
-
-def _test_sample(config: BenchConfig, corruption_name: str, severity: int, index: int, cell_size: int) -> tasks.TaskSample:
-    """The test sample, from its coordinates alone."""
-    return tasks.generate(config.task, mix("bench-test", config.seed, corruption_name, severity, index), cell_size)
-
-
 def _draw_inputs(
-    config: BenchConfig, jobs: list[tuple[str, int, int]], cell_size: int
-) -> Iterator[tuple[np.ndarray, dict[str, PromptSet]]]:
-    """Each job's test input, corrupted unless the job is clean, and its
-    prompt per setting."""
-    for name, severity, index in jobs:
-        spec = _test_spec(config, name, severity, index)
-        x = _test_sample(config, name, severity, index, cell_size).input
-        x_t = x if spec is None else corruptions.apply(x, spec)
-        seeds = {setting: mix("bench-prompt", config.seed, name, severity, index, setting) for setting in config.settings}
-        yield x_t, {setting: select_prompt(config.task, setting, spec, seed, cell_size) for setting, seed in seeds.items()}
+    config: BenchConfig, corruption_name: str, severity: int, index: int, cell_size: int
+) -> tuple[np.ndarray, np.ndarray, dict[str, PromptSet]]:
+    """The test sample's target, its input and its prompt per setting, from
+    its coordinates alone. Unless the sample is clean, its input is
+    corrupted, and its one-shot prompt is corrupted with the same spec."""
+    spec = None
+    if corruption_name != CLEAN_KEY:
+        spec_seed = mix("bench-test-corruption", config.seed, corruption_name, severity, index)
+        spec = corruptions.CorruptionSpec(corruptions.CorruptionKind(corruption_name), severity, spec_seed)
+    sample = tasks.generate(config.task, mix("bench-test", config.seed, corruption_name, severity, index), cell_size)
+    x_t = sample.input if spec is None else corruptions.apply(sample.input, spec)
+    seeds = {setting: mix("bench-prompt", config.seed, corruption_name, severity, index, setting) for setting in config.settings}
+    prompts = {setting: select_prompt(config.task, setting, spec, seed, cell_size) for setting, seed in seeds.items()}
+    return sample.target, x_t, prompts
+
+
+def _where(corruption_name: str, severity: int, index: int) -> str:
+    return f"{corruption_name} severity {severity} sample {index}"
 
 
 def _adaptation(
@@ -217,26 +210,23 @@ def _adaptation(
 
 
 def _evaluate_sample(
-    config: BenchConfig, params: model.Params, corruption_name: str, severity: int, index: int, helper: Prefetcher
+    config: BenchConfig, params: model.Params, corruption_name: str, severity: int, index: int, free_cpus: int
 ) -> SampleRecord:
-    """One test sample's record across the configured settings and methods,
-    with its input and its prompts per setting from ``helper``, taken once
-    the target is ready. The adaptations of the settings after the first
-    run in forked children (``_adaptation``), up to one fewer than the
-    usable CPUs; each child is killed and reaped when the sample ends. Only
-    a numerical divergence, here or in a child, makes a failed record,
-    with the first one's message in setting order; any other error is a
-    bug and propagates."""
-    where = f"{corruption_name} severity {severity} sample {index}"
+    """One test sample's record across the configured settings and methods.
+    The adaptations of up to ``free_cpus`` settings after the first run in
+    forked children (``_adaptation``); each child is killed and reaped when
+    the sample ends. Only a numerical divergence, here or in a child, makes
+    a failed record, with the first one's message in setting order; any
+    other error is a bug and propagates."""
+    where = _where(corruption_name, severity, index)
     metrics: dict[str, dict[str, float]] = {}
     traces: dict[str, list[float]] = {}
+    target, x_t, prompts = _draw_inputs(config, corruption_name, severity, index, params.config.cell_size)
     children = ExitStack()  # the forked adaptations
     try:
-        target = _test_sample(config, corruption_name, severity, index, params.config.cell_size).target
-        x_t, prompts = helper.get(where)
         forked = {}
-        if VICT in config.methods:  # a child per CPU beyond this process's own
-            for setting in list(prompts)[1 : len(os.sched_getaffinity(0))]:
+        if VICT in config.methods:
+            for setting in list(prompts)[1 : 1 + free_cpus]:
                 adaptation = _adaptation(params, prompts[setting], x_t, config.vict)
                 forked[setting] = children.enter_context(closing(Prefetcher(f"{setting} adaptation", adaptation)))
 
@@ -261,21 +251,44 @@ def _evaluate_sample(
                     write_ppm(Path(config.dump_canvases) / f"{corruption_name}_s{severity}_{setting}_{method}.ppm", grid)
                 metrics.setdefault(setting, {})[method] = float(tasks.evaluate(config.task, prediction, target))
     except FloatingPointError as err:
-        print(f"vict: {where} failed: {err}", file=sys.stderr)
         return SampleRecord(corruption_name, severity, index, {}, {}, str(err))
     finally:
         children.close()
     return SampleRecord(corruption_name, severity, index, metrics, traces)
 
 
+def _evaluate_share(
+    config: BenchConfig, params: model.Params, jobs: list[tuple[str, int, int]], free_cpus: int
+) -> Iterator[SampleRecord]:
+    for name, severity, index in jobs:
+        yield _evaluate_sample(config, params, name, severity, index, free_cpus)
+
+
 def _evaluate(config: BenchConfig, params: model.Params, cells: list[tuple[str, int]]) -> list[SampleRecord]:
     """The records of ``params`` on every sample of every cell, in (cell,
-    index) order. The inputs and prompts are drawn ahead in a helper process."""
+    index) order, each failure printed to stderr as its record is taken.
+    Over W processes, one per usable CPU and at most one per sample, this
+    one evaluates samples 0, W, 2W, ... and forked worker w samples w,
+    W + w, ...; a bug in a worker is a ``RuntimeError`` naming it and the
+    sample, and every worker is killed and reaped on any exit."""
     if config.dump_canvases:
         Path(config.dump_canvases).mkdir(parents=True, exist_ok=True)
     jobs = [(name, severity, i) for name, severity in cells for i in range(config.num_samples)]
-    with closing(Prefetcher("bench input helper", _draw_inputs(config, jobs, params.config.cell_size))) as helper:
-        return [_evaluate_sample(config, params, name, severity, i, helper) for name, severity, i in jobs]
+    cpus = len(os.sched_getaffinity(0))
+    width = min(cpus, len(jobs))
+    # the CPUs the workers leave go to this process's adaptation children: a
+    # worker forks none, so a killed worker leaves no process behind
+    shares = [_evaluate_share(config, params, jobs[w::width], 0 if w else cpus - width) for w in range(width)]
+    records = []
+    with ExitStack() as stack:
+        workers = [stack.enter_context(closing(Prefetcher(f"bench worker {w}", shares[w]))) for w in range(1, width)]
+        for j, job in enumerate(jobs):
+            where = _where(*job)
+            record = next(shares[0]) if j % width == 0 else workers[j % width - 1].get(where)
+            if record.failure is not None:
+                print(f"vict: {where} failed: {record.failure}", file=sys.stderr)
+            records.append(record)
+    return records
 
 
 def _fold(config: BenchConfig, records: list[SampleRecord]) -> MetricReport:

@@ -318,9 +318,22 @@ def test_unwritable_output_path_rejected_before_running(tmp_path, monkeypatch, c
 
 def test_import_loads_no_scipy():
     # in a fresh interpreter, since pytest has loaded scipy for the reference tests
-    # nor multiprocessing: the helper that pre-training and the bench share
-    # is a bare os.fork
+    # nor multiprocessing: pre-training's helper and the bench's workers
+    # are a bare os.fork
     code = "import sys, vict, vict.cli; print(sorted(m for m in sys.modules if m.split('.')[0] in ('scipy', 'multiprocessing')))"
     env = {**os.environ, "PYTHONPATH": str(Path(vict.__file__).resolve().parents[1])}
     run = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=120, check=True)
     assert run.stdout.strip() == "[]"
+
+
+@pytest.mark.parametrize("preset, expected", [(None, ["1", "1", "1"]), ("4", ["4", "1", "1"])])
+def test_import_pins_blas_threads_unless_set(preset, expected):
+    # in a fresh interpreter, as numpy reads these once, when it loads
+    names = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
+    env = {k: v for k, v in os.environ.items() if k not in names}
+    env["PYTHONPATH"] = str(Path(vict.__file__).resolve().parents[1])
+    if preset is not None:
+        env["OPENBLAS_NUM_THREADS"] = preset
+    code = f"import os, vict; print(' '.join(os.environ[name] for name in {names!r}))"
+    run = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=120, check=True)
+    assert run.stdout.split() == expected

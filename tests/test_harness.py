@@ -1,8 +1,9 @@
+import contextlib
 import json
 import os
+import select
 import time
 from dataclasses import replace
-from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -13,8 +14,9 @@ from vict.seeding import mix
 
 
 def use_cpus(monkeypatch, n):
-    """Make the harness see ``n`` usable CPUs, so it forks ``n - 1``
-    adaptation children per sample at most."""
+    """Make the harness see ``n`` usable CPUs: a sweep of J samples runs in
+    W = min(n, J) processes, and this one forks up to n - W adaptation
+    children per sample."""
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(n)))
 
 
@@ -94,7 +96,7 @@ def test_only_divergence_counts_as_failure(small_checkpoint, monkeypatch, error,
         raise error
 
     monkeypatch.setattr(tuning, "cycle_loss", broken_cycle_loss)
-    use_cpus(monkeypatch, 2)  # with both settings, the second adapts in a forked child
+    use_cpus(monkeypatch, 2)  # half the samples run in a forked worker
     for settings in ((tuning.ZERO_SHOT,), tuning.SETTINGS):
         config = bench_config(small_checkpoint, methods=(harness.FROZEN, harness.VICT), settings=settings)
         if not counted:
@@ -116,8 +118,8 @@ def test_a_bug_in_a_forked_adaptation_is_an_error_naming_it(small_checkpoint, mo
         return real_adapt(params0, prompt, x_t, config)
 
     monkeypatch.setattr(harness, "adapt_and_predict", adapt_failing_one_shot)
-    use_cpus(monkeypatch, 2)
-    config = bench_config(small_checkpoint, methods=harness.METHODS, settings=tuning.SETTINGS)
+    use_cpus(monkeypatch, 3)  # two samples, two processes, and a CPU for this one's one-shot adaptation
+    config = bench_config(small_checkpoint, methods=harness.METHODS, settings=tuning.SETTINGS, num_samples=1)
     message = f"^one_shot adaptation failed at gaussian_noise severity 3 sample 0: {type(error).__name__}: {error}$"
     with pytest.raises(RuntimeError, match=message):
         harness.run_bench(config)
@@ -133,6 +135,7 @@ def test_failed_sample_says_why_on_stderr(small_checkpoint, monkeypatch, capsys)
         return real_cycle_loss(*args, **kwargs)
 
     monkeypatch.setattr(tuning, "cycle_loss", cycle_loss_diverging_on_sample_1)
+    use_cpus(monkeypatch, 1)  # the counter sees every call in one process
     config = bench_config(
         small_checkpoint, corruption_kinds=(corruptions.CorruptionKind.GAUSSIAN_NOISE,), methods=harness.METHODS
     )
@@ -416,34 +419,11 @@ def test_fewshot_stops_at_a_diverged_sample(small_checkpoint, monkeypatch, capsy
         return real_infer(*args)
 
     monkeypatch.setattr(harness, "infer", infer_that_diverges_once)
+    use_cpus(monkeypatch, 1)  # the counter sees every call in one process
     with pytest.raises(FloatingPointError, match="at 2 shots, repeat 0: overflow encountered in matmul"):
         harness.run_fewshot(fewshot_config(small_checkpoint, shots=(1, 2, 4), finetune_steps=1, repeats=1))
     assert len(calls) == 4  # the failed cell is scored to its end, and 4 shots never run
     assert "fog severity 4 sample 0 failed: overflow encountered in matmul" in capsys.readouterr().err
-
-
-def _in_process_evaluate(config, params, cells):
-    """``harness._evaluate`` with each sample's input corrupted and its
-    prompts drawn in this process, the loop the input helper replaced."""
-    c = params.config.cell_size
-    records = []
-    for name, severity in cells:
-        for index in range(config.num_samples):
-            spec = None
-            if name != harness.CLEAN_KEY:
-                seed = mix("bench-test-corruption", config.seed, name, severity, index)
-                spec = corruptions.CorruptionSpec(corruptions.CorruptionKind(name), severity, seed)
-            x = tasks.generate(config.task, mix("bench-test", config.seed, name, severity, index), c).input
-            x_t = x if spec is None else corruptions.apply(x, spec)
-            prompts = {
-                setting: tuning.select_prompt(
-                    config.task, setting, spec, mix("bench-prompt", config.seed, name, severity, index, setting), c
-                )
-                for setting in config.settings
-            }
-            helper = SimpleNamespace(get=lambda label, item=(x_t, prompts): item)
-            records.append(harness._evaluate_sample(config, params, name, severity, index, helper))
-    return records
 
 
 @pytest.mark.parametrize(
@@ -464,112 +444,147 @@ def _in_process_evaluate(config, params, cells):
         pytest.param(harness.run_clean_eval, clean_config, dict(task=tasks.TaskKind.DERAIN, seed=2), id="clean-eval-derain"),
     ],
 )
-def test_prompt_helper_gives_the_in_process_bytes(small_checkpoint, tmp_path, monkeypatch, runner, make_config, overrides):
-    config = make_config(small_checkpoint, methods=harness.METHODS, vict=tuning.VictConfig(steps=2), **overrides)
-    helped = runner(config)
-    monkeypatch.setattr(harness, "_evaluate", _in_process_evaluate)
-    in_process = runner(config)
-    assert helped.total_failures == 0
-    assert helped.to_text() == in_process.to_text()
-    for name, report in (("helped", helped), ("in_process", in_process)):
-        report.write_json(tmp_path / f"{name}.json")
-    for suffix in (".json", ".samples.jsonl"):
-        assert (tmp_path / f"helped{suffix}").read_bytes() == (tmp_path / f"in_process{suffix}").read_bytes()
-
-
-def test_the_parent_never_draws_a_prompt(small_checkpoint, monkeypatch):
-    real_select_prompt, calls = harness.select_prompt, []
-
-    def recorded_select_prompt(*args):
-        calls.append(args)  # in the helper's memory
-        return real_select_prompt(*args)
-
-    monkeypatch.setattr(harness, "select_prompt", recorded_select_prompt)
-    report = harness.run_bench(bench_config(small_checkpoint, settings=tuning.SETTINGS))
-    assert calls == []
-    assert [e["n"] for e in report.rows] == [3] * 4
+def test_any_cpu_count_gives_the_same_bytes(small_checkpoint, tmp_path, monkeypatch, capsys, runner, make_config, overrides):
+    outputs = {}
+    for cpus in (1, 2, 3):
+        dumps = tmp_path / f"dumps{cpus}"
+        config = make_config(
+            small_checkpoint, methods=harness.METHODS, vict=tuning.VictConfig(steps=2), dump_canvases=dumps, **overrides
+        )
+        use_cpus(monkeypatch, cpus)
+        report = runner(config)
+        assert report.total_failures == 0
+        report.write_json(tmp_path / f"cpus{cpus}.json")
+        files = {path.name: path.read_bytes() for path in dumps.iterdir()}
+        for suffix in (".json", ".samples.jsonl"):
+            files[suffix] = (tmp_path / f"cpus{cpus}{suffix}").read_bytes()
+        outputs[cpus] = (report.to_text(), capsys.readouterr(), files)
+    assert len(outputs[1][2]) > 2  # canvases beside the report and sidecar
+    assert outputs[2] == outputs[1]
+    assert outputs[3] == outputs[1]
 
 
 def test_fewshot_gives_the_in_process_result(small_checkpoint, monkeypatch):
     config = fewshot_config(small_checkpoint, finetune_steps=2, repeats=1)
-    helped = harness.run_fewshot(config)
-    monkeypatch.setattr(harness, "_evaluate", _in_process_evaluate)
-    assert json.dumps(harness.run_fewshot(config), sort_keys=True) == json.dumps(helped, sort_keys=True)
+    results = []
+    for cpus in (1, 2, 3):  # one CPU: every sample scored in this process
+        use_cpus(monkeypatch, cpus)
+        results.append(json.dumps(harness.run_fewshot(config), sort_keys=True))
+    assert results[1:] == results[:1] * 2
 
 
-def test_the_parent_never_corrupts_a_test_input(small_checkpoint, monkeypatch):
-    calls = []
-
-    def recorded(apply):
-        def recorded_apply(*args, **kwargs):
-            calls.append(args)  # in the helper's memory
-            return apply(*args, **kwargs)
-
-        return recorded_apply
-
-    monkeypatch.setattr(corruptions, "apply", recorded(corruptions.apply))
-    monkeypatch.setattr(tuning, "apply", recorded(tuning.apply))  # the one-shot prompt's corruption
-    config = bench_config(small_checkpoint, settings=tuning.SETTINGS)
-    report = harness.run_bench(config)
-    assert calls == []
-    assert [e["n"] for e in report.rows] == [3] * 4
-    monkeypatch.setattr(harness, "_evaluate", _in_process_evaluate)
-    harness.run_bench(config)
-    assert len(calls) == 2 * 3 * 2  # the recorder sees an in-process draw: 6 samples, input and one-shot prompt
+def input_of(config, corruption_name, index):
+    """A test sample's input, by which a patched function recognises the
+    sample: a call counter would not cross a fork."""
+    cell_size = load_checkpoint(config.checkpoint).config.cell_size
+    return harness._draw_inputs(config, corruption_name, config.severities[0], index, cell_size)[1]
 
 
-def test_no_prompt_helper_outlives_a_divergence_or_a_bug(small_checkpoint, monkeypatch):
-    """200 samples' inputs and prompts overfill the pipe, so the helper is
-    still running, blocked on it, when the sweep stops at sample 1."""
-    calls, real_infer = [], harness.infer
+@pytest.mark.parametrize(
+    "name, index, message",
+    [
+        pytest.param("select_prompt", 1, "^bench worker 1 failed at brightness severity 3 sample 1: TypeError: a bug$", id="prompt-in-a-worker"),
+        pytest.param("apply", 2, "^bench worker 2 failed at brightness severity 3 sample 2: TypeError: a bug$", id="corruption-in-a-worker"),
+        pytest.param("infer", 1, "^bench worker 1 failed at brightness severity 3 sample 1: TypeError: a bug$", id="inference-in-a-worker"),
+        pytest.param("infer", 0, "^a bug$", id="inference-here"),
+    ],
+)
+def test_a_bug_in_a_worker_is_an_error_naming_it(small_checkpoint, monkeypatch, name, index, message):
+    """Six samples over three processes: brightness sample 0 is this
+    process's, sample 1 worker 1's and sample 2 worker 2's. A bug here is
+    raised as itself."""
+    config = bench_config(small_checkpoint)
+    x_t = input_of(config, "brightness", index)
+    module, is_the_sample = {
+        "select_prompt": (harness, lambda task, setting, spec, seed, c: seed == mix("bench-prompt", 0, "brightness", 3, index, setting)),
+        "apply": (corruptions, lambda image, spec: spec.seed == mix("bench-test-corruption", 0, "brightness", 3, index)),
+        "infer": (harness, lambda params, pair, x: np.array_equal(x, x_t)),
+    }[name]
+    real = getattr(module, name)
 
-    def infer_failing_at_sample_1(error):
-        def infer(*args):
-            calls.append(None)
-            if len(calls) == 2:
-                raise error
-            return real_infer(*args)
+    def buggy(*args):
+        if is_the_sample(*args):
+            raise TypeError("a bug")
+        return real(*args)
 
-        return infer
-
-    config = bench_config(small_checkpoint, corruption_kinds=(corruptions.CorruptionKind.FOG,), num_samples=200)
-    monkeypatch.setattr(harness, "infer", infer_failing_at_sample_1(FloatingPointError("matmul: non-finite values")))
-    report = harness.run_bench(replace(config, num_samples=3))
-    assert [r.failure for r in report.records] == [None, "matmul: non-finite values", None]
-    calls.clear()
-    monkeypatch.setattr(harness, "infer", infer_failing_at_sample_1(TypeError("a bug")))
-    with pytest.raises(TypeError, match="^a bug$"):
+    monkeypatch.setattr(module, name, buggy)
+    use_cpus(monkeypatch, 3)
+    with pytest.raises(RuntimeError if index else TypeError, match=message):
         harness.run_bench(config)
 
 
-def test_an_error_in_the_prompt_helper_names_the_sample(small_checkpoint, monkeypatch):
-    real_select_prompt, calls = harness.select_prompt, []
+def test_no_worker_outlives_a_divergence_or_a_bug(small_checkpoint, monkeypatch):
+    """200 samples over two processes: a bug at sample 2, this process's
+    second, stops the sweep while the worker still has samples to run."""
+    config = bench_config(small_checkpoint, corruption_kinds=(corruptions.CorruptionKind.FOG,), num_samples=200)
+    inputs, real_infer = {i: input_of(config, "fog", i) for i in (1, 2)}, harness.infer
 
-    def fail_on_third_prompt(task, setting, spec, seed, cell_size):
-        calls.append(seed)
-        if len(calls) == 3:
-            raise ValueError(f"no prompt for seed {seed}")
-        return real_select_prompt(task, setting, spec, seed, cell_size)
+    def infer_failing_at(index, error):
+        def infer(params, pair, x_t):
+            if np.array_equal(x_t, inputs[index]):
+                raise error
+            return real_infer(params, pair, x_t)
 
-    monkeypatch.setattr(harness, "select_prompt", fail_on_third_prompt)
-    message = r"^bench input helper failed at gaussian_noise severity 3 sample 2: ValueError: no prompt for seed \d+$"
-    with pytest.raises(RuntimeError, match=message):
-        harness.run_bench(bench_config(small_checkpoint))
+        return infer
+
+    use_cpus(monkeypatch, 2)
+    monkeypatch.setattr(harness, "infer", infer_failing_at(1, FloatingPointError("matmul: non-finite values")))
+    report = harness.run_bench(replace(config, num_samples=3))
+    assert [r.failure for r in report.records] == [None, "matmul: non-finite values", None]
+    monkeypatch.setattr(harness, "infer", infer_failing_at(2, TypeError("a bug")))
+    with pytest.raises(TypeError, match="^a bug$"):
+        harness.run_bench(config)
+    monkeypatch.setattr(harness, "infer", infer_failing_at(1, TypeError("a bug")))
+    with pytest.raises(RuntimeError, match="^bench worker 1 failed at fog severity 3 sample 1: TypeError: a bug$"):
+        harness.run_bench(config)
 
 
-def test_an_error_in_the_helpers_corruption_names_the_sample(small_checkpoint, monkeypatch):
-    real_apply, calls = corruptions.apply, []
+def test_no_process_outlives_a_bug_here(small_checkpoint, monkeypatch):
+    """Two samples on four CPUs: this process forks its sample's one-shot
+    adaptation, and the worker, which forks none, adapts in process. Both
+    are still adapting when this process meets a bug; every process forked
+    during the sweep holds the write end of a pipe, which reads as ended
+    once all are gone."""
+    started_r, started_w = os.pipe()
+    alive_r, alive_w = os.pipe()
+    parent, real_infer = os.getpid(), harness.infer
 
-    def fail_on_third_input(image, spec):
-        calls.append(spec)
-        if len(calls) == 3:
-            raise ValueError(f"cannot corrupt with seed {spec.seed}")
-        return real_apply(image, spec)
+    def adapt(params0, prompt, x_t, config):  # called only in forked processes here
+        os.write(started_w, b"x")
+        time.sleep(60)
 
-    monkeypatch.setattr(corruptions, "apply", fail_on_third_input)
-    message = r"^bench input helper failed at gaussian_noise severity 3 sample 2: ValueError: cannot corrupt with seed \d+$"
-    with pytest.raises(RuntimeError, match=message):
-        harness.run_bench(bench_config(small_checkpoint))
+    def infer(params, pair, x_t):
+        if os.getpid() == parent:
+            os.read(started_r, 1), os.read(started_r, 1)  # both adaptations are under way
+            raise TypeError("a bug")
+        return real_infer(params, pair, x_t)
+
+    monkeypatch.setattr(harness, "adapt_and_predict", adapt)
+    monkeypatch.setattr(harness, "infer", infer)
+    use_cpus(monkeypatch, 4)
+    config = bench_config(small_checkpoint, settings=tuning.SETTINGS, methods=harness.METHODS, num_samples=1)
+    try:
+        with pytest.raises(TypeError, match="^a bug$"):
+            harness.run_bench(config)
+        os.close(alive_w)
+        assert select.select([alive_r], [], [], 20)[0] == [alive_r], "a forked process outlived the sweep"
+        assert os.read(alive_r, 1) == b""
+    finally:
+        for fd in (started_r, started_w, alive_r, alive_w):
+            with contextlib.suppress(OSError):
+                os.close(fd)
+
+
+def test_a_one_cpu_sweep_forks_nothing(small_checkpoint, monkeypatch):
+    def no_fork():
+        pytest.fail("a one-CPU sweep forked")
+
+    use_cpus(monkeypatch, 1)
+    monkeypatch.setattr(os, "fork", no_fork)
+    # k = 0: an adaptation with no step forks no AdamW worker either
+    config = bench_config(small_checkpoint, settings=tuning.SETTINGS, methods=harness.METHODS, vict=tuning.VictConfig(steps=0))
+    report = harness.run_bench(config)
+    assert [e["n"] for e in report.rows] == [3] * 8
 
 
 def test_a_divergence_under_warnings_as_errors_is_a_failed_record(small_checkpoint):
@@ -589,7 +604,7 @@ def test_a_divergence_under_warnings_as_errors_is_a_failed_record(small_checkpoi
 def run_with_cpus(monkeypatch, config, cpus, out):
     """``run_bench(config)`` seeing ``cpus`` usable CPUs, with its report
     and sidecar written to ``out``; the report, and the ``Prefetcher``s it
-    made in this process: the input helper, then one per forked adaptation."""
+    made in this process: its workers, then one per forked adaptation."""
     made, real_prefetcher = [], harness.Prefetcher
 
     def recorded_prefetcher(what, items):
@@ -606,7 +621,12 @@ def run_with_cpus(monkeypatch, config, cpus, out):
 
 def test_concurrent_adaptations_give_the_serial_bytes(small_checkpoint, tmp_path, monkeypatch):
     files = {}
-    for cpus in (1, 2):
+    made_at = {  # four samples: at five CPUs, four processes and a CPU for this one's adaptation child
+        1: [],
+        2: ["bench worker 1"],
+        5: ["bench worker 1", "bench worker 2", "bench worker 3", "one_shot adaptation"],
+    }
+    for cpus in made_at:
         config = bench_config(
             small_checkpoint,
             settings=tuning.SETTINGS,
@@ -617,12 +637,13 @@ def test_concurrent_adaptations_give_the_serial_bytes(small_checkpoint, tmp_path
         )
         report, made = run_with_cpus(monkeypatch, config, cpus, tmp_path / f"cpus{cpus}.json")
         assert report.total_failures == 0
-        assert made == ["bench input helper"] + ["one_shot adaptation"] * 4 * (cpus - 1)
+        assert made == made_at[cpus]
         files[cpus] = {path.relative_to(tmp_path / f"dumps{cpus}"): path.read_bytes() for path in config.dump_canvases.iterdir()}
         for suffix in (".json", ".samples.jsonl"):
             files[cpus][suffix] = (tmp_path / f"cpus{cpus}{suffix}").read_bytes()
     assert len(files[1]) == 2 * 2 * 2 + 2  # a canvas per kind, setting and method for sample 0; report and sidecar
     assert files[2] == files[1]
+    assert files[5] == files[1]
 
 
 @pytest.mark.parametrize(
@@ -633,14 +654,13 @@ def test_a_forked_divergence_is_the_serial_failure(small_checkpoint, tmp_path, m
     fog, real_adapt = corruptions.CorruptionKind.FOG, harness.adapt_and_predict
     config = bench_config(
         small_checkpoint,
-        corruption_kinds=(corruptions.CorruptionKind.GAUSSIAN_NOISE, fog),
+        corruption_kinds=(fog, corruptions.CorruptionKind.GAUSSIAN_NOISE),
         settings=tuning.SETTINGS,
         methods=harness.METHODS,
         num_samples=2,
         vict=tuning.VictConfig(steps=1),
     )
-    cell_size = load_checkpoint(small_checkpoint).config.cell_size
-    fog_inputs = {x_t.tobytes() for x_t, _ in harness._draw_inputs(config, [("fog", 3, i) for i in range(2)], cell_size)}
+    fog_inputs = {input_of(config, "fog", i).tobytes() for i in range(2)}
 
     def adapt_diverging_on_fog(params0, prompt, x_t, config):
         setting = tuning.ZERO_SHOT if prompt.corruption is None else tuning.ONE_SHOT
@@ -650,17 +670,19 @@ def test_a_forked_divergence_is_the_serial_failure(small_checkpoint, tmp_path, m
 
     monkeypatch.setattr(harness, "adapt_and_predict", adapt_diverging_on_fog)
     outputs = {}
-    for cpus in (1, 2):
+    for cpus in (1, 2, 3, 5):  # fog's samples in this process and a worker; at 5, sample 0's one-shot in a child
         report, _ = run_with_cpus(monkeypatch, config, cpus, tmp_path / f"cpus{cpus}.json")
         outputs[cpus] = (
             capsys.readouterr().err,
             [(tmp_path / f"cpus{cpus}{suffix}").read_bytes() for suffix in (".json", ".samples.jsonl")],
         )
         assert [(r.corruption, r.index, r.failure) for r in report.records] == [
-            ("gaussian_noise", 0, None), ("gaussian_noise", 1, None), ("fog", 0, message), ("fog", 1, message)
+            ("fog", 0, message), ("fog", 1, message), ("gaussian_noise", 0, None), ("gaussian_noise", 1, None)
         ]
     assert outputs[1][0].splitlines() == [f"vict: fog severity 3 sample {i} failed: {message}" for i in range(2)]
     assert outputs[2] == outputs[1]
+    assert outputs[3] == outputs[1]
+    assert outputs[5] == outputs[1]
 
 
 def test_a_divergence_here_kills_the_pending_child(small_checkpoint, monkeypatch):
@@ -673,7 +695,7 @@ def test_a_divergence_here_kills_the_pending_child(small_checkpoint, monkeypatch
         return real_adapt(params0, prompt, x_t, config)
 
     monkeypatch.setattr(harness, "adapt_and_predict", adapt)
-    use_cpus(monkeypatch, 2)
+    use_cpus(monkeypatch, 5)  # four samples, four processes, and a CPU for this one's one-shot adaptation
     config = bench_config(small_checkpoint, settings=tuning.SETTINGS, methods=harness.METHODS, num_samples=2)
     start = time.monotonic()
     report = harness.run_bench(config)
