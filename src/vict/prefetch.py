@@ -8,7 +8,7 @@ one-item ``Prefetcher`` each. Each item is pickled (protocol 5) through a
 pipe, so every array arrives with the bytes and layout it was made with,
 in the order the iterator yields them.
 It needs ``os.fork`` (POSIX). ``fork_child`` and ``kill_and_reap`` are
-the fork and the end it shares with ``tensor.AdamWWorker``.
+the fork and the end it shares with ``training.fit``'s AdamW worker.
 """
 
 from __future__ import annotations

@@ -60,13 +60,12 @@ Also home to the smooth-L1 regression loss and the Adam update
 tuning. The update runs on whole arenas: the tensors it steps, and their
 gradients, must each be consecutive views of one flat buffer (``arena_of``).
 Every arena is an anonymous shared mapping (``new_arena``), so a child
-forked after it is made reads the same memory. The loops step through an
-``AdamWWorker``: a child forked at the first step holds the moments and
-computes each gradient run's update (``_adam_update``) as soon as
-``backward`` has finished it (``on_final``), so the update overlaps the
-rest of backward on a second core; ``adamw_step`` then waits for the last
-run and subtracts the update from the weights in this process. It needs
-``os.fork`` (POSIX).
+forked after it is made reads the same memory. Test-time tuning steps in
+process; only ``training.fit`` steps through an ``AdamWWorker``, a child
+forked at its first step that holds the moments and computes each gradient
+run's update (``_adam_update``) as soon as ``backward`` has finished it
+(``on_final``), on a second core while backward goes on. ``adamw_step``
+waits for the last run and subtracts the update here. It needs ``os.fork``.
 """
 
 from __future__ import annotations
@@ -847,10 +846,10 @@ class AdamWState:
     ``ADAM_BETA1`` and ``ADAM_BETA2``. No weight decay: nothing in
     pre-training, fine-tuning or test-time tuning decays its weights.
 
-    Stepped in process, the first ``adamw_step`` makes ``m`` and ``v``,
-    flat and laid out like the parameter arena it updates. With a
-    ``worker`` (an ``AdamWWorker``, which sets itself here), the moments
-    live in the worker's process and ``m`` and ``v`` stay None.
+    Stepped in process (test-time tuning), the first ``adamw_step`` makes
+    ``m`` and ``v``, laid out like the parameter arena it updates. With a
+    ``worker`` (``training.fit``'s ``AdamWWorker``, which sets itself
+    here), the moments live in its process and ``m`` and ``v`` stay None.
     """
 
     lr: float
@@ -922,19 +921,23 @@ def _adam_update(
         ub *= lr
 
 
-def _update_in_process(theta: np.ndarray, g: np.ndarray, state: AdamWState) -> np.ndarray | None:
-    """The next update of ``theta`` from its gradients ``g``, stepping the
-    moments of ``state``; None, and nothing changed, if ``g`` is not finite."""
+def _step_in_process(theta: np.ndarray, g: np.ndarray, state: AdamWState) -> bool:
+    """Subtract ``theta``'s next update, from its gradients ``g`` and the
+    moments of ``state``, a block of ``ADAMW_BLOCK`` values at a time, with
+    no arena-sized buffer; False, and nothing changed, if ``g`` is not finite."""
     if not np.isfinite(g).all():
-        return None
+        return False
     if state.m is None:
         state.m, state.v = np.zeros_like(theta), np.zeros_like(theta)
     elif state.m.shape != theta.shape:
         raise ValueError(f"adamw_step: state holds moments for {state.m.size} values, params have {theta.size}")
-    update = np.empty_like(theta)
+    update = np.empty(min(ADAMW_BLOCK, theta.size), dtype=theta.dtype)
     scratch = np.empty(min(ADAMW_BLOCK, g.size), dtype=g.dtype)
-    _adam_update(g, state.m, state.v, update, state.t + 1, state.lr, state.eps, scratch)
-    return update
+    for lo in range(0, theta.size, ADAMW_BLOCK):
+        block, ub = slice(lo, lo + ADAMW_BLOCK), update[: theta.size - lo]
+        _adam_update(g[block], state.m[block], state.v[block], ub, state.t + 1, state.lr, state.eps, scratch)
+        theta[block] -= ub
+    return True
 
 
 def adamw_step(params: Mapping[str, Tensor], grads: Mapping[str, np.ndarray], state: AdamWState) -> None:
@@ -947,22 +950,20 @@ def adamw_step(params: Mapping[str, Tensor], grads: Mapping[str, np.ndarray], st
     gradients do. With ``state.worker``, the worker has already computed
     the update of each run of the gradient arena that backward handed it;
     this call hands it the rest and waits for it (``AdamWWorker.step``).
-    Without one, the update is computed here. Either way it comes from
-    ``_adam_update``, so it has the same bits, and this process subtracts
-    it from the weights. A non-finite gradient is a ``FloatingPointError``
-    naming the first non-finite tensor in ``params`` order, and then no
-    weight changes.
+    Without one, the update is computed here, a block at a time
+    (``_step_in_process``). Either way it comes from ``_adam_update``, so
+    it has the same bits, and this process subtracts it from the weights.
+    A non-finite gradient is a ``FloatingPointError`` naming the first
+    non-finite tensor in ``params`` order, and then no weight changes.
     """
     check_lr("adamw_step", "lr", state.lr)
     if grads.keys() != params.keys():
         raise ValueError("adamw_step: grads and params cover different names")
     theta, g = _flat_operands(params, grads, state)
-    update = state.worker.step(g) if state.worker is not None else _update_in_process(theta, g, state)
-    if update is None:
+    if not (state.worker.step(theta, g) if state.worker is not None else _step_in_process(theta, g, state)):
         name = next(name for name in params if not np.isfinite(grads[name]).all())
         raise FloatingPointError(f"adamw_step: non-finite gradient for {name!r}")
     state.t += 1
-    theta -= update
 
 
 # a message to the AdamW worker: the run [lo, hi) of the gradient arena, or with lo == hi the step's end
@@ -1060,10 +1061,10 @@ class AdamWWorker:
             self._send(lo, self._sent)
             self._sent = lo
 
-    def step(self, g: np.ndarray) -> np.ndarray | None:
+    def step(self, theta: np.ndarray, g: np.ndarray) -> bool:
         """Hand over the rest of the gradient arena ``g`` and the step's end,
-        and wait for the child: the update, or None if a gradient was not
-        finite."""
+        wait for the child and subtract its update from ``theta``; False,
+        and nothing changed, if a gradient was not finite."""
         if g.ctypes.data != self.grads.ctypes.data or g.size != self.grads.size:
             raise ValueError("adamw_step: grads are not the gradient arena the AdamW worker reads")
         if self._sent > 0:
@@ -1072,10 +1073,11 @@ class AdamWWorker:
         self._new_step()
         verdict = self._status.read(1)
         if verdict == b"1":
-            return self.update
+            theta -= self.update
+            return True
         if verdict == b"0":
             self.lost = True
-            return None
+            return False
         raise self._failure(verdict)
 
     def _send(self, lo: int, hi: int) -> None:

@@ -3,21 +3,20 @@
 For one test input x_t and one prompt pair (x, y): predict the test output
 on the inference canvas, flip the roles so the prediction becomes the
 prompt, and supervise the reconstruction of the original prompt output y
-with smooth-L1. Gradients flow through both forward passes, and the
-update steps the encoder group only (``model.ENCODER``), through a forked
-AdamW worker per adaptation (``tensor.AdamWWorker``). The loop
-stays in patch rows: the canvases' constant rows and y's rows are built
-once per adaptation (``cycle_rows``), the first pass's predicted rows
-enter the flipped canvas through one ``put_rows`` node, and the second
-pass's rows are scored against y's rows. Every test
-sample starts from a private clone of the pre-trained weights with a fresh
-optimizer, so adaptation of one sample can never leak into another; the
-ground-truth test label is not an input anywhere in this module.
+with smooth-L1. Gradients flow through both forward passes, and AdamW
+steps the encoder group only (``model.ENCODER``), in this process: an
+adaptation forks nothing. The loop stays in patch rows: the canvases'
+constant rows and y's rows are built once per adaptation
+(``cycle_rows``), the first pass's predicted rows enter the flipped
+canvas through one ``put_rows`` node, and the second pass's rows are
+scored against y's rows. Every test sample starts from a private clone
+of the pre-trained weights with a fresh optimizer, so adaptation of one
+sample can never leak into another; the ground-truth test label is not
+an input anywhere in this module.
 """
 
 from __future__ import annotations
 
-import contextlib
 from dataclasses import dataclass
 
 import numpy as np
@@ -26,7 +25,7 @@ from . import model, tasks
 from .canvas import EMPTY_FILL, assemble_flipped, assemble_inference, extract_cell, patchify
 from .corruptions import CorruptionSpec, apply
 from .seeding import mix
-from .tensor import AdamWState, AdamWWorker, Tensor, adamw_step, check_lr, collect_grads, constant, put_rows, smooth_l1, zero_grads
+from .tensor import AdamWState, Tensor, adamw_step, check_lr, collect_grads, constant, put_rows, smooth_l1, zero_grads
 
 DEFAULT_STEPS = 60
 
@@ -145,33 +144,31 @@ def adapt_and_predict(
     ``params0`` is never mutated; the optimizer state is fresh. Only the
     clone's encoder group goes on the tape (``model.trainable``) and is
     stepped: backward computes no gradient for the decoder and head, while
-    activation gradients still flow through them. A forked AdamW worker
-    holds the moments and computes each update while backward runs; it is
-    reaped when the loop ends. The prediction is a frozen inference from
-    the adapted clone, taken off the tape with its gradient arena dropped
-    first. A divergence is a ``FloatingPointError`` naming the step and
-    the digest of the weights that step started from.
+    activation gradients still flow through them. AdamW steps the group in
+    this process. The prediction is a frozen inference from the adapted
+    clone, taken off the tape with its gradient arena dropped first. A
+    divergence is a ``FloatingPointError`` naming the step and the digest
+    of the weights that step started from.
     """
     work = params0.clone()
     group = model.trainable(work, model.ENCODER)
     state = AdamWState(lr=config.lr, eps=config.eps)
     rows = cycle_rows(prompt.pair, x_t, work.config.patch_size)
     trace: list[float] = []
-    with contextlib.closing(AdamWWorker(group, state)) as worker:  # forked during the first backward
-        for step in range(config.steps):
-            zero_grads(work.tensors.values())
-            try:
-                with np.errstate(over="ignore", invalid="ignore", divide="ignore"):  # the finiteness checks name the op
-                    loss = cycle_loss(work, *rows)
-                    loss.backward(on_final=worker.finished)
-                    adamw_step(group, collect_grads(group), state)
-            except FloatingPointError as err:
-                raise FloatingPointError(
-                    f"adaptation diverged at step {step} (params digest {work.digest()}): {err}"
-                ) from err
-            trace.append(loss.item())
-            del loss  # frees the tape after the update: freed before it, its memory went back to the OS and was faulted in again
-    del state, worker  # the update buffer, and their hold on the gradient arena
+    for step in range(config.steps):
+        zero_grads(work.tensors.values())
+        try:
+            with np.errstate(over="ignore", invalid="ignore", divide="ignore"):  # the finiteness checks name the op
+                loss = cycle_loss(work, *rows)
+                loss.backward()
+                adamw_step(group, collect_grads(group), state)
+        except FloatingPointError as err:
+            raise FloatingPointError(
+                f"adaptation diverged at step {step} (params digest {work.digest()}): {err}"
+            ) from err
+        trace.append(loss.item())
+        del loss  # frees the tape after the update: freed before it, its memory went back to the OS and was faulted in again
+    del state  # the moments, and its hold on the gradient arena
     model.freeze(work)  # so the prediction records no tape
     return AdaptationResult(
         y_t_hat=infer(work, prompt.pair, x_t),

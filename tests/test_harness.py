@@ -581,8 +581,7 @@ def test_a_one_cpu_sweep_forks_nothing(small_checkpoint, monkeypatch):
 
     use_cpus(monkeypatch, 1)
     monkeypatch.setattr(os, "fork", no_fork)
-    # k = 0: an adaptation with no step forks no AdamW worker either
-    config = bench_config(small_checkpoint, settings=tuning.SETTINGS, methods=harness.METHODS, vict=tuning.VictConfig(steps=0))
+    config = bench_config(small_checkpoint, settings=tuning.SETTINGS, methods=harness.METHODS, vict=tuning.VictConfig(steps=2))
     report = harness.run_bench(config)
     assert [e["n"] for e in report.rows] == [3] * 8
 

@@ -328,7 +328,8 @@ def test_fit_gives_the_in_process_update(config):
 def _plant_nan(monkeypatch, name, step):
     """From here on, backward number ``step`` (counted from 0) writes a NaN
     into the gradient of the ``model.trainable`` group's tensor ``name``
-    just before it hands that tensor over to ``on_final``."""
+    once that gradient is final (``on_final``), before handing the tensor
+    to the backward's own ``on_final``, if it was given one."""
     groups, calls, trainable, backward = [], [], model.trainable, T.backward
 
     def capturing_trainable(params, selector):
@@ -341,7 +342,8 @@ def _plant_nan(monkeypatch, name, step):
         def plant(leaf):
             if len(calls) == step + 1 and leaf is groups[-1][name]:
                 leaf.grad.reshape(-1)[-1] = np.nan
-            on_final(leaf)
+            if on_final is not None:
+                on_final(leaf)
 
         backward(root, on_final=plant)
 
@@ -362,8 +364,10 @@ def _loop(loop, params, steps):
 @pytest.mark.parametrize("config", [SMALL_MODEL, model.ModelConfig()], ids=["small", "default"])
 @pytest.mark.parametrize("loop", ["fit", "adapt"])
 def test_a_nan_in_an_encoder_gradient_is_named_and_moves_no_weight(monkeypatch, loop, config):
-    """In the default config the worker finds the NaN in a run handed over
-    during backward; in the small one, in the rest ``adamw_step`` hands over."""
+    """``fit``'s worker finds the NaN, in the default config in a run handed
+    over during backward and in the small one in the rest ``adamw_step``
+    hands over; an adaptation's in-process update finds it before any
+    weight moves."""
     after_one_step = _loop(loop, model.init(config, seed=0), 1)
     _plant_nan(monkeypatch, "enc0.attn.qkv.weight", step=1)
     cause = re.escape("adamw_step: non-finite gradient for 'enc0.attn.qkv.weight'")
@@ -374,19 +378,16 @@ def test_a_nan_in_an_encoder_gradient_is_named_and_moves_no_weight(monkeypatch, 
     assert params.digest() == (after_one_step if loop == "fit" else model.init(config, seed=0).digest())
 
 
-@pytest.mark.parametrize("loop", ["fit", "adapt"])
+# only fit forks an AdamW worker; the one-value "loop" keeps these tests' ids
+@pytest.mark.parametrize("loop", ["fit"])
 def test_a_loop_with_no_step_forks_no_worker(monkeypatch, loop):
     monkeypatch.setattr(os, "fork", lambda: pytest.fail("forked a worker for zero steps"))
     _loop(loop, model.init(SMALL_MODEL, seed=0), 0)
 
 
-@pytest.mark.parametrize("ending", ["normal", "divergence", "bug"])
-@pytest.mark.parametrize("loop", ["fit", "adapt"])
-def test_no_adamw_worker_outlives_its_loop(monkeypatch, loop, ending):
-    """The worker is forked at the first step and reaped on every exit
-    (the ``no_child_process_left`` fixture checks that none is left)."""
-    forks, fork = [], os.fork
-    monkeypatch.setattr(os, "fork", lambda: forks.append(None) or fork())
+def _end_loop(monkeypatch, loop, ending):
+    """Run ``loop`` for 3 steps from fresh small weights, to the end, to a
+    divergence at step 1 or to a bug in its loss at step 1."""
     if ending == "divergence":
         _plant_nan(monkeypatch, "mask_token", step=1)
     if ending == "bug":
@@ -406,7 +407,24 @@ def test_no_adamw_worker_outlives_its_loop(monkeypatch, loop, ending):
     else:
         with pytest.raises(expected):
             _loop(loop, model.init(SMALL_MODEL, seed=0), 3)
+
+
+@pytest.mark.parametrize("ending", ["normal", "divergence", "bug"])
+@pytest.mark.parametrize("loop", ["fit"])
+def test_no_adamw_worker_outlives_its_loop(monkeypatch, loop, ending):
+    """The worker is forked at the first step and reaped on every exit
+    (the ``no_child_process_left`` fixture checks that none is left)."""
+    forks, fork = [], os.fork
+    monkeypatch.setattr(os, "fork", lambda: forks.append(None) or fork())
+    _end_loop(monkeypatch, loop, ending)
     assert len(forks) == 1
+
+
+@pytest.mark.parametrize("ending", ["normal", "divergence", "bug"])
+def test_an_adaptation_forks_no_process(monkeypatch, ending):
+    """An adaptation steps AdamW in this process, however it ends."""
+    monkeypatch.setattr(os, "fork", lambda: pytest.fail("an adaptation forked"))
+    _end_loop(monkeypatch, "adapt", ending)
 
 
 def _running(pid):
