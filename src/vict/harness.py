@@ -18,8 +18,9 @@ It takes the records in sample order and prints each failure as it takes
 it, so records, stderr and report bytes do not depend on the CPU count.
 The CPUs the workers leave free go to this process alone: on them, the
 VICT adaptation of each setting after the first runs in a forked child
-of its own (``_adaptation``), while this process predicts and adapts the
-first setting itself. The few-shot baseline has one config,
+of its own (``_adaptation``), while this process predicts frozen and
+adapts the first setting itself, its frozen predictions for all settings
+in one stacked ``infer`` call. The few-shot baseline has one config,
 ``FewShotSweepConfig``; its fine-tuning runs through ``training.fit``,
 the loop pre-training uses, and it scores each fine-tuned clone through
 the bench's own frozen zero-shot records.
@@ -215,9 +216,10 @@ def _evaluate_sample(
     """One test sample's record across the configured settings and methods.
     The adaptations of up to ``free_cpus`` settings after the first run in
     forked children (``_adaptation``); each child is killed and reaped when
-    the sample ends. Only a numerical divergence, here or in a child, makes
-    a failed record, with the first one's message in setting order; any
-    other error is a bug and propagates."""
+    the sample ends. The settings' frozen predictions come from one stacked
+    ``infer`` call, or if it diverges one call each. Only a numerical
+    divergence, here or in a child, makes a failed record, with the first
+    one's message in setting order; any other error is a bug and propagates."""
     where = _where(corruption_name, severity, index)
     metrics: dict[str, dict[str, float]] = {}
     traces: dict[str, list[float]] = {}
@@ -230,10 +232,22 @@ def _evaluate_sample(
                 adaptation = _adaptation(params, prompts[setting], x_t, config.vict)
                 forked[setting] = children.enter_context(closing(Prefetcher(f"{setting} adaptation", adaptation)))
 
+        frozen = {}
+        if FROZEN in config.methods:
+            pairs = [prompt.pair for prompt in prompts.values()]
+            try:
+                stacked = infer(params, tuple(map(np.stack, zip(*pairs))), np.broadcast_to(x_t, (len(pairs), *x_t.shape)))
+            except FloatingPointError:
+                if len(pairs) == 1:  # the stack was the loop's own call
+                    raise
+            else:
+                frozen = dict(zip(prompts, stacked))
+
         for setting, prompt in prompts.items():
             for method in config.methods:
                 if method == FROZEN:
-                    prediction = infer(params, prompt.pair, x_t)
+                    # after a diverged stack, one at a time: the record is the loop's first failure
+                    prediction = frozen[setting] if frozen else infer(params, prompt.pair, x_t)
                 else:
                     if setting in forked:
                         outcome, divergence = forked[setting].get(where)

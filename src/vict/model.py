@@ -1,7 +1,8 @@
 """Small patch-transformer encoder-decoder for masked canvas inpainting.
 
 The model reads the canvas as patch rows (``Canvas.patches``) and the
-empty cell's row indices (``Canvas.empty_rows``). Each row is linearly
+empty cell's row indices (``Canvas.empty_rows``), or for frozen
+inference a stack of canvases' rows in one pass. Each row is linearly
 projected to an embedding; the empty cell's patches are replaced
 by a learned mask token (post-projection, so nothing of the fill value
 reaches attention), learned positional embeddings are added, and pre-norm
@@ -335,15 +336,25 @@ def freeze(params: Params) -> None:
 # ---------------------------------------------------------------------------
 
 
+def _stack_rows(rows: np.ndarray, canvases: int, n: int) -> np.ndarray:
+    """``rows`` of each of ``canvases`` canvases of ``n`` rows, as indices
+    into their rows one after another (``rows`` itself for one canvas)."""
+    return rows if canvases == 1 else (rows + n * np.arange(canvases)[:, None]).reshape(-1)
+
+
 def _block(
-    h: T.Tensor, p: dict[str, T.Tensor], prefix: str, num_heads: int, rows: np.ndarray | None = None
+    h: T.Tensor, p: dict[str, T.Tensor], prefix: str, num_heads: int, rows: np.ndarray | None = None, canvases: int = 1
 ) -> T.Tensor:
     """One pre-norm block over all of ``h``'s rows, or with ``rows`` the
-    outputs of those rows only: every row still gives keys and values."""
+    outputs of those rows only: every row still gives keys and values.
+    ``h`` holds ``canvases`` canvases' rows one after another, ``rows``
+    index each canvas's rows, and a row attends within its canvas only."""
     norm = (p[f"{prefix}.ln1.gain"], p[f"{prefix}.ln1.bias"])
     qkv = T.linear(h, p[f"{prefix}.attn.qkv.weight"], p[f"{prefix}.attn.qkv.bias"], norm)
-    residual = h if rows is None else T.take_rows(h, rows)
-    h = T.attention(qkv, num_heads, rows, p[f"{prefix}.attn.proj.weight"], p[f"{prefix}.attn.proj.bias"], residual)
+    residual = h if rows is None else T.take_rows(h, _stack_rows(rows, canvases, len(h.data) // canvases))
+    proj = (p[f"{prefix}.attn.proj.weight"], p[f"{prefix}.attn.proj.bias"])
+    stack = {"canvases": canvases} if canvases > 1 else {}  # one canvas keeps attention's six-argument call
+    h = T.attention(qkv, num_heads, rows, *proj, residual, **stack)
     names = ("ln2.gain", "ln2.bias", "mlp.fc1.weight", "mlp.fc1.bias", "mlp.fc2.weight", "mlp.fc2.bias")
     return T.mlp(h, *(p[f"{prefix}.{name}"] for name in names))
 
@@ -360,19 +371,34 @@ def forward(params: Params, patches, empty: np.ndarray) -> T.Tensor:
     all rows. The last one computes keys and values for all of them but
     its outputs, and so the final norm, head and sigmoid, only for the
     empty cell's rows: no other row reaches the prediction.
-    """
-    cfg = params.config
-    if T.as_tensor(patches).shape != (cfg.num_patches, cfg.patch_dim):
-        raise ValueError(f"forward: expected [{cfg.num_patches}, {cfg.patch_dim}] patch rows (cell size {cfg.cell_size})")
-    p = params.tensors
 
-    h = T.linear(patches, p["patch_embed.weight"], p["patch_embed.bias"])
-    h = T.put_rows(h, empty, p["mask_token"])
-    h = T.add(h, p["pos_embed"])
+    An array of S canvases' rows, [S, (2C/P)^2, 3P^2], with ``empty`` in
+    each, gives [S, (C/P)^2, 3P^2], each canvas's bits as alone: every node
+    runs on all S canvases' rows, and attention splits them per canvas. A
+    stack's positional rows are a constant, so it may not go on the tape.
+    """
+    cfg, p = params.config, params.tensors
+    n, width = cfg.num_patches, cfg.patch_dim
+    x = T.as_tensor(patches)
+    stack = x.data.ndim == 3
+    s = len(x.data) if stack else 1
+    expected = [s, n, width] if stack else [n, width]
+    if list(x.shape) != expected:
+        raise ValueError(f"forward: expected {expected} patch rows (cell size {cfg.cell_size})")
+    pos = p["pos_embed"]
+    if stack:
+        if x.requires_grad or any(t.requires_grad for t in p.values()):
+            raise ValueError(f"forward: a stack of {s} canvases cannot go on the tape: pos_embed would get no gradient")
+        x, pos = T.constant(x.data.reshape(-1, width)), T.constant(np.tile(pos.data, (s, 1)))
+
+    h = T.linear(x, p["patch_embed.weight"], p["patch_embed.bias"])
+    h = T.put_rows(h, _stack_rows(empty, s, n), p["mask_token"])
+    h = T.add(h, pos)
 
     blocks = [f"enc{i}" for i in range(cfg.encoder_depth)] + [f"dec{i}" for i in range(cfg.decoder_depth)]
     for prefix in blocks[:-1]:
-        h = _block(h, p, prefix, cfg.num_heads)
-    h = _block(h, p, blocks[-1], cfg.num_heads, empty)
+        h = _block(h, p, prefix, cfg.num_heads, None, s)
+    h = _block(h, p, blocks[-1], cfg.num_heads, empty, s)
 
-    return T.sigmoid(T.linear(h, p["head.weight"], p["head.bias"], (p["final_norm.gain"], p["final_norm.bias"])))
+    out = T.sigmoid(T.linear(h, p["head.weight"], p["head.bias"], (p["final_norm.gain"], p["final_norm.bias"])))
+    return T.constant(out.data.reshape(s, -1, width)) if stack else out

@@ -601,14 +601,14 @@ def linear(x: Tensor, w: Tensor, b: Tensor, norm: tuple[Tensor, Tensor] | None =
 
 
 def _heads(a: np.ndarray, num_heads: int) -> np.ndarray:
-    """[H, N, hd] view of the ``num_heads`` column blocks of an [N, H * hd]
-    array whose rows have unit column stride."""
-    n, width = a.shape
-    return a.reshape(n, num_heads, width // num_heads).transpose(1, 0, 2)
+    """[..., H, N, hd] view of the ``num_heads`` column blocks of an
+    [..., N, H * hd] array whose rows have unit column stride."""
+    *lead, n, width = a.shape
+    return a.reshape(*lead, n, num_heads, width // num_heads).swapaxes(-3, -2)
 
 
 def attention(
-    qkv: Tensor, num_heads: int, rows: np.ndarray | None, w: Tensor, b: Tensor, residual: Tensor
+    qkv: Tensor, num_heads: int, rows: np.ndarray | None, w: Tensor, b: Tensor, residual: Tensor, *, canvases: int = 1
 ) -> Tensor:
     """Multi-head scaled dot-product self-attention, its output projection
     ``@ w + b`` and the residual stream's add, one node.
@@ -624,22 +624,27 @@ def attention(
     row take of the queries when ``rows`` is given, then ``linear`` and
     ``add``. The heads' outputs are kept for ``w``'s gradient only while
     ``w`` is on the tape.
+
+    With ``canvases`` S, ``qkv`` holds S canvases' rows one after another,
+    ``rows`` index each canvas's rows and a row attends within its canvas
+    only, on [S, H, N / S, D / H] views: each canvas's bits are as alone.
     """
     qkv, w, b, residual = as_tensor(qkv), as_tensor(w), as_tensor(b), as_tensor(residual)
-    if qkv.data.ndim != 2 or num_heads <= 0 or qkv.shape[1] % (3 * num_heads) != 0:
-        raise ValueError(f"attention: cannot split {qkv.shape} into q, k, v of {num_heads} heads")
-    data = qkv.data
-    d = data.shape[1] // 3
+    if qkv.data.ndim != 2 or num_heads <= 0 or canvases <= 0 or qkv.shape[1] % (3 * num_heads) or qkv.shape[0] % canvases:
+        raise ValueError(f"attention: cannot split {qkv.shape} into q, k, v of {num_heads} heads and {canvases} canvases")
+    data = qkv.data.reshape(canvases, -1, qkv.shape[1])
+    d = data.shape[-1] // 3
     scale = float(1.0 / np.sqrt(d // num_heads))
-    queries = data[:, :d] if rows is None else data[rows, :d]
+    queries = data[..., :d] if rows is None else data[:, rows, :d]
     q = _heads(queries, num_heads)
-    k, v = (_heads(data[:, i * d : (i + 1) * d], num_heads) for i in (1, 2))
-    scores = np.matmul(q, k.transpose(0, 2, 1))
+    k, v = (_heads(data[..., i * d : (i + 1) * d], num_heads) for i in (1, 2))
+    scores = np.matmul(q, k.swapaxes(-1, -2))
     scores *= scale
     _require_finite("attention", "scores", scores, qkv)  # before the softmax, which would hide an infinity
     p = _softmax_rows(scores)
     y = np.empty(queries.shape, dtype=data.dtype)
     np.matmul(p, v, out=_heads(y, num_heads))
+    y = y.reshape(-1, d)
     projected = _affine("attention", y, w, b)
     _add_residual("attention", projected, residual)
     out = _node(projected, (qkv, w, b, residual), "attention")
@@ -651,21 +656,21 @@ def attention(
             if g is None:
                 return
             dqkv = np.empty(data.shape, dtype=data.dtype)
-            dk, dv = (_heads(dqkv[:, i * d : (i + 1) * d], num_heads) for i in (1, 2))
+            dk, dv = (_heads(dqkv[..., i * d : (i + 1) * d], num_heads) for i in (1, 2))
             if rows is None:
-                dq = dqkv[:, :d]
+                dq = dqkv[..., :d]
             else:
-                dqkv[:, :d] = 0.0
+                dqkv[..., :d] = 0.0
                 dq = np.empty(queries.shape, dtype=data.dtype)
-            g_out = _heads(g, num_heads)
-            g_s = _softmax_rows_grad(p, np.matmul(g_out, v.transpose(0, 2, 1)))
+            g_out = _heads(g.reshape(queries.shape), num_heads)
+            g_s = _softmax_rows_grad(p, np.matmul(g_out, v.swapaxes(-1, -2)))
             g_s *= scale
             np.matmul(g_s, k, out=_heads(dq, num_heads))
-            np.matmul(q.transpose(0, 2, 1), g_s, out=dk.transpose(0, 2, 1))  # (q^T g_s)^T, as the chain
-            np.matmul(p.transpose(0, 2, 1), g_out, out=dv)
+            np.matmul(q.swapaxes(-1, -2), g_s, out=dk.swapaxes(-1, -2))  # (q^T g_s)^T, as the chain
+            np.matmul(p.swapaxes(-1, -2), g_out, out=dv)
             if rows is not None:
-                dqkv[rows, :d] = dq
-            _accumulate(qkv, dqkv)
+                dqkv[:, rows, :d] = dq
+            _accumulate(qkv, dqkv.reshape(qkv.shape))
         out._backward = _bwd
     return out
 

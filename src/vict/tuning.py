@@ -96,10 +96,18 @@ def select_prompt(
 
 
 def infer(params: model.Params, pair: tuple[np.ndarray, np.ndarray], x_t: np.ndarray) -> np.ndarray:
-    """Frozen in-context inference: inpaint the test output cell."""
-    canvas = assemble_inference(*pair, x_t)
+    """Frozen in-context inference: inpaint the test output cell.
+
+    ``x``, ``y`` and ``x_t`` are [3, C, C] cells, or [S, 3, C, C] stacks
+    of S, which a single cell joins as S copies of itself. A stack's S
+    canvases go through one forward pass (``model.forward``), and the S
+    predictions come back as [S, 3, C, C], each with the bits it has alone.
+    """
+    cells = np.broadcast_arrays(*pair, x_t)
+    canvases = [assemble_inference(*stack) for stack in zip(*(a.reshape(-1, *a.shape[-3:]) for a in cells))]
     p = params.config.patch_size
-    return extract_cell(model.forward(params, canvas.patches(p), canvas.empty_rows(p)).data)
+    rows = model.forward(params, np.stack([c.patches(p) for c in canvases]), canvases[0].empty_rows(p)).data
+    return np.stack([extract_cell(r) for r in rows]).reshape(cells[0].shape)
 
 
 def cycle_rows(pair: tuple[np.ndarray, np.ndarray], x_t: np.ndarray, patch_size: int) -> tuple[np.ndarray, ...]:

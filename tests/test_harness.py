@@ -10,6 +10,7 @@ import pytest
 
 from vict import corruptions, harness, tasks, tuning
 from vict.checkpoint import load_checkpoint
+from vict.cli import cli_main
 from vict.seeding import mix
 
 
@@ -480,6 +481,12 @@ def input_of(config, corruption_name, index):
     return harness._draw_inputs(config, corruption_name, config.severities[0], index, cell_size)[1]
 
 
+def holds(x, x_t):
+    """Whether ``x``, the test input that reaches ``harness.infer``, is
+    ``x_t``: a single cell, or a stack of one sample's settings."""
+    return any(np.array_equal(cell, x_t) for cell in np.reshape(x, (-1, *np.shape(x_t))))
+
+
 @pytest.mark.parametrize(
     "name, index, message",
     [
@@ -498,7 +505,7 @@ def test_a_bug_in_a_worker_is_an_error_naming_it(small_checkpoint, monkeypatch, 
     module, is_the_sample = {
         "select_prompt": (harness, lambda task, setting, spec, seed, c: seed == mix("bench-prompt", 0, "brightness", 3, index, setting)),
         "apply": (corruptions, lambda image, spec: spec.seed == mix("bench-test-corruption", 0, "brightness", 3, index)),
-        "infer": (harness, lambda params, pair, x: np.array_equal(x, x_t)),
+        "infer": (harness, lambda params, pair, x: holds(x, x_t)),
     }[name]
     real = getattr(module, name)
 
@@ -521,7 +528,7 @@ def test_no_worker_outlives_a_divergence_or_a_bug(small_checkpoint, monkeypatch)
 
     def infer_failing_at(index, error):
         def infer(params, pair, x_t):
-            if np.array_equal(x_t, inputs[index]):
+            if holds(x_t, inputs[index]):
                 raise error
             return real_infer(params, pair, x_t)
 
@@ -584,6 +591,82 @@ def test_a_one_cpu_sweep_forks_nothing(small_checkpoint, monkeypatch):
     config = bench_config(small_checkpoint, settings=tuning.SETTINGS, methods=harness.METHODS, vict=tuning.VictConfig(steps=2))
     report = harness.run_bench(config)
     assert [e["n"] for e in report.rows] == [3] * 8
+
+
+def each_canvas_alone(infer):
+    """``infer`` as the per-setting loop called it: each canvas of a stack
+    predicted by a call of its own. Records the test input's shape of
+    every call it gets in ``calls``."""
+
+    def alone(params, pair, x_t):
+        alone.calls.append(np.shape(x_t))
+        if np.ndim(x_t) == 3:
+            return infer(params, pair, x_t)
+        return np.stack([infer(params, (x, y), cell) for x, y, cell in zip(*pair, x_t)])
+
+    alone.calls = []
+    return alone
+
+
+def test_stacked_frozen_inference_writes_the_bytes_of_one_call_per_canvas(small_checkpoint, tmp_path, monkeypatch, capsys):
+    """A both-settings frozen sweep: its report, sidecar, CSV, stdout,
+    stderr and canvas dumps, with each sample's two canvases stacked into
+    one call and with each predicted alone."""
+    argv = ["bench", "--checkpoint", str(small_checkpoint), "--corruption", "fog,gaussian_noise", "--severity", "3,5"]
+    argv += ["--method", "frozen", "--setting", "both", "--num-samples", "3"]
+    argv += ["--out", "r.json", "--csv", "r.csv", "--dump-canvases", "dump"]
+    use_cpus(monkeypatch, 1)  # the recorder sees every call in one process
+    outputs = {}
+    for way in ("stacked", "alone"):
+        (tmp_path / way).mkdir()
+        monkeypatch.chdir(tmp_path / way)
+        if way == "alone":
+            recorder = each_canvas_alone(harness.infer)
+            monkeypatch.setattr(harness, "infer", recorder)
+        code = cli_main(argv)
+        captured = capsys.readouterr()
+        files = {str(f.relative_to(tmp_path / way)): f.read_bytes() for f in sorted((tmp_path / way).rglob("*")) if f.is_file()}
+        outputs[way] = (code, captured.out, captured.err, files)
+    assert recorder.calls == [(2, 3, 16, 16)] * 12
+    assert len(outputs["stacked"][3]) == 3 + 4 * 2  # report, sidecar, CSV and each cell's two canvases of sample 0
+    assert outputs["stacked"] == outputs["alone"]
+
+
+def test_a_divergence_in_a_stack_is_the_failed_record_of_the_serial_loop(small_checkpoint, monkeypatch, capsys):
+    """A ``FloatingPointError`` on fog sample 1's one-shot canvas only:
+    the stacked call fails, and its settings are predicted one by one, so
+    the zero-shot adaptation runs before the one-shot inference fails."""
+    config = bench_config(
+        small_checkpoint, corruption_kinds=(corruptions.CorruptionKind.FOG,), settings=tuning.SETTINGS, methods=harness.METHODS
+    )
+    cell_size = load_checkpoint(small_checkpoint).config.cell_size
+    one_shot = harness._draw_inputs(config, "fog", 3, 1, cell_size)[2][tuning.ONE_SHOT].pair[0]
+    real_infer, real_adapt = harness.infer, harness.adapt_and_predict
+    one_shot_adapted = []
+
+    def infer_diverging_on_one_shot(params, pair, x_t):
+        if holds(pair[0], one_shot):
+            raise FloatingPointError("matmul: non-finite values")
+        return real_infer(params, pair, x_t)
+
+    def adapt(params0, prompt, x_t, vict):
+        one_shot_adapted.append(prompt.corruption is not None)
+        return real_adapt(params0, prompt, x_t, vict)
+
+    use_cpus(monkeypatch, 1)  # no adaptation child, so every call is seen here
+    monkeypatch.setattr(harness, "adapt_and_predict", adapt)
+    runs = {}
+    for way, infer in (("stacked", infer_diverging_on_one_shot), ("alone", each_canvas_alone(infer_diverging_on_one_shot))):
+        monkeypatch.setattr(harness, "infer", infer)
+        one_shot_adapted.clear()
+        report = harness.run_bench(config)
+        runs[way] = (report.records, report.to_json_bytes(), capsys.readouterr().err, list(one_shot_adapted))
+    assert runs["stacked"] == runs["alone"]
+    records, _, err, adapted = runs["stacked"]
+    assert records[1] == harness.SampleRecord("fog", 3, 1, {}, {}, "matmul: non-finite values")
+    assert [r.failure for r in records] == [None, "matmul: non-finite values", None]
+    assert err == "vict: fog severity 3 sample 1 failed: matmul: non-finite values\n"
+    assert adapted == [False, True, False, False, True]  # sample 1 adapts zero-shot, then fails
 
 
 def test_a_divergence_under_warnings_as_errors_is_a_failed_record(small_checkpoint):

@@ -131,6 +131,43 @@ def test_forward_rejects_wrong_cell_size(default_params):
         model.forward(default_params, *_rows(canvas))
 
 
+def _stack(*samples):
+    """The patch rows of an inference canvas per (prompt, query) seed pair,
+    stacked, and their empty cell's rows."""
+    canvases = []
+    for prompt_seed, query_seed in samples:
+        prompt, query = (tasks.generate(tasks.TaskKind.DENOISE, seed) for seed in (prompt_seed, query_seed))
+        canvases.append(assemble_inference(prompt.input, prompt.target, query.input))
+    return np.stack([canvas.patches(8) for canvas in canvases]), canvases[0].empty_rows(8)
+
+
+def test_forward_on_a_stack_gives_each_canvas_its_own_rows(default_params):
+    patches, empty = _stack((1, 2), (3, 4), (5, 2))
+    out = model.forward(default_params, patches, empty)
+    assert out.shape == (3, 16, 192) and not out.requires_grad
+    assert [rows.tobytes() for rows in out.data] == [model.forward(default_params, rows, empty).data.tobytes() for rows in patches]
+
+
+@pytest.mark.parametrize("taped", ["encoder", "all", "patches"])
+def test_forward_refuses_a_stack_on_the_tape(default_params, taped):
+    params = default_params.clone()
+    patches, empty = _stack((1, 2), (3, 4))
+    if taped == "patches":
+        patches = T.parameter(patches)
+    else:
+        model.trainable(params, taped)
+    with pytest.raises(ValueError, match=r"^forward: a stack of 2 canvases cannot go on the tape"):
+        model.forward(params, patches, empty)
+
+
+def test_forward_rejects_a_stack_of_the_wrong_cell_size(default_params):
+    prompt = tasks.generate(tasks.TaskKind.DENOISE, 1, cell_size=16)
+    query = tasks.generate(tasks.TaskKind.DENOISE, 2, cell_size=16)
+    canvas = assemble_inference(prompt.input, prompt.target, query.input)
+    with pytest.raises(ValueError, match=r"^forward: expected \[2, 64, 192\] patch rows \(cell size 32\)$"):
+        model.forward(default_params, np.stack([canvas.patches(8)] * 2), canvas.empty_rows(8))
+
+
 def test_permutation_sensitivity(default_params):
     a = tasks.generate(tasks.TaskKind.DENOISE, 3)
     b = tasks.generate(tasks.TaskKind.DENOISE, 4)

@@ -7,6 +7,7 @@ from vict import canvas as cv
 from vict import harness, model, tasks, training, tuning
 from vict import tensor as T
 from vict.canvas import assemble_flipped, assemble_inference, patchify
+from vict.checkpoint import load_checkpoint
 from vict.corruptions import CorruptionKind, CorruptionSpec
 
 from reference_ops import extract_cell, reshape, transpose
@@ -63,6 +64,32 @@ def test_prompt_differs_from_test_sample():
     prompt = tuning.select_prompt(tasks.TaskKind.DENOISE, tuning.ZERO_SHOT, None, seed=10, cell_size=16)
     test = tasks.generate(tasks.TaskKind.DENOISE, 11, cell_size=16)
     assert prompt.pair[0].tobytes() != test.input.tobytes()
+
+
+# ---------------------------------------------------------------------------
+# frozen inference on a stack
+# ---------------------------------------------------------------------------
+
+
+@pytest.mark.parametrize("count", [2, 3])
+@pytest.mark.parametrize("weights", ["small_checkpoint", "default_init"])
+def test_a_stack_gives_each_canvas_the_bytes_of_its_own_call(weights, count, request):
+    if weights == "small_checkpoint":
+        params = load_checkpoint(request.getfixturevalue("small_checkpoint"))
+    else:
+        params = model.init(model.ModelConfig(), seed=0)
+    c = params.config.cell_size
+    spec = CorruptionSpec(CorruptionKind.FOG, 4, seed=3)
+    prompts = [tuning.select_prompt(tasks.TaskKind.DENOISE, tuning.ONE_SHOT, spec, seed=30 + i, cell_size=c) for i in range(count)]
+    x, y = (np.stack(cells) for cells in zip(*(prompt.pair for prompt in prompts)))
+    inputs = np.stack([tasks.generate(tasks.TaskKind.DENOISE, 40 + i, cell_size=c).input for i in range(count)])
+    shared = inputs[0]
+    for x_t, each in ((inputs, inputs), (shared, [shared] * count), (np.broadcast_to(shared, inputs.shape), [shared] * count)):
+        stacked = tuning.infer(params, (x, y), x_t)
+        alone = [tuning.infer(params, (x[i], y[i]), each[i]) for i in range(count)]
+        assert stacked.shape == (count, 3, c, c) and alone[0].shape == (3, c, c)
+        assert [cell.tobytes() for cell in stacked] == [cell.tobytes() for cell in alone]
+        assert len({cell.tobytes() for cell in alone}) == count  # the prompts differ, and so do the predictions
 
 
 # ---------------------------------------------------------------------------
