@@ -11,19 +11,18 @@ the report itself. ``MetricReport.write_json`` writes the records to a sidecar.
 ``_evaluate_sample`` is the one place a test sample is predicted and
 scored; it renders the sample, corrupts its input and draws its prompts
 (``_draw_inputs``) from its coordinates and the master seed alone.
-``_evaluate`` splits a sweep's samples over one process per usable CPU,
-at most one per sample: this process evaluates every W-th sample from
-the first, and W - 1 forked workers (``prefetch.Prefetcher``) the others.
-It takes the records in sample order and prints each failure as it takes
-it, so records, stderr and report bytes do not depend on the CPU count.
-The CPUs the workers leave free go to this process alone: on them, the
-VICT adaptation of each setting after the first runs in a forked child
-of its own (``_adaptation``), while this process predicts frozen and
-adapts the first setting itself, its frozen predictions for all settings
-in one stacked ``infer`` call. The few-shot baseline has one config,
-``FewShotSweepConfig``; its fine-tuning runs through ``training.fit``,
-the loop pre-training uses, and it scores each fine-tuned clone through
-the bench's own frozen zero-shot records.
+``_evaluate`` splits a sweep's jobs over one process per usable CPU, at
+most one per job: this process evaluates every W-th job from the first,
+and W - 1 forked workers (``prefetch.Prefetcher``) the others. A job is
+one sample's setting when VICT is among the methods, so a sample's
+adaptations run in parallel, and else all its settings, whose frozen
+predictions are one stacked ``infer`` call. It takes the records in job
+order, merges each sample's into one (``_merged``), writes its canvas
+dumps and prints its failure as it takes it, so records, stderr, report
+and canvas bytes do not depend on the CPU count. The few-shot baseline
+has one config, ``FewShotSweepConfig``; its fine-tuning runs through
+``training.fit``, the loop pre-training uses, and it scores each
+fine-tuned clone through the bench's own frozen zero-shot records.
 """
 
 from __future__ import annotations
@@ -46,7 +45,7 @@ from .prefetch import Prefetcher
 from .seeding import mix, rng_for
 from .tensor import check_lr
 from .training import reject_repeats
-from .tuning import AdaptationResult, PromptSet, VictConfig, adapt_and_predict, infer, select_prompt
+from .tuning import PromptSet, VictConfig, adapt_and_predict, infer, select_prompt
 
 FROZEN = "frozen"
 VICT = "vict"
@@ -196,42 +195,20 @@ def _where(corruption_name: str, severity: int, index: int) -> str:
     return f"{corruption_name} severity {severity} sample {index}"
 
 
-def _adaptation(
-    params: model.Params, prompt: PromptSet, x_t: np.ndarray, config: VictConfig
-) -> Iterator[tuple[AdaptationResult | None, str | None]]:
-    """One adaptation as a ``Prefetcher``'s only item: ``(result, None)``,
-    or ``(None, message)`` if it diverged. Any other error ends the child,
-    and the ``Prefetcher`` raises it as a ``RuntimeError``."""
-    try:
-        outcome = adapt_and_predict(params, prompt, x_t, config)
-    except FloatingPointError as err:
-        yield None, str(err)
-    else:
-        yield outcome, None
-
-
 def _evaluate_sample(
-    config: BenchConfig, params: model.Params, corruption_name: str, severity: int, index: int, free_cpus: int
-) -> SampleRecord:
-    """One test sample's record across the configured settings and methods.
-    The adaptations of up to ``free_cpus`` settings after the first run in
-    forked children (``_adaptation``); each child is killed and reaped when
-    the sample ends. The settings' frozen predictions come from one stacked
-    ``infer`` call, or if it diverges one call each. Only a numerical
-    divergence, here or in a child, makes a failed record, with the first
-    one's message in setting order; any other error is a bug and propagates."""
-    where = _where(corruption_name, severity, index)
+    config: BenchConfig, params: model.Params, corruption_name: str, severity: int, index: int
+) -> tuple[SampleRecord, dict[str, np.ndarray]]:
+    """One test sample's record across the configured settings and methods,
+    and, for sample 0 of a sweep that dumps canvases, the canvas grid of
+    each prediction made, by file name. The settings' frozen predictions
+    come from one stacked ``infer`` call, or if it diverges one call each.
+    Only a numerical divergence makes a failed record, with the loop's
+    first message; any other error is a bug and propagates."""
     metrics: dict[str, dict[str, float]] = {}
     traces: dict[str, list[float]] = {}
+    grids: dict[str, np.ndarray] = {}
     target, x_t, prompts = _draw_inputs(config, corruption_name, severity, index, params.config.cell_size)
-    children = ExitStack()  # the forked adaptations
     try:
-        forked = {}
-        if VICT in config.methods:
-            for setting in list(prompts)[1 : 1 + free_cpus]:
-                adaptation = _adaptation(params, prompts[setting], x_t, config.vict)
-                forked[setting] = children.enter_context(closing(Prefetcher(f"{setting} adaptation", adaptation)))
-
         frozen = {}
         if FROZEN in config.methods:
             pairs = [prompt.pair for prompt in prompts.values()]
@@ -249,56 +226,70 @@ def _evaluate_sample(
                     # after a diverged stack, one at a time: the record is the loop's first failure
                     prediction = frozen[setting] if frozen else infer(params, prompt.pair, x_t)
                 else:
-                    if setting in forked:
-                        outcome, divergence = forked[setting].get(where)
-                        if divergence is not None:
-                            raise FloatingPointError(divergence)
-                    else:
-                        outcome = adapt_and_predict(params, prompt, x_t, config.vict)
+                    outcome = adapt_and_predict(params, prompt, x_t, config.vict)
                     prediction = outcome.y_t_hat
                     traces[setting] = outcome.loss_trace
                 if config.dump_canvases and index == 0:
                     x, y = prompt.pair
-                    grid = np.concatenate(
+                    grids[f"{corruption_name}_s{severity}_{setting}_{method}.ppm"] = np.concatenate(
                         [np.concatenate([x, y], axis=2), np.concatenate([x_t, prediction], axis=2)], axis=1
                     )
-                    write_ppm(Path(config.dump_canvases) / f"{corruption_name}_s{severity}_{setting}_{method}.ppm", grid)
                 metrics.setdefault(setting, {})[method] = float(tasks.evaluate(config.task, prediction, target))
     except FloatingPointError as err:
-        return SampleRecord(corruption_name, severity, index, {}, {}, str(err))
-    finally:
-        children.close()
-    return SampleRecord(corruption_name, severity, index, metrics, traces)
+        return SampleRecord(corruption_name, severity, index, {}, {}, str(err)), grids
+    return SampleRecord(corruption_name, severity, index, metrics, traces), grids
 
 
 def _evaluate_share(
-    config: BenchConfig, params: model.Params, jobs: list[tuple[str, int, int]], free_cpus: int
-) -> Iterator[SampleRecord]:
-    for name, severity, index in jobs:
-        yield _evaluate_sample(config, params, name, severity, index, free_cpus)
+    config: BenchConfig, params: model.Params, jobs: list[tuple[str, int, int, tuple[str, ...]]]
+) -> Iterator[tuple[SampleRecord, dict[str, np.ndarray]]]:
+    for name, severity, index, settings in jobs:
+        yield _evaluate_sample(replace(config, settings=settings), params, name, severity, index)
+
+
+def _merged(parts: list[tuple[SampleRecord, dict[str, np.ndarray]]]) -> tuple[SampleRecord, dict[str, np.ndarray]]:
+    """A sample's record and canvas grids from its setting groups', in
+    setting order, as the serial loop makes them: up to the first failed
+    group, whose record is the sample's."""
+    metrics, traces, grids = {}, {}, {}
+    for record, part_grids in parts:
+        grids |= part_grids
+        if record.failure is not None:
+            return record, grids
+        metrics |= record.metrics
+        traces |= record.loss_traces
+    return replace(parts[0][0], metrics=metrics, loss_traces=traces), grids
 
 
 def _evaluate(config: BenchConfig, params: model.Params, cells: list[tuple[str, int]]) -> list[SampleRecord]:
     """The records of ``params`` on every sample of every cell, in (cell,
     index) order, each failure printed to stderr as its record is taken.
-    Over W processes, one per usable CPU and at most one per sample, this
-    one evaluates samples 0, W, 2W, ... and forked worker w samples w,
-    W + w, ...; a bug in a worker is a ``RuntimeError`` naming it and the
-    sample, and every worker is killed and reaped on any exit."""
+    A job is one sample's setting group: each setting alone when VICT is
+    among the methods, so that a sample's adaptations run in parallel, and
+    else all settings, for one stacked frozen call. Over W processes, one
+    per usable CPU and at most one per job, this one evaluates jobs 0, W,
+    2W, ... and forked worker w jobs w, W + w, ...; a bug in a worker is a
+    ``RuntimeError`` naming it, the sample and, for a job of one setting
+    among several, the setting; every worker is killed and reaped on any
+    exit."""
     if config.dump_canvases:
         Path(config.dump_canvases).mkdir(parents=True, exist_ok=True)
-    jobs = [(name, severity, i) for name, severity in cells for i in range(config.num_samples)]
-    cpus = len(os.sched_getaffinity(0))
-    width = min(cpus, len(jobs))
-    # the CPUs the workers leave go to this process's adaptation children: a
-    # worker forks none, so a killed worker leaves no process behind
-    shares = [_evaluate_share(config, params, jobs[w::width], 0 if w else cpus - width) for w in range(width)]
+    groups = [(setting,) for setting in config.settings] if VICT in config.methods else [config.settings]
+    jobs = [(name, severity, i, group) for name, severity in cells for i in range(config.num_samples) for group in groups]
+    width = min(len(os.sched_getaffinity(0)), len(jobs))
+    shares = [_evaluate_share(config, params, jobs[w::width]) for w in range(width)]
     records = []
     with ExitStack() as stack:
         workers = [stack.enter_context(closing(Prefetcher(f"bench worker {w}", shares[w]))) for w in range(1, width)]
-        for j, job in enumerate(jobs):
-            where = _where(*job)
-            record = next(shares[0]) if j % width == 0 else workers[j % width - 1].get(where)
+        for first in range(0, len(jobs), len(groups)):
+            where = _where(*jobs[first][:3])
+            parts = []
+            for j in range(first, first + len(groups)):
+                label = where if len(groups) == 1 else f"{where}, {jobs[j][3][0]}"
+                parts.append(next(shares[0]) if j % width == 0 else workers[j % width - 1].get(label))
+            record, grids = _merged(parts)
+            for file_name, grid in grids.items():
+                write_ppm(Path(config.dump_canvases) / file_name, grid)
             if record.failure is not None:
                 print(f"vict: {where} failed: {record.failure}", file=sys.stderr)
             records.append(record)

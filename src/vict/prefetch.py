@@ -3,8 +3,7 @@
 Pre-training draws and renders its batches through a ``Prefetcher``, so
 that this work runs on a second core while this process runs the model.
 A bench sweep's workers are ``Prefetcher``s over their shares of the
-samples' records, and the bench adapts a sample's later settings in a
-one-item ``Prefetcher`` each. Each item is pickled (protocol 5) through a
+sweep's jobs' records. Each item is pickled (protocol 5) through a
 pipe, so every array arrives with the bytes and layout it was made with,
 in the order the iterator yields them.
 It needs ``os.fork`` (POSIX). ``fork_child`` and ``kill_and_reap`` are

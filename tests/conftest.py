@@ -15,8 +15,8 @@ SMALL_MODEL = model.ModelConfig(cell_size=16, patch_size=8, embed_dim=32, encode
 @pytest.fixture(autouse=True)
 def no_child_process_left():
     """Fails a test that leaves a child process behind: every sample
-    helper, bench worker, adaptation child and ``fit``'s AdamW worker (an
-    adaptation forks none) is killed and reaped on every exit."""
+    helper, bench worker and ``fit``'s AdamW worker (an adaptation forks
+    none) is killed and reaped on every exit."""
     yield
     try:
         pid, _ = os.waitpid(-1, os.WNOHANG)

@@ -15,9 +15,9 @@ from vict.seeding import mix
 
 
 def use_cpus(monkeypatch, n):
-    """Make the harness see ``n`` usable CPUs: a sweep of J samples runs in
-    W = min(n, J) processes, and this one forks up to n - W adaptation
-    children per sample."""
+    """Make the harness see ``n`` usable CPUs: a sweep of J jobs runs in
+    W = min(n, J) processes. A job is a sample's setting when VICT is among
+    the methods, and the whole sample otherwise."""
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(n)))
 
 
@@ -119,9 +119,9 @@ def test_a_bug_in_a_forked_adaptation_is_an_error_naming_it(small_checkpoint, mo
         return real_adapt(params0, prompt, x_t, config)
 
     monkeypatch.setattr(harness, "adapt_and_predict", adapt_failing_one_shot)
-    use_cpus(monkeypatch, 3)  # two samples, two processes, and a CPU for this one's one-shot adaptation
+    use_cpus(monkeypatch, 3)  # two samples' four setting jobs over three processes: the first one-shot is worker 1's
     config = bench_config(small_checkpoint, methods=harness.METHODS, settings=tuning.SETTINGS, num_samples=1)
-    message = f"^one_shot adaptation failed at gaussian_noise severity 3 sample 0: {type(error).__name__}: {error}$"
+    message = f"^bench worker 1 failed at gaussian_noise severity 3 sample 0, one_shot: {type(error).__name__}: {error}$"
     with pytest.raises(RuntimeError, match=message):
         harness.run_bench(config)
 
@@ -547,11 +547,11 @@ def test_no_worker_outlives_a_divergence_or_a_bug(small_checkpoint, monkeypatch)
 
 
 def test_no_process_outlives_a_bug_here(small_checkpoint, monkeypatch):
-    """Two samples on four CPUs: this process forks its sample's one-shot
-    adaptation, and the worker, which forks none, adapts in process. Both
-    are still adapting when this process meets a bug; every process forked
-    during the sweep holds the write end of a pipe, which reads as ended
-    once all are gone."""
+    """Two samples' four setting jobs on four CPUs: this process predicts
+    the first frozen, and each of three workers adapts a setting of its
+    own. Two at least are adapting when this process meets a bug; every
+    process forked during the sweep holds the write end of a pipe, which
+    reads as ended once all are gone."""
     started_r, started_w = os.pipe()
     alive_r, alive_w = os.pipe()
     parent, real_infer = os.getpid(), harness.infer
@@ -633,40 +633,36 @@ def test_stacked_frozen_inference_writes_the_bytes_of_one_call_per_canvas(small_
 
 
 def test_a_divergence_in_a_stack_is_the_failed_record_of_the_serial_loop(small_checkpoint, monkeypatch, capsys):
-    """A ``FloatingPointError`` on fog sample 1's one-shot canvas only:
-    the stacked call fails, and its settings are predicted one by one, so
-    the zero-shot adaptation runs before the one-shot inference fails."""
-    config = bench_config(
-        small_checkpoint, corruption_kinds=(corruptions.CorruptionKind.FOG,), settings=tuning.SETTINGS, methods=harness.METHODS
-    )
+    """A frozen both-settings sweep, with a ``FloatingPointError`` on fog
+    sample 1's one-shot canvas only: the stacked call fails, and its
+    settings are predicted one by one, so the zero-shot canvas is predicted
+    before the one-shot inference fails."""
+    config = bench_config(small_checkpoint, corruption_kinds=(corruptions.CorruptionKind.FOG,), settings=tuning.SETTINGS)
     cell_size = load_checkpoint(small_checkpoint).config.cell_size
     one_shot = harness._draw_inputs(config, "fog", 3, 1, cell_size)[2][tuning.ONE_SHOT].pair[0]
-    real_infer, real_adapt = harness.infer, harness.adapt_and_predict
-    one_shot_adapted = []
+    real_infer, calls = harness.infer, []
 
     def infer_diverging_on_one_shot(params, pair, x_t):
+        calls.append(np.shape(x_t))
         if holds(pair[0], one_shot):
             raise FloatingPointError("matmul: non-finite values")
         return real_infer(params, pair, x_t)
 
-    def adapt(params0, prompt, x_t, vict):
-        one_shot_adapted.append(prompt.corruption is not None)
-        return real_adapt(params0, prompt, x_t, vict)
-
-    use_cpus(monkeypatch, 1)  # no adaptation child, so every call is seen here
-    monkeypatch.setattr(harness, "adapt_and_predict", adapt)
+    use_cpus(monkeypatch, 1)  # every call is seen here
     runs = {}
     for way, infer in (("stacked", infer_diverging_on_one_shot), ("alone", each_canvas_alone(infer_diverging_on_one_shot))):
         monkeypatch.setattr(harness, "infer", infer)
-        one_shot_adapted.clear()
+        calls.clear()
         report = harness.run_bench(config)
-        runs[way] = (report.records, report.to_json_bytes(), capsys.readouterr().err, list(one_shot_adapted))
+        runs[way] = (report.records, report.to_json_bytes(), capsys.readouterr().err)
+        if way == "stacked":
+            stack, canvas = (2, 3, cell_size, cell_size), (3, cell_size, cell_size)
+            assert calls == [stack, stack, canvas, canvas, stack]  # sample 1's stack fails, then its canvases one by one
     assert runs["stacked"] == runs["alone"]
-    records, _, err, adapted = runs["stacked"]
+    records, _, err = runs["stacked"]
     assert records[1] == harness.SampleRecord("fog", 3, 1, {}, {}, "matmul: non-finite values")
     assert [r.failure for r in records] == [None, "matmul: non-finite values", None]
     assert err == "vict: fog severity 3 sample 1 failed: matmul: non-finite values\n"
-    assert adapted == [False, True, False, False, True]  # sample 1 adapts zero-shot, then fails
 
 
 def test_a_divergence_under_warnings_as_errors_is_a_failed_record(small_checkpoint):
@@ -686,7 +682,7 @@ def test_a_divergence_under_warnings_as_errors_is_a_failed_record(small_checkpoi
 def run_with_cpus(monkeypatch, config, cpus, out):
     """``run_bench(config)`` seeing ``cpus`` usable CPUs, with its report
     and sidecar written to ``out``; the report, and the ``Prefetcher``s it
-    made in this process: its workers, then one per forked adaptation."""
+    made in this process, its workers."""
     made, real_prefetcher = [], harness.Prefetcher
 
     def recorded_prefetcher(what, items):
@@ -702,30 +698,36 @@ def run_with_cpus(monkeypatch, config, cpus, out):
 
 
 def test_concurrent_adaptations_give_the_serial_bytes(small_checkpoint, tmp_path, monkeypatch):
-    files = {}
-    made_at = {  # four samples: at five CPUs, four processes and a CPU for this one's adaptation child
-        1: [],
-        2: ["bench worker 1"],
-        5: ["bench worker 1", "bench worker 2", "bench worker 3", "one_shot adaptation"],
-    }
-    for cpus in made_at:
-        config = bench_config(
-            small_checkpoint,
-            settings=tuning.SETTINGS,
-            methods=harness.METHODS,
-            num_samples=2,
-            vict=tuning.VictConfig(steps=2),
-            dump_canvases=tmp_path / f"dumps{cpus}",
-        )
-        report, made = run_with_cpus(monkeypatch, config, cpus, tmp_path / f"cpus{cpus}.json")
-        assert report.total_failures == 0
-        assert made == made_at[cpus]
-        files[cpus] = {path.relative_to(tmp_path / f"dumps{cpus}"): path.read_bytes() for path in config.dump_canvases.iterdir()}
-        for suffix in (".json", ".samples.jsonl"):
-            files[cpus][suffix] = (tmp_path / f"cpus{cpus}{suffix}").read_bytes()
-    assert len(files[1]) == 2 * 2 * 2 + 2  # a canvas per kind, setting and method for sample 0; report and sidecar
-    assert files[2] == files[1]
-    assert files[5] == files[1]
+    cases = [  # the sweep's kinds and samples per kind, and the Prefetchers made at each CPU count
+        (
+            (corruptions.CorruptionKind.GAUSSIAN_NOISE, corruptions.CorruptionKind.BRIGHTNESS),
+            2,
+            # four samples, eight setting jobs: at five CPUs, this process and four workers
+            {1: [], 2: ["bench worker 1"], 5: ["bench worker 1", "bench worker 2", "bench worker 3", "bench worker 4"]},
+        ),
+        # one sample, as in perfbench's tune_sweep: at two CPUs, its one-shot setting adapts in worker 1
+        ((corruptions.CorruptionKind.GAUSSIAN_NOISE,), 1, {1: [], 2: ["bench worker 1"]}),
+    ]
+    for kinds, num_samples, made_at in cases:
+        files = {}
+        for cpus in made_at:
+            out = tmp_path / f"{len(kinds)}x{num_samples}_cpus{cpus}"
+            config = bench_config(
+                small_checkpoint,
+                corruption_kinds=kinds,
+                settings=tuning.SETTINGS,
+                methods=harness.METHODS,
+                num_samples=num_samples,
+                vict=tuning.VictConfig(steps=2),
+                dump_canvases=out / "dumps",
+            )
+            report, made = run_with_cpus(monkeypatch, config, cpus, out / "report.json")
+            assert report.total_failures == 0
+            assert made == made_at[cpus]
+            files[cpus] = {path.relative_to(out): path.read_bytes() for path in out.rglob("*") if path.is_file()}
+        assert len(files[1]) == len(kinds) * 2 * 2 + 2  # a canvas per kind, setting and method for sample 0; report and sidecar
+        for cpus in made_at:
+            assert files[cpus] == files[1]
 
 
 @pytest.mark.parametrize(
@@ -751,35 +753,27 @@ def test_a_forked_divergence_is_the_serial_failure(small_checkpoint, tmp_path, m
         return real_adapt(params0, prompt, x_t, config)
 
     monkeypatch.setattr(harness, "adapt_and_predict", adapt_diverging_on_fog)
+    # sample 0's canvases up to its first failure in setting order, as the serial loop dumps them
+    fog_dumped = {
+        "one_shot diverged": ["zero_shot_frozen", "zero_shot_vict", "one_shot_frozen"],
+        "zero_shot diverged": ["zero_shot_frozen"],
+    }
+    dumped = [f"fog_s3_{name}.ppm" for name in fog_dumped[message]]
+    dumped += [f"gaussian_noise_s3_{setting}_{method}.ppm" for setting in tuning.SETTINGS for method in harness.METHODS]
     outputs = {}
-    for cpus in (1, 2, 3, 5):  # fog's samples in this process and a worker; at 5, sample 0's one-shot in a child
-        report, _ = run_with_cpus(monkeypatch, config, cpus, tmp_path / f"cpus{cpus}.json")
+    for cpus in (1, 2, 3, 5):  # at 2, each fog sample's zero-shot in this process and its one-shot in the worker
+        dumps = tmp_path / f"dumps{cpus}"
+        report, _ = run_with_cpus(monkeypatch, replace(config, dump_canvases=dumps), cpus, tmp_path / f"cpus{cpus}.json")
         outputs[cpus] = (
             capsys.readouterr().err,
             [(tmp_path / f"cpus{cpus}{suffix}").read_bytes() for suffix in (".json", ".samples.jsonl")],
+            {path.name: path.read_bytes() for path in sorted(dumps.iterdir())},
         )
         assert [(r.corruption, r.index, r.failure) for r in report.records] == [
             ("fog", 0, message), ("fog", 1, message), ("gaussian_noise", 0, None), ("gaussian_noise", 1, None)
         ]
+        assert sorted(outputs[cpus][2]) == sorted(dumped)
     assert outputs[1][0].splitlines() == [f"vict: fog severity 3 sample {i} failed: {message}" for i in range(2)]
     assert outputs[2] == outputs[1]
     assert outputs[3] == outputs[1]
     assert outputs[5] == outputs[1]
-
-
-def test_a_divergence_here_kills_the_pending_child(small_checkpoint, monkeypatch):
-    real_adapt = harness.adapt_and_predict
-
-    def adapt(params0, prompt, x_t, config):
-        if prompt.corruption is None:  # zero-shot, in this process
-            raise FloatingPointError("zero_shot diverged")
-        time.sleep(60)  # one-shot, in the child, still running when the sample ends
-        return real_adapt(params0, prompt, x_t, config)
-
-    monkeypatch.setattr(harness, "adapt_and_predict", adapt)
-    use_cpus(monkeypatch, 5)  # four samples, four processes, and a CPU for this one's one-shot adaptation
-    config = bench_config(small_checkpoint, settings=tuning.SETTINGS, methods=harness.METHODS, num_samples=2)
-    start = time.monotonic()
-    report = harness.run_bench(config)
-    assert time.monotonic() - start < 30  # no sample waited for its child
-    assert [r.failure for r in report.records] == ["zero_shot diverged"] * 4
