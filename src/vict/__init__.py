@@ -19,7 +19,7 @@ for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
 del _var
 
 from . import canvas, checkpoint, corruptions, gradcheck, harness, model, tasks, tensor, training, tuning
-from .canvas import CellPosition, assemble_flipped, assemble_inference, extract_cell, write_ppm
+from .canvas import assemble_flipped, assemble_inference, extract_cell, write_ppm
 from .checkpoint import load_checkpoint, save_checkpoint
 from .corruptions import ALL_KINDS, CorruptionKind, CorruptionSpec, apply
 from .harness import BenchConfig, FewShotSweepConfig, MetricReport, fewshot_finetune, run_bench, run_clean_eval, run_fewshot

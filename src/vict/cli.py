@@ -123,13 +123,6 @@ def _exit_status(report: harness.MetricReport) -> int:
 
 def _cmd_pretrain(args) -> int:
     task_mix = _parse_names("--task-mix", tasks.TaskKind, args.task_mix, tasks.ALL_TASKS)
-    if args.exclude_task:
-        held_out = _parse_name("--exclude-task", tasks.TaskKind, args.exclude_task)
-        if held_out not in task_mix:
-            raise ValueError(f"--exclude-task: {held_out.value} is not in --task-mix {args.task_mix!r}")
-        task_mix = tuple(t for t in task_mix if t is not held_out)
-        if not task_mix:
-            raise ValueError(f"--exclude-task: holding out {held_out.value} leaves --task-mix {args.task_mix!r} empty")
     cfg = training.PretrainConfig(steps=args.steps, lr=args.lr, task_mix=task_mix, seed=args.seed)
     result = training.pretrain(ModelConfig(), cfg)
     save_checkpoint(result.params, args.out)
@@ -205,7 +198,6 @@ def build_parser() -> argparse.ArgumentParser:
     pre = training.PretrainConfig()
     p = sub.add_parser("pretrain", help="pre-train on clean procedural tasks")
     p.add_argument("--task-mix", default="all", help="comma list of tasks, or 'all'")
-    p.add_argument("--exclude-task", default=None, help="hold one task out of pre-training")
     p.add_argument("--steps", type=int, default=pre.steps)
     p.add_argument("--lr", type=float, default=pre.lr)
     p.add_argument("--seed", type=int, default=pre.seed)

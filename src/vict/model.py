@@ -1,15 +1,16 @@
 """Small patch-transformer encoder-decoder for masked canvas inpainting.
 
-The model reads the canvas as patch rows (``Canvas.patches``) and the
-empty cell's row indices (``Canvas.empty_rows``), or for frozen
-inference a stack of canvases' rows in one pass. Each row is linearly
-projected to an embedding; the empty cell's patches are replaced
-by a learned mask token (post-projection, so nothing of the fill value
-reaches attention), learned positional embeddings are added, and pre-norm
-transformer blocks run encoder then decoder. The last block, the final
-norm and a linear head run on the empty cell's patches only, and the head
-projects them back to pixel rows, squashed to (0, 1) by a logistic so
-outputs are always valid cell images.
+The model reads the canvas as patch rows and the empty cell's row
+indices, as ``canvas.assemble_inference`` and ``assemble_flipped``
+return them, or for frozen inference a stack of canvases' rows in one
+pass. Each row is linearly projected to an embedding; the empty cell's
+patches are replaced by a learned mask token (post-projection, so
+nothing of the fill value reaches attention), learned positional
+embeddings are added, and pre-norm transformer blocks run encoder then
+decoder. The last block, the final norm and a linear head run on the
+empty cell's patches only, and the head projects them back to pixel
+rows, squashed to (0, 1) by a logistic so outputs are always valid cell
+images.
 
 A block records three tape nodes (the last one also its row take): the
 first layer norm and the query/key/value map as one ``linear``,
@@ -353,8 +354,7 @@ def _block(
     qkv = T.linear(h, p[f"{prefix}.attn.qkv.weight"], p[f"{prefix}.attn.qkv.bias"], norm)
     residual = h if rows is None else T.take_rows(h, _stack_rows(rows, canvases, len(h.data) // canvases))
     proj = (p[f"{prefix}.attn.proj.weight"], p[f"{prefix}.attn.proj.bias"])
-    stack = {"canvases": canvases} if canvases > 1 else {}  # one canvas keeps attention's six-argument call
-    h = T.attention(qkv, num_heads, rows, *proj, residual, **stack)
+    h = T.attention(qkv, num_heads, rows, *proj, residual, canvases=canvases)
     names = ("ln2.gain", "ln2.bias", "mlp.fc1.weight", "mlp.fc1.bias", "mlp.fc2.weight", "mlp.fc2.bias")
     return T.mlp(h, *(p[f"{prefix}.{name}"] for name in names))
 
@@ -364,13 +364,14 @@ def forward(params: Params, patches, empty: np.ndarray) -> T.Tensor:
     [(C/P)^2, 3P^2] with values in (0, 1), which ``canvas.extract_cell``
     turns into the [3, C, C] cell.
 
-    ``patches`` holds the canvas's [(2C/P)^2, 3P^2] patch rows: an array
-    (``Canvas.patches``), or in tuning's second pass a tensor with the
-    first pass's prediction put into them. ``empty`` lists the empty
-    cell's rows (``Canvas.empty_rows``). Every block but the last runs on
-    all rows. The last one computes keys and values for all of them but
-    its outputs, and so the final norm, head and sigmoid, only for the
-    empty cell's rows: no other row reaches the prediction.
+    ``patches`` holds the canvas's [(2C/P)^2, 3P^2] patch rows and
+    ``empty`` its empty cell's rows, the pair ``canvas.assemble_inference``
+    and ``assemble_flipped`` return. ``patches`` is an array, or in
+    tuning's second pass a tensor with the first pass's prediction put
+    into them. Every block but the last runs on all rows. The last one
+    computes keys and values for all of them but its outputs, and so the
+    final norm, head and sigmoid, only for the empty cell's rows: no
+    other row reaches the prediction.
 
     An array of S canvases' rows, [S, (2C/P)^2, 3P^2], with ``empty`` in
     each, gives [S, (C/P)^2, 3P^2], each canvas's bits as alone: every node

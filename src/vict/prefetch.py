@@ -19,18 +19,12 @@ import signal
 from collections.abc import Callable, Iterator
 from typing import Any, NoReturn
 
-_PIPE_BYTES = 1 << 20  # the child runs this far ahead without waking the consumer
-
 
 def _send(fd: int, items: Iterator) -> NoReturn:
     """The child's body: write ``(None, item)`` to ``fd`` for each item, or
     ``(message, None)`` on an error. Never returns."""
-    import fcntl  # POSIX-only, like os.fork: importing vict needs neither
-
     status, pipe = 1, open(fd, "wb")
     try:
-        with contextlib.suppress(AttributeError, OSError):  # F_SETPIPE_SZ is Linux-only and capped by pipe-max-size
-            fcntl.fcntl(fd, fcntl.F_SETPIPE_SZ, _PIPE_BYTES)
         for item in items:
             pipe.write(pickle.dumps((None, item), protocol=5))
             pipe.flush()

@@ -84,12 +84,12 @@ def masked_cell_loss(params: model.Params, prompt: Pair, query: Pair, flip: bool
     The predicted patch rows are scored against the true cell's rows, as
     ``tuning.cycle_loss`` scores its own."""
     (x, y), (x_q, y_q) = prompt, query
-    if flip:
-        canvas, target = assemble_flipped(x, x_q, y_q), y
-    else:
-        canvas, target = assemble_inference(x, y, x_q), y_q
     p = params.config.patch_size
-    pred = model.forward(params, canvas.patches(p), canvas.empty_rows(p))
+    if flip:
+        canvas, target = assemble_flipped(x, x_q, y_q, p), y
+    else:
+        canvas, target = assemble_inference(x, y, x_q, p), y_q
+    pred = model.forward(params, *canvas)
     return smooth_l1(pred, constant(patchify(target, p)))
 
 

@@ -104,9 +104,10 @@ def infer(params: model.Params, pair: tuple[np.ndarray, np.ndarray], x_t: np.nda
     predictions come back as [S, 3, C, C], each with the bits it has alone.
     """
     cells = np.broadcast_arrays(*pair, x_t)
-    canvases = [assemble_inference(*stack) for stack in zip(*(a.reshape(-1, *a.shape[-3:]) for a in cells))]
     p = params.config.patch_size
-    rows = model.forward(params, np.stack([c.patches(p) for c in canvases]), canvases[0].empty_rows(p)).data
+    stacks = zip(*(a.reshape(-1, *a.shape[-3:]) for a in cells))
+    patches, empty = zip(*(assemble_inference(*stack, p) for stack in stacks))
+    rows = model.forward(params, np.stack(patches), empty[0]).data
     return np.stack([extract_cell(r) for r in rows]).reshape(cells[0].shape)
 
 
@@ -117,15 +118,9 @@ def cycle_rows(pair: tuple[np.ndarray, np.ndarray], x_t: np.ndarray, patch_size:
     empty, x_t, a placeholder that the prediction overwrites); and the
     patch rows of the prompt output y."""
     x, y = pair
-    inference = assemble_inference(x, y, x_t)
-    flipped = assemble_flipped(x, x_t, np.full_like(x_t, EMPTY_FILL))
-    return (
-        inference.patches(patch_size),
-        inference.empty_rows(patch_size),
-        flipped.patches(patch_size),
-        flipped.empty_rows(patch_size),
-        patchify(y, patch_size),
-    )
+    inference = assemble_inference(x, y, x_t, patch_size)
+    flipped = assemble_flipped(x, x_t, np.full_like(x_t, EMPTY_FILL), patch_size)
+    return (*inference, *flipped, patchify(y, patch_size))
 
 
 def cycle_loss(

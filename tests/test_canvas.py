@@ -5,14 +5,7 @@ from hypothesis import strategies as st
 
 from vict import canvas as cv
 
-
-# (row, column) of each cell in the 2x2 grid
-GRID = {
-    cv.CellPosition.TOP_LEFT: (0, 0),
-    cv.CellPosition.TOP_RIGHT: (0, 1),
-    cv.CellPosition.BOTTOM_LEFT: (1, 0),
-    cv.CellPosition.BOTTOM_RIGHT: (1, 1),
-}
+CELLS = ("top_left", "top_right", "bottom_left", "bottom_right")  # cell index 0-3, row-major
 
 
 def const_image(value, c=32):
@@ -23,73 +16,72 @@ def random_image(rng, c=32):
     return rng.random((3, c, c)).astype(np.float32)
 
 
-def cell_of(canvas, position, patch_size=8):
-    """The image ``canvas.patches`` holds in ``position``."""
-    rows = canvas.patches(patch_size)[cv.cell_rows(position, canvas.cell_size // patch_size)]
-    return cv.extract_cell(rows)
+def cell_of(patches, cell, half):
+    """The image the canvas rows ``patches`` hold in cell ``cell``."""
+    return cv.extract_cell(patches[cv.cell_rows(cell, half)])
 
 
 def test_assemble_inference_places_cells():
     a, b, c = const_image(0.1), const_image(0.2), const_image(0.3)
-    grid = cv.assemble_inference(a, b, c)
-    patches = grid.patches(8)
+    patches, empty = cv.assemble_inference(a, b, c, 8)
     assert isinstance(patches, np.ndarray) and patches.shape == (64, 192) and patches.dtype == np.float32
     by_cell = patches.reshape(2, 4, 2, 4, 192)  # cell row, patch row, cell column, patch column
     assert np.all(by_cell[0, :, 0] == np.float32(0.1))
     assert np.all(by_cell[0, :, 1] == np.float32(0.2))
     assert np.all(by_cell[1, :, 0] == np.float32(0.3))
     assert np.all(by_cell[1, :, 1] == np.float32(cv.EMPTY_FILL))
-    assert grid.empty_position is cv.CellPosition.BOTTOM_RIGHT
+    assert empty.tolist() == cv.cell_rows(3, 4).tolist()  # bottom right
 
 
 def test_extract_round_trip_is_bit_exact():
     rng = np.random.default_rng(0)
     x, y, x_t = random_image(rng), random_image(rng), random_image(rng)
-    grid = cv.assemble_inference(x, y, x_t)
-    back = cell_of(grid, cv.CellPosition.TOP_RIGHT)
+    patches, _ = cv.assemble_inference(x, y, x_t, 8)
+    back = cell_of(patches, 1, 4)
     assert back.tobytes() == y.tobytes()
 
 
 def test_mask_spec_counts_patches():
-    canvas = cv.assemble_inference(const_image(0.1), const_image(0.2), const_image(0.3))
-    rows = canvas.empty_rows(8)
+    _, rows = cv.assemble_inference(const_image(0.1), const_image(0.2), const_image(0.3), 8)
     # the bottom-right quadrant of the 8x8 patch grid, row-major
     assert rows.tolist() == [r * 8 + c for r in range(4, 8) for c in range(4, 8)]
-    with pytest.raises(ValueError, match="cell size 32 not a multiple of patch size 5"):
-        canvas.empty_rows(5)
+    with pytest.raises(ValueError, match=r"^assemble_inference: cell size 32 not a multiple of patch size 5$"):
+        cv.assemble_inference(const_image(0.1), const_image(0.2), const_image(0.3), 5)
+    with pytest.raises(ValueError, match=r"^assemble_flipped: cell size 32 not a multiple of patch size 5$"):
+        cv.assemble_flipped(const_image(0.1), const_image(0.2), const_image(0.3), 5)
 
 
 def test_assemble_flipped_round_trip_and_shared_cells():
     rng = np.random.default_rng(1)
     x, x_t, y_hat = random_image(rng), random_image(rng), random_image(rng)
-    flipped = cv.assemble_flipped(x, x_t, y_hat)
-    assert flipped.empty_position is cv.CellPosition.TOP_RIGHT
-    back = cell_of(flipped, cv.CellPosition.BOTTOM_RIGHT)
+    flipped, empty = cv.assemble_flipped(x, x_t, y_hat, 8)
+    assert empty.tolist() == cv.cell_rows(1, 4).tolist()  # top right
+    back = cell_of(flipped, 3, 4)
     assert back.tobytes() == y_hat.tobytes()
 
-    inference = cv.assemble_inference(x, rng.random((3, 32, 32)).astype(np.float32), x_t)
-    for pos in (cv.CellPosition.TOP_LEFT, cv.CellPosition.BOTTOM_LEFT):
-        assert cell_of(inference, pos).tobytes() == cell_of(flipped, pos).tobytes()
+    inference, _ = cv.assemble_inference(x, rng.random((3, 32, 32)).astype(np.float32), x_t, 8)
+    for cell in (0, 2):
+        assert cell_of(inference, cell, 4).tobytes() == cell_of(flipped, cell, 4).tobytes()
 
 
 def test_flipped_and_inference_masks_are_disjoint():
     a, b, c = const_image(0.1), const_image(0.2), const_image(0.3)
-    inference = cv.assemble_inference(a, b, c)
-    flipped = cv.assemble_flipped(a, b, c)
-    assert np.intersect1d(inference.empty_rows(8), flipped.empty_rows(8)).size == 0
+    _, inference = cv.assemble_inference(a, b, c, 8)
+    _, flipped = cv.assemble_flipped(a, b, c, 8)
+    assert np.intersect1d(inference, flipped).size == 0
 
 
 def test_flipped_rejects_out_of_range_prediction():
     wild = np.full((3, 32, 32), 2.5, dtype=np.float32)
     with pytest.raises(ValueError, match=r"assemble_flipped\(y_t_hat\): pixel values outside \[0, 1\]"):
-        cv.assemble_flipped(const_image(0.1), const_image(0.2), wild)
+        cv.assemble_flipped(const_image(0.1), const_image(0.2), wild, 8)
 
 
 def test_assemble_rejects_bad_inputs():
     with pytest.raises(ValueError, match="cell size"):
-        cv.assemble_inference(const_image(0.1), const_image(0.2, c=16), const_image(0.3))
+        cv.assemble_inference(const_image(0.1), const_image(0.2, c=16), const_image(0.3), 8)
     with pytest.raises(ValueError, match=r"\[0, 1\]"):
-        cv.assemble_inference(const_image(1.5), const_image(0.2), const_image(0.3))
+        cv.assemble_inference(const_image(1.5), const_image(0.2), const_image(0.3), 8)
     with pytest.raises(ValueError, match="expected"):
         cv.extract_cell(np.zeros((3, 32)))
 
@@ -98,15 +90,15 @@ def test_assemble_rejects_nan_cell():
     nan_img = const_image(0.2)
     nan_img[2, 5, 9] = np.nan
     with pytest.raises(ValueError, match=r"assemble_inference\(y\): NaN pixel values"):
-        cv.assemble_inference(const_image(0.1), nan_img, const_image(0.3))
+        cv.assemble_inference(const_image(0.1), nan_img, const_image(0.3), 8)
     with pytest.raises(ValueError, match=r"assemble_flipped\(y_t_hat\): NaN pixel values"):
-        cv.assemble_flipped(const_image(0.1), const_image(0.3), nan_img)
+        cv.assemble_flipped(const_image(0.1), const_image(0.3), nan_img, 8)
 
 
 def test_assemble_rejects_empty_image():
     empty = np.zeros((3, 0, 0), dtype=np.float32)
     with pytest.raises(ValueError, match=r"^assemble_inference\(x\): empty image of shape \(3, 0, 0\)$"):
-        cv.assemble_inference(empty, const_image(0.2), const_image(0.3))
+        cv.assemble_inference(empty, const_image(0.2), const_image(0.3), 8)
 
 
 def test_extract_is_pure():
@@ -122,10 +114,13 @@ def test_extract_is_pure():
 
 
 def test_extract_checkerboard_constants():
-    cells = {pos: const_image(value) for value, pos in zip((0.1, 0.2, 0.3, 0.4), GRID)}
-    canvas = cv.Canvas(cells=cells, cell_size=32, empty_position=cv.CellPosition.TOP_LEFT)
-    for value, pos in zip((0.1, 0.2, 0.3, 0.4), GRID):
-        assert np.all(cell_of(canvas, pos) == np.float32(value))
+    values = (0.1, 0.2, 0.3, 0.4)
+    for empty in range(4):
+        cells = tuple(None if i == empty else (CELLS[i], const_image(value)) for i, value in enumerate(values))
+        patches, _ = cv._assemble("test", cells, 8)
+        for cell, value in enumerate(values):
+            expected = np.float32(cv.EMPTY_FILL if cell == empty else value)
+            assert np.all(cell_of(patches, cell, 4) == expected)
 
 
 @settings(max_examples=25, deadline=None)
@@ -133,24 +128,39 @@ def test_extract_checkerboard_constants():
 def test_round_trip_property(seed):
     rng = np.random.default_rng(seed)
     cells = [random_image(rng, c=16) for _ in range(3)]
-    grid = cv.assemble_inference(*cells)
-    for img, pos in zip(cells, (cv.CellPosition.TOP_LEFT, cv.CellPosition.TOP_RIGHT, cv.CellPosition.BOTTOM_LEFT)):
-        assert cell_of(grid, pos, patch_size=4).tobytes() == img.tobytes()
+    patches, _ = cv.assemble_inference(*cells, 4)
+    for img, cell in zip(cells, (0, 1, 2)):
+        assert cell_of(patches, cell, 4).tobytes() == img.tobytes()
 
 
-@pytest.mark.parametrize("position", list(cv.CellPosition))
-def test_patch_mask_covers_exactly_the_extracted_cell(position):
+@pytest.mark.parametrize("empty", range(4), ids=CELLS)
+def test_patch_mask_covers_exactly_the_extracted_cell(empty):
+    """The rows are ``patchify`` of the whole canvas image, built here with
+    the empty cell at ``EMPTY_FILL``: the row order that ``pos_embed``'s
+    grid is laid out in."""
     c, p = 16, 4
     g = 2 * c // p
-    # every pixel of the canvas image holds the row-major index of its patch
-    patch_ids = np.kron(np.arange(g * g, dtype=np.float64).reshape(g, g), np.ones((p, p)))
-    pixels = np.repeat(patch_ids[None], 3, axis=0)
-    quadrants = {pos: pixels[:, r * c : (r + 1) * c, col * c : (col + 1) * c] for pos, (r, col) in GRID.items()}
-    canvas = cv.Canvas(cells=quadrants, cell_size=c, empty_position=position)
-    rows = canvas.empty_rows(p)
-    patches = canvas.patches(p)
-    assert np.array_equal(patches[rows], np.repeat(rows[:, None].astype(np.float64), 3 * p * p, axis=1))
-    assert cv.extract_cell(patches[rows]).tobytes() == quadrants[position].tobytes()
+    for dtype in (np.float32, np.float64):
+        # every pixel of the canvas image holds the row-major index of its
+        # patch, scaled into [0, 1) so that none is EMPTY_FILL
+        scale = dtype(g * g + 1)
+        patch_ids = np.kron(np.arange(g * g, dtype=dtype).reshape(g, g), np.ones((p, p), dtype=dtype)) / scale
+        pixels = np.repeat(patch_ids[None], 3, axis=0)
+        quadrants = [pixels[:, r * c : (r + 1) * c, col * c : (col + 1) * c] for r in (0, 1) for col in (0, 1)]
+        cells = tuple(None if i == empty else (CELLS[i], quadrants[i]) for i in range(4))
+        patches, rows = cv._assemble("test", cells, p)
+        assert patches.dtype == dtype
+        assert rows.tolist() == cv.cell_rows(empty, c // p).tolist()
+        for cell in range(4):
+            if cell != empty:
+                ids = cv.cell_rows(cell, c // p)
+                assert np.array_equal(patches[ids], np.repeat(ids[:, None].astype(dtype) / scale, 3 * p * p, axis=1))
+                assert cv.extract_cell(patches[ids]).tobytes() == quadrants[cell].tobytes()
+        canvas = pixels.copy()
+        row, col = divmod(empty, 2)
+        canvas[:, row * c : (row + 1) * c, col * c : (col + 1) * c] = cv.EMPTY_FILL
+        assert patches.tobytes() == cv.patchify(canvas, p).tobytes()
+        assert np.all(patches[rows] == dtype(cv.EMPTY_FILL))
 
 
 def test_write_ppm_bytes(tmp_path):

@@ -151,21 +151,7 @@ def test_pretrain_rejects_repeated_task(monkeypatch, capsys):
     assert "PretrainConfig: task denoise selected more than once" in capsys.readouterr().err
 
 
-@pytest.mark.parametrize(
-    "mix, held_out, message",
-    [
-        ("denoise", "depth", "--exclude-task: depth is not in --task-mix 'denoise'"),
-        ("derain,lowlight", "denoise", "--exclude-task: denoise is not in --task-mix 'derain,lowlight'"),
-        ("denoise", "denoise", "--exclude-task: holding out denoise leaves --task-mix 'denoise' empty"),
-    ],
-)
-def test_pretrain_rejects_an_exclusion_outside_the_mix(monkeypatch, capsys, mix, held_out, message):
-    monkeypatch.setattr(training, "pretrain", lambda *args: pytest.fail("ran with a bad exclusion"))
-    assert cli_main(["pretrain", "--steps", "2", "--out", "x", "--task-mix", mix, "--exclude-task", held_out]) == 1
-    assert capsys.readouterr().err == f"error: {message}\n"
-
-
-def test_pretrain_trains_on_the_mix_less_the_exclusion(monkeypatch, tmp_path):
+def test_pretrain_trains_on_the_task_mix(monkeypatch, tmp_path):
     mixes, pretrain = [], training.pretrain
 
     def recording_pretrain(model_config, cfg):
@@ -173,8 +159,8 @@ def test_pretrain_trains_on_the_mix_less_the_exclusion(monkeypatch, tmp_path):
         return pretrain(model_config, cfg)
 
     monkeypatch.setattr(training, "pretrain", recording_pretrain)
-    argv = ["pretrain", "--steps", "2", "--out", str(tmp_path / "c.bin"), "--task-mix", "denoise,depth,derain"]
-    assert cli_main([*argv, "--exclude-task", "depth"]) == 0
+    argv = ["pretrain", "--steps", "2", "--out", str(tmp_path / "c.bin"), "--task-mix", "denoise,derain"]
+    assert cli_main(argv) == 0
     assert mixes == [(tasks.TaskKind.DENOISE, tasks.TaskKind.DERAIN)]
 
 
@@ -269,7 +255,7 @@ def test_bench_names_bad_severity_item(small_checkpoint, capsys):
         (["bench", "--checkpoint", "x", "--task", "foo"], "--task: 'foo' is not one of"),
         (["clean-eval", "--checkpoint", "x", "--task", "foo"], "--task: 'foo' is not one of"),
         (["pretrain", "--out", "x", "--task-mix", "denoise,foo"], "--task-mix: 'foo' in 'denoise,foo' is not one of"),
-        (["pretrain", "--out", "x", "--exclude-task", "foo"], "--exclude-task: 'foo' is not one of"),
+        (["pretrain", "--out", "x", "--task-mix", "foo"], "--task-mix: 'foo' is not one of"),
         (["fewshot", "--checkpoint", "x", "--task", "foo"], "--task: 'foo' is not one of"),
         (["fewshot", "--checkpoint", "x", "--corruption", "sepia"], "--corruption: 'sepia' is not one of"),
     ],

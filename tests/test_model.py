@@ -19,16 +19,11 @@ def default_params():
     return model.init(model.ModelConfig(), seed=0)
 
 
-def _rows(canvas, patch_size=8):
-    """``model.forward``'s inputs for ``canvas``: its patch rows and its empty rows."""
-    return canvas.patches(patch_size), canvas.empty_rows(patch_size)
-
-
 @pytest.fixture(scope="module")
 def inference_rows():
     prompt = tasks.generate(tasks.TaskKind.DENOISE, 1)
     query = tasks.generate(tasks.TaskKind.DENOISE, 2)
-    return _rows(assemble_inference(prompt.input, prompt.target, query.input))
+    return assemble_inference(prompt.input, prompt.target, query.input, 8)
 
 
 def test_config_validation():
@@ -126,9 +121,9 @@ def test_forward_deterministic(default_params, inference_rows):
 def test_forward_rejects_wrong_cell_size(default_params):
     prompt = tasks.generate(tasks.TaskKind.DENOISE, 1, cell_size=16)
     query = tasks.generate(tasks.TaskKind.DENOISE, 2, cell_size=16)
-    canvas = assemble_inference(prompt.input, prompt.target, query.input)
+    canvas = assemble_inference(prompt.input, prompt.target, query.input, 8)
     with pytest.raises(ValueError, match=r"^forward: expected \[64, 192\] patch rows \(cell size 32\)$"):
-        model.forward(default_params, *_rows(canvas))
+        model.forward(default_params, *canvas)
 
 
 def _stack(*samples):
@@ -137,8 +132,8 @@ def _stack(*samples):
     canvases = []
     for prompt_seed, query_seed in samples:
         prompt, query = (tasks.generate(tasks.TaskKind.DENOISE, seed) for seed in (prompt_seed, query_seed))
-        canvases.append(assemble_inference(prompt.input, prompt.target, query.input))
-    return np.stack([canvas.patches(8) for canvas in canvases]), canvases[0].empty_rows(8)
+        canvases.append(assemble_inference(prompt.input, prompt.target, query.input, 8))
+    return np.stack([patches for patches, _ in canvases]), canvases[0][1]
 
 
 def test_forward_on_a_stack_gives_each_canvas_its_own_rows(default_params):
@@ -163,17 +158,17 @@ def test_forward_refuses_a_stack_on_the_tape(default_params, taped):
 def test_forward_rejects_a_stack_of_the_wrong_cell_size(default_params):
     prompt = tasks.generate(tasks.TaskKind.DENOISE, 1, cell_size=16)
     query = tasks.generate(tasks.TaskKind.DENOISE, 2, cell_size=16)
-    canvas = assemble_inference(prompt.input, prompt.target, query.input)
+    patches, empty = assemble_inference(prompt.input, prompt.target, query.input, 8)
     with pytest.raises(ValueError, match=r"^forward: expected \[2, 64, 192\] patch rows \(cell size 32\)$"):
-        model.forward(default_params, np.stack([canvas.patches(8)] * 2), canvas.empty_rows(8))
+        model.forward(default_params, np.stack([patches] * 2), empty)
 
 
 def test_permutation_sensitivity(default_params):
     a = tasks.generate(tasks.TaskKind.DENOISE, 3)
     b = tasks.generate(tasks.TaskKind.DENOISE, 4)
     c = tasks.generate(tasks.TaskKind.DENOISE, 5)
-    o1 = model.forward(default_params, *_rows(assemble_inference(a.input, b.input, c.input))).data
-    o2 = model.forward(default_params, *_rows(assemble_inference(a.input, c.input, b.input))).data
+    o1 = model.forward(default_params, *assemble_inference(a.input, b.input, c.input, 8)).data
+    o2 = model.forward(default_params, *assemble_inference(a.input, c.input, b.input, 8)).data
     assert np.abs(o1 - o2).max() > 1e-6
 
 
@@ -183,15 +178,17 @@ def test_masked_cell_output_independent_of_fill(default_params):
 
     prompt = tasks.generate(tasks.TaskKind.DENOISE, 6)
     query = tasks.generate(tasks.TaskKind.DENOISE, 7)
-    canvas = assemble_inference(prompt.input, prompt.target, query.input)
-    out_a = model.forward(default_params, *_rows(canvas)).data
+    canvas_a = assemble_inference(prompt.input, prompt.target, query.input, 8)
+    out_a = model.forward(default_params, *canvas_a).data
 
     original = cv.EMPTY_FILL
     try:
         cv.EMPTY_FILL = 0.123
-        out_b = model.forward(default_params, *_rows(canvas)).data
+        canvas_b = assemble_inference(prompt.input, prompt.target, query.input, 8)
+        out_b = model.forward(default_params, *canvas_b).data
     finally:
         cv.EMPTY_FILL = original
+    assert np.all(canvas_b[0][canvas_b[1]] == np.float32(0.123))  # the fill did change
     assert out_a.tobytes() == out_b.tobytes()
 
 
@@ -240,9 +237,11 @@ def _unfused_linear(x, w, b, norm=None):
     return T.add(T.matmul(x, w), repeat_rows(reshape(b, (1, width)), rows))
 
 
-def _unfused_attention(qkv, num_heads, rows, w, b, residual):
+def _unfused_attention(qkv, num_heads, rows, w, b, residual, *, canvases):
     """The per-head chain of primitive ops that ``T.attention`` replaces,
-    then the output projection and the residual ``add``."""
+    then the output projection and the residual ``add``, for one canvas."""
+    if canvases != 1:
+        raise ValueError(f"_unfused_attention: one canvas only, got {canvases}")
     d = qkv.shape[1] // 3
     head_dim = d // num_heads
     q, k, v = (narrow(qkv, 1, j * d, d) for j in range(3))
@@ -364,8 +363,7 @@ def test_forward_restricted_to_the_empty_cell_matches_the_full_canvas(dtype, mon
     prompt, query = (tasks.generate(tasks.TaskKind.DERAIN, seed) for seed in (1, 2))
     pair = (prompt.input.astype(dtype), prompt.target.astype(dtype))
     x_t, y_t = query.input.astype(dtype), query.target.astype(dtype)
-    for canvas in (assemble_inference(*pair, x_t), assemble_flipped(pair[0], x_t, y_t)):
-        rows = _rows(canvas)
+    for rows in (assemble_inference(*pair, x_t, 8), assemble_flipped(pair[0], x_t, y_t, 8)):
         assert model.forward(params, *rows).data.tobytes() == _full_canvas_forward(params, *rows).data.tobytes()
 
     def cycle_loss_and_grads():

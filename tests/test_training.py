@@ -11,7 +11,7 @@ import pytest
 
 from vict import harness, model, tasks, training, tuning
 from vict import tensor as T
-from vict.canvas import CellPosition, assemble_flipped, assemble_inference, cell_rows, patchify
+from vict.canvas import assemble_flipped, assemble_inference, cell_rows, patchify
 from vict.gradcheck import TINY_CONFIG
 from vict.seeding import rng_for
 
@@ -164,12 +164,7 @@ def test_masked_cell_loss_scores_the_empty_cell(monkeypatch):
     """With a model that paints each cell a distinct constant, the loss
     identifies which cell was read and which target it was scored against."""
     c = 8
-    painted = {
-        CellPosition.TOP_LEFT: 0.1,
-        CellPosition.TOP_RIGHT: 0.2,
-        CellPosition.BOTTOM_LEFT: 0.3,
-        CellPosition.BOTTOM_RIGHT: 0.4,
-    }
+    painted = {0: 0.1, 1: 0.2, 2: 0.3, 3: 0.4}  # by cell index, row-major: top left, top right, bottom left, bottom right
 
     def image(value):
         return np.full((3, c, c), value, dtype=np.float32)
@@ -181,7 +176,7 @@ def test_masked_cell_loss_scores_the_empty_cell(monkeypatch):
     monkeypatch.setattr(model, "forward", stub_forward)
     prompt, query = (image(0.5), image(0.9)), (image(0.5), image(0.65))
     # the 8 (cell, target) pairings give 8 distinct losses
-    for flip, cell, target in ((False, CellPosition.BOTTOM_RIGHT, 0.65), (True, CellPosition.TOP_RIGHT, 0.9)):
+    for flip, cell, target in ((False, 3, 0.65), (True, 1, 0.9)):
         loss = training.masked_cell_loss(model.init(TINY_CONFIG, seed=0), prompt, query, flip).item()
         assert loss == pytest.approx(0.5 * (painted[cell] - target) ** 2, rel=1e-6)
 
@@ -190,9 +185,9 @@ def _image_space_masked_cell_loss(params, prompt, query, flip):
     """The pre-training loss scored on images: the prediction unpatchified
     on the tape and scored against the true cell."""
     (x, y), (x_q, y_q) = prompt, query
-    canvas, target = (assemble_flipped(x, x_q, y_q), y) if flip else (assemble_inference(x, y, x_q), y_q)
     p = params.config.patch_size
-    pred = extract_cell(model.forward(params, canvas.patches(p), canvas.empty_rows(p)))
+    canvas, target = (assemble_flipped(x, x_q, y_q, p), y) if flip else (assemble_inference(x, y, x_q, p), y_q)
+    pred = extract_cell(model.forward(params, *canvas))
     return T.smooth_l1(pred, T.constant(target))
 
 
@@ -263,10 +258,10 @@ def test_fewshot_deterministic_and_leaves_original_untouched():
 
 def test_trained_weights_are_off_the_tape():
     pretrained = training.pretrain(SMALL_MODEL, training.PretrainConfig(steps=1, seed=7)).params
-    canvas = assemble_inference(*(np.zeros((3, 16, 16), np.float32),) * 3)
+    canvas = assemble_inference(*(np.zeros((3, 16, 16), np.float32),) * 3, 8)
     for params in (pretrained, harness.fewshot_finetune(pretrained, _fewshot_config(finetune_steps=1), 1, 0)):
         assert not any(t.requires_grad for t in params.tensors.values())
-        assert model.forward(params, canvas.patches(8), canvas.empty_rows(8))._parents == ()
+        assert model.forward(params, *canvas)._parents == ()
 
 
 @pytest.mark.parametrize("what", ["pretraining", "few-shot fine-tuning"])

@@ -123,14 +123,14 @@ def _image_space_cycle_loss(params, pair, x_t):
     the second prediction unpatchified and scored against the image y."""
     x, y = pair
     p = params.config.patch_size
-    inference = assemble_inference(x, y, x_t)
-    y_t_hat = extract_cell(model.forward(params, inference.patches(p), inference.empty_rows(p)))
+    patches, query = assemble_inference(x, y, x_t, p)
+    y_t_hat = extract_cell(model.forward(params, patches, query))
     k = y_t_hat.shape[1] // p
     cell = reshape(y_t_hat, (3, k, p, k, p))
     cell = reshape(transpose(cell, (1, 3, 2, 4, 0)), (k * k, 3 * p * p))
-    flipped = assemble_flipped(x, x_t, y_t_hat.data)
-    rows = T.put_rows(T.constant(flipped.patches(p)), inference.empty_rows(p), cell)
-    y_hat = extract_cell(model.forward(params, rows, flipped.empty_rows(p)))
+    flipped, prompt = assemble_flipped(x, x_t, y_t_hat.data, p)
+    rows = T.put_rows(T.constant(flipped), query, cell)
+    y_hat = extract_cell(model.forward(params, rows, prompt))
     return T.smooth_l1(y_hat, T.constant(y))
 
 
@@ -170,9 +170,9 @@ def test_an_adaptation_builds_its_canvases_once(params, sample_pair, monkeypatch
 
         monkeypatch.setattr(module, name, wrapper)
 
-    for module, name in ((tuning, "assemble_inference"), (tuning, "assemble_flipped"), (cv.Canvas, "patches")):
+    for module, name in ((tuning, "assemble_inference"), (tuning, "assemble_flipped")):
         counted(module, name)
-    counted(cv, "patchify")  # inside Canvas.patches
+    counted(cv, "patchify")  # each present cell's rows, inside assemble_*
     counted(tuning, "patchify")  # the prompt output's rows
 
     def calls_for(steps):
@@ -180,10 +180,9 @@ def test_an_adaptation_builds_its_canvases_once(params, sample_pair, monkeypatch
         tuning.adapt_and_predict(params, tuning.PromptSet(pair=pair), x_t, tuning.VictConfig(steps=steps))
         return dict(calls)
 
-    # the cycle loss's canvases and y's rows once, then the prediction's canvas
-    assert calls_for(1) == calls_for(5) == {
-        "assemble_inference": 2, "assemble_flipped": 1, "patches": 3, "patchify": 4,
-    }
+    # the cycle loss's canvases and y's rows once, then the prediction's
+    # canvas: three present cells' rows per canvas, and y's
+    assert calls_for(1) == calls_for(5) == {"assemble_inference": 2, "assemble_flipped": 1, "patchify": 3 * 3 + 1}
 
 
 # ---------------------------------------------------------------------------
