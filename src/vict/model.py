@@ -31,9 +31,9 @@ The weights are views of one flat buffer, ``Params.flat`` (an arena), in
 the checkpoint loader fill a new arena (``Params.empty``), ``clone`` copies
 it in one go, and AdamW steps a group's slice in one pass. ``trainable``
 gives the group's tensors views of one gradient arena to receive their
-gradients in; ``freeze`` drops it. Arenas are anonymous shared mappings
-(``T.new_arena``), so ``training.fit``'s AdamW worker, a forked child,
-reads the gradients that backward writes.
+gradients in; ``freeze`` drops it. Arenas are private (``T.new_arena``):
+a forked child cannot change the weights. ``training.fit``'s AdamW worker
+shares a gradient arena of its own with its child (``T.AdamWWorker``).
 
 Weights are plain data: ``init``, ``Params.clone`` and the checkpoint
 loader leave every tensor off the autodiff tape, ``trainable`` alone

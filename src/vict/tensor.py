@@ -59,12 +59,12 @@ Also home to the smooth-L1 regression loss and the Adam update
 (``adamw_step``, with no weight decay) used by pre-training and test-time
 tuning. The update runs on whole arenas: the tensors it steps, and their
 gradients, must each be consecutive views of one flat buffer (``arena_of``).
-Every arena is an anonymous shared mapping (``new_arena``), so a child
-forked after it is made reads the same memory. Test-time tuning steps in
+Arenas are private memory (``new_arena``). Test-time tuning steps in
 process; only ``training.fit`` steps through an ``AdamWWorker``, a child
 forked at its first step that holds the moments and computes each gradient
 run's update (``_adam_update``) as soon as ``backward`` has finished it
-(``on_final``), on a second core while backward goes on. ``adamw_step``
+(``on_final``), on a second core while backward goes on; only its gradient
+arena and update buffer are shared (``_shared_array``). ``adamw_step``
 waits for the last run and subtracts the update here. It needs ``os.fork``.
 """
 
@@ -790,19 +790,18 @@ def smooth_l1(pred: Tensor, target: Tensor) -> Tensor:
 # ---------------------------------------------------------------------------
 
 
-def _shared_array(size: int, dtype) -> np.ndarray:
-    """A new flat array of zeros in an anonymous shared mapping, which a
-    child forked after it is made reads and writes as this process does."""
-    dtype = np.dtype(dtype)
+def _shared_array(size: int, dtype: np.dtype) -> np.ndarray:
+    """Zeros in a new anonymous shared mapping, which a child forked after it
+    is made reads and writes as this process does (``AdamWWorker``'s own)."""
     return np.frombuffer(mmap.mmap(-1, max(size * dtype.itemsize, 1)), dtype=dtype, count=size)
 
 
 def new_arena(shapes: Iterable[tuple[str, tuple[int, ...]]], dtype) -> dict[str, np.ndarray]:
     """Zero-filled arrays of the given names and shapes, in order, as
-    consecutive views of one new flat buffer (an arena) in an anonymous
-    shared mapping (``_shared_array``)."""
+    consecutive views of one new flat buffer (an arena) in this process's
+    private memory: a child forked after it is made writes its own copy."""
     shapes = list(shapes)
-    flat = _shared_array(sum(math.prod(shape) for _, shape in shapes), dtype)
+    flat = np.zeros(sum(math.prod(shape) for _, shape in shapes), dtype)
     views: dict[str, np.ndarray] = {}
     lo = 0
     for name, shape in shapes:
@@ -975,13 +974,6 @@ def adamw_step(params: Mapping[str, Tensor], grads: Mapping[str, np.ndarray], st
 _RUN = struct.Struct("=qq")
 
 
-def _is_shared(a: np.ndarray) -> bool:
-    """Whether ``a`` is a view of an anonymous shared mapping (``_shared_array``)."""
-    while isinstance(a, np.ndarray):
-        a = a.base
-    return isinstance(a, memoryview) and isinstance(a.obj, mmap.mmap)
-
-
 def _run_worker(g: np.ndarray, update: np.ndarray, lr: float, eps: float, commands: int, status: int) -> NoReturn:
     """The AdamW worker's body. For each run ``[lo, hi)`` of the gradient
     arena ``g`` read from ``commands``: check that it is finite and write
@@ -1015,13 +1007,15 @@ class AdamWWorker:
     """Computes the AdamW updates of ``params``, a ``model.trainable``
     group, for ``state`` in a forked child, while backward still runs.
 
-    ``finished`` is ``backward``'s ``on_final``. Backward finishes the
-    gradient arena from its end down; each time the finished run at its end
-    has grown by ``ADAMW_RUN`` values, its bounds go to the child through a
-    pipe. The child reads the gradients from the arena itself, which is
-    shared (``new_arena``), and writes their update into a shared buffer
-    (``_run_worker``). ``adamw_step`` calls ``step``, which hands over the
-    rest of the arena and the step's end and waits for the child.
+    Each tensor's ``grad_buffer`` becomes its view of a new shared gradient
+    arena (``_shared_array``), and the private one ``trainable`` made is
+    freed. ``finished`` is ``backward``'s ``on_final``. Backward finishes
+    the gradient arena from its end down; each time the finished run at its
+    end has grown by ``ADAMW_RUN`` values, its bounds go to the child
+    through a pipe. The child reads the gradients from the arena itself and
+    writes their update into a shared buffer (``_run_worker``).
+    ``adamw_step`` calls ``step``, which hands over the rest of the arena
+    and the step's end and waits for the child.
 
     ``lr`` and ``eps`` are taken from ``state`` here. The child is forked
     at the first run handed over, so a loop with no step forks none. It
@@ -1033,14 +1027,14 @@ class AdamWWorker:
     """
 
     def __init__(self, params: Mapping[str, Tensor], state: AdamWState):
-        self.grads = arena_of(((name, t.grad_buffer) for name, t in params.items()), "AdamWWorker: gradient buffers")
-        if not _is_shared(self.grads):
-            raise ValueError("AdamWWorker: the gradient buffers are not a shared arena (new_arena)")
         self.dtype = next(iter(params.values())).dtype
         self._index = {id(t): i for i, t in enumerate(params.values())}
         self._starts = [0]  # each tensor's offset in the arena, then the arena's size
         for t in params.values():
             self._starts.append(self._starts[-1] + t.size)
+        self.grads = _shared_array(self._starts[-1], self.dtype)
+        for t, lo, hi in zip(params.values(), self._starts, self._starts[1:]):
+            t.grad_buffer = self.grads[lo:hi].reshape(t.shape)
         self.lr, self.eps = state.lr, state.eps
         self.pid: int | None = None
         self.lost = False

@@ -1,4 +1,5 @@
-"""Clean-distribution pre-training and the one weight-fitting loop.
+"""Clean-distribution pre-training, and ``descend``, the one descent loop
+that ``fit`` and test-time tuning (``tuning.adapt_and_predict``) step through.
 
 ``fit`` is the loop that pre-training and the few-shot fine-tuning
 baseline (``harness.fewshot_finetune``) share: every parameter on the
@@ -28,8 +29,9 @@ from __future__ import annotations
 import contextlib
 import sys
 import time
-from collections.abc import Iterable, Iterator
+from collections.abc import Callable, Iterable, Iterator
 from dataclasses import dataclass
+from functools import partial
 from pathlib import Path
 
 import numpy as np
@@ -93,38 +95,50 @@ def masked_cell_loss(params: model.Params, prompt: Pair, query: Pair, flip: bool
     return smooth_l1(pred, constant(patchify(target, p)))
 
 
+def descend(params: model.Params, losses: Iterable[Callable[[], Tensor]], update: Callable[[], None], what: str,
+            on_final: Callable[[Tensor], None] | None = None) -> Iterator[float]:
+    """Per loss closure: zero the gradients of ``params``, compute the loss,
+    run backward (with ``on_final``) and ``update`` the weights, free the
+    tape and yield the loss. At the end ``params`` comes off the tape
+    (``model.freeze``). A divergence is a ``FloatingPointError`` naming
+    ``what``, the step and the digest of the weights, which a diverging step
+    does not move."""
+    for step, loss_of in enumerate(losses):
+        zero_grads(params.tensors.values())
+        try:
+            with np.errstate(over="ignore", invalid="ignore", divide="ignore"):  # the finiteness checks name the op
+                loss = loss_of()
+                loss.backward(on_final=on_final)
+                update()
+        except FloatingPointError as err:
+            raise FloatingPointError(f"{what} diverged at step {step} (params digest {params.digest()}): {err}") from err
+        value = loss.item()
+        del loss  # frees the tape after the update: freed before it, its memory went back to the OS and was faulted in again
+        yield value
+    model.freeze(params)
+
+
 def fit(
     params: model.Params, lr: float, batches: Iterable[tuple[Pair, Pair, bool]], what: str
 ) -> tuple[model.Params, list[float]]:
     """Step every parameter of ``params`` with AdamW, in place, once per
-    ``(prompt, query, flip)`` batch of ``masked_cell_loss``. Returns
-    ``params`` itself, fitted and off the tape again (``model.freeze``),
-    and the loss of each step; a divergence is a ``FloatingPointError``
-    naming ``what`` and the step. Every ``PROGRESS_EVERY`` steps it prints
-    the step, the mean loss of those steps and the seconds since it began
-    to stderr."""
+    ``(prompt, query, flip)`` batch of ``masked_cell_loss`` (``descend``).
+    Returns ``params`` itself, fitted and off the tape again, and the loss
+    of each step. Every ``PROGRESS_EVERY`` steps it prints the step, the
+    mean loss of those steps and the seconds since it began to stderr."""
     group = model.trainable(params, "all")
     state = AdamWState(lr=lr)
     losses: list[float] = []
     start = time.perf_counter()
     with contextlib.closing(AdamWWorker(group, state)) as worker:  # forked during the first backward
-        for step, (prompt, query, flip) in enumerate(batches):
-            zero_grads(params.tensors.values())
-            try:
-                with np.errstate(over="ignore", invalid="ignore", divide="ignore"):  # the finiteness checks name the op
-                    loss = masked_cell_loss(params, prompt, query, flip)
-                    loss.backward(on_final=worker.finished)
-                    adamw_step(group, collect_grads(group), state)
-            except FloatingPointError as err:
-                raise FloatingPointError(f"{what} diverged at step {step}: {err}") from err
-            losses.append(loss.item())
-            del loss  # frees the tape after the update: freed before it, its memory went back to the OS and was faulted in again
+        steps = (partial(masked_cell_loss, params, *batch) for batch in batches)
+        for loss in descend(params, steps, lambda: adamw_step(group, collect_grads(group), state), what, worker.finished):
+            losses.append(loss)
             if len(losses) % PROGRESS_EVERY == 0:
                 mean = sum(losses[-PROGRESS_EVERY:]) / PROGRESS_EVERY
                 elapsed = time.perf_counter() - start
                 print(f"{what} step {len(losses)}: mean loss {mean:.5f} over the last {PROGRESS_EVERY}, {elapsed:.1f} s",
                       file=sys.stderr)
-    model.freeze(params)
     return params, losses
 
 

@@ -1,4 +1,5 @@
 import gc
+import os
 import weakref
 
 import numpy as np
@@ -682,6 +683,27 @@ def test_encoder_group_and_its_gradients_are_leading_slices(default_params):
     _assert_tiles(params.flat[: sum(t.size for t in group.values())], [(n, t.data) for n, t in group.items()])
     grads = [(name, t.grad_buffer) for name, t in group.items()]
     _assert_tiles(T.arena_of(grads, "grads"), grads)
+
+
+def test_a_forked_child_cannot_change_the_weights(tmp_path):
+    """Arenas are private: a child that writes into the weights of ``init``
+    and of a loaded checkpoint, and into a ``trainable`` gradient arena,
+    changes only its own copies."""
+    params = model.init(TINY_CONFIG, seed=0)
+    save_checkpoint(params, tmp_path / "tiny.bin")
+    loaded = load_checkpoint(tmp_path / "tiny.bin")
+    grads = [(name, t.grad_buffer) for name, t in model.trainable(model.init(TINY_CONFIG, seed=1), "all").items()]
+    arenas = [params.flat, loaded.flat, T.arena_of(grads, "grads")]
+    before = [a.tobytes() for a in arenas]
+    pid = os.fork()
+    if pid == 0:
+        try:
+            for a in arenas:
+                a[:] = 7.0
+        finally:
+            os._exit(0)
+    assert os.waitpid(pid, 0)[1] == 0
+    assert [a.tobytes() for a in arenas] == before
 
 
 def test_params_reject_tensors_outside_one_arena():

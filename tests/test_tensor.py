@@ -562,13 +562,6 @@ def test_an_error_in_the_adamw_worker_is_named(monkeypatch):
         worker.close()
 
 
-def test_adamw_worker_needs_a_shared_gradient_arena():
-    group = {"p": T.Tensor(arr(1.0, 2.0), requires_grad=True)}
-    group["p"].grad_buffer = np.zeros(2)
-    with pytest.raises(ValueError, match=r"^AdamWWorker: the gradient buffers are not a shared arena \(new_arena\)$"):
-        T.AdamWWorker(group, T.AdamWState(lr=0.1))
-
-
 def test_adamw_nan_in_the_last_block_changes_nothing():
     group = _arena_group(np.float32, (T.ADAMW_BLOCK, T.ADAMW_BLOCK, 9), seed=6)
     rng = np.random.default_rng(19)

@@ -73,7 +73,8 @@ def test_no_helper_outlives_a_divergence(monkeypatch):
         state.t += 1
 
     monkeypatch.setattr(training, "adamw_step", diverge_on_second_step)
-    with pytest.raises(FloatingPointError, match="^pretraining diverged at step 1: "):
+    head = rf"^pretraining diverged at step 1 \(params digest {model.init(SMALL_MODEL, seed=0).digest()}\): "
+    with pytest.raises(FloatingPointError, match=head):
         training.pretrain(SMALL_MODEL, training.PretrainConfig(steps=500, seed=0))
 
 
@@ -272,7 +273,9 @@ def test_divergence_names_the_loop_and_step(monkeypatch, what):
         state.t += 1
 
     monkeypatch.setattr(training, "adamw_step", diverge_on_second_step)
-    with pytest.raises(FloatingPointError, match=f"^{what} diverged at step 1: adamw_step: non-finite") as err:
+    unmoved = model.init(SMALL_MODEL, seed=0 if what == "pretraining" else 2).digest()  # the stand-in update moves nothing
+    head = rf"^{what} diverged at step 1 \(params digest {unmoved}\): adamw_step: non-finite"
+    with pytest.raises(FloatingPointError, match=head) as err:
         if what == "pretraining":
             training.pretrain(SMALL_MODEL, training.PretrainConfig(steps=3, seed=0))
         else:
@@ -366,7 +369,7 @@ def test_a_nan_in_an_encoder_gradient_is_named_and_moves_no_weight(monkeypatch, 
     after_one_step = _loop(loop, model.init(config, seed=0), 1)
     _plant_nan(monkeypatch, "enc0.attn.qkv.weight", step=1)
     cause = re.escape("adamw_step: non-finite gradient for 'enc0.attn.qkv.weight'")
-    head = "fitting diverged at step 1" if loop == "fit" else rf"adaptation diverged at step 1 \(params digest {after_one_step}\)"
+    head = rf"{'fitting' if loop == 'fit' else 'adaptation'} diverged at step 1 \(params digest {after_one_step}\)"
     params = model.init(config, seed=0)
     with pytest.raises(FloatingPointError, match=f"^{head}: {cause}$"):
         _loop(loop, params, 3)
