@@ -15,14 +15,16 @@ scored; it renders the sample, corrupts its input and draws its prompts
 most one per job: this process evaluates every W-th job from the first,
 and W - 1 forked workers (``prefetch.Prefetcher``) the others. A job is
 one sample's setting when VICT is among the methods, so a sample's
-adaptations run in parallel, and else all its settings, whose frozen
-predictions are one stacked ``infer`` call. It takes the records in job
-order, merges each sample's into one (``_merged``), writes its canvas
-dumps and prints its failure as it takes it, so records, stderr, report
-and canvas bytes do not depend on the CPU count. The few-shot baseline
-has one config, ``FewShotSweepConfig``; its fine-tuning runs through
-``training.fit``, the loop pre-training uses, and it scores each
-fine-tuned clone through the bench's own frozen zero-shot records.
+adaptations run in parallel, and else all its settings. A job's frozen
+predictions are one ``infer`` call on the stack of its settings'
+canvases; if that call diverges, its message is the job's failure and
+the job dumps no canvas. It takes the records in job order, merges each
+sample's into one (``_merged``), writes its canvas dumps and prints its
+failure as it takes it, so records, stderr, report and canvas bytes do
+not depend on the CPU count. The few-shot baseline has one config,
+``FewShotSweepConfig``; its fine-tuning runs through ``training.fit``,
+the loop pre-training uses, and it scores each fine-tuned clone through
+the bench's own frozen zero-shot records.
 """
 
 from __future__ import annotations
@@ -201,30 +203,23 @@ def _evaluate_sample(
     """One test sample's record across the configured settings and methods,
     and, for sample 0 of a sweep that dumps canvases, the canvas grid of
     each prediction made, by file name. The settings' frozen predictions
-    come from one stacked ``infer`` call, or if it diverges one call each.
-    Only a numerical divergence makes a failed record, with the loop's
-    first message; any other error is a bug and propagates."""
+    come first, from one ``infer`` call on their stacked canvases. Only a
+    numerical divergence makes a failed record, with its message; any
+    other error is a bug and propagates."""
     metrics: dict[str, dict[str, float]] = {}
     traces: dict[str, list[float]] = {}
     grids: dict[str, np.ndarray] = {}
     target, x_t, prompts = _draw_inputs(config, corruption_name, severity, index, params.config.cell_size)
     try:
-        frozen = {}
         if FROZEN in config.methods:
             pairs = [prompt.pair for prompt in prompts.values()]
-            try:
-                stacked = infer(params, tuple(map(np.stack, zip(*pairs))), np.broadcast_to(x_t, (len(pairs), *x_t.shape)))
-            except FloatingPointError:
-                if len(pairs) == 1:  # the stack was the loop's own call
-                    raise
-            else:
-                frozen = dict(zip(prompts, stacked))
+            stacked = infer(params, tuple(map(np.stack, zip(*pairs))), np.broadcast_to(x_t, (len(pairs), *x_t.shape)))
+            frozen = dict(zip(prompts, stacked))
 
         for setting, prompt in prompts.items():
             for method in config.methods:
                 if method == FROZEN:
-                    # after a diverged stack, one at a time: the record is the loop's first failure
-                    prediction = frozen[setting] if frozen else infer(params, prompt.pair, x_t)
+                    prediction = frozen[setting]
                 else:
                     outcome = adapt_and_predict(params, prompt, x_t, config.vict)
                     prediction = outcome.y_t_hat

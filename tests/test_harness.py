@@ -594,8 +594,8 @@ def test_a_one_cpu_sweep_forks_nothing(small_checkpoint, monkeypatch):
 
 
 def each_canvas_alone(infer):
-    """``infer`` as the per-setting loop called it: each canvas of a stack
-    predicted by a call of its own. Records the test input's shape of
+    """``infer`` as a loop over settings would call it: each canvas of a
+    stack predicted by a call of its own. Records the test input's shape of
     every call it gets in ``calls``."""
 
     def alone(params, pair, x_t):
@@ -634,9 +634,10 @@ def test_stacked_frozen_inference_writes_the_bytes_of_one_call_per_canvas(small_
 
 def test_a_divergence_in_a_stack_is_the_failed_record_of_the_serial_loop(small_checkpoint, monkeypatch, capsys):
     """A frozen both-settings sweep, with a ``FloatingPointError`` on fog
-    sample 1's one-shot canvas only: the stacked call fails, and its
-    settings are predicted one by one, so the zero-shot canvas is predicted
-    before the one-shot inference fails."""
+    sample 1's one-shot canvas only: each sample's two canvases are one
+    call, and no canvas is predicted again alone after sample 1's stack
+    fails; the records, report and stderr are those of a loop that
+    predicts each canvas alone."""
     config = bench_config(small_checkpoint, corruption_kinds=(corruptions.CorruptionKind.FOG,), settings=tuning.SETTINGS)
     cell_size = load_checkpoint(small_checkpoint).config.cell_size
     one_shot = harness._draw_inputs(config, "fog", 3, 1, cell_size)[2][tuning.ONE_SHOT].pair[0]
@@ -656,13 +657,35 @@ def test_a_divergence_in_a_stack_is_the_failed_record_of_the_serial_loop(small_c
         report = harness.run_bench(config)
         runs[way] = (report.records, report.to_json_bytes(), capsys.readouterr().err)
         if way == "stacked":
-            stack, canvas = (2, 3, cell_size, cell_size), (3, cell_size, cell_size)
-            assert calls == [stack, stack, canvas, canvas, stack]  # sample 1's stack fails, then its canvases one by one
+            assert calls == [(2, 3, cell_size, cell_size)] * 3
     assert runs["stacked"] == runs["alone"]
     records, _, err = runs["stacked"]
     assert records[1] == harness.SampleRecord("fog", 3, 1, {}, {}, "matmul: non-finite values")
     assert [r.failure for r in records] == [None, "matmul: non-finite values", None]
     assert err == "vict: fog severity 3 sample 1 failed: matmul: non-finite values\n"
+
+
+def test_a_vict_sweep_predicts_each_setting_job_frozen_in_one_call(small_checkpoint, monkeypatch):
+    """A both-methods, both-settings sweep on one CPU: one ``infer`` call
+    per (sample, setting) job, in job order, on a one-canvas stack of that
+    setting's prompt."""
+    config = bench_config(small_checkpoint, settings=tuning.SETTINGS, methods=harness.METHODS, num_samples=2)
+    cell_size = load_checkpoint(small_checkpoint).config.cell_size
+    real_infer, calls = harness.infer, []
+
+    def recorded(params, pair, x_t):
+        calls.append((np.shape(x_t), pair[0].tobytes()))
+        return real_infer(params, pair, x_t)
+
+    use_cpus(monkeypatch, 1)  # every call is seen here
+    monkeypatch.setattr(harness, "infer", recorded)
+    assert harness.run_bench(config).total_failures == 0
+    jobs = []
+    for kind in config.corruption_kinds:
+        for i in range(config.num_samples):
+            prompts = harness._draw_inputs(config, kind.value, 3, i, cell_size)[2]
+            jobs += [((1, 3, cell_size, cell_size), prompts[setting].pair[0].tobytes()) for setting in tuning.SETTINGS]
+    assert calls == jobs
 
 
 def test_a_divergence_under_warnings_as_errors_is_a_failed_record(small_checkpoint):
